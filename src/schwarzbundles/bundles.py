@@ -7,6 +7,10 @@ class is the winding of lambda12 along the curve. For nonnegative Chern class
 the canonical section pair (f1 inside, f2 outside) is built from the Cauchy
 integral of the unwrapped boundary log density, with a divisor adjustment
 (z - a)^{-c} at an interior point a when c > 0.
+
+Built-in transitions are closed forms in the pullback variable zeta of
+z = phi(zeta), so at the grid nodes zeta = e^{it} they need no Newton
+inversion of the map; for exp(S) the node log density is S itself.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     NoHolomorphicSectionError,
     NotAnIntegerError,
 )
-from .schwarz import invert_conformal_map, schwarz_near
+from .schwarz import invert_conformal_map
 from .transforms import cauchy_integral, unwrap_log
 
 INTEGER_WINDING_TOL = 1e-6
@@ -40,28 +44,27 @@ class BundleKind(Enum):
     CUSTOM = "custom"
 
 
-def holomorphic_tangent(curve, z):
-    """Holomorphic extension of the unit tangent to the validated annulus.
+def _pullback_tangent(curve, zeta):
+    """Holomorphic unit tangent at pullback points zeta (arrays welcome).
 
-    In pullback form T = i zeta phi'(zeta) / sqrt(phi'(zeta) * conj-phi'(1/zeta));
-    the square root branch is tracked radially from the boundary circle, where
-    it is the positive root |phi'|.
+    T = i zeta phi'(zeta) / sqrt(phi'(zeta) * conj-phi'(1/zeta)); the square
+    root branch is tracked radially from the boundary circle, where it is the
+    positive root |phi'|, so on the circle T = dz/|dz|.
     """
-    zeta = invert_conformal_map(curve, z)
-    r, base = abs(zeta), zeta / abs(zeta)
-
-    def q(zz):
-        return curve.dphi(zz) * curve.dphi_reflected(zz)
-
-    root = np.sqrt(complex(q(base)))  # positive: q = |phi'|^2 on the circle
+    zeta = np.asarray(zeta, dtype=complex)
+    r, base = np.abs(zeta), zeta / np.abs(zeta)
+    root = 1.0  # the product below is |phi'|^2 > 0 on the circle (k = 0)
     steps = 8
-    for k in range(1, steps + 1):
+    for k in range(steps + 1):
         zz = base * (1.0 + (r - 1.0) * k / steps)
-        cand = np.sqrt(complex(q(zz)))
-        if abs(cand - root) > abs(-cand - root):
-            cand = -cand
-        root = cand
-    return complex(1j * zeta * curve.dphi(zeta) / root)
+        cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
+        root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
+    return 1j * zeta * curve.dphi(zeta) / root
+
+
+def holomorphic_tangent(curve, z):
+    """Holomorphic extension of the unit tangent to the validated annulus."""
+    return complex(_pullback_tangent(curve, invert_conformal_map(curve, z)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,30 +78,31 @@ class LineBundle:
     evaluator: object = None
     reciprocal_evaluator: object = None
 
+    def at_zeta(self, zeta):
+        """lambda12 of a built-in bundle at pullback points zeta, z = phi(zeta)."""
+        if self.kind is BundleKind.EXP_SCHWARZ:
+            return np.exp(self.curve.phi_reflected(zeta))
+        if self.kind is BundleKind.SCHWARZ_POLE:
+            return 1.0 / (self.curve.phi_reflected(zeta) - np.conjugate(self.pole))
+        return _pullback_tangent(self.curve, zeta) ** (-self.power)
+
     def transition(self, z):
         """lambda12 at a point of the annulus."""
-        if self.kind is BundleKind.EXP_SCHWARZ:
-            return np.exp(schwarz_near(self.curve, z))
-        if self.kind is BundleKind.SCHWARZ_POLE:
-            return 1.0 / (schwarz_near(self.curve, z) - np.conjugate(self.pole))
-        if self.kind is BundleKind.TANGENT_POWER:
-            return holomorphic_tangent(self.curve, z) ** (-self.power)
-        return complex(self.evaluator(z))
+        if self.kind is BundleKind.CUSTOM:
+            return complex(self.evaluator(z))
+        return complex(self.at_zeta(invert_conformal_map(self.curve, z)))
 
     def transition_reciprocal(self, z):
-        """lambda21 = 1/lambda12, in closed form where one exists."""
-        if self.kind is BundleKind.EXP_SCHWARZ:
-            return np.exp(-schwarz_near(self.curve, z))
-        if self.kind is BundleKind.SCHWARZ_POLE:
-            return schwarz_near(self.curve, z) - np.conjugate(self.pole)
-        if self.kind is BundleKind.TANGENT_POWER:
-            return holomorphic_tangent(self.curve, z) ** self.power
+        """lambda21 = 1/lambda12."""
         if self.reciprocal_evaluator is not None:
             return complex(self.reciprocal_evaluator(z))
-        return 1.0 / complex(self.evaluator(z))
+        return 1.0 / self.transition(z)
 
     def transition_at_nodes(self, grid):
-        return np.array([self.transition(z) for z in grid.z])
+        """lambda12 at the grid nodes, in closed form at grid.zeta unless custom."""
+        if self.kind is BundleKind.CUSTOM:
+            return np.array([complex(self.evaluator(z)) for z in grid.z])
+        return self.at_zeta(grid.zeta)
 
 
 def exp_schwarz_bundle(curve):
@@ -121,17 +125,31 @@ def custom_bundle(curve, evaluator, reciprocal_evaluator=None):
                       reciprocal_evaluator=reciprocal_evaluator)
 
 
+def _node_log(bundle, grid):
+    """(lambda12, its continuous log, Chern class) at the grid nodes.
+
+    For exp(S) the log is S, single-valued (class 0), anchored like unwrap_log
+    at node 0's principal branch; exp(S) may overflow and is not formed.
+    """
+    if bundle.kind is BundleKind.EXP_SCHWARZ:
+        s = bundle.curve.phi_reflected(grid.zeta)
+        k = round((s[0].imag - np.angle(np.exp(1j * s[0].imag))) / (2.0 * np.pi))
+        return None, s - 2j * np.pi * k, 0
+    vals = bundle.transition_at_nodes(grid)
+    log, winding = unwrap_log(vals)
+    nearest = round(winding)
+    if abs(winding - nearest) >= INTEGER_WINDING_TOL:
+        raise NotAnIntegerError(f"winding {winding} is not close to an integer")
+    return vals, log, int(nearest)
+
+
 def chern_class(bundle, grid):
     """Winding of lambda12 along the curve: (1/2 pi i) * integral of dlog.
 
     Raises BranchUnresolvedError for under-resolved phases and
     NotAnIntegerError if the accumulated winding does not round cleanly.
     """
-    _, winding = unwrap_log(bundle.transition_at_nodes(grid))
-    nearest = round(winding)
-    if abs(winding - nearest) >= INTEGER_WINDING_TOL:
-        raise NotAnIntegerError(f"winding {winding} is not close to an integer")
-    return int(nearest)
+    return _node_log(bundle, grid)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,10 +174,9 @@ class SectionPair:
 
     def f2(self, z):
         """Exterior-side evaluator (analytic outside, normalized at infinity)."""
-        val = np.exp(cauchy_integral(self.grid, self.density, z))
         if self.chern:
-            val = val * (z - self.adjustment) ** (-self.chern)
-        return val
+            return self.f1(z) * (z - self.adjustment) ** (-self.chern)
+        return self.f1(z)
 
 
 def canonical_section(bundle, grid, a=None, branch_offset=0):
@@ -171,16 +188,14 @@ def canonical_section(bundle, grid, a=None, branch_offset=0):
     `branch_offset` shifts the interior base branch of the log by 2 pi i
     times the offset (sections differ by a constant factor of modulus 1).
     """
-    c = chern_class(bundle, grid)
+    vals, density, c = _node_log(bundle, grid)
     if c < 0:
         raise NoHolomorphicSectionError(
             f"Chern class {c} < 0 admits no holomorphic sections")
-    vals = bundle.transition_at_nodes(grid)
     adjustment = None
     if c > 0:
         adjustment = _resolve_adjustment(bundle, grid, a)
-        vals = vals * (grid.z - adjustment) ** (-c)
-    density, _ = unwrap_log(vals)
+        density, _ = unwrap_log(vals * (grid.z - adjustment) ** (-c))
     if branch_offset:
         density = density + 2j * np.pi * int(branch_offset)
     normalization = ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z
@@ -237,25 +252,12 @@ def annulus_verification_points(grid, n_points=32):
             raise NearBoundaryError(
                 "cannot place verification points between the exclusion band "
                 "and the validated annulus; refine the grid")
-        inner = curve.phi(r_in * base)
-        outer = curve.phi((1.0 / r_in) * base)
-        pts = np.concatenate([inner, outer])
-        sides = [locate(grid, p) for p in pts]
-        if Location.NEAR_BOUNDARY not in sides:
+        pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
+        # the band test of locate, for all points in one pass
+        gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
+        if not np.any(gap < grid.exclusion_band):
             return pts
         s *= 1.3
-
-
-def _continued_density(section, bundle, z):
-    """Analytic continuation of the boundary log density to a nearby point,
-    branch-matched at the closest grid node."""
-    val = bundle.transition(z)
-    if section.chern:
-        val = val * (z - section.adjustment) ** (-section.chern)
-    base = np.log(complex(val))
-    node = int(np.argmin(np.abs(section.grid.z - z)))
-    k = round((section.density[node].imag - base.imag) / (2.0 * np.pi))
-    return base + 2j * np.pi * k
 
 
 def verify_transition(section, bundle, annulus_points):
@@ -273,29 +275,28 @@ def verify_transition(section, bundle, annulus_points):
         if side is Location.NEAR_BOUNDARY:
             raise NearBoundaryError(f"verification point {z} is inside the band")
         ci = cauchy_integral(section.grid, section.density, z)
-        dens = _continued_density(section, bundle, z)
+        lam = bundle.transition(z)
+        adjust = (z - section.adjustment) ** (-section.chern) if section.chern else 1.0
+        # the density continued to z, branch-matched at the nearest node
+        dens = np.log(lam * adjust)
+        node = int(np.argmin(np.abs(section.grid.z - z)))
+        turns = round((section.density[node].imag - dens.imag) / (2.0 * np.pi))
+        dens = dens + 2j * np.pi * turns
         if side is Location.INTERIOR:
-            f1 = np.exp(ci)
-            f2 = np.exp(ci - dens)
+            f1, f2 = np.exp(ci), np.exp(ci - dens)
         else:
-            f1 = np.exp(ci + dens)
-            f2 = np.exp(ci)
-        if section.chern:
-            f2 = f2 * (z - section.adjustment) ** (-section.chern)
-        resid = abs(f1 - bundle.transition(z) * f2) / (1.0 + abs(f2))
-        worst = max(worst, resid)
+            f1, f2 = np.exp(ci + dens), np.exp(ci)
+        f2 = f2 * adjust
+        worst = max(worst, abs(f1 - lam * f2) / (1.0 + abs(f2)))
     return worst
 
 
 def verify_m_differential_match(f1_eval, f2_eval, curve, grid, m):
     """Max node residual of the half-order matching f1 * T^m = conj(f2)."""
     tangents = grid.dz / np.abs(grid.dz)
-    worst = 0.0
-    for z, tangent in zip(grid.z, tangents):
-        lhs = complex(f1_eval(z)) * tangent ** int(m)
-        rhs = np.conjugate(complex(f2_eval(z)))
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    return max(abs(complex(f1_eval(z)) * tangent ** int(m)
+                   - np.conjugate(complex(f2_eval(z))))
+               for z, tangent in zip(grid.z, tangents))
 
 
 def section_to_json(section):

@@ -60,19 +60,17 @@ def fmt17(x):
 
 
 def parse_complex(text):
-    """Accept '1+2j', '2', or 're,im'."""
+    """Accept finite values written '1+2j', '2', or 're,im'."""
     text = text.strip()
-    try:
-        return complex(text.replace("i", "j"))
-    except ValueError:
-        pass
     parts = text.split(",")
-    if len(parts) == 2:
-        try:
-            return complex(float(parts[0]), float(parts[1]))
-        except ValueError:
-            pass
-    raise ParseError(f"cannot parse complex number from {text!r}")
+    try:
+        value = complex(float(parts[0]), float(parts[1])) if len(parts) == 2 \
+            else complex(text.replace("i", "j"))
+    except ValueError:
+        value = None
+    if value is None or not np.isfinite(value):
+        raise ParseError(f"cannot parse a finite complex number from {text!r}")
+    return value
 
 
 def parse_coeff_list(text):

@@ -122,12 +122,13 @@ class PolygonCurve:
 
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """Uniform-parameter nodes on a conformal-map curve with trapezoidal
+    """Uniform-parameter nodes z = phi(zeta), zeta = e^{it}, with trapezoidal
     weights. `exclusion_band` is the refusal distance around the curve."""
 
     curve: ConformalMapCurve
     n: int
     t: np.ndarray
+    zeta: np.ndarray
     z: np.ndarray
     dz: np.ndarray
     weight: float
@@ -254,7 +255,7 @@ def sample(curve, n):
     z = curve.phi(zeta)
     dz = 1j * zeta * curve.dphi(zeta)
     band = EXCLUSION_SAFETY_FACTOR * np.abs(np.roll(z, -1) - z).max()
-    return ContourGrid(curve=curve, n=n, t=t, z=z, dz=dz,
+    return ContourGrid(curve=curve, n=n, t=t, zeta=zeta, z=z, dz=dz,
                        weight=TWO_PI / n, exclusion_band=band)
 
 

@@ -34,12 +34,12 @@ def unwrap_log(values, step_limit=PHASE_STEP_LIMIT):
     The branch is anchored at the principal logarithm of the first value.
     Returns (log values, winding). Raises BranchUnresolvedError when any
     adjacent phase step reaches `step_limit` (refine the grid) or when a
-    value is numerically zero.
+    value is numerically zero or not finite.
     """
     v = np.asarray(values, dtype=complex)
     mags = np.abs(v)
-    if mags.min() <= 1e-12:
-        raise BranchUnresolvedError("values pass through zero; no branch exists")
+    if not (mags.min() > 1e-12 and mags.max() < np.inf):  # also false for NaN
+        raise BranchUnresolvedError("values are zero or not finite; no branch exists")
     steps = np.angle(np.roll(v, -1) / v)
     if np.abs(steps).max() >= step_limit:
         raise BranchUnresolvedError(

@@ -8,6 +8,16 @@ from schwarzbundles.errors import (
     NoHolomorphicSectionError,
 )
 
+QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
+
+
+def builtin_bundles(curve):
+    return (sb.exp_schwarz_bundle(curve),
+            sb.schwarz_pole_bundle(curve, 3),
+            sb.schwarz_pole_bundle(curve, 0.3 + 0.1j),
+            sb.tangent_power_bundle(curve, 2),
+            sb.tangent_power_bundle(curve, -1))
+
 
 def test_chern_classes_disk(disk, disk_grid):
     assert sb.chern_class(sb.exp_schwarz_bundle(disk), disk_grid) == 0
@@ -262,3 +272,57 @@ def test_section_dump(disk, disk_grid):
     assert blob["normalization"] == sb.bundles.LEADING_ONE_OVER_Z
     assert len(blob["density"]) == disk_grid.n
     assert set(blob["density"][0]) == {"t", "re", "im"}
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_node_transitions_match_inverted_points(n, disk, cardioid):
+    # closed forms at grid.zeta against one Newton inversion per node
+    quartic = sb.build_polynomial_curve(QUARTIC, 0.72)
+    for curve in (disk, cardioid, quartic):
+        grid = sb.sample(curve, n)
+        for bundle in builtin_bundles(curve):
+            closed = bundle.transition_at_nodes(grid)
+            for j in range(0, n, 7):
+                newton = bundle.transition(complex(grid.z[j]))
+                assert abs(closed[j] - newton) <= 1e-12 * abs(newton)
+
+
+def test_node_path_makes_no_newton_calls(monkeypatch, cardioid, cardioid_grid):
+    def refuse(curve, z):
+        raise AssertionError("Newton inversion on the node path")
+
+    monkeypatch.setattr(sb.bundles, "invert_conformal_map", refuse)
+    for bundle in builtin_bundles(cardioid):
+        with pytest.raises(AssertionError):
+            bundle.transition(complex(cardioid_grid.z[0]))
+        if sb.chern_class(bundle, cardioid_grid) < 0:
+            with pytest.raises(NoHolomorphicSectionError):
+                sb.canonical_section(bundle, cardioid_grid)
+        else:
+            sb.canonical_section(bundle, cardioid_grid)
+
+
+def test_exp_schwarz_log_density_anchor():
+    # S has imaginary part -5 at node 0, so the principal branch moves it by 2 pi
+    curve = sb.build_polynomial_curve([5j, 1, 0.3], 0.7)
+    grid = sb.sample(curve, 1024)
+    bundle = sb.exp_schwarz_bundle(curve)
+    unwrapped, winding = sb.unwrap_log(bundle.transition_at_nodes(grid))
+    section = sb.canonical_section(bundle, grid)
+    assert winding == pytest.approx(0.0, abs=1e-12)
+    assert section.density[0].imag == pytest.approx(2 * np.pi - 5, abs=1e-12)
+    assert np.abs(section.density - unwrapped).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_schwarz_far_from_origin_does_not_overflow():
+    # exp(S) ~ e^800 overflows at the nodes; the log density S does not
+    far = sb.build_polynomial_curve([800, 1], 0.5)
+    grid = sb.sample(far, 512)
+    bundle = sb.exp_schwarz_bundle(far)
+    assert sb.chern_class(bundle, grid) == 0
+    section = sb.canonical_section(bundle, grid)
+    assert np.isfinite(section.density).all()
+    for z in (803.0, 800 - 2.5j):
+        assert sb.evaluate_section(section, z) == pytest.approx(
+            np.exp(-1.0 / (z - 800)), abs=1e-12)

@@ -3,11 +3,13 @@ import json
 import pytest
 
 from schwarzbundles.cli import main, parse_complex
+from schwarzbundles.errors import ParseError
 
 DISK = '{"kind": "conformal", "coeffs": [[0,0],[1,0]], "rho": 0.5}'
 CARDIOID = '{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.3,0]], "rho": 0.7}'
 BAD_CURVE = '{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.6,0]], "rho": 0.8}'
 SQUARE = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
+FAR_DISK = '{"kind": "conformal", "coeffs": [[800,0],[1,0]], "rho": 0.5}'
 
 
 @pytest.fixture
@@ -34,6 +36,25 @@ def test_parse_complex():
     assert parse_complex("2") == 2
     assert parse_complex("1+2j") == 1 + 2j
     assert parse_complex("0.5,0.2") == 0.5 + 0.2j
+
+
+@pytest.mark.parametrize("text", ["nan", "inf", "nanj", "1e999", "nan,0", "0,inf"])
+def test_parse_complex_rejects_non_finite(text):
+    with pytest.raises(ParseError):
+        parse_complex(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["transform", "--z", "nan"],
+    ["transform", "--z", "2", "--w", "inf"],
+    ["section", "--bundle", "schwarz-pole", "--pole", "nan"],
+    ["section", "--bundle", "schwarz-pole", "--pole", "0", "--adjust", "nan,0"],
+])
+def test_non_finite_arguments_are_parse_errors(capsys, disk_file, argv):
+    code, _, err = run(capsys, argv[0], disk_file, *argv[1:])
+    assert code == 2
+    assert "finite" in err
 
 
 def test_validate_disk(capsys, disk_file):
@@ -95,6 +116,16 @@ def test_section_commands(capsys, disk_file):
     code, out, _ = run(capsys, "section", disk_file, "--bundle", "tangent-power",
                        "--power", "2")
     assert json.loads(out)["chern"] == -2
+
+
+@pytest.mark.filterwarnings("error")
+def test_section_exp_schwarz_far_curve(capsys, tmp_path):
+    # exp(S) overflows at the nodes of this curve; its log S does not
+    path = tmp_path / "far.json"
+    path.write_text(FAR_DISK)
+    code, out, _ = run(capsys, "section", str(path), "--bundle", "exp-schwarz")
+    assert code == 0
+    assert json.loads(out)["chern"] == 0
 
 
 def test_section_dump(capsys, disk_file, tmp_path):

@@ -145,6 +145,14 @@ def test_unwrap_log_guards_and_winding():
         sb.unwrap_log(np.array([1.0, 0.0, 1.0, 1.0]))  # passes through zero
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, np.nan)])
+def test_unwrap_log_rejects_non_finite(bad):
+    from schwarzbundles.errors import BranchUnresolvedError
+    with pytest.raises(BranchUnresolvedError):
+        sb.unwrap_log(np.array([1.0, bad, 1.0, 1.0]))
+
+
 def test_moment_expansion_propagates_band_refusal(disk):
     g16 = sb.sample(disk, 16)  # band 1.95 reaches the sampling circle
     with pytest.raises(NearBoundaryError):
