@@ -32,7 +32,6 @@ from .transforms import (
     cauchy_integral,
     cauchy_transform,
     double_cauchy,
-    exponential_transform,
     harmonic_moments,
     moment_expansion_check,
     piece_f,
@@ -65,7 +64,6 @@ from .quaddom import (
     abelian_quadrature,
     apply_polygon_quadrature,
     arclength_quadrature,
-    area_mean_conformal,
     area_mean_polygon,
     boundary_abelian,
     boundary_arclength,

@@ -20,10 +20,11 @@ from enum import Enum
 
 import numpy as np
 
-from .curve import ContourGrid, Location, locate
+from .curve import ContourGrid, Location, locate, require_off_band
 from .errors import (
     AdjustmentPointMissingError,
     AdjustmentPointNotInteriorError,
+    BranchUnresolvedError,
     NearBoundaryError,
     NoHolomorphicSectionError,
     NotAnIntegerError,
@@ -102,7 +103,8 @@ class LineBundle:
         """lambda12 at the grid nodes, in closed form at grid.zeta unless custom."""
         if self.kind is BundleKind.CUSTOM:
             return np.array([complex(self.evaluator(z)) for z in grid.z])
-        return self.at_zeta(grid.zeta)
+        with np.errstate(all="ignore"):  # a pole on a node: unwrap_log refuses
+            return self.at_zeta(grid.zeta)
 
 
 def exp_schwarz_bundle(curve):
@@ -214,11 +216,7 @@ def _resolve_adjustment(bundle, grid, a):
             raise AdjustmentPointMissingError(
                 "nonzero Chern class needs an interior adjustment point")
     a = complex(a)
-    side = locate(grid, a)
-    if side is Location.NEAR_BOUNDARY:
-        raise NearBoundaryError(
-            f"adjustment point {a} is inside the exclusion band; refine")
-    if side is not Location.INTERIOR:
+    if require_off_band(grid, a) is not Location.INTERIOR:
         raise AdjustmentPointNotInteriorError(
             f"adjustment point {a} is not strictly interior")
     return a
@@ -227,9 +225,7 @@ def _resolve_adjustment(bundle, grid, a):
 def evaluate_section(section, z):
     """f1(z) inside the curve, f2(z) outside; refuses the exclusion band."""
     z = complex(z)
-    side = locate(section.grid, z)
-    if side is Location.NEAR_BOUNDARY:
-        raise NearBoundaryError(f"{z} is within the exclusion band")
+    side = require_off_band(section.grid, z)
     return section.f1(z) if side is Location.INTERIOR else section.f2(z)
 
 
@@ -267,15 +263,18 @@ def verify_transition(section, bundle, annulus_points):
     is continued across the curve from its Cauchy representation (the
     continuation adds or subtracts the boundary density, branch-matched at
     the nearest node). Residuals are |f1 - lambda12 f2| / (1 + |f2|).
+    A zero or non-finite lambda12 raises BranchUnresolvedError.
     """
+    points = [complex(z) for z in np.asarray(annulus_points, dtype=complex)]
+    with np.errstate(all="ignore"):  # overflow and poles are refused below
+        lams = [bundle.transition(z) for z in points]
     worst = 0.0
-    for z in np.asarray(annulus_points, dtype=complex):
-        z = complex(z)
-        side = locate(section.grid, z)
-        if side is Location.NEAR_BOUNDARY:
-            raise NearBoundaryError(f"verification point {z} is inside the band")
+    for z, lam in zip(points, lams):
+        side = require_off_band(section.grid, z)
+        if not 0.0 < abs(lam) < np.inf:  # also false for NaN
+            raise BranchUnresolvedError(
+                f"transition {lam} at {z} is zero or not finite; no branch exists")
         ci = cauchy_integral(section.grid, section.density, z)
-        lam = bundle.transition(z)
         adjust = (z - section.adjustment) ** (-section.chern) if section.chern else 1.0
         # the density continued to z, branch-matched at the nearest node
         dens = np.log(lam * adjust)

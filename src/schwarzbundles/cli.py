@@ -21,6 +21,7 @@ import numpy as np
 
 from . import bundles, quaddom, transforms
 from .curve import (
+    MAX_NODES,
     ConformalMapCurve,
     PolygonCurve,
     adaptive_refine,
@@ -50,8 +51,6 @@ EXIT_GEOMETRY = 5
 class RunConfig:
     tolerance: float = 1e-10
     n: int = None          # pinned node count; adaptive when None
-    n_start: int = 256
-    n_max: int = 2 ** 16
     fmt: str = "json"
 
 
@@ -115,7 +114,7 @@ def _grid_for(curve, cfg, functional=None):
     if functional is None:
         return sample(curve, 512)
     return adaptive_refine(curve, functional, cfg.tolerance,
-                           n_start=cfg.n_start, n_max=cfg.n_max)
+                           n_start=256, n_max=MAX_NODES)
 
 
 def _emit(payload, cfg):
@@ -151,8 +150,7 @@ def cmd_validate(args):
     curve = _load_curve(args.curve_file)
     if isinstance(curve, ConformalMapCurve):
         grid = sample(curve, cfg.n or 512)
-        area_over_pi = complex(
-            (grid.weight / (2j * np.pi)) * np.sum(np.conjugate(grid.z) * grid.dz))
+        area_over_pi = quaddom.boundary_classical(grid, [1])
         payload = {
             "valid": True,
             "kind": "conformal",
@@ -189,15 +187,10 @@ def cmd_transform(args):
     grid = _grid_for(curve, cfg,
                      functional=lambda g: transforms.double_cauchy(g, z, w).C)
     tv = transforms.double_cauchy(grid, z, w)
-    piece_name = {("ext", "ext"): "F", ("int", "ext"): "G",
-                  ("ext", "int"): "G*", ("int", "int"): "H"}
-    tag = tuple(s.value[:3] for s in tv.quadrant)
-    name = piece_name[tag]
-    piece = {"F": transforms.piece_f, "G": transforms.piece_g,
-             "G*": transforms.piece_gstar, "H": transforms.piece_h}[name](grid, z, w)
+    name, piece = tv.piece
     payload = {
         "z": [z.real, z.imag], "w": [w.real, w.imag],
-        "quadrant": f"{tag[0]}:{tag[1]}",
+        "quadrant": transforms.quadrant_tag(tv.quadrant),
         "C": [tv.C.real, tv.C.imag],
         "E": [tv.E.real, tv.E.imag],
         "piece": {"name": name, "value": [piece.real, piece.imag]},
@@ -356,7 +349,7 @@ def cmd_plotdata(args):
         for y in np.linspace(y0, y1, ny):
             for x in np.linspace(x0, x1, nx):
                 try:
-                    tv = transforms.exponential_transform(grid, complex(x, y), w)
+                    tv = transforms.double_cauchy(grid, complex(x, y), w)
                     print(f"{fmt17(x)},{fmt17(y)},{fmt17(abs(tv.E))}")
                 except (NearBoundaryError, CoincidentInteriorPointsError):
                     print(f"{fmt17(x)},{fmt17(y)},")

@@ -277,6 +277,15 @@ def locate(grid, z):
     return Location.INTERIOR if winding_number(grid, z) > 0.5 else Location.EXTERIOR
 
 
+def require_off_band(grid, z):
+    """locate(grid, z), refusing a point inside the exclusion band."""
+    side = locate(grid, z)
+    if side is Location.NEAR_BOUNDARY:
+        raise NearBoundaryError(
+            f"{z} is within the exclusion band ({grid.exclusion_band:.3g})")
+    return side
+
+
 def unit_tangent(curve, t):
     """T(z(t)) = z'(t)/|z'(t)|; satisfies S'(z) = 1/T(z)^2 on the curve."""
     if not isinstance(curve, ConformalMapCurve):

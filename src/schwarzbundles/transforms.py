@@ -4,8 +4,10 @@ exponential transform of the domain bounded by an analytic curve.
 Everything is computed from boundary integrals on a contour grid. The double
 transform C(z, w) is assembled quadrant by quadrant: the base Cauchy integral
 of a boundary log density plus a closed correction when an argument is
-interior. Its exponential E = exp(C) carries the four analytic pieces
-F, G, G*, H depending on which side of the curve each argument lies.
+interior. Its exponential E = exp(C) carries one of the four analytic
+pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
+`TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
+property with the quadrant enforced.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Location, locate
+from .curve import Location, require_off_band
 from .errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
@@ -56,22 +58,11 @@ def cauchy_integral(grid, density, z):
                    * np.sum(np.asarray(density) * grid.dz / (grid.z - z)))
 
 
-def _require_off_band(grid, *points):
-    sides = []
-    for p in points:
-        side = locate(grid, p)
-        if side is Location.NEAR_BOUNDARY:
-            raise NearBoundaryError(
-                f"{p} is within the exclusion band ({grid.exclusion_band:.3g})")
-        sides.append(side)
-    return sides
-
-
 def cauchy_transform(grid, z):
     """Cauchy transform of the domain at exterior z, or the renormalized
     exterior transform (boundary integral of conj(zeta)/(zeta - z)) inside."""
     z = complex(z)
-    (side,) = _require_off_band(grid, z)
+    side = require_off_band(grid, z)
     base = cauchy_integral(grid, np.conjugate(grid.z), z)
     return -base if side is Location.EXTERIOR else base
 
@@ -96,10 +87,7 @@ def harmonic_moments(grid, k_min, k_max):
     k_min, k_max = int(k_min), int(k_max)
     if not k_min <= 0 <= k_max:
         raise ValueError("moment range must contain k = 0")
-    side = locate(grid, 0.0)
-    if side is Location.NEAR_BOUNDARY:
-        raise NearBoundaryError("origin is inside the exclusion band; refine")
-    if side is not Location.INTERIOR:
+    if require_off_band(grid, 0.0) is not Location.INTERIOR:
         raise OriginNotInteriorError("harmonic moments assume the origin is interior")
     pref = grid.weight / (2j * np.pi)
     zbar_dz = np.conjugate(grid.z) * grid.dz
@@ -134,6 +122,9 @@ def moment_expansion_check(grid, k_max, n_fft=256):
     return residual
 
 
+_PIECE_NAMES = {"ext:ext": "F", "int:ext": "G", "ext:int": "G*", "int:int": "H"}
+
+
 @dataclass(frozen=True)
 class TransformValue:
     """Double Cauchy transform C and exponential transform E = exp(C) at a
@@ -144,6 +135,21 @@ class TransformValue:
     quadrant: tuple
     C: complex
     E: complex
+
+    @property
+    def piece(self):
+        """(name, value) of the analytic piece of E in this quadrant: F = E,
+        G = E/(conj z - conj w), G* = conj(G(w, z)) with E(w, z) = conj E,
+        and H = E/|z - w|^2."""
+        name = _PIECE_NAMES[quadrant_tag(self.quadrant)]
+        zbar, wbar = np.conjugate(self.z), np.conjugate(self.w)
+        if name == "F":
+            return name, self.E
+        if name == "G":
+            return name, self.E / (zbar - wbar)
+        if name == "G*":
+            return name, np.conjugate(np.conjugate(self.E) / (wbar - zbar))
+        return name, self.E / abs(self.z - self.w) ** 2
 
 
 def _log_density_for(grid, w, w_side):
@@ -164,7 +170,7 @@ def double_cauchy(grid, z, w):
     evaluating the conjugate-swapped real-density route.
     """
     z, w = complex(z), complex(w)
-    z_side, w_side = _require_off_band(grid, z, w)
+    z_side, w_side = require_off_band(grid, z), require_off_band(grid, w)
     if z_side is Location.INTERIOR and w_side is Location.INTERIOR \
             and abs(z - w) <= 1e-12 * (1.0 + abs(z)):
         raise CoincidentInteriorPointsError(
@@ -181,48 +187,33 @@ def double_cauchy(grid, z, w):
     return TransformValue(z=z, w=w, quadrant=(z_side, w_side), C=c, E=cmath.exp(c))
 
 
-def exponential_transform(grid, z, w):
-    """E(z, w) = exp C(z, w)."""
-    return double_cauchy(grid, z, w)
-
-
-def _demand_quadrant(tv, z_side, w_side, name):
-    if tv.quadrant != (z_side, w_side):
-        got = tuple(s.value for s in tv.quadrant)
-        want = (z_side.value, w_side.value)
-        raise WrongQuadrantError(f"piece {name} needs quadrant {want}, got {got}")
+def _piece(grid, z, w, name):
+    tv = double_cauchy(grid, z, w)
+    got, value = tv.piece
+    if got != name:
+        raise WrongQuadrantError(
+            f"piece {name} does not apply in quadrant {quadrant_tag(tv.quadrant)}")
+    return value
 
 
 def piece_f(grid, z, w):
     """F(z, w) = E(z, w) for both arguments exterior; F(inf, w) = 1."""
-    tv = double_cauchy(grid, z, w)
-    _demand_quadrant(tv, Location.EXTERIOR, Location.EXTERIOR, "F")
-    return tv.E
+    return _piece(grid, z, w, "F")
 
 
 def piece_g(grid, z, w):
     """G(z, w) = E(z, w)/(conj z - conj w) for z interior, w exterior."""
-    tv = double_cauchy(grid, z, w)
-    _demand_quadrant(tv, Location.INTERIOR, Location.EXTERIOR, "G")
-    return tv.E / (np.conjugate(tv.z) - np.conjugate(tv.w))
+    return _piece(grid, z, w, "G")
 
 
 def piece_gstar(grid, z, w):
     """G*(z, w) = conj(G(w, z)) for z exterior, w interior."""
-    z, w = complex(z), complex(w)
-    z_side, w_side = _require_off_band(grid, z, w)
-    if (z_side, w_side) != (Location.EXTERIOR, Location.INTERIOR):
-        raise WrongQuadrantError(
-            f"piece G* needs (exterior, interior), got "
-            f"({z_side.value}, {w_side.value})")
-    return np.conjugate(piece_g(grid, w, z))
+    return _piece(grid, z, w, "G*")
 
 
 def piece_h(grid, z, w):
     """Interior exponential transform H(z, w) = E(z, w)/|z - w|^2."""
-    tv = double_cauchy(grid, z, w)
-    _demand_quadrant(tv, Location.INTERIOR, Location.INTERIOR, "H")
-    return tv.E / abs(tv.z - tv.w) ** 2
+    return _piece(grid, z, w, "H")
 
 
 # serialization of sampled transform values
@@ -230,7 +221,7 @@ def piece_h(grid, z, w):
 CSV_HEADER = "re_z,im_z,re_w,im_w,quadrant,re_C,im_C,re_E,im_E"
 
 
-def _quadrant_tag(quadrant):
+def quadrant_tag(quadrant):
     short = {Location.INTERIOR: "int", Location.EXTERIOR: "ext"}
     return f"{short[quadrant[0]]}:{short[quadrant[1]]}"
 
@@ -241,7 +232,7 @@ def transform_values_to_csv(values):
         lines.append(",".join([
             f"{tv.z.real:.17g}", f"{tv.z.imag:.17g}",
             f"{tv.w.real:.17g}", f"{tv.w.imag:.17g}",
-            _quadrant_tag(tv.quadrant),
+            quadrant_tag(tv.quadrant),
             f"{tv.C.real:.17g}", f"{tv.C.imag:.17g}",
             f"{tv.E.real:.17g}", f"{tv.E.imag:.17g}",
         ]))
@@ -252,7 +243,7 @@ def transform_values_to_json(values):
     return [{
         "z": [tv.z.real, tv.z.imag],
         "w": [tv.w.real, tv.w.imag],
-        "quadrant": _quadrant_tag(tv.quadrant),
+        "quadrant": quadrant_tag(tv.quadrant),
         "C": [tv.C.real, tv.C.imag],
         "E": [tv.E.real, tv.E.imag],
     } for tv in values]

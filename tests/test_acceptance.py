@@ -191,8 +191,8 @@ def test_criterion_7_property_suites(disk, disk_grid, cardioid):
         r1, r2 = rng.uniform(1.5, 4.0, size=2)
         t1, t2 = rng.uniform(0, 2 * np.pi, size=2)
         z, w = r1 * np.exp(1j * t1), r2 * np.exp(1j * t2)
-        a = sb.exponential_transform(disk_grid, z, w)
-        b = sb.exponential_transform(disk_grid, w, z)
+        a = sb.double_cauchy(disk_grid, z, w)
+        b = sb.double_cauchy(disk_grid, w, z)
         worst_herm = max(worst_herm, abs(a.E - np.conjugate(b.E)))
 
     pts = 2.2 * np.exp(2j * np.pi * (np.arange(6) + 0.15) / 6) + 0.1

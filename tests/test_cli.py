@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import schwarzbundles as sb
 from schwarzbundles.cli import main, parse_complex
 from schwarzbundles.errors import ParseError
 
@@ -9,6 +10,7 @@ DISK = '{"kind": "conformal", "coeffs": [[0,0],[1,0]], "rho": 0.5}'
 CARDIOID = '{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.3,0]], "rho": 0.7}'
 BAD_CURVE = '{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.6,0]], "rho": 0.8}'
 SQUARE = '{"kind": "polygon", "vertices": [[0,0],[1,0],[1,1],[0,1]]}'
+TRIANGLE = '{"kind": "polygon", "vertices": [[0,0],[1,0],[0.3,0.8]]}'
 FAR_DISK = '{"kind": "conformal", "coeffs": [[800,0],[1,0]], "rho": 0.5}'
 
 
@@ -88,6 +90,18 @@ def test_transform_pair(capsys, disk_file):
     assert payload["piece"]["name"] == "F"
 
 
+@pytest.mark.parametrize("z, w, name", [
+    (2, 3, "F"), (0.5, 3, "G"), (2, 0.5, "G*"), (0, 0.5, "H")])
+def test_transform_piece_is_the_library_piece(capsys, disk_file, z, w, name):
+    code, out, _ = run(capsys, "transform", disk_file, "--n", "512",
+                       "--z", str(z), "--w", str(w))
+    assert code == 0
+    piece = json.loads(out)["piece"]
+    tv = sb.double_cauchy(sb.sample(sb.build_circle(0, 1), 512), z, w)
+    assert piece["name"] == name
+    assert complex(*piece["value"]) == tv.piece[1]
+
+
 def test_transform_single(capsys, disk_file):
     code, out, _ = run(capsys, "transform", disk_file, "--z", "2")
     assert code == 0
@@ -128,6 +142,25 @@ def test_section_exp_schwarz_far_curve(capsys, tmp_path):
     assert json.loads(out)["chern"] == 0
 
 
+@pytest.mark.filterwarnings("error")
+def test_section_verify_far_curve_is_a_branch_refusal(capsys, tmp_path):
+    # exp(S) overflows at the verification points: lambda12 is not finite
+    path = tmp_path / "far.json"
+    path.write_text(FAR_DISK)
+    code, out, err = run(capsys, "section", str(path), "--bundle", "exp-schwarz",
+                         "--verify")
+    assert code == 4
+    assert out == "" and "not finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_section_pole_on_a_node_is_a_branch_refusal(capsys, disk_file):
+    code, out, err = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
+                         "--pole", "1", "--n", "512")
+    assert code == 4
+    assert out == "" and "not finite" in err
+
+
 def test_section_dump(capsys, disk_file, tmp_path):
     dump = tmp_path / "section.json"
     code, _, _ = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
@@ -153,6 +186,16 @@ def test_quadrature_square_corner(capsys, square_file):
     payload = json.loads(out)
     assert payload["residue_value"][0] == pytest.approx(2 / 3.141592653589793,
                                                         abs=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("f", ["0;0;1", "0;0;0;1", "0;0;0;0;1"])
+def test_quadrature_triangle_corner(capsys, tmp_path, f):
+    path = tmp_path / "triangle.json"
+    path.write_text(TRIANGLE)
+    code, out, _ = run(capsys, "quadrature", str(path), "--kind", "corner", "--f", f)
+    assert code == 0
+    assert json.loads(out)["discrepancy"] < 1e-14
 
 
 def test_quadrature_incompatible(capsys, square_file):

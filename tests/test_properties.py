@@ -120,8 +120,8 @@ def test_concurrent_evaluation_matches_serial(disk_grid):
     from concurrent.futures import ThreadPoolExecutor
 
     pts = [(1.6 + 0.2j * k, 2.5 - 0.15j * k) for k in range(24)]
-    serial = [sb.exponential_transform(disk_grid, z, w).E for z, w in pts]
+    serial = [sb.double_cauchy(disk_grid, z, w).E for z, w in pts]
     with ThreadPoolExecutor(max_workers=8) as pool:
         parallel = list(pool.map(
-            lambda zw: sb.exponential_transform(disk_grid, *zw).E, pts))
+            lambda zw: sb.double_cauchy(disk_grid, *zw).E, pts))
     assert serial == parallel

@@ -3,6 +3,7 @@ import pytest
 
 import schwarzbundles as sb
 from schwarzbundles.errors import (
+    NearBoundaryError,
     NotConformalMapCurveError,
     RankDeficientError,
     TangentNotMeromorphicError,
@@ -85,6 +86,21 @@ def test_polygon_matches_area_oracle(unit_square):
         oracle = polygon_area_integral(
             unit_square, lambda z: np.polynomial.polynomial.polyval(z, fpp)) / np.pi
         assert abs(lhs - oracle) < 1e-5
+
+
+def test_polygon_area_mean_is_exact_off_the_grid_axes():
+    tri = sb.build_polygon([0, 1, 0.3 + 0.8j])
+    area, centroid = 0.4, (1.3 + 0.8j) / 3
+    assert abs(sb.area_mean_polygon(tri, [1]) - area / np.pi) < 1e-15
+    assert abs(sb.area_mean_polygon(tri, [0, 1]) - area * centroid / np.pi) < 1e-15
+    weights = sb.polygon_quadrature(tri)
+    for coeffs in ([0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0, 1j], [1, 2, 3, 4, 5, 6]):
+        fpp = sb.poly_derivative(coeffs, 2)
+        ours = sb.area_mean_polygon(tri, fpp)
+        assert abs(sb.apply_polygon_quadrature(weights, coeffs) - ours) < 1e-13
+        oracle = polygon_area_integral(
+            tri, lambda z: np.polynomial.polynomial.polyval(z, fpp)) / np.pi
+        assert abs(ours - oracle) < 1e-4 * max(1.0, abs(ours))
 
 
 def test_residues_match_boundary_oracles(disk, disk_grid, cardioid, cardioid_grid):
@@ -175,6 +191,9 @@ def test_rational_fit_guards(disk_grid):
     with pytest.raises(WrongQuadrantError):
         sb.fit_rational_structure(disk_grid, 1, 1,
                                   np.array([2.0, 3.0, 0.5, 2j, -3.0, 4.0]))
+    with pytest.raises(NearBoundaryError):  # a sample in the band, not interior
+        sb.fit_rational_structure(disk_grid, 1, 1,
+                                  np.array([2.0, 3.0, 1.0 + 1e-9, 2j, -3.0, 4.0]))
 
 
 def test_verify_algebraic_boundary_values(disk_grid):

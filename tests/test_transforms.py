@@ -90,18 +90,18 @@ def test_double_cauchy_disk_values(disk_grid):
 
 
 def test_exponential_disk_values(disk_grid):
-    assert sb.exponential_transform(disk_grid, 2, 3).E == pytest.approx(
+    assert sb.double_cauchy(disk_grid, 2, 3).E == pytest.approx(
         5.0 / 6.0, abs=1e-12)
 
 
 def test_exponential_normalized_at_infinity(disk_grid):
-    tv = sb.exponential_transform(disk_grid, 1e6, 1e6)
+    tv = sb.double_cauchy(disk_grid, 1e6, 1e6)
     assert abs(tv.E - 1.0) < 1e-5
 
 
 def test_hermitian_symmetry_spot(disk_grid):
-    a = sb.exponential_transform(disk_grid, 2.0, 3j)
-    b = sb.exponential_transform(disk_grid, 3j, 2.0)
+    a = sb.double_cauchy(disk_grid, 2.0, 3j)
+    b = sb.double_cauchy(disk_grid, 3j, 2.0)
     assert abs(a.E - np.conjugate(b.E)) < 1e-12
 
 
@@ -126,6 +126,34 @@ def test_piece_quadrant_enforcement(disk_grid):
 def test_coincident_interior_points(disk_grid):
     with pytest.raises(CoincidentInteriorPointsError):
         sb.double_cauchy(disk_grid, 0.5, 0.5)
+    for piece in (sb.piece_f, sb.piece_g, sb.piece_gstar, sb.piece_h):
+        with pytest.raises(CoincidentInteriorPointsError):
+            piece(disk_grid, 0.5, 0.5)
+
+
+PIECES = {"F": sb.piece_f, "G": sb.piece_g, "G*": sb.piece_gstar, "H": sb.piece_h}
+
+
+@pytest.mark.parametrize("grid_name, z, w, name", [
+    ("disk_grid", 2, 3, "F"), ("disk_grid", 0.5, 3, "G"),
+    ("disk_grid", 2, 0.5, "G*"), ("disk_grid", 0, 0.5, "H"),
+    ("cardioid_grid", 3j, 3, "F"), ("cardioid_grid", 0.2, 3, "G"),
+    ("cardioid_grid", 2.2, -0.3, "G*"), ("cardioid_grid", -0.3, 0.2, "H"),
+])
+def test_piece_property_is_the_piece_function(request, grid_name, z, w, name):
+    grid = request.getfixturevalue(grid_name)
+    assert sb.double_cauchy(grid, z, w).piece == (name, PIECES[name](grid, z, w))
+
+
+@pytest.mark.parametrize("grid_name", ["disk_grid", "cardioid_grid"])
+def test_gstar_is_conjugate_of_swapped_g_exactly(request, grid_name):
+    grid = request.getfixturevalue(grid_name)
+    rng = np.random.default_rng(7)
+    angles = 2 * np.pi * rng.uniform(size=(20, 2))
+    radii = np.column_stack([rng.uniform(2.0, 4.0, 20), rng.uniform(0.0, 0.4, 20)])
+    for (rz, rw), (tz, tw) in zip(radii, angles):
+        z, w = rz * np.exp(1j * tz), rw * np.exp(1j * tw)
+        assert sb.piece_gstar(grid, z, w) == np.conjugate(sb.piece_g(grid, w, z))
 
 
 def test_exponential_is_exactly_exp_of_c(disk_grid):
@@ -180,7 +208,7 @@ def test_exponential_quadrant_sweep_disk(disk_grid):
         for w in interior + exterior:
             if z == w and abs(z) < 1:
                 continue
-            got = sb.exponential_transform(disk_grid, z, w).E
+            got = sb.double_cauchy(disk_grid, z, w).E
             assert abs(got - _disk_exact_exponential(z, w)) < 1e-10
 
 
@@ -216,8 +244,8 @@ def test_gram_positivity(disk_grid):
 
 
 def test_transform_value_serialization(disk_grid):
-    tvs = [sb.exponential_transform(disk_grid, 2, 3),
-           sb.exponential_transform(disk_grid, 0.5, 3)]
+    tvs = [sb.double_cauchy(disk_grid, 2, 3),
+           sb.double_cauchy(disk_grid, 0.5, 3)]
     csv = sb.transform_values_to_csv(tvs)
     lines = csv.strip().split("\n")
     assert lines[0].startswith("re_z,")
