@@ -13,6 +13,7 @@ from .curve import (
     build_polynomial_curve,
     curve_from_json,
     curve_to_json,
+    kernel_sums,
     locate,
     sample,
     unit_tangent,
@@ -32,6 +33,7 @@ from .transforms import (
     cauchy_integral,
     cauchy_transform,
     double_cauchy,
+    double_cauchy_batch,
     harmonic_moments,
     moment_expansion_check,
     piece_f,

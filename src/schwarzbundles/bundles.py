@@ -20,7 +20,14 @@ from enum import Enum
 
 import numpy as np
 
-from .curve import ContourGrid, Location, locate, require_off_band
+from .curve import (
+    ContourGrid,
+    Location,
+    band_refusal,
+    kernel_sums,
+    locate,
+    require_off_band,
+)
 from .errors import (
     AdjustmentPointMissingError,
     AdjustmentPointNotInteriorError,
@@ -249,7 +256,8 @@ def annulus_verification_points(grid, n_points=32):
                 "cannot place verification points between the exclusion band "
                 "and the validated annulus; refine the grid")
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        # the band test of locate, for all points in one pass
+        # the band test of locate as one distance pass; the kernel pass
+        # would add a winding division per pair that is not needed here
         gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
         if not np.any(gap < grid.exclusion_band):
             return pts
@@ -265,23 +273,28 @@ def verify_transition(section, bundle, annulus_points):
     the nearest node). Residuals are |f1 - lambda12 f2| / (1 + |f2|).
     A zero or non-finite lambda12 raises BranchUnresolvedError.
     """
-    points = [complex(z) for z in np.asarray(annulus_points, dtype=complex)]
+    grid = section.grid
+    pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
+    points = [complex(z) for z in pts]
     with np.errstate(all="ignore"):  # overflow and poles are refused below
         lams = [bundle.transition(z) for z in points]
+    # band tests, sides and Cauchy sums of all points in one kernel pass
+    nearest, winding, sums = kernel_sums(grid, pts, section.density)
     worst = 0.0
-    for z, lam in zip(points, lams):
-        side = require_off_band(section.grid, z)
+    for z, lam, gap, wind, ci in zip(points, lams, nearest, winding, sums):
+        if gap < grid.exclusion_band:
+            raise band_refusal(grid, z)
         if not 0.0 < abs(lam) < np.inf:  # also false for NaN
             raise BranchUnresolvedError(
                 f"transition {lam} at {z} is zero or not finite; no branch exists")
-        ci = cauchy_integral(section.grid, section.density, z)
+        ci = complex(ci)
         adjust = (z - section.adjustment) ** (-section.chern) if section.chern else 1.0
         # the density continued to z, branch-matched at the nearest node
         dens = np.log(lam * adjust)
-        node = int(np.argmin(np.abs(section.grid.z - z)))
+        node = int(np.argmin(np.abs(grid.z - z)))
         turns = round((section.density[node].imag - dens.imag) / (2.0 * np.pi))
         dens = dens + 2j * np.pi * turns
-        if side is Location.INTERIOR:
+        if wind > 0.5:  # interior
             f1, f2 = np.exp(ci), np.exp(ci - dens)
         else:
             f1, f2 = np.exp(ci + dens), np.exp(ci)

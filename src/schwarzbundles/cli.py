@@ -12,6 +12,7 @@ geometry.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import sys
@@ -31,7 +32,6 @@ from .curve import (
 )
 from .errors import (
     BranchUnresolvedError,
-    CoincidentInteriorPointsError,
     NearBoundaryError,
     NotConformalMapCurveError,
     ParseError,
@@ -345,14 +345,16 @@ def cmd_plotdata(args):
             raise ParseError("exp-transform-abs needs --w")
         w = parse_complex(args.w)
         x0, x1, nx, y0, y1, ny = _parse_grid_spec(args.grid)
-        print("x,y,abs_E")
-        for y in np.linspace(y0, y1, ny):
-            for x in np.linspace(x0, x1, nx):
-                try:
-                    tv = transforms.double_cauchy(grid, complex(x, y), w)
-                    print(f"{fmt17(x)},{fmt17(y)},{fmt17(abs(tv.E))}")
-                except (NearBoundaryError, CoincidentInteriorPointsError):
-                    print(f"{fmt17(x)},{fmt17(y)},")
+        xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+        zs = np.empty((ys.size, xs.size), dtype=complex)
+        zs.real, zs.imag = xs[None, :], ys[:, None]
+        cs = transforms.double_cauchy_batch(grid, zs, w).reshape(zs.shape)
+        lines = ["x,y,abs_E"]
+        for y, row in zip(ys, cs):
+            for x, c in zip(xs, row):
+                value = "" if c != c else fmt17(abs(cmath.exp(c)))  # NaN: refused
+                lines.append(f"{fmt17(x)},{fmt17(y)},{value}")
+        print("\n".join(lines))
         return EXIT_OK
     if args.quantity == "moments":
         table = transforms.harmonic_moments(grid, args.kmin, args.kmax)

@@ -6,6 +6,12 @@ polygons (used only by the corner quadrature path). Contour grids are uniform
 in the circle parameter, which makes the trapezoidal rule spectrally accurate
 for the periodic analytic integrands that arise throughout the package.
 
+Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
+blocked pass, `kernel_sums`: for a batch of points it gives the distance to
+the nearest node, the winding number and, given a density, the trapezoidal
+Cauchy sum. `locate`, `winding_number` and the Cauchy integral of
+`transforms` are that pass for a batch of one point.
+
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently.
 """
@@ -39,6 +45,10 @@ EXCLUSION_SAFETY_FACTOR = 5.0
 
 MIN_NODES = 16
 MAX_NODES = 2 ** 16
+
+# Node-point pairs per block of the kernel pass; rows stay contiguous and a
+# block's complex temporaries stay around half a megabyte.
+KERNEL_BLOCK = 2 ** 15
 
 
 class Location(Enum):
@@ -182,12 +192,7 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
     z = curve.point(th)
     adjacent = np.abs(np.roll(z, -1) - z)
     min_adjacent = adjacent.min()
-    # pairwise injectivity at sample resolution
-    diff = np.abs(z[:, None] - z[None, :])
-    sep = np.abs(np.arange(n_check)[:, None] - np.arange(n_check)[None, :])
-    sep = np.minimum(sep, n_check - sep)
-    far = sep >= 8
-    if diff[far].min() < 0.5 * min_adjacent:
+    if _far_pair_gap(z) < 0.5 * min_adjacent:
         raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
 
     winding = _cyclic_winding(curve.velocity(th))
@@ -195,6 +200,19 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
         raise CurveNotSimpleError(
             f"tangent winding {winding:.3f}, expected +1 (counterclockwise)")
     return curve
+
+
+def _far_pair_gap(z, min_sep=8):
+    """Smallest |z[i] - z[j]| over the cyclic pairs at least min_sep apart.
+
+    Row i of the wrapped window holds z[i + k mod n] for k <= n/2, so the
+    pairs (i, i + k) with min_sep <= k <= n/2 meet every such pair once or
+    twice; |a - b| = |b - a| exactly, so this is the all-pairs minimum.
+    """
+    half = z.size // 2
+    ring = np.concatenate([z, z[:half + 1]])
+    window = np.lib.stride_tricks.sliding_window_view(ring, half + 1)[:z.size]
+    return np.abs(window[:, min_sep:] - z[:, None]).min()
 
 
 def build_polygon(vertices):
@@ -259,10 +277,46 @@ def sample(curve, n):
                        weight=TWO_PI / n, exclusion_band=band)
 
 
+def kernel_sums(grid, points, density=None):
+    """One blocked pass of the trapezoidal Cauchy kernel over the nodes.
+
+    Returns (nearest, winding, sums), one entry per row: the distance from
+    the row's point to the nearest node, the pre-rounding winding number
+    (1/2 pi i) * sum w dz/(z - p) and, when a density is given, the Cauchy
+    sum (1/2 pi i) * sum w density dz/(z - p) (else None). `density` is one
+    row shared by all points, one row per point, or many rows at a single
+    point. Each row is summed like the one-point sum, so a batch gives the
+    same bits as its rows one by one. A point on a node divides by zero; such
+    rows lie inside the exclusion band, are computed without warnings and
+    are the caller's to discard.
+    """
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    count, sums = pts.size, None
+    if density is not None:
+        density = np.asarray(density)
+        if density.ndim == 2:
+            count = max(count, len(density))
+        sums = np.empty(count, dtype=complex)
+        shared = density * grid.dz if density.ndim == 1 else None
+    nearest = np.empty(count)
+    winding = np.empty(count, dtype=complex)
+    rows = max(1, KERNEL_BLOCK // grid.n)
+    with np.errstate(all="ignore"):
+        for lo in range(0, count, rows):
+            block = slice(lo, lo + rows)
+            diff = grid.z - (pts if pts.size == 1 else pts[block])[:, None]
+            nearest[block] = np.abs(diff).min(axis=1)
+            winding[block] = (grid.dz / diff).sum(axis=1)
+            if sums is not None:
+                num = shared if shared is not None else density[block] * grid.dz
+                sums[block] = (num / diff).sum(axis=1)
+        pref = grid.weight / (2j * np.pi)
+        return nearest, (pref * winding).real, None if sums is None else pref * sums
+
+
 def winding_number(grid, z):
     """Pre-rounding winding of the curve around z (trapezoidal quadrature)."""
-    val = (grid.weight / (2j * np.pi)) * np.sum(grid.dz / (grid.z - z))
-    return float(val.real)
+    return float(kernel_sums(grid, [z])[1][0])
 
 
 def locate(grid, z):
@@ -271,18 +325,23 @@ def locate(grid, z):
     NEAR_BOUNDARY means closer to a grid node than the exclusion band; it is
     a classification, not an error, but evaluating transforms there is refused.
     """
-    z = complex(z)
-    if np.abs(grid.z - z).min() < grid.exclusion_band:
+    nearest, winding, _ = kernel_sums(grid, [z])
+    if nearest[0] < grid.exclusion_band:
         return Location.NEAR_BOUNDARY
-    return Location.INTERIOR if winding_number(grid, z) > 0.5 else Location.EXTERIOR
+    return Location.INTERIOR if winding[0] > 0.5 else Location.EXTERIOR
+
+
+def band_refusal(grid, z):
+    """The NearBoundaryError for a point z inside the exclusion band."""
+    return NearBoundaryError(
+        f"{z} is within the exclusion band ({grid.exclusion_band:.3g})")
 
 
 def require_off_band(grid, z):
     """locate(grid, z), refusing a point inside the exclusion band."""
     side = locate(grid, z)
     if side is Location.NEAR_BOUNDARY:
-        raise NearBoundaryError(
-            f"{z} is within the exclusion band ({grid.exclusion_band:.3g})")
+        raise band_refusal(grid, z)
     return side
 
 

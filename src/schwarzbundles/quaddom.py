@@ -12,21 +12,21 @@ boundary integral of Green's theorem, evaluated edge by edge.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import ConformalMapCurve, PolygonCurve
+from .curve import ConformalMapCurve, PolygonCurve, band_refusal, kernel_sums
 from .errors import (
     NotConformalMapCurveError,
     RankDeficientError,
     TangentNotMeromorphicError,
     WrongQuadrantError,
 )
-from .curve import Location, require_off_band
 from .schwarz import polygon_schwarz
-from .transforms import piece_f
+from .transforms import double_cauchy_batch
 
 RESIDUE_RADIUS = 0.5
 RESIDUE_NODES = 512
@@ -242,15 +242,22 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
         raise RankDeficientError(
             f"need at least {(deg_q + 1) ** 2 + deg_p + 1} sample pairs, "
             f"got {n_pairs}")
-    for p in zs:
-        if require_off_band(grid, p) is not Location.EXTERIOR:
+    nearest, winding, _ = kernel_sums(grid, zs)
+    for p, gap, wind in zip(zs, nearest, winding):
+        if gap < grid.exclusion_band:
+            raise band_refusal(grid, p)
+        if wind > 0.5:
             raise WrongQuadrantError(f"sample {p} is not exterior")
 
+    # F = E on exterior pairs: one kernel pass over all samples per column w
     fmat = np.empty((zs.size, zs.size), dtype=complex)
-    for i, zi in enumerate(zs):
-        for j, wj in enumerate(zs):
-            fmat[i, j] = piece_f(grid, zi, wj)
+    for j, wj in enumerate(zs):
+        fmat[:, j] = [cmath.exp(c) for c in double_cauchy_batch(grid, zs, wj)]
+    return _fit_transform_matrix(zs, fmat, deg_q, deg_p)
 
+
+def _fit_transform_matrix(zs, fmat, deg_q, deg_p):
+    """Both least-squares stages on fmat[s, u] = F(zs[s], zs[u])."""
     n_s = zs.size
     n_num = deg_q + 1
     ncols = n_s * n_num + deg_p

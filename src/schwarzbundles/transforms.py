@@ -8,6 +8,12 @@ interior. Its exponential E = exp(C) carries one of the four analytic
 pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
 `TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
 property with the quadrant enforced.
+
+Every Cauchy sum is one call of the blocked kernel pass `curve.kernel_sums`,
+which also locates the points it sums at. `double_cauchy_batch` evaluates C
+for many z at one w: w's log density is formed once and all z are summed in
+one pass. `cauchy_integral` and `double_cauchy` are batches of one point, and
+`moment_expansion_check` sums its whole sampling ring in one pass.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Location, require_off_band
+from .curve import KERNEL_BLOCK, Location, band_refusal, kernel_sums, require_off_band
 from .errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
@@ -54,17 +60,17 @@ def unwrap_log(values, step_limit=PHASE_STEP_LIMIT):
 
 def cauchy_integral(grid, density, z):
     """(1/2 pi i) * contour integral of density(zeta) dzeta / (zeta - z)."""
-    return complex((grid.weight / (2j * np.pi))
-                   * np.sum(np.asarray(density) * grid.dz / (grid.z - z)))
+    return complex(kernel_sums(grid, [z], density)[2][0])
 
 
 def cauchy_transform(grid, z):
     """Cauchy transform of the domain at exterior z, or the renormalized
     exterior transform (boundary integral of conj(zeta)/(zeta - z)) inside."""
     z = complex(z)
-    side = require_off_band(grid, z)
-    base = cauchy_integral(grid, np.conjugate(grid.z), z)
-    return -base if side is Location.EXTERIOR else base
+    nearest, winding, base = kernel_sums(grid, [z], np.conjugate(grid.z))
+    if nearest[0] < grid.exclusion_band:
+        raise band_refusal(grid, z)
+    return complex(base[0] if winding[0] > 0.5 else -base[0])
 
 
 @dataclass(frozen=True)
@@ -109,10 +115,9 @@ def moment_expansion_check(grid, k_max, n_fft=256):
     radius = 2.0 * np.abs(grid.z).max()
     angles = 2.0 * np.pi * np.arange(n_fft) / n_fft
     ring = radius * np.exp(1j * angles)
-    if np.abs(ring[:, None] - grid.z[None, :]).min() < grid.exclusion_band:
+    nearest, _, vals = kernel_sums(grid, ring, np.conjugate(grid.z))
+    if nearest.min() < grid.exclusion_band:
         raise NearBoundaryError("sampling circle intersects the exclusion band")
-    dens = np.conjugate(grid.z)
-    vals = np.array([cauchy_integral(grid, dens, p) for p in ring])
     coeff = np.fft.ifft(vals)  # coeff[m] * radius^{-m} = Laurent coefficient m
     moments = harmonic_moments(grid, 0, k_max)
     residual = 0.0
@@ -159,6 +164,46 @@ def _log_density_for(grid, w, w_side):
     return np.log(np.abs(grid.z - w) ** 2)
 
 
+def _double_cauchy_rows(grid, zs, w, w_side):
+    """C(z, w) for every z in zs at a located w, NaN where double_cauchy
+    refuses, with the masks (near, inside) of zs from the same kernel pass."""
+    nearest, winding, sums = kernel_sums(grid, zs, _log_density_for(grid, w, w_side))
+    near = nearest < grid.exclusion_band
+    inside = ~near & (winding > 0.5)
+    c = -sums
+    if w_side is Location.INTERIOR:
+        for i in np.flatnonzero(inside):
+            z = complex(zs[i])
+            if abs(z - w) <= 1e-12 * (1.0 + abs(z)):
+                c[i] = np.nan  # coincident interior points
+            else:
+                c[i] = c[i] + math.log(abs(z - w) ** 2)
+    elif inside.any():
+        # z interior, w exterior: each z's real log density, summed at w;
+        # the densities are formed a kernel block of rows at a time
+        zin, mixed = zs[inside], np.empty(inside.sum(), dtype=complex)
+        step = max(1, KERNEL_BLOCK // grid.n)
+        for lo in range(0, zin.size, step):
+            zdens = np.log(np.abs(grid.z - zin[lo:lo + step, None]) ** 2)
+            mixed[lo:lo + step] = kernel_sums(grid, [w], zdens)[2]
+        c[inside] = np.conjugate(-mixed)
+    c[near] = np.nan
+    return c, near, inside
+
+
+def double_cauchy_batch(grid, zs, w):
+    """C(z, w) of `double_cauchy` for many z at one w, as a complex array.
+
+    w's log density is formed once and every z is located and summed in one
+    kernel pass. Refuses w inside the exclusion band (NearBoundaryError); a
+    z where double_cauchy refuses (the band, or coincident interior points)
+    gets NaN. The values equal double_cauchy's bit for bit.
+    """
+    w = complex(w)
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    return _double_cauchy_rows(grid, zs, w, require_off_band(grid, w))[0]
+
+
 def double_cauchy(grid, z, w):
     """Double Cauchy transform C(z, w), quadrant-wise.
 
@@ -170,20 +215,15 @@ def double_cauchy(grid, z, w):
     evaluating the conjugate-swapped real-density route.
     """
     z, w = complex(z), complex(w)
-    z_side, w_side = require_off_band(grid, z), require_off_band(grid, w)
-    if z_side is Location.INTERIOR and w_side is Location.INTERIOR \
-            and abs(z - w) <= 1e-12 * (1.0 + abs(z)):
+    w_side = require_off_band(grid, w)
+    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_side)
+    if near[0]:
+        raise band_refusal(grid, z)
+    c = complex(c[0])
+    if c != c:  # NaN off the band: coincident interior points
         raise CoincidentInteriorPointsError(
             "interior exponential transform is singular at coincident points")
-
-    if z_side is Location.INTERIOR and w_side is Location.EXTERIOR:
-        dens = np.log(np.abs(grid.z - z) ** 2)
-        c = np.conjugate(-cauchy_integral(grid, dens, w))
-    else:
-        dens = _log_density_for(grid, w, w_side)
-        c = -cauchy_integral(grid, dens, z)
-        if z_side is Location.INTERIOR:  # both interior here
-            c = c + math.log(abs(z - w) ** 2)
+    z_side = Location.INTERIOR if inside[0] else Location.EXTERIOR
     return TransformValue(z=z, w=w, quadrant=(z_side, w_side), C=c, E=cmath.exp(c))
 
 

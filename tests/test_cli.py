@@ -224,6 +224,16 @@ def test_plotdata_grid_band_cells_empty(capsys, disk_file):
     assert any(not line.endswith(",") for line in lines[1:])  # others filled
 
 
+def test_plotdata_w_in_the_band_is_refused(capsys, disk_file):
+    # used to print a lattice of blanks and exit 0
+    code, out, err = run(capsys, "plotdata", disk_file, "--quantity",
+                         "exp-transform-abs", "--w", "1.01",
+                         "--grid", "0.5:1.5:7,-0.2:0.2:3")
+    assert code == 3
+    assert out == ""
+    assert "exclusion band" in err
+
+
 def test_plotdata_moments(capsys, disk_file):
     code, out, _ = run(capsys, "plotdata", disk_file, "--quantity", "moments",
                        "--kmin", "-3", "--kmax", "3")
