@@ -9,8 +9,9 @@ integral of the unwrapped boundary log density, with a divisor adjustment
 (z - a)^{-c} at an interior point a when c > 0.
 
 Built-in transitions are closed forms in the pullback variable zeta of
-z = phi(zeta), so at the grid nodes zeta = e^{it} they need no Newton
-inversion of the map; for exp(S) the node log density is S itself.
+z = phi(zeta), so the grid nodes zeta = e^{it} and the verification rings
+|zeta| = r need no Newton inversion of the map; for exp(S) the node log
+density is S itself. The gluing is verified by moving the contour.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from enum import Enum
 import numpy as np
 
 from .curve import (
+    TWO_PI,
     ContourGrid,
     Location,
+    _ring,
     band_refusal,
     kernel_sums,
     locate,
@@ -31,15 +34,14 @@ from .curve import (
 from .errors import (
     AdjustmentPointMissingError,
     AdjustmentPointNotInteriorError,
-    BranchUnresolvedError,
     NearBoundaryError,
     NoHolomorphicSectionError,
-    NotAnIntegerError,
 )
 from .schwarz import invert_conformal_map
 from .transforms import cauchy_integral, unwrap_log
 
-INTEGER_WINDING_TOL = 1e-6
+# node spacings (in the pullback radius) from the curve to verification rings
+_VERIFY_SPACINGS = 6.0
 
 ONE_AT_INFINITY = "one-at-infinity"
 LEADING_ONE_OVER_Z = "leading-one-over-z"
@@ -84,7 +86,6 @@ class LineBundle:
     pole: complex = None
     power: int = None
     evaluator: object = None
-    reciprocal_evaluator: object = None
 
     def at_zeta(self, zeta):
         """lambda12 of a built-in bundle at pullback points zeta, z = phi(zeta)."""
@@ -93,18 +94,6 @@ class LineBundle:
         if self.kind is BundleKind.SCHWARZ_POLE:
             return 1.0 / (self.curve.phi_reflected(zeta) - np.conjugate(self.pole))
         return _pullback_tangent(self.curve, zeta) ** (-self.power)
-
-    def transition(self, z):
-        """lambda12 at a point of the annulus."""
-        if self.kind is BundleKind.CUSTOM:
-            return complex(self.evaluator(z))
-        return complex(self.at_zeta(invert_conformal_map(self.curve, z)))
-
-    def transition_reciprocal(self, z):
-        """lambda21 = 1/lambda12."""
-        if self.reciprocal_evaluator is not None:
-            return complex(self.reciprocal_evaluator(z))
-        return 1.0 / self.transition(z)
 
     def transition_at_nodes(self, grid):
         """lambda12 at the grid nodes, in closed form at grid.zeta unless custom."""
@@ -129,9 +118,8 @@ def tangent_power_bundle(curve, m):
     return LineBundle(curve=curve, kind=BundleKind.TANGENT_POWER, power=int(m))
 
 
-def custom_bundle(curve, evaluator, reciprocal_evaluator=None):
-    return LineBundle(curve=curve, kind=BundleKind.CUSTOM, evaluator=evaluator,
-                      reciprocal_evaluator=reciprocal_evaluator)
+def custom_bundle(curve, evaluator):
+    return LineBundle(curve=curve, kind=BundleKind.CUSTOM, evaluator=evaluator)
 
 
 def _node_log(bundle, grid):
@@ -146,18 +134,14 @@ def _node_log(bundle, grid):
         return None, s - 2j * np.pi * k, 0
     vals = bundle.transition_at_nodes(grid)
     log, winding = unwrap_log(vals)
-    nearest = round(winding)
-    if abs(winding - nearest) >= INTEGER_WINDING_TOL:
-        raise NotAnIntegerError(f"winding {winding} is not close to an integer")
-    return vals, log, int(nearest)
+    return vals, log, round(winding)
 
 
 def chern_class(bundle, grid):
     """Winding of lambda12 along the curve: (1/2 pi i) * integral of dlog.
 
-    Raises BranchUnresolvedError for under-resolved phases and
-    NotAnIntegerError if the accumulated winding does not round cleanly.
-    """
+    The phase steps sum to 2 pi k up to rounding. Raises BranchUnresolvedError
+    for under-resolved phases or a zero or non-finite lambda12 at a node."""
     return _node_log(bundle, grid)[2]
 
 
@@ -236,6 +220,16 @@ def evaluate_section(section, z):
     return section.f1(z) if side is Location.INTERIOR else section.f2(z)
 
 
+def _clear_radius(curve, s):
+    """r = 1 - s, refused unless r and 1/r keep clear of the annulus edges."""
+    r = 1.0 - s
+    if r <= curve.rho * 1.02 or 1.0 / r >= (1.0 / curve.rho) * 0.98:
+        raise NearBoundaryError(
+            "cannot place verification points between the exclusion band "
+            "and the validated annulus; refine the grid")
+    return r
+
+
 def annulus_verification_points(grid, n_points=32):
     """Reflected point pairs in the annulus, clear of the exclusion band.
 
@@ -248,13 +242,9 @@ def annulus_verification_points(grid, n_points=32):
     half = max(1, int(n_points) // 2)
     angles = 2.0 * np.pi * (np.arange(half) + 0.37) / half
     base = np.exp(1j * angles)
-    s = 6.0 * (2.0 * np.pi / grid.n)
+    s = _VERIFY_SPACINGS * (TWO_PI / grid.n)
     while True:
-        r_in = 1.0 - s
-        if r_in <= curve.rho * 1.02 or 1.0 / r_in >= (1.0 / curve.rho) * 0.98:
-            raise NearBoundaryError(
-                "cannot place verification points between the exclusion band "
-                "and the validated annulus; refine the grid")
+        r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
         # the band test of locate as one distance pass; the kernel pass
         # would add a winding division per pair that is not needed here
@@ -264,42 +254,49 @@ def annulus_verification_points(grid, n_points=32):
         s *= 1.3
 
 
-def verify_transition(section, bundle, annulus_points):
-    """Max normalized residual of f1 = lambda12 * f2 over annulus points.
+def _off_band_sums(grid, pts, density):
+    """Windings and Cauchy sums at the points, refusing any in the band."""
+    nearest, winding, sums = kernel_sums(grid, pts, density)
+    in_band = nearest < grid.exclusion_band
+    if in_band.any():
+        raise band_refusal(grid, complex(pts[in_band][0]))
+    return winding, sums
 
-    On each side the native evaluator is used directly and the opposite one
-    is continued across the curve from its Cauchy representation (the
-    continuation adds or subtracts the boundary density, branch-matched at
-    the nearest node). Residuals are |f1 - lambda12 f2| / (1 + |f2|).
-    A zero or non-finite lambda12 raises BranchUnresolvedError.
-    """
-    grid = section.grid
+
+def verify_transition(section, bundle, annulus_points):
+    """Contour-shift residual of the section's gluing f1 = lambda12 * f2.
+
+    By Cauchy's theorem the section, the Cauchy integral of the adjusted log
+    lambda12, must not move when rebuilt from the bundle on the ring
+    |zeta| = 1/r for interior points (f1) or r for exterior ones (f2),
+    r = 1 - 6 * 2 pi / n. The residual is max |log f - log f_ring|, imaginary
+    part mod 2 pi (no exp, no lambda12 at the points). It detects a section of
+    another bundle and a density off log lambda12 (modes e^{ikt}: k >= 0
+    inside, k < 0 outside). NearBoundaryError (refine the grid) refuses a
+    point in the curve's or its ring's band, a ring off the validated annulus,
+    a zero or pole of lambda12 between ring and curve (ring winding is not
+    the Chern class) and an adjustment point outside the inner ring."""
+    grid, a = section.grid, section.adjustment
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
-    points = [complex(z) for z in pts]
-    with np.errstate(all="ignore"):  # overflow and poles are refused below
-        lams = [bundle.transition(z) for z in points]
-    # band tests, sides and Cauchy sums of all points in one kernel pass
-    nearest, winding, sums = kernel_sums(grid, pts, section.density)
+    winding, sums = _off_band_sums(grid, pts, section.density)
+    r1 = _clear_radius(grid.curve, _VERIFY_SPACINGS * (TWO_PI / grid.n))
     worst = 0.0
-    for z, lam, gap, wind, ci in zip(points, lams, nearest, winding, sums):
-        if gap < grid.exclusion_band:
-            raise band_refusal(grid, z)
-        if not 0.0 < abs(lam) < np.inf:  # also false for NaN
-            raise BranchUnresolvedError(
-                f"transition {lam} at {z} is zero or not finite; no branch exists")
-        ci = complex(ci)
-        adjust = (z - section.adjustment) ** (-section.chern) if section.chern else 1.0
-        # the density continued to z, branch-matched at the nearest node
-        dens = np.log(lam * adjust)
-        node = int(np.argmin(np.abs(grid.z - z)))
-        turns = round((section.density[node].imag - dens.imag) / (2.0 * np.pi))
-        dens = dens + 2j * np.pi * turns
-        if wind > 0.5:  # interior
-            f1, f2 = np.exp(ci), np.exp(ci - dens)
-        else:
-            f1, f2 = np.exp(ci + dens), np.exp(ci)
-        f2 = f2 * adjust
-        worst = max(worst, abs(f1 - lam * f2) / (1.0 + abs(f2)))
+    for radius, side in ((1.0 / r1, winding > 0.5), (r1, winding <= 0.5)):
+        if not side.any():
+            continue
+        ring = _ring(grid.curve, grid.n, radius)
+        vals, density, c = _node_log(bundle, ring)
+        if c != section.chern:
+            raise NearBoundaryError("a zero or pole of lambda12 lies between the curve "
+                                    f"and the ring |zeta| = {radius:.6g}; refine the grid")
+        if c and locate(ring, a) is not Location.INTERIOR:
+            raise NearBoundaryError(f"adjustment point {a} is not strictly inside "
+                                    f"the ring |zeta| = {radius:.6g}; refine the grid")
+        if c:
+            density, _ = unwrap_log(vals * (ring.z - a) ** (-c))
+        delta = _off_band_sums(ring, pts[side], density)[1] - sums[side]
+        delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
+        worst = max(worst, float(np.abs(delta).max()))
     return worst
 
 

@@ -132,8 +132,8 @@ class PolygonCurve:
 
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """Uniform-parameter nodes z = phi(zeta), zeta = e^{it}, with trapezoidal
-    weights. `exclusion_band` is the refusal distance around the curve."""
+    """Uniform-parameter nodes z = phi(zeta), zeta = r e^{it} (r = 1 off the
+    rings of `_ring`), trapezoidal weights and the refusal `exclusion_band`."""
 
     curve: ConformalMapCurve
     n: int
@@ -268,8 +268,13 @@ def sample(curve, n):
     n = int(n)
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"node count must be a power of two >= 16, got {n}")
+    return _ring(curve, n, 1.0)
+
+
+def _ring(curve, n, radius):
+    """Grid on the image of the pullback ring |zeta| = radius (the curve at 1)."""
     t = TWO_PI * np.arange(n) / n
-    zeta = np.exp(1j * t)
+    zeta = radius * np.exp(1j * t)
     z = curve.phi(zeta)
     dz = 1j * zeta * curve.dphi(zeta)
     band = EXCLUSION_SAFETY_FACTOR * np.abs(np.roll(z, -1) - z).max()

@@ -71,10 +71,6 @@ class WrongQuadrantError(SchwarzBundleError):
 
 # bundles
 
-class NotAnIntegerError(SchwarzBundleError):
-    """Accumulated winding failed to round cleanly to an integer."""
-
-
 class AdjustmentPointMissingError(SchwarzBundleError):
     """A nonzero Chern class needs an interior adjustment point."""
 

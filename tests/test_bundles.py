@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ import schwarzbundles as sb
 from schwarzbundles.errors import (
     AdjustmentPointNotInteriorError,
     BranchUnresolvedError,
+    NearBoundaryError,
     NoHolomorphicSectionError,
 )
 
@@ -102,6 +105,68 @@ def test_verify_transition_disk(disk, disk_grid):
         assert sb.verify_transition(section, bundle, pts) < 1e-9
 
 
+def test_verify_transition_detects_wrong_sections(cardioid, cardioid_grid):
+    # a section of another bundle, or a density off log lambda12 by 1e-8,
+    # must fail the check
+    grid = cardioid_grid
+    pts = sb.annulus_verification_points(grid, 32)
+    exp_bundle = sb.exp_schwarz_bundle(cardioid)
+    pole_bundle = sb.schwarz_pole_bundle(cardioid, 3)
+    trivial = sb.custom_bundle(cardioid, lambda z: 1.0 + 0j)
+    section = sb.canonical_section(exp_bundle, grid)
+    assert sb.verify_transition(section, exp_bundle, pts) < 1e-12
+    cases = [
+        (sb.canonical_section(pole_bundle, grid), exp_bundle),
+        (sb.canonical_section(trivial, grid), pole_bundle),
+    ]
+    for mode in (np.sin(3 * grid.t), np.exp(-1j * grid.t), np.exp(2j * grid.t)):
+        bad = section.density + 1e-8 * mode
+        cases.append((dataclasses.replace(section, density=bad), exp_bundle))
+    for wrong, bundle in cases:
+        assert sb.verify_transition(wrong, bundle, pts) > 1e-9
+
+
+def test_verify_transition_needs_both_rings(disk, disk_grid):
+    # on the disk e^{-it} = 1/z shows only at exterior points and e^{2it}
+    # only at interior ones, so each ring catches what the other cannot
+    bundle = sb.exp_schwarz_bundle(disk)
+    section = sb.canonical_section(bundle, disk_grid)
+    pts = sb.annulus_verification_points(disk_grid, 32)
+    inside = np.array([sb.locate(disk_grid, z) is sb.Location.INTERIOR for z in pts])
+    for mode, seen in ((np.exp(-1j * disk_grid.t), ~inside),
+                       (np.exp(2j * disk_grid.t), inside)):
+        wrong = dataclasses.replace(section, density=section.density + 1e-8 * mode)
+        assert sb.verify_transition(wrong, bundle, pts) > 1e-9
+        assert sb.verify_transition(wrong, bundle, pts[seen]) > 1e-9
+        assert sb.verify_transition(wrong, bundle, pts[~seen]) < 1e-14
+
+
+def test_verify_transition_refuses_unplaceable_rings(disk):
+    # the adjustment point w = 0.9 sits in the inner ring's band at n = 512
+    bundle = sb.schwarz_pole_bundle(disk, 0.9)
+    for n, placeable in ((512, False), (1024, True), (4096, True)):
+        grid = sb.sample(disk, n)
+        section = sb.canonical_section(bundle, grid)
+        pts = sb.annulus_verification_points(grid, 32)
+        if placeable:
+            assert sb.verify_transition(section, bundle, pts) <= 1e-12
+        else:
+            with pytest.raises(NearBoundaryError, match="refine the grid"):
+                sb.verify_transition(section, bundle, pts)
+    # the lambda12 pole 1/conj(w) ~ 1.053 lies inside the outer ring (1.08)
+    grid = sb.sample(disk, 512)
+    bundle = sb.schwarz_pole_bundle(disk, 0.95)
+    section = sb.canonical_section(bundle, grid, a=0)
+    with pytest.raises(NearBoundaryError, match="zero or pole"):
+        sb.verify_transition(section, bundle, sb.annulus_verification_points(grid))
+    # the ring radius 1 - 12 pi / 1024 = 0.963 is too close to rho = 0.95
+    thin = sb.build_circle(0, 1, rho=0.95)
+    bundle = sb.exp_schwarz_bundle(thin)
+    section = sb.canonical_section(bundle, sb.sample(thin, 1024))
+    with pytest.raises(NearBoundaryError, match="validated annulus"):
+        sb.verify_transition(section, bundle, [0.1, 3.0])
+
+
 def test_verify_transition_trivial_bundle(disk, disk_grid):
     bundle = sb.custom_bundle(disk, lambda z: 1.0 + 0j)
     section = sb.canonical_section(bundle, disk_grid)
@@ -109,17 +174,6 @@ def test_verify_transition_trivial_bundle(disk, disk_grid):
     assert sb.verify_transition(section, bundle, pts) == pytest.approx(0.0, abs=1e-14)
     assert section.f1(0.3) == pytest.approx(1.0)
     assert section.f2(2.5) == pytest.approx(1.0)
-
-
-def test_cocycle(disk, disk_grid, cardioid, cardioid_grid):
-    for curve, grid in ((disk, disk_grid), (cardioid, cardioid_grid)):
-        for bundle in (sb.exp_schwarz_bundle(curve),
-                       sb.schwarz_pole_bundle(curve, 3),
-                       sb.tangent_power_bundle(curve, 2)):
-            for z in grid.z[::97]:
-                prod = bundle.transition(complex(z)) \
-                    * bundle.transition_reciprocal(complex(z))
-                assert abs(prod - 1.0) < 1e-12
 
 
 def test_section_branch_constant_ratio(disk, disk_grid):
@@ -283,7 +337,8 @@ def test_node_transitions_match_inverted_points(n, disk, cardioid):
         for bundle in builtin_bundles(curve):
             closed = bundle.transition_at_nodes(grid)
             for j in range(0, n, 7):
-                newton = bundle.transition(complex(grid.z[j]))
+                zeta = sb.invert_conformal_map(curve, complex(grid.z[j]))
+                newton = complex(bundle.at_zeta(zeta))
                 assert abs(closed[j] - newton) <= 1e-12 * abs(newton)
 
 
@@ -292,14 +347,16 @@ def test_node_path_makes_no_newton_calls(monkeypatch, cardioid, cardioid_grid):
         raise AssertionError("Newton inversion on the node path")
 
     monkeypatch.setattr(sb.bundles, "invert_conformal_map", refuse)
+    with pytest.raises(AssertionError):  # the patch is live
+        sb.holomorphic_tangent(cardioid, complex(cardioid_grid.z[0]))
+    pts = sb.annulus_verification_points(cardioid_grid, 32)
     for bundle in builtin_bundles(cardioid):
-        with pytest.raises(AssertionError):
-            bundle.transition(complex(cardioid_grid.z[0]))
         if sb.chern_class(bundle, cardioid_grid) < 0:
             with pytest.raises(NoHolomorphicSectionError):
                 sb.canonical_section(bundle, cardioid_grid)
         else:
-            sb.canonical_section(bundle, cardioid_grid)
+            section = sb.canonical_section(bundle, cardioid_grid)
+            assert sb.verify_transition(section, bundle, pts) < 1e-12
 
 
 def test_exp_schwarz_log_density_anchor():

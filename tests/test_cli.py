@@ -143,14 +143,23 @@ def test_section_exp_schwarz_far_curve(capsys, tmp_path):
 
 
 @pytest.mark.filterwarnings("error")
-def test_section_verify_far_curve_is_a_branch_refusal(capsys, tmp_path):
-    # exp(S) overflows at the verification points: lambda12 is not finite
+def test_section_verify_far_curve_answers(capsys, tmp_path):
+    # exp(S) would overflow at the verification points; the residual is
+    # formed from log lambda12 = S and needs no exp
     path = tmp_path / "far.json"
     path.write_text(FAR_DISK)
     code, out, err = run(capsys, "section", str(path), "--bundle", "exp-schwarz",
                          "--verify")
-    assert code == 4
-    assert out == "" and "not finite" in err
+    assert code == 0 and err == ""
+    assert json.loads(out)["transition_residual"] <= 1e-9
+
+
+def test_section_verify_unplaceable_ring_is_a_band_refusal(capsys, disk_file):
+    # the adjustment point 0.9 lies in the inner verification ring's band
+    code, out, err = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
+                         "--pole", "0.9", "--verify", "--n", "512")
+    assert code == 3
+    assert out == "" and "refine the grid" in err
 
 
 @pytest.mark.filterwarnings("error")
