@@ -11,7 +11,12 @@ integral of the unwrapped boundary log density, with a divisor adjustment
 Built-in transitions are closed forms in the pullback variable zeta of
 z = phi(zeta), so the grid nodes zeta = e^{it} and the verification rings
 |zeta| = r need no Newton inversion of the map; for exp(S) the node log
-density is S itself. The gluing is verified by moving the contour.
+density is S itself. The tangent powers T^{-m} take T = dz/|dz| on the curve;
+on a ring the square root in T is taken once per node and its sign carried
+around the ring from node 0, and only scattered points track it radially.
+The gluing is verified by moving the contour; the verification points are
+searched over radii with a cheap upper bound on their distance to the curve
+before the full distance pass.
 """
 
 from __future__ import annotations
@@ -34,11 +39,12 @@ from .curve import (
 from .errors import (
     AdjustmentPointMissingError,
     AdjustmentPointNotInteriorError,
+    BranchUnresolvedError,
     NearBoundaryError,
     NoHolomorphicSectionError,
 )
 from .schwarz import invert_conformal_map
-from .transforms import cauchy_integral, unwrap_log
+from .transforms import PHASE_STEP_LIMIT, cauchy_integral, unwrap_log
 
 # node spacings (in the pullback radius) from the curve to verification rings
 _VERIFY_SPACINGS = 6.0
@@ -55,11 +61,14 @@ class BundleKind(Enum):
 
 
 def _pullback_tangent(curve, zeta):
-    """Holomorphic unit tangent at pullback points zeta (arrays welcome).
+    """Holomorphic unit tangent at scattered pullback points zeta (arrays
+    welcome), by radial tracking of the square root.
 
-    T = i zeta phi'(zeta) / sqrt(phi'(zeta) * conj-phi'(1/zeta)); the square
-    root branch is tracked radially from the boundary circle, where it is the
-    positive root |phi'|, so on the circle T = dz/|dz|.
+    T = i zeta phi'(zeta) / sqrt(g), g = phi'(zeta) * conj-phi'(1/zeta); the
+    root is followed in 8 radial steps from the boundary circle, where g =
+    |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. Ring
+    grids carry the root around the ring instead (`_ring_tangent_power`)
+    and call this for their node 0 only.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r, base = np.abs(zeta), zeta / np.abs(zeta)
@@ -70,6 +79,36 @@ def _pullback_tangent(curve, zeta):
         cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
         root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
     return 1j * zeta * curve.dphi(zeta) / root
+
+
+def _ring_tangent_power(grid, m):
+    """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius.
+
+    On the curve T = dz/|dz|. Off it T^2 = dz^2/g needs no root for even m;
+    for odd m the root of g is taken once per node and its sign carried
+    around the ring by continuity, anchored at node 0 by the radial
+    tracking. A carried step of PHASE_STEP_LIMIT / 2 or more leaves the sign
+    ambiguous and raises BranchUnresolvedError (refine the grid).
+    """
+    if grid.radius == 1.0:
+        return (grid.dz / np.abs(grid.dz)) ** (-m)
+    curve = grid.curve
+    g = curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta)
+    if m % 2 == 0:
+        return (g / grid.dz ** 2) ** (m // 2)
+    root = np.sqrt(g)
+    flips = (root[1:] * np.conjugate(root[:-1])).real < 0.0
+    root[1:] *= np.where(np.cumsum(flips) % 2, -1.0, 1.0)
+    step = np.abs(np.angle(np.roll(root, -1) / root)).max()
+    if step >= PHASE_STEP_LIMIT / 2:
+        raise BranchUnresolvedError(
+            f"square-root step {step:.3f} >= {PHASE_STEP_LIMIT / 2:.3f} between "
+            f"adjacent nodes of the ring |zeta| = {grid.radius:.6g}; refine the grid")
+    tangent = grid.dz / root
+    anchor = _pullback_tangent(curve, grid.zeta[:1])[0]
+    if abs(anchor - tangent[0]) > abs(anchor + tangent[0]):
+        tangent = -tangent
+    return tangent ** (-m)
 
 
 def holomorphic_tangent(curve, z):
@@ -100,6 +139,8 @@ class LineBundle:
         if self.kind is BundleKind.CUSTOM:
             return np.array([complex(self.evaluator(z)) for z in grid.z])
         with np.errstate(all="ignore"):  # a pole on a node: unwrap_log refuses
+            if self.kind is BundleKind.TANGENT_POWER:
+                return _ring_tangent_power(grid, self.power)
             return self.at_zeta(grid.zeta)
 
 
@@ -237,20 +278,27 @@ def annulus_verification_points(grid, n_points=32):
     away from the curve until every point classifies as strictly interior or
     exterior. Raises NearBoundaryError when the validated annulus is too thin
     for the current grid (refine the grid).
+
+    A point's distance to the two nodes at its own angle bounds its gap from
+    above, so a radius where that bound already lies inside the band is
+    refused without the full distance pass; radii and points are the same.
     """
     curve = grid.curve
     half = max(1, int(n_points) // 2)
     angles = 2.0 * np.pi * (np.arange(half) + 0.37) / half
     base = np.exp(1j * angles)
+    below = (angles / grid.weight).astype(int) % grid.n
+    beside = np.tile(grid.z[np.stack([below, (below + 1) % grid.n])], 2)
     s = _VERIFY_SPACINGS * (TWO_PI / grid.n)
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        # the band test of locate as one distance pass; the kernel pass
-        # would add a winding division per pair that is not needed here
-        gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
-        if not np.any(gap < grid.exclusion_band):
-            return pts
+        if not np.any(np.abs(beside - pts).min(axis=0) < grid.exclusion_band):
+            # the band test of locate as one distance pass; the kernel pass
+            # would add a winding division per pair that is not needed here
+            gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
+            if not np.any(gap < grid.exclusion_band):
+                return pts
         s *= 1.3
 
 

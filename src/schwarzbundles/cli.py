@@ -373,6 +373,22 @@ def cmd_plotdata(args):
     raise ParseError(f"unknown quantity {args.quantity!r}")
 
 
+# flags whose value may start with "-" without being a plain negative number
+# ("-0.5,0.2", "-2:2:4,-2:2:4"), which argparse would read as an option
+VALUE_FLAGS = ("--z", "--w", "--pole", "--adjust", "--f", "--grid")
+
+
+def _attach_values(argv):
+    """Rewrite "--z -0.5,0.2" as "--z=-0.5,0.2" for the flags in VALUE_FLAGS."""
+    out = []
+    for token in argv:
+        if out and out[-1] in VALUE_FLAGS and token.startswith("-"):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
@@ -451,7 +467,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

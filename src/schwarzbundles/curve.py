@@ -132,11 +132,13 @@ class PolygonCurve:
 
 @dataclass(frozen=True, eq=False)
 class ContourGrid:
-    """Uniform-parameter nodes z = phi(zeta), zeta = r e^{it} (r = 1 off the
-    rings of `_ring`), trapezoidal weights and the refusal `exclusion_band`."""
+    """Uniform-parameter nodes z = phi(zeta), zeta = radius e^{it} (radius 1
+    off the rings of `_ring`), trapezoidal weights and the refusal
+    `exclusion_band`."""
 
     curve: ConformalMapCurve
     n: int
+    radius: float
     t: np.ndarray
     zeta: np.ndarray
     z: np.ndarray
@@ -278,8 +280,8 @@ def _ring(curve, n, radius):
     z = curve.phi(zeta)
     dz = 1j * zeta * curve.dphi(zeta)
     band = EXCLUSION_SAFETY_FACTOR * np.abs(np.roll(z, -1) - z).max()
-    return ContourGrid(curve=curve, n=n, t=t, zeta=zeta, z=z, dz=dz,
-                       weight=TWO_PI / n, exclusion_band=band)
+    return ContourGrid(curve=curve, n=n, radius=radius, t=t, zeta=zeta, z=z,
+                       dz=dz, weight=TWO_PI / n, exclusion_band=band)
 
 
 def kernel_sums(grid, points, density=None):

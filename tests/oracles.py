@@ -140,3 +140,22 @@ def far_pair_gap_all_pairs(z, min_sep=8):
     sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     sep = np.minimum(sep, n - sep)
     return diff[sep >= min_sep].min()
+
+
+def verification_points_full_pass(grid, n_points=32, spacings=6.0):
+    """The verification-point search with the full distance pass at every
+    pullback radius 1 - s, s = spacings * 2 pi / n * 1.3^k; None where the
+    radius leaves the validated annulus before every point clears the band."""
+    curve = grid.curve
+    half = max(1, int(n_points) // 2)
+    base = np.exp(1j * 2.0 * np.pi * (np.arange(half) + 0.37) / half)
+    s = spacings * (2.0 * np.pi / grid.n)
+    while True:
+        r = 1.0 - s
+        if r <= curve.rho * 1.02 or 1.0 / r >= (1.0 / curve.rho) * 0.98:
+            return None
+        pts = np.concatenate([curve.phi(r * base), curve.phi((1.0 / r) * base)])
+        gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
+        if not np.any(gap < grid.exclusion_band):
+            return pts
+        s *= 1.3

@@ -2,8 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
+import oracles
 import schwarzbundles as sb
+from schwarzbundles.curve import _ring
 from schwarzbundles.errors import (
     AdjustmentPointNotInteriorError,
     BranchUnresolvedError,
@@ -12,6 +15,9 @@ from schwarzbundles.errors import (
 )
 
 QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
+# complex coefficients: g = phi' * conj-phi'(1/zeta) is not real at node 0
+# of a ring
+SKEWED = [0.2j, 1, 0.2 + 0.15j, -0.04 + 0.05j]
 
 
 def builtin_bundles(curve):
@@ -383,3 +389,117 @@ def test_exp_schwarz_far_from_origin_does_not_overflow():
     for z in (803.0, 800 - 2.5j):
         assert sb.evaluate_section(section, z) == pytest.approx(
             np.exp(-1.0 / (z - 800)), abs=1e-12)
+
+
+def verification_radii(n):
+    r1 = 1.0 - sb.bundles._VERIFY_SPACINGS * 2.0 * np.pi / n
+    return (1.0, r1, 1.0 / r1)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_ring_tangent_matches_radial_tracking(n, disk, cardioid):
+    # the root carried around each ring against the radial tracking per node
+    curves = (disk, cardioid, sb.build_polynomial_curve(QUARTIC, 0.72),
+              sb.build_polynomial_curve(SKEWED, 0.7))
+    for curve in curves:
+        for radius in verification_radii(n):
+            grid = _ring(curve, n, radius)
+            for m in (-1, 1, 2, 3):
+                bundle = sb.tangent_power_bundle(curve, m)
+                radial = bundle.at_zeta(grid.zeta)
+                ring = bundle.transition_at_nodes(grid)
+                assert np.max(np.abs(ring - radial) / np.abs(radial)) <= 1e-14
+
+
+def test_ring_tangent_carries_the_sign_across_the_cut():
+    # phi' = (1 + 0.55 zeta)^3 vanishes at |zeta| = 1.82, just past 1/rho =
+    # 1.79, so on the ring 0.95/rho the principal root of g changes sign 4
+    # times. Turned by 2.87, node 0 falls between two sign changes and only
+    # the radial anchor picks the branch. phi' is tiny near its zero and the
+    # two evaluation paths round apart there, so the tolerance is wider than
+    # on the verification rings; a wrong sign would be off by 2.
+    coeffs = npoly.polysub(npoly.polypow([1, 0.55], 4), [1]) / 2.2
+    for turn, anchor_decides in ((0.0, False), (2.87, True)):
+        curve = sb.build_polynomial_curve(
+            coeffs * np.exp(1j * turn * np.arange(coeffs.size)), 0.56)
+        grid = _ring(curve, 1024, 0.95 / 0.56)
+        root = np.sqrt(curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta))
+        assert np.count_nonzero((root[1:] * np.conjugate(root[:-1])).real < 0) == 4
+        radial_root = grid.dz[0] / sb.bundles._pullback_tangent(curve, grid.zeta[:1])[0]
+        assert (abs(radial_root + root[0]) < abs(radial_root - root[0])) == anchor_decides
+        for m in (-1, 1, 3):
+            bundle = sb.tangent_power_bundle(curve, m)
+            radial = bundle.at_zeta(grid.zeta)
+            ring = bundle.transition_at_nodes(grid)
+            assert np.max(np.abs(ring - radial) / np.abs(radial)) <= 1e-11
+
+
+def test_ring_tangent_tracks_one_point_radially(monkeypatch, cardioid):
+    sizes = []
+    radial = sb.bundles._pullback_tangent
+
+    def record(curve, zeta):
+        sizes.append(np.size(zeta))
+        return radial(curve, zeta)
+
+    monkeypatch.setattr(sb.bundles, "_pullback_tangent", record)
+    n = 1024
+    for radius in verification_radii(n):
+        grid = _ring(cardioid, n, radius)
+        for m in (-1, 1, 2, 3):
+            sizes.clear()
+            sb.tangent_power_bundle(cardioid, m).transition_at_nodes(grid)
+            assert sum(sizes) <= 1
+    # the whole section chain: one anchor per verification ring at most
+    grid = sb.sample(cardioid, n)
+    bundle = sb.tangent_power_bundle(cardioid, -1)
+    sizes.clear()
+    section = sb.canonical_section(bundle, grid)
+    assert sb.verify_transition(section, bundle,
+                                sb.annulus_verification_points(grid)) < 1e-12
+    assert sizes and max(sizes) == 1 and len(sizes) <= 2
+
+
+def test_ring_tangent_refuses_an_ambiguous_root_step():
+    # phi' = (1 + 0.55 zeta)^4: on the ring 0.97/rho at n = 256 the carried
+    # root turns by 0.89 >= pi/4 between adjacent nodes, where the sign
+    # choice is ambiguous; a natural curve, g is not patched. n = 1024
+    # resolves the same ring.
+    curve = sb.build_polynomial_curve(npoly.polysub(npoly.polypow([1, 0.55], 5), [1])
+                                      / 2.75, 0.56)
+    bundle = sb.tangent_power_bundle(curve, -1)
+    coarse = _ring(curve, 256, 0.97 / 0.56)
+    with pytest.raises(BranchUnresolvedError, match="square-root step"):
+        bundle.transition_at_nodes(coarse)
+    with pytest.raises(BranchUnresolvedError):
+        sb.chern_class(bundle, coarse)
+    fine = _ring(curve, 1024, 0.97 / 0.56)
+    assert np.isfinite(bundle.transition_at_nodes(fine)).all()
+
+
+@pytest.mark.parametrize("n", [256, 512, 1024, 4096])
+def test_verification_points_match_full_pass_search(n, disk, cardioid):
+    curves = (disk, cardioid, sb.build_polynomial_curve(QUARTIC, 0.72),
+              sb.build_polynomial_curve(SKEWED, 0.7),
+              sb.build_circle(0, 1, rho=0.95))
+    for curve in curves:
+        grid = sb.sample(curve, n)
+        expected = oracles.verification_points_full_pass(grid)
+        if expected is None:
+            with pytest.raises(NearBoundaryError, match="validated annulus"):
+                sb.annulus_verification_points(grid)
+        else:
+            assert sb.annulus_verification_points(grid).tobytes() == expected.tobytes()
+
+
+def test_verification_points_confirm_the_bound_with_the_full_pass(cardioid):
+    # a node moved next to the first point, away from the point's own angle,
+    # leaves the cheap bound clear; only the full distance pass refuses it
+    grid = sb.sample(cardioid, 1024)
+    first = sb.annulus_verification_points(grid)
+    z = grid.z.copy()
+    z[grid.n // 2] = first[0] + 0.5 * grid.exclusion_band
+    moved = dataclasses.replace(grid, z=z)
+    expected = oracles.verification_points_full_pass(moved)
+    assert expected.tobytes() != first.tobytes()
+    assert sb.annulus_verification_points(moved).tobytes() == expected.tobytes()

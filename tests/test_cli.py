@@ -269,3 +269,25 @@ def test_seventeen_digit_roundtrip(capsys, disk_file):
     assert float(value) == json.loads(run(capsys, "moments", disk_file,
                                           "--kmin", "0", "--kmax", "0")[1]
                                       )["moments"][0]["value"][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--z", "-0.5,0.2", "--w", "-3,0.5"],
+    ["transform", "--z", "-3,-0.5"],
+    ["section", "--bundle", "schwarz-pole", "--pole", "-0.3,0.2", "--adjust", "-0.1,-0.1"],
+    ["quadrature", "--kind", "classical", "--f", "-1;2,-1"],
+    ["plotdata", "--quantity", "exp-transform-abs", "--w", "-3,0.5", "--grid", "-2:2:4,-2:2:4"],
+    ["plotdata", "--quantity", "section-density", "--bundle", "schwarz-pole",
+     "--pole", "-0.3,0.2", "--adjust", "-0.1,-0.1"],
+])
+def test_values_starting_with_minus_take_either_form(capsys, disk_file, argv):
+    # "--z -0.5,0.2" is the same as "--z=-0.5,0.2", not an unknown option
+    joined = []
+    for token in argv:
+        if token[:1] == "-" and token[1:2] != "-":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    spaced = run(capsys, argv[0], disk_file, "--n", "256", *argv[1:])
+    assert spaced == run(capsys, joined[0], disk_file, "--n", "256", *joined[1:])
+    assert spaced[0] == 0 and spaced[1] and not spaced[2]
