@@ -66,17 +66,19 @@ def _pullback_tangent(curve, zeta):
 
     T = i zeta phi'(zeta) / sqrt(g), g = phi'(zeta) * conj-phi'(1/zeta); the
     root is followed in 8 radial steps from the boundary circle, where g =
-    |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. Ring
+    |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. g is
+    evaluated at all 9 radii in one pass and the sign carried over them. Ring
     grids carry the root around the ring instead (`_ring_tangent_power`)
     and call this for their node 0 only.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r, base = np.abs(zeta), zeta / np.abs(zeta)
-    root = 1.0  # the product below is |phi'|^2 > 0 on the circle (k = 0)
     steps = 8
-    for k in range(steps + 1):
-        zz = base * (1.0 + (r - 1.0) * k / steps)
-        cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
+    k = np.arange(steps + 1).reshape((-1,) + (1,) * zeta.ndim)
+    zz = base * (1.0 + (r - 1.0) * k / steps)  # row k: radius 1 + (r - 1) k/8
+    cands = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
+    root = 1.0  # the product is |phi'|^2 > 0 on the circle (row 0)
+    for cand in cands:
         root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
     return 1j * zeta * curve.dphi(zeta) / root
 
@@ -294,10 +296,8 @@ def annulus_verification_points(grid, n_points=32):
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
         if not np.any(np.abs(beside - pts).min(axis=0) < grid.exclusion_band):
-            # the band test of locate as one distance pass; the kernel pass
-            # would add a winding division per pair that is not needed here
-            gap = np.abs(grid.z[None, :] - pts[:, None]).min(axis=1)
-            if not np.any(gap < grid.exclusion_band):
+            # the band test of locate, from the kernel pass's distances
+            if not np.any(kernel_sums(grid, pts)[0] < grid.exclusion_band):
                 return pts
         s *= 1.3
 

@@ -4,9 +4,9 @@ structure, and dump plot data.
 
 Numeric output uses 17 significant digits so values round-trip exactly.
 Configuration comes from flags, with SCHWARZ_TOL / SCHWARZ_N environment
-fallbacks; flags win. Exit codes: 0 ok, 1 validation or computation failure,
-2 parse error, 3 near-boundary refusal, 4 unresolved branch, 5 incompatible
-geometry.
+fallbacks; flags win. Exit codes: 0 ok, 1 validation or computation failure
+or stdout closed by its reader before the output was written, 2 parse error,
+3 near-boundary refusal, 4 unresolved branch, 5 incompatible geometry.
 """
 
 from __future__ import annotations
@@ -465,6 +465,29 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one command and return its exit code. A reader that closes stdout
+    early ends the run quietly with EXIT_FAILURE, and no traceback."""
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_FAILURE
+    return code
+
+
+def _drop_stdout():
+    """Point stdout at the null device once its reader has gone, so that the
+    interpreter's last flush does not fail again."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):  # a stdout without a file descriptor
+        pass
+
+
+def _dispatch(argv):
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))

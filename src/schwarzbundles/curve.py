@@ -10,7 +10,12 @@ Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 blocked pass, `kernel_sums`: for a batch of points it gives the distance to
 the nearest node, the winding number and, given a density, the trapezoidal
 Cauchy sum. `locate`, `winding_number` and the Cauchy integral of
-`transforms` are that pass for a batch of one point.
+`transforms` are that pass for a batch of one point. The pass is real
+arithmetic on one block of squared distances (`distance_blocks`), which
+gives the band test, the reciprocal of z - p and, by real matrix products,
+the sums. Distances are the same for a point in any batch; the sums are
+BLAS sums whose rounding depends on the batch, within the bound stated at
+`kernel_sums`.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -46,8 +52,8 @@ EXCLUSION_SAFETY_FACTOR = 5.0
 MIN_NODES = 16
 MAX_NODES = 2 ** 16
 
-# Node-point pairs per block of the kernel pass; rows stay contiguous and a
-# block's complex temporaries stay around half a megabyte.
+# Node-point pairs per block of the kernel pass; rows stay contiguous and
+# each of a pass's four real buffers stays at a quarter megabyte.
 KERNEL_BLOCK = 2 ** 15
 
 
@@ -145,6 +151,12 @@ class ContourGrid:
     dz: np.ndarray
     weight: float
     exclusion_band: float
+
+    @cached_property
+    def _node_parts(self):
+        """Re z and Im z of the nodes as contiguous real arrays, formed once
+        per grid for the kernel pass."""
+        return self.z.real.copy(), self.z.imag.copy()
 
 
 def _cyclic_winding(values):
@@ -284,41 +296,76 @@ def _ring(curve, n, radius):
                        dz=dz, weight=TWO_PI / n, exclusion_band=band)
 
 
+def distance_blocks(grid, points):
+    """Yield (rows, dr, di, d2) for blocks of points, one row per point:
+    dr + i di = z_k - p over the nodes z_k, and d2 = dr^2 + di^2, all real.
+
+    A block holds about KERNEL_BLOCK node-point pairs. Every block is
+    written into the same buffers, which the caller may overwrite and must
+    not keep: one allocation per pass, not per block. Each entry is
+    formed the same way in any block, so d2 of a point does not depend on
+    the batch. Large |z_k - p| may overflow d2 to inf; callers ignore the
+    warning.
+    """
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
+    zr, zi = grid._node_parts
+    dr, di, d2, sq = (np.empty((rows, grid.n)) for _ in range(4))
+    for lo in range(0, pts.size, rows):
+        p = pts[lo:lo + rows]
+        m = p.size
+        np.subtract(zr, p.real[:, None], out=dr[:m])
+        np.subtract(zi, p.imag[:, None], out=di[:m])
+        np.multiply(dr[:m], dr[:m], out=d2[:m])
+        np.multiply(di[:m], di[:m], out=sq[:m])
+        d2[:m] += sq[:m]
+        yield slice(lo, lo + m), dr[:m], di[:m], d2[:m]
+
+
 def kernel_sums(grid, points, density=None):
     """One blocked pass of the trapezoidal Cauchy kernel over the nodes.
 
-    Returns (nearest, winding, sums), one entry per row: the distance from
-    the row's point to the nearest node, the pre-rounding winding number
-    (1/2 pi i) * sum w dz/(z - p) and, when a density is given, the Cauchy
-    sum (1/2 pi i) * sum w density dz/(z - p) (else None). `density` is one
-    row shared by all points, one row per point, or many rows at a single
-    point. Each row is summed like the one-point sum, so a batch gives the
-    same bits as its rows one by one. A point on a node divides by zero; such
-    rows lie inside the exclusion band, are computed without warnings and
-    are the caller's to discard.
+    Returns (nearest, winding, sums), one entry per point: the distance from
+    the point to the nearest node, the pre-rounding winding number
+    (1/2 pi i) * sum w dz/(z - p) and, when a density (one value per node)
+    is given, the Cauchy sum (1/2 pi i) * sum w density dz/(z - p) (else
+    None).
+
+    The pass is real arithmetic on `distance_blocks`: nearest is sqrt(min
+    d2), and 1/(z - p) = (dr - i di)/d2 takes one reciprocal of d2; the
+    winding and the sum are real matrix products of dr/d2 and di/d2 with
+    the real and imaginary parts of [dz, density dz]. `nearest` of a point
+    is the same in any batch. The products are BLAS sums, whose order
+    depends on the batch: a row's winding and sum differ from the same sum
+    for the point alone, or taken term by term in complex arithmetic, by at
+    most 8 n eps * sum_k |w num_k/(z_k - p)|, num = dz or density dz. A
+    point on a node gives NaN; such rows lie inside the exclusion band, are
+    computed without warnings and are the caller's to discard.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    count, sums = pts.size, None
-    if density is not None:
-        density = np.asarray(density)
-        if density.ndim == 2:
-            count = max(count, len(density))
-        sums = np.empty(count, dtype=complex)
-        shared = density * grid.dz if density.ndim == 1 else None
-    nearest = np.empty(count)
-    winding = np.empty(count, dtype=complex)
-    rows = max(1, KERNEL_BLOCK // grid.n)
+    if density is None:
+        cols = grid.dz
+    else:
+        cols = np.empty((grid.n, 2), dtype=complex)
+        cols[:, 0] = grid.dz
+        np.multiply(density, grid.dz, out=cols[:, 1])
+    parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
+    nearest = np.empty(pts.size)
+    re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
     with np.errstate(all="ignore"):
-        for lo in range(0, count, rows):
-            block = slice(lo, lo + rows)
-            diff = grid.z - (pts if pts.size == 1 else pts[block])[:, None]
-            nearest[block] = np.abs(diff).min(axis=1)
-            winding[block] = (grid.dz / diff).sum(axis=1)
-            if sums is not None:
-                num = shared if shared is not None else density[block] * grid.dz
-                sums[block] = (num / diff).sum(axis=1)
-        pref = grid.weight / (2j * np.pi)
-        return nearest, (pref * winding).real, None if sums is None else pref * sums
+        for rows, dr, di, d2 in distance_blocks(grid, pts):
+            nearest[rows] = np.sqrt(d2.min(axis=1))
+            np.reciprocal(d2, out=d2)
+            re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
+            im_k[rows] = np.multiply(di, d2, out=di) @ parts
+    # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
+    # (w/2 pi i) S = (w/2 pi) (Im S - i Re S)
+    scale = grid.weight / TWO_PI
+    winding = scale * (re_k[:, 1] - im_k[:, 0])
+    if density is None:
+        return nearest, winding, None
+    sums = scale * ((re_k[:, 3] - im_k[:, 2]) - 1j * (re_k[:, 2] + im_k[:, 3]))
+    return nearest, winding, sums
 
 
 def winding_number(grid, z):

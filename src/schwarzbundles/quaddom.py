@@ -256,36 +256,54 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
     return _fit_transform_matrix(zs, fmat, deg_q, deg_p)
 
 
+def _scalar_product(a, b):
+    """a * b for complex arrays as (ac - bd) + i(ad + bc) in real arithmetic,
+    the rounding of numpy's complex scalar product; its vectorised complex
+    loops may round differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def _denominator_system(zs, fmat, deg_q, deg_p):
+    """Stage one: row s * n_s + u holds zs[s]^j, j <= deg_q, in column block
+    u (the numerator of slice u) and -F zs[s]^j, j < deg_p, in the shared P
+    columns; the right-hand side is F zs[s]^deg_p, F = fmat[s, u]."""
+    n_s, n_num = zs.size, deg_q + 1
+    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)[None, :]
+    amat = np.zeros((n_s, n_s, n_s * n_num + deg_p), dtype=complex)
+    blocks = np.arange(n_s)[:, None]
+    amat[:, blocks, blocks * n_num + np.arange(n_num)] = zpow[:, None, :n_num]
+    amat[:, :, n_s * n_num:] = -fmat[:, :, None] * zpow[:, None, :deg_p]
+    rhs = _scalar_product(fmat, zpow[:, deg_p, None])
+    return amat.reshape(n_s * n_s, -1), rhs.ravel()
+
+
+def _numerator_system(zs, fmat, deg_q, p_coeffs):
+    """Stage two: row s * n_s + u holds zs[s]^j conj(zs[u])^k and the
+    right-hand side F P(zs[s]) conj(P(zs[u])), F = fmat[s, u]."""
+    n_s, n_num = zs.size, deg_q + 1
+    zpow = zs[:, None] ** np.arange(n_num)[None, :]
+    wpow = np.conjugate(zs)[:, None] ** np.arange(n_num)[None, :]
+    a2 = zpow[:, None, :, None] * wpow[None, :, None, :]
+    pvals = npoly.polyval(zs, p_coeffs)
+    b2 = _scalar_product(_scalar_product(fmat, pvals[:, None]),
+                         np.conjugate(pvals)[None, :])
+    return a2.reshape(n_s * n_s, n_num * n_num), b2.ravel()
+
+
 def _fit_transform_matrix(zs, fmat, deg_q, deg_p):
     """Both least-squares stages on fmat[s, u] = F(zs[s], zs[u])."""
     n_s = zs.size
-    n_num = deg_q + 1
-    ncols = n_s * n_num + deg_p
-    rows = n_s * n_s
-    amat = np.zeros((rows, ncols), dtype=complex)
-    rhs = np.zeros(rows, dtype=complex)
-    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)[None, :]
-    for s in range(n_s):
-        for u in range(n_s):
-            r = s * n_s + u
-            amat[r, u * n_num:(u + 1) * n_num] = zpow[s, :n_num]
-            if deg_p:
-                amat[r, n_s * n_num:] = -fmat[s, u] * zpow[s, :deg_p]
-            rhs[r] = fmat[s, u] * zs[s] ** deg_p
+    ncols = n_s * (deg_q + 1) + deg_p
+    amat, rhs = _denominator_system(zs, fmat, deg_q, deg_p)
     sol, _, rank, _ = np.linalg.lstsq(amat, rhs, rcond=None)
     if rank < ncols:
         raise RankDeficientError(f"denominator stage rank {rank} < {ncols}")
-    p_coeffs = np.concatenate([sol[n_s * n_num:], [1.0 + 0j]])
+    p_coeffs = np.concatenate([sol[n_s * (deg_q + 1):], [1.0 + 0j]])
 
-    pvals = npoly.polyval(zs, p_coeffs)
-    a2 = np.zeros((rows, (deg_q + 1) ** 2), dtype=complex)
-    b2 = np.zeros(rows, dtype=complex)
-    wpow = np.conjugate(zs)[:, None] ** np.arange(deg_q + 1)[None, :]
-    for s in range(n_s):
-        for u in range(n_s):
-            r = s * n_s + u
-            a2[r] = np.outer(zpow[s, :n_num], wpow[u]).ravel()
-            b2[r] = fmat[s, u] * pvals[s] * np.conjugate(pvals[u])
+    a2, b2 = _numerator_system(zs, fmat, deg_q, p_coeffs)
     qsol, _, rank2, _ = np.linalg.lstsq(a2, b2, rcond=None)
     if rank2 < (deg_q + 1) ** 2:
         raise RankDeficientError(f"numerator stage rank {rank2} < {(deg_q + 1) ** 2}")

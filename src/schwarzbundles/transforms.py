@@ -12,7 +12,10 @@ property with the quadrant enforced.
 Every Cauchy sum is one call of the blocked kernel pass `curve.kernel_sums`,
 which also locates the points it sums at. `double_cauchy_batch` evaluates C
 for many z at one w: w's log density is formed once and all z are summed in
-one pass. `cauchy_integral` and `double_cauchy` are batches of one point, and
+one pass. In the mixed quadrant (z interior, w exterior) each z's density
+log|zeta - z|^2 is the log of its squared distances (`curve.distance_blocks`),
+summed at w by a real matrix product with one vector formed per w.
+`cauchy_integral` and `double_cauchy` are batches of one point, and
 `moment_expansion_check` sums its whole sampling ring in one pass.
 """
 
@@ -24,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import KERNEL_BLOCK, Location, band_refusal, kernel_sums, require_off_band
+from .curve import (
+    Location,
+    band_refusal,
+    distance_blocks,
+    kernel_sums,
+    require_off_band,
+)
 from .errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
@@ -179,14 +188,14 @@ def _double_cauchy_rows(grid, zs, w, w_side):
             else:
                 c[i] = c[i] + math.log(abs(z - w) ** 2)
     elif inside.any():
-        # z interior, w exterior: each z's real log density, summed at w;
-        # the densities are formed a kernel block of rows at a time
-        zin, mixed = zs[inside], np.empty(inside.sum(), dtype=complex)
-        step = max(1, KERNEL_BLOCK // grid.n)
-        for lo in range(0, zin.size, step):
-            zdens = np.log(np.abs(grid.z - zin[lo:lo + step, None]) ** 2)
-            mixed[lo:lo + step] = kernel_sums(grid, [w], zdens)[2]
-        c[inside] = np.conjugate(-mixed)
+        # z interior, w exterior: conj of the Cauchy sum at w of each z's
+        # density log|zeta - z|^2, as log-distances times one vector per w
+        cw = (grid.weight / (2j * np.pi)) * grid.dz / (grid.z - w)
+        cols = np.stack([cw.real, cw.imag], axis=1)
+        mixed = np.empty((inside.sum(), 2))
+        for rows, _, _, d2 in distance_blocks(grid, zs[inside]):
+            mixed[rows] = np.log(d2, out=d2) @ cols
+        c[inside] = -mixed[:, 0] + 1j * mixed[:, 1]
     c[near] = np.nan
     return c, near, inside
 
@@ -195,9 +204,13 @@ def double_cauchy_batch(grid, zs, w):
     """C(z, w) of `double_cauchy` for many z at one w, as a complex array.
 
     w's log density is formed once and every z is located and summed in one
-    kernel pass. Refuses w inside the exclusion band (NearBoundaryError); a
-    z where double_cauchy refuses (the band, or coincident interior points)
-    gets NaN. The values equal double_cauchy's bit for bit.
+    kernel pass; interior z at an exterior w take log|zeta - z|^2 from the
+    squared distances times one vector per w. Refuses w inside the exclusion
+    band (NearBoundaryError); a z where double_cauchy refuses (the band, or
+    coincident interior points) gets NaN at the same z as double_cauchy. The
+    values differ from double_cauchy's by BLAS summation order only, within
+    `kernel_sums`' bound 8 n eps * sum_k |w num_k/(z_k - p)| per row, with
+    num = log density * dz (for mixed rows, log|z_k - z|^2 dz at p = w).
     """
     w = complex(w)
     zs = np.asarray(zs, dtype=complex).reshape(-1)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import settings
 
@@ -5,6 +7,18 @@ import schwarzbundles as sb
 
 settings.register_profile("suite", max_examples=30, deadline=None)
 settings.load_profile("suite")
+
+# Hypothesis imports hypothesis.extra._patching to report a failing example.
+# That import warns from third-party code (mypy_extensions.TypedDict, through
+# libcst), and filterwarnings = "error" would turn the warning into an
+# INTERNALERROR that ends the run. Import it once here with its
+# DeprecationWarnings silenced; every other warning still fails the run.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # optional dependencies missing: nothing to patch
+        pass
 
 
 @pytest.fixture(scope="session")

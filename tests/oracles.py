@@ -3,8 +3,9 @@
 These deliberately avoid the package's contour machinery: plain midpoint
 summation over the region, central finite differences, and one-point
 trapezoidal sums and loops written out the way the package evaluated them
-before its blocked kernel pass, so that batched results can be compared
-with them bit for bit.
+before its blocked kernel pass. Batched Cauchy sums are compared with them
+within the stated bound `kernel_row_bound`; index and assembly work (the
+fit's least-squares systems, the radial tangent) bit for bit.
 """
 
 import cmath
@@ -93,18 +94,47 @@ def double_cauchy_one_point(grid, z, w):
     if z_side == "int" and w_side == "ext":
         dens = np.log(np.abs(grid.z - z) ** 2)
         return np.conjugate(-trapezoid_cauchy(grid, dens, w))
+    c = -trapezoid_cauchy(grid, _log_density(grid, w, w_side), z)
+    if z_side == "int":
+        c = c + math.log(abs(z - w) ** 2)
+    return c
+
+
+def _log_density(grid, w, w_side):
     if w_side == "ext":
         # the continuous log of conj(zeta) - conj(w), anchored at node 0
         v = np.conjugate(grid.z) - np.conjugate(w)
         steps = np.angle(np.roll(v, -1) / v)
         phases = np.angle(v[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        dens = np.log(np.abs(v)) + 1j * phases
-    else:
-        dens = np.log(np.abs(grid.z - w) ** 2)
-    c = -trapezoid_cauchy(grid, dens, z)
-    if z_side == "int":
-        c = c + math.log(abs(z - w) ** 2)
-    return c
+        return np.log(np.abs(v)) + 1j * phases
+    return np.log(np.abs(grid.z - w) ** 2)
+
+
+EPS = np.finfo(float).eps
+
+
+def kernel_row_bound(grid, num, p):
+    """8 n eps * sum_k |w num_k/(z_k - p)|: the bound curve.kernel_sums states
+    for one row's BLAS sum against its one-point sum (num = dz for the
+    winding, density * dz for the Cauchy sum)."""
+    with np.errstate(all="ignore"):
+        terms = np.abs(grid.weight * np.asarray(num) / (grid.z - p))
+    return 8 * grid.n * EPS * float(np.sum(terms))
+
+
+def double_cauchy_bound(grid, z, w, value):
+    """Bound on |C - double_cauchy_one_point(grid, z, w)| at a pair where
+    neither refuses: kernel_row_bound of the sum that carries C, plus
+    2 eps |C| for the closed correction added at interior z. In the mixed
+    quadrant z's density log|z_k - z|^2 comes from the squared distance and
+    differs from the one-point log by a few eps absolute, hence the + 1."""
+    z, w = complex(z), complex(w)
+    z_side, w_side = _side(grid, z), _side(grid, w)
+    if z_side == "int" and w_side == "ext":
+        dens = np.abs(np.log(np.abs(grid.z - z) ** 2)) + 1.0
+        return kernel_row_bound(grid, dens * grid.dz, w)
+    dens = _log_density(grid, w, w_side)
+    return kernel_row_bound(grid, dens * grid.dz, z) + 2 * EPS * abs(value)
 
 
 def exterior_f_matrix(grid, zs):
@@ -159,3 +189,53 @@ def verification_points_full_pass(grid, n_points=32, spacings=6.0):
         if not np.any(gap < grid.exclusion_band):
             return pts
         s *= 1.3
+
+
+# the rational fit's least-squares systems, assembled one sample pair at a time
+
+def denominator_system_loop(zs, fmat, deg_q, deg_p):
+    n_s = zs.size
+    n_num = deg_q + 1
+    ncols = n_s * n_num + deg_p
+    rows = n_s * n_s
+    amat = np.zeros((rows, ncols), dtype=complex)
+    rhs = np.zeros(rows, dtype=complex)
+    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)[None, :]
+    for s in range(n_s):
+        for u in range(n_s):
+            r = s * n_s + u
+            amat[r, u * n_num:(u + 1) * n_num] = zpow[s, :n_num]
+            if deg_p:
+                amat[r, n_s * n_num:] = -fmat[s, u] * zpow[s, :deg_p]
+            rhs[r] = fmat[s, u] * zs[s] ** deg_p
+    return amat, rhs
+
+
+def numerator_system_loop(zs, fmat, deg_q, p_coeffs):
+    n_s = zs.size
+    n_num = deg_q + 1
+    rows = n_s * n_s
+    zpow = zs[:, None] ** np.arange(n_num)[None, :]
+    pvals = np.polynomial.polynomial.polyval(zs, p_coeffs)
+    a2 = np.zeros((rows, n_num ** 2), dtype=complex)
+    b2 = np.zeros(rows, dtype=complex)
+    wpow = np.conjugate(zs)[:, None] ** np.arange(n_num)[None, :]
+    for s in range(n_s):
+        for u in range(n_s):
+            r = s * n_s + u
+            a2[r] = np.outer(zpow[s, :n_num], wpow[u]).ravel()
+            b2[r] = fmat[s, u] * pvals[s] * np.conjugate(pvals[u])
+    return a2, b2
+
+
+def pullback_tangent_loop(curve, zeta):
+    """The holomorphic unit tangent by radial tracking, one radius at a time."""
+    zeta = np.asarray(zeta, dtype=complex)
+    r, base = np.abs(zeta), zeta / np.abs(zeta)
+    root = 1.0
+    steps = 8
+    for k in range(steps + 1):
+        zz = base * (1.0 + (r - 1.0) * k / steps)
+        cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
+        root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
+    return 1j * zeta * curve.dphi(zeta) / root

@@ -434,6 +434,26 @@ def test_ring_tangent_carries_the_sign_across_the_cut():
             assert np.max(np.abs(ring - radial) / np.abs(radial)) <= 1e-11
 
 
+@pytest.mark.parametrize("coeffs,rho", [([0, 1, 0.3], 0.7), (QUARTIC, 0.72),
+                                         (SKEWED, 0.75)])
+def test_pullback_tangent_equals_the_radius_loop(coeffs, rho):
+    # all 9 radii in one polynomial pass give the loop's bits for 1-D input:
+    # ring node 0, 50 scattered points, a 2-D block; a 0-d point (numpy
+    # scalar arithmetic in the loop) rounds within a few eps
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    rng = np.random.default_rng(len(coeffs))
+    scattered = rng.uniform(rho, 1 / rho, 50) * np.exp(2j * np.pi * rng.uniform(size=50))
+    ring = _ring(curve, 4096, 0.95 / rho)
+    for zeta in (ring.zeta[:1], scattered, scattered.reshape(5, 10)):
+        got = sb.bundles._pullback_tangent(curve, zeta)
+        want = oracles.pullback_tangent_loop(curve, zeta)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for zeta in scattered[:10]:
+        got = sb.bundles._pullback_tangent(curve, zeta)
+        want = oracles.pullback_tangent_loop(curve, zeta)
+        assert np.shape(got) == () and abs(got - want) <= 16 * oracles.EPS * abs(want)
+
+
 def test_ring_tangent_tracks_one_point_radially(monkeypatch, cardioid):
     sizes = []
     radial = sb.bundles._pullback_tangent

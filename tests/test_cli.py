@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import schwarzbundles as sb
-from schwarzbundles.cli import main, parse_complex
+from schwarzbundles.cli import EXIT_FAILURE, main, parse_complex
 from schwarzbundles.errors import ParseError
 
 DISK = '{"kind": "conformal", "coeffs": [[0,0],[1,0]], "rho": 0.5}'
@@ -291,3 +295,36 @@ def test_values_starting_with_minus_take_either_form(capsys, disk_file, argv):
     spaced = run(capsys, argv[0], disk_file, "--n", "256", *argv[1:])
     assert spaced == run(capsys, joined[0], disk_file, "--n", "256", *joined[1:])
     assert spaced[0] == 0 and spaced[1] and not spaced[2]
+
+
+def _cli_process(argv, stdout):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.Popen([sys.executable, "-m", "schwarzbundles.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_reader_closing_stdout_early_ends_quietly(disk_file):
+    # like "| head -2": about 0.5 MB of lattice rows outgrow the pipe buffer,
+    # so the writer is still printing when the reader goes
+    proc = _cli_process(["plotdata", disk_file, "--quantity", "exp-transform-abs",
+                         "--w", "3", "--grid", "-2:2:100,-2:2:100"], subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_FAILURE
+    assert head[0] == b"x,y,abs_E\n" and head[1].startswith(b"-2,-2,")
+    assert err == b""
+
+
+def test_stdout_closed_before_the_last_flush_ends_quietly(disk_file):
+    # a short answer sits in the buffer until the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(["validate", disk_file], write_end)
+    os.close(write_end)
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=120) == EXIT_FAILURE
+    assert err == b""
