@@ -8,14 +8,14 @@ for the periodic analytic integrands that arise throughout the package.
 
 Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 blocked pass, `kernel_sums`: for a batch of points it gives the distance to
-the nearest node, the winding number and, given a density, the trapezoidal
-Cauchy sum. `locate`, `winding_number` and the Cauchy integral of
-`transforms` are that pass for a batch of one point. The pass is real
-arithmetic on one block of squared distances (`distance_blocks`), which
-gives the band test, the reciprocal of z - p and, by real matrix products,
-the sums. Distances are the same for a point in any batch; the sums are
-BLAS sums whose rounding depends on the batch, within the bound stated at
-`kernel_sums`.
+the nearest node, the winding number and, given a density or several as
+columns, the trapezoidal Cauchy sums. `locate`, `winding_number` and the
+Cauchy integral of `transforms` are that pass for a batch of one point.
+The pass is real arithmetic on one block of squared distances
+(`distance_blocks`), which gives the band test, the reciprocal of z - p
+and, by real matrix products, the sums. Distances are the same for a
+point in any batch; the sums are BLAS sums whose rounding depends on the
+batch, within the bound stated at `kernel_sums`.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently.
@@ -327,28 +327,31 @@ def kernel_sums(grid, points, density=None):
 
     Returns (nearest, winding, sums), one entry per point: the distance from
     the point to the nearest node, the pre-rounding winding number
-    (1/2 pi i) * sum w dz/(z - p) and, when a density (one value per node)
-    is given, the Cauchy sum (1/2 pi i) * sum w density dz/(z - p) (else
-    None).
+    (1/2 pi i) * sum w dz/(z - p) and, when a density is given, the Cauchy
+    sum (1/2 pi i) * sum w density dz/(z - p) (else None). A density of
+    shape (n,) gives sums of shape (points,); one of shape (n, m) holds m
+    densities as columns and gives sums of shape (points, m).
 
     The pass is real arithmetic on `distance_blocks`: nearest is sqrt(min
     d2), and 1/(z - p) = (dr - i di)/d2 takes one reciprocal of d2; the
-    winding and the sum are real matrix products of dr/d2 and di/d2 with
-    the real and imaginary parts of [dz, density dz]. `nearest` of a point
-    is the same in any batch. The products are BLAS sums, whose order
-    depends on the batch: a row's winding and sum differ from the same sum
-    for the point alone, or taken term by term in complex arithmetic, by at
-    most 8 n eps * sum_k |w num_k/(z_k - p)|, num = dz or density dz. A
-    point on a node gives NaN; such rows lie inside the exclusion band, are
-    computed without warnings and are the caller's to discard.
+    winding and the sums are real matrix products of dr/d2 and di/d2 with
+    the real and imaginary parts of [dz, density[:, 0] dz, ...]. `nearest`
+    of a point is the same in any batch. The products are BLAS sums, whose
+    order depends on the batch and the number of columns: a row's winding
+    and sum differ from the same sum for the point alone, or taken term by
+    term in complex arithmetic, by at most 8 n eps * sum_k |w num_k/(z_k -
+    p)|, num = dz or density dz. A point on a node gives NaN; such rows lie
+    inside the exclusion band, are computed without warnings and are the
+    caller's to discard.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     if density is None:
         cols = grid.dz
     else:
-        cols = np.empty((grid.n, 2), dtype=complex)
+        dens = np.asarray(density)
+        cols = np.empty((grid.n, 1 + dens.size // grid.n), dtype=complex)
         cols[:, 0] = grid.dz
-        np.multiply(density, grid.dz, out=cols[:, 1])
+        np.multiply(dens.reshape(grid.n, -1), grid.dz[:, None], out=cols[:, 1:])
     parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
     nearest = np.empty(pts.size)
     re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
@@ -359,13 +362,15 @@ def kernel_sums(grid, points, density=None):
             re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
             im_k[rows] = np.multiply(di, d2, out=di) @ parts
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
-    # (w/2 pi i) S = (w/2 pi) (Im S - i Re S)
+    # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
+    # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
+    # and (w/2 pi i) S = (w/2 pi) (-i R - I), the same two real operations.
     scale = grid.weight / TWO_PI
     winding = scale * (re_k[:, 1] - im_k[:, 0])
     if density is None:
         return nearest, winding, None
-    sums = scale * ((re_k[:, 3] - im_k[:, 2]) - 1j * (re_k[:, 2] + im_k[:, 3]))
-    return nearest, winding, sums
+    sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
+    return nearest, winding, sums.reshape(pts.shape + dens.shape[1:])
 
 
 def winding_number(grid, z):

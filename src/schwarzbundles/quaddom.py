@@ -8,11 +8,15 @@ plane, which handles arbitrary pole orders without symbolic work. Every
 residue identity is paired with a direct boundary-integral form for
 cross-checking; the polygon corner formula is checked against the exact
 boundary integral of Green's theorem, evaluated edge by edge.
+
+The rational structure F(z, w) = Q(z, conj w)/(P(z) conj(P(w))) is fitted
+on all pairs of exterior samples, with F from one kernel pass: P by block
+elimination (a deg_p-column solve), Q as a Kronecker solve. q and p carry
+a relative error of about the fit's condition number times eps.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +30,13 @@ from .errors import (
     WrongQuadrantError,
 )
 from .schwarz import polygon_schwarz
-from .transforms import double_cauchy_batch
+from .transforms import unwrap_log
 
 RESIDUE_RADIUS = 0.5
 RESIDUE_NODES = 512
 TANGENT_TAIL_TOL = 1e-8
 QD_RESIDUAL_THRESHOLD = 1e-3
+EPS = np.finfo(float).eps
 
 QUADRATURE_DOMAIN = "quadrature-domain"
 NOT_QUADRATURE_DOMAIN = "not-quadrature-domain-at-degree"
@@ -227,10 +232,12 @@ def default_exterior_samples(grid, count=12):
 
 
 def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
-    """Two-stage linear least squares for the rational form of F.
+    """Fit F(z, w) = Q(z, conj w) / (P(z) conj(P(w))) on all sample pairs.
 
-    Stage one fits a common monic denominator P across slices in the first
-    variable; stage two solves for the numerator Q given P and hermitizes it.
+    F on every pair comes from one kernel pass (`_exterior_f_matrix`).
+    Stage one fits a common monic denominator P across the slices F(., w_u)
+    by block elimination; stage two solves for the numerator Q given P as
+    a Kronecker least-squares problem and hermitizes it (`_solve_stages`).
     The fit residual is the relative error of F * P(z) * conj(P(w)) - Q over
     all sample pairs; below the calibrated threshold the domain is classified
     as a quadrature domain at this degree.
@@ -242,75 +249,71 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
         raise RankDeficientError(
             f"need at least {(deg_q + 1) ** 2 + deg_p + 1} sample pairs, "
             f"got {n_pairs}")
+    return _solve_stages(zs, _exterior_f_matrix(grid, zs), deg_q, deg_p)
+
+
+def _exterior_f_matrix(grid, zs):
+    """F(zs[s], zs[u]) = exp(-sum) for exterior samples: the samples are
+    located by one kernel pass, and the Cauchy sums of all their densities
+    log(conj zeta - conj zs[u]), unwrapped as columns, come from one more."""
     nearest, winding, _ = kernel_sums(grid, zs)
     for p, gap, wind in zip(zs, nearest, winding):
         if gap < grid.exclusion_band:
             raise band_refusal(grid, p)
         if wind > 0.5:
             raise WrongQuadrantError(f"sample {p} is not exterior")
-
-    # F = E on exterior pairs: one kernel pass over all samples per column w
-    fmat = np.empty((zs.size, zs.size), dtype=complex)
-    for j, wj in enumerate(zs):
-        fmat[:, j] = [cmath.exp(c) for c in double_cauchy_batch(grid, zs, wj)]
-    return _fit_transform_matrix(zs, fmat, deg_q, deg_p)
+    dens, _ = unwrap_log(np.conjugate(grid.z)[:, None] - np.conjugate(zs))
+    return np.exp(-kernel_sums(grid, zs, dens)[2])
 
 
-def _scalar_product(a, b):
-    """a * b for complex arrays as (ac - bd) + i(ad + bc) in real arithmetic,
-    the rounding of numpy's complex scalar product; its vectorised complex
-    loops may round differently."""
-    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _solve_stages(zs, fmat, deg_q, deg_p):
+    """Both least-squares stages on fmat[s, u] = F(zs[s], zs[u]) through
+    their structure, with V = [zs[s]^j], j <= deg_q, and its SVD.
 
-
-def _denominator_system(zs, fmat, deg_q, deg_p):
-    """Stage one: row s * n_s + u holds zs[s]^j, j <= deg_q, in column block
-    u (the numerator of slice u) and -F zs[s]^j, j < deg_p, in the shared P
-    columns; the right-hand side is F zs[s]^deg_p, F = fmat[s, u]."""
+    Stage one, slice u: V c_u + B_u p = r_u with B_u = -F[:, u] zs^j, j <
+    deg_p, and r_u = F[:, u] zs^deg_p. V is the same block for every u, so
+    projecting onto the complement of its range eliminates every c_u and
+    leaves a deg_p-column problem for p (variable projection); c_u is never
+    formed. Stage two: rows zs[s]^j conj(zs[u])^k form kron(V, conj V), so
+    the least-squares Q is V+ R V+^H for R = F P(zs) conj(P(zs))^T. Ranks
+    are those of the dense systems under numpy's lstsq cut eps * max(rows,
+    cols) * sigma_max, with sigma_max of stage one taken as max(sigma_max(V),
+    |B|_2): stage one's rank is n_s rank(V) plus the reduced problem's, and
+    stage two's singular values are the products sigma_i sigma_j of V's.
+    """
     n_s, n_num = zs.size, deg_q + 1
-    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)[None, :]
-    amat = np.zeros((n_s, n_s, n_s * n_num + deg_p), dtype=complex)
-    blocks = np.arange(n_s)[:, None]
-    amat[:, blocks, blocks * n_num + np.arange(n_num)] = zpow[:, None, :n_num]
-    amat[:, :, n_s * n_num:] = -fmat[:, :, None] * zpow[:, None, :deg_p]
-    rhs = _scalar_product(fmat, zpow[:, deg_p, None])
-    return amat.reshape(n_s * n_s, -1), rhs.ravel()
+    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)
+    vand, zp = zpow[:, :n_num], zpow[:, :deg_p]
+    u, sv, vh = np.linalg.svd(vand)
 
-
-def _numerator_system(zs, fmat, deg_q, p_coeffs):
-    """Stage two: row s * n_s + u holds zs[s]^j conj(zs[u])^k and the
-    right-hand side F P(zs[s]) conj(P(zs[u])), F = fmat[s, u]."""
-    n_s, n_num = zs.size, deg_q + 1
-    zpow = zs[:, None] ** np.arange(n_num)[None, :]
-    wpow = np.conjugate(zs)[:, None] ** np.arange(n_num)[None, :]
-    a2 = zpow[:, None, :, None] * wpow[None, :, None, :]
-    pvals = npoly.polyval(zs, p_coeffs)
-    b2 = _scalar_product(_scalar_product(fmat, pvals[:, None]),
-                         np.conjugate(pvals)[None, :])
-    return a2.reshape(n_s * n_s, n_num * n_num), b2.ravel()
-
-
-def _fit_transform_matrix(zs, fmat, deg_q, deg_p):
-    """Both least-squares stages on fmat[s, u] = F(zs[s], zs[u])."""
-    n_s = zs.size
-    ncols = n_s * (deg_q + 1) + deg_p
-    amat, rhs = _denominator_system(zs, fmat, deg_q, deg_p)
-    sol, _, rank, _ = np.linalg.lstsq(amat, rhs, rcond=None)
+    ncols = n_s * n_num + deg_p
+    # |B|_2 of the stacked B_u, from B^H B = Zp^H diag(sum_u |F[s, u]|^2) Zp
+    b_norm = np.linalg.norm(np.linalg.norm(fmat, axis=1)[:, None] * zp, 2)
+    tol = EPS * max(n_s * n_s, ncols) * max(sv[0], b_norm)
+    rank_v = int(np.sum(sv > tol))
+    perp = u[:, rank_v:].conj().T  # rows: the complement of V's range
+    bmat = -(fmat[:, :, None] * zp[:, None, :]).reshape(n_s, n_s * deg_p)
+    reduced = (perp @ bmat).reshape(perp.shape[0] * n_s, deg_p)
+    ur, sr, vhr = np.linalg.svd(reduced, full_matrices=False)
+    rank = n_s * rank_v + int(np.sum(sr > tol))
     if rank < ncols:
         raise RankDeficientError(f"denominator stage rank {rank} < {ncols}")
-    p_coeffs = np.concatenate([sol[n_s * (deg_q + 1):], [1.0 + 0j]])
+    rhs = (perp @ (fmat * zpow[:, deg_p, None])).ravel()
+    p_low = vhr.conj().T @ ((ur.conj().T @ rhs) / sr)
+    p_coeffs = np.concatenate([p_low, [1.0 + 0j]])
 
-    a2, b2 = _numerator_system(zs, fmat, deg_q, p_coeffs)
-    qsol, _, rank2, _ = np.linalg.lstsq(a2, b2, rcond=None)
-    if rank2 < (deg_q + 1) ** 2:
-        raise RankDeficientError(f"numerator stage rank {rank2} < {(deg_q + 1) ** 2}")
-    q_coeffs = qsol.reshape(deg_q + 1, deg_q + 1)
+    pvals = npoly.polyval(zs, p_coeffs)
+    rmat = fmat * pvals[:, None] * np.conjugate(pvals)[None, :]
+    tol2 = EPS * max(n_s * n_s, n_num * n_num) * sv[0] ** 2
+    rank2 = int(np.sum(np.multiply.outer(sv, sv) > tol2))
+    if rank2 < n_num * n_num:
+        raise RankDeficientError(f"numerator stage rank {rank2} < {n_num * n_num}")
+    vpinv = (vh.conj().T / sv) @ u[:, :n_num].conj().T
+    q_coeffs = vpinv @ rmat @ vpinv.conj().T
     q_coeffs = 0.5 * (q_coeffs + q_coeffs.conj().T)
 
-    resid = np.linalg.norm(a2 @ q_coeffs.ravel() - b2) / max(np.linalg.norm(b2), 1e-300)
+    resid = (np.linalg.norm(vand @ q_coeffs @ vand.conj().T - rmat)
+             / max(np.linalg.norm(rmat), 1e-300))
     return RationalStructure(q_coeffs=q_coeffs, p_coeffs=p_coeffs,
                              residual=float(resid))
 

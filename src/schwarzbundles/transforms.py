@@ -49,22 +49,27 @@ def unwrap_log(values, step_limit=PHASE_STEP_LIMIT):
     """Continuous logarithm of a cyclic sequence of nonzero complex values.
 
     The branch is anchored at the principal logarithm of the first value.
-    Returns (log values, winding). Raises BranchUnresolvedError when any
-    adjacent phase step reaches `step_limit` (refine the grid) or when a
+    Returns (log values, winding). An (n, m) array holds m sequences as
+    columns, each unwrapped cyclically along axis 0; its winding is an array
+    of m values, a 1-D sequence's a float. Raises BranchUnresolvedError when
+    any adjacent phase step reaches `step_limit` (refine the grid) or when a
     value is numerically zero or not finite.
     """
     v = np.asarray(values, dtype=complex)
     mags = np.abs(v)
     if not (mags.min() > 1e-12 and mags.max() < np.inf):  # also false for NaN
         raise BranchUnresolvedError("values are zero or not finite; no branch exists")
-    steps = np.angle(np.roll(v, -1) / v)
+    steps = np.angle(np.roll(v, -1, axis=0) / v)
     if np.abs(steps).max() >= step_limit:
         raise BranchUnresolvedError(
             f"phase step {np.abs(steps).max():.3f} >= {step_limit:.3f} "
             "between adjacent nodes; refine the grid")
-    phases = np.angle(v[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-    winding = float(steps.sum() / (2.0 * np.pi))
-    return np.log(mags) + 1j * phases, winding
+    phases = np.empty_like(steps)
+    phases[0] = 0.0
+    np.cumsum(steps[:-1], axis=0, out=phases[1:])
+    phases += np.angle(v[0])
+    winding = steps.sum(axis=0) / (2.0 * np.pi)
+    return np.log(mags) + 1j * phases, (float(winding) if v.ndim == 1 else winding)
 
 
 def cauchy_integral(grid, density, z):

@@ -5,7 +5,9 @@ summation over the region, central finite differences, and one-point
 trapezoidal sums and loops written out the way the package evaluated them
 before its blocked kernel pass. Batched Cauchy sums are compared with them
 within the stated bound `kernel_row_bound`; index and assembly work (the
-fit's least-squares systems, the radial tangent) bit for bit.
+fit's dense least-squares systems, the radial tangent) bit for bit. The
+rational fit's dense least squares over all sample pairs (`dense_fit`) is
+the reference for the package's block-eliminated and Kronecker solves.
 """
 
 import cmath
@@ -113,6 +115,12 @@ def _log_density(grid, w, w_side):
 EPS = np.finfo(float).eps
 
 
+def same_bits(a, b):
+    """Same shape and the same bytes, b taken in a's dtype."""
+    a, b = np.asarray(a), np.asarray(b, dtype=np.asarray(a).dtype)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def kernel_row_bound(grid, num, p):
     """8 n eps * sum_k |w num_k/(z_k - p)|: the bound curve.kernel_sums states
     for one row's BLAS sum against its one-point sum (num = dz for the
@@ -189,6 +197,67 @@ def verification_points_full_pass(grid, n_points=32, spacings=6.0):
         if not np.any(gap < grid.exclusion_band):
             return pts
         s *= 1.3
+
+
+# the rational fit's dense least squares: both stages as full systems over
+# all sample pairs, solved by numpy's lstsq
+
+def _scalar_product(a, b):
+    """a * b for complex arrays as (ac - bd) + i(ad + bc) in real arithmetic,
+    the rounding of numpy's complex scalar product; its vectorised complex
+    loops may round differently."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def denominator_system(zs, fmat, deg_q, deg_p):
+    """Stage one: row s * n_s + u holds zs[s]^j, j <= deg_q, in column block
+    u (the numerator of slice u) and -F zs[s]^j, j < deg_p, in the shared P
+    columns; the right-hand side is F zs[s]^deg_p, F = fmat[s, u]."""
+    n_s, n_num = zs.size, deg_q + 1
+    zpow = zs[:, None] ** np.arange(max(deg_q, deg_p) + 1)[None, :]
+    amat = np.zeros((n_s, n_s, n_s * n_num + deg_p), dtype=complex)
+    blocks = np.arange(n_s)[:, None]
+    amat[:, blocks, blocks * n_num + np.arange(n_num)] = zpow[:, None, :n_num]
+    amat[:, :, n_s * n_num:] = -fmat[:, :, None] * zpow[:, None, :deg_p]
+    rhs = _scalar_product(fmat, zpow[:, deg_p, None])
+    return amat.reshape(n_s * n_s, -1), rhs.ravel()
+
+
+def numerator_system(zs, fmat, deg_q, p_coeffs):
+    """Stage two: row s * n_s + u holds zs[s]^j conj(zs[u])^k and the
+    right-hand side F P(zs[s]) conj(P(zs[u])), F = fmat[s, u]."""
+    n_s, n_num = zs.size, deg_q + 1
+    zpow = zs[:, None] ** np.arange(n_num)[None, :]
+    wpow = np.conjugate(zs)[:, None] ** np.arange(n_num)[None, :]
+    a2 = zpow[:, None, :, None] * wpow[None, :, None, :]
+    pvals = np.polynomial.polynomial.polyval(zs, p_coeffs)
+    b2 = _scalar_product(_scalar_product(fmat, pvals[:, None]),
+                         np.conjugate(pvals)[None, :])
+    return a2.reshape(n_s * n_s, n_num * n_num), b2.ravel()
+
+
+def dense_fit(zs, fmat, deg_q, deg_p):
+    """(q_coeffs, p_coeffs, residual) of both stages solved densely by
+    lstsq, or the RankDeficientError text where a stage is rank deficient."""
+    n_s = zs.size
+    ncols = n_s * (deg_q + 1) + deg_p
+    amat, rhs = denominator_system(zs, fmat, deg_q, deg_p)
+    sol, _, rank, _ = np.linalg.lstsq(amat, rhs, rcond=None)
+    if rank < ncols:
+        return f"denominator stage rank {rank} < {ncols}"
+    p_coeffs = np.concatenate([sol[n_s * (deg_q + 1):], [1.0 + 0j]])
+
+    a2, b2 = numerator_system(zs, fmat, deg_q, p_coeffs)
+    qsol, _, rank2, _ = np.linalg.lstsq(a2, b2, rcond=None)
+    if rank2 < (deg_q + 1) ** 2:
+        return f"numerator stage rank {rank2} < {(deg_q + 1) ** 2}"
+    q_coeffs = qsol.reshape(deg_q + 1, deg_q + 1)
+    q_coeffs = 0.5 * (q_coeffs + q_coeffs.conj().T)
+    resid = np.linalg.norm(a2 @ q_coeffs.ravel() - b2) / max(np.linalg.norm(b2), 1e-300)
+    return q_coeffs, p_coeffs, float(resid)
 
 
 # the rational fit's least-squares systems, assembled one sample pair at a time

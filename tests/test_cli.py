@@ -328,3 +328,34 @@ def test_stdout_closed_before_the_last_flush_ends_quietly(disk_file):
         err = proc.stderr.read()
     assert proc.wait(timeout=120) == EXIT_FAILURE
     assert err == b""
+
+
+def test_one_parser_serves_many_calls(capsys, disk_file, square_file):
+    # the parser is built once per process; verbs run one after another in
+    # it, with parse errors between them, answer as calls that each build
+    # their own parser
+    from schwarzbundles.cli import build_parser
+    calls = [
+        ["validate", disk_file],
+        ["transform", disk_file, "--z", "2", "--w", "3", "--n", "256"],
+        ["transform", disk_file, "--w", "3"],  # --z missing
+        ["moments", disk_file, "--kmin", "-2", "--kmax", "2", "--format", "csv"],
+        ["section", disk_file, "--bundle", "no-such-bundle"],
+        ["section", disk_file, "--bundle", "schwarz-pole", "--pole", "3"],
+        ["quadrature", square_file, "--kind", "corner", "--f", "0;0;1"],
+        ["rational-fit", disk_file, "--deg-q", "1", "--deg-p", "1", "--bogus"],
+        ["rational-fit", disk_file, "--deg-q", "1", "--deg-p", "1"],
+        ["plotdata", disk_file, "--quantity", "exp-transform-abs", "--w", "3",
+         "--grid", "-2:2:5,-2:2:5"],
+        ["validate", disk_file, "--format", "csv"],
+    ]
+    build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert build_parser.cache_info().misses == 1
+    separate = []
+    for argv in calls:
+        build_parser.cache_clear()
+        separate.append(run(capsys, *argv))
+    assert shared == separate
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0]
+    assert all(out for code, out, _ in shared if code == 0)

@@ -22,14 +22,9 @@ from schwarzbundles.errors import (
     RankDeficientError,
 )
 import oracles
-from oracles import EPS
+from oracles import EPS, same_bits
 
 QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b, dtype=np.asarray(a).dtype)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +80,30 @@ def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
     assert sides == [sb.Location.NEAR_BOUNDARY if d < grid.exclusion_band
                      else sb.Location.INTERIOR if wn > 0.5 else sb.Location.EXTERIOR
                      for d, wn in zip(hypot, one_winding)]
+
+
+@given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
+       columns=st.integers(1, 9))
+def test_kernel_sums_density_columns(cardioid_grid, count, seed, columns):
+    # m densities as columns: the same pass with more columns. Column j lies
+    # within the row bound of the 1-D call with density j; a single column
+    # gives the 1-D call's bits, and locations do not depend on m
+    grid = cardioid_grid
+    pts = _points(grid, count, seed, min(1, count))
+    rng = np.random.default_rng(seed)
+    dens = np.conjugate(grid.z)[:, None] ** rng.integers(0, 4, columns) \
+        + rng.normal(size=(grid.n, columns))
+    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
+    assert sums.shape == (count, columns)
+    assert same_bits(nearest, sb.kernel_sums(grid, pts)[0])
+    for j in range(columns):
+        one = sb.kernel_sums(grid, pts, np.ascontiguousarray(dens[:, j]))
+        assert one[2].shape == (count,)
+        assert _within_row_bounds(sums[:, j], one[2], grid, dens[:, j] * grid.dz, pts)
+        assert _within_row_bounds(winding, one[1], grid, grid.dz, pts)
+        single = sb.kernel_sums(grid, pts, dens[:, j:j + 1])
+        assert all(same_bits(a, b) for a, b in zip(one[:2], single[:2]))
+        assert same_bits(single[2][:, 0], one[2])
 
 
 def _assert_matches_one_point(grid, zs, w, got):
@@ -162,36 +181,46 @@ def test_double_cauchy_batch_refuses_w_in_the_band(disk_grid):
         sb.double_cauchy_batch(disk_grid, [2.0, 0.1], 1.0)
 
 
+def _fit_outcome(fit, *args):
+    """The fit, or the text of its rank refusal (above the curve's degree)."""
+    try:
+        return fit(*args)
+    except RankDeficientError as exc:
+        return str(exc)
+
+
+def _dense_outcome(zs, fmat, deg_q, deg_p):
+    want = oracles.dense_fit(zs, fmat, deg_q, deg_p)
+    if isinstance(want, str):
+        return want
+    q_coeffs, p_coeffs, residual = want
+    return quaddom.RationalStructure(q_coeffs=q_coeffs, p_coeffs=p_coeffs,
+                                     residual=residual)
+
+
 @pytest.mark.parametrize("coeffs,rho,n", [([0, 1], 0.5, 512), ([0, 1, 0.3], 0.7, 512),
                                           (QUARTIC, 0.72, 1024)])
 @pytest.mark.parametrize("degree", [1, 2, 4])
 def test_rational_fit_equals_the_pairwise_loop(coeffs, rho, n, degree):
-    # The batched F matrix differs from the one-point one by eta (relative).
+    # The one-pass F matrix differs from the one-point one by eta (relative).
     # First-order least-squares perturbation: p moves by at most
     # 8 kappa_1 (eta + eps) relative, q by 8 kappa_2 (eta + dP + eps) with
     # dP the relative change of P at the samples, and the residual by
-    # 8 kappa_2 (eta + dP + eps). Rank, and so the refusal, and the
-    # classification must be the same.
+    # 8 kappa_2 (eta + dP + eps), kappa the condition numbers of the dense
+    # systems. Rank, and so the refusal, and the classification must be
+    # the same.
     grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), n)
     zs = sb.default_exterior_samples(grid, 14)
     fmat = oracles.exterior_f_matrix(grid, zs)
-
-    def outcome(fit, *args):
-        try:
-            return fit(*args)
-        except RankDeficientError as exc:  # above the curve's degree
-            return str(exc)
-
-    got = outcome(sb.fit_rational_structure, grid, degree, degree, zs)
-    want = outcome(quaddom._fit_transform_matrix, zs, fmat, degree, degree)
+    got = _fit_outcome(sb.fit_rational_structure, grid, degree, degree, zs)
+    want = _dense_outcome(zs, fmat, degree, degree)
     if isinstance(want, str):
         assert got == want
         return
     assert got.classification == want.classification
-    batch = np.array([np.exp(sb.double_cauchy_batch(grid, zs, w)) for w in zs]).T
-    eta = np.abs(batch - fmat).max() / np.abs(fmat).max()
-    kappa1 = np.linalg.cond(quaddom._denominator_system(zs, fmat, degree, degree)[0])
-    kappa2 = np.linalg.cond(quaddom._numerator_system(zs, fmat, degree, want.p_coeffs)[0])
+    eta = np.abs(quaddom._exterior_f_matrix(grid, zs) - fmat).max() / np.abs(fmat).max()
+    kappa1 = np.linalg.cond(oracles.denominator_system(zs, fmat, degree, degree)[0])
+    kappa2 = np.linalg.cond(oracles.numerator_system(zs, fmat, degree, want.p_coeffs)[0])
     pw, pg = npoly.polyval(zs, want.p_coeffs), npoly.polyval(zs, got.p_coeffs)
     d_p = np.abs(pg - pw).max() / np.abs(pw).min()
     rel = np.linalg.norm(got.p_coeffs - want.p_coeffs) / np.linalg.norm(want.p_coeffs)
@@ -201,6 +230,61 @@ def test_rational_fit_equals_the_pairwise_loop(coeffs, rho, n, degree):
     assert abs(got.residual - want.residual) <= 8 * kappa2 * (eta + d_p + EPS)
 
 
+FIT_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7),
+              "cubic": ([0, 1, 0.1, 0.1], 0.7), "quartic": (QUARTIC, 0.72)}
+
+
+@pytest.mark.parametrize("count", [12, 14, 24])
+@pytest.mark.parametrize("name", sorted(FIT_CURVES))
+def test_rational_fit_refusals_match_the_dense_oracle(name, count):
+    # Block elimination decides both ranks on the dense systems' scale, so
+    # at every degree the refusal text (the rank) and the classification
+    # equal those of the dense lstsq on the one-point F matrix
+    grid = sb.sample(sb.build_polynomial_curve(*FIT_CURVES[name]), 512)
+    zs = sb.default_exterior_samples(grid, count)
+    fmat = oracles.exterior_f_matrix(grid, zs)
+    refused = 0
+    for degree in range(1, 6):
+        got = _fit_outcome(sb.fit_rational_structure, grid, degree, degree, zs)
+        want = _dense_outcome(zs, fmat, degree, degree)
+        if isinstance(want, str):
+            refused += 1
+            assert got == want
+        else:
+            assert got.classification == want.classification
+    # every degree above the curve's is refused, every other one fitted
+    assert refused == 5 - grid.curve.degree
+
+
+def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
+    # no per-column double_cauchy_batch and no per-sample locate: one pass
+    # locates the samples, one unwrap forms every density and one pass sums
+    def refuse(*args, **kwargs):
+        raise AssertionError("the fit must not call this")
+
+    counts = {"kernel_sums": 0, "unwrap_log": 0}
+
+    def counted(name):
+        inner = getattr(quaddom, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return call
+
+    zs = sb.default_exterior_samples(quartic_grid, 24)
+    want = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
+    for target in (curve_mod, sb.transforms, quaddom, sb):
+        for name in ("double_cauchy_batch", "locate", "require_off_band"):
+            monkeypatch.setattr(target, name, refuse, raising=False)
+    for name in counts:
+        monkeypatch.setattr(quaddom, name, counted(name))
+    got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
+    assert counts == {"kernel_sums": 2, "unwrap_log": 1}
+    assert same_bits(got.p_coeffs, want.p_coeffs)
+    assert same_bits(got.q_coeffs, want.q_coeffs)
+
+
 @pytest.mark.parametrize("zs,deg_q,deg_p", [
     (np.array([2.0, -1.5j, 0.3 + 2.2j]), 0, 0),
     (np.array([2.0, -1.5j, 0.3 + 2.2j, -2.4 + 0.1j]), 1, 3),
@@ -208,13 +292,14 @@ def test_rational_fit_equals_the_pairwise_loop(coeffs, rho, n, degree):
     (2.1 * np.exp(2j * np.pi * np.arange(24) / 24), 5, 2),
 ])
 def test_fit_systems_equal_the_pair_loops(zs, deg_q, deg_p):
+    # the dense oracle's broadcast assembly is the pair-by-pair definition
     rng = np.random.default_rng(zs.size)
     fmat = rng.normal(size=(zs.size, zs.size)) + 1j * rng.normal(size=(zs.size, zs.size))
-    got = quaddom._denominator_system(zs, fmat, deg_q, deg_p)
+    got = oracles.denominator_system(zs, fmat, deg_q, deg_p)
     want = oracles.denominator_system_loop(zs, fmat, deg_q, deg_p)
     assert all(same_bits(a, b) for a, b in zip(got, want))
     p_coeffs = np.concatenate([rng.normal(size=deg_p) + 1j * rng.normal(size=deg_p), [1.0]])
-    got = quaddom._numerator_system(zs, fmat, deg_q, p_coeffs)
+    got = oracles.numerator_system(zs, fmat, deg_q, p_coeffs)
     want = oracles.numerator_system_loop(zs, fmat, deg_q, p_coeffs)
     assert all(same_bits(a, b) for a, b in zip(got, want))
 

@@ -11,7 +11,7 @@ from schwarzbundles.errors import (
     WrongQuadrantError,
 )
 
-from oracles import EPS, double_cauchy_area_oracle, double_cauchy_bound
+from oracles import EPS, double_cauchy_area_oracle, double_cauchy_bound, same_bits
 
 LOG_5_6 = cmath.log(5.0 / 6.0)
 
@@ -188,6 +188,57 @@ def test_unwrap_log_rejects_non_finite(bad):
     from schwarzbundles.errors import BranchUnresolvedError
     with pytest.raises(BranchUnresolvedError):
         sb.unwrap_log(np.array([1.0, bad, 1.0, 1.0]))
+
+
+def _unwrap_outcome(values):
+    from schwarzbundles.errors import BranchUnresolvedError
+    try:
+        return sb.unwrap_log(values)
+    except BranchUnresolvedError as exc:
+        return str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spoil", [None, "zero", "nan", "step"])
+def test_unwrap_log_columns_equal_per_column_calls(cardioid_grid, spoil):
+    # each column of an (n, m) array unwraps as it would alone: logs bit for
+    # bit; the windings sum the same steps in another order, within n eps of
+    # the sum of |steps|; the array refuses where some column refuses, with
+    # one of the columns' messages
+    grid = cardioid_grid
+    ws = np.array([2.5, -1.7 + 1.9j, 0.3 - 2.2j, 0.1 + 0.2j, 40.0])  # one inside
+    vals = np.conjugate(grid.z)[:, None] - np.conjugate(ws)
+    if spoil == "zero":
+        vals[17, 1] = 0.0
+    elif spoil == "nan":
+        vals[900, 2] = np.nan
+    elif spoil == "step":
+        vals[300:, 3] *= np.exp(2.0j)
+    got = _unwrap_outcome(vals)
+    singles = [_unwrap_outcome(np.ascontiguousarray(col)) for col in vals.T]
+    messages = [one for one in singles if isinstance(one, str)]
+    if spoil is not None:
+        assert len(messages) == 1 and got == messages[0]
+        return
+    assert not messages
+    logs, windings = got
+    assert windings.shape == (ws.size,)
+    assert np.array_equal(np.round(windings), [0, 0, 0, -1, 0])  # conj turns back
+    for j, (one_logs, one_winding) in enumerate(singles):
+        assert isinstance(one_winding, float)
+        assert same_bits(logs[:, j], one_logs)
+        steps = np.angle(np.roll(vals[:, j], -1) / vals[:, j])
+        bound = grid.n * EPS * np.abs(steps).sum() / (2 * np.pi)
+        assert abs(windings[j] - one_winding) <= bound
+
+
+def test_unwrap_log_columns_refuse_like_the_worst_column():
+    steps = np.array([[0.0, 0.0], [0.3, 1.7], [0.6, 0.2], [1.8, 0.5]])
+    got = _unwrap_outcome(np.exp(1j * steps))
+    singles = [_unwrap_outcome(np.exp(1j * col)) for col in steps.T]
+    assert all(isinstance(one, str) for one in singles)
+    # the array names its largest step, which is column 0's (1.8 back to 0)
+    assert got == singles[0] != singles[1]
 
 
 def test_moment_expansion_propagates_band_refusal(disk):
