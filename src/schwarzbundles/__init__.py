@@ -45,7 +45,6 @@ from .transforms import (
     unwrap_log,
 )
 from .bundles import (
-    BundleKind,
     LineBundle,
     SectionPair,
     annulus_verification_points,

@@ -8,21 +8,26 @@ the canonical section pair (f1 inside, f2 outside) is built from the Cauchy
 integral of the unwrapped boundary log density, with a divisor adjustment
 (z - a)^{-c} at an interior point a when c > 0.
 
-Built-in transitions are closed forms in the pullback variable zeta of
-z = phi(zeta), so the grid nodes zeta = e^{it} and the verification rings
-|zeta| = r need no Newton inversion of the map; for exp(S) the node log
-density is S itself. The tangent powers T^{-m} take T = dz/|dz| on the curve;
-on a ring the square root in T is taken once per node and its sign carried
-around the ring from node 0, and only scattered points track it radially.
-The gluing is verified by moving the contour; the verification points are
-searched over radii with a cheap upper bound on their distance to the curve
-before the full distance pass.
+A `LineBundle` is its transition function: `transition(grid)` gives
+lambda12 at the nodes of the curve's grid or of a ring, and each constructor
+supplies that closure. The built-in ones are closed forms in the pullback
+variable zeta of z = phi(zeta), so the grid nodes zeta = e^{it} and the
+verification rings |zeta| = r need no Newton inversion of the map. exp(S)
+also supplies its log at the nodes, S itself, because exp(S) overflows on
+far curves; the Schwarz-pole bundle supplies its pole, the default
+adjustment point when interior. The tangent powers T^{-m} take T = dz/|dz|
+on the curve; on a ring the square root in T is taken once per node and its
+sign carried around the ring from node 0, and only scattered points track
+it radially. The gluing is verified by moving the contour; the
+verification points are searched over radii with a cheap upper bound on
+their distance to the curve before the full distance pass, and every band
+and side decision is `curve.sides`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +36,10 @@ from .curve import (
     ContourGrid,
     Location,
     _ring,
-    band_refusal,
-    kernel_sums,
     locate,
+    off_band,
     require_off_band,
+    sides,
 )
 from .errors import (
     AdjustmentPointMissingError,
@@ -51,13 +56,6 @@ _VERIFY_SPACINGS = 6.0
 
 ONE_AT_INFINITY = "one-at-infinity"
 LEADING_ONE_OVER_Z = "leading-one-over-z"
-
-
-class BundleKind(Enum):
-    EXP_SCHWARZ = "exp-schwarz"
-    SCHWARZ_POLE = "schwarz-pole"
-    TANGENT_POWER = "tangent-power"
-    CUSTOM = "custom"
 
 
 def _pullback_tangent(curve, zeta):
@@ -120,61 +118,64 @@ def holomorphic_tangent(curve, z):
 
 @dataclass(frozen=True, eq=False)
 class LineBundle:
-    """Transition function lambda12 on the annulus around a curve."""
+    """Transition function lambda12 on the annulus around a curve.
+
+    `transition(grid)` is lambda12 at the nodes of a grid on the curve or on
+    a ring. `log(grid)`, when given, is a single-valued log of lambda12 at
+    the nodes (Chern class 0), used in place of the values. `pole`, when
+    given, is the default adjustment point if it is interior.
+    """
 
     curve: object
-    kind: BundleKind
+    transition: Callable
+    log: Callable = None
     pole: complex = None
-    power: int = None
-    evaluator: object = None
-
-    def at_zeta(self, zeta):
-        """lambda12 of a built-in bundle at pullback points zeta, z = phi(zeta)."""
-        if self.kind is BundleKind.EXP_SCHWARZ:
-            return np.exp(self.curve.phi_reflected(zeta))
-        if self.kind is BundleKind.SCHWARZ_POLE:
-            return 1.0 / (self.curve.phi_reflected(zeta) - np.conjugate(self.pole))
-        return _pullback_tangent(self.curve, zeta) ** (-self.power)
 
     def transition_at_nodes(self, grid):
-        """lambda12 at the grid nodes, in closed form at grid.zeta unless custom."""
-        if self.kind is BundleKind.CUSTOM:
-            return np.array([complex(self.evaluator(z)) for z in grid.z])
+        """lambda12 at the grid nodes."""
         with np.errstate(all="ignore"):  # a pole on a node: unwrap_log refuses
-            if self.kind is BundleKind.TANGENT_POWER:
-                return _ring_tangent_power(grid, self.power)
-            return self.at_zeta(grid.zeta)
+            return self.transition(grid)
 
 
 def exp_schwarz_bundle(curve):
-    """lambda12 = exp(S), the bundle whose section is the Cauchy transform pair."""
-    return LineBundle(curve=curve, kind=BundleKind.EXP_SCHWARZ)
+    """lambda12 = exp(S), the bundle whose section is the Cauchy transform pair.
+
+    Its log is S, anchored like unwrap_log at node 0's principal branch;
+    exp(S) may overflow and is not formed for the log."""
+    def log(grid):
+        s = curve.phi_reflected(grid.zeta)
+        k = round((s[0].imag - np.angle(np.exp(1j * s[0].imag))) / (2.0 * np.pi))
+        return s - 2j * np.pi * k
+
+    return LineBundle(curve, lambda grid: np.exp(curve.phi_reflected(grid.zeta)),
+                      log=log)
 
 
 def schwarz_pole_bundle(curve, w):
     """lambda12 = 1/(S - conj w), for a parameter point w off the curve."""
-    return LineBundle(curve=curve, kind=BundleKind.SCHWARZ_POLE, pole=complex(w))
+    w = complex(w)
+    return LineBundle(
+        curve, lambda grid: 1.0 / (curve.phi_reflected(grid.zeta) - np.conjugate(w)),
+        pole=w)
 
 
 def tangent_power_bundle(curve, m):
     """lambda12 = T^{-m}; m = 2 is the canonical bundle with lambda12 = S'."""
-    return LineBundle(curve=curve, kind=BundleKind.TANGENT_POWER, power=int(m))
+    m = int(m)
+    return LineBundle(curve, lambda grid: _ring_tangent_power(grid, m))
 
 
 def custom_bundle(curve, evaluator):
-    return LineBundle(curve=curve, kind=BundleKind.CUSTOM, evaluator=evaluator)
+    """lambda12 = evaluator(z), called once per node."""
+    return LineBundle(
+        curve, lambda grid: np.array([complex(evaluator(z)) for z in grid.z]))
 
 
 def _node_log(bundle, grid):
-    """(lambda12, its continuous log, Chern class) at the grid nodes.
-
-    For exp(S) the log is S, single-valued (class 0), anchored like unwrap_log
-    at node 0's principal branch; exp(S) may overflow and is not formed.
-    """
-    if bundle.kind is BundleKind.EXP_SCHWARZ:
-        s = bundle.curve.phi_reflected(grid.zeta)
-        k = round((s[0].imag - np.angle(np.exp(1j * s[0].imag))) / (2.0 * np.pi))
-        return None, s - 2j * np.pi * k, 0
+    """(lambda12, its continuous log, Chern class) at the grid nodes; a
+    bundle's own log gives (None, log, 0)."""
+    if bundle.log is not None:
+        return None, bundle.log(grid), 0
     vals = bundle.transition_at_nodes(grid)
     log, winding = unwrap_log(vals)
     return vals, log, round(winding)
@@ -241,10 +242,8 @@ def canonical_section(bundle, grid, a=None, branch_offset=0):
 
 def _resolve_adjustment(bundle, grid, a):
     if a is None:
-        if bundle.kind is BundleKind.SCHWARZ_POLE \
-                and locate(grid, bundle.pole) is Location.INTERIOR:
-            a = bundle.pole
-        else:
+        a = bundle.pole
+        if a is None or locate(grid, a) is not Location.INTERIOR:
             a = bundle.curve.conformal_center
         if a is None:
             raise AdjustmentPointMissingError(
@@ -295,20 +294,12 @@ def annulus_verification_points(grid, n_points=32):
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
+        # a cheap upper bound on the gap, not the band decision: a radius it
+        # puts in the band is refused; one it clears goes to `sides`
         if not np.any(np.abs(beside - pts).min(axis=0) < grid.exclusion_band):
-            # the band test of locate, from the kernel pass's distances
-            if not np.any(kernel_sums(grid, pts)[0] < grid.exclusion_band):
+            if not sides(grid, pts)[0].any():
                 return pts
         s *= 1.3
-
-
-def _off_band_sums(grid, pts, density):
-    """Windings and Cauchy sums at the points, refusing any in the band."""
-    nearest, winding, sums = kernel_sums(grid, pts, density)
-    in_band = nearest < grid.exclusion_band
-    if in_band.any():
-        raise band_refusal(grid, complex(pts[in_band][0]))
-    return winding, sums
 
 
 def verify_transition(section, bundle, annulus_points):
@@ -326,10 +317,10 @@ def verify_transition(section, bundle, annulus_points):
     the Chern class) and an adjustment point outside the inner ring."""
     grid, a = section.grid, section.adjustment
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
-    winding, sums = _off_band_sums(grid, pts, section.density)
+    inside, sums = off_band(grid, pts, section.density)
     r1 = _clear_radius(grid.curve, _VERIFY_SPACINGS * (TWO_PI / grid.n))
     worst = 0.0
-    for radius, side in ((1.0 / r1, winding > 0.5), (r1, winding <= 0.5)):
+    for radius, side in ((1.0 / r1, inside), (r1, ~inside)):
         if not side.any():
             continue
         ring = _ring(grid.curve, grid.n, radius)
@@ -342,7 +333,7 @@ def verify_transition(section, bundle, annulus_points):
                                     f"the ring |zeta| = {radius:.6g}; refine the grid")
         if c:
             density, _ = unwrap_log(vals * (ring.z - a) ** (-c))
-        delta = _off_band_sums(ring, pts[side], density)[1] - sums[side]
+        delta = off_band(ring, pts[side], density)[1] - sums[side]
         delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
         worst = max(worst, float(np.abs(delta).max()))
     return worst

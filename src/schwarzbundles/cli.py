@@ -213,9 +213,7 @@ def cmd_moments(args):
     grid = _grid_for(curve, cfg, functional=functional)
     table = transforms.harmonic_moments(grid, k_min, k_max)
     if cfg.fmt == "csv":
-        print("k,re_M,im_M")
-        for k, m in table.items():
-            print(f"{k},{fmt17(m.real)},{fmt17(m.imag)}")
+        _print_moments_csv(table)
     else:
         payload = {"n": grid.n,
                    "moments": [{"k": k, "value": [m.real, m.imag]}
@@ -224,19 +222,30 @@ def cmd_moments(args):
     return EXIT_OK
 
 
-def _build_bundle(curve, args):
-    kind = args.bundle
-    if kind == "exp-schwarz":
-        return bundles.exp_schwarz_bundle(curve)
-    if kind == "schwarz-pole":
-        if args.pole is None:
-            raise ParseError("schwarz-pole needs --pole")
-        return bundles.schwarz_pole_bundle(curve, parse_complex(args.pole))
-    if kind == "tangent-power":
-        if args.power is None:
-            raise ParseError("tangent-power needs --power")
-        return bundles.tangent_power_bundle(curve, args.power)
-    raise ParseError(f"unknown bundle kind {kind!r}")
+def _print_moments_csv(table):
+    print("k,re_M,im_M")
+    for k, m in table.items():
+        print(f"{k},{fmt17(m.real)},{fmt17(m.imag)}")
+
+
+def _schwarz_pole(curve, args):
+    if args.pole is None:
+        raise ParseError("schwarz-pole needs --pole")
+    return bundles.schwarz_pole_bundle(curve, parse_complex(args.pole))
+
+
+def _tangent_power(curve, args):
+    if args.power is None:
+        raise ParseError("tangent-power needs --power")
+    return bundles.tangent_power_bundle(curve, args.power)
+
+
+# --bundle name -> the bundle of a curve and the parsed arguments
+BUNDLES = {
+    "exp-schwarz": lambda curve, args: bundles.exp_schwarz_bundle(curve),
+    "schwarz-pole": _schwarz_pole,
+    "tangent-power": _tangent_power,
+}
 
 
 def cmd_section(args):
@@ -245,7 +254,7 @@ def cmd_section(args):
     if not isinstance(curve, ConformalMapCurve):
         raise NotConformalMapCurveError("bundle sections need a conformal-map curve")
     grid = sample(curve, cfg.n or 512)
-    bundle = _build_bundle(curve, args)
+    bundle = BUNDLES[args.bundle](curve, args)
     chern = bundles.chern_class(bundle, grid)
     payload = {"bundle": args.bundle, "chern": chern, "n": grid.n}
     section = None
@@ -364,13 +373,10 @@ def cmd_plotdata(args):
         print("\n".join(lines))
         return EXIT_OK
     if args.quantity == "moments":
-        table = transforms.harmonic_moments(grid, args.kmin, args.kmax)
-        print("k,re_M,im_M")
-        for k, m in table.items():
-            print(f"{k},{fmt17(m.real)},{fmt17(m.imag)}")
+        _print_moments_csv(transforms.harmonic_moments(grid, args.kmin, args.kmax))
         return EXIT_OK
     if args.quantity == "section-density":
-        bundle = _build_bundle(curve, args)
+        bundle = BUNDLES[args.bundle](curve, args)
         section = bundles.canonical_section(
             bundle, grid, a=parse_complex(args.adjust) if args.adjust else None)
         print("t,re_density,im_density")
@@ -432,8 +438,7 @@ def build_parser():
 
     p = sub.add_parser("section", help="canonical bundle section", parents=[common])
     p.add_argument("curve_file")
-    p.add_argument("--bundle", required=True,
-                   choices=("exp-schwarz", "schwarz-pole", "tangent-power"))
+    p.add_argument("--bundle", required=True, choices=tuple(BUNDLES))
     p.add_argument("--pole", default=None)
     p.add_argument("--power", type=int, default=None)
     p.add_argument("--adjust", default=None)
@@ -464,8 +469,7 @@ def build_parser():
     p.add_argument("--w", default=None)
     p.add_argument("--kmin", type=int, default=-3)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--bundle", default="exp-schwarz",
-                   choices=("exp-schwarz", "schwarz-pole", "tangent-power"))
+    p.add_argument("--bundle", default="exp-schwarz", choices=tuple(BUNDLES))
     p.add_argument("--pole", default=None)
     p.add_argument("--power", type=int, default=None)
     p.add_argument("--adjust", default=None)

@@ -17,6 +17,11 @@ and, by real matrix products, the sums. Distances are the same for a
 point in any batch; the sums are BLAS sums whose rounding depends on the
 batch, within the bound stated at `kernel_sums`.
 
+The band and side decision lives here alone: `sides` turns a kernel pass
+into the points in the exclusion band, the interior points and the sums,
+and `off_band` refuses a batch with a point in the band. Every caller that
+classifies points goes through them.
+
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently.
 """
@@ -159,13 +164,6 @@ class ContourGrid:
         return self.z.real.copy(), self.z.imag.copy()
 
 
-def _cyclic_winding(values):
-    """Winding number of a cyclic sequence of nonzero complex values."""
-    v = np.asarray(values)
-    steps = np.angle(np.roll(v, -1) / v)
-    return float(steps.sum() / TWO_PI)
-
-
 def build_circle(center, radius, rho=0.5):
     """Circle as the affine map phi(zeta) = center + radius*zeta."""
     radius = complex(radius)
@@ -177,9 +175,10 @@ def build_circle(center, radius, rho=0.5):
 def build_polynomial_curve(coeffs, rho, n_check=512):
     """Validate and build the curve phi(unit circle) for polynomial phi.
 
-    Checks, at sample resolution: phi' nonvanishing on the closed disk of
-    radius 1/rho (via polynomial roots, which also forces counterclockwise
-    tangent winding +1), and injectivity of the boundary image.
+    Checks phi' nonvanishing on the closed disk of radius 1/rho (via
+    polynomial roots) and, at sample resolution, injectivity of the boundary
+    image. By the argument principle the tangent i zeta phi'(zeta) then winds
+    exactly once, counterclockwise, around the circle.
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -208,11 +207,6 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
     min_adjacent = adjacent.min()
     if _far_pair_gap(z) < 0.5 * min_adjacent:
         raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
-
-    winding = _cyclic_winding(curve.velocity(th))
-    if round(winding) != 1:
-        raise CurveNotSimpleError(
-            f"tangent winding {winding:.3f}, expected +1 (counterclockwise)")
     return curve
 
 
@@ -378,16 +372,37 @@ def winding_number(grid, z):
     return float(kernel_sums(grid, [z])[1][0])
 
 
+def sides(grid, points, density=None):
+    """(near, inside, sums) of the points from one `kernel_sums` pass.
+
+    The one band and side decision of the package: near marks the points
+    closer to a node than the exclusion band, inside the points off the band
+    that the curve winds around; sums are the pass's Cauchy sums.
+    """
+    nearest, winding, sums = kernel_sums(grid, points, density)
+    near = nearest < grid.exclusion_band
+    return near, ~near & (winding > 0.5), sums
+
+
+def off_band(grid, points, density=None):
+    """(inside, sums) of `sides`, refusing the first point in the band."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    near, inside, sums = sides(grid, pts, density)
+    if near.any():
+        raise band_refusal(grid, complex(pts[near][0]))
+    return inside, sums
+
+
 def locate(grid, z):
     """Classify z as INTERIOR, EXTERIOR or NEAR_BOUNDARY.
 
     NEAR_BOUNDARY means closer to a grid node than the exclusion band; it is
     a classification, not an error, but evaluating transforms there is refused.
     """
-    nearest, winding, _ = kernel_sums(grid, [z])
-    if nearest[0] < grid.exclusion_band:
+    near, inside, _ = sides(grid, [z])
+    if near[0]:
         return Location.NEAR_BOUNDARY
-    return Location.INTERIOR if winding[0] > 0.5 else Location.EXTERIOR
+    return Location.INTERIOR if inside[0] else Location.EXTERIOR
 
 
 def band_refusal(grid, z):

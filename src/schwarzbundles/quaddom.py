@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import ConformalMapCurve, PolygonCurve, band_refusal, kernel_sums
+from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
 from .errors import (
     NotConformalMapCurveError,
     RankDeficientError,
@@ -163,7 +163,7 @@ def boundary_classical(grid, f_coeffs):
 def boundary_abelian(grid, f_coeffs):
     """-(1/2 pi i) * integral of f(z) S'(z) dz, with S' in boundary form."""
     f_coeffs = tuple(complex(c) for c in f_coeffs)
-    zeta = np.exp(1j * grid.t)
+    zeta = grid.zeta
     sprime = -grid.curve.dphi_reflected(zeta) / (zeta ** 2 * grid.curve.dphi(zeta))
     vals = npoly.polyval(grid.z, f_coeffs) * sprime * grid.dz
     return complex(-grid.weight / (2j * np.pi) * np.sum(vals))
@@ -254,14 +254,11 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 
 def _exterior_f_matrix(grid, zs):
     """F(zs[s], zs[u]) = exp(-sum) for exterior samples: the samples are
-    located by one kernel pass, and the Cauchy sums of all their densities
+    located by one kernel pass (`curve.off_band`), and the Cauchy sums of all their densities
     log(conj zeta - conj zs[u]), unwrapped as columns, come from one more."""
-    nearest, winding, _ = kernel_sums(grid, zs)
-    for p, gap, wind in zip(zs, nearest, winding):
-        if gap < grid.exclusion_band:
-            raise band_refusal(grid, p)
-        if wind > 0.5:
-            raise WrongQuadrantError(f"sample {p} is not exterior")
+    inside, _ = off_band(grid, zs)
+    if inside.any():
+        raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")
     dens, _ = unwrap_log(np.conjugate(grid.z)[:, None] - np.conjugate(zs))
     return np.exp(-kernel_sums(grid, zs, dens)[2])
 

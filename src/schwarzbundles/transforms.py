@@ -10,7 +10,8 @@ pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
 property with the quadrant enforced.
 
 Every Cauchy sum is one call of the blocked kernel pass `curve.kernel_sums`,
-which also locates the points it sums at. `double_cauchy_batch` evaluates C
+which also locates the points it sums at through `curve.sides` or
+`curve.off_band`. `double_cauchy_batch` evaluates C
 for many z at one w: w's log density is formed once and all z are summed in
 one pass. In the mixed quadrant (z interior, w exterior) each z's density
 log|zeta - z|^2 is the log of its squared distances (`curve.distance_blocks`),
@@ -32,12 +33,13 @@ from .curve import (
     band_refusal,
     distance_blocks,
     kernel_sums,
+    off_band,
     require_off_band,
+    sides,
 )
 from .errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
-    NearBoundaryError,
     OriginNotInteriorError,
     WrongQuadrantError,
 )
@@ -80,11 +82,8 @@ def cauchy_integral(grid, density, z):
 def cauchy_transform(grid, z):
     """Cauchy transform of the domain at exterior z, or the renormalized
     exterior transform (boundary integral of conj(zeta)/(zeta - z)) inside."""
-    z = complex(z)
-    nearest, winding, base = kernel_sums(grid, [z], np.conjugate(grid.z))
-    if nearest[0] < grid.exclusion_band:
-        raise band_refusal(grid, z)
-    return complex(base[0] if winding[0] > 0.5 else -base[0])
+    inside, base = off_band(grid, [complex(z)], np.conjugate(grid.z))
+    return complex(base[0] if inside[0] else -base[0])
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,7 @@ def moment_expansion_check(grid, k_max, n_fft=256):
     radius = 2.0 * np.abs(grid.z).max()
     angles = 2.0 * np.pi * np.arange(n_fft) / n_fft
     ring = radius * np.exp(1j * angles)
-    nearest, _, vals = kernel_sums(grid, ring, np.conjugate(grid.z))
-    if nearest.min() < grid.exclusion_band:
-        raise NearBoundaryError("sampling circle intersects the exclusion band")
+    _, vals = off_band(grid, ring, np.conjugate(grid.z))
     coeff = np.fft.ifft(vals)  # coeff[m] * radius^{-m} = Laurent coefficient m
     moments = harmonic_moments(grid, 0, k_max)
     residual = 0.0
@@ -181,9 +178,7 @@ def _log_density_for(grid, w, w_side):
 def _double_cauchy_rows(grid, zs, w, w_side):
     """C(z, w) for every z in zs at a located w, NaN where double_cauchy
     refuses, with the masks (near, inside) of zs from the same kernel pass."""
-    nearest, winding, sums = kernel_sums(grid, zs, _log_density_for(grid, w, w_side))
-    near = nearest < grid.exclusion_band
-    inside = ~near & (winding > 0.5)
+    near, inside, sums = sides(grid, zs, _log_density_for(grid, w, w_side))
     c = -sums
     if w_side is Location.INTERIOR:
         for i in np.flatnonzero(inside):

@@ -308,3 +308,17 @@ def pullback_tangent_loop(curve, zeta):
         cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
         root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
     return 1j * zeta * curve.dphi(zeta) / root
+
+
+# closed forms of the built-in transitions lambda12 at pullback points zeta
+
+def exp_schwarz_at(curve, zeta):
+    return np.exp(curve.phi_reflected(zeta))
+
+
+def schwarz_pole_at(curve, w, zeta):
+    return 1.0 / (curve.phi_reflected(zeta) - np.conjugate(complex(w)))
+
+
+def tangent_power_at(curve, m, zeta):
+    return pullback_tangent_loop(curve, zeta) ** (-int(m))

@@ -256,6 +256,26 @@ def test_rational_fit_refusals_match_the_dense_oracle(name, count):
     assert refused == 5 - grid.curve.degree
 
 
+@pytest.mark.parametrize("name", sorted(FIT_CURVES))
+def test_rational_fit_rank_cut_holds_for_scaled_f(name):
+    # The fit is homogeneous in F, so F scaled by 1e3 must give the dense
+    # lstsq's refusal text or classification. |F| ~ 1e3 puts |B|_2 orders
+    # above sigma_max(V) in the stage-one cut: a cut on sigma_max(V) alone
+    # keeps rank the dense system drops (the disk at (1, 2) fits instead of
+    # refusing with rank 25 < 26).
+    grid = sb.sample(sb.build_polynomial_curve(*FIT_CURVES[name]), 512)
+    zs = sb.default_exterior_samples(grid, 12)
+    fmat = 1e3 * oracles.exterior_f_matrix(grid, zs)
+    for deg_q in range(1, 5):
+        for deg_p in range(1, 6):
+            got = _fit_outcome(quaddom._solve_stages, zs, fmat, deg_q, deg_p)
+            want = _dense_outcome(zs, fmat, deg_q, deg_p)
+            if isinstance(want, str):
+                assert got == want
+            else:
+                assert got.classification == want.classification
+
+
 def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
     # no per-column double_cauchy_batch and no per-sample locate: one pass
     # locates the samples, one unwrap forms every density and one pass sums
@@ -264,8 +284,8 @@ def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
 
     counts = {"kernel_sums": 0, "unwrap_log": 0}
 
-    def counted(name):
-        inner = getattr(quaddom, name)
+    def counted(module, name):
+        inner = getattr(module, name)
 
         def call(*args, **kwargs):
             counts[name] += 1
@@ -278,7 +298,9 @@ def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
         for name in ("double_cauchy_batch", "locate", "require_off_band"):
             monkeypatch.setattr(target, name, refuse, raising=False)
     for name in counts:
-        monkeypatch.setattr(quaddom, name, counted(name))
+        monkeypatch.setattr(quaddom, name, counted(quaddom, name))
+    # the samples are located through curve.off_band, whose pass is there
+    monkeypatch.setattr(curve_mod, "kernel_sums", counted(curve_mod, "kernel_sums"))
     got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
     assert counts == {"kernel_sums": 2, "unwrap_log": 1}
     assert same_bits(got.p_coeffs, want.p_coeffs)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import schwarzbundles as sb
+from schwarzbundles.errors import CurveNotSimpleError
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -107,6 +108,27 @@ def test_locate_is_winding(disk_grid, re, im):
     w = sb.winding_number(disk_grid, z)
     assert abs(w - round(w)) < 1e-6
     assert round(w) == (1 if side is sb.Location.INTERIOR else 0)
+
+
+@given(degree=st.integers(min_value=2, max_value=8),
+       rho=st.floats(min_value=0.5, max_value=0.95, **finite),
+       mags=st.lists(st.floats(min_value=0.0, max_value=0.6, **finite),
+                     min_size=7, max_size=7),
+       phases=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi, **finite),
+                       min_size=7, max_size=7))
+def test_accepted_curves_have_tangent_winding_one(degree, rho, mags, phases):
+    # phi' has no zero in |zeta| <= 1/rho once the curve is accepted, so by
+    # the argument principle i zeta phi'(zeta) winds once around the circle;
+    # about a third of these draws put a zero there and are refused
+    k = np.arange(2, degree + 1)
+    coeffs = (np.array(mags[:degree - 1]) * rho ** (k - 1) / k
+              * np.exp(1j * np.array(phases[:degree - 1])))
+    try:
+        curve = sb.build_polynomial_curve([0, 1, *coeffs], rho)
+    except CurveNotSimpleError:
+        return
+    _, winding = sb.unwrap_log(curve.velocity(2 * np.pi * np.arange(512) / 512))
+    assert abs(winding - 1.0) < 1e-9
 
 
 @given(k=st.integers(min_value=-4, max_value=4))
