@@ -9,15 +9,17 @@ pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
 `TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
 property with the quadrant enforced.
 
-Every Cauchy sum is one call of the blocked kernel pass `curve.kernel_sums`,
-which also locates the points it sums at through `curve.sides` or
-`curve.off_band`. `double_cauchy_batch` evaluates C
-for many z at one w: w's log density is formed once and all z are summed in
-one pass. In the mixed quadrant (z interior, w exterior) each z's density
-log|zeta - z|^2 is the log of its squared distances (`curve.distance_blocks`),
-summed at w by a real matrix product with one vector formed per w.
-`cauchy_integral` and `double_cauchy` are batches of one point, and
-`moment_expansion_check` sums its whole sampling ring in one pass.
+Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
+blocked direct pass, or for far points of a large batch the expansion of
+the same trapezoidal sum about the conformal center), which also locates
+the points it sums at through `curve.sides` or `curve.off_band`.
+`double_cauchy_batch` evaluates C for many z at one w: w's log density is
+formed once and all z are summed in one pass. In the mixed quadrant (z
+interior, w exterior) each z's density log|zeta - z|^2 is the log of its
+squared distances (`curve.distance_blocks`), summed at w by a real matrix
+product with one vector formed per w. `cauchy_integral` and
+`double_cauchy` are batches of one point, and `moment_expansion_check`
+sums its whole sampling ring in one pass.
 """
 
 from __future__ import annotations
@@ -120,9 +122,14 @@ def moment_expansion_check(grid, k_max, n_fft=256):
 
     Extracts Laurent coefficients at infinity of the logarithm of the
     exterior exp-Schwarz section (log f2 = -sum_k M_k / z^{k+1}) by Fourier
-    analysis on a circle enclosing the curve, and returns
-    max_k |coeff_k + M_k| over 0 <= k <= k_max.
+    analysis of the grid's Cauchy sums on a circle enclosing the curve, and
+    returns max_k |coeff_k + M_k| over 0 <= k <= k_max, with M_k the exact
+    moments by pullback residues (`quaddom.classical_quadrature` of z^k).
+    The coefficients are the grid's discrete moments, so the residual is
+    their quadrature error: a grid whose nodes are off the curve fails it.
     """
+    from .quaddom import classical_quadrature  # quaddom imports this module
+
     k_max = int(k_max)
     n_fft = max(int(n_fft), 4 * (k_max + 2))
     radius = 2.0 * np.abs(grid.z).max()
@@ -130,11 +137,10 @@ def moment_expansion_check(grid, k_max, n_fft=256):
     ring = radius * np.exp(1j * angles)
     _, vals = off_band(grid, ring, np.conjugate(grid.z))
     coeff = np.fft.ifft(vals)  # coeff[m] * radius^{-m} = Laurent coefficient m
-    moments = harmonic_moments(grid, 0, k_max)
     residual = 0.0
     for k in range(k_max + 1):
         c = coeff[k + 1] * radius ** (k + 1)
-        residual = max(residual, abs(c + moments[k]))
+        residual = max(residual, abs(c + classical_quadrature(grid.curve, [0] * k + [1])))
     return residual
 
 

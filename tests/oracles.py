@@ -151,9 +151,20 @@ def exterior_f_matrix(grid, zs):
                      for zi in zs])
 
 
+def exact_moment(coeffs, k):
+    """M_k, k >= 0, of the image of the unit circle under the polynomial
+    phi with these coefficients: the coefficient sum conj(a_j) [zeta^(j-1)]
+    phi^k phi', exact polynomial algebra."""
+    a = np.asarray(coeffs, dtype=complex)
+    prod = np.polynomial.polynomial.polymul(np.polynomial.polynomial.polypow(a, k),
+                                            np.polynomial.polynomial.polyder(a))
+    return complex(sum(np.conj(a[j]) * prod[j - 1]
+                       for j in range(1, len(a)) if j - 1 < len(prod)))
+
+
 def moment_expansion_loop(grid, k_max, n_fft=256):
-    """max_k |coeff_k + M_k| with the ring's band test as one distance matrix
-    and its Cauchy integrals one point at a time."""
+    """max_k |coeff_k + M_k| with the ring's band test as one distance matrix,
+    its Cauchy integrals one point at a time and M_k by `exact_moment`."""
     n_fft = max(int(n_fft), 4 * (k_max + 2))
     radius = 2.0 * np.abs(grid.z).max()
     ring = radius * np.exp(1j * 2.0 * np.pi * np.arange(n_fft) / n_fft)
@@ -161,11 +172,9 @@ def moment_expansion_loop(grid, k_max, n_fft=256):
         return None
     vals = np.array([trapezoid_cauchy(grid, np.conjugate(grid.z), p) for p in ring])
     coeff = np.fft.ifft(vals)
-    pref = grid.weight / (2j * np.pi)
-    zbar_dz = np.conjugate(grid.z) * grid.dz
     residual = 0.0
     for k in range(k_max + 1):
-        moment = complex(pref * np.sum(grid.z ** k * zbar_dz))
+        moment = exact_moment(grid.curve.coeffs, k)
         residual = max(residual, abs(coeff[k + 1] * radius ** (k + 1) + moment))
     return residual
 

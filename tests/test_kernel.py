@@ -1,10 +1,14 @@
 """The blocked Cauchy-kernel pass and the batched evaluations built on it,
 compared with one-point sums and the loops in tests/oracles.py.
 
-Distances, sides, NaN rows and refusals must match exactly. Windings, Cauchy
-sums and what is built on them come from BLAS products, whose summation
-order depends on the batch; they must lie within the bound the kernel
+Sides, NaN rows, refusals and the distances of direct rows must match
+exactly; far rows, summed by expansions, report a lower bound on the
+distance at or above the band. Windings, Cauchy sums and what is built on
+them come from BLAS products, whose summation order depends on the batch,
+or from those expansions; they must lie within the bound the kernel
 states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k - p)|."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -50,19 +54,33 @@ def _within_row_bounds(got, want, grid, num, pts):
     return bool(np.all(np.abs(got[finite] - want[finite]) <= bounds))
 
 
-@given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
+def _far_mask(grid, pts, columns):
+    """The rows of a batch that `kernel_sums` takes by expansion."""
+    mask = np.zeros(pts.size, dtype=bool)
+    with np.errstate(all="ignore"):
+        for rows, *_ in curve_mod._far_rows(grid, pts, columns):
+            mask[rows] = True
+    return mask
+
+
+@given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),
        on_nodes=st.integers(0, 3))
 def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
-    # 32 rows per block at n = 1024: counts cross one and two block edges
+    # 32 rows per block at n = 1024: counts cross block edges, and from
+    # about 170 points the far rows outside the curve pay for an expansion
     grid = cardioid_grid
     pts = _points(grid, count, seed, min(on_nodes, count))
     dens = np.conjugate(grid.z) ** 2
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     singles = [sb.kernel_sums(grid, [p], dens) for p in pts]
-    # sqrt(dr^2 + di^2) is the same in any batch, and within 1.5 eps of |z - p|
-    assert same_bits(nearest, [one[0][0] for one in singles])
     hypot = np.array([oracles.nearest_node_distance(grid, p) for p in pts])
-    assert np.all(np.abs(nearest - hypot) <= 2 * EPS * hypot)
+    # direct rows: sqrt(dr^2 + di^2) is the same in any batch, and within
+    # 1.5 eps of |z - p|; far rows: a lower bound that clears the band
+    far = _far_mask(grid, pts, 2)
+    assert same_bits(nearest[~far], [one[0][0] for one, f in zip(singles, far) if not f])
+    assert np.all(np.abs(nearest - hypot)[~far] <= 2 * EPS * hypot[~far])
+    assert np.all(hypot[far] >= nearest[far])
+    assert np.all(nearest[far] >= grid.exclusion_band)
     with np.errstate(all="ignore"):  # the one-point sums divide by zero on a node
         one_winding = [oracles.trapezoid_winding(grid, p) for p in pts]
         one_sums = [oracles.trapezoid_cauchy(grid, dens, p) for p in pts]
@@ -80,6 +98,125 @@ def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
     assert sides == [sb.Location.NEAR_BOUNDARY if d < grid.exclusion_band
                      else sb.Location.INTERIOR if wn > 0.5 else sb.Location.EXTERIOR
                      for d, wn in zip(hypot, one_winding)]
+
+
+SPLIT_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7),
+                "quartic": (QUARTIC, 0.72)}
+
+
+@functools.cache
+def _split_grid(name, n):
+    return sb.sample(sb.build_polynomial_curve(*SPLIT_CURVES[name]), n)
+
+
+def _split_points(grid, q_max, edges, rng):
+    """240 points outside and 120 inside the nodes' annulus about c at
+    ratios q up to q_max, and 24 points near the curve. With edges, 20
+    points within 4 ulps of both ends of eligibility (q = FAR_RATIO, and a
+    distance to the annulus of one band) come first; the near points follow."""
+    c, big, small = grid._node_annulus
+    radii = np.concatenate([big / rng.uniform(0.01, q_max, 240),
+                            small * rng.uniform(0.0, q_max, 120)])
+    if edges:
+        ulps = 1.0 + np.array([-4, -1, 0, 1, 4]) * EPS
+        band = grid.exclusion_band
+        radii = np.concatenate([big / (curve_mod.FAR_RATIO * ulps), (big + band) * ulps,
+                                small * curve_mod.FAR_RATIO * ulps,
+                                np.maximum(small - band, 0.0) * ulps, radii])
+    pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
+    near = grid.z[rng.integers(0, grid.n, 24)] * (1.0 + rng.uniform(-0.01, 0.01, 24))
+    lead = 20 if edges else 0
+    return np.concatenate([pts[:lead], near, pts[lead:]]), lead + 24
+
+
+def _split_densities(grid, columns, rng):
+    """conj z^k, log|z - a|^2 and random normal densities as columns."""
+    kinds = [np.conjugate(grid.z) ** rng.integers(0, 4),
+             np.log(np.abs(grid.z - 0.3 * rng.normal(size=2).view(complex)[0]) ** 2),
+             rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n)]
+    return np.stack([kinds[j % 3] for j in range(columns)], axis=1)
+
+
+def _location(near, inside):
+    if near:
+        return sb.Location.NEAR_BOUNDARY
+    return sb.Location.INTERIOR if inside else sb.Location.EXTERIOR
+
+
+@given(name=st.sampled_from(sorted(SPLIT_CURVES)), n=st.sampled_from([256, 1024, 4096]),
+       columns=st.integers(1, 9), q_max=st.floats(0.05, 0.7), edges=st.booleans(),
+       seed=st.integers(0, 2 ** 16))
+def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
+    # Far and direct rows of one batch: windings and sums within the row
+    # bound of the one-point sums, nearest a lower bound at or above the
+    # band on far rows and the exact distance on direct ones, and each
+    # Location the one-point hypot/winding decision. The edge and near rows
+    # and 24 more drawn at random are checked against the one-point loops.
+    # Edge points put the batch's largest q at FAR_RATIO, where n = 256
+    # takes no expansion; without them a small q_max does.
+    grid = _split_grid(name, n)
+    rng = np.random.default_rng(seed)
+    pts, lead = _split_points(grid, q_max, edges, rng)
+    dens = _split_densities(grid, columns, rng)
+    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
+    bare = sb.kernel_sums(grid, pts)[1]  # no density: one column, its own split
+    near, inside, _ = curve_mod.sides(grid, pts, dens)
+    far = _far_mask(grid, pts, columns + 1)
+    for i in np.concatenate([np.arange(lead), rng.integers(lead, pts.size, 24)]):
+        p = pts[i]
+        hypot = oracles.nearest_node_distance(grid, p)
+        if far[i]:
+            assert hypot >= nearest[i] >= grid.exclusion_band
+        else:
+            assert abs(nearest[i] - hypot) <= 2 * EPS * hypot
+        one_winding = oracles.trapezoid_winding(grid, p)
+        bound = oracles.kernel_row_bound(grid, grid.dz, p)
+        assert abs(winding[i] - one_winding) <= bound
+        assert abs(bare[i] - one_winding) <= bound
+        for j in range(columns):
+            want = oracles.trapezoid_cauchy(grid, dens[:, j], p)
+            assert abs(sums[i, j] - want) \
+                <= oracles.kernel_row_bound(grid, dens[:, j] * grid.dz, p)
+        want = _location(hypot < grid.exclusion_band, one_winding > 0.5)
+        assert _location(near[i], inside[i]) == want
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CURVES))
+def test_mixed_batch_rows_equal_their_lone_values(name):
+    # sweep's 40 x 40 lattice, with 150 more points inside the annulus of
+    # the nodes: far rows on both sides of the curve and direct rows in
+    # one batch, each within its row bound of the value it gets alone
+    grid = _split_grid(name, 1024)
+    c, big, small = grid._node_annulus
+    xs = np.linspace(-2.0, 2.0, 40)
+    lattice = (c + xs[None, :] + 1j * xs[:, None]).ravel()
+    rng = np.random.default_rng(7)
+    inn = c + small * rng.uniform(0.0, 0.6, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
+    pts = np.concatenate([lattice, inn])
+    dens = np.log(np.abs(grid.z - 3.0) ** 2)
+    with np.errstate(all="ignore"):
+        sides = {outside for *_, outside in curve_mod._far_rows(grid, pts, 2)}
+    assert sides == {True, False}
+    assert 0 < _far_mask(grid, pts, 2).sum() < pts.size
+    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
+    alone = [sb.kernel_sums(grid, [p], dens) for p in pts]
+    assert _within_row_bounds(winding, [one[1][0] for one in alone], grid, grid.dz, pts)
+    assert _within_row_bounds(sums, [one[2][0] for one in alone], grid, dens * grid.dz, pts)
+    assert np.all(nearest <= [one[0][0] for one in alone])
+
+
+def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
+    # one point, and the fit's 24 samples with 25 columns, stay direct; a
+    # large far ring (the moment check's) takes the expansion with M < n
+    grid = sb.sample(cardioid_grid.curve, 512)
+    samples = sb.default_exterior_samples(grid, 24)
+    ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)
+    with np.errstate(all="ignore"):
+        assert curve_mod._far_rows(grid, samples[:1], 2) == []
+        assert curve_mod._far_rows(grid, samples, 25) == []
+        (rows, nearest, terms, outside), = curve_mod._far_rows(grid, ring, 2)
+    assert outside and rows.size == ring.size and terms < grid.n
+    assert np.all(nearest >= grid.exclusion_band)
 
 
 @given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
@@ -330,8 +467,8 @@ def test_fit_systems_equal_the_pair_loops(zs, deg_q, deg_p):
                                           (QUARTIC, 0.72, 1024)])
 @pytest.mark.parametrize("k_max", [1, 2, 4, 6])
 def test_moment_expansion_check_equals_the_loop(coeffs, rho, n, k_max):
-    # The ring's sums each lie within their row bound B of the one-point
-    # sums; the inverse FFT moves coefficient m by at most max B, plus its
+    # The ring's sums (far rows of the pass) each lie within their row
+    # bound B of the one-point sums; the inverse FFT moves coefficient m by at most max B, plus its
     # own rounding of log2(N) eps max |vals| on each side, and coefficient k
     # is scaled by radius^(k+1).
     grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), n)
@@ -342,8 +479,14 @@ def test_moment_expansion_check_equals_the_loop(coeffs, rho, n, k_max):
     row = max(oracles.kernel_row_bound(grid, dens_dz, p) for p in ring)
     vals = max(abs(oracles.trapezoid_cauchy(grid, np.conjugate(grid.z), p)) for p in ring)
     bound = radius ** (k_max + 1) * (row + 2 * np.log2(n_fft) * EPS * vals)
+    # the check's moments by residues and the loop's by exact algebra
+    # differ by the residue sum's rounding, measured here
+    moments = max(abs(quaddom.classical_quadrature(grid.curve, [0] * k + [1])
+                      - oracles.exact_moment(grid.curve.coeffs, k))
+                  for k in range(k_max + 1))
     want = oracles.moment_expansion_loop(grid, k_max)
-    assert abs(sb.moment_expansion_check(grid, k_max) - want) <= bound + 2 * EPS * want
+    assert abs(sb.moment_expansion_check(grid, k_max) - want) \
+        <= bound + moments + 2 * EPS * want
 
 
 @given(size=st.integers(16, 160), seed=st.integers(0, 2 ** 16))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ def test_moment_expansion_disk(disk_grid):
 def test_moment_expansion_shifted_circle():
     g = sb.sample(sb.build_circle(0.2, 1.0), 512)
     assert sb.moment_expansion_check(g, 4) < 1e-8
+
+
+@pytest.mark.parametrize("coeffs,rho,n", [([0, 1], 0.5, 512), ([0, 1, 0.3], 0.7, 4096),
+                                          ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72, 1024)])
+def test_moment_expansion_check_fails_off_the_curve(coeffs, rho, n):
+    # the check compares the grid's discrete moments with the exact ones, so
+    # nodes moved off the curve by a 1e-6 mode fail it at criterion 4's 1e-10
+    grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), n)
+    assert sb.moment_expansion_check(grid, 6) <= 1e-10
+    moved = dataclasses.replace(grid, z=grid.z + 1e-6 * np.exp(3j * grid.t))
+    assert sb.moment_expansion_check(moved, 6) > 1e-10
 
 
 def test_double_cauchy_disk_values(disk_grid):
