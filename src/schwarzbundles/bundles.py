@@ -15,7 +15,8 @@ variable zeta of z = phi(zeta), so the grid nodes zeta = e^{it} and the
 verification rings |zeta| = r need no Newton inversion of the map. exp(S)
 also supplies its log at the nodes, S itself, because exp(S) overflows on
 far curves; the Schwarz-pole bundle supplies its pole, the default
-adjustment point when interior. The tangent powers T^{-m} take T = dz/|dz|
+adjustment point when interior, and its section is the exponential
+transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
 on the curve; on a ring the square root in T is taken once per node and its
 sign carried around the ring from node 0, and only scattered points track
 it radially. The gluing is verified by moving the contour; the
@@ -151,12 +152,22 @@ def exp_schwarz_bundle(curve):
                       log=log)
 
 
+def _pole_transition(grid, w):
+    """1/(S - conj w) at the nodes; m points w give one column each, (n, m)."""
+    return 1.0 / np.subtract.outer(grid.curve.phi_reflected(grid.zeta), np.conjugate(w))
+
+
 def schwarz_pole_bundle(curve, w):
     """lambda12 = 1/(S - conj w), for a parameter point w off the curve."""
     w = complex(w)
-    return LineBundle(
-        curve, lambda grid: 1.0 / (curve.phi_reflected(grid.zeta) - np.conjugate(w)),
-        pole=w)
+    return LineBundle(curve, lambda grid: _pole_transition(grid, w), pole=w)
+
+
+def _pole_density(grid, w, interior):
+    """`canonical_section(schwarz_pole_bundle(curve, w), grid).density`, bit
+    for bit, at a located w: adjusted at w (Chern class 1) if interior."""
+    vals = _pole_transition(grid, w)
+    return unwrap_log(vals * (grid.z - w) ** (-1) if interior else vals)[0]
 
 
 def tangent_power_bundle(curve, m):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from .bundles import _pole_transition
 from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
 from .errors import (
     NotConformalMapCurveError,
@@ -253,14 +254,14 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 
 
 def _exterior_f_matrix(grid, zs):
-    """F(zs[s], zs[u]) = exp(-sum) for exterior samples: the samples are
-    located by one kernel pass (`curve.off_band`), and the Cauchy sums of all their densities
-    log(conj zeta - conj zs[u]), unwrapped as columns, come from one more."""
+    """F(zs[s], zs[u]) = exp(sum) for exterior samples: one kernel pass
+    (`curve.off_band`) locates the samples, and one more sums the densities
+    of their Schwarz-pole sections, the unwrapped pole transitions as columns."""
     inside, _ = off_band(grid, zs)
     if inside.any():
         raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")
-    dens, _ = unwrap_log(np.conjugate(grid.z)[:, None] - np.conjugate(zs))
-    return np.exp(-kernel_sums(grid, zs, dens)[2])
+    dens, _ = unwrap_log(_pole_transition(grid, zs))
+    return np.exp(kernel_sums(grid, zs, dens)[2])
 
 
 def _solve_stages(zs, fmat, deg_q, deg_p):

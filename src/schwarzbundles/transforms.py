@@ -1,10 +1,11 @@
 """Harmonic moments, single and double Cauchy transforms, and the
 exponential transform of the domain bounded by an analytic curve.
 
-Everything is computed from boundary integrals on a contour grid. The double
-transform C(z, w) is assembled quadrant by quadrant: the base Cauchy integral
-of a boundary log density plus a closed correction when an argument is
-interior. Its exponential E = exp(C) carries one of the four analytic
+Everything is computed from boundary integrals on a contour grid. E =
+exp(C) is the canonical section of the Schwarz-pole bundle 1/(S - conj w):
+C(z, w) is the Cauchy sum at z of its density (`bundles._pole_density`)
+plus, for interior z, log|z - w|^2 at interior w or, at exterior w, the
+conjugate of the sum of -conj(density). E carries one of the four analytic
 pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
 `TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
 property with the quadrant enforced.
@@ -13,19 +14,14 @@ Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
 blocked direct pass, or for far points of a large batch the expansion of
 the same trapezoidal sum about the conformal center), which also locates
 the points it sums at through `curve.sides` or `curve.off_band`.
-`double_cauchy_batch` evaluates C for many z at one w: w's log density is
-formed once and all z are summed in one pass. In the mixed quadrant (z
-interior, w exterior) each z's density log|zeta - z|^2 is the log of its
-squared distances (`curve.distance_blocks`), summed at w by a real matrix
-product with one vector formed per w. `cauchy_integral` and
-`double_cauchy` are batches of one point, and `moment_expansion_check`
-sums its whole sampling ring in one pass.
+`double_cauchy_batch` evaluates C for many z at one w in one such pass;
+`cauchy_integral` and `double_cauchy` are batches of one point, and
+`moment_expansion_check` sums its whole sampling ring in one pass.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +29,6 @@ import numpy as np
 from .curve import (
     Location,
     band_refusal,
-    distance_blocks,
     kernel_sums,
     off_band,
     require_off_band,
@@ -57,13 +52,14 @@ def unwrap_log(values, step_limit=PHASE_STEP_LIMIT):
     columns, each unwrapped cyclically along axis 0; its winding is an array
     of m values, a 1-D sequence's a float. Raises BranchUnresolvedError when
     any adjacent phase step reaches `step_limit` (refine the grid) or when a
-    value is numerically zero or not finite.
+    value is not finite or numerically zero: of modulus at most 1e-12, and at
+    most 1e-12 of the largest (1/(S - conj w) is about 1/|w| for far w).
     """
     v = np.asarray(values, dtype=complex)
     mags = np.abs(v)
-    if not (mags.min() > 1e-12 and mags.max() < np.inf):  # also false for NaN
+    if not (mags.min() > 1e-12 * min(1.0, mags.max()) and mags.max() < np.inf):  # False for NaN
         raise BranchUnresolvedError("values are zero or not finite; no branch exists")
-    steps = np.angle(np.roll(v, -1, axis=0) / v)
+    steps = np.angle(np.concatenate((v[1:], v[:1])) / v)  # np.roll, without its overhead
     if np.abs(steps).max() >= step_limit:
         raise BranchUnresolvedError(
             f"phase step {np.abs(steps).max():.3f} >= {step_limit:.3f} "
@@ -174,34 +170,24 @@ class TransformValue:
         return name, self.E / abs(self.z - self.w) ** 2
 
 
-def _log_density_for(grid, w, w_side):
-    if w_side is Location.EXTERIOR:
-        dens, _ = unwrap_log(np.conjugate(grid.z) - np.conjugate(w))
-        return dens
-    return np.log(np.abs(grid.z - w) ** 2)
-
-
 def _double_cauchy_rows(grid, zs, w, w_side):
     """C(z, w) for every z in zs at a located w, NaN where double_cauchy
     refuses, with the masks (near, inside) of zs from the same kernel pass."""
-    near, inside, sums = sides(grid, zs, _log_density_for(grid, w, w_side))
-    c = -sums
+    from .bundles import _pole_density  # bundles imports this module
+
+    density = _pole_density(grid, w, w_side is Location.INTERIOR)
     if w_side is Location.INTERIOR:
-        for i in np.flatnonzero(inside):
-            z = complex(zs[i])
-            if abs(z - w) <= 1e-12 * (1.0 + abs(z)):
-                c[i] = np.nan  # coincident interior points
-            else:
-                c[i] = c[i] + math.log(abs(z - w) ** 2)
-    elif inside.any():
-        # z interior, w exterior: conj of the Cauchy sum at w of each z's
-        # density log|zeta - z|^2, as log-distances times one vector per w
-        cw = (grid.weight / (2j * np.pi)) * grid.dz / (grid.z - w)
-        cols = np.stack([cw.real, cw.imag], axis=1)
-        mixed = np.empty((inside.sum(), 2))
-        for rows, _, _, d2 in distance_blocks(grid, zs[inside]):
-            mixed[rows] = np.log(d2, out=d2) @ cols
-        c[inside] = -mixed[:, 0] + 1j * mixed[:, 1]
+        near, inside, c = sides(grid, zs, density)
+        gap = np.abs(zs - w)
+        apart = gap > 1e-12 * (1.0 + np.abs(zs))
+        c[inside & apart] += np.log(gap[inside & apart] ** 2)
+        c[inside & ~apart] = np.nan  # coincident interior points
+    else:
+        # column 1, -conj(density), sums at interior z to log(z - w) on the
+        # branch continued from the nodes; its node-0 anchor cancels column 0's
+        near, inside, sums = sides(grid, zs, np.stack([density, -np.conjugate(density)], 1))
+        c = sums[:, 0].copy()
+        c[inside] += np.conjugate(sums[inside, 1])
     c[near] = np.nan
     return c, near, inside
 
@@ -209,14 +195,13 @@ def _double_cauchy_rows(grid, zs, w, w_side):
 def double_cauchy_batch(grid, zs, w):
     """C(z, w) of `double_cauchy` for many z at one w, as a complex array.
 
-    w's log density is formed once and every z is located and summed in one
-    kernel pass; interior z at an exterior w take log|zeta - z|^2 from the
-    squared distances times one vector per w. Refuses w inside the exclusion
-    band (NearBoundaryError); a z where double_cauchy refuses (the band, or
-    coincident interior points) gets NaN at the same z as double_cauchy. The
-    values differ from double_cauchy's by BLAS summation order only, within
-    `kernel_sums`' bound 8 n eps * sum_k |w num_k/(z_k - p)| per row, with
-    num = log density * dz (for mixed rows, log|z_k - z|^2 dz at p = w).
+    w's density is formed once and every z is located and summed in one
+    kernel pass, with the second column -conj(density) when w is exterior.
+    Refuses w inside the exclusion band (NearBoundaryError); a z where
+    double_cauchy refuses (the band, or coincident interior points) gets NaN
+    at the same z as double_cauchy. The values differ from double_cauchy's
+    by BLAS summation order only, within `kernel_sums`' bound
+    8 n eps * sum_k |w num_k/(z_k - p)| per sum, num = density * dz.
     """
     w = complex(w)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
@@ -226,12 +211,14 @@ def double_cauchy_batch(grid, zs, w):
 def double_cauchy(grid, z, w):
     """Double Cauchy transform C(z, w), quadrant-wise.
 
-    Base integral I = -(1/2 pi i) * integral of L_w(zeta) dzeta/(zeta - z)
-    with L_w the unwrapped log(conj(zeta) - conj(w)) for exterior w and the
-    real log|zeta - w|^2 for interior w; interior arguments add the closed
-    corrections log(conj z - conj w) resp. log|z - w|^2. The branch in the
-    mixed quadrant (z interior, w exterior) is pinned by hermitian symmetry,
-    evaluating the conjugate-swapped real-density route.
+    C is the Cauchy sum I = (1/2 pi i) * integral of D_w(zeta) dzeta/(zeta - z)
+    of the canonical section of the Schwarz-pole bundle of w: D_w is the
+    unwrapped log of 1/(S - conj w), divided by (zeta - w) for interior w
+    (Chern class 1). Interior z adds log|z - w|^2 at interior w and, at
+    exterior w, conj of the Cauchy sum of -conj(D_w) at z: log(conj z -
+    conj w) on the branch continued from the nodes, whose node-0 anchor
+    cancels that of I, so C is anchor-free like the area integral
+    -(1/pi) * integral of dA/((zeta - z)(conj zeta - conj w)) it equals.
     """
     z, w = complex(z), complex(w)
     w_side = require_off_band(grid, w)

@@ -7,7 +7,10 @@ before its blocked kernel pass. Batched Cauchy sums are compared with them
 within the stated bound `kernel_row_bound`; index and assembly work (the
 fit's dense least-squares systems, the radial tangent) bit for bit. The
 rational fit's dense least squares over all sample pairs (`dense_fit`) is
-the reference for the package's block-eliminated and Kronecker solves.
+the reference for the package's block-eliminated and Kronecker solves, and
+the conjugate-swap route (`double_cauchy_conjugate_swap`), which needs no
+branch of a complex log in the mixed quadrant, is the reference for the
+package's C(z, w) from the Schwarz-pole section.
 """
 
 import cmath
@@ -85,8 +88,47 @@ def _side(grid, z):
 
 
 def double_cauchy_one_point(grid, z, w):
-    """C(z, w) quadrant by quadrant from one-point sums; None where refused
-    (either argument in the exclusion band, or coincident interior points)."""
+    """C(z, w) quadrant by quadrant from one-point sums of w's Schwarz-pole
+    density; None where refused (either argument in the exclusion band, or
+    coincident interior points). Interior z adds log|z - w|^2 at interior w
+    and, at exterior w, the conjugate of the sum of -conj(density)."""
+    z, w = complex(z), complex(w)
+    z_side, w_side = _side(grid, z), _side(grid, w)
+    if z_side is None or w_side is None:
+        return None
+    if z_side == w_side == "int" and abs(z - w) <= 1e-12 * (1.0 + abs(z)):
+        return None
+    dens = _pole_density(grid, w, w_side)
+    c = trapezoid_cauchy(grid, dens, z)
+    if z_side == "int" and w_side == "int":
+        c = c + math.log(abs(z - w) ** 2)
+    elif z_side == "int":
+        c = c + np.conjugate(trapezoid_cauchy(grid, -np.conjugate(dens), z))
+    return c
+
+
+def _unwrap(v):
+    """The continuous log of a cyclic sequence, anchored at node 0."""
+    steps = np.angle(np.roll(v, -1) / v)
+    phases = np.angle(v[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+    return np.log(np.abs(v)) + 1j * phases
+
+
+def _pole_density(grid, w, w_side):
+    """The continuous log of 1/(S - conj w) at the nodes, divided by
+    (z_k - w) for interior w."""
+    v = schwarz_pole_at(grid.curve, w, grid.zeta)
+    if w_side == "int":
+        v = v * (grid.z - w) ** (-1)
+    return _unwrap(v)
+
+
+def double_cauchy_conjugate_swap(grid, z, w):
+    """C(z, w) by the independent reference route, from one-point sums;
+    None where refused. Exterior w sums -log(conj zeta - conj w), interior
+    w -log|zeta - w|^2, at z, and interior z adds log|z - w|^2; the mixed
+    quadrant (z interior, w exterior) is the conjugate-swapped real-density
+    sum conj(-sum of log|zeta - z|^2 at w), with no branch to choose."""
     z, w = complex(z), complex(w)
     z_side, w_side = _side(grid, z), _side(grid, w)
     if z_side is None or w_side is None:
@@ -96,19 +138,15 @@ def double_cauchy_one_point(grid, z, w):
     if z_side == "int" and w_side == "ext":
         dens = np.log(np.abs(grid.z - z) ** 2)
         return np.conjugate(-trapezoid_cauchy(grid, dens, w))
-    c = -trapezoid_cauchy(grid, _log_density(grid, w, w_side), z)
+    c = -trapezoid_cauchy(grid, _swap_density(grid, w, w_side), z)
     if z_side == "int":
         c = c + math.log(abs(z - w) ** 2)
     return c
 
 
-def _log_density(grid, w, w_side):
+def _swap_density(grid, w, w_side):
     if w_side == "ext":
-        # the continuous log of conj(zeta) - conj(w), anchored at node 0
-        v = np.conjugate(grid.z) - np.conjugate(w)
-        steps = np.angle(np.roll(v, -1) / v)
-        phases = np.angle(v[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        return np.log(np.abs(v)) + 1j * phases
+        return _unwrap(np.conjugate(grid.z) - np.conjugate(w))
     return np.log(np.abs(grid.z - w) ** 2)
 
 
@@ -132,16 +170,25 @@ def kernel_row_bound(grid, num, p):
 
 def double_cauchy_bound(grid, z, w, value):
     """Bound on |C - double_cauchy_one_point(grid, z, w)| at a pair where
-    neither refuses: kernel_row_bound of the sum that carries C, plus
-    2 eps |C| for the closed correction added at interior z. In the mixed
-    quadrant z's density log|z_k - z|^2 comes from the squared distance and
+    neither refuses: kernel_row_bound of each sum that carries C, plus
+    2 eps |C| for the closed correction or the conjugate added at interior z."""
+    z, w = complex(z), complex(w)
+    z_side, w_side = _side(grid, z), _side(grid, w)
+    sums = 2 if z_side == "int" and w_side == "ext" else 1
+    num = _pole_density(grid, w, w_side) * grid.dz
+    return sums * kernel_row_bound(grid, num, z) + 2 * EPS * abs(value)
+
+
+def conjugate_swap_bound(grid, z, w, value):
+    """The same bound for `double_cauchy_conjugate_swap`. In the mixed
+    quadrant z's density log|z_k - z|^2, taken from the squared distance,
     differs from the one-point log by a few eps absolute, hence the + 1."""
     z, w = complex(z), complex(w)
     z_side, w_side = _side(grid, z), _side(grid, w)
     if z_side == "int" and w_side == "ext":
         dens = np.abs(np.log(np.abs(grid.z - z) ** 2)) + 1.0
         return kernel_row_bound(grid, dens * grid.dz, w)
-    dens = _log_density(grid, w, w_side)
+    dens = _swap_density(grid, w, w_side)
     return kernel_row_bound(grid, dens * grid.dz, z) + 2 * EPS * abs(value)
 
 

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import oracles
+from oracles import same_bits
 import schwarzbundles as sb
 from schwarzbundles.curve import _ring
 from schwarzbundles.errors import (
@@ -210,23 +211,63 @@ def test_exp_schwarz_matches_cauchy_transform(cardioid, cardioid_grid):
         assert abs(sb.evaluate_section(section, z) - expect) < 1e-9
 
 
+def _section_times_closed_factor(section, z, w, z_interior, w_interior):
+    """The pole section at z times the factor that makes it E(z, w): f2 = F
+    and f1 = E/(conj z - conj w) at exterior w, f1 = E/|z - w|^2 and
+    f2 = E/(z - w) at interior w (the divisor adjustment at w)."""
+    value = sb.evaluate_section(section, z)
+    if not w_interior:
+        return value * (np.conjugate(z) - np.conjugate(w)) if z_interior else value
+    return value * (abs(z - w) ** 2 if z_interior else z - w)
+
+
+# E(z, w) on the unit disk in each quadrant (z interior, w interior)
+DISK_E = {
+    (False, False): lambda z, w: 1 - 1 / (z * np.conjugate(w)),
+    (True, False): lambda z, w: 1 - np.conjugate(z) / np.conjugate(w),
+    (False, True): lambda z, w: 1 - w / z,
+    (True, True): lambda z, w: abs(z - w) ** 2 / (1 - z * np.conjugate(w)),
+}
+
+
 def test_section_pieces_consistency(disk, disk_grid):
-    w_ext = 3.0
-    section = sb.canonical_section(sb.schwarz_pole_bundle(disk, w_ext), disk_grid)
-    for z in (0.3, -0.5j):
-        assert abs(sb.evaluate_section(section, z)
-                   - sb.piece_g(disk_grid, z, w_ext)) < 1e-9
-    for z in (2.0, -4.0):
-        assert abs(sb.evaluate_section(section, z)
-                   - sb.piece_f(disk_grid, z, w_ext)) < 1e-9
-    w_int = 0.4 + 0.2j
-    section = sb.canonical_section(sb.schwarz_pole_bundle(disk, w_int), disk_grid)
-    for z in (0.25j, -0.3):
-        assert abs(sb.evaluate_section(section, z)
-                   - sb.piece_h(disk_grid, z, w_int)) < 1e-9
-    for z in (2.0, 3j):
-        assert abs(sb.evaluate_section(section, z)
-                   + sb.piece_gstar(disk_grid, z, w_int)) < 1e-9
+    # the Schwarz-pole section and double_cauchy's E against the disk's
+    # closed forms in all four quadrants, with G on the ray z - w < 0
+    pairs = {3.0: [2.0, -4.0 + 1j, 0.3, -0.5j, 0.5 + 0.1j, 0.5 - 0.1j],
+             -1.5 + 2j: [2.0j, 0.4 - 0.3j],
+             0.4 + 0.2j: [0.25j, -0.3, 2.0, 3j]}
+    for w, zs in pairs.items():
+        section = sb.canonical_section(sb.schwarz_pole_bundle(disk, w), disk_grid)
+        for z in zs:
+            quadrant = (abs(z) < 1, abs(w) < 1)
+            expect = DISK_E[quadrant](z, w)
+            assert abs(_section_times_closed_factor(section, z, w, *quadrant)
+                       - expect) < 1e-12
+            assert abs(sb.double_cauchy(disk_grid, z, w).E - expect) < 1e-12
+
+
+def test_section_pieces_consistency_cardioid(cardioid, cardioid_grid):
+    # the section at n = 1024 against E from a fine grid, n = 16384
+    fine = sb.sample(cardioid, 16384)
+    for w, zs in ((2.5, [0.2, 3.0j, 0.5 - 0.1j]), (0.4 + 0.2j, [-0.3, 2.2])):
+        section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
+                                       cardioid_grid)
+        for z in zs:
+            tv = sb.double_cauchy(fine, z, w)
+            quadrant = tuple(side is sb.Location.INTERIOR for side in tv.quadrant)
+            assert abs(_section_times_closed_factor(section, z, w, *quadrant)
+                       - tv.E) < 1e-12
+
+
+def test_pole_density_is_the_section_density(cardioid, cardioid_grid):
+    # double_cauchy's density for a located w is the canonical section's
+    for w in (2.5, -1.0 + 1.5j, 0.4 + 0.2j, 0.0):
+        interior = sb.locate(cardioid_grid, w) is sb.Location.INTERIOR
+        section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
+                                       cardioid_grid)
+        assert section.chern == int(interior)
+        assert same_bits(sb.bundles._pole_density(cardioid_grid, w, interior),
+                         section.density)
 
 
 def test_m_differential_matching(disk, disk_grid):
@@ -304,23 +345,6 @@ def test_holomorphic_tangent_outside_annulus(disk):
     from schwarzbundles.errors import OutsideAnnulusError
     with pytest.raises(OutsideAnnulusError):
         sb.holomorphic_tangent(disk, 5.0)
-
-
-def test_section_pieces_consistency_cardioid(cardioid, cardioid_grid):
-    w = 2.5
-    section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
-                                   cardioid_grid)
-    assert abs(sb.evaluate_section(section, 0.2)
-               - sb.piece_g(cardioid_grid, 0.2, w)) < 1e-9
-    assert abs(sb.evaluate_section(section, 3.0j)
-               - sb.piece_f(cardioid_grid, 3.0j, w)) < 1e-9
-    w = 0.4 + 0.2j
-    section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
-                                   cardioid_grid)
-    assert abs(sb.evaluate_section(section, -0.3)
-               - sb.piece_h(cardioid_grid, -0.3, w)) < 1e-9
-    assert abs(sb.evaluate_section(section, 2.2)
-               + sb.piece_gstar(cardioid_grid, 2.2, w)) < 1e-9
 
 
 def test_custom_bundle_chern_two(disk, disk_grid):

@@ -393,6 +393,25 @@ def test_rational_fit_refusals_match_the_dense_oracle(name, count):
     assert refused == 5 - grid.curve.degree
 
 
+@pytest.mark.parametrize("count", [12, 24])
+@pytest.mark.parametrize("name", sorted(FIT_CURVES))
+def test_rational_fit_denominator_is_exact(name, count):
+    # The domain of a polynomial map of degree d is a quadrature domain with
+    # one node, of order d, at phi(0) = a0 (Aharonov & Shapiro 1976), so
+    # the fitted P at degree d is (z - a0)^d: exact up to kappa eps relative,
+    # kappa the condition number of the dense denominator stage on the F
+    # matrix the fit takes
+    curve = sb.build_polynomial_curve(*FIT_CURVES[name])
+    grid = sb.sample(curve, 512)
+    zs = sb.default_exterior_samples(grid, count)
+    d = curve.degree
+    fit = sb.fit_rational_structure(grid, d, d, zs)
+    exact = npoly.polypow([-curve.conformal_center, 1], d)
+    fmat = quaddom._exterior_f_matrix(grid, zs)
+    kappa = np.linalg.cond(oracles.denominator_system(zs, fmat, d, d)[0])
+    assert np.abs(fit.p_coeffs - exact).max() <= kappa * EPS * np.abs(exact).max()
+
+
 @pytest.mark.parametrize("name", sorted(FIT_CURVES))
 def test_rational_fit_rank_cut_holds_for_scaled_f(name):
     # The fit is homogeneous in F, so F scaled by 1e3 must give the dense

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import schwarzbundles as sb
 from schwarzbundles.errors import CurveNotSimpleError
 
@@ -68,16 +69,24 @@ def test_hermitian_symmetry_exterior(disk_grid, r1, t1, r2, t2):
     assert abs(a.E - np.conjugate(b.E)) < 1e-10
 
 
+@pytest.fixture(scope="module")
+def cardioid_grid():
+    return sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 512)
+
+
+@pytest.mark.parametrize("grid_name", ["disk", "cardioid"])
 @settings(max_examples=15)
 @given(r1=st.floats(min_value=0.05, max_value=0.6, **finite),
        t1=st.floats(min_value=0.0, max_value=2 * np.pi, **finite),
        r2=st.floats(min_value=1.6, max_value=4.0, **finite),
        t2=st.floats(min_value=0.0, max_value=2 * np.pi, **finite))
-def test_hermitian_symmetry_mixed(disk_grid, r1, t1, r2, t2):
-    z = r1 * np.exp(1j * t1)
+def test_hermitian_symmetry_mixed(request, grid_name, r1, t1, r2, t2):
+    # z = phi(r1 e^{i t1}) is interior, and w beyond the cardioid's reach 1.3
+    grid = request.getfixturevalue(f"{grid_name}_grid")
+    z = complex(grid.curve.phi(r1 * np.exp(1j * t1)))
     w = r2 * np.exp(1j * t2)
-    a = sb.double_cauchy(disk_grid, z, w)   # interior, exterior
-    b = sb.double_cauchy(disk_grid, w, z)   # exterior, interior
+    a = sb.double_cauchy(grid, z, w)   # interior, exterior
+    b = sb.double_cauchy(grid, w, z)   # exterior, interior
     assert abs(a.C - np.conjugate(b.C)) < 1e-10
     assert abs(a.E - np.conjugate(b.E)) < 1e-10
 
@@ -96,6 +105,52 @@ def test_hermitian_symmetry_interior(disk_grid, r1, t1, r2, t2):
     b = sb.double_cauchy(disk_grid, w, z)
     assert abs(a.C - np.conjugate(b.C)) < 1e-10
     assert abs(a.E - np.conjugate(b.E)) < 1e-10
+
+
+AFFINE_CURVES = {"cardioid": ([0, 1, 0.3], 0.7),
+                 "quartic": ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)}
+unit = st.floats(min_value=0.0, max_value=1.0, **finite)
+angle = st.floats(min_value=0.0, max_value=2 * np.pi, **finite)
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_CURVES))
+@settings(max_examples=20)
+@given(scale=st.floats(min_value=0.3, max_value=3.0, **finite), turn=angle,
+       shift=st.tuples(st.floats(min_value=-5.0, max_value=5.0, **finite),
+                       st.floats(min_value=-5.0, max_value=5.0, **finite)),
+       radii=st.lists(unit, min_size=4, max_size=4),
+       angles=st.lists(angle, min_size=4, max_size=4))
+def test_transform_is_affine_invariant(name, scale, turn, shift, radii, angles):
+    # C of a z + b, a w + b on the domain a D + b is C(z, w) on D, branch
+    # included: a rotation moves every principal-log cut. Interior points
+    # sit at pullback radius at most 0.7, exterior ones 1.5 to 3 times the
+    # reach out; each C is within double_cauchy_bound of its one-point sums
+    coeffs, rho = AFFINE_CURVES[name]
+    a, b = scale * np.exp(1j * turn), complex(*shift)
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    moved = sb.build_polynomial_curve([a * coeffs[0] + b] + [a * c for c in coeffs[1:]],
+                                      rho)
+    grid, moved_grid = sb.sample(curve, 512), sb.sample(moved, 512)
+    reach = np.abs(grid.z - curve.conformal_center).max()
+    turns = np.exp(1j * np.asarray(angles))
+    z_in, w_in = curve.phi(0.7 * np.asarray(radii[:2]) * turns[:2])
+    z_out, w_out = curve.conformal_center + reach * (1.5 + 1.5 * np.asarray(radii[2:])) * turns[2:]
+    for z in (z_in, z_out):
+        for w in (w_in, w_out):
+            if abs(z - w) < 1e-3:
+                continue
+            c = sb.double_cauchy(grid, z, w).C
+            c_moved = sb.double_cauchy(moved_grid, a * z + b, a * w + b).C
+            bound = (oracles.double_cauchy_bound(grid, z, w, c)
+                     + oracles.double_cauchy_bound(moved_grid, a * z + b, a * w + b, c_moved))
+            assert abs(c_moved - c) <= bound
+    for cv, g, move in ((curve, grid, lambda p: p), (moved, moved_grid, lambda p: a * p + b)):
+        for bundle, chern in ((sb.exp_schwarz_bundle(cv), 0),
+                              (sb.schwarz_pole_bundle(cv, move(w_out)), 0),
+                              (sb.schwarz_pole_bundle(cv, move(w_in)), 1),
+                              (sb.tangent_power_bundle(cv, -1), 1),
+                              (sb.tangent_power_bundle(cv, 2), -2)):
+            assert sb.chern_class(bundle, g) == chern
 
 
 @given(re=st.floats(min_value=-2.0, max_value=2.0, **finite),

@@ -12,6 +12,7 @@ from schwarzbundles.errors import (
     WrongQuadrantError,
 )
 
+import oracles
 from oracles import EPS, double_cauchy_area_oracle, double_cauchy_bound, same_bits
 
 LOG_5_6 = cmath.log(5.0 / 6.0)
@@ -159,9 +160,10 @@ def test_piece_property_is_the_piece_function(request, grid_name, z, w, name):
 
 @pytest.mark.parametrize("grid_name", ["disk_grid", "cardioid_grid"])
 def test_gstar_is_conjugate_of_swapped_g(request, grid_name):
-    # C(z, w) and conj C(w, z) are the Cauchy sum of log|zeta - w|^2 at z, one
-    # from the kernel pass at z and one as log-distances times a vector formed
-    # at z; each lies within double_cauchy_bound of the one-point sum
+    # C(z, w) is the Cauchy sum at z of the pole section's density for
+    # interior w, and conj C(w, z) the sums at w of exterior z's density and
+    # of its conjugate; each lies within double_cauchy_bound of its one-point
+    # sums
     grid = request.getfixturevalue(grid_name)
     rng = np.random.default_rng(7)
     angles = 2 * np.pi * rng.uniform(size=(20, 2))
@@ -175,6 +177,63 @@ def test_gstar_is_conjugate_of_swapped_g(request, grid_name):
         g = sb.piece_g(grid, w, z)
         assert abs(sb.piece_gstar(grid, z, w) - np.conjugate(g)) <= \
             abs(g) * (2 * bound + 8 * EPS)
+
+
+PIN_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7),
+              "quartic": ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)}
+QUADRANTS = [(i, j) for i in ("int", "ext") for j in ("int", "ext")]
+
+
+def _pin_pairs(curve, seed):
+    """Six (z, w) pairs per quadrant, interior points at pullback radius at
+    most 0.7 and exterior ones 1.5 to 3 times the curve's reach out, then
+    interior z at exterior w on and beside the ray z - w < 0, and one pair
+    with z - w > 0."""
+    rng = np.random.default_rng(seed)
+    reach = np.abs(curve.point(2 * np.pi * np.arange(256) / 256)).max()
+
+    def points(side):
+        turn = np.exp(2j * np.pi * rng.uniform(size=6))
+        if side == "int":
+            return curve.phi(0.7 * np.sqrt(rng.uniform(size=6)) * turn)
+        return reach * rng.uniform(1.5, 3.0, 6) * turn
+
+    pairs = [pair for z_side, w_side in QUADRANTS
+             for pair in zip(points(z_side), points(w_side))]
+    return pairs + [(0.5 + 0.1j, 3.0), (0.5 - 0.1j, 3.0), (0.5, 3.0),
+                    (-0.2 + 0.05j, 3.0 + 0.05j), (0.3j, -3.0 + 0.3j)]
+
+
+@pytest.mark.parametrize("n", [512, 4096])
+@pytest.mark.parametrize("name", sorted(PIN_CURVES))
+def test_c_pinned_to_the_conjugate_swap_route(name, n):
+    # C from the pole section, lone and batched, against the conjugate-swap
+    # reference, which takes no complex log in the mixed quadrant: within
+    # the sum of both routes' bounds, so with no 2 pi shift of Im C, also
+    # where the ray z - w < 0 crosses the domain (the principal log's cut)
+    grid = sb.sample(sb.build_polynomial_curve(*PIN_CURVES[name]), n)
+    seen = set()
+    for z, w in _pin_pairs(grid.curve, n):
+        want = oracles.double_cauchy_conjugate_swap(grid, z, w)
+        assert want is not None
+        tv = sb.double_cauchy(grid, z, w)
+        batch = sb.double_cauchy_batch(grid, [z, 0.0, 1e3], w)[0]
+        bound = (double_cauchy_bound(grid, z, w, tv.C)
+                 + oracles.conjugate_swap_bound(grid, z, w, want))
+        for got in (tv.C, batch):
+            assert abs(got - want) <= bound
+            assert abs(got.imag - want.imag) < np.pi
+        seen.add(sb.transforms.quadrant_tag(tv.quadrant))
+    assert seen == {f"{z}:{w}" for z, w in QUADRANTS}
+
+
+def test_far_w_answers(disk_grid):
+    # 1/(S - conj w) is about 1/|w| at the nodes: small, but not a zero
+    for w in (1e13, -1e200j):
+        for z in (2.0, 0.3):
+            tv = sb.double_cauchy(disk_grid, z, w)
+            expect = 1 - 1 / (z * np.conjugate(w)) if z > 1 else 1 - z / np.conjugate(w)
+            assert abs(tv.E - expect) < 1e-9
 
 
 def test_exponential_is_exactly_exp_of_c(disk_grid):
