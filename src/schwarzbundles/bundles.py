@@ -43,7 +43,6 @@ from .curve import (
     sides,
 )
 from .errors import (
-    AdjustmentPointMissingError,
     AdjustmentPointNotInteriorError,
     BranchUnresolvedError,
     NearBoundaryError,
@@ -252,14 +251,12 @@ def canonical_section(bundle, grid, a=None, branch_offset=0):
 
 
 def _resolve_adjustment(bundle, grid, a):
-    if a is None:
-        a = bundle.pole
-        if a is None or locate(grid, a) is not Location.INTERIOR:
-            a = bundle.curve.conformal_center
-        if a is None:
-            raise AdjustmentPointMissingError(
-                "nonzero Chern class needs an interior adjustment point")
-    a = complex(a)
+    """a, else the bundle pole if interior, else the conformal center; one
+    kernel pass locates each candidate."""
+    if a is None and bundle.pole is not None \
+            and locate(grid, bundle.pole) is Location.INTERIOR:
+        return complex(bundle.pole)
+    a = complex(bundle.curve.conformal_center if a is None else a)
     if require_off_band(grid, a) is not Location.INTERIOR:
         raise AdjustmentPointNotInteriorError(
             f"adjustment point {a} is not strictly interior")

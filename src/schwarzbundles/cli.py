@@ -4,9 +4,12 @@ structure, and dump plot data.
 
 Numeric output uses 17 significant digits so values round-trip exactly.
 Configuration comes from flags, with SCHWARZ_TOL / SCHWARZ_N environment
-fallbacks; flags win. Exit codes: 0 ok, 1 validation or computation failure
-or stdout closed by its reader before the output was written, 2 parse error,
-3 near-boundary refusal, 4 unresolved branch, 5 incompatible geometry.
+fallbacks; flags win. `_dispatch` builds the configuration and loads the
+curve for every verb, and maps the class of a refusal to the exit code;
+geometry refusals are the library's own. Exit codes: 0 ok, 1 validation or
+computation failure or stdout closed by its reader before the output was
+written, 2 parse error (malformed or non-finite input, an argument out of
+range), 3 near-boundary refusal, 4 unresolved branch, 5 incompatible geometry.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from . import bundles, quaddom, transforms
 from .curve import (
     MAX_NODES,
     ConformalMapCurve,
-    PolygonCurve,
     adaptive_refine,
     curve_from_json,
     locate,
@@ -75,20 +77,24 @@ def parse_complex(text):
 
 def parse_coeff_list(text):
     """Semicolon-separated list of complex coefficients, low to high."""
-    return [parse_complex(part) for part in text.split(";") if part.strip()]
+    coeffs = [parse_complex(part) for part in text.split(";") if part.strip()]
+    if not coeffs:
+        raise ParseError(f"no coefficients in {text!r}")
+    return coeffs
 
 
 def _load_curve(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return curve_from_json(data)
 
 
 def _config_from(args):
-    cfg = RunConfig()
+    """Flags, else SCHWARZ_TOL / SCHWARZ_N, else the verb's defaults."""
+    cfg = RunConfig(tolerance=getattr(args, "default_tol", RunConfig.tolerance))
     try:
         env_tol = os.environ.get("SCHWARZ_TOL")
         if env_tol is not None:
@@ -109,11 +115,10 @@ def _config_from(args):
     return cfg
 
 
-def _grid_for(curve, cfg, functional=None):
-    if cfg.n is not None:
-        return sample(curve, cfg.n)
-    if functional is None:
-        return sample(curve, 512)
+def _grid_for(curve, cfg, functional=None, n=512):
+    """The pinned grid, else the functional's refined one, else n nodes."""
+    if cfg.n is not None or functional is None:
+        return sample(curve, n if cfg.n is None else cfg.n)
     return adaptive_refine(curve, functional, cfg.tolerance,
                            n_start=256, n_max=MAX_NODES)
 
@@ -146,11 +151,9 @@ def _emit_csv(payload):
         print(f"{key},{val}")
 
 
-def cmd_validate(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
+def cmd_validate(args, cfg, curve):
     if isinstance(curve, ConformalMapCurve):
-        grid = sample(curve, cfg.n or 512)
+        grid = _grid_for(curve, cfg)
         area_over_pi = quaddom.boundary_classical(grid, [1])
         payload = {
             "valid": True,
@@ -170,9 +173,7 @@ def cmd_validate(args):
     return EXIT_OK
 
 
-def cmd_transform(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
+def cmd_transform(args, cfg, curve):
     z = parse_complex(args.z)
     if args.w is None:
         grid = _grid_for(curve, cfg,
@@ -201,24 +202,18 @@ def cmd_transform(args):
     return EXIT_OK
 
 
-def cmd_moments(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
-    k_min, k_max = args.kmin, args.kmax
-
+def cmd_moments(args, cfg, curve):
     def functional(g):
-        table = transforms.harmonic_moments(g, k_min, k_max)
+        table = transforms.harmonic_moments(g, args.kmin, args.kmax)
         return sum(m / (1.0 + abs(k)) for k, m in table.items())
 
     grid = _grid_for(curve, cfg, functional=functional)
-    table = transforms.harmonic_moments(grid, k_min, k_max)
+    table = transforms.harmonic_moments(grid, args.kmin, args.kmax)
     if cfg.fmt == "csv":
         _print_moments_csv(table)
     else:
-        payload = {"n": grid.n,
-                   "moments": [{"k": k, "value": [m.real, m.imag]}
-                               for k, m in table.items()]}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _emit({"n": grid.n, "moments": [{"k": k, "value": [m.real, m.imag]}
+                                        for k, m in table.items()]}, cfg)
     return EXIT_OK
 
 
@@ -248,12 +243,8 @@ BUNDLES = {
 }
 
 
-def cmd_section(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
-    if not isinstance(curve, ConformalMapCurve):
-        raise NotConformalMapCurveError("bundle sections need a conformal-map curve")
-    grid = sample(curve, cfg.n or 512)
+def cmd_section(args, cfg, curve):
+    grid = _grid_for(curve, cfg)
     bundle = BUNDLES[args.bundle](curve, args)
     chern = bundles.chern_class(bundle, grid)
     payload = {"bundle": args.bundle, "chern": chern, "n": grid.n}
@@ -278,52 +269,37 @@ def cmd_section(args):
     return EXIT_OK
 
 
-def cmd_quadrature(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
+def cmd_quadrature(args, cfg, curve):
+    """Exit 0 when the residue value meets its oracle within the tolerance."""
     f_coeffs = parse_coeff_list(args.f) if args.f else [1.0 + 0j]
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        tol = 1e-9
-    kind = args.kind
     weights = None
-    if kind == "corner":
-        if not isinstance(curve, PolygonCurve):
-            print("corner quadrature requires a polygon", file=sys.stderr)
-            return EXIT_GEOMETRY
+    if args.kind == "corner":
         weights = quaddom.polygon_quadrature(curve)
         residue_value = quaddom.apply_polygon_quadrature(weights, f_coeffs)
         oracle_value = quaddom.area_mean_polygon(
             curve, quaddom.poly_derivative(f_coeffs, 2))
     else:
-        grid = sample(curve, cfg.n or 512) if isinstance(curve, ConformalMapCurve) \
-            else None
-        if kind == "classical":
+        grid = _grid_for(curve, cfg)
+        if args.kind == "classical":
             residue_value = quaddom.classical_quadrature(curve, f_coeffs)
             oracle_value = quaddom.boundary_classical(grid, f_coeffs)
-        elif kind == "abelian":
+        elif args.kind == "abelian":
             residue_value = quaddom.abelian_quadrature(curve, f_coeffs)
             oracle_value = quaddom.boundary_abelian(grid, f_coeffs)
-        elif kind == "arc-length":
+        else:
             residue_value = quaddom.arclength_quadrature(curve, f_coeffs, grid)
             oracle_value = quaddom.boundary_arclength(grid, f_coeffs)
-        else:
-            raise ParseError(f"unknown quadrature kind {kind!r}")
-    report = quaddom.quadrature_report(kind, residue_value, oracle_value, weights)
+    report = quaddom.quadrature_report(args.kind, residue_value, oracle_value, weights)
     _emit(report, cfg)
-    return EXIT_OK if report["discrepancy"] < tol else EXIT_FAILURE
+    return EXIT_OK if report["discrepancy"] < cfg.tolerance else EXIT_FAILURE
 
 
-def cmd_rational_fit(args):
+def cmd_rational_fit(args, cfg, curve):
     """Fit on the default exterior samples. q and p carry a relative error of
     about the fit stage's condition number times eps (about 1e7 * eps for
     the quartic at degree 4 on 24 samples); their 17 digits are printed so
     that the values round-trip, not because all of them are significant."""
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
-    if not isinstance(curve, ConformalMapCurve):
-        raise NotConformalMapCurveError("rational fit needs a conformal-map curve")
-    grid = sample(curve, cfg.n or 512)
+    grid = _grid_for(curve, cfg)
     samples = quaddom.default_exterior_samples(grid, args.samples)
     fit = quaddom.fit_rational_structure(grid, args.deg_q, args.deg_p, samples)
     payload = {
@@ -340,20 +316,22 @@ def cmd_rational_fit(args):
 
 
 def _parse_grid_spec(text):
+    """(x0, x1, nx, y0, y1, ny): finite bounds, nonnegative counts."""
     try:
         xpart, ypart = text.split(",")
         x0, x1, nx = xpart.split(":")
         y0, y1, ny = ypart.split(":")
-        return float(x0), float(x1), int(nx), float(y0), float(y1), int(ny)
+        spec = float(x0), float(x1), int(nx), float(y0), float(y1), int(ny)
     except ValueError as exc:
         raise ParseError(f"bad grid spec {text!r}; "
                          "expected xmin:xmax:nx,ymin:ymax:ny") from exc
+    if not np.isfinite(spec).all() or min(spec[2], spec[5]) < 0:
+        raise ParseError(f"grid spec {text!r} needs finite bounds and counts >= 0")
+    return spec
 
 
-def cmd_plotdata(args):
-    cfg = _config_from(args)
-    curve = _load_curve(args.curve_file)
-    grid = sample(curve, cfg.n or 256)
+def cmd_plotdata(args, cfg, curve):
+    grid = _grid_for(curve, cfg, n=256)
     if args.quantity == "exp-transform-abs":
         if args.w is None:
             raise ParseError("exp-transform-abs needs --w")
@@ -375,15 +353,13 @@ def cmd_plotdata(args):
     if args.quantity == "moments":
         _print_moments_csv(transforms.harmonic_moments(grid, args.kmin, args.kmax))
         return EXIT_OK
-    if args.quantity == "section-density":
-        bundle = BUNDLES[args.bundle](curve, args)
-        section = bundles.canonical_section(
-            bundle, grid, a=parse_complex(args.adjust) if args.adjust else None)
-        print("t,re_density,im_density")
-        for t, d in zip(section.grid.t, section.density):
-            print(f"{fmt17(t)},{fmt17(d.real)},{fmt17(d.imag)}")
-        return EXIT_OK
-    raise ParseError(f"unknown quantity {args.quantity!r}")
+    bundle = BUNDLES[args.bundle](curve, args)  # section-density
+    section = bundles.canonical_section(
+        bundle, grid, a=parse_complex(args.adjust) if args.adjust else None)
+    print("t,re_density,im_density")
+    for t, d in zip(section.grid.t, section.density):
+        print(f"{fmt17(t)},{fmt17(d.real)},{fmt17(d.imag)}")
+    return EXIT_OK
 
 
 # flags whose value may start with "-" without being a plain negative number
@@ -413,6 +389,15 @@ def build_parser():
                         help="pin the node count (env SCHWARZ_N)")
     common.add_argument("--format", choices=("json", "csv"),
                         default=argparse.SUPPRESS)
+    verb = argparse.ArgumentParser(add_help=False, parents=[common])
+    verb.add_argument("curve_file")
+    bundle_args = argparse.ArgumentParser(add_help=False)
+    bundle_args.add_argument("--pole", default=None)
+    bundle_args.add_argument("--power", type=int, default=None)
+    bundle_args.add_argument("--adjust", default=None)
+    moment_args = argparse.ArgumentParser(add_help=False)
+    moment_args.add_argument("--kmin", type=int, default=-3)
+    moment_args.add_argument("--kmax", type=int, default=3)
     parser = argparse.ArgumentParser(
         prog="schwarzbundles",
         parents=[common],
@@ -420,59 +405,45 @@ def build_parser():
                     "bundle sections, and quadrature-domain identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a curve file", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("validate", help="validate a curve file", parents=[verb])
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("transform", help="Cauchy / exponential transform values", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("transform", help="Cauchy / exponential transform values", parents=[verb])
     p.add_argument("--z", required=True)
     p.add_argument("--w", default=None)
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("moments", help="harmonic moment table", parents=[common])
-    p.add_argument("curve_file")
-    p.add_argument("--kmin", type=int, default=-3)
-    p.add_argument("--kmax", type=int, default=3)
+    p = sub.add_parser("moments", help="harmonic moment table",
+                       parents=[verb, moment_args])
     p.set_defaults(func=cmd_moments)
 
-    p = sub.add_parser("section", help="canonical bundle section", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("section", help="canonical bundle section",
+                       parents=[verb, bundle_args])
     p.add_argument("--bundle", required=True, choices=tuple(BUNDLES))
-    p.add_argument("--pole", default=None)
-    p.add_argument("--power", type=int, default=None)
-    p.add_argument("--adjust", default=None)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--dump", default=None)
     p.set_defaults(func=cmd_section)
 
-    p = sub.add_parser("quadrature", help="residue quadrature identities", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("quadrature", help="residue quadrature identities", parents=[verb])
     p.add_argument("--kind", required=True,
                    choices=("classical", "abelian", "arc-length", "corner"))
     p.add_argument("--f", default=None,
                    help="polynomial coefficients, low to high, ';'-separated")
-    p.set_defaults(func=cmd_quadrature)
+    p.set_defaults(func=cmd_quadrature, default_tol=1e-9)  # the pass threshold
 
-    p = sub.add_parser("rational-fit", help="rational structure of F(z, w)", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("rational-fit", help="rational structure of F(z, w)", parents=[verb])
     p.add_argument("--deg-q", type=int, required=True, dest="deg_q")
     p.add_argument("--deg-p", type=int, required=True, dest="deg_p")
     p.add_argument("--samples", type=int, default=12)
     p.set_defaults(func=cmd_rational_fit)
 
-    p = sub.add_parser("plotdata", help="CSV samples for external plotting", parents=[common])
-    p.add_argument("curve_file")
+    p = sub.add_parser("plotdata", help="CSV samples for external plotting",
+                       parents=[verb, moment_args, bundle_args])
     p.add_argument("--quantity", required=True,
                    choices=("exp-transform-abs", "moments", "section-density"))
     p.add_argument("--grid", default="1.5:4:25,1.5:4:25")
     p.add_argument("--w", default=None)
-    p.add_argument("--kmin", type=int, default=-3)
-    p.add_argument("--kmax", type=int, default=3)
     p.add_argument("--bundle", default="exp-schwarz", choices=tuple(BUNDLES))
-    p.add_argument("--pole", default=None)
-    p.add_argument("--power", type=int, default=None)
-    p.add_argument("--adjust", default=None)
     p.set_defaults(func=cmd_plotdata)
 
     return parser
@@ -508,7 +479,7 @@ def _dispatch(argv):
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _config_from(args), _load_curve(args.curve_file))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -184,10 +184,12 @@ class ContourGrid:
 
 def build_circle(center, radius, rho=0.5):
     """Circle as the affine map phi(zeta) = center + radius*zeta."""
-    radius = complex(radius)
+    center, radius = complex(center), complex(radius)
+    if not np.isfinite([center, radius]).all():
+        raise ParseError(f"center and radius must be finite, got {center}, {radius}")
     if radius.imag != 0.0 or radius.real <= 0.0:
         raise NonPositiveRadiusError(f"radius must be a positive real, got {radius}")
-    return ConformalMapCurve((complex(center), radius.real), float(rho))
+    return ConformalMapCurve((center, radius.real), float(rho))
 
 
 def build_polynomial_curve(coeffs, rho, n_check=512):
@@ -202,6 +204,8 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
     if not 0.0 < rho < 1.0:
         raise ParseError(f"rho must lie in (0, 1), got {rho}")
     cs = tuple(complex(c) for c in coeffs)
+    if not np.isfinite(cs).all():
+        raise ParseError("map coefficients must be finite")
     if len(cs) < 2 or all(abs(c) == 0.0 for c in cs[1:]):
         raise CurveNotSimpleError("map must have degree at least one")
     curve = ConformalMapCurve(cs, rho)
@@ -244,6 +248,8 @@ def _far_pair_gap(z, min_sep=8):
 def build_polygon(vertices):
     """Validate a simple polygon; orientation is normalized counterclockwise."""
     vs = [complex(v) for v in vertices]
+    if not np.isfinite(vs).all():
+        raise ParseError("polygon vertices must be finite")
     if len(vs) < 3:
         raise CurveNotSimpleError("polygon needs at least 3 vertices")
     scale = max(abs(v) for v in vs) or 1.0
@@ -560,7 +566,7 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
     shrinks with n) and re-raised only if they persist to the budget.
     """
     if not tol > 0.0:
-        raise ValueError("tol must be positive")
+        raise ParseError(f"tolerance must be positive, got {tol}")
     n = int(n_start)
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"start count must be a power of two >= 16, got {n}")
@@ -609,7 +615,7 @@ def curve_from_json(data):
     if isinstance(data, (str, bytes)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "kind" not in data:
         raise ParseError("curve spec must be an object with a 'kind' field")

@@ -71,10 +71,6 @@ class WrongQuadrantError(SchwarzBundleError):
 
 # bundles
 
-class AdjustmentPointMissingError(SchwarzBundleError):
-    """A nonzero Chern class needs an interior adjustment point."""
-
-
 class AdjustmentPointNotInteriorError(SchwarzBundleError):
     """The supplied adjustment point is not strictly inside the curve."""
 
@@ -94,7 +90,8 @@ class RankDeficientError(SchwarzBundleError):
     """Sample set too degenerate for the requested rational fit."""
 
 
-# CLI
+# input
 
 class ParseError(SchwarzBundleError):
-    """Malformed input file or argument."""
+    """Malformed input file or argument, non-finite curve data, or an
+    argument out of its range."""

@@ -26,6 +26,7 @@ from .bundles import _pole_transition
 from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
 from .errors import (
     NotConformalMapCurveError,
+    ParseError,
     RankDeficientError,
     TangentNotMeromorphicError,
     WrongQuadrantError,
@@ -244,6 +245,8 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
     as a quadrature domain at this degree.
     """
     deg_q, deg_p = int(deg_q), int(deg_p)
+    if min(deg_q, deg_p) < 0:
+        raise ParseError(f"degrees must be nonnegative, got {deg_q} and {deg_p}")
     zs = np.asarray(exterior_samples, dtype=complex)
     n_pairs = zs.size * zs.size
     if n_pairs < (deg_q + 1) ** 2 + deg_p + 1:

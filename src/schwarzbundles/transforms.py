@@ -38,6 +38,7 @@ from .errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
     OriginNotInteriorError,
+    ParseError,
     WrongQuadrantError,
 )
 
@@ -100,16 +101,22 @@ class MomentTable:
 
 
 def harmonic_moments(grid, k_min, k_max):
-    """Moment table for k in [k_min, k_max]; needs 0 inside the curve."""
+    """Moment table for k in [k_min, k_max]; needs 0 inside the curve.
+
+    Raises ParseError for a range without k = 0, or with an order whose
+    trapezoidal moment is not finite in floating point."""
     k_min, k_max = int(k_min), int(k_max)
     if not k_min <= 0 <= k_max:
-        raise ValueError("moment range must contain k = 0")
+        raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
     if require_off_band(grid, 0.0) is not Location.INTERIOR:
         raise OriginNotInteriorError("harmonic moments assume the origin is interior")
     pref = grid.weight / (2j * np.pi)
     zbar_dz = np.conjugate(grid.z) * grid.dz
-    values = {k: complex(pref * np.sum(grid.z ** k * zbar_dz))
-              for k in range(k_min, k_max + 1)}
+    with np.errstate(all="ignore"):  # overflow: refused below
+        values = {k: complex(pref * np.sum(grid.z ** k * zbar_dz))
+                  for k in range(k_min, k_max + 1)}
+    if not np.isfinite(list(values.values())).all():
+        raise ParseError(f"moments of orders {k_min}..{k_max} overflow on this curve")
     return MomentTable(k_min, k_max, values)
 
 

@@ -114,6 +114,22 @@ def test_adjustment_defaults_to_pole(disk, disk_grid):
     assert section.adjustment == pytest.approx(0.3 + 0.2j)
 
 
+@pytest.mark.parametrize("pole, passes, adjustment", [
+    (0.3 + 0.2j, 1, 0.3 + 0.2j),  # interior pole: one kernel pass
+    (3, 2, 0j),                   # exterior pole, then the conformal center
+    (None, 1, 0j),
+])
+def test_each_adjustment_candidate_is_located_once(monkeypatch, disk, disk_grid,
+                                                   pole, passes, adjustment):
+    calls = []
+    sides = sb.curve.sides
+    monkeypatch.setattr(sb.curve, "sides", lambda *a: calls.append(a) or sides(*a))
+    bundle = sb.LineBundle(disk, lambda grid: grid.z - 0.1, pole=pole)  # Chern class 1
+    section = sb.canonical_section(bundle, disk_grid)
+    assert section.chern == 1 and section.adjustment == adjustment
+    assert len(calls) == passes
+
+
 def test_verify_transition_disk(disk, disk_grid):
     pts = sb.annulus_verification_points(disk_grid, 32)
     for w in (3, 0, 0.4 + 0.2j):

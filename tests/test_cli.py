@@ -359,3 +359,87 @@ def test_one_parser_serves_many_calls(capsys, disk_file, square_file):
     assert shared == separate
     assert [code for code, _, _ in shared] == [0, 0, 2, 0, 2, 0, 0, 2, 0, 0, 0]
     assert all(out for code, out, _ in shared if code == 0)
+
+
+@pytest.mark.parametrize("text", [
+    '{"kind": "conformal", "coeffs": [[NaN, 0], [1, 0]], "rho": 0.5}',
+    '{"kind": "conformal", "coeffs": [[0, 0], [Infinity, 0]], "rho": 0.5}',
+    '{"kind": "conformal", "coeffs": [[0, 0], [1, 1e400]], "rho": 0.5}',
+    '{"kind": "polygon", "vertices": [[0, 0], [1, 0], [NaN, 1], [0, 1]]}',
+])
+def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
+    # used to print "valid": true with a NaN area and leak a RuntimeWarning
+    path = tmp_path / "curve.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("curve, argv", [
+    (DISK, ["moments", "--kmin", "1"]),
+    (DISK, ["plotdata", "--quantity", "moments", "--kmin", "2"]),
+    (CARDIOID, ["moments", "--kmax", "4000", "--n", "256"]),
+    (DISK, ["rational-fit", "--deg-q", "-1", "--deg-p", "1"]),
+    (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "-1"]),
+    (DISK, ["quadrature", "--kind", "classical", "--f", ";"]),
+    (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
+            "--grid", "0:1:-2,0:1:2"]),
+    (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
+            "--grid", "0:inf:2,0:1:2"]),
+    (DISK, ["transform", "--z", "2", "--tol", "0"]),
+])
+def test_out_of_range_arguments_are_parse_errors(capsys, tmp_path, curve, argv):
+    path = tmp_path / "curve.json"
+    path.write_text(curve)
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
+def test_quadrature_threshold_reads_schwarz_tol(capsys, monkeypatch, disk_file):
+    argv = ["quadrature", disk_file, "--kind", "classical", "--f", "1;2;1"]
+    assert run(capsys, *argv)[0] == 0           # the verb's default, 1e-9
+    monkeypatch.setenv("SCHWARZ_TOL", "1e-30")
+    assert run(capsys, *argv)[0] == EXIT_FAILURE
+    assert run(capsys, *argv, "--tol", "1e-3")[0] == 0  # the flag wins
+    monkeypatch.setenv("SCHWARZ_TOL", "-1")
+    assert run(capsys, *argv)[0] == 2
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["section", "square", "--bundle", "exp-schwarz"], "grids are only defined"),
+    (["rational-fit", "square", "--deg-q", "1", "--deg-p", "1"], "grids are only defined"),
+    (["quadrature", "square", "--kind", "abelian"], "grids are only defined"),
+    (["quadrature", "disk", "--kind", "corner"], "corner quadrature needs a polygon"),
+])
+def test_geometry_refusals_come_from_the_library(capsys, disk_file, square_file,
+                                                 argv, text):
+    files = {"disk": disk_file, "square": square_file}
+    code, out, err = run(capsys, argv[0], files[argv[1]], *argv[2:])
+    assert (code, out) == (5, "")
+    assert err.startswith("incompatible geometry: ") and text in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["transform", "--z", "2"], ["moments"],
+    ["section", "--bundle", "exp-schwarz"], ["quadrature", "--kind", "classical"],
+    ["rational-fit", "--deg-q", "1", "--deg-p", "1"],
+    ["plotdata", "--quantity", "moments"],
+])
+@pytest.mark.parametrize("n", ["0", "7", "48"])
+def test_node_count_not_a_power_of_two_is_refused(capsys, disk_file, argv, n):
+    code, out, err = run(capsys, argv[0], disk_file, "--n", n, *argv[1:])
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert "power of two" in err
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="|z|^2 overflows from coefficients of about 1e154 up")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_large_finite_coefficients_validate_finitely(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "conformal", "coeffs": [[0, 0], [1e200, 0]], "rho": 0.5}')
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code in range(6)
+    assert "NaN" not in out and "Infinity" not in out

@@ -31,6 +31,21 @@ def test_build_circle_rejects_nonpositive_radius():
         sb.build_circle(0, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sb.build_circle(0, float("nan")),
+    lambda: sb.build_circle(float("inf"), 1),
+    lambda: sb.build_circle(complex(0, float("nan")), 1),
+    lambda: sb.build_polynomial_curve([float("nan"), 1], 0.5),
+    lambda: sb.build_polynomial_curve([0, float("inf")], 0.5),
+    lambda: sb.build_polynomial_curve([0, 1, complex(0, float("inf"))], 0.5),
+    lambda: sb.build_polygon([0, 1, complex(float("nan"), 1), 1j]),
+    lambda: sb.build_polygon([0, 1, float("inf")]),
+])
+def test_builders_refuse_non_finite_data(build):
+    with pytest.raises(ParseError, match="finite"):
+        build()
+
+
 def test_polynomial_curve_valid():
     c = sb.build_polynomial_curve([0, 1, 0.3], 0.9)
     assert c.degree == 2
@@ -143,6 +158,12 @@ def test_geometric_convergence(cardioid):
     for coarse, fine in zip(errors, errors[1:]):
         if coarse > 1e-13:
             assert fine / coarse < 0.5
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+def test_adaptive_refine_refuses_a_tolerance_that_is_not_positive(disk, tol):
+    with pytest.raises(ParseError, match="positive"):
+        sb.adaptive_refine(disk, lambda grid: 0j, tol)
 
 
 def test_adaptive_refine_no_convergence(disk):

@@ -5,6 +5,7 @@ import schwarzbundles as sb
 from schwarzbundles.errors import (
     NearBoundaryError,
     NotConformalMapCurveError,
+    ParseError,
     RankDeficientError,
     TangentNotMeromorphicError,
     WrongQuadrantError,
@@ -194,6 +195,13 @@ def test_rational_fit_guards(disk_grid):
     with pytest.raises(NearBoundaryError):  # a sample in the band, not interior
         sb.fit_rational_structure(disk_grid, 1, 1,
                                   np.array([2.0, 3.0, 1.0 + 1e-9, 2j, -3.0, 4.0]))
+
+
+@pytest.mark.parametrize("deg_q, deg_p", [(-1, 1), (1, -1), (-7, -7)])
+def test_rational_fit_refuses_negative_degrees(disk_grid, deg_q, deg_p):
+    samples = sb.default_exterior_samples(disk_grid, 12)
+    with pytest.raises(ParseError, match="nonnegative"):
+        sb.fit_rational_structure(disk_grid, deg_q, deg_p, samples)
 
 
 def test_verify_algebraic_boundary_values(disk_grid):

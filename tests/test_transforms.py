@@ -9,6 +9,7 @@ from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     NearBoundaryError,
     OriginNotInteriorError,
+    ParseError,
     WrongQuadrantError,
 )
 
@@ -67,6 +68,19 @@ def test_moments_shifted_circle_frozen():
         assert table[k] == pytest.approx(a ** k, abs=1e-12)
     assert table[-1] == pytest.approx(a, abs=1e-12)
     assert abs(table[-2]) < 1e-12
+
+
+@pytest.mark.parametrize("k_min, k_max", [(1, 3), (-3, -1), (2, 1)])
+def test_moments_refuse_a_range_without_zero(disk_grid, k_min, k_max):
+    with pytest.raises(ParseError, match="k = 0"):
+        sb.harmonic_moments(disk_grid, k_min, k_max)
+
+
+@pytest.mark.parametrize("k_min, k_max", [(0, 4000), (-4000, 0)])
+def test_moments_refuse_orders_that_overflow(cardioid, k_min, k_max):
+    # |z| runs from 0.7 to 1.3 on the cardioid: 1.3^4000 and 0.7^-4000 overflow
+    with pytest.raises(ParseError, match="overflow"):
+        sb.harmonic_moments(sb.sample(cardioid, 256), k_min, k_max)
 
 
 def test_moments_need_interior_origin():
