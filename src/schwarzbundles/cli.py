@@ -26,7 +26,6 @@ import numpy as np
 
 from . import bundles, quaddom, transforms
 from .curve import (
-    MAX_NODES,
     ConformalMapCurve,
     adaptive_refine,
     curve_from_json,
@@ -119,8 +118,7 @@ def _grid_for(curve, cfg, functional=None, n=512):
     """The pinned grid, else the functional's refined one, else n nodes."""
     if cfg.n is not None or functional is None:
         return sample(curve, n if cfg.n is None else cfg.n)
-    return adaptive_refine(curve, functional, cfg.tolerance,
-                           n_start=256, n_max=MAX_NODES)
+    return adaptive_refine(curve, functional, cfg.tolerance, n_start=256)
 
 
 def _emit(payload, cfg):

@@ -60,6 +60,11 @@ EXCLUSION_SAFETY_FACTOR = 5.0
 MIN_NODES = 16
 MAX_NODES = 2 ** 16
 
+# The simplicity check samples the boundary image at CHECK_NODES points and
+# compares pairs at least FAR_PAIR_SEPARATION samples apart.
+CHECK_NODES = 512
+FAR_PAIR_SEPARATION = 8
+
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte.
 KERNEL_BLOCK = 2 ** 15
@@ -189,16 +194,25 @@ def build_circle(center, radius, rho=0.5):
         raise ParseError(f"center and radius must be finite, got {center}, {radius}")
     if radius.imag != 0.0 or radius.real <= 0.0:
         raise NonPositiveRadiusError(f"radius must be a positive real, got {radius}")
-    return ConformalMapCurve((center, radius.real), float(rho))
+    return build_polynomial_curve((center, radius.real), rho)
 
 
-def build_polynomial_curve(coeffs, rho, n_check=512):
+def _refuse_overflowing_square(extent):
+    """ParseError unless extent^2 is finite, so that |z|^2 (areas, moments,
+    the kernel's squared distances) is finite at every point of the curve."""
+    if not extent * extent < math.inf:  # False for NaN
+        raise ParseError(f"curve extent {extent:.3g} overflows when squared")
+
+
+def build_polynomial_curve(coeffs, rho):
     """Validate and build the curve phi(unit circle) for polynomial phi.
 
-    Checks phi' nonvanishing on the closed disk of radius 1/rho (via
-    polynomial roots) and, at sample resolution, injectivity of the boundary
-    image. By the argument principle the tangent i zeta phi'(zeta) then winds
-    exactly once, counterclockwise, around the circle.
+    Refuses a map whose bound sum_j |a_j| rho^-j on |phi| over the disk of
+    radius 1/rho overflows when squared. Checks phi' nonvanishing on that
+    disk (via polynomial roots) and, at sample resolution, injectivity of
+    the boundary image. By the argument principle the tangent
+    i zeta phi'(zeta) then winds exactly once, counterclockwise, around the
+    circle.
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -206,8 +220,12 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
     cs = tuple(complex(c) for c in coeffs)
     if not np.isfinite(cs).all():
         raise ParseError("map coefficients must be finite")
-    if len(cs) < 2 or all(abs(c) == 0.0 for c in cs[1:]):
+    if len(cs) < 2 or all(c == 0 for c in cs[1:]):
         raise CurveNotSimpleError("map must have degree at least one")
+    extent = 0.0
+    for c in reversed(cs):  # Horner; hypot and float division do not raise
+        extent = extent / rho + math.hypot(c.real, c.imag)
+    _refuse_overflowing_square(extent)
     curve = ConformalMapCurve(cs, rho)
 
     dcs = curve._dcoeffs
@@ -223,7 +241,7 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
             raise CurveNotSimpleError(
                 "phi' vanishes inside the validation disk |zeta| <= 1/rho")
 
-    th = TWO_PI * np.arange(n_check) / n_check
+    th = TWO_PI * np.arange(CHECK_NODES) / CHECK_NODES
     z = curve.point(th)
     adjacent = np.abs(np.roll(z, -1) - z)
     min_adjacent = adjacent.min()
@@ -232,17 +250,18 @@ def build_polynomial_curve(coeffs, rho, n_check=512):
     return curve
 
 
-def _far_pair_gap(z, min_sep=8):
-    """Smallest |z[i] - z[j]| over the cyclic pairs at least min_sep apart.
+def _far_pair_gap(z):
+    """Smallest |z[i] - z[j]| over the cyclic pairs at least
+    FAR_PAIR_SEPARATION = s apart.
 
     Row i of the wrapped window holds z[i + k mod n] for k <= n/2, so the
-    pairs (i, i + k) with min_sep <= k <= n/2 meet every such pair once or
+    pairs (i, i + k) with s <= k <= n/2 meet every such pair once or
     twice; |a - b| = |b - a| exactly, so this is the all-pairs minimum.
     """
     half = z.size // 2
     ring = np.concatenate([z, z[:half + 1]])
     window = np.lib.stride_tricks.sliding_window_view(ring, half + 1)[:z.size]
-    return np.abs(window[:, min_sep:] - z[:, None]).min()
+    return np.abs(window[:, FAR_PAIR_SEPARATION:] - z[:, None]).min()
 
 
 def build_polygon(vertices):
@@ -252,7 +271,9 @@ def build_polygon(vertices):
         raise ParseError("polygon vertices must be finite")
     if len(vs) < 3:
         raise CurveNotSimpleError("polygon needs at least 3 vertices")
-    scale = max(abs(v) for v in vs) or 1.0
+    scale = max(math.hypot(v.real, v.imag) for v in vs)
+    _refuse_overflowing_square(scale)
+    scale = scale or 1.0
     for j in range(len(vs)):
         if abs(vs[j] - vs[(j + 1) % len(vs)]) < 1e-14 * scale:
             raise DegenerateEdgeError(f"edge {j} has zero length")

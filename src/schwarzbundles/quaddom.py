@@ -1,13 +1,17 @@
-"""Quadrature-domain identities by residues, the polygon corner formula, and
-the rational structure of the exponential transform.
+"""Quadrature-domain identities from the map's Taylor coefficients, the
+polygon corner formula, and the rational structure of the exponential
+transform.
 
-For a polynomial map curve the Schwarz function continues meromorphically
-into the domain, with its only pullback pole at zeta = 0. Residues are
-extracted uniformly by a contour integral on |zeta| = 1/2 in the pullback
-plane, which handles arbitrary pole orders without symbolic work. Every
-residue identity is paired with a direct boundary-integral form for
-cross-checking; the polygon corner formula is checked against the exact
-boundary integral of Green's theorem, evaluated edge by edge.
+The domain of a polynomial map phi = a0 + a1 zeta + ... + aN zeta^N is a
+quadrature domain with all its nodes at phi(0) = a0: the Schwarz function
+continues meromorphically inside, with its only pullback pole at zeta = 0.
+The classical and Abelian identities are therefore the finite sum
+(1/pi) * integral of h' dA = sum_j j conj(a_j) [zeta^j] h(phi(zeta)),
+for h the primitive of f and f itself; the arc-length identity is the
+residue of the reciprocal tangent's simple pole. Every identity is paired
+with a direct boundary-integral form for cross-checking; the polygon corner
+formula is checked against the exact boundary integral of Green's theorem,
+evaluated edge by edge.
 
 The rational structure F(z, w) = Q(z, conj w)/(P(z) conj(P(w))) is fitted
 on all pairs of exterior samples, with F from one kernel pass: P by block
@@ -22,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import _pole_transition
-from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
+from .bundles import _pole_density
+from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band, sample
 from .errors import (
     NotConformalMapCurveError,
     ParseError,
@@ -32,10 +36,7 @@ from .errors import (
     WrongQuadrantError,
 )
 from .schwarz import polygon_schwarz
-from .transforms import unwrap_log
 
-RESIDUE_RADIUS = 0.5
-RESIDUE_NODES = 512
 TANGENT_TAIL_TOL = 1e-8
 QD_RESIDUAL_THRESHOLD = 1e-3
 EPS = np.finfo(float).eps
@@ -50,48 +51,40 @@ def _require_conformal(curve):
             "residue quadrature needs a polynomial conformal-map curve")
 
 
-def _pullback_residue_sum(integrand, r=RESIDUE_RADIUS, n=RESIDUE_NODES):
-    """(1/2 pi i) * integral over |zeta| = r of integrand(zeta) dzeta,
-    i.e. the residue at zeta = 0 when the integrand is meromorphic there."""
-    th = 2.0 * np.pi * np.arange(n) / n
-    zeta = r * np.exp(1j * th)
-    return complex((r / n) * np.sum(integrand(zeta) * np.exp(1j * th)))
+def _derivative_area_mean(curve, h_coeffs):
+    """(1/pi) * integral of h' over the domain of phi = sum_j a_j zeta^j:
+    sum_j j conj(a_j) [zeta^j] h(phi(zeta)), exactly.
+
+    Green's theorem gives -(1/2 pi i) * integral of h d(conj z) on the
+    curve, where conj z = sum_j conj(a_j) zeta^-j, so only the Taylor
+    coefficients of h(phi) up to the map's degree enter; truncated Horner
+    gives them.
+    """
+    _require_conformal(curve)
+    a = np.asarray(curve.coeffs)
+    taylor = np.zeros(a.size, dtype=complex)
+    for c in np.asarray(h_coeffs, dtype=complex)[::-1]:
+        taylor = np.convolve(taylor, a)[:a.size]
+        taylor[0] += c
+    return complex(np.sum(np.arange(a.size) * np.conjugate(a) * taylor))
 
 
 def classical_quadrature(curve, f_coeffs):
-    """Mean (1/pi) * integral of f over the domain, by residues.
-
-    Pullback residue at zeta = 0 of f(phi) * conj-phi(1/zeta) * phi'; equals
-    the boundary integral (1/2 pi i) * integral of f(z) S(z) dz.
-    """
-    _require_conformal(curve)
-    f_coeffs = tuple(complex(c) for c in f_coeffs)
-
-    def integrand(zeta):
-        return (npoly.polyval(curve.phi(zeta), f_coeffs)
-                * curve.phi_reflected(zeta) * curve.dphi(zeta))
-
-    return _pullback_residue_sum(integrand)
+    """Mean (1/pi) * integral of f over the domain: the quadrature identity
+    with all nodes at phi(0), from the map's Taylor coefficients. Equals the
+    boundary integral (1/2 pi i) * integral of f(z) S(z) dz."""
+    return _derivative_area_mean(curve, npoly.polyint(f_coeffs))
 
 
 def abelian_quadrature(curve, f_coeffs):
-    """Mean (1/pi) * integral of f' over the domain.
-
-    Minus the pullback residue of f(phi) * S'(phi) * phi', where in pullback
-    S'(phi(zeta)) * phi'(zeta) = -conj-phi'(1/zeta)/zeta^2.
-    """
-    _require_conformal(curve)
-    f_coeffs = tuple(complex(c) for c in f_coeffs)
-
-    def integrand(zeta):
-        return (npoly.polyval(curve.phi(zeta), f_coeffs)
-                * curve.dphi_reflected(zeta) / zeta ** 2)
-
-    return _pullback_residue_sum(integrand)
+    """Mean (1/pi) * integral of f' over the domain, from the map's Taylor
+    coefficients; equals -(1/2 pi i) * integral of f(z) S'(z) dz."""
+    return _derivative_area_mean(curve, f_coeffs)
 
 
-def _inverse_tangent_series(grid):
-    """Laurent data of 1/T in the pullback plane, when meromorphic.
+def _inverse_tangent_residue(grid):
+    """Coefficient of 1/zeta in the Laurent series of 1/T in the pullback
+    plane, when 1/T is meromorphic there.
 
     Fourier-analyzes the boundary samples conj(z')/|z'|; a genuine negative
     tail beyond the simple pole at zeta = 0 means 1/T has a branch point
@@ -106,31 +99,23 @@ def _inverse_tangent_series(grid):
         raise TangentNotMeromorphicError(
             "reciprocal tangent has a nonvanishing negative-frequency tail "
             f"({tail.max():.3g} relative {tail.max() / top:.3g})")
-    keep = (freqs >= -1) & (np.abs(coeff) > 1e-15 * top)
-    return freqs[keep], coeff[keep]
+    return coeff[-1]  # frequency -1
 
 
 def arclength_quadrature(curve, f_coeffs, grid=None):
     """Arc-length integral of f over the curve, by residues.
 
-    2 pi i times the pullback residue of f(phi) * (1/T)(phi) * phi', with 1/T
-    continued from its boundary Fourier series (validated meromorphic).
+    2 pi i times the residue at zeta = 0 of f(phi) * (1/T) * phi', with 1/T
+    continued from its boundary Fourier series (validated meromorphic): its
+    simple pole c_-1 / zeta meets the holomorphic f(phi) phi', so the value
+    is 2 pi i c_-1 f(a0) a1.
     """
     _require_conformal(curve)
     if grid is None:
-        from .curve import sample
         grid = sample(curve, 512)
-    f_coeffs = tuple(complex(c) for c in f_coeffs)
-    freqs, coeff = _inverse_tangent_series(grid)
-
-    def inv_tangent(zeta):
-        return sum(c * zeta ** int(m) for m, c in zip(freqs, coeff))
-
-    def integrand(zeta):
-        return (npoly.polyval(curve.phi(zeta), f_coeffs)
-                * inv_tangent(zeta) * curve.dphi(zeta))
-
-    return 2j * np.pi * _pullback_residue_sum(integrand)
+    a0, a1 = curve.coeffs[:2]
+    return complex(2j * np.pi * _inverse_tangent_residue(grid)
+                   * npoly.polyval(a0, f_coeffs) * a1)
 
 
 def polygon_quadrature(polygon):
@@ -259,12 +244,11 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 def _exterior_f_matrix(grid, zs):
     """F(zs[s], zs[u]) = exp(sum) for exterior samples: one kernel pass
     (`curve.off_band`) locates the samples, and one more sums the densities
-    of their Schwarz-pole sections, the unwrapped pole transitions as columns."""
+    of their Schwarz-pole sections (`bundles._pole_density`) as columns."""
     inside, _ = off_band(grid, zs)
     if inside.any():
         raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")
-    dens, _ = unwrap_log(_pole_transition(grid, zs))
-    return np.exp(kernel_sums(grid, zs, dens)[2])
+    return np.exp(kernel_sums(grid, zs, _pole_density(grid, zs, False))[2])
 
 
 def _solve_stages(zs, fmat, deg_q, deg_p):

@@ -44,26 +44,30 @@ from .errors import (
 
 PHASE_STEP_LIMIT = np.pi / 2
 
+# Least number of points on the moment check's sampling ring.
+MOMENT_RING_NODES = 256
 
-def unwrap_log(values, step_limit=PHASE_STEP_LIMIT):
+
+def unwrap_log(values):
     """Continuous logarithm of a cyclic sequence of nonzero complex values.
 
     The branch is anchored at the principal logarithm of the first value.
     Returns (log values, winding). An (n, m) array holds m sequences as
     columns, each unwrapped cyclically along axis 0; its winding is an array
     of m values, a 1-D sequence's a float. Raises BranchUnresolvedError when
-    any adjacent phase step reaches `step_limit` (refine the grid) or when a
-    value is not finite or numerically zero: of modulus at most 1e-12, and at
-    most 1e-12 of the largest (1/(S - conj w) is about 1/|w| for far w).
+    any adjacent phase step reaches PHASE_STEP_LIMIT (refine the grid) or
+    when a value is not finite or numerically zero: of modulus at most
+    1e-12, and at most 1e-12 of the largest (1/(S - conj w) is about 1/|w|
+    for far w).
     """
     v = np.asarray(values, dtype=complex)
     mags = np.abs(v)
     if not (mags.min() > 1e-12 * min(1.0, mags.max()) and mags.max() < np.inf):  # False for NaN
         raise BranchUnresolvedError("values are zero or not finite; no branch exists")
     steps = np.angle(np.concatenate((v[1:], v[:1])) / v)  # np.roll, without its overhead
-    if np.abs(steps).max() >= step_limit:
+    if np.abs(steps).max() >= PHASE_STEP_LIMIT:
         raise BranchUnresolvedError(
-            f"phase step {np.abs(steps).max():.3f} >= {step_limit:.3f} "
+            f"phase step {np.abs(steps).max():.3f} >= {PHASE_STEP_LIMIT:.3f} "
             "between adjacent nodes; refine the grid")
     phases = np.empty_like(steps)
     phases[0] = 0.0
@@ -120,21 +124,22 @@ def harmonic_moments(grid, k_min, k_max):
     return MomentTable(k_min, k_max, values)
 
 
-def moment_expansion_check(grid, k_max, n_fft=256):
+def moment_expansion_check(grid, k_max):
     """Consistency of the Schwarz-function moment expansion.
 
     Extracts Laurent coefficients at infinity of the logarithm of the
     exterior exp-Schwarz section (log f2 = -sum_k M_k / z^{k+1}) by Fourier
     analysis of the grid's Cauchy sums on a circle enclosing the curve, and
     returns max_k |coeff_k + M_k| over 0 <= k <= k_max, with M_k the exact
-    moments by pullback residues (`quaddom.classical_quadrature` of z^k).
+    moments from the map's Taylor coefficients (`quaddom.classical_quadrature`
+    of z^k). The ring has at least MOMENT_RING_NODES points.
     The coefficients are the grid's discrete moments, so the residual is
     their quadrature error: a grid whose nodes are off the curve fails it.
     """
     from .quaddom import classical_quadrature  # quaddom imports this module
 
     k_max = int(k_max)
-    n_fft = max(int(n_fft), 4 * (k_max + 2))
+    n_fft = max(MOMENT_RING_NODES, 4 * (k_max + 2))
     radius = 2.0 * np.abs(grid.z).max()
     angles = 2.0 * np.pi * np.arange(n_fft) / n_fft
     ring = radius * np.exp(1j * angles)

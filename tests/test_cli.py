@@ -434,12 +434,27 @@ def test_node_count_not_a_power_of_two_is_refused(capsys, disk_file, argv, n):
     assert "power of two" in err
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="|z|^2 overflows from coefficients of about 1e154 up")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_large_finite_coefficients_validate_finitely(capsys, tmp_path):
+@pytest.mark.parametrize("spec", [
+    '{"kind": "conformal", "coeffs": [[0, 0], [1e200, 0]], "rho": 0.5}',
+    '{"kind": "conformal", "coeffs": [[1e200, 0], [1, 0]], "rho": 0.5}',  # circle
+    '{"kind": "conformal", "coeffs": [[0, 0], [1, 0], [1e155, 0]], "rho": 0.5}',
+    '{"kind": "polygon", "vertices": [[0, 0], [1e200, 0], [1e200, 1e200], [0, 1e200]]}',
+    '{"kind": "conformal", "coeffs": [[0, 0], [1e150, 0]], "rho": 0.5}',
+], ids=["disk-1e200", "circle-1e200", "map-1e155", "square-1e200", "disk-1e150"])
+def test_large_finite_coefficients_validate_finitely(capsys, tmp_path, spec):
     path = tmp_path / "big.json"
-    path.write_text('{"kind": "conformal", "coeffs": [[0, 0], [1e200, 0]], "rho": 0.5}')
+    path.write_text(spec)
     code, out, _ = run(capsys, "validate", str(path))
     assert code in range(6)
     assert "NaN" not in out and "Infinity" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--z", "2"], ["moments"], ["quadrature", "--kind", "classical"],
+])
+def test_squared_extent_overflow_is_a_parse_error(capsys, tmp_path, argv):
+    path = tmp_path / "big.json"
+    path.write_text('{"kind": "conformal", "coeffs": [[0, 0], [1, 0], [1e155, 0]], "rho": 0.5}')
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (2, "")
+    assert "overflows when squared" in err

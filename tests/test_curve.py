@@ -46,6 +46,25 @@ def test_builders_refuse_non_finite_data(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: sb.build_circle(0, 1e200),
+    lambda: sb.build_circle(1e200, 1),
+    lambda: sb.build_circle(0, 1e154),  # extent 2e154 at rho 0.5
+    lambda: sb.build_polynomial_curve([0, 1, 1e155], 0.5),
+    lambda: sb.build_polynomial_curve([0, complex(1.5e308, 1.5e308)], 0.5),
+    lambda: sb.build_polygon([0, 1e200, 1e200 + 1e200j, 1e200j]),
+    lambda: sb.build_polygon([0, complex(1.5e308, 1.5e308), 1j]),
+])
+def test_builders_refuse_an_extent_whose_square_overflows(build):
+    with pytest.raises(ParseError, match="overflows when squared"):
+        build()
+
+
+def test_a_1e150_disk_and_square_still_build():
+    assert sb.build_circle(0, 1e150).coeffs == (0j, 1e150 + 0j)
+    assert sb.build_polygon([0, 1e150, 1e150 + 1e150j, 1e150j]).n_vertices == 4
+
+
 def test_polynomial_curve_valid():
     c = sb.build_polynomial_curve([0, 1, 0.3], 0.9)
     assert c.degree == 2

@@ -11,7 +11,10 @@ from schwarzbundles.errors import (
     WrongQuadrantError,
 )
 
-from oracles import area_integral_pullback, polygon_area_integral
+from oracles import area_integral_pullback, exact_moment, polygon_area_integral
+
+EPS = np.finfo(float).eps
+QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
 
 
 def test_classical_disk(disk):
@@ -43,6 +46,24 @@ def test_abelian_shifted_circle():
     a = 0.4 + 0.3j
     c = sb.build_circle(a, 1.0)
     assert sb.abelian_quadrature(c, [0, 0, 1]) == pytest.approx(2 * a, abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs,rho", [
+    ([0.3 + 0.1j, 1], 0.5), ([0, 1, 0.3], 0.7), (QUARTIC, 0.72), ([800, 1], 0.5),
+    ([5j, 1, 0.3], 0.7),
+])
+def test_classical_moments_equal_the_exact_coefficient_sums(coeffs, rho):
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    for k in range(9):
+        want = exact_moment(coeffs, k)
+        got = sb.classical_quadrature(curve, [0] * k + [1])
+        assert abs(got - want) <= 8 * EPS * abs(want), k
+
+
+def test_abelian_of_a_constant_is_exactly_zero(disk, cardioid):
+    for curve in (disk, cardioid, sb.build_polynomial_curve(QUARTIC, 0.72),
+                  sb.build_circle(800, 1)):
+        assert sb.abelian_quadrature(curve, [2.5 - 1j]) == 0
 
 
 def test_arclength_disk(disk, disk_grid):

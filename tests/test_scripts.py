@@ -19,3 +19,17 @@ def test_script_runs(script):
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_code_lines_lists_every_module_and_their_total():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "code_lines.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    modules = {name: int(count) for count, name in rows[:-1]}
+    assert set(modules) == {str(p.relative_to(ROOT / "src"))
+                            for p in (ROOT / "src").rglob("*.py")}
+    assert rows[-1] == [str(sum(modules.values())), "total"]
+    assert 0 < modules["schwarzbundles/quaddom.py"] < len(
+        (ROOT / "src" / "schwarzbundles" / "quaddom.py").read_text().splitlines())
