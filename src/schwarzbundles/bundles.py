@@ -22,12 +22,14 @@ sign carried around the ring from node 0, and only scattered points track
 it radially. The gluing is verified by moving the contour; the
 verification points are searched over radii with a cheap upper bound on
 their distance to the curve before the full distance pass, and every band
-and side decision is `curve.sides`.
+and side decision is `curve.sides`. The two verification rings and the
+points depend on the grid alone: they are built once per grid and kept on
+it, and every check runs on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -280,6 +282,26 @@ def _clear_radius(curve, s):
     return r
 
 
+def _kept(grid, build, *args):
+    """build(grid, *args), made once per grid and arguments and kept on the
+    grid, as `functools.cached_property` keeps `ContourGrid._node_parts`. An
+    error raised by build is not kept; a race only builds the value twice."""
+    memo = grid.__dict__.setdefault("_kept", {})
+    key = (build, *args)
+    if key not in memo:
+        memo[key] = build(grid, *args)
+    return memo[key]
+
+
+def _verification_rings(grid):
+    """The rings |zeta| = 1/r and r, r = 1 - 12 pi / n, of
+    `verify_transition`, sharing the grid's t; NearBoundaryError when they
+    leave the validated annulus."""
+    r = _clear_radius(grid.curve, _VERIFY_SPACINGS * (TWO_PI / grid.n))
+    return tuple(replace(_ring(grid.curve, grid.n, radius), t=grid.t)
+                 for radius in (1.0 / r, r))
+
+
 def annulus_verification_points(grid, n_points=32):
     """Reflected point pairs in the annulus, clear of the exclusion band.
 
@@ -288,12 +310,20 @@ def annulus_verification_points(grid, n_points=32):
     exterior. Raises NearBoundaryError when the validated annulus is too thin
     for the current grid (refine the grid).
 
+    The points depend on the grid and n_points // 2 alone: they are searched
+    once per grid and count, and every call returns a fresh copy.
+    """
+    return _kept(grid, _search_points, max(1, int(n_points) // 2)).copy()
+
+
+def _search_points(grid, half):
+    """The verification points of `annulus_verification_points`, 2 * half.
+
     A point's distance to the two nodes at its own angle bounds its gap from
     above, so a radius where that bound already lies inside the band is
     refused without the full distance pass; radii and points are the same.
     """
     curve = grid.curve
-    half = max(1, int(n_points) // 2)
     angles = 2.0 * np.pi * (np.arange(half) + 0.37) / half
     base = np.exp(1j * angles)
     below = (angles / grid.weight).astype(int) % grid.n
@@ -322,23 +352,26 @@ def verify_transition(section, bundle, annulus_points):
     inside, k < 0 outside). NearBoundaryError (refine the grid) refuses a
     point in the curve's or its ring's band, a ring off the validated annulus,
     a zero or pole of lambda12 between ring and curve (ring winding is not
-    the Chern class) and an adjustment point outside the inner ring."""
+    the Chern class) and an adjustment point outside the inner ring.
+
+    The two rings are built once per grid and kept on it; every band, side
+    and Chern check above runs on every call."""
     grid, a = section.grid, section.adjustment
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
     inside, sums = off_band(grid, pts, section.density)
-    r1 = _clear_radius(grid.curve, _VERIFY_SPACINGS * (TWO_PI / grid.n))
     worst = 0.0
-    for radius, side in ((1.0 / r1, inside), (r1, ~inside)):
+    for ring, side in zip(_kept(grid, _verification_rings), (inside, ~inside)):
         if not side.any():
             continue
-        ring = _ring(grid.curve, grid.n, radius)
         vals, density, c = _node_log(bundle, ring)
         if c != section.chern:
-            raise NearBoundaryError("a zero or pole of lambda12 lies between the curve "
-                                    f"and the ring |zeta| = {radius:.6g}; refine the grid")
+            raise NearBoundaryError(
+                "a zero or pole of lambda12 lies between the curve and the ring "
+                f"|zeta| = {ring.radius:.6g}; refine the grid")
         if c and locate(ring, a) is not Location.INTERIOR:
-            raise NearBoundaryError(f"adjustment point {a} is not strictly inside "
-                                    f"the ring |zeta| = {radius:.6g}; refine the grid")
+            raise NearBoundaryError(
+                f"adjustment point {a} is not strictly inside the ring "
+                f"|zeta| = {ring.radius:.6g}; refine the grid")
         if c:
             density, _ = unwrap_log(vals * (ring.z - a) ** (-c))
         delta = off_band(ring, pts[side], density)[1] - sums[side]

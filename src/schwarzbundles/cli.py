@@ -7,9 +7,11 @@ Configuration comes from flags, with SCHWARZ_TOL / SCHWARZ_N environment
 fallbacks; flags win. `_dispatch` builds the configuration and loads the
 curve for every verb, and maps the class of a refusal to the exit code;
 geometry refusals are the library's own. Exit codes: 0 ok, 1 validation or
-computation failure or stdout closed by its reader before the output was
-written, 2 parse error (malformed or non-finite input, an argument out of
-range), 3 near-boundary refusal, 4 unresolved branch, 5 incompatible geometry.
+computation failure (a floating-point overflow, division by zero or
+invalid operation in numpy among them) or stdout closed by its reader
+before the output was written, 2 parse error (malformed or non-finite
+input, an argument out of range), 3 near-boundary refusal, 4 unresolved
+branch, 5 incompatible geometry.
 """
 
 from __future__ import annotations
@@ -477,7 +479,8 @@ def _dispatch(argv):
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args, _config_from(args), _load_curve(args.curve_file))
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args, _config_from(args), _load_curve(args.curve_file))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -490,7 +493,7 @@ def _dispatch(argv):
     except (NotConformalMapCurveError, TangentNotMeromorphicError) as exc:
         print(f"incompatible geometry: {exc}", file=sys.stderr)
         return EXIT_GEOMETRY
-    except SchwarzBundleError as exc:
+    except (SchwarzBundleError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -25,7 +25,9 @@ and `off_band` refuses a batch with a point in the band. Every caller that
 classifies points goes through them.
 
 All objects are immutable after construction; evaluation functions are pure
-and safe to call concurrently.
+and safe to call concurrently. A grid memoizes geometry derived from it
+alone (its node parts and annulus here, its verification rings and points
+in `bundles`); a race only computes the same value twice.
 """
 
 from __future__ import annotations

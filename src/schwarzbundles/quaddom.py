@@ -73,7 +73,10 @@ def classical_quadrature(curve, f_coeffs):
     """Mean (1/pi) * integral of f over the domain: the quadrature identity
     with all nodes at phi(0), from the map's Taylor coefficients. Equals the
     boundary integral (1/2 pi i) * integral of f(z) S(z) dz."""
-    return _derivative_area_mean(curve, npoly.polyint(f_coeffs))
+    f = np.asarray(f_coeffs).reshape(-1)
+    # the primitive, h(0) = 0; a real f divides as real, as npoly.polyint
+    # does (a complex division by j + 1 rounds differently)
+    return _derivative_area_mean(curve, np.append(0.0, f / np.arange(1, f.size + 1)))
 
 
 def abelian_quadrature(curve, f_coeffs):

@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -571,3 +573,116 @@ def test_verification_points_confirm_the_bound_with_the_full_pass(cardioid):
     expected = oracles.verification_points_full_pass(moved)
     assert expected.tobytes() != first.tobytes()
     assert sb.annulus_verification_points(moved).tobytes() == expected.tobytes()
+
+
+def fresh_rings(grid):
+    """The verification rings from `_ring` alone, nothing kept: |zeta| = 1/r
+    and r, r = 1 - 6 * 2 pi / n."""
+    r = 1.0 - 6.0 * (2.0 * np.pi / grid.n)
+    return _ring(grid.curve, grid.n, 1.0 / r), _ring(grid.curve, grid.n, r)
+
+
+def test_verification_points_are_copies_of_the_kept_points(cardioid):
+    grid = sb.sample(cardioid, 1024)
+    first = sb.annulus_verification_points(grid, 32)
+    expected = first.copy()
+    first[:] = 0.0
+    again = sb.annulus_verification_points(grid, 32)
+    assert again is not first and same_bits(again, expected)
+    # 33 points are 16 pairs, as 32 are; 16 points are a search of their own
+    assert same_bits(sb.annulus_verification_points(grid, 33), expected)
+    assert same_bits(sb.annulus_verification_points(grid, 16),
+                     oracles.verification_points_full_pass(grid, 16))
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_kept_rings_and_points_match_a_fresh_grid(n, cardioid):
+    for curve in (cardioid, sb.build_polynomial_curve(QUARTIC, 0.72)):
+        grid = sb.sample(curve, n)
+        pts = sb.annulus_verification_points(grid)
+        rings = sb.bundles._kept(grid, sb.bundles._verification_rings)
+        assert sb.bundles._kept(grid, sb.bundles._verification_rings) is rings
+        assert same_bits(sb.annulus_verification_points(grid), pts)
+        new = sb.sample(curve, n)
+        assert same_bits(sb.annulus_verification_points(new), pts)
+        for ring, fresh in zip(rings, fresh_rings(new)):
+            assert ring.t is grid.t
+            assert (ring.n, ring.radius, ring.weight, ring.exclusion_band) == \
+                (fresh.n, fresh.radius, fresh.weight, fresh.exclusion_band)
+            for name in ("t", "zeta", "z", "dz"):
+                assert same_bits(getattr(ring, name), getattr(fresh, name)), name
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("coeffs, rho", [([0.1 + 0.05j, 1], 0.5), ([0, 1, 0.3], 0.7),
+                                         (QUARTIC, 0.72)])
+def test_verify_transition_with_kept_rings_is_bit_identical(monkeypatch, coeffs, rho, n):
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, n)
+    pts = sb.annulus_verification_points(grid)
+    bundles = (sb.exp_schwarz_bundle(curve), sb.schwarz_pole_bundle(curve, 3),
+               sb.schwarz_pole_bundle(curve, 0.3 + 0.1j), sb.tangent_power_bundle(curve, -1))
+    sections = [sb.canonical_section(bundle, grid) for bundle in bundles]
+    kept = [[sb.verify_transition(section, bundle, pts) for _ in range(2)]
+            for section, bundle in zip(sections, bundles)]
+    # the uncached path: every call builds its rings anew
+    monkeypatch.setattr(sb.bundles, "_kept", lambda grid, build, *args: build(grid, *args))
+    for (first, second), section, bundle in zip(kept, sections, bundles):
+        uncached = sb.verify_transition(section, bundle, pts)
+        assert first.hex() == second.hex() == uncached.hex()
+        assert uncached < 1e-9
+
+
+def test_unplaceable_rings_are_refused_on_every_call():
+    # the ring radius 1 - 12 pi / 1024 = 0.963 is too close to rho = 0.95
+    thin = sb.build_circle(0, 1, rho=0.95)
+    grid = sb.sample(thin, 1024)
+    bundle = sb.exp_schwarz_bundle(thin)
+    section = sb.canonical_section(bundle, grid)
+    for _ in range(2):
+        with pytest.raises(NearBoundaryError, match="validated annulus"):
+            sb.verify_transition(section, bundle, [0.1, 3.0])
+        with pytest.raises(NearBoundaryError, match="validated annulus"):
+            sb.annulus_verification_points(grid)
+
+
+def test_kept_rings_still_detect_wrong_sections(monkeypatch, cardioid):
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    exp_bundle = sb.exp_schwarz_bundle(cardioid)
+    section = sb.canonical_section(exp_bundle, grid)
+    assert sb.verify_transition(section, exp_bundle, pts) < 1e-12
+    wrong = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, 3), grid)
+    off = dataclasses.replace(section, density=section.density + 1e-8 * np.sin(3 * grid.t))
+
+    def no_ring(*args):
+        raise AssertionError("a verification ring was rebuilt")
+
+    monkeypatch.setattr(sb.bundles, "_ring", no_ring)
+    assert sb.verify_transition(wrong, exp_bundle, pts) > 1.0  # about 3.4
+    assert sb.verify_transition(off, exp_bundle, pts) > 1e-9   # about 3.6e-9
+
+
+def test_kept_geometry_is_the_same_under_racing_threads(cardioid):
+    # eight threads build a fresh grid's rings and points at once, switching
+    # every microsecond: a race may build them twice, never differently
+    grid = sb.sample(cardioid, 1024)
+    bundle = sb.exp_schwarz_bundle(cardioid)
+    section = sb.canonical_section(bundle, grid)
+
+    def check(_):
+        pts = sb.annulus_verification_points(grid)
+        return pts.tobytes(), sb.verify_transition(section, bundle, pts).hex()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            results = list(pool.map(check, range(32), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    fresh = sb.sample(cardioid, 1024)
+    want = sb.annulus_verification_points(fresh)
+    want = (want.tobytes(), sb.verify_transition(
+        sb.canonical_section(bundle, fresh), bundle, want).hex())
+    assert len(results) == 32 and set(results) == {want}

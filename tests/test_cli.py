@@ -458,3 +458,19 @@ def test_squared_extent_overflow_is_a_parse_error(capsys, tmp_path, argv):
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])
     assert (code, out) == (2, "")
     assert "overflows when squared" in err
+
+
+@pytest.mark.parametrize("coeffs, argv", [
+    ([[0, 0], [1e150, 0]], ["quadrature", "--kind", "classical", "--f", "0;0;1"]),
+    ([[0, 0], [1e150, 0], [3e149, 0]], ["quadrature", "--kind", "classical", "--f", "1;2;1"]),
+    ([[0, 0], [1e150, 0], [3e149, 0]],
+     ["rational-fit", "--deg-q", "0", "--deg-p", "1", "--samples", "12", "--format", "csv"]),
+], ids=["disk-z2", "cardioid-quadratic", "cardioid-fit"])
+def test_overflowing_values_are_refused(capsys, tmp_path, coeffs, argv):
+    # a curve of scale 1e150 is valid, but z^2 conj(z) or the fit's F matrix
+    # leave the floating-point range: a refusal, not inf or NaN on stdout
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "conformal", "coeffs": coeffs, "rho": 0.7}))
+    code, out, err = run(capsys, argv[0], str(path), "--n", "256", *argv[1:])
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert "overflow" in err

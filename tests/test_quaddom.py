@@ -15,6 +15,8 @@ from oracles import area_integral_pullback, exact_moment, polygon_area_integral
 
 EPS = np.finfo(float).eps
 QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
+MOMENT_CURVES = [([0.3 + 0.1j, 1], 0.5), ([0, 1, 0.3], 0.7), (QUARTIC, 0.72), ([800, 1], 0.5),
+                 ([5j, 1, 0.3], 0.7)]
 
 
 def test_classical_disk(disk):
@@ -48,10 +50,7 @@ def test_abelian_shifted_circle():
     assert sb.abelian_quadrature(c, [0, 0, 1]) == pytest.approx(2 * a, abs=1e-12)
 
 
-@pytest.mark.parametrize("coeffs,rho", [
-    ([0.3 + 0.1j, 1], 0.5), ([0, 1, 0.3], 0.7), (QUARTIC, 0.72), ([800, 1], 0.5),
-    ([5j, 1, 0.3], 0.7),
-])
+@pytest.mark.parametrize("coeffs,rho", MOMENT_CURVES)
 def test_classical_moments_equal_the_exact_coefficient_sums(coeffs, rho):
     curve = sb.build_polynomial_curve(coeffs, rho)
     for k in range(9):
@@ -237,3 +236,16 @@ def test_quadrature_report_shape():
     rep = sb.quaddom.quadrature_report("classical", 1 + 0j, 1 + 1e-12j)
     assert rep["kind"] == "classical"
     assert rep["discrepancy"] < 1e-10
+
+
+@pytest.mark.parametrize("coeffs,rho", MOMENT_CURVES)
+def test_classical_primitive_matches_polyint_bit_for_bit(coeffs, rho):
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    rng = np.random.default_rng(11)
+    polys = [[0] * k + [1] for k in range(9)] + [[2.5 - 1j], [1, 2, 3, 4, 5, 6, 7]]
+    polys += [list(rng.normal(size=6) * 10.0 ** rng.integers(-4, 5, 6)) for _ in range(5)]
+    polys.append(list(rng.normal(size=7) + 1j * rng.normal(size=7)))
+    for f in polys:
+        want = sb.quaddom._derivative_area_mean(curve, np.polynomial.polynomial.polyint(f))
+        got = sb.classical_quadrature(curve, f)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), f
