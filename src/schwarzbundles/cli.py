@@ -17,7 +17,6 @@ branch, 5 incompatible geometry.
 from __future__ import annotations
 
 import argparse
-import cmath
 import functools
 import json
 import os
@@ -49,6 +48,12 @@ EXIT_PARSE = 2
 EXIT_NEAR_BOUNDARY = 3
 EXIT_BRANCH = 4
 EXIT_GEOMETRY = 5
+
+# Input caps: the fit's F matrix and eliminations grow with the square of
+# the sample count, a lattice's output and kernel pass with its point count.
+# At the caps a run peaks at about 70 MB and 90 MB resident (disk, n = 256).
+MAX_FIT_SAMPLES = 512
+MAX_GRID_POINTS = 512 * 512
 
 
 @dataclass
@@ -131,9 +136,16 @@ def _emit(payload, cfg):
 
 
 def _flatten(prefix, value, rows):
+    """One (key, value) row per leaf: dict keys and the indices of lists of
+    lists or dicts join the key with '.', a list of scalars is one
+    ';'-separated value."""
     if isinstance(value, dict):
         for key, sub in sorted(value.items()):
             _flatten(f"{prefix}{key}.", sub, rows)
+    elif isinstance(value, (list, tuple)) \
+            and any(isinstance(v, (dict, list, tuple)) for v in value):
+        for i, sub in enumerate(value):
+            _flatten(f"{prefix}{i}.", sub, rows)
     elif isinstance(value, (list, tuple)):
         rows.append((prefix.rstrip("."),
                      ";".join(fmt17(v) if isinstance(v, float) else str(v)
@@ -299,6 +311,8 @@ def cmd_rational_fit(args, cfg, curve):
     about the fit stage's condition number times eps (about 1e7 * eps for
     the quartic at degree 4 on 24 samples); their 17 digits are printed so
     that the values round-trip, not because all of them are significant."""
+    if args.samples > MAX_FIT_SAMPLES:
+        raise ParseError(f"--samples {args.samples} exceeds the cap {MAX_FIT_SAMPLES}")
     grid = _grid_for(curve, cfg)
     samples = quaddom.default_exterior_samples(grid, args.samples)
     fit = quaddom.fit_rational_structure(grid, args.deg_q, args.deg_p, samples)
@@ -316,7 +330,8 @@ def cmd_rational_fit(args, cfg, curve):
 
 
 def _parse_grid_spec(text):
-    """(x0, x1, nx, y0, y1, ny): finite bounds, nonnegative counts."""
+    """(x0, x1, nx, y0, y1, ny): finite bounds, nonnegative counts, at most
+    MAX_GRID_POINTS points."""
     try:
         xpart, ypart = text.split(",")
         x0, x1, nx = xpart.split(":")
@@ -327,6 +342,9 @@ def _parse_grid_spec(text):
                          "expected xmin:xmax:nx,ymin:ymax:ny") from exc
     if not np.isfinite(spec).all() or min(spec[2], spec[5]) < 0:
         raise ParseError(f"grid spec {text!r} needs finite bounds and counts >= 0")
+    if spec[2] * spec[5] > MAX_GRID_POINTS:
+        raise ParseError(f"grid spec {text!r} has {spec[2] * spec[5]} points, "
+                         f"more than the cap {MAX_GRID_POINTS}")
     return spec
 
 
@@ -341,12 +359,13 @@ def cmd_plotdata(args, cfg, curve):
         zs = np.empty((ys.size, xs.size), dtype=complex)
         zs.real, zs.imag = xs[None, :], ys[:, None]
         cs = transforms.double_cauchy_batch(grid, zs, w).reshape(zs.shape)
+        abs_e = np.exp(cs.real)  # |exp(C)|; NaN where refused
         x_txt = [fmt17(x) for x in xs]
         lines = ["x,y,abs_E"]
-        for y, row in zip(ys, cs.tolist()):
+        for y, row in zip(ys, abs_e.tolist()):
             y_txt = fmt17(y)
-            for x, c in zip(x_txt, row):
-                value = "" if c != c else fmt17(abs(cmath.exp(c)))  # NaN: refused
+            for x, e in zip(x_txt, row):
+                value = "" if e != e else fmt17(e)  # NaN: blank
                 lines.append(f"{x},{y_txt},{value}")
         print("\n".join(lines))
         return EXIT_OK
@@ -434,14 +453,17 @@ def build_parser():
     p = sub.add_parser("rational-fit", help="rational structure of F(z, w)", parents=[verb])
     p.add_argument("--deg-q", type=int, required=True, dest="deg_q")
     p.add_argument("--deg-p", type=int, required=True, dest="deg_p")
-    p.add_argument("--samples", type=int, default=12)
+    p.add_argument("--samples", type=int, default=12,
+                   help=f"exterior sample count (at most {MAX_FIT_SAMPLES})")
     p.set_defaults(func=cmd_rational_fit)
 
     p = sub.add_parser("plotdata", help="CSV samples for external plotting",
                        parents=[verb, moment_args, bundle_args])
     p.add_argument("--quantity", required=True,
                    choices=("exp-transform-abs", "moments", "section-density"))
-    p.add_argument("--grid", default="1.5:4:25,1.5:4:25")
+    p.add_argument("--grid", default="1.5:4:25,1.5:4:25",
+                   help="xmin:xmax:nx,ymin:ymax:ny for exp-transform-abs, "
+                        f"nx * ny at most {MAX_GRID_POINTS}")
     p.add_argument("--w", default=None)
     p.add_argument("--bundle", default="exp-schwarz", choices=tuple(BUNDLES))
     p.set_defaults(func=cmd_plotdata)

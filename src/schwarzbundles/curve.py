@@ -15,9 +15,9 @@ arithmetic on blocks of squared distances (`distance_blocks`) and give the
 exact nearest-node distance. Far rows, well outside or inside the nodes'
 annulus about the conformal center, take the exact Laurent or Taylor
 expansion of the same sum where that is cheaper, truncated within an eighth
-of the bound stated at `kernel_sums`, and report a lower bound on the
-distance that clears the exclusion band: the band and side decisions are
-those of the direct pass.
+of the bound stated at `kernel_sums` and summed as two matrix products over
+tables of powers, and report a lower bound on the distance that clears the
+exclusion band: the band and side decisions are those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points and the sums,
@@ -68,12 +68,18 @@ CHECK_NODES = 512
 FAR_PAIR_SEPARATION = 8
 
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
-# each of a pass's four real buffers stays at a quarter megabyte.
+# each of a pass's four real buffers stays at a quarter megabyte. Also the
+# entries per chunk of a far-row power table (`_expansion`): of 2^12 to
+# 2^17, 2^15 was fastest or within 20 % of it on a 40 x 40 disk lattice at
+# n = 1024 and 256-point rings at n = 4096 and 65536 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
-# Largest ratio q of a far row (`_far_rows`), the measured optimum: two
-# 40 x 40 disk lattices at n = 1024 and a moment ring at n = 4096 took
-# 14.7, 14.1, 13.3, 12.6, 13.3 ms at q = 0.6, 0.65, ..., 0.8 (2-core x86_64).
+# Largest ratio q of a far row (`_far_rows`). Two 40 x 40 disk lattices at
+# n = 1024 and a moment ring at n = 4096 took 12.7, 10.9, 10.0, 9.1, 9.4,
+# 10.0 ms at q = 0.6, 0.65, ..., 0.85 (scripts/far_ratio_study.py, best of
+# 40 rounds, 2-core x86_64); over a whole `sweep` benchmark cycle q = 0.75
+# and 0.8 save under 4 % against 0.7, too little to pay for the larger
+# rounding factor (1 + q)/(1 - q) (see `kernel_sums`).
 FAR_RATIO = 0.7
 
 EPS = np.finfo(float).eps
@@ -385,8 +391,9 @@ def kernel_sums(grid, points, density=None):
     to it; they are taken where that is cheaper, never for one point. Their
     sums are the exact expansions cut after M terms: sum g_k/(z_k - p) =
     -sum_j A_j/(p - c)^(j+1), A_j = sum_k g_k (z_k - c)^j, outside, and
-    sum_j (p - c)^j B_j, B_j = sum_k g_k/(z_k - c)^(j+1), inside. nearest is
-    exact on direct rows; on far rows it is the lower bound |p - c| - R or
+    sum_j (p - c)^j B_j, B_j = sum_k g_k/(z_k - c)^(j+1), inside, formed as
+    two matrix products over power tables (`_expansion`). nearest is exact
+    on direct rows; on far rows it is the lower bound |p - c| - R or
     r - |p - c|, less eight ulps, at or above the band, so `sides` decides
     as the direct pass would.
 
@@ -395,8 +402,12 @@ def kernel_sums(grid, points, density=None):
     sum_k |w num_k/(z_k - p)|, num = dz or density dz. Direct rows differ by
     BLAS summation order, which depends on the batch. On far rows the tail
     sum_k |g_k| q^M/((1 - q) rho), rho = |p - c| outside and r inside, is at
-    most an eighth of the bound, and the rounding is that of sums of n + 2M
-    terms at most (1 + q)/(1 - q) < 5.7 times the direct ones, M < n.
+    most an eighth of the bound. The expansion's terms sum in modulus to at
+    most (1 + q)/(1 - q) < 5.7 times sum_k |g_k/(z_k - p)|, and each carries
+    at most n + 3M + 3 < 4.2 n roundings of at most 1.12 eps (a power of at
+    most M products in each table, sums of n and of M terms, three more
+    products; M < n, n >= 16): with the sums' factor 1/(2 pi), at most
+    4.2 * 1.12 * 5.7/(2 pi) < 4.3 of the bound's 8 n eps.
 
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
@@ -448,8 +459,9 @@ def _far_rows(grid, pts, columns):
     annulus whose far rows (q <= FAR_RATIO, nearest clear of the band) are
     cheaper to expand; rows is an index array. M is `_terms` at the side's
     largest q. The cost rule counts node operations: F rows cost F n
-    directly and M (n + F columns) expanded, M passes over the nodes for
-    the coefficients and F M columns for Horner; it implies M < n.
+    directly and M (n + F columns) expanded, the nodes' M x n power table
+    with its product for the coefficients and F M columns for the rows'
+    table and sums; it implies M < n.
     Infinite and NaN points stay direct. Call under np.errstate.
     """
     c, big, small = grid._node_annulus
@@ -491,31 +503,47 @@ def _terms(n, q, outside, spread):
 
 def _expansion(grid, cols, p, terms, outside):
     """sum_k g_k/(z_k - p) at far rows p, g the columns of cols, by `terms`
-    terms about c, scaled so that every power has modulus at most 1: one
-    power vector at a time, a product per coefficient, then Horner."""
+    terms about c, scaled so that every power has modulus at most 1: the
+    coefficients are (nodes' power table) @ cols and the sums (rows' power
+    table).T @ coefficients. Each table (`_powers`) is built and used in
+    chunks of at most KERNEL_BLOCK entries (one column if terms is more),
+    so memory does not grow with n or the number of rows."""
     c, big, small = grid._node_annulus
     cols = cols.reshape(grid.n, -1)
-    if outside:  # -(1/(p - c)) sum_j A_j/R^j (R/(p - c))^j
-        power = np.ones(grid.n, dtype=complex)
-        step = (grid.z - c) / big
-        x = big / (p - c)
-    else:  # sum_j B_j r^j ((p - c)/r)^j
-        power = 1.0 / (grid.z - c)
-        step = small * power
-        x = (p - c) / small
-    coeff = np.empty((terms, cols.shape[1]), dtype=complex)
-    for j in range(terms):
-        np.dot(power, cols, out=coeff[j])
-        power *= step
-    acc = np.empty((p.size, cols.shape[1]), dtype=complex)
-    acc[:] = coeff[-1]
-    x = x[:, None]
-    for j in range(terms - 2, -1, -1):
-        acc *= x
-        acc += coeff[j]
+    width = max(1, KERNEL_BLOCK // terms)  # table columns per chunk
+    coeff = np.zeros((terms, cols.shape[1]), dtype=complex)
+    for lo in range(0, grid.n, width):
+        gap = grid.z[lo:lo + width] - c
+        if outside:  # A_j/R^j = sum_k g_k ((z_k - c)/R)^j
+            table = _powers(1.0, gap / big, terms)
+        else:  # B_j r^j = sum_k g_k (r/(z_k - c))^j/(z_k - c)
+            first = 1.0 / gap
+            table = _powers(first, small * first, terms)
+        coeff += table @ cols[lo:lo + width]
+    # outside -(1/(p - c)) sum_j (R/(p - c))^j A_j/R^j, inside sum_j ((p - c)/r)^j B_j r^j
+    x = big / (p - c) if outside else (p - c) / small
+    sums = np.empty((p.size, cols.shape[1]), dtype=complex)
+    for lo in range(0, p.size, width):
+        sums[lo:lo + width] = _powers(1.0, x[lo:lo + width], terms).T @ coeff
     if outside:
-        acc *= -1.0 / (p - c)[:, None]
-    return acc
+        sums *= -1.0 / (p - c)[:, None]
+    return sums
+
+
+def _powers(first, step, terms):
+    """(terms, step.size) table of first * step^j, j < terms, by doubling:
+    rows [k, 2k) are rows [0, k) times step^k, about log2(terms) vector
+    products; row j carries the rounding of at most j products."""
+    table = np.empty((terms, step.size), dtype=complex)
+    table[0] = first
+    done, power = 1, step  # rows filled, step^done
+    while done < terms:
+        more = min(done, terms - done)
+        np.multiply(table[:more], power, out=table[done:done + more])
+        done += more
+        if done < terms:
+            power = power * power
+    return table
 
 
 def winding_number(grid, z):

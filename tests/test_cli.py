@@ -1,13 +1,21 @@
+import cmath
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import schwarzbundles as sb
-from schwarzbundles.cli import EXIT_FAILURE, main, parse_complex
+from schwarzbundles.cli import (
+    EXIT_FAILURE,
+    MAX_FIT_SAMPLES,
+    MAX_GRID_POINTS,
+    main,
+    parse_complex,
+)
 from schwarzbundles.errors import ParseError
 
 DISK = '{"kind": "conformal", "coeffs": [[0,0],[1,0]], "rho": 0.5}'
@@ -226,6 +234,79 @@ def test_rational_fit(capsys, disk_file):
     assert payload["classification"] == "quadrature-domain"
 
 
+def _json_leaf(payload, key):
+    """The value at a CSV key: '.'-separated dict keys and list indices."""
+    for part in key.split("."):
+        payload = payload[int(part)] if isinstance(payload, list) else payload[part]
+    return payload
+
+
+@pytest.mark.parametrize("curve, argv, keys", [
+    (CARDIOID, ["rational-fit", "--deg-q", "2", "--deg-p", "2", "--samples", "12",
+                "--n", "256"],
+     ["boundary_residual", "classification", "deg_p", "deg_q", "p.0", "p.1", "p.2"]
+     + [f"q.{i}.{j}" for i in range(3) for j in range(3)] + ["residual"]),
+    (SQUARE, ["quadrature", "--kind", "corner", "--f", "0;0;1"],
+     ["discrepancy", "kind", "oracle_value", "residue_value"]
+     + [f"weights.{i}.{part}" for i in range(4) for part in ("corner", "weight")]),
+], ids=["rational-fit", "corner"])
+def test_csv_rows_hold_the_json_numbers(capsys, tmp_path, curve, argv, keys):
+    # nested lists and lists of dicts flatten to one row per leaf, keyed by
+    # index; every number is printed as in JSON, never as a numpy repr
+    path = tmp_path / "curve.json"
+    path.write_text(curve)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    payload = json.loads(out)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:], "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()]
+    assert [key for key, _ in rows] == keys
+    for key, text in rows:
+        want = _json_leaf(payload, key)
+        if isinstance(want, list):
+            assert [float(item) for item in text.split(";")] == want
+        elif isinstance(want, float):
+            assert float(text) == want
+        else:
+            assert text == str(want)
+
+
+def test_input_caps_are_documented_and_inclusive(capsys, disk_file):
+    from schwarzbundles.cli import _parse_grid_spec
+    assert _parse_grid_spec(f"0:1:{MAX_GRID_POINTS},2:3:1")[2] == MAX_GRID_POINTS
+    code, out, _ = run(capsys, "rational-fit", disk_file, "--deg-q", "1", "--deg-p",
+                       "1", "--samples", str(MAX_FIT_SAMPLES), "--n", "256")
+    assert code == 0 and json.loads(out)["classification"] == "quadrature-domain"
+    for verb, cap in (("rational-fit", MAX_FIT_SAMPLES), ("plotdata", MAX_GRID_POINTS)):
+        code, out, _ = run(capsys, verb, "--help")
+        assert code == 0 and f"at most {cap}" in " ".join(out.split())
+
+
+@pytest.mark.parametrize("coeffs, rho", [([[0, 0], [1, 0]], 0.5),
+                                         ([[0, 0], [1, 0], [0.3, 0]], 0.7)])
+@pytest.mark.parametrize("w", [3 + 0.5j, 0.2 - 0.1j])
+def test_plotdata_abs_e_is_the_modulus_of_exp_c(capsys, tmp_path, coeffs, rho, w):
+    # |E| = exp(Re C), within 4 ulps of abs(exp(C)) per point; blank where
+    # the batch gives NaN
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"kind": "conformal", "coeffs": coeffs, "rho": rho}))
+    code, out, _ = run(capsys, "plotdata", str(path), "--quantity", "exp-transform-abs",
+                       "--w", f"{w.real},{w.imag}", "--n", "256",
+                       "--grid", "-2:2:21,-2:2:21")
+    assert code == 0
+    grid = sb.sample(sb.build_polynomial_curve([complex(*c) for c in coeffs], rho), 256)
+    xs = np.linspace(-2.0, 2.0, 21)
+    cs = sb.double_cauchy_batch(grid, (xs[None, :] + 1j * xs[:, None]).ravel(), w)
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == cs.size
+    assert [value == "" for _, _, value in rows] == list(np.isnan(cs))
+    for (_, _, value), c in zip(rows, cs):
+        if value:
+            want = abs(cmath.exp(c))
+            assert abs(float(value) - want) <= 4 * np.spacing(want)
+
+
 def test_plotdata_grid_band_cells_empty(capsys, disk_file):
     code, out, _ = run(capsys, "plotdata", disk_file, "--quantity",
                        "exp-transform-abs", "--w", "3",
@@ -388,6 +469,10 @@ def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
             "--grid", "0:inf:2,0:1:2"]),
     (DISK, ["transform", "--z", "2", "--tol", "0"]),
+    (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1",
+            "--samples", str(MAX_FIT_SAMPLES + 1)]),
+    (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
+            "--grid", f"0:1:{MAX_GRID_POINTS // 2 + 1},0:1:2"]),
 ])
 def test_out_of_range_arguments_are_parse_errors(capsys, tmp_path, curve, argv):
     path = tmp_path / "curve.json"

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schwarzbundles.cli import main
+from schwarzbundles.cli import EXIT_PARSE, _load_curve, main
+from schwarzbundles.errors import SchwarzBundleError
 
 BASES = {
     "disk": {"kind": "conformal", "coeffs": [[0, 0], [1, 0]], "rho": 0.5},
@@ -80,9 +81,10 @@ POLYS = ["1", "1;2;1", "0;0;1", "-1;2,-1", ";", "1;nan", "inf", ""]
 GRIDS = ["0.5:1.5:7,-0.2:0.2:3", "-2:2:4,-2:2:4", "-4000:4000:3,-1:1:3",
          "0:1:0,0:1:3", "0:1:-2,0:1:2", "nan:1:2,0:1:2", "0:inf:2,0:1:2",
          "1e400:1:2,0:1:2", "0:1:2", ""]
-# --samples leaves out 4000: a fit on 4000 samples is valid, but its F matrix
-# of 16 million entries costs seconds
-SAMPLES = ["-1", "0", "4", "12", "nan", ""]
+# 4000 is above the command line's sample cap (cli.MAX_FIT_SAMPLES): a
+# parse error wherever the curve file loads. It comes first, where the
+# derandomized draws reach it on loadable curves.
+SAMPLES = ["4000", "-1", "0", "4", "12", "nan", ""]
 POWERS = INTS + ["1000001"]
 VERBS = ["validate", "transform", "moments", "section", "quadrature",
          "rational-fit", "plotdata"]
@@ -153,3 +155,14 @@ def test_every_cli_input_ends_in_a_value_or_a_refusal(capsys, curve_files, data)
     out = capsys.readouterr().out
     assert code in range(6), argv
     assert not NON_FINITE.search(out), (argv, out[:200])
+    if "--samples=4000" in argv and _loads(argv[1]):
+        assert code == EXIT_PARSE, argv
+
+
+def _loads(path):
+    """Whether the curve file loads, so that the verb's own checks run."""
+    try:
+        _load_curve(path)
+    except SchwarzBundleError:
+        return False
+    return True

@@ -9,6 +9,7 @@ or from those expansions; they must lie within the bound the kernel
 states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k - p)|."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,54 @@ def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
         (rows, nearest, terms, outside), = curve_mod._far_rows(grid, ring, 2)
     assert outside and rows.size == ring.size and terms < grid.n
     assert np.all(nearest >= grid.exclusion_band)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="needs a longdouble wider than float64")
+@given(terms=st.integers(1, 200), seed=st.integers(0, 2 ** 16), ones=st.booleans())
+def test_power_table_rows_round_like_sequential_products(terms, seed, ones):
+    # row j of a table built by doubling, against first * step^j by
+    # sequential multiplication in extended precision: within the rounding
+    # of j complex products, sqrt(5)/2 eps each; rows 0 and 1 are exact
+    # products of the inputs
+    rng = np.random.default_rng(seed)
+    step = rng.uniform(0.05, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
+    first = np.ones(64, dtype=complex) if ones else rng.normal(size=(64, 2)) @ [1, 1j]
+    table = curve_mod._powers(1.0 if ones else first, step, terms)
+    exact = np.empty(table.shape, dtype=np.clongdouble)
+    exact[0] = first
+    for j in range(1, terms):
+        exact[j] = exact[j - 1] * step
+    assert same_bits(table[0], first)
+    if terms > 1:
+        assert same_bits(table[1], first * step)
+    j = np.arange(terms)[:, None]
+    rel = (np.abs(table - exact) / np.abs(exact)).astype(float)
+    assert np.all(rel <= j * np.sqrt(5.0) / 2.0 * EPS * (1.0 + terms * EPS))
+
+
+def test_far_expansion_memory_does_not_grow_with_n():
+    # a far ring of 256 points at n = 65536 with 3 columns (dz and two
+    # densities): the power tables of M x n and M x 256 entries are built
+    # in chunks, so the pass holds at most a few chunks of KERNEL_BLOCK
+    # complex entries beyond its O(n) arrays, the 3n-entry column array and
+    # the direct pass's four n-real buffers, one n of slack. One M x n
+    # table would be M n = 2.3 million entries.
+    grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 2 ** 16)
+    ring = 2.0 * np.abs(grid.z).max() * np.exp(2j * np.pi * np.arange(256) / 256)
+    dens = np.stack([np.conjugate(grid.z), np.log(np.abs(grid.z - 0.3) ** 2)], axis=1)
+    grid._node_parts  # cached on the grid before tracing, as is the annulus
+    with np.errstate(all="ignore"):
+        (rows, _, terms, outside), = curve_mod._far_rows(grid, ring, 3)
+    assert outside and rows.size == ring.size and terms > 8
+    tracemalloc.start()
+    try:
+        _, _, sums = sb.kernel_sums(grid, ring, dens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape == (256, 2)
+    assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
 
 
 @given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
