@@ -50,7 +50,7 @@ from .errors import (
     NearBoundaryError,
     NoHolomorphicSectionError,
 )
-from .schwarz import invert_conformal_map
+from .schwarz import _like, invert_conformal_map
 from .transforms import PHASE_STEP_LIMIT, cauchy_integral, unwrap_log
 
 # node spacings (in the pullback radius) from the curve to verification rings
@@ -114,8 +114,9 @@ def _ring_tangent_power(grid, m):
 
 
 def holomorphic_tangent(curve, z):
-    """Holomorphic extension of the unit tangent to the validated annulus."""
-    return complex(_pullback_tangent(curve, invert_conformal_map(curve, z)))
+    """Holomorphic extension of the unit tangent to the validated annulus,
+    at a scalar z (a Python complex) or an array of points."""
+    return _like(z, _pullback_tangent(curve, invert_conformal_map(curve, z)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,9 +179,9 @@ def tangent_power_bundle(curve, m):
 
 
 def custom_bundle(curve, evaluator):
-    """lambda12 = evaluator(z), called once per node."""
-    return LineBundle(
-        curve, lambda grid: np.array([complex(evaluator(z)) for z in grid.z]))
+    """lambda12 = evaluator(z), called once on the node array; a scalar
+    result is broadcast to every node."""
+    return LineBundle(curve, lambda grid: np.full(grid.n, evaluator(grid.z), dtype=complex))
 
 
 def _node_log(bundle, grid):
@@ -381,11 +382,13 @@ def verify_transition(section, bundle, annulus_points):
 
 
 def verify_m_differential_match(f1_eval, f2_eval, curve, grid, m):
-    """Max node residual of the half-order matching f1 * T^m = conj(f2)."""
+    """Max node residual of the half-order matching f1 * T^m = conj(f2).
+
+    Each evaluator is called once, on the node array; a scalar result is
+    broadcast to every node."""
     tangents = grid.dz / np.abs(grid.dz)
-    return max(abs(complex(f1_eval(z)) * tangent ** int(m)
-                   - np.conjugate(complex(f2_eval(z))))
-               for z, tangent in zip(grid.z, tangents))
+    return float(np.abs(f1_eval(grid.z) * tangents ** int(m)
+                        - np.conjugate(f2_eval(grid.z))).max())
 
 
 def section_to_json(section):

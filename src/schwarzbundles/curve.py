@@ -556,9 +556,15 @@ def sides(grid, points, density=None):
 
     The one band and side decision of the package: near marks the points
     closer to a node than the exclusion band, inside the points off the band
-    that the curve winds around; sums are the pass's Cauchy sums.
+    that the curve winds around; sums are the pass's Cauchy sums. A batch
+    with a non-finite point is refused as a whole (ParseError); a finite
+    point too far for its squared distance to be finite is still decided.
     """
     nearest, winding, sums = kernel_sums(grid, points, density)
+    # a non-finite point has a NaN or infinite distance; only then (or when
+    # a finite point's distance overflows) are the points themselves looked at
+    if not np.isfinite(nearest).all() and not np.isfinite(points).all():
+        raise ParseError("points must be finite")
     near = nearest < grid.exclusion_band
     return near, ~near & (winding > 0.5), sums
 

@@ -35,7 +35,7 @@ from .errors import (
     TangentNotMeromorphicError,
     WrongQuadrantError,
 )
-from .schwarz import polygon_schwarz
+from .schwarz import _prime_at, polygon_schwarz
 
 TANGENT_TAIL_TOL = 1e-8
 QD_RESIDUAL_THRESHOLD = 1e-3
@@ -153,9 +153,7 @@ def boundary_classical(grid, f_coeffs):
 def boundary_abelian(grid, f_coeffs):
     """-(1/2 pi i) * integral of f(z) S'(z) dz, with S' in boundary form."""
     f_coeffs = tuple(complex(c) for c in f_coeffs)
-    zeta = grid.zeta
-    sprime = -grid.curve.dphi_reflected(zeta) / (zeta ** 2 * grid.curve.dphi(zeta))
-    vals = npoly.polyval(grid.z, f_coeffs) * sprime * grid.dz
+    vals = npoly.polyval(grid.z, f_coeffs) * _prime_at(grid.curve, grid.zeta) * grid.dz
     return complex(-grid.weight / (2j * np.pi) * np.sum(vals))
 
 

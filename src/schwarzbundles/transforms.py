@@ -211,8 +211,9 @@ def double_cauchy_batch(grid, zs, w):
     kernel pass, with the second column -conj(density) when w is exterior.
     Refuses w inside the exclusion band (NearBoundaryError); a z where
     double_cauchy refuses (the band, or coincident interior points) gets NaN
-    at the same z as double_cauchy. The values differ from double_cauchy's
-    by BLAS summation order only, within `kernel_sums`' bound
+    at the same z as double_cauchy. A non-finite z or w refuses the whole
+    batch (ParseError, from `curve.sides`). The values differ from
+    double_cauchy's by BLAS summation order only, within `kernel_sums`' bound
     8 n eps * sum_k |w num_k/(z_k - p)| per sum, num = density * dz.
     """
     w = complex(w)

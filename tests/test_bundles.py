@@ -365,6 +365,18 @@ def test_holomorphic_tangent_outside_annulus(disk):
         sb.holomorphic_tangent(disk, 5.0)
 
 
+def test_evaluators_are_called_once_on_the_node_array(disk, disk_grid):
+    shapes = []
+
+    def one(z):
+        shapes.append(np.shape(z))
+        return 1.0  # a scalar result is broadcast to every node
+
+    assert sb.chern_class(sb.custom_bundle(disk, one), disk_grid) == 0
+    assert sb.verify_m_differential_match(one, one, disk, disk_grid, 0) == 0.0
+    assert shapes == [(disk_grid.n,)] * 3
+
+
 def test_custom_bundle_chern_two(disk, disk_grid):
     # transition z^2 has winding 2; the canonical pair is (1, z^{-2})
     bundle = sb.custom_bundle(disk, lambda z: z * z)
@@ -388,16 +400,15 @@ def test_section_dump(disk, disk_grid):
 
 @pytest.mark.parametrize("n", [1024, 4096])
 def test_node_transitions_match_inverted_points(n, disk, cardioid):
-    # closed forms at grid.zeta against one Newton inversion per node
+    # closed forms at grid.zeta against one batched Newton inversion
     quartic = sb.build_polynomial_curve(QUARTIC, 0.72)
     for curve in (disk, cardioid, quartic):
         grid = sb.sample(curve, n)
+        zeta = sb.invert_conformal_map(curve, grid.z[::7])
         for bundle, at_zeta in builtin_transitions(curve):
-            closed = bundle.transition_at_nodes(grid)
-            for j in range(0, n, 7):
-                zeta = sb.invert_conformal_map(curve, complex(grid.z[j]))
-                newton = complex(at_zeta(zeta))
-                assert abs(closed[j] - newton) <= 1e-12 * abs(newton)
+            closed = bundle.transition_at_nodes(grid)[::7]
+            newton = at_zeta(zeta)
+            assert np.all(np.abs(closed - newton) <= 1e-12 * np.abs(newton))
 
 
 def test_node_path_makes_no_newton_calls(monkeypatch, cardioid, cardioid_grid):

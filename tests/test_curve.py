@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import schwarzbundles as sb
+from schwarzbundles.curve import off_band, sides
 from schwarzbundles.errors import (
     BadNodeCountError,
     CurveNotSimpleError,
@@ -117,6 +120,33 @@ def test_locate_trivial(disk, disk_grid):
     assert sb.locate(disk_grid, 0) is sb.Location.INTERIOR
     assert sb.locate(disk_grid, 3) is sb.Location.EXTERIOR
     assert sb.locate(disk_grid, 1 + 1e-15) is sb.Location.NEAR_BOUNDARY
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(np.inf, np.nan), complex(0.0, -np.inf)]
+NON_FINITE_IDS = ["nan", "inf", "-inf", "inf+nanj", "-infj"]
+
+
+@pytest.mark.parametrize("p", NON_FINITE, ids=NON_FINITE_IDS)
+def test_band_decision_refuses_non_finite_points(cardioid_grid, p):
+    # one point, a small batch and a batch large enough for far rows
+    lattice = np.linspace(-4.0, 4.0, 40)[:, None] + 1j * np.linspace(-4.0, 4.0, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: sb.locate(cardioid_grid, p),
+                     lambda: sides(cardioid_grid, [2.0, p]),
+                     lambda: off_band(cardioid_grid, np.append(lattice, p))):
+            with pytest.raises(ParseError, match="finite"):
+                call()
+
+
+def test_band_decision_keeps_far_finite_points(cardioid_grid):
+    # their squared distances overflow, the points are still decided
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert sb.locate(cardioid_grid, 1e300) is sb.Location.EXTERIOR
+        assert sb.locate(cardioid_grid, -1e300j) is sb.Location.EXTERIOR
+        near, inside, _ = sides(cardioid_grid, np.append(np.linspace(3.0, 9.0, 400), 1e300))
+        assert not near.any() and not inside.any()
 
 
 def test_winding_prerounding(disk_grid, cardioid_grid):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 import schwarzbundles as sb
 from schwarzbundles.errors import CurveNotSimpleError
+from schwarzbundles.schwarz import NEWTON_TOL
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -151,6 +152,28 @@ def test_transform_is_affine_invariant(name, scale, turn, shift, radii, angles):
                               (sb.tangent_power_bundle(cv, -1), 1),
                               (sb.tangent_power_bundle(cv, 2), -2)):
             assert sb.chern_class(bundle, g) == chern
+
+
+INVERSE_CURVES = dict(AFFINE_CURVES, disk=([0, 1], 0.5))
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_CURVES))
+@given(radii=st.lists(unit, min_size=1, max_size=12), data=st.data())
+def test_batched_inverse_recovers_the_annulus(name, radii, data):
+    # zeta anywhere in the validated annulus rho <= |zeta| <= 1/rho. Newton
+    # stops at a residual of NEWTON_TOL (1 + |z|), so zeta is off by at most
+    # that over |phi'| (twice that here, for rounding): up to 1.3e-12 on
+    # these curves, past 1e-12 only where |phi'| is small, as by zeta =
+    # -1/rho on the cardioid. Each point of the batch comes out as alone
+    coeffs, rho = INVERSE_CURVES[name]
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    angles = data.draw(st.lists(angle, min_size=len(radii), max_size=len(radii)))
+    zeta = (rho + (1.0 / rho - rho) * np.asarray(radii)) * np.exp(1j * np.asarray(angles))
+    zs = curve.phi(zeta)
+    got = sb.invert_conformal_map(curve, zs)
+    bound = 2.0 * NEWTON_TOL * (1.0 + np.abs(zs)) / np.abs(curve.dphi(zeta))
+    assert np.all(np.abs(got - zeta) <= bound)
+    assert [sb.invert_conformal_map(curve, z) for z in zs] == got.tolist()
 
 
 @given(re=st.floats(min_value=-2.0, max_value=2.0, **finite),

@@ -1,8 +1,11 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
 import schwarzbundles as sb
-from schwarzbundles.errors import OutsideAnnulusError
+from schwarzbundles.errors import NewtonDivergedError, OutsideAnnulusError, ParseError
 
 from oracles import central_difference
 
@@ -53,9 +56,54 @@ def test_prime_matches_finite_difference(cardioid):
 
 
 def test_boundary_consistency_every_node(cardioid, cardioid_grid):
-    worst = max(abs(sb.schwarz_near(cardioid, complex(z)) - np.conjugate(z))
-                for z in cardioid_grid.z)
+    worst = np.abs(sb.schwarz_near(cardioid, cardioid_grid.z)
+                   - np.conjugate(cardioid_grid.z)).max()
     assert worst < 1e-12
+
+
+HELPERS = (sb.schwarz_near, sb.schwarz_prime, sb.schwarz_reflect,
+           sb.holomorphic_tangent)
+
+
+@pytest.mark.parametrize("helper", HELPERS, ids=lambda f: f.__name__)
+def test_helpers_take_arrays_and_scalars(cardioid, helper):
+    zs = np.array([[1.25, 0.1 + 0.95j], [-0.62 - 0.1j, 1.05 - 0.4j]])
+    batch = helper(cardioid, zs)
+    assert batch.shape == zs.shape
+    for z, value in zip(zs.flat, batch.flat):
+        one = helper(cardioid, z)
+        assert type(one) is complex
+        assert one == pytest.approx(value, rel=1e-14)
+
+
+@pytest.mark.parametrize("helper", HELPERS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("z", [np.nan, np.inf, -np.inf, complex(np.inf, np.nan)],
+                         ids=["nan", "inf", "-inf", "inf+nanj"])
+def test_helpers_refuse_non_finite_points(cardioid, helper, z):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for points in (z, [1.25, z]):
+            with pytest.raises(ParseError, match="finite"):
+                helper(cardioid, points)
+
+
+def test_batch_refusal_names_the_failing_point(disk):
+    # 0.3 has its preimage inside rho = 0.5; 30 escapes the validation region
+    with pytest.raises(OutsideAnnulusError, match=re.escape(str(0.3 + 0j))):
+        sb.invert_conformal_map(disk, [0.9, 1.2j, 0.3, 1.5])
+    with pytest.raises(OutsideAnnulusError, match=re.escape(str(30 + 0j))):
+        sb.invert_conformal_map(disk, [0.9, 30.0, 1.5])
+    # the first failing point is named, whichever fails first in the loop
+    with pytest.raises(OutsideAnnulusError, match=re.escape(str(0.3 + 0j))):
+        sb.invert_conformal_map(disk, [0.9, 0.3, 30.0])
+
+
+def test_batch_refusal_names_the_first_unconverged_point(monkeypatch, cardioid):
+    # 1.3 = phi(1) is a seed and converges before the first step
+    monkeypatch.setattr(sb.schwarz, "NEWTON_MAX_ITER", 1)
+    assert sb.invert_conformal_map(cardioid, [1.3]).tolist() == [1.0]
+    with pytest.raises(NewtonDivergedError, match=re.escape(str(1.25 + 0j))):
+        sb.invert_conformal_map(cardioid, [1.3, 1.25, 0.05])
 
 
 def test_reflection_involution(cardioid):

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,24 @@ def test_unwrap_log_columns_refuse_like_the_worst_column():
     assert all(isinstance(one, str) for one in singles)
     # the array names its largest step, which is column 0's (1.8 back to 0)
     assert got == singles[0] != singles[1]
+
+
+@pytest.mark.parametrize("p", [np.nan, np.inf, complex(np.inf, np.nan)],
+                         ids=["nan", "inf", "inf+nanj"])
+def test_transforms_refuse_non_finite_points(cardioid_grid, p):
+    section = sb.canonical_section(sb.exp_schwarz_bundle(cardioid_grid.curve),
+                                   cardioid_grid)
+    batch = np.append(np.linspace(2.0, 6.0, 300), p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: sb.cauchy_transform(cardioid_grid, p),
+                     lambda: sb.double_cauchy(cardioid_grid, p, 3.0),
+                     lambda: sb.double_cauchy(cardioid_grid, p, 0.2),
+                     lambda: sb.double_cauchy(cardioid_grid, 3.0, p),
+                     lambda: sb.double_cauchy_batch(cardioid_grid, batch, 3.0),
+                     lambda: sb.evaluate_section(section, p)):
+            with pytest.raises(ParseError, match="finite"):
+                call()
 
 
 def test_moment_expansion_propagates_band_refusal(disk):
