@@ -4,9 +4,11 @@ curve, their Chern classes, and canonical holomorphic sections.
 A bundle is a single nonvanishing analytic function lambda12 on an annular
 neighborhood of the curve, gluing the interior and exterior charts. Its Chern
 class is the winding of lambda12 along the curve. For nonnegative Chern class
-the canonical section pair (f1 inside, f2 outside) is built from the Cauchy
-integral of the unwrapped boundary log density, with a divisor adjustment
-(z - a)^{-c} at an interior point a when c > 0.
+the canonical section (f1 inside, f2 outside) is the exponential of the
+Cauchy integral of the unwrapped boundary log density, with a divisor
+adjustment (z - a)^{-c} at an interior point a when c > 0;
+`evaluate_section` takes the side of a point and the sum there from one
+`curve.off_band` pass.
 
 A `LineBundle` is its transition function: `transition(grid)` gives
 lambda12 at the nodes of the curve's grid or of a ring, and each constructor
@@ -17,14 +19,14 @@ also supplies its log at the nodes, S itself, because exp(S) overflows on
 far curves; the Schwarz-pole bundle supplies its pole, the default
 adjustment point when interior, and its section is the exponential
 transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
-on the curve; on a ring the square root in T is taken once per node and its
-sign carried around the ring from node 0, and only scattered points track
-it radially. The gluing is verified by moving the contour; the
-verification points are searched over radii with a cheap upper bound on
-their distance to the curve before the full distance pass, and every band
-and side decision is `curve.sides`. The two verification rings and the
-points depend on the grid alone: they are built once per grid and kept on
-it, and every check runs on every call.
+on the curve; on a ring the square root in T is exp(log(g)/2) on
+`unwrap_log`'s continuous branch, its sign fixed at node 0, and only
+scattered points track it radially. The gluing is verified by moving the
+contour; the verification points are searched over radii with a cheap
+upper bound on their distance to the curve before the full distance pass,
+and every band and side decision is `curve.sides`. The two verification
+rings and the points depend on the grid alone: they are built once per grid
+and kept on it, and every check runs on every call.
 """
 
 from __future__ import annotations
@@ -46,12 +48,11 @@ from .curve import (
 )
 from .errors import (
     AdjustmentPointNotInteriorError,
-    BranchUnresolvedError,
     NearBoundaryError,
     NoHolomorphicSectionError,
 )
 from .schwarz import _like, invert_conformal_map
-from .transforms import PHASE_STEP_LIMIT, cauchy_integral, unwrap_log
+from .transforms import unwrap_log
 
 # node spacings (in the pullback radius) from the curve to verification rings
 _VERIFY_SPACINGS = 6.0
@@ -68,8 +69,8 @@ def _pullback_tangent(curve, zeta):
     root is followed in 8 radial steps from the boundary circle, where g =
     |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. g is
     evaluated at all 9 radii in one pass and the sign carried over them. Ring
-    grids carry the root around the ring instead (`_ring_tangent_power`)
-    and call this for their node 0 only.
+    grids take the root around the ring from `unwrap_log` instead
+    (`_ring_tangent_power`) and call this for their node 0 only.
     """
     zeta = np.asarray(zeta, dtype=complex)
     r, base = np.abs(zeta), zeta / np.abs(zeta)
@@ -87,10 +88,12 @@ def _ring_tangent_power(grid, m):
     """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius.
 
     On the curve T = dz/|dz|. Off it T^2 = dz^2/g needs no root for even m;
-    for odd m the root of g is taken once per node and its sign carried
-    around the ring by continuity, anchored at node 0 by the radial
-    tracking. A carried step of PHASE_STEP_LIMIT / 2 or more leaves the sign
-    ambiguous and raises BranchUnresolvedError (refine the grid).
+    for odd m the root of g is exp(log(g)/2) on `unwrap_log`'s continuous
+    branch, anchored at node 0 by the radial tracking. Its phase step limit
+    on g is half of it on the root: a step that leaves the sign ambiguous
+    raises BranchUnresolvedError (refine the grid). g winds 0 on every ring
+    in the validated annulus, as phi' has no zeros in |zeta| <= 1/rho, so the
+    root closes around the ring.
     """
     if grid.radius == 1.0:
         return (grid.dz / np.abs(grid.dz)) ** (-m)
@@ -98,15 +101,7 @@ def _ring_tangent_power(grid, m):
     g = curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta)
     if m % 2 == 0:
         return (g / grid.dz ** 2) ** (m // 2)
-    root = np.sqrt(g)
-    flips = (root[1:] * np.conjugate(root[:-1])).real < 0.0
-    root[1:] *= np.where(np.cumsum(flips) % 2, -1.0, 1.0)
-    step = np.abs(np.angle(np.roll(root, -1) / root)).max()
-    if step >= PHASE_STEP_LIMIT / 2:
-        raise BranchUnresolvedError(
-            f"square-root step {step:.3f} >= {PHASE_STEP_LIMIT / 2:.3f} between "
-            f"adjacent nodes of the ring |zeta| = {grid.radius:.6g}; refine the grid")
-    tangent = grid.dz / root
+    tangent = grid.dz / np.exp(0.5 * unwrap_log(g)[0])
     anchor = _pullback_tangent(curve, grid.zeta[:1])[0]
     if abs(anchor - tangent[0]) > abs(anchor + tangent[0]):
         tangent = -tangent
@@ -206,10 +201,10 @@ def chern_class(bundle, grid):
 class SectionPair:
     """Canonical holomorphic section of a line bundle.
 
-    Stored as the unwrapped boundary log density; f1 (interior side) and f2
-    (exterior side) are Cauchy integrals of it. For Chern class c > 0 the
-    density is adjusted by (zeta - a)^{-c} and f2 carries the factor
-    (z - a)^{-c} back, so f2 ~ z^{-c} at infinity.
+    Stored as the unwrapped boundary log density; `evaluate_section` gives
+    its value f1 inside the curve and f2 outside, from the density's Cauchy
+    sum. For Chern class c > 0 the density is adjusted by (zeta - a)^{-c} and
+    f2 carries the factor (z - a)^{-c} back, so f2 ~ z^{-c} at infinity.
     """
 
     grid: ContourGrid
@@ -218,25 +213,13 @@ class SectionPair:
     adjustment: complex
     normalization: str
 
-    def f1(self, z):
-        """Interior-side evaluator (analytic in the domain)."""
-        return np.exp(cauchy_integral(self.grid, self.density, z))
 
-    def f2(self, z):
-        """Exterior-side evaluator (analytic outside, normalized at infinity)."""
-        if self.chern:
-            return self.f1(z) * (z - self.adjustment) ** (-self.chern)
-        return self.f1(z)
-
-
-def canonical_section(bundle, grid, a=None, branch_offset=0):
+def canonical_section(bundle, grid, a=None):
     """Canonical section of the bundle, normalized at infinity.
 
     Chern class 0 gives the unique section with f2(inf) = 1; class 1 the
     unique section vanishing like 1/z. The adjustment point defaults to the
     bundle pole when that is interior, else to the conformal center phi(0).
-    `branch_offset` shifts the interior base branch of the log by 2 pi i
-    times the offset (sections differ by a constant factor of modulus 1).
     """
     vals, density, c = _node_log(bundle, grid)
     if c < 0:
@@ -246,8 +229,6 @@ def canonical_section(bundle, grid, a=None, branch_offset=0):
     if c > 0:
         adjustment = _resolve_adjustment(bundle, grid, a)
         density, _ = unwrap_log(vals * (grid.z - adjustment) ** (-c))
-    if branch_offset:
-        density = density + 2j * np.pi * int(branch_offset)
     normalization = ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z
     return SectionPair(grid=grid, density=density, chern=c,
                        adjustment=adjustment, normalization=normalization)
@@ -267,10 +248,16 @@ def _resolve_adjustment(bundle, grid, a):
 
 
 def evaluate_section(section, z):
-    """f1(z) inside the curve, f2(z) outside; refuses the exclusion band."""
+    """f1(z) inside the curve, f2(z) outside, from one `curve.off_band`
+    pass: exp of the density's Cauchy sum at z, times (z - a)^{-c} outside.
+    Refuses z in the exclusion band (NearBoundaryError) and a non-finite z
+    (ParseError)."""
     z = complex(z)
-    side = require_off_band(section.grid, z)
-    return section.f1(z) if side is Location.INTERIOR else section.f2(z)
+    inside, sums = off_band(section.grid, [z], section.density)
+    value = np.exp(sums[0])
+    if inside[0] or not section.chern:
+        return value
+    return value * (z - section.adjustment) ** (-section.chern)
 
 
 def _clear_radius(curve, s):

@@ -116,8 +116,8 @@ def _config_from(args):
         cfg.n = args.n
     if getattr(args, "format", None):
         cfg.fmt = args.format
-    if not cfg.tolerance > 0.0:
-        raise ParseError(f"tolerance must be positive, got {cfg.tolerance}")
+    if not 0.0 < cfg.tolerance < np.inf:
+        raise ParseError(f"tolerance must be finite and positive, got {cfg.tolerance}")
     return cfg
 
 
@@ -202,14 +202,8 @@ def cmd_transform(args, cfg, curve):
                      functional=lambda g: transforms.double_cauchy(g, z, w).C)
     tv = transforms.double_cauchy(grid, z, w)
     name, piece = tv.piece
-    payload = {
-        "z": [z.real, z.imag], "w": [w.real, w.imag],
-        "quadrant": transforms.quadrant_tag(tv.quadrant),
-        "C": [tv.C.real, tv.C.imag],
-        "E": [tv.E.real, tv.E.imag],
-        "piece": {"name": name, "value": [piece.real, piece.imag]},
-        "n": grid.n,
-    }
+    payload = transforms.transform_values_to_json([tv])[0]
+    payload.update(piece={"name": name, "value": [piece.real, piece.imag]}, n=grid.n)
     _emit(payload, cfg)
     return EXIT_OK
 
@@ -260,7 +254,6 @@ def cmd_section(args, cfg, curve):
     bundle = BUNDLES[args.bundle](curve, args)
     chern = bundles.chern_class(bundle, grid)
     payload = {"bundle": args.bundle, "chern": chern, "n": grid.n}
-    section = None
     if chern >= 0:
         adjust = parse_complex(args.adjust) if args.adjust else None
         section = bundles.canonical_section(bundle, grid, a=adjust)
@@ -269,15 +262,18 @@ def cmd_section(args, cfg, curve):
             pts = bundles.annulus_verification_points(grid, 32)
             payload["transition_residual"] = bundles.verify_transition(
                 section, bundle, pts)
+        if args.dump:  # written before stdout, so that a refusal prints nothing
+            try:
+                with open(args.dump, "w", encoding="utf-8") as fh:
+                    json.dump(bundles.section_to_json(section), fh, indent=1)
+            except OSError as exc:
+                raise ParseError(f"cannot write {args.dump}: {exc}") from exc
     else:
         payload["normalization"] = None
         payload["note"] = "negative Chern class; no holomorphic sections"
         if args.verify:
             payload["transition_residual"] = None
     _emit(payload, cfg)
-    if args.dump and section is not None:
-        with open(args.dump, "w", encoding="utf-8") as fh:
-            json.dump(bundles.section_to_json(section), fh, indent=1)
     return EXIT_OK
 
 

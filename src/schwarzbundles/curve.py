@@ -9,20 +9,22 @@ for the periodic analytic integrands that arise throughout the package.
 Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 pass, `kernel_sums`: for a batch of points it gives a distance to the nodes,
 the winding number and, given densities, the trapezoidal Cauchy sums.
-`locate`, `winding_number` and the Cauchy integral of `transforms` are that
-pass for one point. Direct rows, and every one-point call, are real
-arithmetic on blocks of squared distances (`distance_blocks`) and give the
-exact nearest-node distance. Far rows, well outside or inside the nodes'
-annulus about the conformal center, take the exact Laurent or Taylor
-expansion of the same sum where that is cheaper, truncated within an eighth
-of the bound stated at `kernel_sums` and summed as two matrix products over
-tables of powers, and report a lower bound on the distance that clears the
-exclusion band: the band and side decisions are those of the direct pass.
+`locate`, `winding_number`, `transforms.cauchy_integral` and
+`bundles.evaluate_section` are that pass for one point. Direct rows, and
+every one-point call, are real arithmetic on blocks of squared distances
+(`distance_blocks`) and give the exact nearest-node distance. Far rows,
+well outside or inside the nodes' annulus about the conformal center, take
+the exact Laurent or Taylor expansion of the same sum where that is
+cheaper, truncated within an eighth of the bound stated at `kernel_sums`
+and summed as two matrix products over tables of powers, and report a
+lower bound on the distance that clears the exclusion band: the band and
+side decisions are those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points and the sums,
 and `off_band` refuses a batch with a point in the band. Every caller that
-classifies points goes through them.
+classifies points or sums at them goes through them, the one-point section
+and Cauchy-integral evaluators included.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
@@ -598,10 +600,8 @@ def band_refusal(grid, z):
 
 def require_off_band(grid, z):
     """locate(grid, z), refusing a point inside the exclusion band."""
-    side = locate(grid, z)
-    if side is Location.NEAR_BOUNDARY:
-        raise band_refusal(grid, z)
-    return side
+    inside, _ = off_band(grid, [z])
+    return Location.INTERIOR if inside[0] else Location.EXTERIOR
 
 
 def unit_tangent(curve, t):
@@ -622,29 +622,26 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
     below tol. Near-boundary refusals are retried at finer grids (the band
     shrinks with n) and re-raised only if they persist to the budget.
     """
-    if not tol > 0.0:
-        raise ParseError(f"tolerance must be positive, got {tol}")
+    if not 0.0 < tol < np.inf:
+        raise ParseError(f"tolerance must be finite and positive, got {tol}")
     n = int(n_start)
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"start count must be a power of two >= 16, got {n}")
 
-    last_near = None
-    prev_grid = sample(curve, n)
-    try:
-        prev_val = complex(functional(prev_grid))
-    except NearBoundaryError as exc:
-        prev_val, last_near = None, exc
-    while 2 * n <= n_max:
-        next_grid = sample(curve, 2 * n)
+    last_near = prev_grid = prev_val = None
+    while True:
+        grid = sample(curve, n)
         try:
-            next_val = complex(functional(next_grid))
+            val = complex(functional(grid))
         except NearBoundaryError as exc:
-            next_val, last_near = None, exc
-        if prev_val is not None and next_val is not None \
-                and abs(prev_val - next_val) < tol:
+            val, last_near = None, exc
+        if prev_val is not None and val is not None \
+                and abs(prev_val - val) < tol:
             return prev_grid
+        if 2 * n > n_max:
+            break
         n *= 2
-        prev_grid, prev_val = next_grid, next_val
+        prev_grid, prev_val = grid, val
     if last_near is not None:
         raise last_near
     raise NoConvergenceError(f"no convergence up to n = {n_max}")

@@ -12,11 +12,12 @@ property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
 blocked direct pass, or for far points of a large batch the expansion of
-the same trapezoidal sum about the conformal center), which also locates
-the points it sums at through `curve.sides` or `curve.off_band`.
-`double_cauchy_batch` evaluates C for many z at one w in one such pass;
-`cauchy_integral` and `double_cauchy` are batches of one point, and
-`moment_expansion_check` sums its whole sampling ring in one pass.
+the same trapezoidal sum about the conformal center) through `curve.sides`
+or `curve.off_band`, which locate the points it sums at in the same pass and
+refuse the exclusion band and non-finite points. `double_cauchy_batch`
+evaluates C for many z at one w in one such pass; `cauchy_integral` and
+`double_cauchy` are batches of one point, and `moment_expansion_check`
+sums its whole sampling ring in one pass.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import numpy as np
 from .curve import (
     Location,
     band_refusal,
-    kernel_sums,
     off_band,
     require_off_band,
     sides,
@@ -78,8 +78,10 @@ def unwrap_log(values):
 
 
 def cauchy_integral(grid, density, z):
-    """(1/2 pi i) * contour integral of density(zeta) dzeta / (zeta - z)."""
-    return complex(kernel_sums(grid, [z], density)[2][0])
+    """(1/2 pi i) * contour integral of density(zeta) dzeta / (zeta - z), at
+    a z off the exclusion band (`curve.off_band`: NearBoundaryError in it,
+    ParseError at a non-finite z)."""
+    return complex(off_band(grid, [z], density)[1][0])
 
 
 def cauchy_transform(grid, z):
@@ -172,13 +174,14 @@ class TransformValue:
         G = E/(conj z - conj w), G* = conj(G(w, z)) with E(w, z) = conj E,
         and H = E/|z - w|^2."""
         name = _PIECE_NAMES[quadrant_tag(self.quadrant)]
-        zbar, wbar = np.conjugate(self.z), np.conjugate(self.w)
+        # only this quadrant's divisor: |z - w|^2 overflows for far w
         if name == "F":
             return name, self.E
         if name == "G":
-            return name, self.E / (zbar - wbar)
+            return name, self.E / (np.conjugate(self.z) - np.conjugate(self.w))
         if name == "G*":
-            return name, np.conjugate(np.conjugate(self.E) / (wbar - zbar))
+            return name, np.conjugate(
+                np.conjugate(self.E) / (np.conjugate(self.w) - np.conjugate(self.z)))
         return name, self.E / abs(self.z - self.w) ** 2
 
 

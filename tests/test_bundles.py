@@ -94,9 +94,9 @@ def test_schwarz_pole_section_interior_parameter(disk, disk_grid):
 
 def test_section_normalization_at_infinity(disk, disk_grid):
     s0 = sb.canonical_section(sb.exp_schwarz_bundle(disk), disk_grid)
-    assert abs(s0.f2(1e6) - 1.0) < 1e-6
+    assert abs(sb.evaluate_section(s0, 1e6) - 1.0) < 1e-6
     s1 = sb.canonical_section(sb.schwarz_pole_bundle(disk, 0), disk_grid)
-    assert abs(1e6 * s1.f2(1e6) - 1.0) < 1e-6
+    assert abs(1e6 * sb.evaluate_section(s1, 1e6) - 1.0) < 1e-6
 
 
 def test_negative_chern_has_no_section(disk, disk_grid):
@@ -207,17 +207,52 @@ def test_verify_transition_trivial_bundle(disk, disk_grid):
     section = sb.canonical_section(bundle, disk_grid)
     pts = sb.annulus_verification_points(disk_grid, 16)
     assert sb.verify_transition(section, bundle, pts) == pytest.approx(0.0, abs=1e-14)
-    assert section.f1(0.3) == pytest.approx(1.0)
-    assert section.f2(2.5) == pytest.approx(1.0)
+    assert sb.evaluate_section(section, 0.3) == pytest.approx(1.0)
+    assert sb.evaluate_section(section, 2.5) == pytest.approx(1.0)
 
 
-def test_section_branch_constant_ratio(disk, disk_grid):
-    bundle = sb.exp_schwarz_bundle(disk)
-    s0 = sb.canonical_section(bundle, disk_grid, branch_offset=0)
-    s1 = sb.canonical_section(bundle, disk_grid, branch_offset=1)
-    r1 = s0.f2(2.0) / s1.f2(2.0)
-    r2 = s0.f2(3.5j) / s1.f2(3.5j)
-    assert abs(r1 - r2) < 1e-9
+SECTION_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7),
+                  "quartic": (QUARTIC, 0.72)}
+
+
+def two_pass_section_value(section, z):
+    """exp of the density's one-point kernel sum at z, times (z - a)^{-c}
+    where a separate `locate` pass finds z exterior."""
+    value = np.exp(complex(sb.kernel_sums(section.grid, [z], section.density)[2][0]))
+    if section.chern and sb.locate(section.grid, z) is sb.Location.EXTERIOR:
+        value = value * (z - section.adjustment) ** (-section.chern)
+    return value
+
+
+@pytest.mark.parametrize("name", sorted(SECTION_CURVES))
+def test_evaluate_section_is_one_kernel_pass(monkeypatch, name):
+    # exp-Schwarz, exterior-pole and interior-pole (Chern class 1) sections:
+    # one `sides` call and one kernel pass (watched in every module that binds
+    # kernel_sums) give the side and the sum, with the bits of a separate sum
+    # and side pass
+    curve = sb.build_polynomial_curve(*SECTION_CURVES[name])
+    grid = sb.sample(curve, 512)
+    sections = [sb.canonical_section(bundle, grid)
+                for bundle in (sb.exp_schwarz_bundle(curve),
+                               sb.schwarz_pole_bundle(curve, 3 + 0.5j),
+                               sb.schwarz_pole_bundle(curve, 0.2 + 0.1j))]
+    assert [section.chern for section in sections] == [0, 0, 1]
+    points = (0.3, 0.2 + 0.1j, -0.4 + 0.1j, 2.0, 3.5j, -3 + 1j)
+    want = [[two_pass_section_value(section, z) for z in points] for section in sections]
+    calls, passes = [], []
+    sides = sb.curve.sides
+    monkeypatch.setattr(sb.curve, "sides", lambda *a: calls.append(a) or sides(*a))
+    for module in (sb.curve, sb.transforms, sb.bundles):
+        if hasattr(module, "kernel_sums"):
+            monkeypatch.setattr(module, "kernel_sums", lambda *a, kernel=module.kernel_sums:
+                                passes.append(a) or kernel(*a))
+    for section, row in zip(sections, want):
+        for z, value in zip(points, row):
+            calls.clear()
+            passes.clear()
+            got = sb.evaluate_section(section, z)
+            assert len(calls) == len(passes) == 1
+            assert same_bits(got, value)
 
 
 def test_exp_schwarz_matches_cauchy_transform(cardioid, cardioid_grid):
@@ -542,15 +577,15 @@ def test_ring_tangent_tracks_one_point_radially(monkeypatch, cardioid):
 
 
 def test_ring_tangent_refuses_an_ambiguous_root_step():
-    # phi' = (1 + 0.55 zeta)^4: on the ring 0.97/rho at n = 256 the carried
-    # root turns by 0.89 >= pi/4 between adjacent nodes, where the sign
-    # choice is ambiguous; a natural curve, g is not patched. n = 1024
-    # resolves the same ring.
+    # phi' = (1 + 0.55 zeta)^4: on the ring 0.97/rho at n = 256, g turns by
+    # 1.78 >= pi/2 between adjacent nodes (unwrap_log's phase step), so its
+    # root turns by 0.89 >= pi/4, where the sign choice is ambiguous; a
+    # natural curve, g is not patched. n = 1024 resolves the same ring.
     curve = sb.build_polynomial_curve(npoly.polysub(npoly.polypow([1, 0.55], 5), [1])
                                       / 2.75, 0.56)
     bundle = sb.tangent_power_bundle(curve, -1)
     coarse = _ring(curve, 256, 0.97 / 0.56)
-    with pytest.raises(BranchUnresolvedError, match="square-root step"):
+    with pytest.raises(BranchUnresolvedError, match="phase step"):
         bundle.transition_at_nodes(coarse)
     with pytest.raises(BranchUnresolvedError):
         sb.chern_class(bundle, coarse)

@@ -191,6 +191,18 @@ def test_section_dump(capsys, disk_file, tmp_path):
     assert blob["chern"] == 0 and len(blob["density"]) == 512
 
 
+@pytest.mark.parametrize("where", ["missing/section.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_section_dump_to_an_unwritable_path_is_a_parse_error(capsys, disk_file,
+                                                             tmp_path, where):
+    # refused before the payload is printed, as an unreadable curve file is
+    dump = tmp_path / where
+    code, out, err = run(capsys, "section", disk_file, "--bundle", "exp-schwarz",
+                         "--n", "256", "--dump", str(dump))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: cannot write {dump}: ")
+
+
 def test_quadrature_disk_classical(capsys, disk_file):
     code, out, _ = run(capsys, "quadrature", disk_file, "--kind", "classical",
                        "--f", "1")
@@ -469,6 +481,7 @@ def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
             "--grid", "0:inf:2,0:1:2"]),
     (DISK, ["transform", "--z", "2", "--tol", "0"]),
+    (DISK, ["transform", "--z", "2", "--tol", "inf"]),
     (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1",
             "--samples", str(MAX_FIT_SAMPLES + 1)]),
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
@@ -488,8 +501,9 @@ def test_quadrature_threshold_reads_schwarz_tol(capsys, monkeypatch, disk_file):
     monkeypatch.setenv("SCHWARZ_TOL", "1e-30")
     assert run(capsys, *argv)[0] == EXIT_FAILURE
     assert run(capsys, *argv, "--tol", "1e-3")[0] == 0  # the flag wins
-    monkeypatch.setenv("SCHWARZ_TOL", "-1")
-    assert run(capsys, *argv)[0] == 2
+    for bad in ("-1", "inf", "nan"):
+        monkeypatch.setenv("SCHWARZ_TOL", bad)
+        assert run(capsys, *argv)[0] == 2
 
 
 @pytest.mark.parametrize("argv, text", [

@@ -209,7 +209,7 @@ def test_geometric_convergence(cardioid):
             assert fine / coarse < 0.5
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")])
+@pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan"), float("inf")])
 def test_adaptive_refine_refuses_a_tolerance_that_is_not_positive(disk, tol):
     with pytest.raises(ParseError, match="positive"):
         sb.adaptive_refine(disk, lambda grid: 0j, tol)

@@ -1,5 +1,7 @@
 """Property suites over randomized inputs."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,34 @@ def test_transform_is_affine_invariant(name, scale, turn, shift, radii, angles):
                               (sb.tangent_power_bundle(cv, -1), 1),
                               (sb.tangent_power_bundle(cv, 2), -2)):
             assert sb.chern_class(bundle, g) == chern
+
+
+@settings(max_examples=20)
+@given(scale=st.floats(min_value=0.3, max_value=3.0, **finite), turn=angle,
+       reach=unit, heading=angle)
+def test_moments_follow_an_affine_map(scale, turn, reach, heading):
+    # M_k of a D + b is |a|^2 sum_{j <= k} C(k, j) a^j b^(k - j) M_j of D,
+    # 0 <= k <= 6. b = a c with |c| <= 0.4 keeps 0 interior to both curves
+    # (|phi| >= 0.63 on the quartic's boundary). Each trapezoidal moment
+    # rounds within eps of the sum of its terms' moduli, hence the bound
+    coeffs, rho = AFFINE_CURVES["quartic"]
+    a = scale * np.exp(1j * turn)
+    b = a * 0.4 * reach * np.exp(1j * heading)
+    grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), 1024)
+    moved = sb.sample(sb.build_polynomial_curve(
+        [a * coeffs[0] + b] + [a * c for c in coeffs[1:]], rho), 1024)
+    moments, moved_moments = sb.harmonic_moments(grid, 0, 6), sb.harmonic_moments(moved, 0, 6)
+
+    def term_moduli(g, k):
+        return g.weight / (2 * np.pi) * np.sum(np.abs(g.z) ** (k + 1) * np.abs(g.dz))
+
+    for k in range(7):
+        want = abs(a) ** 2 * sum(math.comb(k, j) * a ** j * b ** (k - j) * moments[j]
+                                 for j in range(k + 1))
+        scale_k = abs(a) ** 2 * sum(math.comb(k, j) * abs(a) ** j * abs(b) ** (k - j)
+                                    * term_moduli(grid, j) for j in range(k + 1))
+        bound = 16 * oracles.EPS * (scale_k + term_moduli(moved, k))
+        assert abs(moved_moments[k] - want) <= bound
 
 
 INVERSE_CURVES = dict(AFFINE_CURVES, disk=([0, 1], 0.5))

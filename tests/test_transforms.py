@@ -327,8 +327,8 @@ def test_unwrap_log_columns_refuse_like_the_worst_column():
     assert got == singles[0] != singles[1]
 
 
-@pytest.mark.parametrize("p", [np.nan, np.inf, complex(np.inf, np.nan)],
-                         ids=["nan", "inf", "inf+nanj"])
+@pytest.mark.parametrize("p", [np.nan, np.inf, complex(np.inf, np.nan), -np.inf],
+                         ids=["nan", "inf", "inf+nanj", "-inf"])
 def test_transforms_refuse_non_finite_points(cardioid_grid, p):
     section = sb.canonical_section(sb.exp_schwarz_bundle(cardioid_grid.curve),
                                    cardioid_grid)
@@ -340,9 +340,36 @@ def test_transforms_refuse_non_finite_points(cardioid_grid, p):
                      lambda: sb.double_cauchy(cardioid_grid, p, 0.2),
                      lambda: sb.double_cauchy(cardioid_grid, 3.0, p),
                      lambda: sb.double_cauchy_batch(cardioid_grid, batch, 3.0),
-                     lambda: sb.evaluate_section(section, p)):
+                     lambda: sb.evaluate_section(section, p),
+                     lambda: sb.cauchy_integral(cardioid_grid, section.density, p)):
             with pytest.raises(ParseError, match="finite"):
                 call()
+
+
+CAUCHY_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7),
+                 "quartic": ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(CAUCHY_CURVES))
+def test_cauchy_integral_is_the_trapezoidal_sum(name):
+    # two densities, conj(z) and the exp-Schwarz section's log density, at
+    # interior and exterior points: within the kernel pass's stated bound
+    grid = sb.sample(sb.build_polynomial_curve(*CAUCHY_CURVES[name]), 1024)
+    section = sb.canonical_section(sb.exp_schwarz_bundle(grid.curve), grid)
+    for density in (np.conjugate(grid.z), section.density):
+        for z in (0.3, -0.4 + 0.1j, 0.1j, 2.0, -3 + 1j, 2.5j):
+            got = sb.cauchy_integral(grid, density, z)
+            assert type(got) is complex
+            assert abs(got - oracles.trapezoid_cauchy(grid, density, z)) \
+                <= oracles.kernel_row_bound(grid, density * grid.dz, z)
+
+
+@pytest.mark.filterwarnings("error")
+def test_cauchy_integral_refuses_the_exclusion_band(disk_grid):
+    # 1e-9 off a node, where the bare sum would be a finite, wrong value
+    with pytest.raises(NearBoundaryError):
+        sb.cauchy_integral(disk_grid, np.conjugate(disk_grid.z), 1 + 1e-9)
 
 
 def test_moment_expansion_propagates_band_refusal(disk):
