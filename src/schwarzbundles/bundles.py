@@ -22,11 +22,12 @@ transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
 on the curve; on a ring the square root in T is exp(log(g)/2) on
 `unwrap_log`'s continuous branch, its sign fixed at node 0, and only
 scattered points track it radially. The gluing is verified by moving the
-contour; the verification points are searched over radii with a cheap
-upper bound on their distance to the curve before the full distance pass,
-and every band and side decision is `curve.sides`. The two verification
-rings and the points depend on the grid alone: they are built once per grid
-and kept on it, and every check runs on every call.
+contour: each verification ring's density is one unwrap of
+lambda12 (z - a)^{-c}, with the section's own Chern class c and adjustment
+point a. The verification points are searched over radii, one distance
+pass per radius, and every band and side decision is `curve.sides`. The two
+verification rings and the points depend on the grid alone: they are built
+once per grid and kept on it, and every check runs on every call.
 """
 
 from __future__ import annotations
@@ -179,13 +180,15 @@ def custom_bundle(curve, evaluator):
     return LineBundle(curve, lambda grid: np.full(grid.n, evaluator(grid.z), dtype=complex))
 
 
-def _node_log(bundle, grid):
-    """(lambda12, its continuous log, Chern class) at the grid nodes; a
-    bundle's own log gives (None, log, 0)."""
+def _node_log(bundle, grid, c=0, a=None):
+    """(lambda12, the continuous log of lambda12 * (z - a)^{-c}, its winding)
+    at the grid nodes, from one `unwrap_log` call; c = 0 leaves lambda12 as
+    it is, and its winding is the Chern class. A bundle's own log gives
+    (None, log, 0); it is given only for Chern class 0."""
     if bundle.log is not None:
         return None, bundle.log(grid), 0
     vals = bundle.transition_at_nodes(grid)
-    log, winding = unwrap_log(vals)
+    log, winding = unwrap_log(vals * (grid.z - a) ** (-c) if c else vals)
     return vals, log, round(winding)
 
 
@@ -305,26 +308,17 @@ def annulus_verification_points(grid, n_points=32):
 
 
 def _search_points(grid, half):
-    """The verification points of `annulus_verification_points`, 2 * half.
-
-    A point's distance to the two nodes at its own angle bounds its gap from
-    above, so a radius where that bound already lies inside the band is
-    refused without the full distance pass; radii and points are the same.
-    """
+    """The verification points of `annulus_verification_points`, 2 * half:
+    the first radius r = 1 - s, s = 6 * 2 pi / n * 1.3^k, whose points
+    `curve.sides` puts clear of the band, in one distance pass per radius."""
     curve = grid.curve
-    angles = 2.0 * np.pi * (np.arange(half) + 0.37) / half
-    base = np.exp(1j * angles)
-    below = (angles / grid.weight).astype(int) % grid.n
-    beside = np.tile(grid.z[np.stack([below, (below + 1) % grid.n])], 2)
+    base = np.exp(1j * (2.0 * np.pi * (np.arange(half) + 0.37) / half))
     s = _VERIFY_SPACINGS * (TWO_PI / grid.n)
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        # a cheap upper bound on the gap, not the band decision: a radius it
-        # puts in the band is refused; one it clears goes to `sides`
-        if not np.any(np.abs(beside - pts).min(axis=0) < grid.exclusion_band):
-            if not sides(grid, pts)[0].any():
-                return pts
+        if not sides(grid, pts)[0].any():
+            return pts
         s *= 1.3
 
 
@@ -339,29 +333,30 @@ def verify_transition(section, bundle, annulus_points):
     another bundle and a density off log lambda12 (modes e^{ikt}: k >= 0
     inside, k < 0 outside). NearBoundaryError (refine the grid) refuses a
     point in the curve's or its ring's band, a ring off the validated annulus,
-    a zero or pole of lambda12 between ring and curve (ring winding is not
-    the Chern class) and an adjustment point outside the inner ring.
+    an adjustment point outside the inner ring and a zero or pole of
+    lambda12 between ring and curve.
 
-    The two rings are built once per grid and kept on it; every band, side
-    and Chern check above runs on every call."""
-    grid, a = section.grid, section.adjustment
+    Each ring's density is one `_node_log` unwrap of lambda12 (z - a)^{-c},
+    with c and a the section's own Chern class and adjustment point; once a
+    is inside the ring, a zero or pole between ring and curve shows as an
+    adjusted winding other than 0. The two rings are built once per grid and
+    kept on it; every band, side and winding check runs on every call."""
+    grid, a, c = section.grid, section.adjustment, section.chern
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
     inside, sums = off_band(grid, pts, section.density)
     worst = 0.0
     for ring, side in zip(_kept(grid, _verification_rings), (inside, ~inside)):
         if not side.any():
             continue
-        vals, density, c = _node_log(bundle, ring)
-        if c != section.chern:
-            raise NearBoundaryError(
-                "a zero or pole of lambda12 lies between the curve and the ring "
-                f"|zeta| = {ring.radius:.6g}; refine the grid")
         if c and locate(ring, a) is not Location.INTERIOR:
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")
-        if c:
-            density, _ = unwrap_log(vals * (ring.z - a) ** (-c))
+        _, density, winding = _node_log(bundle, ring, c, a)
+        if winding:
+            raise NearBoundaryError(
+                "a zero or pole of lambda12 lies between the curve and the ring "
+                f"|zeta| = {ring.radius:.6g}; refine the grid")
         delta = off_band(ring, pts[side], density)[1] - sums[side]
         delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
         worst = max(worst, float(np.abs(delta).max()))

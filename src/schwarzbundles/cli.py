@@ -36,6 +36,7 @@ from .curve import (
 from .errors import (
     BranchUnresolvedError,
     NearBoundaryError,
+    NoHolomorphicSectionError,
     NotConformalMapCurveError,
     ParseError,
     SchwarzBundleError,
@@ -250,14 +251,21 @@ BUNDLES = {
 
 
 def cmd_section(args, cfg, curve):
+    """The section's one unwrap of the transition gives its Chern class; only
+    a negative class, which has no section, is unwrapped again for its value."""
+    adjust = parse_complex(args.adjust) if args.adjust else None
     grid = _grid_for(curve, cfg)
     bundle = BUNDLES[args.bundle](curve, args)
-    chern = bundles.chern_class(bundle, grid)
-    payload = {"bundle": args.bundle, "chern": chern, "n": grid.n}
-    if chern >= 0:
-        adjust = parse_complex(args.adjust) if args.adjust else None
+    payload = {"bundle": args.bundle, "n": grid.n, "normalization": None}
+    if args.verify:
+        payload["transition_residual"] = None
+    try:
         section = bundles.canonical_section(bundle, grid, a=adjust)
-        payload["normalization"] = section.normalization
+    except NoHolomorphicSectionError:
+        payload.update(chern=bundles.chern_class(bundle, grid),
+                       note="negative Chern class; no holomorphic sections")
+    else:
+        payload.update(chern=section.chern, normalization=section.normalization)
         if args.verify:
             pts = bundles.annulus_verification_points(grid, 32)
             payload["transition_residual"] = bundles.verify_transition(
@@ -268,11 +276,6 @@ def cmd_section(args, cfg, curve):
                     json.dump(bundles.section_to_json(section), fh, indent=1)
             except OSError as exc:
                 raise ParseError(f"cannot write {args.dump}: {exc}") from exc
-    else:
-        payload["normalization"] = None
-        payload["note"] = "negative Chern class; no holomorphic sections"
-        if args.verify:
-            payload["transition_residual"] = None
     _emit(payload, cfg)
     return EXIT_OK
 

@@ -160,6 +160,16 @@ class PolygonCurve:
         v = self.vertices
         return v[j % len(v)], v[(j + 1) % len(v)]
 
+    @property
+    def extent(self):
+        """max |vertex|, the polygon's scale."""
+        return max(math.hypot(v.real, v.imag) for v in self.vertices)
+
+    def is_zero_length(self, length):
+        """The one zero-length rule for edges and vertex gaps: below 1e-14 of
+        the extent (of 1 when every vertex is 0)."""
+        return length < 1e-14 * (self.extent or 1.0)
+
     def signed_area(self):
         v = np.asarray(self.vertices)
         w = np.roll(v, -1)
@@ -281,19 +291,17 @@ def build_polygon(vertices):
         raise ParseError("polygon vertices must be finite")
     if len(vs) < 3:
         raise CurveNotSimpleError("polygon needs at least 3 vertices")
-    scale = max(math.hypot(v.real, v.imag) for v in vs)
-    _refuse_overflowing_square(scale)
-    scale = scale or 1.0
+    poly = PolygonCurve(tuple(vs))
+    _refuse_overflowing_square(poly.extent)
     for j in range(len(vs)):
-        if abs(vs[j] - vs[(j + 1) % len(vs)]) < 1e-14 * scale:
+        if poly.is_zero_length(abs(vs[j] - vs[(j + 1) % len(vs)])):
             raise DegenerateEdgeError(f"edge {j} has zero length")
     for i in range(len(vs)):
         for j in range(i + 1, len(vs)):
-            if abs(vs[i] - vs[j]) < 1e-14 * scale:
+            if poly.is_zero_length(abs(vs[i] - vs[j])):
                 raise CurveNotSimpleError("repeated vertices")
     if _polygon_self_intersects(vs):
         raise CurveNotSimpleError("polygon edges cross")
-    poly = PolygonCurve(tuple(vs))
     if poly.signed_area() < 0.0:
         poly = PolygonCurve(tuple(reversed(vs)))
     return poly

@@ -120,7 +120,7 @@ def polygon_schwarz(polygon, edge_index):
         raise NotConformalMapCurveError("edge Schwarz data needs a polygon")
     a, b = polygon.edge(int(edge_index))
     e = b - a
-    if abs(e) < 1e-14 * (1.0 + abs(a) + abs(b)):
+    if polygon.is_zero_length(abs(e)):
         raise DegenerateEdgeError(f"edge {edge_index} has zero length")
     tangent = e / abs(e)
     alpha = tangent.conjugate() / tangent

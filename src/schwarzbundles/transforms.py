@@ -107,14 +107,15 @@ class MomentTable:
 
 
 def harmonic_moments(grid, k_min, k_max):
-    """Moment table for k in [k_min, k_max]; needs 0 inside the curve.
+    """Moment table for k in [k_min, k_max]; a negative order needs 0 inside
+    the curve (OriginNotInteriorError, NearBoundaryError in its band).
 
     Raises ParseError for a range without k = 0, or with an order whose
     trapezoidal moment is not finite in floating point."""
     k_min, k_max = int(k_min), int(k_max)
     if not k_min <= 0 <= k_max:
         raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
-    if require_off_band(grid, 0.0) is not Location.INTERIOR:
+    if k_min < 0 and require_off_band(grid, 0.0) is not Location.INTERIOR:
         raise OriginNotInteriorError("harmonic moments assume the origin is interior")
     pref = grid.weight / (2j * np.pi)
     zbar_dz = np.conjugate(grid.z) * grid.dz

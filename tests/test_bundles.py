@@ -609,8 +609,8 @@ def test_verification_points_match_full_pass_search(n, disk, cardioid):
 
 
 def test_verification_points_confirm_the_bound_with_the_full_pass(cardioid):
-    # a node moved next to the first point, away from the point's own angle,
-    # leaves the cheap bound clear; only the full distance pass refuses it
+    # a node moved next to the first point, away from the point's own angle:
+    # the full distance pass at every radius refuses it
     grid = sb.sample(cardioid, 1024)
     first = sb.annulus_verification_points(grid)
     z = grid.z.copy()
@@ -677,6 +677,29 @@ def test_verify_transition_with_kept_rings_is_bit_identical(monkeypatch, coeffs,
         uncached = sb.verify_transition(section, bundle, pts)
         assert first.hex() == second.hex() == uncached.hex()
         assert uncached < 1e-9
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+@pytest.mark.parametrize("name", sorted(SECTION_CURVES))
+def test_verify_transition_unwraps_each_ring_once(monkeypatch, name, n):
+    # per call on both rings: no unwrap for exp-Schwarz (its own log), one
+    # per ring for a pole outside or inside (adjusted at it, Chern class 1),
+    # and for T^1 one per ring for the root of g and one for the density
+    curve = sb.build_polynomial_curve(*SECTION_CURVES[name])
+    grid = sb.sample(curve, n)
+    pts = sb.annulus_verification_points(grid)
+    cases = ((sb.exp_schwarz_bundle(curve), 0), (sb.schwarz_pole_bundle(curve, 3), 2),
+             (sb.schwarz_pole_bundle(curve, 0.3 + 0.1j), 2),
+             (sb.tangent_power_bundle(curve, -1), 4))
+    sections = [sb.canonical_section(bundle, grid) for bundle, _ in cases]
+    assert [section.chern for section in sections] == [0, 0, 1, 1]
+    calls = []
+    unwrap = sb.bundles.unwrap_log
+    monkeypatch.setattr(sb.bundles, "unwrap_log", lambda *a: calls.append(a) or unwrap(*a))
+    for section, (bundle, expected) in zip(sections, cases):
+        calls.clear()
+        assert sb.verify_transition(section, bundle, pts) < 1e-9
+        assert len(calls) == expected
 
 
 def test_unplaceable_rings_are_refused_on_every_call():

@@ -203,6 +203,31 @@ def test_section_dump_to_an_unwritable_path_is_a_parse_error(capsys, disk_file,
     assert err.startswith(f"parse error: cannot write {dump}: ")
 
 
+@pytest.mark.parametrize("pole, unwraps", [("3", 1), ("0.2+0.1j", 2)],
+                         ids=["exterior", "interior"])
+def test_section_unwraps_the_transition_once(capsys, monkeypatch, disk_file,
+                                             pole, unwraps):
+    # the section's own unwrap gives the Chern class; an interior pole adds
+    # the unwrap of the density adjusted at it
+    calls = []
+    unwrap = sb.bundles.unwrap_log
+    monkeypatch.setattr(sb.bundles, "unwrap_log", lambda *a: calls.append(a) or unwrap(*a))
+    code, out, _ = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
+                       "--pole", pole, "--n", "512")
+    assert code == 0 and json.loads(out)["chern"] == unwraps - 1
+    assert len(calls) == unwraps
+
+
+@pytest.mark.parametrize("bundle", [["tangent-power", "--power", "2"],
+                                    ["exp-schwarz"]], ids=["negative", "zero"])
+def test_section_malformed_adjust_is_a_parse_error(capsys, disk_file, bundle):
+    # refused whatever the Chern class, before any output
+    code, out, err = run(capsys, "section", disk_file, "--bundle", *bundle,
+                         "--adjust", "zz", "--n", "256")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_quadrature_disk_classical(capsys, disk_file):
     code, out, _ = run(capsys, "quadrature", disk_file, "--kind", "classical",
                        "--f", "1")
@@ -229,6 +254,18 @@ def test_quadrature_triangle_corner(capsys, tmp_path, f):
     code, out, _ = run(capsys, "quadrature", str(path), "--kind", "corner", "--f", f)
     assert code == 0
     assert json.loads(out)["discrepancy"] < 1e-14
+
+
+def test_quadrature_corner_answers_a_tiny_square(capsys, tmp_path):
+    # a square of side 1e-20 passes validation and its corner quadrature
+    path = tmp_path / "tiny.json"
+    path.write_text('{"kind": "polygon", "vertices": '
+                    '[[0,0],[1e-20,0],[1e-20,1e-20],[0,1e-20]]}')
+    code, out, _ = run(capsys, "quadrature", str(path), "--kind", "corner",
+                       "--f", "0;0;1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["residue_value"][0] == pytest.approx(2e-40 / np.pi, rel=1e-12)
 
 
 def test_quadrature_incompatible(capsys, square_file):
@@ -348,6 +385,38 @@ def test_plotdata_moments(capsys, disk_file):
             for line in out.strip().split("\n")[1:]}
     assert float(rows["0"]) == pytest.approx(1.0, abs=1e-12)
     assert float(rows["2"]) == pytest.approx(0.0, abs=1e-12)
+
+
+SHIFTED_DISK = '{"kind": "conformal", "coeffs": [[5,0],[1,0]], "rho": 0.5}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--kmin", "0", "--kmax", "3"],
+    ["moments", "--kmin", "0", "--kmax", "3", "--n", "256"],
+    ["plotdata", "--quantity", "moments", "--kmin", "0", "--kmax", "3"],
+], ids=["moments", "moments-n256", "plotdata"])
+def test_moments_of_nonnegative_order_need_no_interior_origin(capsys, tmp_path, argv):
+    # the unit circle about 5: M_k = 5^k
+    path = tmp_path / "shifted.json"
+    path.write_text(SHIFTED_DISK)
+    code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 0
+    if argv[0] == "moments":
+        values = {row["k"]: complex(*row["value"]) for row in json.loads(out)["moments"]}
+    else:
+        values = {int(k): complex(float(re), float(im))
+                  for k, re, im in (line.split(",") for line in out.split()[1:])}
+    assert sorted(values) == [0, 1, 2, 3]
+    for k, value in values.items():
+        assert abs(value - 5.0 ** k) <= 1e-12 * 5.0 ** k
+
+
+def test_moments_of_negative_order_need_an_interior_origin(capsys, tmp_path):
+    path = tmp_path / "shifted.json"
+    path.write_text(SHIFTED_DISK)
+    code, out, err = run(capsys, "moments", str(path), "--kmin", "-1", "--kmax", "3")
+    assert (code, out) == (1, "")
+    assert "origin is interior" in err
 
 
 def test_deterministic_output(capsys, disk_file):

@@ -109,6 +109,19 @@ def test_polygon_matches_area_oracle(unit_square):
         assert abs(lhs - oracle) < 1e-5
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("side", [1e-20, 1e-10, 1.0, 1e150])
+def test_polygon_identity_holds_at_every_scale(side):
+    # the square [0, side]^2 and f = z^2 + z^3 / side: both sides of the
+    # identity are side^2 (5 + 3i) / pi
+    square = sb.build_polygon([0, side, side * (1 + 1j), side * 1j])
+    coeffs = [0, 0, 1, 1 / side]
+    ours = sb.area_mean_polygon(square, sb.poly_derivative(coeffs, 2))
+    got = sb.apply_polygon_quadrature(sb.polygon_quadrature(square), coeffs)
+    assert abs(got - ours) <= 1e-12 * abs(ours)
+    assert abs(ours - side ** 2 * (5 + 3j) / np.pi) <= 1e-12 * abs(ours)
+
+
 def test_polygon_area_mean_is_exact_off_the_grid_axes():
     tri = sb.build_polygon([0, 1, 0.3 + 0.8j])
     area, centroid = 0.4, (1.3 + 0.8j) / 3

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 import schwarzbundles as sb
-from schwarzbundles.errors import NewtonDivergedError, OutsideAnnulusError, ParseError
+from schwarzbundles.errors import (
+    DegenerateEdgeError,
+    NewtonDivergedError,
+    OutsideAnnulusError,
+    ParseError,
+)
 
 from oracles import central_difference
 
@@ -119,6 +124,25 @@ def test_polygon_edges(unit_square):
     alpha, beta = sb.polygon_schwarz(unit_square, 1)  # vertical edge x = 1
     assert alpha == pytest.approx(-1.0)
     assert beta == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e150])
+def test_polygon_edges_share_the_zero_length_rule(scale):
+    # an edge is zero at 1e-14 of the extent max |vertex|, in validation and
+    # in the edge Schwarz data alike
+    short, long = 0.5e-14 * scale, 2e-14 * scale
+    for edge, degenerate in ((short, True), (long, False)):
+        vertices = [0, scale, scale * (1 + 1j), scale * 1j, (scale - edge) * 1j]
+        polygon = sb.curve.PolygonCurve(vertices)
+        assert polygon.is_zero_length(edge) is degenerate
+        if degenerate:
+            with pytest.raises(DegenerateEdgeError, match="edge 3 "):
+                sb.build_polygon(vertices)
+            with pytest.raises(DegenerateEdgeError, match="edge 3 "):
+                sb.polygon_schwarz(polygon, 3)
+        else:
+            sb.build_polygon(vertices)
+            sb.polygon_schwarz(polygon, 3)
 
 
 def test_polygon_diagonal_edge():

@@ -33,3 +33,18 @@ def test_code_lines_lists_every_module_and_their_total():
     assert rows[-1] == [str(sum(modules.values())), "total"]
     assert 0 < modules["schwarzbundles/quaddom.py"] < len(
         (ROOT / "src" / "schwarzbundles" / "quaddom.py").read_text().splitlines())
+
+
+def test_section_passes_counts_one_unwrap_per_verification_ring():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "section_passes.py")],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert {row[0] for row in rows} == {"disk", "cardioid", "quartic"}
+    # the verify_transition column: unwrap_log/transition_at_nodes/kernel_sums
+    expected = {"exp-schwarz": "0/0/3", "pole-exterior": "2/2/3", "pole-interior": "2/2/5",
+                "tangent-m-1": "4/2/5", "tangent-m2": "-"}
+    assert {(row[0], row[1]): row[-1] for row in rows} == {
+        (curve, kind): cell for curve in ("disk", "cardioid", "quartic")
+        for kind, cell in expected.items()}

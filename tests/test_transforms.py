@@ -90,6 +90,14 @@ def test_moments_need_interior_origin():
         sb.harmonic_moments(g, -1, 1)
 
 
+@pytest.mark.parametrize("n", [256, 1024])
+def test_moments_of_nonnegative_order_need_no_interior_origin(n):
+    # only the negative orders are singular at the origin; about 5, M_k = 5^k
+    table = sb.harmonic_moments(sb.sample(sb.build_circle(5.0, 1.0), n), 0, 3)
+    for k, value in table.items():
+        assert abs(value - 5.0 ** k) <= 1e-12 * 5.0 ** k
+
+
 def test_moment_expansion_disk(disk_grid):
     assert sb.moment_expansion_check(disk_grid, 4) < 1e-10
 
