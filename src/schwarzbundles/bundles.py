@@ -20,14 +20,15 @@ far curves; the Schwarz-pole bundle supplies its pole, the default
 adjustment point when interior, and its section is the exponential
 transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
 on the curve; on a ring the square root in T is exp(log(g)/2) on
-`unwrap_log`'s continuous branch, its sign fixed at node 0, and only
-scattered points track it radially. The gluing is verified by moving the
-contour: each verification ring's density is one unwrap of
-lambda12 (z - a)^{-c}, with the section's own Chern class c and adjustment
-point a. The verification points are searched over radii, one distance
-pass per radius, and every band and side decision is `curve.sides`. The two
-verification rings and the points depend on the grid alone: they are built
-once per grid and kept on it, and every check runs on every call.
+`unwrap_log`'s continuous branch, its sign fixed by the mean of that log's
+imaginary part, and only scattered points track it radially. The gluing
+is verified by moving the contour: each verification ring's density is one
+unwrap of lambda12 (z - a)^{-c}, with the section's own Chern class c and
+adjustment point a. The verification points are searched over radii, one
+distance pass per radius, and every band and side decision is
+`curve.sides`. The two verification rings and the points depend on the
+grid alone: they are built once per grid and kept on it, and every check
+runs on every call.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _pullback_tangent(curve, zeta):
     T = i zeta phi'(zeta) / sqrt(g), g = phi'(zeta) * conj-phi'(1/zeta); the
     root is followed in 8 radial steps from the boundary circle, where g =
     |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. g is
-    evaluated at all 9 radii in one pass and the sign carried over them. Ring
-    grids take the root around the ring from `unwrap_log` instead
-    (`_ring_tangent_power`) and call this for their node 0 only.
+    evaluated at all 9 radii in one pass and the sign carried over them. It
+    serves scattered points only (`holomorphic_tangent`); ring grids take
+    the root around the ring from `unwrap_log` (`_ring_tangent_power`).
     """
     zeta = np.asarray(zeta, dtype=complex)
     r, base = np.abs(zeta), zeta / np.abs(zeta)
@@ -90,11 +91,14 @@ def _ring_tangent_power(grid, m):
 
     On the curve T = dz/|dz|. Off it T^2 = dz^2/g needs no root for even m;
     for odd m the root of g is exp(log(g)/2) on `unwrap_log`'s continuous
-    branch, anchored at node 0 by the radial tracking. Its phase step limit
-    on g is half of it on the root: a step that leaves the sign ambiguous
-    raises BranchUnresolvedError (refine the grid). g winds 0 on every ring
-    in the validated annulus, as phi' has no zeros in |zeta| <= 1/rho, so the
-    root closes around the ring.
+    branch. Its phase step limit on g is half of it on the root: a step
+    that leaves the sign ambiguous raises BranchUnresolvedError (refine the
+    grid). As phi' has no zeros in |zeta| <= 1/rho, log g is analytic on the
+    validated annulus: g winds 0 on every ring, so the root closes around
+    it, and the branch continued from the circle, where g = |phi'|^2 > 0 and
+    the log is real, has the circle's mean imaginary part 0 on every ring.
+    `unwrap_log`'s branch, anchored at node 0, lies 2 pi i k off it, k the
+    rounded mean over 2 pi; an odd k flips the root's sign.
     """
     if grid.radius == 1.0:
         return (grid.dz / np.abs(grid.dz)) ** (-m)
@@ -102,9 +106,9 @@ def _ring_tangent_power(grid, m):
     g = curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta)
     if m % 2 == 0:
         return (g / grid.dz ** 2) ** (m // 2)
-    tangent = grid.dz / np.exp(0.5 * unwrap_log(g)[0])
-    anchor = _pullback_tangent(curve, grid.zeta[:1])[0]
-    if abs(anchor - tangent[0]) > abs(anchor + tangent[0]):
+    log_g = unwrap_log(g)[0]
+    tangent = grid.dz / np.exp(0.5 * log_g)
+    if round(np.mean(log_g.imag) / TWO_PI) % 2:  # 2 pi i k off the circle's branch
         tangent = -tangent
     return tangent ** (-m)
 
@@ -227,7 +231,7 @@ def canonical_section(bundle, grid, a=None):
     vals, density, c = _node_log(bundle, grid)
     if c < 0:
         raise NoHolomorphicSectionError(
-            f"Chern class {c} < 0 admits no holomorphic sections")
+            f"Chern class {c} < 0 admits no holomorphic sections", chern=c)
     adjustment = None
     if c > 0:
         adjustment = _resolve_adjustment(bundle, grid, a)

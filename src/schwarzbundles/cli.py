@@ -30,7 +30,6 @@ from .curve import (
     ConformalMapCurve,
     adaptive_refine,
     curve_from_json,
-    locate,
     sample,
 )
 from .errors import (
@@ -191,9 +190,8 @@ def cmd_transform(args, cfg, curve):
     if args.w is None:
         grid = _grid_for(curve, cfg,
                          functional=lambda g: transforms.cauchy_transform(g, z))
-        value = transforms.cauchy_transform(grid, z)
-        side = locate(grid, z).value
-        payload = {"z": [z.real, z.imag], "side": side,
+        side, value = transforms._located_cauchy_transform(grid, z)
+        payload = {"z": [z.real, z.imag], "side": side.value,
                    "cauchy_transform": [value.real, value.imag],
                    "n": grid.n}
         _emit(payload, cfg)
@@ -251,8 +249,8 @@ BUNDLES = {
 
 
 def cmd_section(args, cfg, curve):
-    """The section's one unwrap of the transition gives its Chern class; only
-    a negative class, which has no section, is unwrapped again for its value."""
+    """The section's one unwrap of the transition gives its Chern class, a
+    negative one through the refusal that carries it."""
     adjust = parse_complex(args.adjust) if args.adjust else None
     grid = _grid_for(curve, cfg)
     bundle = BUNDLES[args.bundle](curve, args)
@@ -261,9 +259,8 @@ def cmd_section(args, cfg, curve):
         payload["transition_residual"] = None
     try:
         section = bundles.canonical_section(bundle, grid, a=adjust)
-    except NoHolomorphicSectionError:
-        payload.update(chern=bundles.chern_class(bundle, grid),
-                       note="negative Chern class; no holomorphic sections")
+    except NoHolomorphicSectionError as exc:
+        payload.update(chern=exc.chern, note="negative Chern class; no holomorphic sections")
     else:
         payload.update(chern=section.chern, normalization=section.normalization)
         if args.verify:

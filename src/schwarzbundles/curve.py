@@ -2,9 +2,12 @@
 
 Curves come in two flavors: images of the unit circle under a univalent
 polynomial map (used by every transform and bundle construction), and simple
-polygons (used only by the corner quadrature path). Contour grids are uniform
-in the circle parameter, which makes the trapezoidal rule spectrally accurate
-for the periodic analytic integrands that arise throughout the package.
+polygons (used only by the corner quadrature path). A polygon is validated
+in one array pass over blocks of at most KERNEL_BLOCK vertex pairs, which
+refuses repeated vertices and crossing edges (`build_polygon`); its extent
+is computed once and kept. Contour grids are uniform in the circle
+parameter, which makes the trapezoidal rule spectrally accurate for the
+periodic analytic integrands that arise throughout the package.
 
 Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 pass, `kernel_sums`: for a batch of points it gives a distance to the nodes,
@@ -71,9 +74,10 @@ FAR_PAIR_SEPARATION = 8
 
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte. Also the
-# entries per chunk of a far-row power table (`_expansion`): of 2^12 to
-# 2^17, 2^15 was fastest or within 20 % of it on a 40 x 40 disk lattice at
-# n = 1024 and 256-point rings at n = 4096 and 65536 (2-core x86_64).
+# vertex pairs per block of `build_polygon`'s pass, and the entries per
+# chunk of a far-row power table (`_expansion`): of 2^12 to 2^17, 2^15 was
+# fastest or within 20 % of it on a 40 x 40 disk lattice at n = 1024 and
+# 256-point rings at n = 4096 and 65536 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
 # Largest ratio q of a far row (`_far_rows`). Two 40 x 40 disk lattices at
@@ -160,9 +164,9 @@ class PolygonCurve:
         v = self.vertices
         return v[j % len(v)], v[(j + 1) % len(v)]
 
-    @property
+    @cached_property
     def extent(self):
-        """max |vertex|, the polygon's scale."""
+        """max |vertex|, the polygon's scale, computed once per polygon."""
         return max(math.hypot(v.real, v.imag) for v in self.vertices)
 
     def is_zero_length(self, length):
@@ -285,50 +289,50 @@ def _far_pair_gap(z):
 
 
 def build_polygon(vertices):
-    """Validate a simple polygon; orientation is normalized counterclockwise."""
-    vs = [complex(v) for v in vertices]
-    if not np.isfinite(vs).all():
+    """Validate a simple polygon; orientation is normalized counterclockwise.
+
+    Refuses, in this order: a non-finite vertex, fewer than three, an extent
+    whose square overflows, a zero-length edge (the first is named), a
+    repeated vertex and a proper crossing of two edges; edge j runs from
+    vertex j to vertex j + 1 mod n. The last two are one array pass over
+    the n * (n // 2) vertex pairs in blocks of at most KERNEL_BLOCK: pair m
+    is (i, i + k mod n), i = m mod n, k = 1 + m // n <= n/2, so every
+    unordered pair appears once (twice at k = n/2). A pair (i, j) also
+    stands for edges pq = i and rs = j, which cross properly when the turns
+    sign Im(conj(q - p) (r - p)) of r and s about pq differ, those of p and
+    q about rs differ and none is 0; each turn rounds as in complex
+    arithmetic. Adjacent edges share an end, whose turn is exactly 0.
+    """
+    poly = PolygonCurve(vertices)
+    a = np.array(poly.vertices)
+    if not np.isfinite(a).all():
         raise ParseError("polygon vertices must be finite")
-    if len(vs) < 3:
+    if a.size < 3:
         raise CurveNotSimpleError("polygon needs at least 3 vertices")
-    poly = PolygonCurve(tuple(vs))
     _refuse_overflowing_square(poly.extent)
-    for j in range(len(vs)):
-        if poly.is_zero_length(abs(vs[j] - vs[(j + 1) % len(vs)])):
-            raise DegenerateEdgeError(f"edge {j} has zero length")
-    for i in range(len(vs)):
-        for j in range(i + 1, len(vs)):
-            if poly.is_zero_length(abs(vs[i] - vs[j])):
+    b = np.roll(a, -1)
+    # lengths by hypot round as abs(complex) in `schwarz.polygon_schwarz`;
+    # numpy's complex abs may differ in the last bit
+    short = np.flatnonzero(poly.is_zero_length(np.hypot(b.real - a.real, b.imag - a.imag)))
+    if short.size:
+        raise DegenerateEdgeError(f"edge {short[0]} has zero length")
+    pairs = a.size * (a.size // 2)
+    crossed = False
+    with np.errstate(all="ignore"):  # an overflowing turn is NaN, as in complex arithmetic
+        for lo in range(0, pairs, KERNEL_BLOCK):
+            m = np.arange(lo, min(pairs, lo + KERNEL_BLOCK))
+            i, j = m % a.size, (m + m // a.size + 1) % a.size
+            p, q, r, s = a[i], b[i], a[j], b[j]  # edges pq and rs
+            u, v = np.stack([q - p, q - p, s - r, s - r]), np.stack([r - p, s - p, p - r, q - r])
+            if poly.is_zero_length(np.hypot(v[0].real, v[0].imag)).any():  # |r - p|
                 raise CurveNotSimpleError("repeated vertices")
-    if _polygon_self_intersects(vs):
+            o = np.sign(u.real * v.imag - u.imag * v.real)  # turns pqr, pqs, rsp, rsq
+            crossed |= bool(((o[0] != o[1]) & (o[2] != o[3]) & (o != 0).all(axis=0)).any())
+    if crossed:
         raise CurveNotSimpleError("polygon edges cross")
     if poly.signed_area() < 0.0:
-        poly = PolygonCurve(tuple(reversed(vs)))
+        poly = PolygonCurve(poly.vertices[::-1])
     return poly
-
-
-def _segments_cross(a, b, c, d):
-    """Proper intersection test for open segments ab and cd."""
-    def orient(p, q, r):
-        v = (q - p).conjugate() * (r - p)
-        return np.sign(v.imag)
-
-    o1, o2 = orient(a, b, c), orient(a, b, d)
-    o3, o4 = orient(c, d, a), orient(c, d, b)
-    return o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4)
-
-
-def _polygon_self_intersects(vs):
-    n = len(vs)
-    for i in range(n):
-        a, b = vs[i], vs[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = vs[j], vs[(j + 1) % n]
-            if _segments_cross(a, b, c, d):
-                return True
-    return False
 
 
 def sample(curve, n):

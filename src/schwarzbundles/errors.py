@@ -76,7 +76,12 @@ class AdjustmentPointNotInteriorError(SchwarzBundleError):
 
 
 class NoHolomorphicSectionError(SchwarzBundleError):
-    """Bundles of negative Chern class carry no holomorphic sections."""
+    """Bundles of negative Chern class carry no holomorphic sections; `chern`
+    is the class found."""
+
+    def __init__(self, message, chern=None):
+        super().__init__(message)
+        self.chern = chern
 
 
 # quadrature identities

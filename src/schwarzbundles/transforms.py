@@ -87,8 +87,15 @@ def cauchy_integral(grid, density, z):
 def cauchy_transform(grid, z):
     """Cauchy transform of the domain at exterior z, or the renormalized
     exterior transform (boundary integral of conj(zeta)/(zeta - z)) inside."""
+    return _located_cauchy_transform(grid, z)[1]
+
+
+def _located_cauchy_transform(grid, z):
+    """(side of z, `cauchy_transform` at z) from one `curve.off_band` pass."""
     inside, base = off_band(grid, [complex(z)], np.conjugate(grid.z))
-    return complex(base[0] if inside[0] else -base[0])
+    if inside[0]:
+        return Location.INTERIOR, complex(base[0])
+    return Location.EXTERIOR, complex(-base[0])
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,16 @@ rational fit's dense least squares over all sample pairs (`dense_fit`) is
 the reference for the package's block-eliminated and Kronecker solves, and
 the conjugate-swap route (`double_cauchy_conjugate_swap`), which needs no
 branch of a complex log in the mixed quadrant, is the reference for the
-package's C(z, w) from the Schwarz-pole section.
+package's C(z, w) from the Schwarz-pole section. The scalar polygon loops
+(`polygon_refusal`) are the reference for the blocked validation pass.
 """
 
 import cmath
 import math
 
 import numpy as np
+
+from schwarzbundles.errors import CurveNotSimpleError, DegenerateEdgeError, ParseError
 
 
 def central_difference(fn, z, h=1e-6):
@@ -234,6 +237,47 @@ def far_pair_gap_all_pairs(z, min_sep=8):
     sep = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
     sep = np.minimum(sep, n - sep)
     return diff[sep >= min_sep].min()
+
+
+def polygon_refusal(vertices):
+    """(error class, message) of the first refusal of the scalar polygon
+    validation the package ran before its blocked pair pass, or None for a
+    valid polygon: an edge loop, a double loop over the vertex pairs and a
+    double loop over the non-adjacent edge pairs with a scalar crossing test."""
+    vs = [complex(v) for v in vertices]
+    if not np.isfinite(vs).all():
+        return ParseError, "polygon vertices must be finite"
+    n = len(vs)
+    if n < 3:
+        return CurveNotSimpleError, "polygon needs at least 3 vertices"
+    extent = max(math.hypot(v.real, v.imag) for v in vs)
+    if not extent * extent < math.inf:
+        return ParseError, f"curve extent {extent:.3g} overflows when squared"
+
+    def zero(length):
+        return length < 1e-14 * (extent or 1.0)
+
+    for j in range(n):
+        if zero(abs(vs[j] - vs[(j + 1) % n])):
+            return DegenerateEdgeError, f"edge {j} has zero length"
+    for i in range(n):
+        for j in range(i + 1, n):
+            if zero(abs(vs[i] - vs[j])):
+                return CurveNotSimpleError, "repeated vertices"
+
+    def orient(p, q, r):
+        return np.sign(((q - p).conjugate() * (r - p)).imag)
+
+    for i in range(n):
+        a, b = vs[i], vs[(i + 1) % n]
+        for j in range(i + 2, n):
+            if (j + 1) % n == i:
+                continue
+            c, d = vs[j], vs[(j + 1) % n]
+            o1, o2, o3, o4 = orient(a, b, c), orient(a, b, d), orient(c, d, a), orient(c, d, b)
+            if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
+                return CurveNotSimpleError, "polygon edges cross"
+    return None
 
 
 def verification_points_full_pass(grid, n_points=32, spacings=6.0):

@@ -550,7 +550,9 @@ def test_pullback_tangent_equals_the_radius_loop(coeffs, rho):
         assert np.shape(got) == () and abs(got - want) <= 16 * oracles.EPS * abs(want)
 
 
-def test_ring_tangent_tracks_one_point_radially(monkeypatch, cardioid):
+def test_ring_tangent_tracks_no_point_radially(monkeypatch, cardioid):
+    # the root's sign on a ring comes from the mean of its log, not from the
+    # radial tracker at a node
     sizes = []
     radial = sb.bundles._pullback_tangent
 
@@ -563,17 +565,14 @@ def test_ring_tangent_tracks_one_point_radially(monkeypatch, cardioid):
     for radius in verification_radii(n):
         grid = _ring(cardioid, n, radius)
         for m in (-1, 1, 2, 3):
-            sizes.clear()
             sb.tangent_power_bundle(cardioid, m).transition_at_nodes(grid)
-            assert sum(sizes) <= 1
-    # the whole section chain: one anchor per verification ring at most
+    # the whole section chain
     grid = sb.sample(cardioid, n)
     bundle = sb.tangent_power_bundle(cardioid, -1)
-    sizes.clear()
     section = sb.canonical_section(bundle, grid)
     assert sb.verify_transition(section, bundle,
                                 sb.annulus_verification_points(grid)) < 1e-12
-    assert sizes and max(sizes) == 1 and len(sizes) <= 2
+    assert not sizes
 
 
 def test_ring_tangent_refuses_an_ambiguous_root_step():

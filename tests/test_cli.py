@@ -203,19 +203,32 @@ def test_section_dump_to_an_unwritable_path_is_a_parse_error(capsys, disk_file,
     assert err.startswith(f"parse error: cannot write {dump}: ")
 
 
-@pytest.mark.parametrize("pole, unwraps", [("3", 1), ("0.2+0.1j", 2)],
-                         ids=["exterior", "interior"])
+@pytest.mark.parametrize("bundle, chern, unwraps", [
+    (["schwarz-pole", "--pole", "3"], 0, 1),
+    (["schwarz-pole", "--pole", "0.2+0.1j"], 1, 2),
+    (["tangent-power", "--power", "2"], -2, 1),
+], ids=["exterior", "interior", "negative"])
 def test_section_unwraps_the_transition_once(capsys, monkeypatch, disk_file,
-                                             pole, unwraps):
-    # the section's own unwrap gives the Chern class; an interior pole adds
-    # the unwrap of the density adjusted at it
+                                             bundle, chern, unwraps):
+    # the section's own unwrap gives the Chern class, a negative one through
+    # the refusal; an interior pole adds the unwrap of the density adjusted at it
     calls = []
     unwrap = sb.bundles.unwrap_log
     monkeypatch.setattr(sb.bundles, "unwrap_log", lambda *a: calls.append(a) or unwrap(*a))
-    code, out, _ = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
-                       "--pole", pole, "--n", "512")
-    assert code == 0 and json.loads(out)["chern"] == unwraps - 1
+    code, out, _ = run(capsys, "section", disk_file, "--bundle", *bundle, "--n", "512")
+    assert code == 0 and json.loads(out)["chern"] == chern
     assert len(calls) == unwraps
+
+
+@pytest.mark.parametrize("z, side", [("2", "exterior"), ("0.1", "interior")])
+def test_transform_without_w_is_one_kernel_pass(capsys, monkeypatch, disk_file, z, side):
+    # the side and the value come from cauchy_transform's one off_band pass
+    calls = []
+    kernel = sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "kernel_sums", lambda *a: calls.append(a) or kernel(*a))
+    code, out, _ = run(capsys, "transform", disk_file, "--z", z, "--n", "512")
+    assert code == 0 and json.loads(out)["side"] == side
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("bundle", [["tangent-power", "--power", "2"],

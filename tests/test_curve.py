@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -240,6 +241,34 @@ def test_polygon_validation():
     # clockwise input is normalized counterclockwise
     p = sb.build_polygon([0, 1j, 1 + 1j, 1])
     assert p.signed_area() > 0
+
+
+def test_a_regular_2000_gon_validates_with_balanced_corner_weights():
+    a = np.exp(2j * np.pi * np.arange(2000) / 2000)
+    polygon = sb.build_polygon(a)
+    assert polygon.vertices == tuple(a)
+    c = np.array([weight for _, weight in sb.polygon_quadrature(polygon)])
+    scale = np.sum(np.abs(c) * (1.0 + np.abs(a)))
+    # sum c_j = 0 and sum c_j a_j = 0: the quadrature is exact for f = z, z^2
+    assert abs(c.sum()) <= 1e-12 * scale
+    assert abs(np.sum(c * a)) <= 1e-12 * scale
+
+
+def test_polygon_extent_is_computed_once(monkeypatch):
+    # build_polygon's checks and the corner quadrature's per-edge zero-length
+    # rule all read the one extent of the polygon: one hypot per vertex
+    calls = []
+    hypot = math.hypot
+
+    def counted(x, y):
+        calls.append(1)
+        return hypot(x, y)
+
+    monkeypatch.setattr(math, "hypot", counted)
+    polygon = sb.build_polygon(np.exp(2j * np.pi * np.arange(50) / 50))
+    sb.polygon_quadrature(polygon)
+    sb.area_mean_polygon(polygon, [1])
+    assert len(calls) == 50
 
 
 def test_curve_json_roundtrip(cardioid, unit_square):

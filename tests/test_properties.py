@@ -255,3 +255,60 @@ def test_concurrent_evaluation_matches_serial(disk_grid):
         parallel = list(pool.map(
             lambda zw: sb.double_cauchy(disk_grid, *zw).E, pts))
     assert serial == parallel
+
+
+# polygon validation: the blocked pair pass against the scalar loops it
+# replaced (`oracles.polygon_refusal`), class and message, on five families
+
+def _outcome(vertices):
+    try:
+        sb.build_polygon(vertices)
+    except sb.errors.SchwarzBundleError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@st.composite
+def star_polygons(draw):
+    """Vertices at sorted angles and random radii: star-shaped about 0,
+    though a thin wedge may still make a short edge or collinear points."""
+    n = draw(st.integers(3, 24))
+    angles = draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True, **finite),
+                           min_size=n, max_size=n))
+    radii = draw(st.lists(st.floats(0.2, 1.0, **finite), min_size=n, max_size=n))
+    return [r * np.exp(1j * t) for r, t in zip(radii, sorted(angles))]
+
+
+crossing_polygons = st.lists(
+    st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+    min_size=3, max_size=16)
+lattice_polygons = st.lists(st.builds(complex, st.integers(0, 3), st.integers(0, 3)),
+                            min_size=3, max_size=10)
+
+
+@st.composite
+def scaled_clockwise_polygons(draw):
+    """A star polygon turned clockwise, scaled by 10^-20 ... 10^20, with one
+    vertex repeated at a drawn position."""
+    scale = 10.0 ** draw(st.integers(-20, 20))
+    vertices = [v * scale for v in draw(star_polygons())[::-1]]
+    vertices.insert(draw(st.integers(0, len(vertices))), draw(st.sampled_from(vertices)))
+    return vertices
+
+
+@st.composite
+def mixed_scale_polygons(draw):
+    """A star polygon whose vertices are scaled by 10^-20 ... 10^20 each, so
+    that edges meet the zero-length rule's threshold at a large extent."""
+    return [v * 10.0 ** draw(st.integers(-20, 20)) for v in draw(star_polygons())]
+
+
+@pytest.mark.parametrize("family", [star_polygons(), crossing_polygons, lattice_polygons,
+                                    scaled_clockwise_polygons(), mixed_scale_polygons()],
+                         ids=["star", "crossing", "lattice", "clockwise-scaled-repeat",
+                              "mixed-scales"])
+@settings(max_examples=250)
+@given(data=st.data())
+def test_polygon_validation_matches_the_scalar_loops(family, data):
+    vertices = data.draw(family)
+    assert _outcome(vertices) == oracles.polygon_refusal(vertices)

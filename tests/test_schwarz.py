@@ -12,7 +12,7 @@ from schwarzbundles.errors import (
     ParseError,
 )
 
-from oracles import central_difference
+from oracles import central_difference, polygon_refusal
 
 
 def test_boundary_values(disk, cardioid):
@@ -124,6 +124,16 @@ def test_polygon_edges(unit_square):
     alpha, beta = sb.polygon_schwarz(unit_square, 1)  # vertical edge x = 1
     assert alpha == pytest.approx(-1.0)
     assert beta == pytest.approx(2.0)
+
+
+def test_polygon_edge_lengths_round_as_in_the_edge_schwarz_data():
+    # |edge 2| is 50.0 by abs(complex), as polygon_schwarz measures it, and
+    # (with numpy 2.4 on x86_64) one ulp less by numpy's complex abs; the rule
+    # refuses below 1e-14 of the extent 5e15, i.e. below 50.0
+    vertices = [5e15, 5e15j, -49.49962483002227 + 7.0560004029933605j, 1e-15]
+    assert polygon_refusal(vertices) is None
+    sb.build_polygon(vertices)
+    sb.polygon_schwarz(sb.curve.PolygonCurve(vertices), 2)
 
 
 @pytest.mark.parametrize("scale", [1e-20, 1.0, 1e150])

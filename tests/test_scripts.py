@@ -10,12 +10,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+# arguments that keep a script's run short; the others run with their defaults
+ARGS = {"polygon_timing.py": ["1", "100", "300"]}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
 def test_script_runs(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-W", "error", str(script)],
+    proc = subprocess.run([sys.executable, "-W", "error", str(script),
+                           *ARGS.get(script.name, [])],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
