@@ -19,9 +19,9 @@ also supplies its log at the nodes, S itself, because exp(S) overflows on
 far curves; the Schwarz-pole bundle supplies its pole, the default
 adjustment point when interior, and its section is the exponential
 transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
-on the curve; on a ring the square root in T is exp(log(g)/2) on
-`unwrap_log`'s continuous branch, its sign fixed by the mean of that log's
-imaginary part, and only scattered points track it radially. The gluing
+on the curve; on a ring and at scattered points the square root in T is
+the principal root of g with the sign of the factored root over the zeros
+of phi', one closed form in zeta (`_pullback_tangent`). The gluing
 is verified by moving the contour: each verification ring's density is one
 unwrap of lambda12 (z - a)^{-c}, with the section's own Chern class c and
 adjustment point a. The verification points are searched over radii, one
@@ -64,53 +64,34 @@ LEADING_ONE_OVER_Z = "leading-one-over-z"
 
 
 def _pullback_tangent(curve, zeta):
-    """Holomorphic unit tangent at scattered pullback points zeta (arrays
-    welcome), by radial tracking of the square root.
+    """Holomorphic unit tangent T = i zeta phi'(zeta) / sqrt(g) at pullback
+    points zeta of any shape, g = phi'(zeta) * conj-phi'(1/zeta).
 
-    T = i zeta phi'(zeta) / sqrt(g), g = phi'(zeta) * conj-phi'(1/zeta); the
-    root is followed in 8 radial steps from the boundary circle, where g =
-    |phi'|^2 and the root is positive, so on the circle T = dz/|dz|. g is
-    evaluated at all 9 radii in one pass and the sign carried over them. It
-    serves scattered points only (`holomorphic_tangent`); ring grids take
-    the root around the ring from `unwrap_log` (`_ring_tangent_power`).
+    Validation puts every root r_j of phi' beyond 1/rho, so with s_j = 1/r_j
+    g = |phi'(0)|^2 prod_j u_j, u_j = (1 - zeta s_j)(1 - conj(s_j)/zeta),
+    where both factors have positive real part on the validated annulus and
+    u_j = |1 - zeta s_j|^2 > 0 on the circle. The product P of the principal
+    roots of the u_j is therefore the continuous root of g / |phi'(0)|^2,
+    positive on the circle, where T = dz/|dz|. The root's value is the
+    principal root of the exact g (roots of a multiple zero of phi' are
+    accurate to about eps^(1/k) only); its sign is the one nearer P.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    r, base = np.abs(zeta), zeta / np.abs(zeta)
-    steps = 8
-    k = np.arange(steps + 1).reshape((-1,) + (1,) * zeta.ndim)
-    zz = base * (1.0 + (r - 1.0) * k / steps)  # row k: radius 1 + (r - 1) k/8
-    cands = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))
-    root = 1.0  # the product is |phi'|^2 > 0 on the circle (row 0)
-    for cand in cands:
-        root = np.where(np.abs(cand - root) > np.abs(cand + root), -cand, cand)
-    return 1j * zeta * curve.dphi(zeta) / root
+    dphi = curve.dphi(zeta)
+    root = np.sqrt(dphi * curve.dphi_reflected(zeta))
+    product = np.ones_like(zeta)
+    for s in 1.0 / curve.dphi_roots:
+        product *= np.sqrt((1.0 + abs(s) ** 2) - (zeta * s + s.conjugate() / zeta))
+    flip = (root * np.conjugate(product)).real < 0.0
+    return 1j * zeta * dphi / np.where(flip, -root, root)
 
 
 def _ring_tangent_power(grid, m):
-    """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius.
-
-    On the curve T = dz/|dz|. Off it T^2 = dz^2/g needs no root for even m;
-    for odd m the root of g is exp(log(g)/2) on `unwrap_log`'s continuous
-    branch. Its phase step limit on g is half of it on the root: a step
-    that leaves the sign ambiguous raises BranchUnresolvedError (refine the
-    grid). As phi' has no zeros in |zeta| <= 1/rho, log g is analytic on the
-    validated annulus: g winds 0 on every ring, so the root closes around
-    it, and the branch continued from the circle, where g = |phi'|^2 > 0 and
-    the log is real, has the circle's mean imaginary part 0 on every ring.
-    `unwrap_log`'s branch, anchored at node 0, lies 2 pi i k off it, k the
-    rounded mean over 2 pi; an odd k flips the root's sign.
-    """
+    """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius: on the curve
+    T = dz/|dz|, elsewhere the closed form of `_pullback_tangent`."""
     if grid.radius == 1.0:
         return (grid.dz / np.abs(grid.dz)) ** (-m)
-    curve = grid.curve
-    g = curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta)
-    if m % 2 == 0:
-        return (g / grid.dz ** 2) ** (m // 2)
-    log_g = unwrap_log(g)[0]
-    tangent = grid.dz / np.exp(0.5 * log_g)
-    if round(np.mean(log_g.imag) / TWO_PI) % 2:  # 2 pi i k off the circle's branch
-        tangent = -tangent
-    return tangent ** (-m)
+    return _pullback_tangent(grid.curve, grid.zeta) ** (-m)
 
 
 def holomorphic_tangent(curve, z):

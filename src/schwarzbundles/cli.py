@@ -179,7 +179,7 @@ def cmd_validate(args, cfg, curve):
             "valid": True,
             "kind": "polygon",
             "n_vertices": curve.n_vertices,
-            "area_over_pi": curve.signed_area() / np.pi,
+            "area_over_pi": curve.area_over_pi(),
         }
     _emit(payload, cfg)
     return EXIT_OK

@@ -32,7 +32,8 @@ and Cauchy-integral evaluators included.
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
 alone (its node parts and annulus here, its verification rings and points
-in `bundles`); a race only computes the same value twice.
+in `bundles`), and a map curve the roots of phi'; a race only computes the
+same value twice.
 """
 
 from __future__ import annotations
@@ -139,6 +140,18 @@ class ConformalMapCurve:
         """Derivative of the conjugated-coefficient polynomial at 1/zeta."""
         return npoly.polyval(1.0 / zeta, self._cdcoeffs)
 
+    @cached_property
+    def dphi_roots(self):
+        """The roots of phi', computed once per curve. High-order coefficients
+        too small to put a root anywhere near the validation disk are trimmed
+        first: they only overflow the companion matrix."""
+        dcs = self._dcoeffs
+        tiny = max(abs(c) for c in dcs) * 1e-290
+        deg = len(dcs)
+        while deg > 1 and abs(dcs[deg - 1]) <= tiny:
+            deg -= 1
+        return np.roots(list(reversed(dcs[:deg])))
+
     def point(self, t):
         return self.phi(np.exp(1j * np.asarray(t, dtype=float)))
 
@@ -174,10 +187,16 @@ class PolygonCurve:
         the extent (of 1 when every vertex is 0)."""
         return length < 1e-14 * (self.extent or 1.0)
 
-    def signed_area(self):
+    def area_over_pi(self):
+        """Signed shoelace area over pi, summed over the vertices scaled by
+        2^-e, extent < 2^e, so that no product overflows. Scaling by a power
+        of two is exact: where the unscaled sum is finite, the value is its
+        value bit for bit."""
+        e = math.frexp(self.extent or 1.0)[1]
         v = np.asarray(self.vertices)
-        w = np.roll(v, -1)
-        return 0.5 * np.sum(v.real * w.imag - v.imag * w.real)
+        x, y = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
+        area = 0.5 * np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))
+        return math.ldexp(area / np.pi, 2 * e)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,18 +271,9 @@ def build_polynomial_curve(coeffs, rho):
     _refuse_overflowing_square(extent)
     curve = ConformalMapCurve(cs, rho)
 
-    dcs = curve._dcoeffs
-    # trim high-order coefficients too small to put a root anywhere near the
-    # validation disk (they only overflow the companion matrix)
-    tiny = max(abs(c) for c in dcs) * 1e-290
-    deg = len(dcs)
-    while deg > 1 and abs(dcs[deg - 1]) <= tiny:
-        deg -= 1
-    if deg > 1:
-        roots = np.roots(list(reversed(dcs[:deg])))
-        if np.any(np.abs(roots) <= (1.0 / rho) * (1.0 + 1e-12)):
-            raise CurveNotSimpleError(
-                "phi' vanishes inside the validation disk |zeta| <= 1/rho")
+    if np.any(np.abs(curve.dphi_roots) <= (1.0 / rho) * (1.0 + 1e-12)):
+        raise CurveNotSimpleError(
+            "phi' vanishes inside the validation disk |zeta| <= 1/rho")
 
     th = TWO_PI * np.arange(CHECK_NODES) / CHECK_NODES
     z = curve.point(th)
@@ -330,7 +340,7 @@ def build_polygon(vertices):
             crossed |= bool(((o[0] != o[1]) & (o[2] != o[3]) & (o != 0).all(axis=0)).any())
     if crossed:
         raise CurveNotSimpleError("polygon edges cross")
-    if poly.signed_area() < 0.0:
+    if poly.area_over_pi() < 0.0:
         poly = PolygonCurve(poly.vertices[::-1])
     return poly
 

@@ -5,7 +5,8 @@ summation over the region, central finite differences, and one-point
 trapezoidal sums and loops written out the way the package evaluated them
 before its blocked kernel pass. Batched Cauchy sums are compared with them
 within the stated bound `kernel_row_bound`; index and assembly work (the
-fit's dense least-squares systems, the radial tangent) bit for bit. The
+fit's dense least-squares systems) bit for bit. The radial tangent tracker
+(`pullback_tangent_loop`) is the reference for the closed-form tangent. The
 rational fit's dense least squares over all sample pairs (`dense_fit`) is
 the reference for the package's block-eliminated and Kronecker solves, and
 the conjugate-swap route (`double_cauchy_conjugate_swap`), which needs no
@@ -397,12 +398,12 @@ def numerator_system_loop(zs, fmat, deg_q, p_coeffs):
     return a2, b2
 
 
-def pullback_tangent_loop(curve, zeta):
-    """The holomorphic unit tangent by radial tracking, one radius at a time."""
+def pullback_tangent_loop(curve, zeta, steps=8):
+    """The holomorphic unit tangent by radial tracking in `steps` steps from
+    the circle, one radius at a time."""
     zeta = np.asarray(zeta, dtype=complex)
     r, base = np.abs(zeta), zeta / np.abs(zeta)
     root = 1.0
-    steps = 8
     for k in range(steps + 1):
         zz = base * (1.0 + (r - 1.0) * k / steps)
         cand = np.sqrt(curve.dphi(zz) * curve.dphi_reflected(zz))

@@ -630,6 +630,18 @@ def test_large_finite_coefficients_validate_finitely(capsys, tmp_path, spec):
     assert "NaN" not in out and "Infinity" not in out
 
 
+@pytest.mark.filterwarnings("error")
+def test_polygon_area_near_the_float_limit_is_finite(capsys, tmp_path):
+    # extent^2 = 1.44e308 is finite, but the shoelace terms sum to 2.88e308
+    path = tmp_path / "diamond.json"
+    path.write_text('{"kind": "polygon", "vertices": '
+                    '[[1.2e154, 0], [0, 1.2e154], [-1.2e154, 0], [0, -1.2e154]]}')
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0
+    assert json.loads(out)["area_over_pi"] == pytest.approx(2.0 / np.pi * 1.2e154 * 1.2e154,
+                                                            rel=1e-15)
+
+
 @pytest.mark.parametrize("argv", [
     ["transform", "--z", "2"], ["moments"], ["quadrature", "--kind", "classical"],
 ])

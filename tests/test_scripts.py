@@ -11,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
-ARGS = {"polygon_timing.py": ["1", "100", "300"]}
+ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"]}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
@@ -47,7 +47,7 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     assert {row[0] for row in rows} == {"disk", "cardioid", "quartic"}
     # the verify_transition column: unwrap_log/transition_at_nodes/kernel_sums
     expected = {"exp-schwarz": "0/0/3", "pole-exterior": "2/2/3", "pole-interior": "2/2/5",
-                "tangent-m-1": "4/2/5", "tangent-m2": "-"}
+                "tangent-m-1": "2/2/5", "tangent-m2": "-"}
     assert {(row[0], row[1]): row[-1] for row in rows} == {
         (curve, kind): cell for curve in ("disk", "cardioid", "quartic")
         for kind, cell in expected.items()}
