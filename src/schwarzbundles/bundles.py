@@ -3,12 +3,15 @@ curve, their Chern classes, and canonical holomorphic sections.
 
 A bundle is a single nonvanishing analytic function lambda12 on an annular
 neighborhood of the curve, gluing the interior and exterior charts. Its Chern
-class is the winding of lambda12 along the curve. For nonnegative Chern class
-the canonical section (f1 inside, f2 outside) is the exponential of the
-Cauchy integral of the unwrapped boundary log density, with a divisor
-adjustment (z - a)^{-c} at an interior point a when c > 0;
-`evaluate_section` takes the side of a point and the sum there from one
-`curve.off_band` pass.
+class is the winding of lambda12 along the curve, a degree fixed by the
+transition: exp(S) has class 0, T^{-m} class -m, and 1/(S - conj w) the
+winding of the curve around w, the number of roots of phi - w in |zeta| < 1.
+The built-in constructors store it; only a custom bundle's class is unwrapped
+from its node values. For nonnegative Chern class c the canonical section
+(f1 inside, f2 outside) is the exponential of the Cauchy integral of the
+boundary log density, one unwrap of lambda12 (z - a)^{-c} with a divisor
+adjustment at an interior point a when c > 0; `evaluate_section` takes the
+side of a point and the sum there from one `curve.off_band` pass.
 
 A `LineBundle` is its transition function: `transition(grid)` gives
 lambda12 at the nodes of the curve's grid or of a ring, and each constructor
@@ -33,6 +36,7 @@ runs on every call.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -42,6 +46,7 @@ from .curve import (
     TWO_PI,
     ContourGrid,
     Location,
+    _poly_roots,
     _ring,
     locate,
     off_band,
@@ -52,6 +57,7 @@ from .errors import (
     AdjustmentPointNotInteriorError,
     NearBoundaryError,
     NoHolomorphicSectionError,
+    ParseError,
 )
 from .schwarz import _like, invert_conformal_map
 from .transforms import unwrap_log
@@ -80,8 +86,9 @@ def _pullback_tangent(curve, zeta):
     dphi = curve.dphi(zeta)
     root = np.sqrt(dphi * curve.dphi_reflected(zeta))
     product = np.ones_like(zeta)
+    inverse = 1.0 / zeta
     for s in 1.0 / curve.dphi_roots:
-        product *= np.sqrt((1.0 + abs(s) ** 2) - (zeta * s + s.conjugate() / zeta))
+        product *= np.sqrt((1.0 + abs(s) ** 2) - (zeta * s + s.conjugate() * inverse))
     flip = (root * np.conjugate(product)).real < 0.0
     return 1j * zeta * dphi / np.where(flip, -root, root)
 
@@ -105,13 +112,16 @@ class LineBundle:
     """Transition function lambda12 on the annulus around a curve.
 
     `transition(grid)` is lambda12 at the nodes of a grid on the curve or on
-    a ring. `log(grid)`, when given, is a single-valued log of lambda12 at
-    the nodes (Chern class 0), used in place of the values. `pole`, when
-    given, is the default adjustment point if it is interior.
+    a ring. `chern`, set by the built-in constructors, is the Chern class;
+    None (a custom bundle) has `chern_class` unwrap it. `log(grid)`, when
+    given, is a single-valued log of lambda12 at the nodes of a class-0
+    bundle, used in place of the values. `pole`, when given, is the default
+    adjustment point if it is interior.
     """
 
     curve: object
     transition: Callable
+    chern: int = None
     log: Callable = None
     pole: complex = None
 
@@ -132,7 +142,7 @@ def exp_schwarz_bundle(curve):
         return s - 2j * np.pi * k
 
     return LineBundle(curve, lambda grid: np.exp(curve.phi_reflected(grid.zeta)),
-                      log=log)
+                      chern=0, log=log)
 
 
 def _pole_transition(grid, w):
@@ -141,9 +151,14 @@ def _pole_transition(grid, w):
 
 
 def schwarz_pole_bundle(curve, w):
-    """lambda12 = 1/(S - conj w), for a parameter point w off the curve."""
+    """lambda12 = 1/(S - conj w), for a finite parameter point w off the
+    curve; its Chern class is the number of roots of phi - w in |zeta| < 1."""
     w = complex(w)
-    return LineBundle(curve, lambda grid: _pole_transition(grid, w), pole=w)
+    if not np.isfinite(w):
+        raise ParseError(f"pole {w} is not finite")
+    roots = _poly_roots((curve.coeffs[0] - w, *curve.coeffs[1:]))
+    return LineBundle(curve, lambda grid: _pole_transition(grid, w),
+                      chern=int(np.count_nonzero(np.abs(roots) < 1.0)), pole=w)
 
 
 def _pole_density(grid, w, interior):
@@ -154,9 +169,11 @@ def _pole_density(grid, w, interior):
 
 
 def tangent_power_bundle(curve, m):
-    """lambda12 = T^{-m}; m = 2 is the canonical bundle with lambda12 = S'."""
-    m = int(m)
-    return LineBundle(curve, lambda grid: _ring_tangent_power(grid, m))
+    """lambda12 = T^{-m}, of Chern class -m, for an integer m; m = 2 is the
+    canonical bundle with lambda12 = S'."""
+    if not isinstance(m, numbers.Integral):
+        raise ParseError(f"tangent power {m!r} is not an integer")
+    return LineBundle(curve, lambda grid: _ring_tangent_power(grid, m), chern=-int(m))
 
 
 def custom_bundle(curve, evaluator):
@@ -165,24 +182,33 @@ def custom_bundle(curve, evaluator):
     return LineBundle(curve, lambda grid: np.full(grid.n, evaluator(grid.z), dtype=complex))
 
 
-def _node_log(bundle, grid, c=0, a=None):
-    """(lambda12, the continuous log of lambda12 * (z - a)^{-c}, its winding)
-    at the grid nodes, from one `unwrap_log` call; c = 0 leaves lambda12 as
-    it is, and its winding is the Chern class. A bundle's own log gives
-    (None, log, 0); it is given only for Chern class 0."""
+def _node_log(bundle, grid, c, a):
+    """The continuous log of lambda12 * (z - a)^{-c} at the grid nodes, from
+    one `unwrap_log` call (c = 0 leaves lambda12 as it is), or the bundle's
+    own log, given only for Chern class 0. With c the class and a inside the
+    nodes no winding remains; one that does is a zero or pole of lambda12
+    between the nodes and the curve (NearBoundaryError)."""
     if bundle.log is not None:
-        return None, bundle.log(grid), 0
+        return bundle.log(grid)
     vals = bundle.transition_at_nodes(grid)
     log, winding = unwrap_log(vals * (grid.z - a) ** (-c) if c else vals)
-    return vals, log, round(winding)
+    if round(winding):
+        raise NearBoundaryError(
+            "a zero or pole of lambda12 lies between the curve and the nodes "
+            f"|zeta| = {grid.radius:.6g}; refine the grid")
+    return log
 
 
 def chern_class(bundle, grid):
     """Winding of lambda12 along the curve: (1/2 pi i) * integral of dlog.
 
-    The phase steps sum to 2 pi k up to rounding. Raises BranchUnresolvedError
-    for under-resolved phases or a zero or non-finite lambda12 at a node."""
-    return _node_log(bundle, grid)[2]
+    A built-in bundle's class is stored on it and costs nothing. A custom
+    bundle's is one unwrap of lambda12 at the grid nodes, whose phase steps
+    sum to 2 pi k up to rounding; it raises BranchUnresolvedError for
+    under-resolved phases or a zero or non-finite lambda12 at a node."""
+    if bundle.chern is not None:
+        return bundle.chern
+    return round(unwrap_log(bundle.transition_at_nodes(grid))[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,15 +234,15 @@ def canonical_section(bundle, grid, a=None):
     Chern class 0 gives the unique section with f2(inf) = 1; class 1 the
     unique section vanishing like 1/z. The adjustment point defaults to the
     bundle pole when that is interior, else to the conformal center phi(0).
+    The density is one `_node_log` unwrap of lambda12 (z - a)^{-c}: a
+    winding left over (a pole of lambda12 between the nodes and the curve)
+    is a NearBoundaryError, an unresolved phase a BranchUnresolvedError.
     """
-    vals, density, c = _node_log(bundle, grid)
+    c = chern_class(bundle, grid)
     if c < 0:
-        raise NoHolomorphicSectionError(
-            f"Chern class {c} < 0 admits no holomorphic sections", chern=c)
-    adjustment = None
-    if c > 0:
-        adjustment = _resolve_adjustment(bundle, grid, a)
-        density, _ = unwrap_log(vals * (grid.z - adjustment) ** (-c))
+        raise NoHolomorphicSectionError(f"Chern class {c} < 0 admits no holomorphic sections")
+    adjustment = _resolve_adjustment(bundle, grid, a) if c else None
+    density = _node_log(bundle, grid, c, adjustment)
     normalization = ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z
     return SectionPair(grid=grid, density=density, chern=c,
                        adjustment=adjustment, normalization=normalization)
@@ -324,8 +350,9 @@ def verify_transition(section, bundle, annulus_points):
     Each ring's density is one `_node_log` unwrap of lambda12 (z - a)^{-c},
     with c and a the section's own Chern class and adjustment point; once a
     is inside the ring, a zero or pole between ring and curve shows as an
-    adjusted winding other than 0. The two rings are built once per grid and
-    kept on it; every band, side and winding check runs on every call."""
+    adjusted winding other than 0, which `_node_log` refuses. The two rings
+    are built once per grid and kept on it; every band, side and winding
+    check runs on every call."""
     grid, a, c = section.grid, section.adjustment, section.chern
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
     inside, sums = off_band(grid, pts, section.density)
@@ -337,11 +364,7 @@ def verify_transition(section, bundle, annulus_points):
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")
-        _, density, winding = _node_log(bundle, ring, c, a)
-        if winding:
-            raise NearBoundaryError(
-                "a zero or pole of lambda12 lies between the curve and the ring "
-                f"|zeta| = {ring.radius:.6g}; refine the grid")
+        density = _node_log(bundle, ring, c, a)
         delta = off_band(ring, pts[side], density)[1] - sums[side]
         delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
         worst = max(worst, float(np.abs(delta).max()))

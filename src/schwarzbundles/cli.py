@@ -35,7 +35,6 @@ from .curve import (
 from .errors import (
     BranchUnresolvedError,
     NearBoundaryError,
-    NoHolomorphicSectionError,
     NotConformalMapCurveError,
     ParseError,
     SchwarzBundleError,
@@ -249,20 +248,20 @@ BUNDLES = {
 
 
 def cmd_section(args, cfg, curve):
-    """The section's one unwrap of the transition gives its Chern class, a
-    negative one through the refusal that carries it."""
+    """The Chern class comes first, stored on every CLI bundle; a negative one
+    is reported with no section."""
     adjust = parse_complex(args.adjust) if args.adjust else None
     grid = _grid_for(curve, cfg)
     bundle = BUNDLES[args.bundle](curve, args)
-    payload = {"bundle": args.bundle, "n": grid.n, "normalization": None}
+    chern = bundles.chern_class(bundle, grid)
+    payload = {"bundle": args.bundle, "n": grid.n, "chern": chern, "normalization": None}
     if args.verify:
         payload["transition_residual"] = None
-    try:
-        section = bundles.canonical_section(bundle, grid, a=adjust)
-    except NoHolomorphicSectionError as exc:
-        payload.update(chern=exc.chern, note="negative Chern class; no holomorphic sections")
+    if chern < 0:
+        payload["note"] = "negative Chern class; no holomorphic sections"
     else:
-        payload.update(chern=section.chern, normalization=section.normalization)
+        section = bundles.canonical_section(bundle, grid, a=adjust)
+        payload["normalization"] = section.normalization
         if args.verify:
             pts = bundles.annulus_verification_points(grid, 32)
             payload["transition_residual"] = bundles.verify_transition(

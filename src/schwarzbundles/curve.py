@@ -98,6 +98,15 @@ class Location(Enum):
     NEAR_BOUNDARY = "near-boundary"
 
 
+def _poly_roots(coeffs):
+    """The roots of sum_k coeffs[k] zeta^k. High-order coefficients too small
+    to put a root anywhere near the validation disk are trimmed first: they
+    only overflow the companion matrix."""
+    tiny = max(abs(c) for c in coeffs) * 1e-290
+    top = max((k for k, c in enumerate(coeffs) if abs(c) > tiny), default=0)
+    return np.roots(coeffs[top::-1])
+
+
 @dataclass(frozen=True)
 class ConformalMapCurve:
     """Curve z(t) = phi(e^{it}) for a polynomial phi = a0 + a1 z + ... + an z^n,
@@ -142,15 +151,8 @@ class ConformalMapCurve:
 
     @cached_property
     def dphi_roots(self):
-        """The roots of phi', computed once per curve. High-order coefficients
-        too small to put a root anywhere near the validation disk are trimmed
-        first: they only overflow the companion matrix."""
-        dcs = self._dcoeffs
-        tiny = max(abs(c) for c in dcs) * 1e-290
-        deg = len(dcs)
-        while deg > 1 and abs(dcs[deg - 1]) <= tiny:
-            deg -= 1
-        return np.roots(list(reversed(dcs[:deg])))
+        """The roots of phi', computed once per curve (`_poly_roots`)."""
+        return _poly_roots(self._dcoeffs)
 
     def point(self, t):
         return self.phi(np.exp(1j * np.asarray(t, dtype=float)))

@@ -76,12 +76,7 @@ class AdjustmentPointNotInteriorError(SchwarzBundleError):
 
 
 class NoHolomorphicSectionError(SchwarzBundleError):
-    """Bundles of negative Chern class carry no holomorphic sections; `chern`
-    is the class found."""
-
-    def __init__(self, message, chern=None):
-        super().__init__(message)
-        self.chern = chern
+    """Bundles of negative Chern class carry no holomorphic sections."""
 
 
 # quadrature identities

@@ -15,6 +15,7 @@ from schwarzbundles.errors import (
     BranchUnresolvedError,
     NearBoundaryError,
     NoHolomorphicSectionError,
+    ParseError,
 )
 
 QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
@@ -365,12 +366,28 @@ def test_branch_unresolved_on_coarse_grid(cardioid):
 
 
 def test_branch_unresolved_resolves_under_refinement(disk, disk_grid):
+    # a custom bundle with the Schwarz pole's node values on the disk, where
+    # S = conj z: its class is unwrapped, the built-in pole's is stored
     g16 = sb.sample(disk, 16)
-    pole = 0.95 * complex(g16.z[3])  # transition zero hugs the curve
-    bundle = sb.schwarz_pole_bundle(disk, pole)
+    pole = 0.95 * complex(g16.z[3])  # transition pole hugs the curve
+    bundle = sb.custom_bundle(disk, lambda z: 1.0 / (np.conjugate(z) - np.conjugate(pole)))
     with pytest.raises(BranchUnresolvedError):
         sb.chern_class(bundle, g16)
     assert sb.chern_class(bundle, disk_grid) == 1
+    builtin = sb.schwarz_pole_bundle(disk, pole)
+    assert sb.chern_class(builtin, g16) == sb.chern_class(builtin, disk_grid) == 1
+
+
+@pytest.mark.parametrize("build", [
+    lambda curve: sb.schwarz_pole_bundle(curve, float("nan")),
+    lambda curve: sb.schwarz_pole_bundle(curve, complex(np.inf, 1.0)),
+    lambda curve: sb.tangent_power_bundle(curve, 1.5),
+    lambda curve: sb.tangent_power_bundle(curve, 0.5),
+], ids=["nan-pole", "infinite-pole", "power-1.5", "power-0.5"])
+def test_bundle_parameters_are_refused_at_construction(disk, build):
+    # not at the first use, and a non-integer power is not truncated
+    with pytest.raises(ParseError):
+        build(disk)
 
 
 def test_transition_nonvanishing_guard(disk, disk_grid):

@@ -205,13 +205,14 @@ def test_section_dump_to_an_unwritable_path_is_a_parse_error(capsys, disk_file,
 
 @pytest.mark.parametrize("bundle, chern, unwraps", [
     (["schwarz-pole", "--pole", "3"], 0, 1),
-    (["schwarz-pole", "--pole", "0.2+0.1j"], 1, 2),
-    (["tangent-power", "--power", "2"], -2, 1),
+    (["schwarz-pole", "--pole", "0.2+0.1j"], 1, 1),
+    (["tangent-power", "--power", "2"], -2, 0),
 ], ids=["exterior", "interior", "negative"])
 def test_section_unwraps_the_transition_once(capsys, monkeypatch, disk_file,
                                              bundle, chern, unwraps):
-    # the section's own unwrap gives the Chern class, a negative one through
-    # the refusal; an interior pole adds the unwrap of the density adjusted at it
+    # the Chern class is stored on the bundle; the section's density is one
+    # unwrap of the transition, adjusted at an interior pole, and a negative
+    # class makes no section
     calls = []
     unwrap = sb.bundles.unwrap_log
     monkeypatch.setattr(sb.bundles, "unwrap_log", lambda *a: calls.append(a) or unwrap(*a))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 import schwarzbundles as sb
-from schwarzbundles.errors import CurveNotSimpleError
+from schwarzbundles.errors import BranchUnresolvedError, CurveNotSimpleError
 from schwarzbundles.schwarz import NEWTON_TOL
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -204,6 +204,31 @@ def test_batched_inverse_recovers_the_annulus(name, radii, data):
     bound = 2.0 * NEWTON_TOL * (1.0 + np.abs(zs)) / np.abs(curve.dphi(zeta))
     assert np.all(np.abs(got - zeta) <= bound)
     assert [sb.invert_conformal_map(curve, z) for z in zs] == got.tolist()
+
+
+@pytest.fixture(scope="module", params=sorted(INVERSE_CURVES))
+def inverse_grid(request):
+    return sb.sample(sb.build_polynomial_curve(*INVERSE_CURVES[request.param]), 256)
+
+
+@settings(max_examples=60)
+@given(r=st.one_of(st.floats(min_value=0.85, max_value=1.15, **finite),
+                   st.floats(min_value=0.0, max_value=2.0, **finite)), t=angle)
+def test_pole_class_is_the_winding_around_the_pole(inverse_grid, r, t):
+    # the stored class of 1/(S - conj w), the roots of phi - w in |zeta| < 1,
+    # is the curve's winding around w off the band, and the transition's
+    # winding at the nodes wherever its unwrap resolves; half of the poles
+    # are drawn near the curve, where the two can part
+    w = complex(inverse_grid.curve.phi(r * np.exp(1j * t)))
+    bundle = sb.schwarz_pole_bundle(inverse_grid.curve, w)
+    chern = sb.chern_class(bundle, inverse_grid)
+    if sb.locate(inverse_grid, w) is not sb.Location.NEAR_BOUNDARY:
+        assert chern == round(sb.winding_number(inverse_grid, w))
+    try:
+        _, winding = sb.unwrap_log(bundle.transition_at_nodes(inverse_grid))
+    except BranchUnresolvedError:
+        return
+    assert chern == round(winding)
 
 
 @given(re=st.floats(min_value=-2.0, max_value=2.0, **finite),

@@ -44,10 +44,16 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    assert {row[0] for row in rows} == {"disk", "cardioid", "quartic"}
-    # the verify_transition column: unwrap_log/transition_at_nodes/kernel_sums
-    expected = {"exp-schwarz": "0/0/3", "pole-exterior": "2/2/3", "pole-interior": "2/2/5",
-                "tangent-m-1": "2/2/5", "tangent-m2": "-"}
-    assert {(row[0], row[1]): row[-1] for row in rows} == {
-        (curve, kind): cell for curve in ("disk", "cardioid", "quartic")
-        for kind, cell in expected.items()}
+    # unwrap_log/transition_at_nodes/kernel_sums per step: chern_class,
+    # canonical_section, annulus_verification_points, verify_transition. The
+    # built-in classes are stored, and a section is one unwrap of the
+    # transition; the verification points take one distance pass per radius
+    expected = {"exp-schwarz": ["0/0/0", "0/0/0", "0/0/{}", "0/0/3"],
+                "pole-exterior": ["0/0/0", "1/1/0", "0/0/{}", "2/2/3"],
+                "pole-interior": ["0/0/0", "1/1/1", "0/0/{}", "2/2/5"],
+                "tangent-m-1": ["0/0/0", "1/1/1", "0/0/{}", "2/2/5"],
+                "tangent-m2": ["0/0/0", "-", "-", "-"]}
+    radii = {"disk": 1, "cardioid": 6, "quartic": 3}
+    assert {(row[0], row[1]): row[2:] for row in rows} == {
+        (curve, kind): [cell.format(count) for cell in cells]
+        for curve, count in radii.items() for kind, cells in expected.items()}
