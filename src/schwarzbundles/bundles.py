@@ -372,13 +372,15 @@ def verify_transition(section, bundle, annulus_points):
 
 
 def verify_m_differential_match(f1_eval, f2_eval, curve, grid, m):
-    """Max node residual of the half-order matching f1 * T^m = conj(f2).
+    """Max node residual of the half-order matching f1 * T^m = conj(f2), for
+    an integer m, taken as |f1 - conj(f2) T^{-m}| (|T| = 1 on the curve)
+    with T^{-m} the transition of `tangent_power_bundle(curve, m)`, which
+    refuses a non-integer m (ParseError).
 
     Each evaluator is called once, on the node array; a scalar result is
     broadcast to every node."""
-    tangents = grid.dz / np.abs(grid.dz)
-    return float(np.abs(f1_eval(grid.z) * tangents ** int(m)
-                        - np.conjugate(f2_eval(grid.z))).max())
+    t_minus_m = tangent_power_bundle(curve, m).transition_at_nodes(grid)
+    return float(np.abs(f1_eval(grid.z) - np.conjugate(f2_eval(grid.z)) * t_minus_m).max())
 
 
 def section_to_json(section):

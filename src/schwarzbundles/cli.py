@@ -49,10 +49,12 @@ EXIT_BRANCH = 4
 EXIT_GEOMETRY = 5
 
 # Input caps: the fit's F matrix and eliminations grow with the square of
-# the sample count, a lattice's output and kernel pass with its point count.
-# At the caps a run peaks at about 70 MB and 90 MB resident (disk, n = 256).
+# the sample count, a lattice's output and kernel pass with its point count,
+# a moment table with its number of orders. At the caps a run peaks at about
+# 70 MB, 90 MB and 42 MB resident (disk, n = 256).
 MAX_FIT_SAMPLES = 512
 MAX_GRID_POINTS = 512 * 512
+MAX_MOMENT_ORDER = 4096
 
 
 @dataclass
@@ -98,7 +100,9 @@ def _load_curve(path):
 
 
 def _config_from(args):
-    """Flags, else SCHWARZ_TOL / SCHWARZ_N, else the verb's defaults."""
+    """Flags, else SCHWARZ_TOL / SCHWARZ_N, else the verb's defaults; refuses
+    a tolerance that is not finite and positive and a moment order beyond
+    MAX_MOMENT_ORDER."""
     cfg = RunConfig(tolerance=getattr(args, "default_tol", RunConfig.tolerance))
     try:
         env_tol = os.environ.get("SCHWARZ_TOL")
@@ -117,6 +121,8 @@ def _config_from(args):
         cfg.fmt = args.format
     if not 0.0 < cfg.tolerance < np.inf:
         raise ParseError(f"tolerance must be finite and positive, got {cfg.tolerance}")
+    if max(getattr(args, "kmax", 0), -getattr(args, "kmin", 0)) > MAX_MOMENT_ORDER:
+        raise ParseError(f"k range {args.kmin}..{args.kmax} exceeds the cap {MAX_MOMENT_ORDER}")
     return cfg
 
 

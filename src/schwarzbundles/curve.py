@@ -154,6 +154,25 @@ class ConformalMapCurve:
         """The roots of phi', computed once per curve (`_poly_roots`)."""
         return _poly_roots(self._dcoeffs)
 
+    def moments(self, k_max):
+        """The harmonic moments M_0 ... M_k_max, M_k = (1/pi) * integral of
+        z^k dA over the domain, exactly from the map's coefficients a_j:
+        M_k = sum_j j conj(a_j) [zeta^j] phi^{k+1}/(k + 1).
+
+        The domain is a quadrature domain with its node at phi(0). Green's
+        theorem gives -(1/2 pi i) * integral of z^{k+1}/(k + 1) d(conj z) on
+        the curve, where conj z = sum_j conj(a_j) zeta^-j, so only the Taylor
+        coefficients of phi^{k+1} up to the map's degree enter: one truncated
+        product by phi per order. A moment is not finite where the powers
+        overflow (the caller's np.errstate decides whether that raises).
+        """
+        a = np.asarray(self.coeffs)
+        power = np.zeros((k_max + 2, a.size), dtype=complex)  # row m: phi^m, truncated
+        power[0, 0] = 1.0
+        for m in range(1, k_max + 2):
+            power[m] = np.convolve(power[m - 1], a)[:a.size]
+        return (power[1:] * (np.arange(a.size) * a.conj())).sum(axis=1) / np.arange(1, k_max + 2)
+
     def point(self, t):
         return self.phi(np.exp(1j * np.asarray(t, dtype=float)))
 

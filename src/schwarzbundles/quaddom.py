@@ -5,13 +5,14 @@ transform.
 The domain of a polynomial map phi = a0 + a1 zeta + ... + aN zeta^N is a
 quadrature domain with all its nodes at phi(0) = a0: the Schwarz function
 continues meromorphically inside, with its only pullback pole at zeta = 0.
-The classical and Abelian identities are therefore the finite sum
-(1/pi) * integral of h' dA = sum_j j conj(a_j) [zeta^j] h(phi(zeta)),
-for h the primitive of f and f itself; the arc-length identity is the
-residue of the reciprocal tangent's simple pole. Every identity is paired
-with a direct boundary-integral form for cross-checking; the polygon corner
-formula is checked against the exact boundary integral of Green's theorem,
-evaluated edge by edge.
+Its harmonic moments M_k = (1/pi) * integral of z^k dA, k >= 0, are
+therefore finite sums over the map's coefficients, one truncated product by
+phi per order (`ConformalMapCurve.moments`). The classical identity is
+sum_k f_k M_k, the Abelian identity the classical one of f'; the arc-length
+identity is the residue of the reciprocal tangent's simple pole. Every
+identity is paired with a direct boundary-integral form for cross-checking;
+the polygon corner formula is checked against the exact boundary integral
+of Green's theorem, evaluated edge by edge.
 
 The rational structure F(z, w) = Q(z, conj w)/(P(z) conj(P(w))) is fitted
 on all pairs of exterior samples, with F from one kernel pass: P by block
@@ -51,38 +52,19 @@ def _require_conformal(curve):
             "residue quadrature needs a polynomial conformal-map curve")
 
 
-def _derivative_area_mean(curve, h_coeffs):
-    """(1/pi) * integral of h' over the domain of phi = sum_j a_j zeta^j:
-    sum_j j conj(a_j) [zeta^j] h(phi(zeta)), exactly.
-
-    Green's theorem gives -(1/2 pi i) * integral of h d(conj z) on the
-    curve, where conj z = sum_j conj(a_j) zeta^-j, so only the Taylor
-    coefficients of h(phi) up to the map's degree enter; truncated Horner
-    gives them.
-    """
-    _require_conformal(curve)
-    a = np.asarray(curve.coeffs)
-    taylor = np.zeros(a.size, dtype=complex)
-    for c in np.asarray(h_coeffs, dtype=complex)[::-1]:
-        taylor = np.convolve(taylor, a)[:a.size]
-        taylor[0] += c
-    return complex(np.sum(np.arange(a.size) * np.conjugate(a) * taylor))
-
-
 def classical_quadrature(curve, f_coeffs):
-    """Mean (1/pi) * integral of f over the domain: the quadrature identity
-    with all nodes at phi(0), from the map's Taylor coefficients. Equals the
-    boundary integral (1/2 pi i) * integral of f(z) S(z) dz."""
-    f = np.asarray(f_coeffs).reshape(-1)
-    # the primitive, h(0) = 0; a real f divides as real, as npoly.polyint
-    # does (a complex division by j + 1 rounds differently)
-    return _derivative_area_mean(curve, np.append(0.0, f / np.arange(1, f.size + 1)))
+    """Mean (1/pi) * integral of f over the domain: sum_k f_k M_k, with the
+    moments M_k from the map's coefficients (`ConformalMapCurve.moments`).
+    Equals the boundary integral (1/2 pi i) * integral of f(z) S(z) dz."""
+    _require_conformal(curve)
+    f = np.asarray(f_coeffs, dtype=complex).reshape(-1)
+    return complex(f @ curve.moments(f.size - 1))
 
 
 def abelian_quadrature(curve, f_coeffs):
-    """Mean (1/pi) * integral of f' over the domain, from the map's Taylor
-    coefficients; equals -(1/2 pi i) * integral of f(z) S'(z) dz."""
-    return _derivative_area_mean(curve, f_coeffs)
+    """Mean (1/pi) * integral of f' over the domain, sum_k k f_k M_{k-1}: the
+    classical identity of f'. Equals -(1/2 pi i) * integral of f(z) S'(z) dz."""
+    return classical_quadrature(curve, poly_derivative(f_coeffs))
 
 
 def _inverse_tangent_residue(grid):

@@ -1,12 +1,14 @@
 """Harmonic moments, single and double Cauchy transforms, and the
 exponential transform of the domain bounded by an analytic curve.
 
-Everything is computed from boundary integrals on a contour grid. E =
-exp(C) is the canonical section of the Schwarz-pole bundle 1/(S - conj w):
-C(z, w) is the Cauchy sum at z of its density (`bundles._pole_density`)
-plus, for interior z, log|z - w|^2 at interior w or, at exterior w, the
-conjugate of the sum of -conj(density). E carries one of the four analytic
-pieces F, G, G*, H, fixed by which side of the curve each argument lies on;
+Moments of nonnegative order are exact finite sums over the map's
+coefficients (`ConformalMapCurve.moments`); everything else is computed
+from boundary integrals on a contour grid. E = exp(C) is the canonical
+section of the Schwarz-pole bundle 1/(S - conj w): C(z, w) is the Cauchy
+sum at z of its density (`bundles._pole_density`) plus, for interior z,
+log|z - w|^2 at interior w or, at exterior w, the conjugate of the sum of
+-conj(density). E carries one of the four analytic pieces F, G, G*, H,
+fixed by which side of the curve each argument lies on;
 `TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
 property with the quadrant enforced.
 
@@ -114,11 +116,14 @@ class MomentTable:
 
 
 def harmonic_moments(grid, k_min, k_max):
-    """Moment table for k in [k_min, k_max]; a negative order needs 0 inside
-    the curve (OriginNotInteriorError, NearBoundaryError in its band).
+    """Moment table for k in [k_min, k_max]. M_k for k >= 0 comes from the
+    map's coefficients (`ConformalMapCurve.moments`), exactly and without
+    the grid; a negative order is the trapezoidal sum on the grid and needs
+    0 inside the curve (OriginNotInteriorError, NearBoundaryError in its
+    band).
 
-    Raises ParseError for a range without k = 0, or with an order whose
-    trapezoidal moment is not finite in floating point."""
+    Raises ParseError for a range without k = 0, or with a moment that is
+    not finite in floating point."""
     k_min, k_max = int(k_min), int(k_max)
     if not k_min <= 0 <= k_max:
         raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
@@ -127,8 +132,8 @@ def harmonic_moments(grid, k_min, k_max):
     pref = grid.weight / (2j * np.pi)
     zbar_dz = np.conjugate(grid.z) * grid.dz
     with np.errstate(all="ignore"):  # overflow: refused below
-        values = {k: complex(pref * np.sum(grid.z ** k * zbar_dz))
-                  for k in range(k_min, k_max + 1)}
+        values = {k: complex(pref * np.sum(grid.z ** k * zbar_dz)) for k in range(k_min, 0)}
+        values.update(enumerate(grid.curve.moments(k_max).tolist()))
     if not np.isfinite(list(values.values())).all():
         raise ParseError(f"moments of orders {k_min}..{k_max} overflow on this curve")
     return MomentTable(k_min, k_max, values)
@@ -141,13 +146,12 @@ def moment_expansion_check(grid, k_max):
     exterior exp-Schwarz section (log f2 = -sum_k M_k / z^{k+1}) by Fourier
     analysis of the grid's Cauchy sums on a circle enclosing the curve, and
     returns max_k |coeff_k + M_k| over 0 <= k <= k_max, with M_k the exact
-    moments from the map's Taylor coefficients (`quaddom.classical_quadrature`
-    of z^k). The ring has at least MOMENT_RING_NODES points.
+    moments from the map's coefficients (`ConformalMapCurve.moments`). The
+    ring has at least MOMENT_RING_NODES points.
     The coefficients are the grid's discrete moments, so the residual is
-    their quadrature error: a grid whose nodes are off the curve fails it.
+    their quadrature error against the exact table: a grid whose nodes are
+    off the curve fails it.
     """
-    from .quaddom import classical_quadrature  # quaddom imports this module
-
     k_max = int(k_max)
     n_fft = max(MOMENT_RING_NODES, 4 * (k_max + 2))
     radius = 2.0 * np.abs(grid.z).max()
@@ -155,11 +159,11 @@ def moment_expansion_check(grid, k_max):
     ring = radius * np.exp(1j * angles)
     _, vals = off_band(grid, ring, np.conjugate(grid.z))
     coeff = np.fft.ifft(vals)  # coeff[m] * radius^{-m} = Laurent coefficient m
-    residual = 0.0
-    for k in range(k_max + 1):
-        c = coeff[k + 1] * radius ** (k + 1)
-        residual = max(residual, abs(c + classical_quadrature(grid.curve, [0] * k + [1])))
-    return residual
+    orders = np.arange(1, k_max + 2)
+    # float_power and hypot round as the scalar radius ** m and abs do, on
+    # every host; the SIMD loops of np.power and np.abs depend on the CPU
+    gap = coeff[orders] * np.float_power(radius, orders) + grid.curve.moments(k_max)
+    return float(np.hypot(gap.real, gap.imag).max(initial=0.0))
 
 
 _PIECE_NAMES = {"ext:ext": "F", "int:ext": "G", "ext:int": "G*", "int:int": "H"}

@@ -390,6 +390,15 @@ def test_bundle_parameters_are_refused_at_construction(disk, build):
         build(disk)
 
 
+@pytest.mark.parametrize("m", [1.5, 1.9, 2.0])
+def test_m_differential_match_refuses_a_power_that_is_not_an_integer(disk, m):
+    # f1 = 1 and f2 = conj(i z) match for m = 1; a float m is not truncated to it
+    grid = sb.sample(disk, 64)
+    with pytest.raises(ParseError, match="not an integer"):
+        sb.verify_m_differential_match(
+            lambda z: 1.0, lambda z: np.conjugate(1j * z), disk, grid, m)
+
+
 def test_transition_nonvanishing_guard(disk, disk_grid):
     bundle = sb.custom_bundle(disk, lambda z: z - 1.0)  # vanishes on the curve
     with pytest.raises(BranchUnresolvedError):

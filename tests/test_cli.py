@@ -13,6 +13,7 @@ from schwarzbundles.cli import (
     EXIT_FAILURE,
     MAX_FIT_SAMPLES,
     MAX_GRID_POINTS,
+    MAX_MOMENT_ORDER,
     main,
     parse_complex,
 )
@@ -425,6 +426,17 @@ def test_moments_of_nonnegative_order_need_no_interior_origin(capsys, tmp_path, 
         assert abs(value - 5.0 ** k) <= 1e-12 * 5.0 ** k
 
 
+def test_moments_of_nonnegative_order_stop_refining_at_the_first_grid(capsys, disk_file):
+    # the k >= 0 moments are exact from the map's coefficients, so the
+    # refinement's functional does not move from n = 256 to 512
+    code, out, _ = run(capsys, "moments", disk_file, "--kmin", "0", "--kmax", "1000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 256
+    values = [complex(*row["value"]) for row in payload["moments"]]
+    assert values == [1.0] + [0.0] * 1000
+
+
 def test_moments_of_negative_order_need_an_interior_origin(capsys, tmp_path):
     path = tmp_path / "shifted.json"
     path.write_text(SHIFTED_DISK)
@@ -555,7 +567,10 @@ def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
 @pytest.mark.parametrize("curve, argv", [
     (DISK, ["moments", "--kmin", "1"]),
     (DISK, ["plotdata", "--quantity", "moments", "--kmin", "2"]),
-    (CARDIOID, ["moments", "--kmax", "4000", "--n", "256"]),
+    (SHIFTED_DISK, ["moments", "--kmin", "0", "--kmax", "4000", "--n", "256"]),  # 5^k overflows
+    (DISK, ["moments", "--kmax", str(MAX_MOMENT_ORDER + 1)]),
+    (DISK, ["moments", "--kmin", str(-MAX_MOMENT_ORDER - 1)]),
+    (DISK, ["plotdata", "--quantity", "moments", "--kmax", str(MAX_MOMENT_ORDER + 1)]),
     (DISK, ["rational-fit", "--deg-q", "-1", "--deg-p", "1"]),
     (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "-1"]),
     (DISK, ["quadrature", "--kind", "classical", "--f", ";"]),

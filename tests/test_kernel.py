@@ -548,10 +548,10 @@ def test_moment_expansion_check_equals_the_loop(coeffs, rho, n, k_max):
     row = max(oracles.kernel_row_bound(grid, dens_dz, p) for p in ring)
     vals = max(abs(oracles.trapezoid_cauchy(grid, np.conjugate(grid.z), p)) for p in ring)
     bound = radius ** (k_max + 1) * (row + 2 * np.log2(n_fft) * EPS * vals)
-    # the check's moments by residues and the loop's by exact algebra
-    # differ by the residue sum's rounding, measured here
-    moments = max(abs(quaddom.classical_quadrature(grid.curve, [0] * k + [1])
-                      - oracles.exact_moment(grid.curve.coeffs, k))
+    # the check's moments from the coefficient table and the loop's by exact
+    # algebra differ by the table's rounding, measured here
+    table = grid.curve.moments(k_max)
+    moments = max(abs(table[k] - oracles.exact_moment(grid.curve.coeffs, k))
                   for k in range(k_max + 1))
     want = oracles.moment_expansion_loop(grid, k_max)
     assert abs(sb.moment_expansion_check(grid, k_max) - want) \

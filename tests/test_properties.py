@@ -53,7 +53,7 @@ def test_curve_area_formula(re, im):
     a2 = complex(re, im)
     curve = sb.build_polynomial_curve([0, 1, a2], 0.8)
     grid = sb.sample(curve, 256)
-    area = sb.harmonic_moments(grid, 0, 0)[0]
+    area = sb.boundary_classical(grid, [1])
     assert area.real == pytest.approx(1.0 + 2.0 * abs(a2) ** 2, abs=1e-10)
     assert abs(area.imag) < 1e-10
 
@@ -162,8 +162,9 @@ def test_transform_is_affine_invariant(name, scale, turn, shift, radii, angles):
 def test_moments_follow_an_affine_map(scale, turn, reach, heading):
     # M_k of a D + b is |a|^2 sum_{j <= k} C(k, j) a^j b^(k - j) M_j of D,
     # 0 <= k <= 6. b = a c with |c| <= 0.4 keeps 0 interior to both curves
-    # (|phi| >= 0.63 on the quartic's boundary). Each trapezoidal moment
-    # rounds within eps of the sum of its terms' moduli, hence the bound
+    # (|phi| >= 0.63 on the quartic's boundary). The bound is eps times the
+    # moduli of the moments' trapezoidal terms, which bound |M_k|; the
+    # moments from the coefficient table stay within 0.06 of it (300 draws)
     coeffs, rho = AFFINE_CURVES["quartic"]
     a = scale * np.exp(1j * turn)
     b = a * 0.4 * reach * np.exp(1j * heading)
@@ -262,6 +263,37 @@ def test_accepted_curves_have_tangent_winding_one(degree, rho, mags, phases):
         return
     _, winding = sb.unwrap_log(curve.velocity(2 * np.pi * np.arange(512) / 512))
     assert abs(winding - 1.0) < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(degree=st.integers(min_value=2, max_value=3),
+       center=st.tuples(st.floats(min_value=-1.0, max_value=1.0, **finite),
+                        st.floats(min_value=-1.0, max_value=1.0, **finite)),
+       rho=st.floats(min_value=0.6, max_value=0.9, **finite),
+       mags=st.lists(st.floats(min_value=0.0, max_value=0.6, **finite),
+                     min_size=2, max_size=2),
+       phases=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi, **finite),
+                       min_size=2, max_size=2))
+def test_moment_table_matches_the_trapezoidal_moments(degree, center, rho, mags, phases):
+    # The trapezoidal sum at n = 4096 is exact for z^k conj(z) dz, a
+    # trigonometric polynomial of degree at most (k + 2) N < n, up to rounding:
+    # k + 3 products per term and the summation tree, within 4 (k + 16) eps of
+    # the terms' moduli. The table rounds within 4 (k + 2)(N + 3) eps of the
+    # moment of the coefficients' moduli (test_quaddom's bound).
+    k = np.arange(2, degree + 1)
+    coeffs = [complex(*center), 1.0, *(np.array(mags[:degree - 1]) * rho ** (k - 1) / k
+                                       * np.exp(1j * np.array(phases[:degree - 1])))]
+    try:
+        curve = sb.build_polynomial_curve(coeffs, rho)
+    except CurveNotSimpleError:
+        return
+    grid = sb.sample(curve, 4096)
+    table = curve.moments(20)
+    for k in range(21):
+        terms = grid.weight / (2 * np.pi) * np.sum(np.abs(grid.z) ** (k + 1) * np.abs(grid.dz))
+        modulus = oracles.exact_moment(np.abs(coeffs), k).real
+        bound = 4 * oracles.EPS * ((k + 16) * terms + (k + 2) * (degree + 3) * modulus)
+        assert abs(table[k] - sb.boundary_classical(grid, [0] * k + [1])) <= bound, k
 
 
 @given(k=st.integers(min_value=-4, max_value=4))

@@ -252,13 +252,21 @@ def test_quadrature_report_shape():
 
 
 @pytest.mark.parametrize("coeffs,rho", MOMENT_CURVES)
-def test_classical_primitive_matches_polyint_bit_for_bit(coeffs, rho):
+def test_classical_sums_equal_the_exact_moment_sums(coeffs, rho):
+    # sum_k f_k M_k from the moment table against the same sum over
+    # exact_moment. Each M_k, in the table and in the oracle, is k + 2 passes
+    # (convolutions by the map's coefficients, then the weighted sum) of at
+    # most N + 1 complex products, each within 2 (N + 3) eps of the same
+    # passes over the coefficients' moduli, whose result is exact_moment of
+    # |a_j|; the sum over f adds (D + 2) eps. Hence 4 (D + 2)(N + 3) eps, with
+    # D = deg f and N the map's degree.
     curve = sb.build_polynomial_curve(coeffs, rho)
     rng = np.random.default_rng(11)
     polys = [[0] * k + [1] for k in range(9)] + [[2.5 - 1j], [1, 2, 3, 4, 5, 6, 7]]
     polys += [list(rng.normal(size=6) * 10.0 ** rng.integers(-4, 5, 6)) for _ in range(5)]
     polys.append(list(rng.normal(size=7) + 1j * rng.normal(size=7)))
     for f in polys:
-        want = sb.quaddom._derivative_area_mean(curve, np.polynomial.polynomial.polyint(f))
-        got = sb.classical_quadrature(curve, f)
-        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex()), f
+        want = sum(c * exact_moment(coeffs, k) for k, c in enumerate(f))
+        scale = sum(abs(c) * exact_moment(np.abs(coeffs), k).real for k, c in enumerate(f))
+        bound = 4 * (len(f) + 1) * (curve.degree + 3) * EPS * scale
+        assert abs(sb.classical_quadrature(curve, f) - want) <= bound, f

@@ -77,11 +77,23 @@ def test_moments_refuse_a_range_without_zero(disk_grid, k_min, k_max):
         sb.harmonic_moments(disk_grid, k_min, k_max)
 
 
-@pytest.mark.parametrize("k_min, k_max", [(0, 4000), (-4000, 0)])
-def test_moments_refuse_orders_that_overflow(cardioid, k_min, k_max):
-    # |z| runs from 0.7 to 1.3 on the cardioid: 1.3^4000 and 0.7^-4000 overflow
+@pytest.mark.parametrize("coeffs, rho, k_min, k_max", [
+    ([5, 1], 0.5, 0, 4000),          # about 5, M_k = 5^k overflows for k >= 442
+    ([0, 1, 0.3], 0.7, -4000, 0),    # the cardioid's |z| >= 0.7: 0.7^-4000 overflows
+])
+def test_moments_refuse_orders_that_overflow(coeffs, rho, k_min, k_max):
+    grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), 256)
     with pytest.raises(ParseError, match="overflow"):
-        sb.harmonic_moments(sb.sample(cardioid, 256), k_min, k_max)
+        sb.harmonic_moments(grid, k_min, k_max)
+
+
+def test_cardioid_moments_of_high_order_are_exact_zeros(cardioid):
+    # phi = zeta + 0.3 zeta^2 has no zeta^0 term, so [zeta^j] phi^(k+1) = 0 for
+    # j <= 2 < k + 1: M_k = 0 exactly for k >= 2, where the grid's |z|^k overflows
+    table = sb.harmonic_moments(sb.sample(cardioid, 256), 0, 4000)
+    assert table[0] == pytest.approx(1.18, abs=1e-15)
+    assert table[1] == pytest.approx(0.3, abs=1e-15)
+    assert all(table[k] == 0 for k in range(2, 4001))
 
 
 def test_moments_need_interior_origin():
