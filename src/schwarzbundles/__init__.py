@@ -28,7 +28,6 @@ from .schwarz import (
     schwarz_reflect,
 )
 from .transforms import (
-    MomentTable,
     TransformValue,
     cauchy_integral,
     cauchy_transform,

@@ -21,10 +21,10 @@ verification rings |zeta| = r need no Newton inversion of the map. exp(S)
 also supplies its log at the nodes, S itself, because exp(S) overflows on
 far curves; the Schwarz-pole bundle supplies its pole, the default
 adjustment point when interior, and its section is the exponential
-transform (`_pole_density`). The tangent powers T^{-m} take T = dz/|dz|
-on the curve; on a ring and at scattered points the square root in T is
-the principal root of g with the sign of the factored root over the zeros
-of phi', one closed form in zeta (`_pullback_tangent`). The gluing
+transform (`transforms._pole_density`). The tangent powers T^{-m} take
+T = dz/|dz| on the curve; on a ring and at scattered points the square root
+in T is the principal root of g with the sign of the factored root over the
+zeros of phi', one closed form in zeta (`_pullback_tangent`). The gluing
 is verified by moving the contour: each verification ring's density is one
 unwrap of lambda12 (z - a)^{-c}, with the section's own Chern class c and
 adjustment point a. The verification points are searched over radii, one
@@ -60,7 +60,7 @@ from .errors import (
     ParseError,
 )
 from .schwarz import _like, invert_conformal_map
-from .transforms import unwrap_log
+from .transforms import _pole_transition, unwrap_log
 
 # node spacings (in the pullback radius) from the curve to verification rings
 _VERIFY_SPACINGS = 6.0
@@ -145,11 +145,6 @@ def exp_schwarz_bundle(curve):
                       chern=0, log=log)
 
 
-def _pole_transition(grid, w):
-    """1/(S - conj w) at the nodes; m points w give one column each, (n, m)."""
-    return 1.0 / np.subtract.outer(grid.curve.phi_reflected(grid.zeta), np.conjugate(w))
-
-
 def schwarz_pole_bundle(curve, w):
     """lambda12 = 1/(S - conj w), for a finite parameter point w off the
     curve; its Chern class is the number of roots of phi - w in |zeta| < 1."""
@@ -159,13 +154,6 @@ def schwarz_pole_bundle(curve, w):
     roots = _poly_roots((curve.coeffs[0] - w, *curve.coeffs[1:]))
     return LineBundle(curve, lambda grid: _pole_transition(grid, w),
                       chern=int(np.count_nonzero(np.abs(roots) < 1.0)), pole=w)
-
-
-def _pole_density(grid, w, interior):
-    """`canonical_section(schwarz_pole_bundle(curve, w), grid).density`, bit
-    for bit, at a located w: adjusted at w (Chern class 1) if interior."""
-    vals = _pole_transition(grid, w)
-    return unwrap_log(vals * (grid.z - w) ** (-1) if interior else vals)[0]
 
 
 def tangent_power_bundle(curve, m):

@@ -4,8 +4,9 @@ structure, and dump plot data.
 
 Numeric output uses 17 significant digits so values round-trip exactly.
 Configuration comes from flags, with SCHWARZ_TOL / SCHWARZ_N environment
-fallbacks; flags win. `_dispatch` builds the configuration and loads the
-curve for every verb, and maps the class of a refusal to the exit code;
+fallbacks; flags win. `_dispatch` fills the flags an environment variable
+supplies and loads the curve for every verb, and maps the class of a
+refusal to the exit code;
 geometry refusals are the library's own. Exit codes: 0 ok, 1 validation or
 computation failure (a floating-point overflow, division by zero or
 invalid operation in numpy among them) or stdout closed by its reader
@@ -21,7 +22,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,13 +55,6 @@ EXIT_GEOMETRY = 5
 MAX_FIT_SAMPLES = 512
 MAX_GRID_POINTS = 512 * 512
 MAX_MOMENT_ORDER = 4096
-
-
-@dataclass
-class RunConfig:
-    tolerance: float = 1e-10
-    n: int = None          # pinned node count; adaptive when None
-    fmt: str = "json"
 
 
 def fmt17(x):
@@ -100,41 +93,33 @@ def _load_curve(path):
 
 
 def _config_from(args):
-    """Flags, else SCHWARZ_TOL / SCHWARZ_N, else the verb's defaults; refuses
-    a tolerance that is not finite and positive and a moment order beyond
+    """Fill an absent --tol / --n from SCHWARZ_TOL / SCHWARZ_N, else the
+    verb's default tolerance; refuse a malformed environment value, a
+    tolerance that is not finite and positive and a moment order beyond
     MAX_MOMENT_ORDER."""
-    cfg = RunConfig(tolerance=getattr(args, "default_tol", RunConfig.tolerance))
+    env = os.environ
     try:
-        env_tol = os.environ.get("SCHWARZ_TOL")
-        if env_tol is not None:
-            cfg.tolerance = float(env_tol)
-        env_n = os.environ.get("SCHWARZ_N")
-        if env_n is not None:
-            cfg.n = int(env_n)
+        tol = float(env.get("SCHWARZ_TOL", args.default_tol))
+        n = int(env["SCHWARZ_N"]) if "SCHWARZ_N" in env else None
     except ValueError as exc:
         raise ParseError(f"bad environment configuration: {exc}") from exc
-    if getattr(args, "tol", None) is not None:
-        cfg.tolerance = args.tol
-    if getattr(args, "n", None) is not None:
-        cfg.n = args.n
-    if getattr(args, "format", None):
-        cfg.fmt = args.format
-    if not 0.0 < cfg.tolerance < np.inf:
-        raise ParseError(f"tolerance must be finite and positive, got {cfg.tolerance}")
+    args.tol = tol if args.tol is None else args.tol
+    args.n = n if args.n is None else args.n
+    if not 0.0 < args.tol < np.inf:
+        raise ParseError(f"tolerance must be finite and positive, got {args.tol}")
     if max(getattr(args, "kmax", 0), -getattr(args, "kmin", 0)) > MAX_MOMENT_ORDER:
         raise ParseError(f"k range {args.kmin}..{args.kmax} exceeds the cap {MAX_MOMENT_ORDER}")
-    return cfg
 
 
-def _grid_for(curve, cfg, functional=None, n=512):
+def _grid_for(curve, args, functional=None, n=512):
     """The pinned grid, else the functional's refined one, else n nodes."""
-    if cfg.n is not None or functional is None:
-        return sample(curve, n if cfg.n is None else cfg.n)
-    return adaptive_refine(curve, functional, cfg.tolerance, n_start=256)
+    if args.n is not None or functional is None:
+        return sample(curve, n if args.n is None else args.n)
+    return adaptive_refine(curve, functional, args.tol, n_start=256)
 
 
-def _emit(payload, cfg):
-    if cfg.fmt == "json":
+def _emit(payload, args):
+    if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         _emit_csv(payload)
@@ -168,9 +153,9 @@ def _emit_csv(payload):
         print(f"{key},{val}")
 
 
-def cmd_validate(args, cfg, curve):
+def cmd_validate(args, curve):
     if isinstance(curve, ConformalMapCurve):
-        grid = _grid_for(curve, cfg)
+        grid = _grid_for(curve, args)
         area_over_pi = quaddom.boundary_classical(grid, [1])
         payload = {
             "valid": True,
@@ -186,44 +171,44 @@ def cmd_validate(args, cfg, curve):
             "n_vertices": curve.n_vertices,
             "area_over_pi": curve.area_over_pi(),
         }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def cmd_transform(args, cfg, curve):
+def cmd_transform(args, curve):
     z = parse_complex(args.z)
     if args.w is None:
-        grid = _grid_for(curve, cfg,
+        grid = _grid_for(curve, args,
                          functional=lambda g: transforms.cauchy_transform(g, z))
         side, value = transforms._located_cauchy_transform(grid, z)
         payload = {"z": [z.real, z.imag], "side": side.value,
                    "cauchy_transform": [value.real, value.imag],
                    "n": grid.n}
-        _emit(payload, cfg)
+        _emit(payload, args)
         return EXIT_OK
     w = parse_complex(args.w)
-    grid = _grid_for(curve, cfg,
+    grid = _grid_for(curve, args,
                      functional=lambda g: transforms.double_cauchy(g, z, w).C)
     tv = transforms.double_cauchy(grid, z, w)
     name, piece = tv.piece
     payload = transforms.transform_values_to_json([tv])[0]
     payload.update(piece={"name": name, "value": [piece.real, piece.imag]}, n=grid.n)
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def cmd_moments(args, cfg, curve):
+def cmd_moments(args, curve):
     def functional(g):
         table = transforms.harmonic_moments(g, args.kmin, args.kmax)
         return sum(m / (1.0 + abs(k)) for k, m in table.items())
 
-    grid = _grid_for(curve, cfg, functional=functional)
+    grid = _grid_for(curve, args, functional=functional)
     table = transforms.harmonic_moments(grid, args.kmin, args.kmax)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         _print_moments_csv(table)
     else:
         _emit({"n": grid.n, "moments": [{"k": k, "value": [m.real, m.imag]}
-                                        for k, m in table.items()]}, cfg)
+                                        for k, m in table.items()]}, args)
     return EXIT_OK
 
 
@@ -253,11 +238,11 @@ BUNDLES = {
 }
 
 
-def cmd_section(args, cfg, curve):
+def cmd_section(args, curve):
     """The Chern class comes first, stored on every CLI bundle; a negative one
     is reported with no section."""
     adjust = parse_complex(args.adjust) if args.adjust else None
-    grid = _grid_for(curve, cfg)
+    grid = _grid_for(curve, args)
     bundle = BUNDLES[args.bundle](curve, args)
     chern = bundles.chern_class(bundle, grid)
     payload = {"bundle": args.bundle, "n": grid.n, "chern": chern, "normalization": None}
@@ -278,11 +263,11 @@ def cmd_section(args, cfg, curve):
                     json.dump(bundles.section_to_json(section), fh, indent=1)
             except OSError as exc:
                 raise ParseError(f"cannot write {args.dump}: {exc}") from exc
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
-def cmd_quadrature(args, cfg, curve):
+def cmd_quadrature(args, curve):
     """Exit 0 when the residue value meets its oracle within the tolerance."""
     f_coeffs = parse_coeff_list(args.f) if args.f else [1.0 + 0j]
     weights = None
@@ -292,7 +277,7 @@ def cmd_quadrature(args, cfg, curve):
         oracle_value = quaddom.area_mean_polygon(
             curve, quaddom.poly_derivative(f_coeffs, 2))
     else:
-        grid = _grid_for(curve, cfg)
+        grid = _grid_for(curve, args)
         if args.kind == "classical":
             residue_value = quaddom.classical_quadrature(curve, f_coeffs)
             oracle_value = quaddom.boundary_classical(grid, f_coeffs)
@@ -303,18 +288,18 @@ def cmd_quadrature(args, cfg, curve):
             residue_value = quaddom.arclength_quadrature(curve, f_coeffs, grid)
             oracle_value = quaddom.boundary_arclength(grid, f_coeffs)
     report = quaddom.quadrature_report(args.kind, residue_value, oracle_value, weights)
-    _emit(report, cfg)
-    return EXIT_OK if report["discrepancy"] < cfg.tolerance else EXIT_FAILURE
+    _emit(report, args)
+    return EXIT_OK if report["discrepancy"] < args.tol else EXIT_FAILURE
 
 
-def cmd_rational_fit(args, cfg, curve):
+def cmd_rational_fit(args, curve):
     """Fit on the default exterior samples. q and p carry a relative error of
     about the fit stage's condition number times eps (about 1e7 * eps for
     the quartic at degree 4 on 24 samples); their 17 digits are printed so
     that the values round-trip, not because all of them are significant."""
     if args.samples > MAX_FIT_SAMPLES:
         raise ParseError(f"--samples {args.samples} exceeds the cap {MAX_FIT_SAMPLES}")
-    grid = _grid_for(curve, cfg)
+    grid = _grid_for(curve, args)
     samples = quaddom.default_exterior_samples(grid, args.samples)
     fit = quaddom.fit_rational_structure(grid, args.deg_q, args.deg_p, samples)
     payload = {
@@ -326,7 +311,7 @@ def cmd_rational_fit(args, cfg, curve):
         "q": [[[c.real, c.imag] for c in row] for row in fit.q_coeffs],
         "p": [[c.real, c.imag] for c in fit.p_coeffs],
     }
-    _emit(payload, cfg)
+    _emit(payload, args)
     return EXIT_OK
 
 
@@ -349,8 +334,8 @@ def _parse_grid_spec(text):
     return spec
 
 
-def cmd_plotdata(args, cfg, curve):
-    grid = _grid_for(curve, cfg, n=256)
+def cmd_plotdata(args, curve):
+    grid = _grid_for(curve, args, n=256)
     if args.quantity == "exp-transform-abs":
         if args.w is None:
             raise ParseError("exp-transform-abs needs --w")
@@ -402,15 +387,14 @@ def _attach_values(argv):
 def build_parser():
     """The argument parser, built once per process; parse_args leaves it
     unchanged, so every call of main can share it."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="refinement tolerance (env SCHWARZ_TOL)")
-    common.add_argument("--n", type=int, default=argparse.SUPPRESS,
-                        help="pin the node count (env SCHWARZ_N)")
-    common.add_argument("--format", choices=("json", "csv"),
-                        default=argparse.SUPPRESS)
-    verb = argparse.ArgumentParser(add_help=False, parents=[common])
+    verb = argparse.ArgumentParser(add_help=False)
     verb.add_argument("curve_file")
+    verb.add_argument("--tol", type=float, default=None,
+                      help="refinement tolerance (env SCHWARZ_TOL)")
+    verb.add_argument("--n", type=int, default=None,
+                      help="pin the node count (env SCHWARZ_N)")
+    verb.add_argument("--format", choices=("json", "csv"), default="json")
+    verb.set_defaults(default_tol=1e-10)
     bundle_args = argparse.ArgumentParser(add_help=False)
     bundle_args.add_argument("--pole", default=None)
     bundle_args.add_argument("--power", type=int, default=None)
@@ -420,7 +404,6 @@ def build_parser():
     moment_args.add_argument("--kmax", type=int, default=3)
     parser = argparse.ArgumentParser(
         prog="schwarzbundles",
-        parents=[common],
         description="Schwarz functions, Cauchy/exponential transforms, line "
                     "bundle sections, and quadrature-domain identities")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -503,7 +486,8 @@ def _dispatch(argv):
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return args.func(args, _config_from(args), _load_curve(args.curve_file))
+            _config_from(args)
+            return args.func(args, _load_curve(args.curve_file))
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -174,11 +174,19 @@ class ConformalMapCurve:
         return (power[1:] * (np.arange(a.size) * a.conj())).sum(axis=1) / np.arange(1, k_max + 2)
 
     def point(self, t):
-        return self.phi(np.exp(1j * np.asarray(t, dtype=float)))
+        return self.phi(_circle_point(t))
 
     def velocity(self, t):
-        zeta = np.exp(1j * np.asarray(t, dtype=float))
+        zeta = _circle_point(t)
         return 1j * zeta * self.dphi(zeta)
+
+
+def _circle_point(t):
+    """zeta = e^{it}, refusing a parameter t that is not finite (ParseError)."""
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ParseError(f"curve parameter {t} is not finite")
+    return np.exp(1j * t)
 
 
 @dataclass(frozen=True)
@@ -663,7 +671,8 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
 
     Returns the grid at the smallest n with |functional(n) - functional(2n)|
     below tol. Near-boundary refusals are retried at finer grids (the band
-    shrinks with n) and re-raised only if they persist to the budget.
+    shrinks with n); one is re-raised only when the last grid of the budget
+    refuses, and otherwise a run out of budget is a NoConvergenceError.
     """
     if not 0.0 < tol < np.inf:
         raise ParseError(f"tolerance must be finite and positive, got {tol}")
@@ -671,13 +680,13 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"start count must be a power of two >= 16, got {n}")
 
-    last_near = prev_grid = prev_val = None
+    near = prev_grid = prev_val = None
     while True:
         grid = sample(curve, n)
         try:
-            val = complex(functional(grid))
+            val, near = complex(functional(grid)), None
         except NearBoundaryError as exc:
-            val, last_near = None, exc
+            val, near = None, exc
         if prev_val is not None and val is not None \
                 and abs(prev_val - val) < tol:
             return prev_grid
@@ -685,8 +694,8 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
             break
         n *= 2
         prev_grid, prev_val = grid, val
-    if last_near is not None:
-        raise last_near
+    if near is not None:
+        raise near
     raise NoConvergenceError(f"no convergence up to n = {n_max}")
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .bundles import _pole_density
 from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band, sample
 from .errors import (
     NotConformalMapCurveError,
@@ -37,6 +36,7 @@ from .errors import (
     WrongQuadrantError,
 )
 from .schwarz import _prime_at, polygon_schwarz
+from .transforms import _pole_density
 
 TANGENT_TAIL_TOL = 1e-8
 QD_RESIDUAL_THRESHOLD = 1e-3
@@ -227,7 +227,7 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 def _exterior_f_matrix(grid, zs):
     """F(zs[s], zs[u]) = exp(sum) for exterior samples: one kernel pass
     (`curve.off_band`) locates the samples, and one more sums the densities
-    of their Schwarz-pole sections (`bundles._pole_density`) as columns."""
+    of their Schwarz-pole sections (`transforms._pole_density`) as columns."""
     inside, _ = off_band(grid, zs)
     if inside.any():
         raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")

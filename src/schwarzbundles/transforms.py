@@ -5,7 +5,7 @@ Moments of nonnegative order are exact finite sums over the map's
 coefficients (`ConformalMapCurve.moments`); everything else is computed
 from boundary integrals on a contour grid. E = exp(C) is the canonical
 section of the Schwarz-pole bundle 1/(S - conj w): C(z, w) is the Cauchy
-sum at z of its density (`bundles._pole_density`) plus, for interior z,
+sum at z of its density (`_pole_density`) plus, for interior z,
 log|z - w|^2 at interior w or, at exterior w, the conjugate of the sum of
 -conj(density). E carries one of the four analytic pieces F, G, G*, H,
 fixed by which side of the curve each argument lies on;
@@ -100,26 +100,12 @@ def _located_cauchy_transform(grid, z):
     return Location.EXTERIOR, complex(-base[0])
 
 
-@dataclass(frozen=True)
-class MomentTable:
-    """Harmonic moments M_k = (1/2 pi i) * integral of z^k conj(z) dz."""
-
-    k_min: int
-    k_max: int
-    values: dict
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def items(self):
-        return sorted(self.values.items())
-
-
 def harmonic_moments(grid, k_min, k_max):
-    """Moment table for k in [k_min, k_max]. M_k for k >= 0 comes from the
-    map's coefficients (`ConformalMapCurve.moments`), exactly and without
-    the grid; a negative order is the trapezoidal sum on the grid and needs
-    0 inside the curve (OriginNotInteriorError, NearBoundaryError in its
+    """{k: M_k} in ascending k for k in [k_min, k_max], M_k = (1/2 pi i) *
+    integral of z^k conj(z) dz. M_k for k >= 0 comes from the map's
+    coefficients (`ConformalMapCurve.moments`), exactly and without the
+    grid; a negative order is the trapezoidal sum on the grid and needs 0
+    inside the curve (OriginNotInteriorError, NearBoundaryError in its
     band).
 
     Raises ParseError for a range without k = 0, or with a moment that is
@@ -136,7 +122,7 @@ def harmonic_moments(grid, k_min, k_max):
         values.update(enumerate(grid.curve.moments(k_max).tolist()))
     if not np.isfinite(list(values.values())).all():
         raise ParseError(f"moments of orders {k_min}..{k_max} overflow on this curve")
-    return MomentTable(k_min, k_max, values)
+    return values
 
 
 def moment_expansion_check(grid, k_max):
@@ -197,11 +183,21 @@ class TransformValue:
         return name, self.E / abs(self.z - self.w) ** 2
 
 
+def _pole_transition(grid, w):
+    """1/(S - conj w) at the nodes; m points w give one column each, (n, m)."""
+    return 1.0 / np.subtract.outer(grid.curve.phi_reflected(grid.zeta), np.conjugate(w))
+
+
+def _pole_density(grid, w, interior):
+    """`canonical_section(schwarz_pole_bundle(curve, w), grid).density`, bit
+    for bit, at a located w: adjusted at w (Chern class 1) if interior."""
+    vals = _pole_transition(grid, w)
+    return unwrap_log(vals * (grid.z - w) ** (-1) if interior else vals)[0]
+
+
 def _double_cauchy_rows(grid, zs, w, w_side):
     """C(z, w) for every z in zs at a located w, NaN where double_cauchy
     refuses, with the masks (near, inside) of zs from the same kernel pass."""
-    from .bundles import _pole_density  # bundles imports this module
-
     density = _pole_density(grid, w, w_side is Location.INTERIOR)
     if w_side is Location.INTERIOR:
         near, inside, c = sides(grid, zs, density)

@@ -320,7 +320,7 @@ def test_pole_density_is_the_section_density(cardioid, cardioid_grid):
         section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
                                        cardioid_grid)
         assert section.chern == int(interior)
-        assert same_bits(sb.bundles._pole_density(cardioid_grid, w, interior),
+        assert same_bits(sb.transforms._pole_density(cardioid_grid, w, interior),
                          section.density)
 
 

@@ -604,6 +604,38 @@ def test_quadrature_threshold_reads_schwarz_tol(capsys, monkeypatch, disk_file):
         assert run(capsys, *argv)[0] == 2
 
 
+def test_node_count_reads_schwarz_n(capsys, monkeypatch, disk_file):
+    argv = ["transform", disk_file, "--z", "2"]
+    monkeypatch.setenv("SCHWARZ_N", "1024")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(out)["n"] == 1024
+    code, out, _ = run(capsys, *argv, "--n", "256")  # the flag wins
+    assert code == 0 and json.loads(out)["n"] == 256
+
+
+@pytest.mark.parametrize("name", ["SCHWARZ_N", "SCHWARZ_TOL"])
+def test_malformed_environment_configuration_is_a_parse_error(capsys, monkeypatch,
+                                                              disk_file, name):
+    monkeypatch.setenv(name, "abc")
+    code, out, err = run(capsys, "transform", disk_file, "--z", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: bad environment configuration")
+
+
+@pytest.mark.parametrize("flag", [["--n", "256"], ["--tol", "1e-8"], ["--format", "csv"]])
+def test_configuration_flags_follow_the_verb(capsys, disk_file, flag):
+    code, out, _ = run(capsys, *flag, "validate", disk_file)
+    assert (code, out) == (2, "")
+
+
+def test_band_refusal_cleared_by_finer_grids_is_no_convergence(capsys, disk_file):
+    # 1.02 is in the band up to n = 1024 and answered from n = 2048, so a
+    # tolerance that no grid meets runs out of budget instead of refusing
+    code, out, err = run(capsys, "transform", disk_file, "--z", "1.02", "--tol", "1e-30")
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert "no convergence up to n = 65536" in err
+
+
 @pytest.mark.parametrize("argv, text", [
     (["section", "square", "--bundle", "exp-schwarz"], "grids are only defined"),
     (["rational-fit", "square", "--deg-q", "1", "--deg-p", "1"], "grids are only defined"),

@@ -11,6 +11,7 @@ from schwarzbundles.errors import (
     CurveNotSimpleError,
     DegenerateEdgeError,
     NearBoundaryError,
+    NoConvergenceError,
     NonPositiveRadiusError,
     NotConformalMapCurveError,
     ParseError,
@@ -163,6 +164,14 @@ def test_unit_tangent_circle(disk):
     assert sb.unit_tangent(disk, np.pi / 2) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, [0.0, np.nan]], ids=["nan", "inf", "array"])
+@pytest.mark.parametrize("function", [sb.unit_tangent, sb.schwarz_boundary],
+                         ids=["unit_tangent", "schwarz_boundary"])
+def test_non_finite_parameter_is_a_parse_error(disk, function, t):
+    with pytest.raises(ParseError, match="not finite"):
+        function(disk, t)
+
+
 def test_unit_tangent_squared_matches_schwarz_prime(disk):
     # closed-form reflection on the circle: S'(z) = -1/z^2 = 1/T^2
     t = 2 * np.pi * np.arange(64) / 64
@@ -224,6 +233,16 @@ def test_adaptive_refine_no_convergence(disk):
 
     with pytest.raises(NoConvergenceError):
         sb.adaptive_refine(disk, never_converges, 1e-10, n_max=256)
+
+
+def test_adaptive_refine_reraises_only_a_refusal_on_the_last_grid(disk):
+    def refuses_first_grid(grid):
+        if grid.n == 16:
+            raise NearBoundaryError("refused at n = 16 only")
+        return complex(grid.n)
+
+    with pytest.raises(NoConvergenceError):
+        sb.adaptive_refine(disk, refuses_first_grid, 1e-10, n_max=256)
 
 
 def test_sample_polygon_rejected(unit_square):

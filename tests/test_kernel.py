@@ -502,9 +502,9 @@ def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
     for target in (curve_mod, sb.transforms, quaddom, sb):
         for name in ("double_cauchy_batch", "locate", "require_off_band"):
             monkeypatch.setattr(target, name, refuse, raising=False)
-    # the densities come from bundles._pole_density, whose unwrap is there
+    # the densities come from transforms._pole_density, whose unwrap is there
     monkeypatch.setattr(quaddom, "kernel_sums", counted(quaddom, "kernel_sums"))
-    monkeypatch.setattr(sb.bundles, "unwrap_log", counted(sb.bundles, "unwrap_log"))
+    monkeypatch.setattr(sb.transforms, "unwrap_log", counted(sb.transforms, "unwrap_log"))
     # the samples are located through curve.off_band, whose pass is there
     monkeypatch.setattr(curve_mod, "kernel_sums", counted(curve_mod, "kernel_sums"))
     got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)

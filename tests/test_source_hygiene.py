@@ -1,8 +1,10 @@
 """Source hygiene, checked with the standard library's `ast` (the project
 installs no linter): every module-level import of a module in the package,
 the tests or the scripts is used by that module, and every private
-top-level function of the package is referenced somewhere in the package.
-A package `__init__.py` imports to re-export, so its imports are exempt.
+top-level function of the package is referenced somewhere in the package,
+and no package function imports: a dependency, and a cycle between package
+modules, shows in the module header. A package `__init__.py` imports to
+re-export, so its imports are exempt from the first check.
 """
 
 import ast
@@ -62,3 +64,12 @@ def test_every_private_package_function_is_referenced():
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and not node.name.startswith("__") and node.name not in referenced]
     assert not unreferenced, f"private functions nothing references: {unreferenced}"
+
+
+def test_no_package_function_imports():
+    local = sorted({f"{path.stem}.{node.name} (line {inner.lineno})"
+                    for path in PACKAGE for node in ast.walk(_tree(path))
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))})
+    assert not local, f"imports inside package functions: {local}"
