@@ -20,16 +20,19 @@ variable zeta of z = phi(zeta), so the grid nodes zeta = e^{it} and the
 verification rings |zeta| = r need no Newton inversion of the map. exp(S)
 also supplies its log at the nodes, S itself, because exp(S) overflows on
 far curves; the Schwarz-pole bundle supplies its pole, the default
-adjustment point when interior, and its section is the exponential
-transform (`transforms._pole_density`). The tangent powers T^{-m} take
-T = dz/|dz| on the curve; on a ring and at scattered points the square root
-in T is the principal root of g with the sign of the factored root over the
-zeros of phi', one closed form in zeta (`_pullback_tangent`). The gluing
-is verified by moving the contour: each verification ring's density is one
-unwrap of lambda12 (z - a)^{-c}, with the section's own Chern class c and
-adjustment point a. The verification points are searched over radii, one
-distance pass per radius, and every band and side decision is
-`curve.sides`. The two verification rings and the points depend on the
+adjustment point when interior (a pole in the exclusion band is refused,
+not replaced), and its section is the exponential transform
+(`transforms._pole_density`). A bundle answers only on grids of its own
+curve: `chern_class` and `verify_transition` refuse a grid whose map
+coefficients differ from the bundle's (ParseError). The tangent powers
+T^{-m} take T = dz/|dz| on the curve; on a ring and at scattered points the
+square root in T is the principal root of g with the sign of the factored
+root over the zeros of phi', one closed form in zeta (`_pullback_tangent`).
+The gluing is verified by moving the contour: each verification ring's
+density is one unwrap of lambda12 (z - a)^{-c}, with the section's own
+Chern class c and adjustment point a. The verification points are searched
+over radii, one distance pass per radius, and every band and side decision
+is `curve.sides`. The two verification rings and the points depend on the
 grid alone: they are built once per grid and kept on it, and every check
 runs on every call.
 """
@@ -193,10 +196,20 @@ def chern_class(bundle, grid):
     A built-in bundle's class is stored on it and costs nothing. A custom
     bundle's is one unwrap of lambda12 at the grid nodes, whose phase steps
     sum to 2 pi k up to rounding; it raises BranchUnresolvedError for
-    under-resolved phases or a zero or non-finite lambda12 at a node."""
+    under-resolved phases or a zero or non-finite lambda12 at a node. A
+    grid on another curve is refused (ParseError)."""
+    _require_own_grid(bundle, grid)
     if bundle.chern is not None:
         return bundle.chern
     return round(unwrap_log(bundle.transition_at_nodes(grid))[1])
+
+
+def _require_own_grid(bundle, grid):
+    """ParseError unless the grid lies on the bundle's curve (equal map
+    coefficients): on another curve the transition, and a stored Chern
+    class, would be another bundle's."""
+    if grid.curve.coeffs != bundle.curve.coeffs:
+        raise ParseError("the grid is not on the bundle's curve")
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,7 +234,8 @@ def canonical_section(bundle, grid, a=None):
 
     Chern class 0 gives the unique section with f2(inf) = 1; class 1 the
     unique section vanishing like 1/z. The adjustment point defaults to the
-    bundle pole when that is interior, else to the conformal center phi(0).
+    bundle pole when that is interior, else to the conformal center phi(0);
+    a pole in the exclusion band is a NearBoundaryError, not replaced.
     The density is one `_node_log` unwrap of lambda12 (z - a)^{-c}: a
     winding left over (a pole of lambda12 between the nodes and the curve)
     is a NearBoundaryError, an unresolved phase a BranchUnresolvedError.
@@ -238,9 +252,10 @@ def canonical_section(bundle, grid, a=None):
 
 def _resolve_adjustment(bundle, grid, a):
     """a, else the bundle pole if interior, else the conformal center; one
-    kernel pass locates each candidate."""
+    kernel pass locates each candidate, and a candidate in the exclusion
+    band is refused (NearBoundaryError), the pole included."""
     if a is None and bundle.pole is not None \
-            and locate(grid, bundle.pole) is Location.INTERIOR:
+            and require_off_band(grid, bundle.pole) is Location.INTERIOR:
         return complex(bundle.pole)
     a = complex(bundle.curve.conformal_center if a is None else a)
     if require_off_band(grid, a) is not Location.INTERIOR:
@@ -333,7 +348,8 @@ def verify_transition(section, bundle, annulus_points):
     inside, k < 0 outside). NearBoundaryError (refine the grid) refuses a
     point in the curve's or its ring's band, a ring off the validated annulus,
     an adjustment point outside the inner ring and a zero or pole of
-    lambda12 between ring and curve.
+    lambda12 between ring and curve; a section on a grid of another curve
+    than the bundle's is a ParseError.
 
     Each ring's density is one `_node_log` unwrap of lambda12 (z - a)^{-c},
     with c and a the section's own Chern class and adjustment point; once a
@@ -342,6 +358,7 @@ def verify_transition(section, bundle, annulus_points):
     are built once per grid and kept on it; every band, side and winding
     check runs on every call."""
     grid, a, c = section.grid, section.adjustment, section.chern
+    _require_own_grid(bundle, grid)
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
     inside, sums = off_band(grid, pts, section.density)
     worst = 0.0

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
@@ -30,6 +31,7 @@ from .curve import (
     ConformalMapCurve,
     adaptive_refine,
     curve_from_json,
+    node_count,
     sample,
 )
 from .errors import (
@@ -95,8 +97,9 @@ def _load_curve(path):
 def _config_from(args):
     """Fill an absent --tol / --n from SCHWARZ_TOL / SCHWARZ_N, else the
     verb's default tolerance; refuse a malformed environment value, a
-    tolerance that is not finite and positive and a moment order beyond
-    MAX_MOMENT_ORDER."""
+    tolerance that is not finite and positive, a node count that is not a
+    power of two >= 16 (`curve.node_count`, for every verb and curve) and a
+    moment order beyond MAX_MOMENT_ORDER."""
     env = os.environ
     try:
         tol = float(env.get("SCHWARZ_TOL", args.default_tol))
@@ -107,6 +110,7 @@ def _config_from(args):
     args.n = n if args.n is None else args.n
     if not 0.0 < args.tol < np.inf:
         raise ParseError(f"tolerance must be finite and positive, got {args.tol}")
+    args.n = None if args.n is None else node_count(args.n)
     if max(getattr(args, "kmax", 0), -getattr(args, "kmin", 0)) > MAX_MOMENT_ORDER:
         raise ParseError(f"k range {args.kmin}..{args.kmax} exceeds the cap {MAX_MOMENT_ORDER}")
 
@@ -154,24 +158,16 @@ def _emit_csv(payload):
 
 
 def cmd_validate(args, curve):
+    """The area over pi of a map curve is its moment M_0 = sum_j j |a_j|^2,
+    exact from the coefficients, on no grid."""
     if isinstance(curve, ConformalMapCurve):
-        grid = _grid_for(curve, args)
-        area_over_pi = quaddom.boundary_classical(grid, [1])
-        payload = {
-            "valid": True,
-            "kind": "conformal",
-            "degree": curve.degree,
-            "annulus": [curve.rho, 1.0 / curve.rho],
-            "area_over_pi": area_over_pi.real,
-        }
+        payload = {"kind": "conformal", "degree": curve.degree,
+                   "annulus": [curve.rho, 1.0 / curve.rho],
+                   "area_over_pi": float(curve.moments(0)[0].real)}
     else:
-        payload = {
-            "valid": True,
-            "kind": "polygon",
-            "n_vertices": curve.n_vertices,
-            "area_over_pi": curve.area_over_pi(),
-        }
-    _emit(payload, args)
+        payload = {"kind": "polygon", "n_vertices": curve.n_vertices,
+                   "area_over_pi": curve.area_over_pi()}
+    _emit({"valid": True, **payload}, args)
     return EXIT_OK
 
 
@@ -285,7 +281,7 @@ def cmd_quadrature(args, curve):
             residue_value = quaddom.abelian_quadrature(curve, f_coeffs)
             oracle_value = quaddom.boundary_abelian(grid, f_coeffs)
         else:
-            residue_value = quaddom.arclength_quadrature(curve, f_coeffs, grid)
+            residue_value = quaddom.arclength_quadrature(curve, f_coeffs)
             oracle_value = quaddom.boundary_arclength(grid, f_coeffs)
     report = quaddom.quadrature_report(args.kind, residue_value, oracle_value, weights)
     _emit(report, args)
@@ -478,10 +474,21 @@ def _drop_stdout():
         pass
 
 
+def _refuse_flags_before_the_verb(parser, argv):
+    """Name the flags given before the verb (exit 2), which argparse would
+    otherwise report as an invalid verb: the flags follow the verb."""
+    flags = [token.split("=")[0] for token in itertools.takewhile(
+        lambda token: token.startswith("-"), argv) if token not in ("-h", "--help")]
+    if flags:
+        parser.error(f"flags follow the verb: {' '.join(flags)}")
+
+
 def _dispatch(argv):
     parser = build_parser()
+    argv = _attach_values(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        _refuse_flags_before_the_verb(parser, argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:

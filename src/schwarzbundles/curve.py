@@ -374,15 +374,20 @@ def build_polygon(vertices):
     return poly
 
 
+def node_count(n):
+    """n as an int, refused unless a power of two >= MIN_NODES."""
+    n = int(n)
+    if n < MIN_NODES or n & (n - 1):
+        raise BadNodeCountError(f"node count must be a power of two >= 16, got {n}")
+    return n
+
+
 def sample(curve, n):
     """Contour grid with n uniform parameter nodes (n a power of two, >= 16)."""
     if not isinstance(curve, ConformalMapCurve):
         raise NotConformalMapCurveError(
             "grids are only defined for conformal-map curves")
-    n = int(n)
-    if n < MIN_NODES or n & (n - 1):
-        raise BadNodeCountError(f"node count must be a power of two >= 16, got {n}")
-    return _ring(curve, n, 1.0)
+    return _ring(curve, node_count(n), 1.0)
 
 
 def _ring(curve, n, radius):
@@ -676,9 +681,7 @@ def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):
     """
     if not 0.0 < tol < np.inf:
         raise ParseError(f"tolerance must be finite and positive, got {tol}")
-    n = int(n_start)
-    if n < MIN_NODES or n & (n - 1):
-        raise BadNodeCountError(f"start count must be a power of two >= 16, got {n}")
+    n = node_count(n_start)
 
     near = prev_grid = prev_val = None
     while True:

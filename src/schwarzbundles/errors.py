@@ -82,8 +82,11 @@ class NoHolomorphicSectionError(SchwarzBundleError):
 # quadrature identities
 
 class TangentNotMeromorphicError(SchwarzBundleError):
-    """The reciprocal unit tangent does not continue meromorphically, so the
-    arc-length residue identity does not apply."""
+    """The reciprocal unit tangent, continued into the pullback disk, is not
+    a simple pole at zeta = 0 plus a holomorphic part, so the arc-length
+    residue identity does not apply: phi' is not constant (the curve is not
+    a circle), and 1/T has a branch point in the disk or, when phi' is a
+    perfect square, a pole of higher order at zeta = 0."""
 
 
 class RankDeficientError(SchwarzBundleError):

@@ -8,8 +8,11 @@ continues meromorphically inside, with its only pullback pole at zeta = 0.
 Its harmonic moments M_k = (1/pi) * integral of z^k dA, k >= 0, are
 therefore finite sums over the map's coefficients, one truncated product by
 phi per order (`ConformalMapCurve.moments`). The classical identity is
-sum_k f_k M_k, the Abelian identity the classical one of f'; the arc-length
-identity is the residue of the reciprocal tangent's simple pole. Every
+sum_k f_k M_k, the Abelian identity the classical one of f'. The arc-length
+identity is the residue of the reciprocal tangent's simple pole at zeta = 0,
+2 pi |a1| f(a0); 1/T has that form only when phi' is constant, so the
+identity answers circles and refuses every other map by the degree of phi'
+(a branch point of 1/T in the disk, or a pole of higher order). Every
 identity is paired with a direct boundary-integral form for cross-checking;
 the polygon corner formula is checked against the exact boundary integral
 of Green's theorem, evaluated edge by edge.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band, sample
+from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
 from .errors import (
     NotConformalMapCurveError,
     ParseError,
@@ -38,7 +41,6 @@ from .errors import (
 from .schwarz import _prime_at, polygon_schwarz
 from .transforms import _pole_density
 
-TANGENT_TAIL_TOL = 1e-8
 QD_RESIDUAL_THRESHOLD = 1e-3
 EPS = np.finfo(float).eps
 
@@ -67,40 +69,32 @@ def abelian_quadrature(curve, f_coeffs):
     return classical_quadrature(curve, poly_derivative(f_coeffs))
 
 
-def _inverse_tangent_residue(grid):
-    """Coefficient of 1/zeta in the Laurent series of 1/T in the pullback
-    plane, when 1/T is meromorphic there.
+def arclength_quadrature(curve, f_coeffs):
+    """Arc-length integral of f over the curve, by residues: 2 pi |a1| f(a0)
+    for a circle, from the coefficients alone.
 
-    Fourier-analyzes the boundary samples conj(z')/|z'|; a genuine negative
-    tail beyond the simple pole at zeta = 0 means 1/T has a branch point
-    inside and the arc-length identity does not apply.
-    """
-    h = np.conjugate(grid.dz) / np.abs(grid.dz)
-    coeff = np.fft.fft(h) / grid.n
-    freqs = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(int)
-    top = np.abs(coeff).max()
-    tail = np.abs(coeff[freqs < -1])
-    if tail.size and tail.max() > TANGENT_TAIL_TOL * top:
-        raise TangentNotMeromorphicError(
-            "reciprocal tangent has a nonvanishing negative-frequency tail "
-            f"({tail.max():.3g} relative {tail.max() / top:.3g})")
-    return coeff[-1]  # frequency -1
-
-
-def arclength_quadrature(curve, f_coeffs, grid=None):
-    """Arc-length integral of f over the curve, by residues.
-
-    2 pi i times the residue at zeta = 0 of f(phi) * (1/T) * phi', with 1/T
-    continued from its boundary Fourier series (validated meromorphic): its
-    simple pole c_-1 / zeta meets the holomorphic f(phi) phi', so the value
-    is 2 pi i c_-1 f(a0) a1.
+    On the circle 1/T = -i zeta^-1 conj(phi'(zeta))/|phi'(zeta)|, which
+    continues into the disk as -i zeta^-1 (phi'^*(1/zeta)/phi'(zeta))^(1/2),
+    phi'^* the conjugate coefficients. The identity 2 pi i times the residue
+    at zeta = 0 of f(phi) (1/T) phi' takes 1/T to be a simple pole at zeta = 0
+    and holomorphic elsewhere in the disk, which holds exactly when phi' is
+    the constant a1 (a circle): then 1/T = -i conj(a1)/(|a1| zeta). A phi' of
+    degree d >= 1 has its roots r beyond 1/rho, so phi'^*(1/zeta) vanishes at
+    1/conj(r) inside the disk: a root of odd multiplicity (always one when d
+    is odd) is a branch point of 1/T, and when every multiplicity is even
+    1/T has a pole of order d/2 + 1 at zeta = 0, whose residue needs
+    derivatives of f at a0. Both are refused (TangentNotMeromorphicError).
     """
     _require_conformal(curve)
-    if grid is None:
-        grid = sample(curve, 512)
     a0, a1 = curve.coeffs[:2]
-    return complex(2j * np.pi * _inverse_tangent_residue(grid)
-                   * npoly.polyval(a0, f_coeffs) * a1)
+    d = np.trim_zeros(np.asarray(curve.coeffs), "b").size - 2  # the degree of phi'
+    if d:  # the multiplicities of its roots sum to d
+        raise TangentNotMeromorphicError(
+            f"the arc-length identity holds for circles only; phi' has degree {d}: " + (
+                "odd, so a root of odd multiplicity puts a branch point of 1/T in the disk"
+                if d % 2 else "a root of odd multiplicity puts a branch point of 1/T in the "
+                f"disk, and a perfect square a pole of order {d // 2 + 1} at zeta = 0"))
+    return complex(2.0 * np.pi * abs(a1) * npoly.polyval(a0, f_coeffs))
 
 
 def polygon_quadrature(polygon):

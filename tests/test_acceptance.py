@@ -142,12 +142,12 @@ def test_criterion_5_quadrature_identities(disk, disk_grid, cardioid,
     # arc-length residues apply where 1/T continues meromorphically (circles);
     # the cardioid must be rejected, not mis-answered
     for coeffs in polys:
-        val = sb.arclength_quadrature(disk, coeffs, disk_grid)
+        val = sb.arclength_quadrature(disk, coeffs)
         worst_boundary = max(worst_boundary,
                              abs(val - sb.boundary_arclength(disk_grid, coeffs)))
     rejected = False
     try:
-        sb.arclength_quadrature(cardioid, [1], cardioid_grid)
+        sb.arclength_quadrature(cardioid, [1])
     except TangentNotMeromorphicError:
         rejected = True
 

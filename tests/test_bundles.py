@@ -115,6 +115,8 @@ def test_adjustment_defaults_to_pole(disk, disk_grid):
     bundle = sb.schwarz_pole_bundle(disk, 0.3 + 0.2j)
     section = sb.canonical_section(bundle, disk_grid)
     assert section.adjustment == pytest.approx(0.3 + 0.2j)
+    assert same_bits(section.density,
+                     sb.canonical_section(bundle, disk_grid, a=0.3 + 0.2j).density)
 
 
 @pytest.mark.parametrize("pole, passes, adjustment", [
@@ -131,6 +133,35 @@ def test_each_adjustment_candidate_is_located_once(monkeypatch, disk, disk_grid,
     section = sb.canonical_section(bundle, disk_grid)
     assert section.chern == 1 and section.adjustment == adjustment
     assert len(calls) == passes
+
+
+def test_a_class_one_pole_in_the_band_is_refused(disk):
+    # at n = 256 the pole 0.99 lies in the band: as the default adjustment
+    # point it is refused, not replaced by the conformal center
+    bundle = sb.schwarz_pole_bundle(disk, 0.99)
+    assert bundle.chern == 1
+    with pytest.raises(NearBoundaryError, match="exclusion band"):
+        sb.canonical_section(bundle, sb.sample(disk, 256))
+
+
+def test_a_bundle_refuses_a_grid_of_another_curve(disk, disk_grid, cardioid):
+    # on the cardioid's grid the disk's bundles would be sections of other
+    # bundles (and the pole bundle would keep the disk's Chern class)
+    grid = sb.sample(cardioid, 512)
+    pts = sb.annulus_verification_points(disk_grid, 32)
+    for make in (sb.exp_schwarz_bundle, lambda c: sb.schwarz_pole_bundle(c, 0.5),
+                 lambda c: sb.tangent_power_bundle(c, -1)):
+        bundle = make(disk)
+        for call in (lambda: sb.chern_class(bundle, grid),
+                     lambda: sb.canonical_section(bundle, grid),
+                     lambda: sb.verify_transition(sb.canonical_section(bundle, disk_grid),
+                                                  make(cardioid), pts)):
+            with pytest.raises(ParseError, match="not on the bundle's curve"):
+                call()
+        # a curve built again from equal coefficients is the same curve
+        twin = make(sb.build_circle(0, 1))
+        section = sb.canonical_section(twin, disk_grid)
+        assert sb.verify_transition(section, twin, pts) < 1e-9
 
 
 def test_verify_transition_disk(disk, disk_grid):

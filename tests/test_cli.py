@@ -80,6 +80,24 @@ def test_validate_disk(capsys, disk_file):
     assert payload["area_over_pi"] == pytest.approx(1.0, abs=1e-12)
 
 
+def test_validate_area_is_the_exact_moment_on_no_grid(capsys, monkeypatch, tmp_path):
+    # area_over_pi is M_0 = sum_j j |a_j|^2 from the coefficients, bit for
+    # bit, and no grid is sampled, pinned n or not
+    def no_grid(*args):
+        raise AssertionError("validate sampled a grid")
+
+    monkeypatch.setattr("schwarzbundles.curve.sample", no_grid)
+    monkeypatch.setattr("schwarzbundles.cli.sample", no_grid)
+    for coeffs, rho in (([0, 1], 0.5), ([0, 1, 0.3], 0.7),
+                        ([0, 1, 0.1, 0.04, 0.02], 0.75), ([0.2j, 1, 0.2 + 0.15j], 0.6)):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(sb.curve_to_json(sb.build_polynomial_curve(coeffs, rho))))
+        want = sb.build_polynomial_curve(coeffs, rho).moments(0)[0].real
+        for extra in ([], ["--n", "4096"]):
+            code, out, _ = run(capsys, "validate", str(path), *extra)
+            assert code == 0 and json.loads(out)["area_over_pi"] == want
+
+
 def test_validate_invalid_curve(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(BAD_CURVE)
@@ -173,6 +191,25 @@ def test_section_verify_unplaceable_ring_is_a_band_refusal(capsys, disk_file):
                          "--pole", "0.9", "--verify", "--n", "512")
     assert code == 3
     assert out == "" and "refine the grid" in err
+
+
+def test_section_pole_in_the_band_is_a_band_refusal(capsys, disk_file):
+    # the class-1 pole 0.99 is the default adjustment point, and it lies in
+    # the band at n = 256: refused, not replaced by the conformal center
+    code, out, err = run(capsys, "section", disk_file, "--bundle", "schwarz-pole",
+                         "--pole", "0.99", "--n", "256")
+    assert (code, out) == (3, "")
+    assert "exclusion band" in err
+
+
+def test_arclength_off_a_circle_is_incompatible_geometry(capsys, tmp_path):
+    # phi = zeta + 1e-10 zeta^2 is no circle, however near one
+    path = tmp_path / "curve.json"
+    path.write_text('{"kind": "conformal", "coeffs": [[0, 0], [1, 0], [1e-10, 0]], "rho": 0.5}')
+    code, out, err = run(capsys, "quadrature", str(path), "--kind", "arc-length")
+    assert (code, out) == (5, "")
+    assert err.startswith("incompatible geometry: the arc-length identity holds for "
+                          "circles only; phi' has degree")
 
 
 @pytest.mark.filterwarnings("error")
@@ -624,8 +661,9 @@ def test_malformed_environment_configuration_is_a_parse_error(capsys, monkeypatc
 
 @pytest.mark.parametrize("flag", [["--n", "256"], ["--tol", "1e-8"], ["--format", "csv"]])
 def test_configuration_flags_follow_the_verb(capsys, disk_file, flag):
-    code, out, _ = run(capsys, *flag, "validate", disk_file)
+    code, out, err = run(capsys, *flag, "validate", disk_file)
     assert (code, out) == (2, "")
+    assert f"flags follow the verb: {flag[0]}" in err
 
 
 def test_band_refusal_cleared_by_finer_grids_is_no_convergence(capsys, disk_file):
@@ -655,10 +693,12 @@ def test_geometry_refusals_come_from_the_library(capsys, disk_file, square_file,
     ["section", "--bundle", "exp-schwarz"], ["quadrature", "--kind", "classical"],
     ["rational-fit", "--deg-q", "1", "--deg-p", "1"],
     ["plotdata", "--quantity", "moments"],
+    ["quadrature", "--kind", "corner"],  # on the polygon, which samples no grid
 ])
 @pytest.mark.parametrize("n", ["0", "7", "48"])
-def test_node_count_not_a_power_of_two_is_refused(capsys, disk_file, argv, n):
-    code, out, err = run(capsys, argv[0], disk_file, "--n", n, *argv[1:])
+def test_node_count_not_a_power_of_two_is_refused(capsys, disk_file, square_file, argv, n):
+    path = square_file if "corner" in argv else disk_file
+    code, out, err = run(capsys, argv[0], path, "--n", n, *argv[1:])
     assert (code, out) == (EXIT_FAILURE, "")
     assert "power of two" in err
 

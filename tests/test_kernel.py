@@ -442,6 +442,17 @@ def test_rational_fit_refusals_match_the_dense_oracle(name, count):
     assert refused == 5 - grid.curve.degree
 
 
+def test_rational_fit_numerator_refusal_matches_the_dense_oracle():
+    # 16 samples on a small circle about 3: their Vandermonde is nearly
+    # rank deficient at degree 3, so the denominator stage (deg_p = 0)
+    # passes and the numerator's Kronecker stage loses rank
+    grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 512)
+    zs = 3 + 0.01 * np.exp(2j * np.pi * (np.arange(16) + 0.25) / 16)
+    fmat = oracles.exterior_f_matrix(grid, zs)
+    got = _fit_outcome(sb.fit_rational_structure, grid, 3, 0, zs)
+    assert got == _dense_outcome(zs, fmat, 3, 0) == "numerator stage rank 13 < 16"
+
+
 @pytest.mark.parametrize("count", [12, 24])
 @pytest.mark.parametrize("name", sorted(FIT_CURVES))
 def test_rational_fit_denominator_is_exact(name, count):

@@ -65,23 +65,55 @@ def test_abelian_of_a_constant_is_exactly_zero(disk, cardioid):
         assert sb.abelian_quadrature(curve, [2.5 - 1j]) == 0
 
 
-def test_arclength_disk(disk, disk_grid):
-    assert sb.arclength_quadrature(disk, [1], disk_grid) == pytest.approx(
+def test_arclength_disk(disk):
+    assert sb.arclength_quadrature(disk, [1]) == pytest.approx(
         2 * np.pi, abs=1e-10)
-    assert sb.arclength_quadrature(disk, [0, 0, 1], disk_grid) == pytest.approx(
+    assert sb.arclength_quadrature(disk, [0, 0, 1]) == pytest.approx(
         0.0, abs=1e-10)
 
 
-def test_arclength_mean_value(disk, disk_grid):
+def test_arclength_mean_value(disk):
     # degree-8 truncation of 1/(z - 3); the boundary mean is 2 pi f(0)
     coeffs = [-(3.0 ** -(j + 1)) for j in range(9)]
-    value = sb.arclength_quadrature(disk, coeffs, disk_grid)
+    value = sb.arclength_quadrature(disk, coeffs)
     assert value == pytest.approx(2 * np.pi * (-1 / 3), abs=1e-10)
 
 
-def test_arclength_rejects_branching_tangent(cardioid, cardioid_grid):
+def test_arclength_rejects_branching_tangent(cardioid):
     with pytest.raises(TangentNotMeromorphicError):
-        sb.arclength_quadrature(cardioid, [1], cardioid_grid)
+        sb.arclength_quadrature(cardioid, [1])
+
+
+@pytest.mark.parametrize("coeffs,rho", [([0, 1], 0.5), ([0.1, 2, 0, 0], 0.5),
+                                        ([0.3 + 0.1j, 1], 0.5), ([5j, 0.5 - 0.5j, 0], 0.4)])
+def test_arclength_of_a_circle_is_its_length_times_f_at_the_center(coeffs, rho):
+    # trailing zero coefficients still make a circle; the value is
+    # 2 pi |a1| f(a0) to within 4 ulps, and the trapezoidal boundary
+    # integral of the polynomial integrand agrees to rounding
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, 512)
+    a0, r = complex(coeffs[0]), abs(complex(coeffs[1]))
+    for f in ([1], [0, 1], [1, 2, 1], [0.5j, -1, 0, 2]):
+        scale = 2 * np.pi * r * sum(abs(c) * abs(a0) ** k for k, c in enumerate(f))
+        got = sb.arclength_quadrature(curve, f)
+        want = 2 * np.pi * r * sum(c * a0 ** k for k, c in enumerate(f))
+        assert abs(got - want) <= 4 * EPS * scale
+        on_curve = 2 * np.pi * r * sum(abs(c) * (abs(a0) + r) ** k for k, c in enumerate(f))
+        assert abs(got - sb.boundary_arclength(grid, f)) <= 1e-12 * on_curve
+
+
+@pytest.mark.parametrize("coeffs,rho,why", [
+    ([0, 1, 0.3], 0.7, "degree 1: odd, so a root of odd multiplicity puts a branch point"),
+    ([0, 1, 0.1, 0.04, 0.02], 0.75, "degree 3: odd"),
+    ([0, 1, 0.2, 0.04 / 3], 0.6, "a perfect square a pole of order 2 at zeta = 0"),
+    ([0, 1, 1e-10], 0.5, "degree 1: odd"),
+], ids=["cardioid", "quartic", "square-derivative", "near-circle"])
+def test_arclength_refuses_every_map_but_a_circle(coeffs, rho, why):
+    # phi' = (1 + 0.2 zeta)^2 gives 1/T a double pole; phi = zeta + 1e-10
+    # zeta^2 a branch point, though its Fourier tail is about 1e-10
+    with pytest.raises(TangentNotMeromorphicError, match="circles only") as info:
+        sb.arclength_quadrature(sb.build_polynomial_curve(coeffs, rho), [1])
+    assert why in str(info.value)
 
 
 def test_polygon_weights_square(unit_square):
@@ -146,7 +178,7 @@ def test_residues_match_boundary_oracles(disk, disk_grid, cardioid, cardioid_gri
             assert abs(sb.abelian_quadrature(curve, coeffs)
                        - sb.boundary_abelian(grid, coeffs)) < 1e-9
     for coeffs in polys:
-        assert abs(sb.arclength_quadrature(disk, coeffs, disk_grid)
+        assert abs(sb.arclength_quadrature(disk, coeffs)
                    - sb.boundary_arclength(disk_grid, coeffs)) < 1e-9
 
 
