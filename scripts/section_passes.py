@@ -10,6 +10,11 @@ them. Every chain runs on a fresh grid, so the verification points and rings
 are built in its own steps; a chain stops after chern_class when the Chern
 class is negative, as the workload's does.
 
+verify_transition makes one kernel pass, the band and side decision at the
+points on the curve's grid, and at Chern class 1 one `locate` of the
+adjustment point per ring; it unwraps each ring's transition once and
+compares the rings with the curve by Fourier modes, with no kernel pass.
+
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """
 

@@ -98,8 +98,9 @@ def _config_from(args):
     """Fill an absent --tol / --n from SCHWARZ_TOL / SCHWARZ_N, else the
     verb's default tolerance; refuse a malformed environment value, a
     tolerance that is not finite and positive, a node count that is not a
-    power of two >= 16 (`curve.node_count`, for every verb and curve) and a
-    moment order beyond MAX_MOMENT_ORDER."""
+    power of two from 16 to MAX_NODES (`curve.node_count`, for every verb and
+    curve, before anything of that size is allocated) and a moment order
+    beyond MAX_MOMENT_ORDER."""
     env = os.environ
     try:
         tol = float(env.get("SCHWARZ_TOL", args.default_tol))

@@ -375,15 +375,19 @@ def build_polygon(vertices):
 
 
 def node_count(n):
-    """n as an int, refused unless a power of two >= MIN_NODES."""
+    """n as an int, refused unless a power of two from MIN_NODES to
+    MAX_NODES; nothing of size n is allocated before the check."""
     n = int(n)
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"node count must be a power of two >= 16, got {n}")
+    if n > MAX_NODES:
+        raise BadNodeCountError(f"node count {n} exceeds the cap {MAX_NODES}")
     return n
 
 
 def sample(curve, n):
-    """Contour grid with n uniform parameter nodes (n a power of two, >= 16)."""
+    """Contour grid with n uniform parameter nodes (n a power of two, from 16
+    to MAX_NODES)."""
     if not isinstance(curve, ConformalMapCurve):
         raise NotConformalMapCurveError(
             "grids are only defined for conformal-map curves")

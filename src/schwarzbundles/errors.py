@@ -17,7 +17,7 @@ class CurveNotSimpleError(SchwarzBundleError):
 
 
 class BadNodeCountError(SchwarzBundleError):
-    """Grid node counts must be powers of two and at least 16."""
+    """Grid node counts must be powers of two from 16 to 2^16."""
 
 
 class DegenerateTangentError(SchwarzBundleError):

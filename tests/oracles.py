@@ -13,6 +13,9 @@ the conjugate-swap route (`double_cauchy_conjugate_swap`), which needs no
 branch of a complex log in the mixed quadrant, is the reference for the
 package's C(z, w) from the Schwarz-pole section. The scalar polygon loops
 (`polygon_refusal`) are the reference for the blocked validation pass.
+The transition check's point residual (`point_transition_residual`), one
+kernel pass per verification ring as the package computed it before its
+check compared Fourier modes, is what the spectral value must bound.
 """
 
 import cmath
@@ -20,7 +23,14 @@ import math
 
 import numpy as np
 
-from schwarzbundles.errors import CurveNotSimpleError, DegenerateEdgeError, ParseError
+from schwarzbundles.bundles import _kept, _node_log, _require_own_grid, _verification_rings
+from schwarzbundles.curve import TWO_PI, Location, locate, off_band
+from schwarzbundles.errors import (
+    CurveNotSimpleError,
+    DegenerateEdgeError,
+    NearBoundaryError,
+    ParseError,
+)
 
 
 def central_difference(fn, z, h=1e-6):
@@ -423,3 +433,28 @@ def schwarz_pole_at(curve, w, zeta):
 
 def tangent_power_at(curve, m, zeta):
     return pullback_tangent_loop(curve, zeta) ** (-int(m))
+
+
+def point_transition_residual(section, bundle, annulus_points):
+    """The contour-shift residual of the gluing f1 = lambda12 * f2 at the
+    points: max |log f - log f_ring|, imaginary part mod 2 pi, with log f the
+    curve's Cauchy sum of the section's density and log f_ring the sum of
+    the ring's density (|zeta| = 1/r for interior points, r for exterior
+    ones) from one kernel pass per ring."""
+    grid, a, c = section.grid, section.adjustment, section.chern
+    _require_own_grid(bundle, grid)
+    pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
+    inside, sums = off_band(grid, pts, section.density)
+    worst = 0.0
+    for ring, side in zip(_kept(grid, _verification_rings), (inside, ~inside)):
+        if not side.any():
+            continue
+        if c and locate(ring, a) is not Location.INTERIOR:
+            raise NearBoundaryError(
+                f"adjustment point {a} is not strictly inside the ring "
+                f"|zeta| = {ring.radius:.6g}; refine the grid")
+        density = _node_log(bundle, ring, c, a)
+        delta = off_band(ring, pts[side], density)[1] - sums[side]
+        delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
+        worst = max(worst, float(np.abs(delta).max()))
+    return worst

@@ -67,7 +67,7 @@ def test_criterion_2_transition_identities(disk, disk_grid, cardioid, cardioid_g
             section = sb.canonical_section(bundle, grid)
             worst = max(worst, sb.verify_transition(section, bundle, pts))
     elapsed = time.perf_counter() - start
-    report("criterion 2: transition identity residuals on annulus points",
+    report("criterion 2: transition identity bounds from ring Fourier modes",
            worst < 1e-9 and elapsed < 5.0,
            f"worst residual {worst:.2e}, {elapsed:.2f} s")
 

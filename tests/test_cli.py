@@ -703,6 +703,25 @@ def test_node_count_not_a_power_of_two_is_refused(capsys, disk_file, square_file
     assert "power of two" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("n", [2 ** 17, 2 ** 32, 2 ** 60])
+def test_node_count_beyond_the_cap_is_refused_before_any_grid(capsys, monkeypatch,
+                                                              disk_file, source, n):
+    def no_grid(*args):
+        raise AssertionError("a grid was allocated")
+
+    # every grid, the curve's and its rings, is built by `_ring`
+    monkeypatch.setattr(sb.curve, "_ring", no_grid)
+    argv = ["transform", disk_file, "--z", "2"]
+    if source == "env":
+        monkeypatch.setenv("SCHWARZ_N", str(n))
+    else:
+        argv += ["--n", str(n)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (EXIT_FAILURE, "")
+    assert f"node count {n} exceeds the cap 65536" in err
+
+
 @pytest.mark.parametrize("spec", [
     '{"kind": "conformal", "coeffs": [[0, 0], [1e200, 0]], "rho": 0.5}',
     '{"kind": "conformal", "coeffs": [[1e200, 0], [1, 0]], "rho": 0.5}',  # circle

@@ -93,6 +93,14 @@ def test_sample_rejects_bad_counts(disk):
         sb.sample(disk, 100)
 
 
+@pytest.mark.parametrize("n", [2 ** 17, 2 ** 32, 2 ** 60])
+def test_node_counts_beyond_the_cap_are_refused(n):
+    # the count alone is checked: nothing of size n is allocated
+    assert sb.curve.node_count(sb.curve.MAX_NODES) == 2 ** 16
+    with pytest.raises(BadNodeCountError, match="exceeds the cap"):
+        sb.curve.node_count(n)
+
+
 def test_sample_unit_circle_nodes(disk):
     g = sb.sample(disk, 16)
     expect = np.exp(2j * np.pi * np.arange(16) / 16)

@@ -1,5 +1,6 @@
 """Property suites over randomized inputs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -369,3 +370,32 @@ def mixed_scale_polygons(draw):
 def test_polygon_validation_matches_the_scalar_loops(family, data):
     vertices = data.draw(family)
     assert _outcome(vertices) == oracles.polygon_refusal(vertices)
+
+
+SPECTRAL_CURVES = dict(INVERSE_CURVES, cubic=([0.2j, 1, 0.2 + 0.15j, -0.04 + 0.05j], 0.7))
+
+
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(SPECTRAL_CURVES))
+def test_spectral_verification_bounds_the_point_residual(name, n):
+    # every built-in kind with a section, correct and off log lambda12 by
+    # 1e-8 times one mode, at all points and at either half of them
+    curve = sb.build_polynomial_curve(*SPECTRAL_CURVES[name])
+    grid = sb.sample(curve, n)
+    pts = sb.annulus_verification_points(grid, 32)
+    t = grid.t
+    modes = (np.sin(3 * t), np.exp(-1j * t), np.exp(2j * t), np.exp(40j * t), np.exp(-40j * t))
+    bundles = (sb.exp_schwarz_bundle(curve), sb.schwarz_pole_bundle(curve, 3),
+               sb.schwarz_pole_bundle(curve, complex(curve.phi(0.3 + 0.1j))),
+               sb.tangent_power_bundle(curve, -1))
+    for bundle in bundles:
+        section = sb.canonical_section(bundle, grid)
+        for mode in (None, *modes):
+            tried = section if mode is None else dataclasses.replace(
+                section, density=section.density + 1e-8 * mode)
+            for subset in (pts, pts[:16], pts[16:]):
+                value = sb.verify_transition(tried, bundle, subset)
+                point = oracles.point_transition_residual(tried, bundle, subset)
+                assert value >= point or point <= 1e-13, (value, point)
+                if mode is None:
+                    assert value <= 1e-12

@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
-        "moment_orders.py": ["64"]}
+        "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"]}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
@@ -48,11 +48,13 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     # unwrap_log/transition_at_nodes/kernel_sums per step: chern_class,
     # canonical_section, annulus_verification_points, verify_transition. The
     # built-in classes are stored, and a section is one unwrap of the
-    # transition; the verification points take one distance pass per radius
-    expected = {"exp-schwarz": ["0/0/0", "0/0/0", "0/0/{}", "0/0/3"],
-                "pole-exterior": ["0/0/0", "1/1/0", "0/0/{}", "2/2/3"],
-                "pole-interior": ["0/0/0", "1/1/1", "0/0/{}", "2/2/5"],
-                "tangent-m-1": ["0/0/0", "1/1/1", "0/0/{}", "2/2/5"],
+    # transition; the verification points take one distance pass per radius;
+    # verify_transition makes one pass over the curve and, at Chern class 1,
+    # one locate per ring, and compares the rings by their Fourier modes
+    expected = {"exp-schwarz": ["0/0/0", "0/0/0", "0/0/{}", "0/0/1"],
+                "pole-exterior": ["0/0/0", "1/1/0", "0/0/{}", "2/2/1"],
+                "pole-interior": ["0/0/0", "1/1/1", "0/0/{}", "2/2/3"],
+                "tangent-m-1": ["0/0/0", "1/1/1", "0/0/{}", "2/2/3"],
                 "tangent-m2": ["0/0/0", "-", "-", "-"]}
     radii = {"disk": 1, "cardioid": 6, "quartic": 3}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
