@@ -82,11 +82,12 @@ FAR_PAIR_SEPARATION = 8
 KERNEL_BLOCK = 2 ** 15
 
 # Largest ratio q of a far row (`_far_rows`). Two 40 x 40 disk lattices at
-# n = 1024 and a moment ring at n = 4096 took 12.7, 10.9, 10.0, 9.1, 9.4,
-# 10.0 ms at q = 0.6, 0.65, ..., 0.85 (scripts/far_ratio_study.py, best of
-# 40 rounds, 2-core x86_64); over a whole `sweep` benchmark cycle q = 0.75
-# and 0.8 save under 4 % against 0.7, too little to pay for the larger
-# rounding factor (1 + q)/(1 - q) (see `kernel_sums`).
+# n = 1024 and a 256-point ring of radius 2 max|z| about the cardioid at
+# n = 4096 took 12.7, 10.9, 10.0, 9.1, 9.4, 10.0 ms at q = 0.6, 0.65, ...,
+# 0.85 (scripts/far_ratio_study.py, best of 40 rounds, 2-core x86_64, the
+# ring then timed through the moment check); over a whole `sweep` benchmark
+# cycle q = 0.75 and 0.8 save under 4 % against 0.7, too little to pay for
+# the larger rounding factor (1 + q)/(1 - q) (see `kernel_sums`).
 FAR_RATIO = 0.7
 
 EPS = np.finfo(float).eps
@@ -157,21 +158,23 @@ class ConformalMapCurve:
     def moments(self, k_max):
         """The harmonic moments M_0 ... M_k_max, M_k = (1/pi) * integral of
         z^k dA over the domain, exactly from the map's coefficients a_j:
-        M_k = sum_j j conj(a_j) [zeta^j] phi^{k+1}/(k + 1).
+        M_k = sum_j j conj(a_j) [zeta^j] q_{k+1}, q_m = phi^m/m.
 
         The domain is a quadrature domain with its node at phi(0). Green's
         theorem gives -(1/2 pi i) * integral of z^{k+1}/(k + 1) d(conj z) on
         the curve, where conj z = sum_j conj(a_j) zeta^-j, so only the Taylor
-        coefficients of phi^{k+1} up to the map's degree enter: one truncated
-        product by phi per order. A moment is not finite where the powers
-        overflow (the caller's np.errstate decides whether that raises).
+        coefficients of q_{k+1} up to the map's degree enter: one truncated
+        product by phi per order, q_m = ((m - 1)/m) (phi q_{m-1}). Carrying
+        phi^m/m rather than phi^m keeps the table finite as far as the
+        moments are (the circle about 5 answers up to M_441 = 5^441). A
+        moment is not finite where the table overflows (the caller's
+        np.errstate decides whether that raises).
         """
         a = np.asarray(self.coeffs)
-        power = np.zeros((k_max + 2, a.size), dtype=complex)  # row m: phi^m, truncated
-        power[0, 0] = 1.0
-        for m in range(1, k_max + 2):
-            power[m] = np.convolve(power[m - 1], a)[:a.size]
-        return (power[1:] * (np.arange(a.size) * a.conj())).sum(axis=1) / np.arange(1, k_max + 2)
+        q = np.tile(a, (k_max + 1, 1))  # row k: q_{k+1}, truncated; row 0 is q_1 = phi
+        for k in range(1, k_max + 1):
+            q[k] = k / (k + 1) * np.convolve(q[k - 1], a)[:a.size]
+        return (q * (np.arange(a.size) * a.conj())).sum(axis=1)
 
     def point(self, t):
         return self.phi(_circle_point(t))

@@ -18,8 +18,9 @@ the same trapezoidal sum about the conformal center) through `curve.sides`
 or `curve.off_band`, which locate the points it sums at in the same pass and
 refuse the exclusion band and non-finite points. `double_cauchy_batch`
 evaluates C for many z at one w in one such pass; `cauchy_integral` and
-`double_cauchy` are batches of one point, and `moment_expansion_check`
-sums its whole sampling ring in one pass.
+`double_cauchy` are batches of one point. The trapezoidal moments
+(`_trapezoid_moments`) need no kernel: one product per order walks the node
+terms from k = 0.
 """
 
 from __future__ import annotations
@@ -45,9 +46,6 @@ from .errors import (
 )
 
 PHASE_STEP_LIMIT = np.pi / 2
-
-# Least number of points on the moment check's sampling ring.
-MOMENT_RING_NODES = 256
 
 
 def unwrap_log(values):
@@ -100,13 +98,34 @@ def _located_cauchy_transform(grid, z):
     return Location.EXTERIOR, complex(-base[0])
 
 
+def _trapezoid_moments(grid, k_lo, k_hi):
+    """The grid's trapezoidal moments m_k = (w/2 pi i) * sum z^k conj(z) dz
+    for k_lo <= k <= k_hi, as an array in ascending k.
+
+    The node terms (w/2 pi i) conj(z) dz walk out from k = 0, multiplied by z
+    (or by 1/z for k < 0) once per order, so m_k carries about |k| + 1
+    roundings per term and no complex power. 1/z is formed only when an
+    order is negative, so a node at 0 is harmless otherwise. Call under
+    np.errstate where a term may overflow.
+    """
+    terms = grid.weight / (2j * np.pi) * np.conjugate(grid.z) * grid.dz
+    walked = {0: terms.sum()}
+    for orders in (range(1, k_hi + 1), range(-1, k_lo - 1, -1)):
+        step = 1.0 / grid.z if orders and orders.step < 0 else grid.z
+        power = terms.copy()
+        for k in orders:
+            power *= step
+            walked[k] = power.sum()
+    return np.array([walked[k] for k in range(k_lo, k_hi + 1)], dtype=complex)
+
+
 def harmonic_moments(grid, k_min, k_max):
     """{k: M_k} in ascending k for k in [k_min, k_max], M_k = (1/2 pi i) *
     integral of z^k conj(z) dz. M_k for k >= 0 comes from the map's
     coefficients (`ConformalMapCurve.moments`), exactly and without the
-    grid; a negative order is the trapezoidal sum on the grid and needs 0
-    inside the curve (OriginNotInteriorError, NearBoundaryError in its
-    band).
+    grid; a negative order is the grid's trapezoidal sum
+    (`_trapezoid_moments`, one product by 1/z per order) and needs 0 inside
+    the curve (OriginNotInteriorError, NearBoundaryError in its band).
 
     Raises ParseError for a range without k = 0, or with a moment that is
     not finite in floating point."""
@@ -115,40 +134,28 @@ def harmonic_moments(grid, k_min, k_max):
         raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
     if k_min < 0 and require_off_band(grid, 0.0) is not Location.INTERIOR:
         raise OriginNotInteriorError("harmonic moments assume the origin is interior")
-    pref = grid.weight / (2j * np.pi)
-    zbar_dz = np.conjugate(grid.z) * grid.dz
     with np.errstate(all="ignore"):  # overflow: refused below
-        values = {k: complex(pref * np.sum(grid.z ** k * zbar_dz)) for k in range(k_min, 0)}
-        values.update(enumerate(grid.curve.moments(k_max).tolist()))
-    if not np.isfinite(list(values.values())).all():
+        values = np.concatenate([_trapezoid_moments(grid, k_min, -1), grid.curve.moments(k_max)])
+    if not np.isfinite(values).all():
         raise ParseError(f"moments of orders {k_min}..{k_max} overflow on this curve")
-    return values
+    return dict(zip(range(k_min, k_max + 1), values.tolist()))
 
 
 def moment_expansion_check(grid, k_max):
     """Consistency of the Schwarz-function moment expansion.
 
-    Extracts Laurent coefficients at infinity of the logarithm of the
-    exterior exp-Schwarz section (log f2 = -sum_k M_k / z^{k+1}) by Fourier
-    analysis of the grid's Cauchy sums on a circle enclosing the curve, and
-    returns max_k |coeff_k + M_k| over 0 <= k <= k_max, with M_k the exact
-    moments from the map's coefficients (`ConformalMapCurve.moments`). The
-    ring has at least MOMENT_RING_NODES points.
-    The coefficients are the grid's discrete moments, so the residual is
-    their quadrature error against the exact table: a grid whose nodes are
-    off the curve fails it.
+    Outside the curve the log of the exterior exp-Schwarz section is
+    -sum_k M_k / z^{k+1}; on the grid its coefficients are the trapezoidal
+    moments m_k (`_trapezoid_moments`). Returns max_k |m_k - M_k| over
+    0 <= k <= k_max, with M_k the exact moments from the map's coefficients
+    (`ConformalMapCurve.moments`): the quadrature error of the grid against
+    the exact table, so a grid whose nodes are off the curve fails it, and
+    so does one too coarse for order k_max (m_k aliases for k >= n).
     """
     k_max = int(k_max)
-    n_fft = max(MOMENT_RING_NODES, 4 * (k_max + 2))
-    radius = 2.0 * np.abs(grid.z).max()
-    angles = 2.0 * np.pi * np.arange(n_fft) / n_fft
-    ring = radius * np.exp(1j * angles)
-    _, vals = off_band(grid, ring, np.conjugate(grid.z))
-    coeff = np.fft.ifft(vals)  # coeff[m] * radius^{-m} = Laurent coefficient m
-    orders = np.arange(1, k_max + 2)
-    # float_power and hypot round as the scalar radius ** m and abs do, on
-    # every host; the SIMD loops of np.power and np.abs depend on the CPU
-    gap = coeff[orders] * np.float_power(radius, orders) + grid.curve.moments(k_max)
+    gap = _trapezoid_moments(grid, 0, k_max) - grid.curve.moments(k_max)
+    # hypot rounds as the scalar abs does, on every host; the SIMD loop of
+    # np.abs depends on the CPU
     return float(np.hypot(gap.real, gap.imag).max(initial=0.0))
 
 

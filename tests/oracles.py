@@ -16,6 +16,9 @@ package's C(z, w) from the Schwarz-pole section. The scalar polygon loops
 The transition check's point residual (`point_transition_residual`), one
 kernel pass per verification ring as the package computed it before its
 check compared Fourier modes, is what the spectral value must bound.
+The per-order complex powers (`trapezoid_moments_loop`) are the reference
+for the trapezoidal moments' recurrence, and the moment check's sampling
+ring with its inverse FFT (`moment_expansion_loop`) for the check.
 """
 
 import cmath
@@ -221,6 +224,16 @@ def exact_moment(coeffs, k):
                                             np.polynomial.polynomial.polyder(a))
     return complex(sum(np.conj(a[j]) * prod[j - 1]
                        for j in range(1, len(a)) if j - 1 < len(prod)))
+
+
+def trapezoid_moments_loop(grid, k_lo, k_hi):
+    """The trapezoidal moments m_k, k_lo <= k <= k_hi, one complex power
+    grid.z ** k per order, as the package summed its negative orders before
+    its recurrence."""
+    pref = grid.weight / (2j * np.pi)
+    zbar_dz = np.conjugate(grid.z) * grid.dz
+    return np.array([complex(pref * np.sum(grid.z ** k * zbar_dz))
+                     for k in range(k_lo, k_hi + 1)])
 
 
 def moment_expansion_loop(grid, k_max, n_fft=256):

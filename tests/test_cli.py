@@ -474,6 +474,18 @@ def test_moments_of_nonnegative_order_stop_refining_at_the_first_grid(capsys, di
     assert values == [1.0] + [0.0] * 1000
 
 
+def test_moments_answer_up_to_the_last_finite_order(capsys, tmp_path):
+    # about 5, M_441 = 5^441 is finite and M_442 is not (the out-of-range
+    # parametrization below refuses the orders beyond)
+    path = tmp_path / "shifted.json"
+    path.write_text(SHIFTED_DISK)
+    code, out, _ = run(capsys, "moments", str(path), "--kmin", "0", "--kmax", "441")
+    assert code == 0
+    last = json.loads(out)["moments"][-1]
+    assert last["k"] == 441
+    assert abs(complex(*last["value"]) - 5.0 ** 441) <= 4e-15 * 5.0 ** 441
+
+
 def test_moments_of_negative_order_need_an_interior_origin(capsys, tmp_path):
     path = tmp_path / "shifted.json"
     path.write_text(SHIFTED_DISK)

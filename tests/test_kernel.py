@@ -208,7 +208,8 @@ def test_mixed_batch_rows_equal_their_lone_values(name):
 
 def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
     # one point, and the fit's 24 samples with 25 columns, stay direct; a
-    # large far ring (the moment check's) takes the expansion with M < n
+    # large far ring (as in scripts/far_ratio_study.py) takes the expansion
+    # with M < n
     grid = sb.sample(cardioid_grid.curve, 512)
     samples = sb.default_exterior_samples(grid, 24)
     ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)

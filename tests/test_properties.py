@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import schwarzbundles as sb
+from schwarzbundles import transforms
 from schwarzbundles.errors import BranchUnresolvedError, CurveNotSimpleError
 from schwarzbundles.schwarz import NEWTON_TOL
 
@@ -399,3 +400,26 @@ def test_spectral_verification_bounds_the_point_residual(name, n):
                 assert value >= point or point <= 1e-13, (value, point)
                 if mode is None:
                     assert value <= 1e-12
+
+
+MOMENT_CURVES = {"disk": ([0, 1], 0.5), "shifted": ([0.2 + 0.1j, 1], 0.5),
+                 "cardioid": ([0, 1, 0.3], 0.7),
+                 "quartic": ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)}
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(MOMENT_CURVES))
+def test_trapezoid_moments_equal_the_power_loop(name, n):
+    # m_k walks |k| products by z (or 1/z) per term, the loop takes one
+    # complex power: both within (|k| + 1) eps of the terms' moduli. For
+    # k >= 0 boundary_classical's Horner sum of e_k is a second reference.
+    grid = sb.sample(sb.build_polynomial_curve(*MOMENT_CURVES[name]), n)
+    k_lo, k_hi = -300, 20
+    got = transforms._trapezoid_moments(grid, k_lo, k_hi)
+    want = oracles.trapezoid_moments_loop(grid, k_lo, k_hi)
+    scale = grid.weight / (2 * np.pi) * np.abs(grid.z) * np.abs(grid.dz)
+    for k, m, loop in zip(range(k_lo, k_hi + 1), got, want):
+        bound = 2 * (abs(k) + 1) * oracles.EPS * np.sum(np.abs(grid.z) ** k * scale)
+        assert abs(m - loop) <= bound, k
+        if k >= 0:
+            assert abs(m - sb.boundary_classical(grid, [0] * k + [1])) <= bound, k

@@ -102,6 +102,17 @@ def test_moments_need_interior_origin():
         sb.harmonic_moments(g, -1, 1)
 
 
+def test_moment_table_answers_as_far_as_the_moments_are_finite():
+    # about 5, M_k = 5^k is finite up to k = 441 and the table answers
+    # there; M_442 overflows
+    grid = sb.sample(sb.build_circle(5.0, 1.0), 256)
+    table = sb.harmonic_moments(grid, 0, 441)
+    for k in range(438, 442):
+        assert abs(table[k] - 5.0 ** k) <= 4e-15 * 5.0 ** k, k
+    with pytest.raises(ParseError, match="overflow"):
+        sb.harmonic_moments(grid, 0, 442)
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 def test_moments_of_nonnegative_order_need_no_interior_origin(n):
     # only the negative orders are singular at the origin; about 5, M_k = 5^k
@@ -392,10 +403,13 @@ def test_cauchy_integral_refuses_the_exclusion_band(disk_grid):
         sb.cauchy_integral(disk_grid, np.conjugate(disk_grid.z), 1 + 1e-9)
 
 
-def test_moment_expansion_propagates_band_refusal(disk):
-    g16 = sb.sample(disk, 16)  # band 1.95 reaches the sampling circle
-    with pytest.raises(NearBoundaryError):
-        sb.moment_expansion_check(g16, 2)
+def test_moment_expansion_check_fails_where_the_grid_aliases(disk):
+    # at n = 16 the disk's trapezoidal moments are exact up to k = 15; m_16
+    # sums z^16 conj(z) dz = zeta^16 dt, which aliases to 1 where M_16 = 0
+    g16 = sb.sample(disk, 16)
+    assert sb.moment_expansion_check(g16, 2) <= 1e-14
+    assert sb.moment_expansion_check(g16, 15) <= 1e-14
+    assert sb.moment_expansion_check(g16, 16) > 0.5
 
 
 def _disk_exact_exponential(z, w):
