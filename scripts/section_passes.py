@@ -1,6 +1,7 @@
 """Passes made by each step of the section chain chern_class ->
-canonical_section -> annulus_verification_points -> verify_transition, for
-the five bundle kinds of the `sections` benchmark workload on the disk, the
+canonical_section -> annulus_verification_points -> verify_transition, and
+by a second verify_transition on the same grid and points, for the five
+bundle kinds of the `sections` benchmark workload on the disk, the
 cardioid and the quartic at n = 1024.
 
 Each row counts the calls of `unwrap_log`, `LineBundle.transition_at_nodes`
@@ -10,10 +11,12 @@ them. Every chain runs on a fresh grid, so the verification points and rings
 are built in its own steps; a chain stops after chern_class when the Chern
 class is negative, as the workload's does.
 
-verify_transition makes one kernel pass, the band and side decision at the
-points on the curve's grid, and at Chern class 1 one `locate` of the
-adjustment point per ring; it unwraps each ring's transition once and
-compares the rings with the curve by Fourier modes, with no kernel pass.
+verify_transition takes the points' sides from their search, kept on the
+grid, so it makes no kernel pass for them; at Chern class 1 it makes one
+`locate` of the adjustment point per ring. It unwraps each ring's transition
+once and compares the rings with the curve by Fourier modes, with no kernel
+pass. The second call makes the same passes as the first: only what depends
+on the grid alone is kept.
 
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """
@@ -29,7 +32,7 @@ CURVES = (("disk", [0, 1], 0.5),
           ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75))
 KINDS = ("exp-schwarz", "pole-exterior", "pole-interior", "tangent-m-1", "tangent-m2")
 STEPS = ("chern_class", "canonical_section", "annulus_verification_points",
-         "verify_transition")
+         "verify_transition", "verify_transition again")
 COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums")
 
 
@@ -87,6 +90,7 @@ def chain_counts(curve, kind, n, counts):
     points = step("annulus_verification_points",
                   lambda: sb.annulus_verification_points(grid, 32))
     step("verify_transition", lambda: sb.verify_transition(section, bundle, points))
+    step("verify_transition again", lambda: sb.verify_transition(section, bundle, points))
     return rows
 
 

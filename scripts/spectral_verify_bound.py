@@ -6,7 +6,8 @@ and sections correct or off log lambda12 by 1e-8 times one mode.
 The point residual is the contour-shift residual at the 32 verification
 points from one kernel pass per ring (`tests/oracles.py`,
 `point_transition_residual`). Times are the best of `repeats` calls on a
-grid whose rings and weights are already kept.
+grid whose rings, weights and ring tangents, and the points' sides, are
+already kept.
 
 Usage: python scripts/spectral_verify_bound.py [n] [repeats]   (default 1024 5)
 """

@@ -38,8 +38,8 @@ verification points under the standing assumption that phi is univalent on
 it is stricter than that residual on high modes. The verification points are
 searched over radii, one distance pass per radius, and every band and side
 decision is `curve.sides`. The two verification rings with their mode
-scales and weights, and the points, depend on the grid alone: they are built
-once per grid and kept on it, and every check runs on every call.
+scales, weights and tangents, and the points with the sides their search
+gave, depend on the grid alone: they are built once per grid and kept on it.
 """
 
 from __future__ import annotations
@@ -101,12 +101,17 @@ def _pullback_tangent(curve, zeta):
     return 1j * zeta * dphi / np.where(flip, -root, root)
 
 
+def _ring_tangent(grid):
+    return _pullback_tangent(grid.curve, grid.zeta)
+
+
 def _ring_tangent_power(grid, m):
     """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius: on the curve
-    T = dz/|dz|, elsewhere the closed form of `_pullback_tangent`."""
+    T = dz/|dz|, elsewhere the closed form of `_pullback_tangent`, kept on
+    the ring."""
     if grid.radius == 1.0:
         return (grid.dz / np.abs(grid.dz)) ** (-m)
-    return _pullback_tangent(grid.curve, grid.zeta) ** (-m)
+    return _kept(grid, _ring_tangent) ** (-m)
 
 
 def holomorphic_tangent(curve, z):
@@ -321,13 +326,14 @@ def annulus_verification_points(grid, n_points=32):
     for the current grid (refine the grid).
 
     The points depend on the grid and n_points // 2 alone: they are searched
-    once per grid and count, and every call returns a fresh copy.
+    once per grid and count, with their sides, and every call returns a
+    fresh copy.
     """
-    return _kept(grid, _search_points, max(1, int(n_points) // 2)).copy()
+    return _kept(grid, _search_points, max(1, int(n_points) // 2))[0].copy()
 
 
 def _search_points(grid, half):
-    """The verification points of `annulus_verification_points`, 2 * half:
+    """(points, inside) of `annulus_verification_points`, 2 * half points:
     the first radius r = 1 - s, s = 6 * 2 pi / n * 1.3^k, whose points
     `curve.sides` puts clear of the band, in one distance pass per radius."""
     curve = grid.curve
@@ -336,9 +342,23 @@ def _search_points(grid, half):
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        if not sides(grid, pts)[0].any():
-            return pts
+        near, inside, _ = sides(grid, pts)
+        if not near.any():
+            return pts, inside
         s *= 1.3
+
+
+def _point_sides(grid, points):
+    """The inside mask of `off_band(grid, points)`, kept from the search when
+    the points are bit for bit the grid's own; a lookup only, which neither
+    searches nor iterates the memo. No points is a ParseError."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    if not pts.size:
+        raise ParseError("no verification points")
+    kept = grid.__dict__.get("_kept", {}).get((_search_points, pts.size // 2))
+    if kept is not None and kept[0].tobytes() == pts.tobytes():
+        return kept[1]
+    return off_band(grid, pts)[0]
 
 
 def _ring_modes(grid):
@@ -411,11 +431,13 @@ def verify_transition(section, bundle, annulus_points):
     with c and a the section's own Chern class and adjustment point; once a
     is inside the ring, a zero or pole between ring and curve shows as an
     adjusted winding other than 0, which `_node_log` refuses. The two rings
-    and their scales and weights are built once per grid and kept on it;
-    every band, side and winding check runs on every call."""
+    with their scales, weights and tangents are built once per grid and kept
+    on it. The grid's own verification points reuse their search's band and
+    side decision; any other points are decided afresh, and no points is a
+    ParseError. The winding checks run on every call."""
     grid, a, c = section.grid, section.adjustment, section.chern
     _require_own_grid(bundle, grid)
-    inside, _ = off_band(grid, annulus_points)
+    inside = _point_sides(grid, annulus_points)
     curve_modes = np.fft.fft(section.density) / grid.n
     worst = 0.0
     rings = zip(_kept(grid, _verification_rings), _kept(grid, _ring_modes), (inside, ~inside))

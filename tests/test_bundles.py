@@ -802,3 +802,96 @@ def test_kept_geometry_is_the_same_under_racing_threads(cardioid):
     want = (want.tobytes(), sb.verify_transition(
         sb.canonical_section(bundle, fresh), bundle, want).hex())
     assert len(results) == 32 and set(results) == {want}
+
+
+def section_pairs(curve, grid):
+    """The four built-in bundle kinds that have a section, with it."""
+    bundles = (sb.exp_schwarz_bundle(curve), sb.schwarz_pole_bundle(curve, 3),
+               sb.schwarz_pole_bundle(curve, 0.3 + 0.1j), sb.tangent_power_bundle(curve, -1))
+    return [(sb.canonical_section(bundle, grid), bundle) for bundle in bundles]
+
+
+@pytest.mark.parametrize("n_points", [2, 32, 64])
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(SECTION_CURVES))
+def test_kept_point_sides_equal_a_fresh_pass(name, n, n_points):
+    curve = sb.build_polynomial_curve(*SECTION_CURVES[name])
+    grid = sb.sample(curve, n)
+    pts = sb.annulus_verification_points(grid, n_points)
+    assert same_bits(sb.bundles._point_sides(grid, pts), sb.curve.off_band(grid, pts)[0])
+    # a fresh grid of the same curve and n has no kept search: its sides come
+    # from a pass at the points, and every value has the same bits
+    new = sb.sample(curve, n)
+    for (section, bundle), (fresh, _) in zip(section_pairs(curve, grid),
+                                              section_pairs(curve, new)):
+        assert sb.verify_transition(section, bundle, pts).hex() == \
+            sb.verify_transition(fresh, bundle, pts).hex()
+    assert (sb.bundles._search_points, n_points // 2) not in new.__dict__["_kept"]
+
+
+def test_other_points_get_their_own_side_pass(monkeypatch, cardioid):
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    bundle = sb.exp_schwarz_bundle(cardioid)
+    section = sb.canonical_section(bundle, grid)
+    value = sb.verify_transition(section, bundle, pts)
+    calls = []
+    kernel_sums = sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "kernel_sums",
+                        lambda *a: calls.append(a) or kernel_sums(*a))
+    assert sb.verify_transition(section, bundle, pts.copy()).hex() == value.hex()
+    assert not calls
+    ulp = pts.copy()
+    ulp[5] = complex(np.nextafter(ulp[5].real, np.inf), ulp[5].imag)
+    assert sb.verify_transition(section, bundle, ulp).hex() == value.hex()
+    assert len(calls) == 1
+    on_node = pts.copy()
+    on_node[3] = grid.z[0]
+    with pytest.raises(NearBoundaryError, match="exclusion band"):
+        sb.verify_transition(section, bundle, on_node)
+    nan = pts.copy()
+    nan[3] = np.nan
+    with pytest.raises(ParseError, match="finite"):
+        sb.verify_transition(section, bundle, nan)
+
+
+def test_no_verification_points_are_refused(cardioid):
+    # a section of the pole bundle checked against exp(S): 32 points find it
+    # wrong, and no points must not pass it
+    grid = sb.sample(cardioid, 512)
+    bundle = sb.exp_schwarz_bundle(cardioid)
+    wrong = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, 3), grid)
+    pts = sb.annulus_verification_points(grid, 32)
+    value = sb.verify_transition(wrong, bundle, pts)
+    assert value > 1.0  # about 3.65
+    for empty in ([], np.empty(0, complex)):
+        with pytest.raises(ParseError, match="no verification points"):
+            sb.verify_transition(wrong, bundle, empty)
+    # a 2-D batch with a point on each side checks both rings
+    assert sb.verify_transition(wrong, bundle, [[pts[0]], [pts[20]]]).hex() == value.hex()
+
+
+@pytest.mark.parametrize("coeffs, rho", [([0, 1, 0.3], 0.7), (QUARTIC, 0.72), (SKEWED, 0.7)])
+def test_kept_ring_tangent_powers_equal_the_closed_form(coeffs, rho):
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, 1024)
+    for ring in sb.bundles._kept(grid, sb.bundles._verification_rings):
+        for m in (-1, 1, 2, 3):
+            assert same_bits(sb.bundles._ring_tangent_power(ring, m),
+                             sb.bundles._pullback_tangent(curve, ring.zeta) ** (-m))
+        assert sb.bundles._kept(ring, sb.bundles._ring_tangent) is \
+            sb.bundles._kept(ring, sb.bundles._ring_tangent)
+
+
+def test_tangent_section_pulls_back_once_per_ring(monkeypatch, cardioid):
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    bundle = sb.tangent_power_bundle(cardioid, -1)
+    section = sb.canonical_section(bundle, grid)
+    calls = []
+    tangent = sb.bundles._pullback_tangent
+    monkeypatch.setattr(sb.bundles, "_pullback_tangent",
+                        lambda *a: calls.append(a) or tangent(*a))
+    first = sb.verify_transition(section, bundle, pts)
+    assert sb.verify_transition(section, bundle, pts).hex() == first.hex()
+    assert len(calls) == 2 and first < 1e-9
