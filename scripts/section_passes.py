@@ -4,19 +4,21 @@ by a second verify_transition on the same grid and points, for the five
 bundle kinds of the `sections` benchmark workload on the disk, the
 cardioid and the quartic at n = 1024.
 
-Each row counts the calls of `unwrap_log`, `LineBundle.transition_at_nodes`
-and `curve.kernel_sums` made inside one step. The counts come from wrapping
-those functions in-process at every name through which the package reaches
-them. Every chain runs on a fresh grid, so the verification points and rings
-are built in its own steps; a chain stops after chern_class when the Chern
-class is negative, as the workload's does.
+Each row counts the calls of `unwrap_log`, `LineBundle.transition_at_nodes`,
+`curve.kernel_sums` and `ConformalMapCurve.phi_reflected` made inside one
+step. The counts come from wrapping those functions in-process at every name
+through which the package reaches them. Every chain runs on a fresh grid, so
+the verification points and rings are built in its own steps; a chain stops
+after chern_class when the Chern class is negative, as the workload's does.
 
 verify_transition takes the points' sides from their search, kept on the
 grid, so it makes no kernel pass for them; at Chern class 1 it makes one
 `locate` of the adjustment point per ring. It unwraps each ring's transition
 once and compares the rings with the curve by Fourier modes, with no kernel
 pass. The second call makes the same passes as the first: only what depends
-on the grid alone is kept.
+on the grid alone is kept. The Schwarz function S is evaluated once per grid,
+the curve's and each ring's, and kept on it, so the second call evaluates it
+on none.
 
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """
@@ -33,7 +35,7 @@ CURVES = (("disk", [0, 1], 0.5),
 KINDS = ("exp-schwarz", "pole-exterior", "pole-interior", "tangent-m-1", "tangent-m2")
 STEPS = ("chern_class", "canonical_section", "annulus_verification_points",
          "verify_transition", "verify_transition again")
-COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums")
+COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums", "phi_reflected")
 
 
 def bundle_of(curve, kind, angle=1.0):
@@ -51,7 +53,7 @@ def bundle_of(curve, kind, angle=1.0):
 
 def install_counters(counts):
     """Wrap each counted function at every module name that binds it (and
-    the transition method on its class); returns the undo list."""
+    the two methods on their classes); returns the undo list."""
     undo = []
 
     def wrap(owner, name, key):
@@ -69,6 +71,7 @@ def install_counters(counts):
             if name in vars(module):
                 wrap(module, name, name)
     wrap(sb.bundles.LineBundle, "transition_at_nodes", "transition_at_nodes")
+    wrap(sb.curve.ConformalMapCurve, "phi_reflected", "phi_reflected")
     return undo
 
 
@@ -98,7 +101,7 @@ def main(n):
     counts = dict.fromkeys(COUNTED, 0)
     undo = install_counters(counts)
     try:
-        print(f"calls per step at n = {n}: unwrap_log / transition_at_nodes / kernel_sums")
+        print(f"calls per step at n = {n}: " + " / ".join(COUNTED))
         print(f"{'curve':9s} {'bundle':14s} " + " ".join(f"{s:>28s}" for s in STEPS))
         for name, coeffs, rho in CURVES:
             curve = sb.build_polynomial_curve(coeffs, rho)

@@ -1,4 +1,4 @@
-"""Sign margin of the holomorphic tangent's closed form, `bundles._pullback_tangent`.
+"""Sign margin of the holomorphic tangent's closed form, `curve._pullback_tangent`.
 
 For the benchmark curves and phi = ((1 + 0.55 zeta)^7 - 1)/3.85 at rho 0.56
 (a 6-fold zero of phi' just beyond 1/rho), on n points of each pullback ring
@@ -58,7 +58,7 @@ def main(n, steps):
         curve = sb.build_polynomial_curve(coeffs, rho)
         for radius in np.geomspace(1.01 * rho, 0.99 / rho, 5):
             zeta = radius * np.exp(2j * np.pi * np.arange(n) / n)
-            closed = sb.bundles._pullback_tangent(curve, zeta)
+            closed = sb.curve._pullback_tangent(curve, zeta)
             tracked = tracked_tangent(curve, zeta, steps)
             flips = np.count_nonzero(np.abs(closed - tracked) > np.abs(closed + tracked))
             print(f"{name:12s} {radius / rho:10.4f} {radius:9.4f} "

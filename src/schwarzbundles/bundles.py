@@ -27,7 +27,11 @@ curve: `chern_class` and `verify_transition` refuse a grid whose map
 coefficients differ from the bundle's (ParseError). The tangent powers
 T^{-m} take T = dz/|dz| on the curve; on a ring and at scattered points the
 square root in T is the principal root of g with the sign of the factored
-root over the zeros of phi', one closed form in zeta (`_pullback_tangent`).
+root over the zeros of phi', one closed form in zeta
+(`curve._pullback_tangent`). S and T at a grid's nodes depend on the grid
+alone, so each grid, the curve's and every ring, keeps them
+(`ContourGrid._schwarz`, `ContourGrid._tangent`): exp(S), its log S,
+1/(S - conj w) and T^{-m} are one operation on the kept array.
 The gluing is verified by moving the contour, mode by mode: each
 verification ring's density is one unwrap of lambda12 (z - a)^{-c}, with the
 section's own Chern class c and adjustment point a, and its Fourier mode k
@@ -40,6 +44,8 @@ searched over radii, one distance pass per radius, and every band and side
 decision is `curve.sides`. The two verification rings with their mode
 scales, weights and tangents, and the points with the sides their search
 gave, depend on the grid alone: they are built once per grid and kept on it.
+Nothing is kept per bundle, pole, adjustment point or section, and every
+array returned to a caller is a fresh one.
 """
 
 from __future__ import annotations
@@ -55,6 +61,8 @@ from .curve import (
     ContourGrid,
     Location,
     _poly_roots,
+    _pullback_tangent,
+    _read_only,
     _ring,
     locate,
     off_band,
@@ -75,43 +83,6 @@ _VERIFY_SPACINGS = 6.0
 
 ONE_AT_INFINITY = "one-at-infinity"
 LEADING_ONE_OVER_Z = "leading-one-over-z"
-
-
-def _pullback_tangent(curve, zeta):
-    """Holomorphic unit tangent T = i zeta phi'(zeta) / sqrt(g) at pullback
-    points zeta of any shape, g = phi'(zeta) * conj-phi'(1/zeta).
-
-    Validation puts every root r_j of phi' beyond 1/rho, so with s_j = 1/r_j
-    g = |phi'(0)|^2 prod_j u_j, u_j = (1 - zeta s_j)(1 - conj(s_j)/zeta),
-    where both factors have positive real part on the validated annulus and
-    u_j = |1 - zeta s_j|^2 > 0 on the circle. The product P of the principal
-    roots of the u_j is therefore the continuous root of g / |phi'(0)|^2,
-    positive on the circle, where T = dz/|dz|. The root's value is the
-    principal root of the exact g (roots of a multiple zero of phi' are
-    accurate to about eps^(1/k) only); its sign is the one nearer P.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    dphi = curve.dphi(zeta)
-    root = np.sqrt(dphi * curve.dphi_reflected(zeta))
-    product = np.ones_like(zeta)
-    inverse = 1.0 / zeta
-    for s in 1.0 / curve.dphi_roots:
-        product *= np.sqrt((1.0 + abs(s) ** 2) - (zeta * s + s.conjugate() * inverse))
-    flip = (root * np.conjugate(product)).real < 0.0
-    return 1j * zeta * dphi / np.where(flip, -root, root)
-
-
-def _ring_tangent(grid):
-    return _pullback_tangent(grid.curve, grid.zeta)
-
-
-def _ring_tangent_power(grid, m):
-    """T^{-m} at the nodes of a ring grid, |zeta| = grid.radius: on the curve
-    T = dz/|dz|, elsewhere the closed form of `_pullback_tangent`, kept on
-    the ring."""
-    if grid.radius == 1.0:
-        return (grid.dz / np.abs(grid.dz)) ** (-m)
-    return _kept(grid, _ring_tangent) ** (-m)
 
 
 def holomorphic_tangent(curve, z):
@@ -150,12 +121,11 @@ def exp_schwarz_bundle(curve):
     Its log is S, anchored like unwrap_log at node 0's principal branch;
     exp(S) may overflow and is not formed for the log."""
     def log(grid):
-        s = curve.phi_reflected(grid.zeta)
+        s = grid._schwarz
         k = round((s[0].imag - np.angle(np.exp(1j * s[0].imag))) / (2.0 * np.pi))
-        return s - 2j * np.pi * k
+        return s - 2j * np.pi * k  # a fresh array, never the kept S
 
-    return LineBundle(curve, lambda grid: np.exp(curve.phi_reflected(grid.zeta)),
-                      chern=0, log=log)
+    return LineBundle(curve, lambda grid: np.exp(grid._schwarz), chern=0, log=log)
 
 
 def schwarz_pole_bundle(curve, w):
@@ -174,7 +144,7 @@ def tangent_power_bundle(curve, m):
     canonical bundle with lambda12 = S'."""
     if not isinstance(m, numbers.Integral):
         raise ParseError(f"tangent power {m!r} is not an integer")
-    return LineBundle(curve, lambda grid: _ring_tangent_power(grid, m), chern=-int(m))
+    return LineBundle(curve, lambda grid: grid._tangent ** (-m), chern=-int(m))
 
 
 def custom_bundle(curve, evaluator):
@@ -344,7 +314,7 @@ def _search_points(grid, half):
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
         near, inside, _ = sides(grid, pts)
         if not near.any():
-            return pts, inside
+            return _read_only(pts), _read_only(inside)
         s *= 1.3
 
 
@@ -393,8 +363,8 @@ def _ring_modes(grid):
     outer_weight = np.where(negative, far, s ** m)
     inner_weight = np.where(negative, sigma ** m + far, 0.0)
     outer, inner = _kept(grid, _verification_rings)
-    return ((outer.radius ** -k / n, outer_weight),
-            (inner.radius ** -k / n, inner_weight))
+    return ((_read_only(outer.radius ** -k / n), _read_only(outer_weight)),
+            (_read_only(inner.radius ** -k / n), _read_only(inner_weight)))
 
 
 def verify_transition(section, bundle, annulus_points):

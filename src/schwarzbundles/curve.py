@@ -31,9 +31,11 @@ and Cauchy-integral evaluators included.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
-alone (its node parts and annulus here, its verification rings and points
-in `bundles`), and a map curve the roots of phi'; a race only computes the
-same value twice.
+alone (here its node parts, its annulus, the Schwarz function S and the
+unit tangent T at its nodes; in `bundles` its verification rings and
+points), and a map curve the roots of phi'; a race only computes the same
+value twice. The arrays kept are read-only, and no value kept depends on a
+bundle, a pole or a point.
 """
 
 from __future__ import annotations
@@ -251,7 +253,7 @@ class ContourGrid:
     def _node_parts(self):
         """Re z and Im z of the nodes as contiguous real arrays, formed once
         per grid for the kernel pass."""
-        return self.z.real.copy(), self.z.imag.copy()
+        return _read_only(self.z.real.copy()), _read_only(self.z.imag.copy())
 
     @cached_property
     def _node_annulus(self):
@@ -260,6 +262,53 @@ class ContourGrid:
         c = self.curve.conformal_center
         gap = np.abs(self.z - c)
         return c, float(gap.max()), float(gap.min())
+
+    @cached_property
+    def _schwarz(self):
+        """The Schwarz function S = conj(phi(1/conj zeta)) at the nodes,
+        formed once per grid for the bundles' transitions and logs. S is
+        finite on the validated annulus (`_refuse_overflowing_square` bounds
+        sum_j |a_j| rho^-j), so the kept value raises no warning."""
+        return _read_only(self.curve.phi_reflected(self.zeta))
+
+    @cached_property
+    def _tangent(self):
+        """The holomorphic unit tangent T at the nodes, formed once per grid:
+        dz/|dz| on the curve, the closed form `_pullback_tangent` on a ring."""
+        if self.radius == 1.0:
+            return _read_only(self.dz / np.abs(self.dz))
+        return _read_only(_pullback_tangent(self.curve, self.zeta))
+
+
+def _read_only(array):
+    """The array, made read-only: a grid shares what it keeps with every
+    caller."""
+    array.flags.writeable = False
+    return array
+
+
+def _pullback_tangent(curve, zeta):
+    """Holomorphic unit tangent T = i zeta phi'(zeta) / sqrt(g) at pullback
+    points zeta of any shape, g = phi'(zeta) * conj-phi'(1/zeta).
+
+    Validation puts every root r_j of phi' beyond 1/rho, so with s_j = 1/r_j
+    g = |phi'(0)|^2 prod_j u_j, u_j = (1 - zeta s_j)(1 - conj(s_j)/zeta),
+    where both factors have positive real part on the validated annulus and
+    u_j = |1 - zeta s_j|^2 > 0 on the circle. The product P of the principal
+    roots of the u_j is therefore the continuous root of g / |phi'(0)|^2,
+    positive on the circle, where T = dz/|dz|. The root's value is the
+    principal root of the exact g (roots of a multiple zero of phi' are
+    accurate to about eps^(1/k) only); its sign is the one nearer P.
+    """
+    zeta = np.asarray(zeta, dtype=complex)
+    dphi = curve.dphi(zeta)
+    root = np.sqrt(dphi * curve.dphi_reflected(zeta))
+    product = np.ones_like(zeta)
+    inverse = 1.0 / zeta
+    for s in 1.0 / curve.dphi_roots:
+        product *= np.sqrt((1.0 + abs(s) ** 2) - (zeta * s + s.conjugate() * inverse))
+    flip = (root * np.conjugate(product)).real < 0.0
+    return 1j * zeta * dphi / np.where(flip, -root, root)
 
 
 def build_circle(center, radius, rho=0.5):

@@ -62,19 +62,26 @@ def unwrap_log(values):
     """
     v = np.asarray(values, dtype=complex)
     mags = np.abs(v)
-    if not (mags.min() > 1e-12 * min(1.0, mags.max()) and mags.max() < np.inf):  # False for NaN
+    smallest, largest = mags.min(), mags.max()
+    if not (smallest > 1e-12 * min(1.0, largest) and largest < np.inf):  # False for NaN
         raise BranchUnresolvedError("values are zero or not finite; no branch exists")
-    steps = np.angle(np.concatenate((v[1:], v[:1])) / v)  # np.roll, without its overhead
-    if np.abs(steps).max() >= PHASE_STEP_LIMIT:
+    ratio = np.empty_like(v)  # v[k + 1] / v[k], cyclically
+    np.divide(v[1:], v[:-1], out=ratio[:-1])
+    np.divide(v[:1], v[-1:], out=ratio[-1:])
+    steps = np.arctan2(ratio.imag, ratio.real)  # np.angle, without its copies
+    widest = np.abs(steps).max()
+    if widest >= PHASE_STEP_LIMIT:
         raise BranchUnresolvedError(
-            f"phase step {np.abs(steps).max():.3f} >= {PHASE_STEP_LIMIT:.3f} "
+            f"phase step {widest:.3f} >= {PHASE_STEP_LIMIT:.3f} "
             "between adjacent nodes; refine the grid")
-    phases = np.empty_like(steps)
+    log = np.empty_like(v)
+    np.log(mags, out=log.real)
+    phases = log.imag
     phases[0] = 0.0
     np.cumsum(steps[:-1], axis=0, out=phases[1:])
-    phases += np.angle(v[0])
+    phases += np.angle(v[0]) + 0.0  # + 0.0: no phase is -0.0, as in log + 1j * phases
     winding = steps.sum(axis=0) / (2.0 * np.pi)
-    return np.log(mags) + 1j * phases, (float(winding) if v.ndim == 1 else winding)
+    return log, (float(winding) if v.ndim == 1 else winding)
 
 
 def cauchy_integral(grid, density, z):
@@ -191,8 +198,9 @@ class TransformValue:
 
 
 def _pole_transition(grid, w):
-    """1/(S - conj w) at the nodes; m points w give one column each, (n, m)."""
-    return 1.0 / np.subtract.outer(grid.curve.phi_reflected(grid.zeta), np.conjugate(w))
+    """1/(S - conj w) at the nodes, with S kept on the grid; m points w give
+    one column each, (n, m)."""
+    return 1.0 / np.subtract.outer(grid._schwarz, np.conjugate(w))
 
 
 def _pole_density(grid, w, interior):

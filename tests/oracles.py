@@ -19,6 +19,9 @@ check compared Fourier modes, is what the spectral value must bound.
 The per-order complex powers (`trapezoid_moments_loop`) are the reference
 for the trapezoidal moments' recurrence, and the moment check's sampling
 ring with its inverse FFT (`moment_expansion_loop`) for the check.
+`unwrap_log_with_temporaries` is `unwrap_log` as it was written with
+`np.concatenate`, `np.angle` and `log + 1j * phases`: the package's form
+without those temporaries must give its bytes and its refusals.
 """
 
 import cmath
@@ -28,7 +31,9 @@ import numpy as np
 
 from schwarzbundles.bundles import _kept, _node_log, _require_own_grid, _verification_rings
 from schwarzbundles.curve import TWO_PI, Location, locate, off_band
+from schwarzbundles.transforms import PHASE_STEP_LIMIT
 from schwarzbundles.errors import (
+    BranchUnresolvedError,
     CurveNotSimpleError,
     DegenerateEdgeError,
     NearBoundaryError,
@@ -129,6 +134,26 @@ def _unwrap(v):
     steps = np.angle(np.roll(v, -1) / v)
     phases = np.angle(v[0]) + np.concatenate(([0.0], np.cumsum(steps[:-1])))
     return np.log(np.abs(v)) + 1j * phases
+
+
+def unwrap_log_with_temporaries(values):
+    """`transforms.unwrap_log` as it was written before it dropped its
+    temporaries, verbatim."""
+    v = np.asarray(values, dtype=complex)
+    mags = np.abs(v)
+    if not (mags.min() > 1e-12 * min(1.0, mags.max()) and mags.max() < np.inf):  # False for NaN
+        raise BranchUnresolvedError("values are zero or not finite; no branch exists")
+    steps = np.angle(np.concatenate((v[1:], v[:1])) / v)  # np.roll, without its overhead
+    if np.abs(steps).max() >= PHASE_STEP_LIMIT:
+        raise BranchUnresolvedError(
+            f"phase step {np.abs(steps).max():.3f} >= {PHASE_STEP_LIMIT:.3f} "
+            "between adjacent nodes; refine the grid")
+    phases = np.empty_like(steps)
+    phases[0] = 0.0
+    np.cumsum(steps[:-1], axis=0, out=phases[1:])
+    phases += np.angle(v[0])
+    winding = steps.sum(axis=0) / (2.0 * np.pi)
+    return np.log(mags) + 1j * phases, (float(winding) if v.ndim == 1 else winding)
 
 
 def _pole_density(grid, w, w_side):

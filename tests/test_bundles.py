@@ -579,7 +579,7 @@ def test_ring_tangent_carries_the_sign_across_the_cut():
         grid = _ring(curve, 1024, 0.95 / 0.56)
         root = np.sqrt(curve.dphi(grid.zeta) * curve.dphi_reflected(grid.zeta))
         assert np.count_nonzero((root[1:] * np.conjugate(root[:-1])).real < 0) == 4
-        closed_root = grid.dz[0] / sb.bundles._pullback_tangent(curve, grid.zeta[:1])[0]
+        closed_root = grid.dz[0] / sb.curve._pullback_tangent(curve, grid.zeta[:1])[0]
         assert (abs(closed_root + root[0]) < abs(closed_root - root[0])) == flipped
         for m in (-1, 1, 3):
             radial = oracles.tangent_power_at(curve, m, grid.zeta)
@@ -599,13 +599,13 @@ def test_pullback_tangent_keeps_the_sign_near_a_multiple_zero():
     for radius in (1.01 * rho, 0.99 / rho):
         zeta = radius * np.exp(2j * np.pi * np.arange(4001) / 4001)
         fine = oracles.pullback_tangent_loop(curve, zeta, steps=2000)
-        got = sb.bundles._pullback_tangent(curve, zeta)
+        got = sb.curve._pullback_tangent(curve, zeta)
         assert got.shape == zeta.shape
         assert np.count_nonzero(np.abs(got - fine) > np.abs(got + fine)) == 0
     # scalar and 2-D points give the values of the flat array
-    point = sb.bundles._pullback_tangent(curve, zeta[7])
+    point = sb.curve._pullback_tangent(curve, zeta[7])
     assert np.shape(point) == () and abs(point - got[7]) <= 4 * oracles.EPS * abs(got[7])
-    assert same_bits(sb.bundles._pullback_tangent(curve, zeta[:4000].reshape(40, 100)),
+    assert same_bits(sb.curve._pullback_tangent(curve, zeta[:4000].reshape(40, 100)),
                      got[:4000].reshape(40, 100))
 
 
@@ -877,10 +877,9 @@ def test_kept_ring_tangent_powers_equal_the_closed_form(coeffs, rho):
     grid = sb.sample(curve, 1024)
     for ring in sb.bundles._kept(grid, sb.bundles._verification_rings):
         for m in (-1, 1, 2, 3):
-            assert same_bits(sb.bundles._ring_tangent_power(ring, m),
-                             sb.bundles._pullback_tangent(curve, ring.zeta) ** (-m))
-        assert sb.bundles._kept(ring, sb.bundles._ring_tangent) is \
-            sb.bundles._kept(ring, sb.bundles._ring_tangent)
+            assert same_bits(sb.tangent_power_bundle(curve, m).transition_at_nodes(ring),
+                             sb.curve._pullback_tangent(curve, ring.zeta) ** (-m))
+        assert ring._tangent is ring._tangent
 
 
 def test_tangent_section_pulls_back_once_per_ring(monkeypatch, cardioid):
@@ -889,9 +888,65 @@ def test_tangent_section_pulls_back_once_per_ring(monkeypatch, cardioid):
     bundle = sb.tangent_power_bundle(cardioid, -1)
     section = sb.canonical_section(bundle, grid)
     calls = []
-    tangent = sb.bundles._pullback_tangent
-    monkeypatch.setattr(sb.bundles, "_pullback_tangent",
+    tangent = sb.curve._pullback_tangent
+    monkeypatch.setattr(sb.curve, "_pullback_tangent",
                         lambda *a: calls.append(a) or tangent(*a))
     first = sb.verify_transition(section, bundle, pts)
     assert sb.verify_transition(section, bundle, pts).hex() == first.hex()
     assert len(calls) == 2 and first < 1e-9
+
+
+@pytest.mark.parametrize("n", [512, 1024, 4096])
+@pytest.mark.parametrize("coeffs, rho", [([0, 1], 0.5), ([0, 1, 0.3], 0.7), (QUARTIC, 0.72)])
+def test_grids_keep_the_schwarz_function_and_the_unit_tangent(coeffs, rho, n):
+    # on the curve grid and both verification rings: S as the curve gives
+    # it, T as dz/|dz| on the curve and the closed form off it, bit for bit
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, n)
+    for ring in (grid, *sb.bundles._kept(grid, sb.bundles._verification_rings)):
+        assert same_bits(ring._schwarz, curve.phi_reflected(ring.zeta))
+        expected = (ring.dz / np.abs(ring.dz) if ring.radius == 1.0
+                    else sb.curve._pullback_tangent(curve, ring.zeta))
+        assert same_bits(ring._tangent, expected)
+        assert ring._schwarz is ring._schwarz and ring._tangent is ring._tangent
+
+
+def test_kept_arrays_are_read_only(cardioid):
+    grid = sb.sample(cardioid, 512)
+    sb.annulus_verification_points(grid, 32)
+    outer, _ = sb.bundles._kept(grid, sb.bundles._verification_rings)
+    (scale, weight), _ = sb.bundles._kept(grid, sb.bundles._ring_modes)
+    points, inside = sb.bundles._kept(grid, sb.bundles._search_points, 16)
+    for kept in (grid._schwarz, grid._tangent, outer._tangent, *grid._node_parts,
+                 scale, weight, points, inside):
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0] = kept[1]
+
+
+def test_schwarz_function_is_evaluated_once_per_grid(monkeypatch, cardioid):
+    # exp-Schwarz and two pole bundles, sections and transition checks on one
+    # grid: S is formed on the curve grid and on each verification ring once
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    bundles = (sb.exp_schwarz_bundle(cardioid), sb.schwarz_pole_bundle(cardioid, 3),
+               sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j))
+    calls = []
+    reflected = sb.curve.ConformalMapCurve.phi_reflected
+    monkeypatch.setattr(sb.curve.ConformalMapCurve, "phi_reflected",
+                        lambda self, zeta: calls.append(zeta.shape) or reflected(self, zeta))
+
+    def chains():
+        return [sb.verify_transition(sb.canonical_section(b, grid), b, pts) for b in bundles]
+
+    first = chains()
+    assert len(calls) == 3
+    assert [v.hex() for v in chains()] == [v.hex() for v in first]
+    assert len(calls) == 3 and max(first) < 1e-9
+
+
+def test_section_density_is_not_the_kept_schwarz_function(cardioid):
+    grid = sb.sample(cardioid, 512)
+    for bundle in (sb.exp_schwarz_bundle(cardioid), sb.schwarz_pole_bundle(cardioid, 3)):
+        density = sb.canonical_section(bundle, grid).density
+        assert density.flags.writeable
+        assert not np.shares_memory(density, grid._schwarz)

@@ -13,6 +13,7 @@ import schwarzbundles as sb
 from schwarzbundles import transforms
 from schwarzbundles.errors import BranchUnresolvedError, CurveNotSimpleError
 from schwarzbundles.schwarz import NEWTON_TOL
+from schwarzbundles.transforms import PHASE_STEP_LIMIT
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -423,3 +424,68 @@ def test_trapezoid_moments_equal_the_power_loop(name, n):
         assert abs(m - loop) <= bound, k
         if k >= 0:
             assert abs(m - sb.boundary_classical(grid, [0] * k + [1])) <= bound, k
+
+
+def _unwrap_or_refusal(unwrap, values):
+    try:
+        return unwrap(values)
+    except BranchUnresolvedError as exc:
+        return type(exc), str(exc)
+
+
+def _same_unwrap(got, expected):
+    if isinstance(expected[0], type):  # a refusal: its type and message
+        return got == expected
+    return (oracles.same_bits(got[0], expected[0])
+            and type(got[1]) is type(expected[1])
+            and oracles.same_bits(got[1], expected[1]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 300), columns=st.one_of(st.none(), st.integers(1, 4)),
+       winding=st.integers(-3, 3), scale=st.floats(-300, 300, **finite),
+       wobble=st.floats(0.0, 1.5, **finite), seed=st.integers(0, 2 ** 32 - 1),
+       spoil=st.sampled_from([None, "zero", "nan", "inf", "step", "real"]))
+def test_unwrap_log_equals_the_oracle_bit_for_bit(n, columns, winding, scale, wobble,
+                                                  seed, spoil):
+    # 1-D and (n, m) sequences, smooth or spoiled with each refusal: the
+    # same bytes, winding type and value, or the same refusal and message
+    rng = np.random.default_rng(seed)
+    shape = (n,) if columns is None else (n, columns)
+    t = 2 * np.pi * np.arange(n) / n
+    t = t if columns is None else t[:, None]
+    values = 10.0 ** scale * np.exp(1j * winding * t + wobble * rng.standard_normal(shape)
+                                    + 0.3j * rng.standard_normal(shape))
+    spot = (int(rng.integers(n)),) + (() if columns is None else (int(rng.integers(columns)),))
+    if spoil == "zero":
+        values[spot] = 0.0
+    elif spoil == "nan":
+        values[spot] = complex(np.nan, 1.0)
+    elif spoil == "inf":
+        values[spot] = -np.inf
+    elif spoil == "step":
+        values[spot[0]:] *= np.exp(1j * (PHASE_STEP_LIMIT + 0.1))
+    elif spoil == "real":  # positive reals with signed zero imaginary parts
+        values = np.abs(values) + 1j * np.copysign(0.0, rng.standard_normal(shape))
+    with np.errstate(all="ignore"):
+        got = _unwrap_or_refusal(sb.unwrap_log, values)
+        expected = _unwrap_or_refusal(oracles.unwrap_log_with_temporaries, values)
+    assert _same_unwrap(got, expected)
+
+
+@pytest.mark.parametrize("values", [
+    np.full(3, complex(1e308, -5e-324)),  # phases of -0.0 before the sum
+    np.array([1.0, 1.0 - 0.0j, 1.0, 1.0 + 0.0j]),
+    np.full((4, 2), complex(2.0, -0.0)),
+    np.exp(1j * np.array([0.0, 0.3, 2.0, 0.6])),  # a step of 1.7
+    np.array([1.0, 0.0, 1.0, 1.0]),
+    np.array([1.0, np.nan, 1.0]),
+    np.array([1.0, complex(np.inf, np.nan), 1.0]),
+    np.array([2.5]),
+], ids=["negative-zero-phases", "signed-zeros", "columns", "step", "zero", "nan",
+        "inf", "one-value"])
+def test_unwrap_log_equals_the_oracle_on_edge_cases(values):
+    with np.errstate(all="ignore"):
+        got = _unwrap_or_refusal(sb.unwrap_log, values)
+        expected = _unwrap_or_refusal(oracles.unwrap_log_with_temporaries, values)
+    assert _same_unwrap(got, expected)

@@ -45,18 +45,20 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    # unwrap_log/transition_at_nodes/kernel_sums per step: chern_class,
-    # canonical_section, annulus_verification_points, verify_transition and
-    # verify_transition again. The built-in classes are stored, and a section
-    # is one unwrap of the transition; the verification points take one
-    # distance pass per radius; verify_transition takes their sides from that
-    # search, makes one locate per ring at Chern class 1, and compares the
-    # rings by their Fourier modes; a second call makes the same passes
-    expected = {"exp-schwarz": ["0/0/0", "0/0/0", "0/0/{}", "0/0/0", "0/0/0"],
-                "pole-exterior": ["0/0/0", "1/1/0", "0/0/{}", "2/2/0", "2/2/0"],
-                "pole-interior": ["0/0/0", "1/1/1", "0/0/{}", "2/2/2", "2/2/2"],
-                "tangent-m-1": ["0/0/0", "1/1/1", "0/0/{}", "2/2/2", "2/2/2"],
-                "tangent-m2": ["0/0/0", "-", "-", "-", "-"]}
+    # unwrap_log/transition_at_nodes/kernel_sums/phi_reflected per step:
+    # chern_class, canonical_section, annulus_verification_points,
+    # verify_transition and verify_transition again. The built-in classes are
+    # stored, and a section is one unwrap of the transition; the verification
+    # points take one distance pass per radius; verify_transition takes their
+    # sides from that search, makes one locate per ring at Chern class 1, and
+    # compares the rings by their Fourier modes; a second call makes the same
+    # passes. S is evaluated once per grid, the curve's and each ring's, by
+    # the bundles built from it, and kept: a second call evaluates it on none
+    expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/1", "0/0/{}/0", "0/0/0/2", "0/0/0/0"],
+                "pole-exterior": ["0/0/0/0", "1/1/0/1", "0/0/{}/0", "2/2/0/2", "2/2/0/0"],
+                "pole-interior": ["0/0/0/0", "1/1/1/1", "0/0/{}/0", "2/2/2/2", "2/2/2/0"],
+                "tangent-m-1": ["0/0/0/0", "1/1/1/0", "0/0/{}/0", "2/2/2/0", "2/2/2/0"],
+                "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"]}
     radii = {"disk": 1, "cardioid": 6, "quartic": 3}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
         (curve, kind): [cell.format(count) for cell in cells]
