@@ -1,0 +1,104 @@
+"""Minor page faults per op of the `sweep` benchmark's ops, and the
+transient memory peak of one lattice kernel pass.
+
+One cycle is the benchmark's `sweep` mix: two `plotdata` 40 x 40 lattices
+of |E| on the disk at n = 1024 through the CLI (w exterior and w interior),
+rational fits on the cardioid and the benchmark's quartic at n = 512, and the
+moment check on the cardioid at n = 4096. After two warm-up cycles, each
+op's minor faults (`resource.getrusage`) are summed over the given number
+of cycles and printed per op, then per cycle. A fault here is the heap
+handing pages back to the system and taking them again: a pass that leaves
+memory mapped, or reuses it, faults 0 times per op.
+
+The peak is `tracemalloc`'s for one `curve.kernel_sums` pass over the
+exterior lattice with two density columns, as `double_cauchy_batch` makes
+it: the pass's power tables, block buffers and outputs.
+
+Usage: python scripts/heap_faults.py [cycles]   (default 20)
+Output: one line per op, `faults_per_op <op> <value>`, then
+`faults_per_cycle <value>` and `kernel_peak_mb <value>`.
+"""
+
+import contextlib
+import io
+import json
+import resource
+import sys
+import tempfile
+import tracemalloc
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+import schwarzbundles as sb
+from schwarzbundles import cli
+from schwarzbundles.curve import kernel_sums
+
+QUARTIC = [0, 1, 0.1, 0.04, 0.02]
+
+
+def minor_faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def lattice_op(path, w):
+    argv = ["plotdata", str(path), "--quantity", "exp-transform-abs", "--n=1024",
+            "--grid=-2:2:40,-2:2:40", f"--w={float(w.real)!r},{float(w.imag)!r}"]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            if cli.main(argv) != 0:
+                raise SystemExit("plotdata refused the lattice")
+    return run
+
+
+def fit_op(grid, count):
+    scale = np.abs(grid.z).max()
+    samples = 1.6 * scale * np.exp(2j * np.pi * (np.arange(count) + 0.3) / count)
+    degree = grid.curve.degree
+    return lambda: sb.fit_rational_structure(grid, degree, degree, samples)
+
+
+def kernel_peak_mb(grid, w):
+    xs = np.linspace(-2.0, 2.0, 40)
+    lattice = (xs[None, :] + 1j * xs[:, None]).ravel()
+    density = np.log(np.conjugate(grid.z) - np.conjugate(w))
+    columns = np.stack([density, -np.conjugate(density)], axis=1)
+    kernel_sums(grid, lattice, columns)  # the grid's kept operands are formed here
+    tracemalloc.start()
+    try:
+        kernel_sums(grid, lattice, columns)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def main(cycles):
+    disk = sb.build_circle(0.0, 1.0)
+    cardioid = sb.build_polynomial_curve([0, 1, 0.3], 0.7)
+    quartic = sb.build_polynomial_curve(QUARTIC, 0.75)
+    w_out, w_in = 2.5 * np.exp(1j), 0.5 * np.exp(2j)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "disk.json"
+        path.write_text(json.dumps(sb.curve_to_json(disk)))
+        ops = [("lattice/w-exterior", lattice_op(path, w_out)),
+               ("lattice/w-interior", lattice_op(path, w_in)),
+               ("fit/cardioid", fit_op(sb.sample(cardioid, 512), 12)),
+               ("fit/quartic", fit_op(sb.sample(quartic, 512), 24)),
+               ("moment-check", partial(sb.moment_expansion_check, sb.sample(cardioid, 4096), 6))]
+        faults = {name: 0 for name, _ in ops}
+        for cycle in range(cycles + 2):
+            for name, op in ops:
+                before = minor_faults()
+                op()
+                if cycle >= 2:
+                    faults[name] += minor_faults() - before
+    for name, count in faults.items():
+        print(f"faults_per_op {name} {count / cycles:.2f}")
+    print(f"faults_per_cycle {sum(faults.values()) / cycles:.2f}")
+    print(f"kernel_peak_mb {kernel_peak_mb(sb.sample(disk, 1024), w_out):.2f}")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 20)

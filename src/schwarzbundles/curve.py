@@ -70,8 +70,9 @@ EXCLUSION_SAFETY_FACTOR = 5.0
 MIN_NODES = 16
 MAX_NODES = 2 ** 16
 
-# The simplicity check samples the boundary image at CHECK_NODES points and
-# compares pairs at least FAR_PAIR_SEPARATION samples apart.
+# The simplicity check of a curve the certificate does not cover samples the
+# boundary image at CHECK_NODES points and compares pairs at least
+# FAR_PAIR_SEPARATION samples apart.
 CHECK_NODES = 512
 FAR_PAIR_SEPARATION = 8
 
@@ -82,6 +83,13 @@ FAR_PAIR_SEPARATION = 8
 # fastest or within 20 % of it on a 40 x 40 disk lattice at n = 1024 and
 # 256-point rings at n = 4096 and 65536 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
+
+# Least rows of a block whose distances are products (`distance_blocks`).
+# Per block, products against the broadcast subtraction: 16 against 41 us at
+# n = 1024 (32 rows) and 16 against 43 us at n = 2048 (16 rows), but 14
+# against 13 us at n = 4096 (8 rows) and 52 against 17 us at n = 65536 (one
+# row), and no faster for one point (2-core x86_64, OpenBLAS, one thread).
+PRODUCT_ROWS = 16
 
 # Largest ratio q of a far row (`_far_rows`). Two 40 x 40 disk lattices at
 # n = 1024 and a 256-point ring of radius 2 max|z| about the cardioid at
@@ -251,9 +259,11 @@ class ContourGrid:
 
     @cached_property
     def _node_parts(self):
-        """Re z and Im z of the nodes as contiguous real arrays, formed once
-        per grid for the kernel pass."""
-        return _read_only(self.z.real.copy()), _read_only(self.z.imag.copy())
+        """[-1; Re z] and [Im z; -1], the nodes' (2, n) real operands of
+        `distance_blocks`' products, formed once per grid."""
+        ones = np.ones(self.n)
+        return (_read_only(np.stack([-ones, self.z.real])),
+                _read_only(np.stack([self.z.imag, -ones])))
 
     @cached_property
     def _node_annulus(self):
@@ -332,11 +342,12 @@ def build_polynomial_curve(coeffs, rho):
     """Validate and build the curve phi(unit circle) for polynomial phi.
 
     Refuses a map whose bound sum_j |a_j| rho^-j on |phi| over the disk of
-    radius 1/rho overflows when squared. Checks phi' nonvanishing on that
-    disk (via polynomial roots) and, at sample resolution, injectivity of
-    the boundary image. By the argument principle the tangent
-    i zeta phi'(zeta) then winds exactly once, counterclockwise, around the
-    circle.
+    radius 1/rho overflows when squared. A map that passes the coefficient
+    certificate (`_certified`) is univalent on that disk and is accepted.
+    Any other map is checked for phi' nonvanishing on the disk (via
+    polynomial roots) and, at sample resolution, for injectivity of the
+    boundary image. By the argument principle the tangent i zeta phi'(zeta)
+    then winds exactly once, counterclockwise, around the circle.
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -351,6 +362,8 @@ def build_polynomial_curve(coeffs, rho):
         extent = extent / rho + math.hypot(c.real, c.imag)
     _refuse_overflowing_square(extent)
     curve = ConformalMapCurve(cs, rho)
+    if _certified(cs, rho):
+        return curve
 
     if np.any(np.abs(curve.dphi_roots) <= (1.0 / rho) * (1.0 + 1e-12)):
         raise CurveNotSimpleError(
@@ -363,6 +376,28 @@ def build_polynomial_curve(coeffs, rho):
     if _far_pair_gap(z) < 0.5 * min_adjacent:
         raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
     return curve
+
+
+def _certified(cs, rho):
+    """Whether sum_{j>=2} j|a_j| R^(j-1) < |a1|, R = (1/rho)(1 + 1e-12), the
+    radius of the root check, holds with a margin for rounding.
+
+    Then |phi'(zeta) - a1| < |a1| on |zeta| <= R, so Re(phi'/a1) > 0 there:
+    phi' does not vanish, and phi is univalent on the disk, a convex domain
+    (Noshiro 1934, Warschawski 1935; see Duren, Univalent Functions, 1983).
+    The sum is a polynomial in R with nonnegative coefficients, taken by
+    Horner's rule at the computed R, which exceeds 1/rho. With |a_j| by
+    hypot (under one ulp) and j|a_j| one product, the computed sum is within
+    a relative (2d + 3) eps/2 of the exact one for degree d, and |a1| within
+    one ulp; a computed sum below (1 - 4 (d + 2) eps) |a1| therefore proves
+    the exact inequality.
+    """
+    radius = (1.0 / rho) * (1.0 + 1e-12)
+    total = 0.0
+    for j in range(len(cs) - 1, 1, -1):
+        total = total * radius + j * math.hypot(cs[j].real, cs[j].imag)
+    margin = 1.0 - 4 * (len(cs) + 1) * EPS
+    return total * radius < margin * math.hypot(cs[1].real, cs[1].imag)
 
 
 def _far_pair_gap(z):
@@ -461,23 +496,39 @@ def distance_blocks(grid, points):
     """Yield (rows, dr, di, d2) for blocks of points, one row per point:
     dr + i di = z_k - p over the nodes z_k, and d2 = dr^2 + di^2, all real.
 
+    In blocks of at least PRODUCT_ROWS rows, dr and di are matrix products
+    with k = 2, [Re p, 1] @ [-1; Re z] and [1, Im p] @ [Im z; -1], over one
+    (points, 3) array [Re p, 1, Im p] and the grid's kept operands. Both
+    products of an entry are exact, so the entry is their sum rounded once,
+    as z_k - p is: the same bits, except that an exact zero is +0 where the
+    subtraction gives -0 (a node part -0 and a point part +0). d2 squares
+    the sign away, so d2, the nearest distance and the sums are those of
+    the subtraction. Smaller blocks subtract.
+
     A block holds about KERNEL_BLOCK node-point pairs. Every block is
-    written into the same buffers, which the caller may overwrite and must
-    not keep: one allocation per pass, not per block. Each entry is
-    formed the same way in any block, so d2 of a point does not depend on
-    the batch. Large |z_k - p| may overflow d2 to inf; callers ignore the
-    warning.
+    written into the same four buffers, one allocation per pass, which the
+    caller may overwrite and must not keep. Each entry is formed the same
+    way in any block, so d2 of a point does not depend on the batch. Large
+    |z_k - p| may overflow d2 to inf; callers ignore the warning.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
-    zr, zi = grid._node_parts
-    dr, di, d2, sq = (np.empty((rows, grid.n)) for _ in range(4))
+    right_r, right_i = grid._node_parts
+    product = rows >= PRODUCT_ROWS
+    if product:
+        left = np.empty((pts.size, 3))
+        left[:, 0], left[:, 1], left[:, 2] = pts.real, 1.0, pts.imag
+    dr, di, d2, sq = np.empty((4, rows, grid.n))
     for lo in range(0, pts.size, rows):
-        p = pts[lo:lo + rows]
-        m = p.size
+        m = min(rows, pts.size - lo)
         x, y, dist2, y2 = dr[:m], di[:m], d2[:m], sq[:m]  # views of this block
-        np.subtract(zr, p.real[:, None], out=x)
-        np.subtract(zi, p.imag[:, None], out=y)
+        if product:
+            np.matmul(left[lo:lo + m, :2], right_r, out=x)
+            np.matmul(left[lo:lo + m, 1:], right_i, out=y)
+        else:
+            p = pts[lo:lo + m]
+            np.subtract(right_r[1], p.real[:, None], out=x)
+            np.subtract(right_i[0], p.imag[:, None], out=y)
         np.multiply(x, x, out=dist2)
         np.multiply(y, y, out=y2)
         dist2 += y2
@@ -509,7 +560,11 @@ def kernel_sums(grid, points, density=None):
     two matrix products over power tables (`_expansion`). nearest is exact
     on direct rows; on far rows it is the lower bound |p - c| - R or
     r - |p - c|, less eight ulps, at or above the band, so `sides` decides
-    as the direct pass would.
+    as the direct pass would. Far rows run first: the direct blocks' buffers
+    are then allocated only after the power tables are freed, and no block
+    view outlives the pass's last product, so the pass's transient peak is
+    the larger of the two, not their sum, and repeated passes reuse the
+    freed heap instead of trimming and faulting it back in.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
@@ -526,7 +581,7 @@ def kernel_sums(grid, points, density=None):
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
     """
-    pts = np.asarray(points, dtype=complex).reshape(-1)
+    pts = np.ascontiguousarray(points, dtype=complex).reshape(-1)
     if density is None:
         cols = grid.dz
     else:
@@ -542,7 +597,12 @@ def kernel_sums(grid, points, density=None):
         direct = None  # the direct rows: all, or these indices
         if far:
             keep = np.ones(pts.size, dtype=bool)
-            keep[np.concatenate([f[0] for f in far])] = False
+            for rows, bound, terms, outside in far:
+                # a row of S = sum g/(z - p) stored as R = S, I = 0 (see below)
+                keep[rows] = False
+                nearest[rows] = bound
+                re_k.view(complex)[rows] = _expansion(grid, cols, pts[rows], terms, outside)
+                im_k[rows] = 0.0
             direct = np.flatnonzero(keep)
         for rows, dr, di, d2 in distance_blocks(grid, pts if direct is None else pts[direct]):
             if direct is not None:
@@ -551,11 +611,6 @@ def kernel_sums(grid, points, density=None):
             np.reciprocal(d2, out=d2)
             re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
             im_k[rows] = np.multiply(di, d2, out=di) @ parts
-        for rows, bound, terms, outside in far:
-            # a row of S = sum g/(z - p) stored as R = S, I = 0 (see below)
-            nearest[rows] = bound
-            re_k.view(complex)[rows] = _expansion(grid, cols, pts[rows], terms, outside)
-            im_k[rows] = 0.0
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
     # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
     # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
@@ -577,8 +632,22 @@ def _far_rows(grid, pts, columns):
     with its product for the coefficients and F M columns for the rows'
     table and sums; it implies M < n.
     Infinite and NaN points stay direct. Call under np.errstate.
+
+    Every part of every point lies in [lo, hi], the least and largest of
+    the batch's real and imaginary parts, two reductions over the
+    contiguous points. When that square's farthest corner from c is nearer
+    than R/FAR_RATIO and its nearest point farther than FAR_RATIO r, both
+    widened by 1e-12 against rounding, no row can be far on either side and
+    the pass over |p - c| is skipped; otherwise the rows are decided from
+    |p - c| as if the square had not been looked at.
     """
     c, big, small = grid._node_annulus
+    parts = pts.view(float)
+    lo, hi = parts.min(), parts.max()  # NaN if a part is NaN: not ruled out
+    corner = math.hypot(max(hi - c.real, c.real - lo), max(hi - c.imag, c.imag - lo))
+    edge = math.hypot(max(lo - c.real, c.real - hi, 0.0), max(lo - c.imag, c.imag - hi, 0.0))
+    if FAR_RATIO * corner * (1.0 + 1e-12) < big and edge * (1.0 - 1e-12) > FAR_RATIO * small:
+        return []
     n, spread = grid.n, big / small
     gap = np.abs(pts - c)
     found = []

@@ -22,6 +22,11 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 `unwrap_log_with_temporaries` is `unwrap_log` as it was written with
 `np.concatenate`, `np.angle` and `log + 1j * phases`: the package's form
 without those temporaries must give its bytes and its refusals.
+`distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
+written with broadcast subtractions: the package's k = 2 products must give
+its bits. `far_rows_by_gap` is `curve._far_rows` as it was written, with a
+pass over |p - c| for every batch: the package's bounding square may skip
+that pass only where it finds no far rows.
 """
 
 import cmath
@@ -30,7 +35,15 @@ import math
 import numpy as np
 
 from schwarzbundles.bundles import _kept, _node_log, _require_own_grid, _verification_rings
-from schwarzbundles.curve import TWO_PI, Location, locate, off_band
+from schwarzbundles.curve import (
+    FAR_RATIO,
+    KERNEL_BLOCK,
+    TWO_PI,
+    Location,
+    _terms,
+    locate,
+    off_band,
+)
 from schwarzbundles.transforms import PHASE_STEP_LIMIT
 from schwarzbundles.errors import (
     BranchUnresolvedError,
@@ -193,6 +206,54 @@ def _swap_density(grid, w, w_side):
 
 
 EPS = np.finfo(float).eps
+
+
+def distance_blocks_by_subtraction(grid, points):
+    """`curve.distance_blocks` with dr and di formed by broadcast subtraction
+    from contiguous copies of the nodes' real and imaginary parts."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
+    zr, zi = grid.z.real.copy(), grid.z.imag.copy()
+    dr, di, d2, sq = (np.empty((rows, grid.n)) for _ in range(4))
+    for lo in range(0, pts.size, rows):
+        p = pts[lo:lo + rows]
+        m = p.size
+        x, y, dist2, y2 = dr[:m], di[:m], d2[:m], sq[:m]  # views of this block
+        np.subtract(zr, p.real[:, None], out=x)
+        np.subtract(zi, p.imag[:, None], out=y)
+        np.multiply(x, x, out=dist2)
+        np.multiply(y, y, out=y2)
+        dist2 += y2
+        yield slice(lo, lo + m), x, y, dist2
+
+
+def far_rows_by_gap(grid, pts, columns):
+    """`curve._far_rows` deciding every batch from |p - c|."""
+    c, big, small = grid._node_annulus
+    n, spread = grid.n, big / small
+    gap = np.abs(pts - c)
+    found = []
+    for outside in (True, False):
+        # if all rows at the side's least M would not pay, none will (NaN: direct)
+        least = big / gap.max() if outside else gap.min() / small
+        if not least <= FAR_RATIO:
+            continue
+        terms = _terms(n, least, outside, spread)
+        if pts.size * n <= terms * (n + pts.size * columns):
+            continue
+        rows = np.flatnonzero((big / gap if outside else gap / small) <= FAR_RATIO)
+        d = gap[rows]
+        if outside:
+            bound = (d - big) - 8 * EPS * (d + big)
+        else:
+            bound = (small - d) - 8 * EPS * (small + d)
+        clear = bound >= grid.exclusion_band  # False for infinite points
+        rows, bound, d = rows[clear], bound[clear], d[clear]
+        if rows.size:
+            terms = _terms(n, big / d.min() if outside else d.max() / small, outside, spread)
+            if rows.size * n > terms * (n + rows.size * columns):
+                found.append((rows, bound, terms, outside))
+    return found
 
 
 def same_bits(a, b):

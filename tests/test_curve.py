@@ -1,10 +1,16 @@
+import contextlib
+import io
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import schwarzbundles as sb
+from schwarzbundles import cli
+from schwarzbundles import curve as curve_mod
 from schwarzbundles.curve import off_band, sides
 from schwarzbundles.errors import (
     BadNodeCountError,
@@ -79,6 +85,74 @@ def test_polynomial_curve_derivative_vanishes():
     # phi' = 1 + 1.2 zeta has its root at -5/6, inside the 1/0.8 disk
     with pytest.raises(CurveNotSimpleError):
         sb.build_polynomial_curve([0, 1, 0.6], 0.8)
+
+
+# the disk, the cardioid and the benchmark's quartic (its coefficients
+# perturbed by up to 0.01), each certified
+CERTIFIED = [([0.2 - 0.1j, 1], 0.5), ([0, 1, 0.3], 0.7), ([0, 1, 0.1, 0.04, 0.02], 0.75),
+             ([0, 1, 0.11, 0.05 - 0.01j, 0.03], 0.75)]
+
+
+def _taylor_exp_map(k, degree=30):
+    """The degree-30 Taylor polynomial of (e^{k zeta} - 1)/k."""
+    return [0.0] + [k ** (j - 1) / math.factorial(j) for j in range(1, degree + 1)]
+
+
+@pytest.mark.parametrize("coeffs,rho", CERTIFIED)
+def test_certified_build_skips_the_root_and_pair_checks(monkeypatch, coeffs, rho):
+    def refuse(*_):
+        raise AssertionError("the sampled pair check ran")
+
+    monkeypatch.setattr(curve_mod, "_far_pair_gap", refuse)
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    assert curve_mod._certified(curve.coeffs, rho)
+    assert "dphi_roots" not in curve.__dict__  # kept lazily, for the tangent
+
+
+def test_certificate_fails_at_equality_and_within_its_margin():
+    # phi = zeta + a2 zeta^2 with 2 a2 R = 1 at the root check's radius R:
+    # phi' vanishes on |zeta| = R. At equality, and a few ulps below it (the
+    # margin is 16 eps at degree 2), the curve is not certified
+    rho = 0.8
+    a2 = 0.5 / ((1.0 / rho) * (1.0 + 1e-12))
+    for scale in (1.0, 1.0 - 8 * np.finfo(float).eps):
+        assert not curve_mod._certified((0j, 1 + 0j, complex(a2 * scale)), rho)
+    assert curve_mod._certified((0j, 1 + 0j, complex(a2 * (1.0 - 1e-9))), rho)
+    assert not curve_mod._certified((0j, 0j, 0j, 1e-3 + 0j), rho)  # a1 = 0
+    assert not curve_mod._certified((0j, 1 + 0j, 1e308 + 0j, 1e308 + 0j), rho)  # overflow
+
+
+@pytest.mark.parametrize("coeffs,rho", [
+    (_taylor_exp_map(4), 0.9),  # self-intersects on |zeta| = 1
+    (_taylor_exp_map(3), 0.9),  # not injective on the annulus
+    # phi' has a 6-fold zero at |zeta| = 1.82, just past 1/rho = 1.79
+    (npoly.polysub(npoly.polypow([1, 0.55], 7), [1]) / 3.85, 0.56),
+    ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72),  # the test quartic, univalent
+])
+def test_uncertified_curves_take_the_root_and_pair_checks(monkeypatch, coeffs, rho):
+    # the first three are wrongly accepted by the sampled checks (a known
+    # defect); failing the certificate, they are decided as before
+    calls = []
+    gap = curve_mod._far_pair_gap
+    monkeypatch.setattr(curve_mod, "_far_pair_gap", lambda z: calls.append(z) or gap(z))
+    assert not curve_mod._certified(tuple(complex(c) for c in coeffs), rho)
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    assert "dphi_roots" in curve.__dict__ and len(calls) == 1
+
+
+@pytest.mark.parametrize("coeffs,rho", CERTIFIED[:3])
+def test_validate_prints_the_same_bytes_certified_or_not(monkeypatch, tmp_path, coeffs, rho):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(sb.curve_to_json(sb.build_polynomial_curve(coeffs, rho))))
+    outputs = []
+    for certify in (True, False):
+        if not certify:
+            monkeypatch.setattr(curve_mod, "_certified", lambda *_: False)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["validate", str(path)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_identity_map_is_valid():

@@ -8,6 +8,7 @@ them come from BLAS products, whose summation order depends on the batch,
 or from those expansions; they must lie within the bound the kernel
 states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k - p)|."""
 
+import dataclasses
 import functools
 import tracemalloc
 
@@ -62,6 +63,107 @@ def _far_mask(grid, pts, columns):
         for rows, *_ in curve_mod._far_rows(grid, pts, columns):
             mask[rows] = True
     return mask
+
+
+CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72)}
+
+
+@functools.lru_cache(maxsize=None)
+def _grid(name, n):
+    return sb.sample(sb.build_polynomial_curve(*CURVES[name]), n)
+
+
+def _blocks(blocks):
+    """(dr, di, d2) of a `distance_blocks` generator, stacked over its blocks."""
+    with np.errstate(all="ignore"):
+        got = [(dr.copy(), di.copy(), d2.copy()) for _, dr, di, d2 in blocks]
+    return [np.concatenate(parts) for parts in zip(*got)]
+
+
+@given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
+       count=st.integers(1, 300), seed=st.integers(0, 2 ** 16))
+def test_distance_products_keep_the_subtraction_bits(name, log_n, count, seed):
+    # blocks of one row up to full blocks of 32 (n = 1024) to 300 rows (n =
+    # 16), by products where a block has PRODUCT_ROWS rows or more. Among the
+    # points: one on a node, parts equal to a node's, signed zeros and
+    # squared distances that overflow to inf. No node part is -0, so the
+    # products give every bit of the subtraction
+    grid = _grid(name, 2 ** log_n)
+    nodes = grid.z.view(float)
+    assert not np.any(np.signbit(nodes) & (nodes == 0.0))
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-2.5, 2.5, count) + 1j * rng.uniform(-2.5, 2.5, count)
+    k = rng.integers(0, grid.n)
+    special = [grid.z[k], complex(grid.z[k].real, 0.5), complex(-0.0, 0.0),
+               complex(0.0, -0.0), complex(-0.0, -0.0), 1e155 + 1e155j, -3e160 + 0.25j]
+    pts[:min(count, len(special))] = special[:count]
+    pts = rng.permutation(pts)
+    want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
+    got = _blocks(curve_mod.distance_blocks(grid, pts))
+    assert all(same_bits(g, w) for g, w in zip(got, want))
+    direct = ~_far_mask(grid, pts, 1)
+    with np.errstate(all="ignore"):
+        nearest = sb.kernel_sums(grid, pts)[0]
+        assert same_bits(nearest[direct], np.sqrt(want[2].min(axis=1))[direct])
+
+
+def test_distance_products_differ_only_in_the_sign_of_a_zero():
+    # a node part -0 against a point part +0: the subtraction gives -0, the
+    # products +0; d2 and everything after it do not see the sign
+    grid = _grid("cardioid", 256)
+    z = grid.z.copy()
+    z[3], z[7] = complex(-0.0, z[3].imag), complex(z[7].real, -0.0)
+    grid = dataclasses.replace(grid, z=z)
+    pts = np.full(40, 0.25 + 0.0j)
+    pts[::2] = 0.0  # real part +0 in 20 points, imaginary part +0 in all 40
+    want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
+    got = _blocks(curve_mod.distance_blocks(grid, pts))
+    assert same_bits(got[2], want[2])
+    for g, w, flips in zip(got[:2], want[:2], (20, 40)):
+        assert np.array_equal(g, w)
+        flipped = np.signbit(g) != np.signbit(w)
+        assert flipped.sum() == flips and np.all(w[flipped] == 0.0)
+        assert np.all(np.signbit(w[flipped]))
+
+
+@given(name=st.sampled_from(sorted(CURVES)), count=st.integers(2, 400),
+       node=st.integers(0, 511), radial=st.floats(0.0, 30.0), spread=st.floats(0.0, 3.0),
+       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_far_rows_bounding_square_keeps_every_decision(name, count, node, radial, spread,
+                                                       columns, seed):
+    # clusters about c + radial (z_node - c), near and far from the curve, on
+    # one side of the conformal center c or around it: the square skips the
+    # |p - c| pass only where that pass finds no far rows, so rows, bounds
+    # and term counts are the same
+    grid = _grid(name, 512)
+    c = grid.curve.conformal_center
+    rng = np.random.default_rng(seed)
+    pts = c + radial * (grid.z[node] - c) \
+        + spread * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
+    with np.errstate(all="ignore"):
+        got = curve_mod._far_rows(grid, pts, columns)
+        want = oracles.far_rows_by_gap(grid, pts, columns)
+    assert len(got) == len(want)
+    for (rows, bound, terms, outside), (w_rows, w_bound, w_terms, w_outside) in zip(got, want):
+        assert same_bits(rows, w_rows) and same_bits(bound, w_bound)
+        assert (terms, outside) == (w_terms, w_outside)
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_far_rows_bounding_square_keeps_a_cluster_at_the_far_ratio(name):
+    # a tight cluster just past R/FAR_RATIO: the square's far corner is
+    # within 2 % of its points, whose far rows pay, so a square shrunk or a
+    # corner misplaced by a few percent would drop them
+    grid = _grid(name, 512)
+    c, big, _ = grid._node_annulus
+    rng = np.random.default_rng(7)
+    pts = c + big / 0.68 * np.exp(0.25j * np.pi) * (1 + 0.01 * rng.uniform(-1, 1, 400))
+    with np.errstate(all="ignore"):
+        got = curve_mod._far_rows(grid, pts, 1)
+        want = oracles.far_rows_by_gap(grid, pts, 1)
+    assert len(want) == 1 and want[0][3] and want[0][0].size == 400
+    assert len(got) == 1 and same_bits(got[0][0], want[0][0])
+    assert same_bits(got[0][1], want[0][1]) and got[0][2:] == want[0][2:]
 
 
 @given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),

@@ -12,7 +12,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
-        "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"]}
+        "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"],
+        "heap_faults.py": ["2"]}
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
@@ -63,3 +64,21 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     assert {(row[0], row[1]): row[2:] for row in rows} == {
         (curve, kind): [cell.format(count) for cell in cells]
         for curve, count in radii.items() for kind, cells in expected.items()}
+
+
+def test_heap_faults_reports_every_op_and_the_kernel_peak():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "heap_faults.py"), "3"],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    per_op = {row[1]: float(row[2]) for row in rows if row[0] == "faults_per_op"}
+    assert set(per_op) == {"lattice/w-exterior", "lattice/w-interior", "fit/cardioid",
+                           "fit/quartic", "moment-check"}
+    assert all(count >= 0.0 for count in per_op.values())
+    totals = {row[0]: float(row[1]) for row in rows if len(row) == 2}
+    assert set(totals) == {"faults_per_cycle", "kernel_peak_mb"}
+    assert totals["faults_per_cycle"] == pytest.approx(sum(per_op.values()), abs=0.02)
+    # the far rows' power tables are freed before the direct blocks' four
+    # buffers (1 MB at n = 1024) are allocated, so the peak holds one of them
+    assert 1.0 < totals["kernel_peak_mb"] < 1.5
