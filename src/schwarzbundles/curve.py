@@ -581,7 +581,7 @@ def kernel_sums(grid, points, density=None):
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
     """
-    pts = np.ascontiguousarray(points, dtype=complex).reshape(-1)
+    pts = np.asarray(points, dtype=complex).reshape(-1)
     if density is None:
         cols = grid.dz
     else:
@@ -632,22 +632,8 @@ def _far_rows(grid, pts, columns):
     with its product for the coefficients and F M columns for the rows'
     table and sums; it implies M < n.
     Infinite and NaN points stay direct. Call under np.errstate.
-
-    Every part of every point lies in [lo, hi], the least and largest of
-    the batch's real and imaginary parts, two reductions over the
-    contiguous points. When that square's farthest corner from c is nearer
-    than R/FAR_RATIO and its nearest point farther than FAR_RATIO r, both
-    widened by 1e-12 against rounding, no row can be far on either side and
-    the pass over |p - c| is skipped; otherwise the rows are decided from
-    |p - c| as if the square had not been looked at.
     """
     c, big, small = grid._node_annulus
-    parts = pts.view(float)
-    lo, hi = parts.min(), parts.max()  # NaN if a part is NaN: not ruled out
-    corner = math.hypot(max(hi - c.real, c.real - lo), max(hi - c.imag, c.imag - lo))
-    edge = math.hypot(max(lo - c.real, c.real - hi, 0.0), max(lo - c.imag, c.imag - hi, 0.0))
-    if FAR_RATIO * corner * (1.0 + 1e-12) < big and edge * (1.0 - 1e-12) > FAR_RATIO * small:
-        return []
     n, spread = grid.n, big / small
     gap = np.abs(pts - c)
     found = []

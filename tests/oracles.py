@@ -24,9 +24,7 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 without those temporaries must give its bytes and its refusals.
 `distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
 written with broadcast subtractions: the package's k = 2 products must give
-its bits. `far_rows_by_gap` is `curve._far_rows` as it was written, with a
-pass over |p - c| for every batch: the package's bounding square may skip
-that pass only where it finds no far rows.
+its bits.
 """
 
 import cmath
@@ -35,15 +33,7 @@ import math
 import numpy as np
 
 from schwarzbundles.bundles import _kept, _node_log, _require_own_grid, _verification_rings
-from schwarzbundles.curve import (
-    FAR_RATIO,
-    KERNEL_BLOCK,
-    TWO_PI,
-    Location,
-    _terms,
-    locate,
-    off_band,
-)
+from schwarzbundles.curve import KERNEL_BLOCK, TWO_PI, Location, locate, off_band
 from schwarzbundles.transforms import PHASE_STEP_LIMIT
 from schwarzbundles.errors import (
     BranchUnresolvedError,
@@ -225,35 +215,6 @@ def distance_blocks_by_subtraction(grid, points):
         np.multiply(y, y, out=y2)
         dist2 += y2
         yield slice(lo, lo + m), x, y, dist2
-
-
-def far_rows_by_gap(grid, pts, columns):
-    """`curve._far_rows` deciding every batch from |p - c|."""
-    c, big, small = grid._node_annulus
-    n, spread = grid.n, big / small
-    gap = np.abs(pts - c)
-    found = []
-    for outside in (True, False):
-        # if all rows at the side's least M would not pay, none will (NaN: direct)
-        least = big / gap.max() if outside else gap.min() / small
-        if not least <= FAR_RATIO:
-            continue
-        terms = _terms(n, least, outside, spread)
-        if pts.size * n <= terms * (n + pts.size * columns):
-            continue
-        rows = np.flatnonzero((big / gap if outside else gap / small) <= FAR_RATIO)
-        d = gap[rows]
-        if outside:
-            bound = (d - big) - 8 * EPS * (d + big)
-        else:
-            bound = (small - d) - 8 * EPS * (small + d)
-        clear = bound >= grid.exclusion_band  # False for infinite points
-        rows, bound, d = rows[clear], bound[clear], d[clear]
-        if rows.size:
-            terms = _terms(n, big / d.min() if outside else d.max() / small, outside, spread)
-            if rows.size * n > terms * (n + rows.size * columns):
-                found.append((rows, bound, terms, outside))
-    return found
 
 
 def same_bits(a, b):

@@ -126,46 +126,6 @@ def test_distance_products_differ_only_in_the_sign_of_a_zero():
         assert np.all(np.signbit(w[flipped]))
 
 
-@given(name=st.sampled_from(sorted(CURVES)), count=st.integers(2, 400),
-       node=st.integers(0, 511), radial=st.floats(0.0, 30.0), spread=st.floats(0.0, 3.0),
-       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_far_rows_bounding_square_keeps_every_decision(name, count, node, radial, spread,
-                                                       columns, seed):
-    # clusters about c + radial (z_node - c), near and far from the curve, on
-    # one side of the conformal center c or around it: the square skips the
-    # |p - c| pass only where that pass finds no far rows, so rows, bounds
-    # and term counts are the same
-    grid = _grid(name, 512)
-    c = grid.curve.conformal_center
-    rng = np.random.default_rng(seed)
-    pts = c + radial * (grid.z[node] - c) \
-        + spread * (rng.uniform(-1, 1, count) + 1j * rng.uniform(-1, 1, count))
-    with np.errstate(all="ignore"):
-        got = curve_mod._far_rows(grid, pts, columns)
-        want = oracles.far_rows_by_gap(grid, pts, columns)
-    assert len(got) == len(want)
-    for (rows, bound, terms, outside), (w_rows, w_bound, w_terms, w_outside) in zip(got, want):
-        assert same_bits(rows, w_rows) and same_bits(bound, w_bound)
-        assert (terms, outside) == (w_terms, w_outside)
-
-
-@pytest.mark.parametrize("name", sorted(CURVES))
-def test_far_rows_bounding_square_keeps_a_cluster_at_the_far_ratio(name):
-    # a tight cluster just past R/FAR_RATIO: the square's far corner is
-    # within 2 % of its points, whose far rows pay, so a square shrunk or a
-    # corner misplaced by a few percent would drop them
-    grid = _grid(name, 512)
-    c, big, _ = grid._node_annulus
-    rng = np.random.default_rng(7)
-    pts = c + big / 0.68 * np.exp(0.25j * np.pi) * (1 + 0.01 * rng.uniform(-1, 1, 400))
-    with np.errstate(all="ignore"):
-        got = curve_mod._far_rows(grid, pts, 1)
-        want = oracles.far_rows_by_gap(grid, pts, 1)
-    assert len(want) == 1 and want[0][3] and want[0][0].size == 400
-    assert len(got) == 1 and same_bits(got[0][0], want[0][0])
-    assert same_bits(got[0][1], want[0][1]) and got[0][2:] == want[0][2:]
-
-
 @given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),
        on_nodes=st.integers(0, 3))
 def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):

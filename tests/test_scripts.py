@@ -1,6 +1,7 @@
 """Every script under scripts/ runs to completion against the package, so a
 change to the public API cannot break one silently."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -16,13 +17,20 @@ ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["10
         "heap_faults.py": ["2"]}
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
-def test_script_runs(script):
+@functools.cache
+def _run(name):
+    """The script's run with its ARGS and warnings as errors, made once per
+    session so that a test of its output does not start it again."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-W", "error", str(script),
-                           *ARGS.get(script.name, [])],
+    return subprocess.run([sys.executable, "-W", "error", str(ROOT / "scripts" / name),
+                           *ARGS.get(name, [])],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120)
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=[s.name for s in SCRIPTS])
+def test_script_runs(script):
+    proc = _run(script.name)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -67,10 +75,8 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
 
 
 def test_heap_faults_reports_every_op_and_the_kernel_peak():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "heap_faults.py"), "3"],
-                          cwd=ROOT, env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
+    proc = _run("heap_faults.py")
+    assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
     per_op = {row[1]: float(row[2]) for row in rows if row[0] == "faults_per_op"}
     assert set(per_op) == {"lattice/w-exterior", "lattice/w-interior", "fit/cardioid",
