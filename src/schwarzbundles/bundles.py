@@ -25,10 +25,10 @@ not replaced), and its section is the exponential transform
 (`transforms._pole_density`). A bundle answers only on grids of its own
 curve: `chern_class` and `verify_transition` refuse a grid whose map
 coefficients differ from the bundle's (ParseError). The tangent powers
-T^{-m} take T = dz/|dz| on the curve; on a ring and at scattered points the
-square root in T is the principal root of g with the sign of the factored
-root over the zeros of phi', one closed form in zeta
-(`curve._pullback_tangent`). S and T at a grid's nodes depend on the grid
+T^{-m} take T from one closed form in zeta on the curve, on a ring and at
+scattered points (`curve._pullback_tangent`): the square root in T is the
+principal root of g with the sign of the factored root over the zeros of
+phi'. S and T at a grid's nodes depend on the grid
 alone, so each grid, the curve's and every ring, keeps them
 (`ContourGrid._schwarz`, `ContourGrid._tangent`): exp(S), its log S,
 1/(S - conj w) and T^{-m} are one operation on the kept array.
@@ -64,6 +64,7 @@ from .curve import (
     _pullback_tangent,
     _read_only,
     _ring,
+    integer_argument,
     locate,
     off_band,
     require_off_band,
@@ -299,7 +300,8 @@ def annulus_verification_points(grid, n_points=32):
     once per grid and count, with their sides, and every call returns a
     fresh copy.
     """
-    return _kept(grid, _search_points, max(1, int(n_points) // 2))[0].copy()
+    half = max(1, integer_argument(n_points, "n_points") // 2)
+    return _kept(grid, _search_points, half)[0].copy()
 
 
 def _search_points(grid, half):

@@ -53,7 +53,6 @@ from .errors import (
     BadNodeCountError,
     CurveNotSimpleError,
     DegenerateEdgeError,
-    DegenerateTangentError,
     NearBoundaryError,
     NoConvergenceError,
     NonPositiveRadiusError,
@@ -229,15 +228,28 @@ class PolygonCurve:
         the extent (of 1 when every vertex is 0)."""
         return length < 1e-14 * (self.extent or 1.0)
 
-    def area_over_pi(self):
-        """Signed shoelace area over pi, summed over the vertices scaled by
-        2^-e, extent < 2^e, so that no product overflows. Scaling by a power
-        of two is exact: where the unscaled sum is finite, the value is its
-        value bit for bit."""
+    @cached_property
+    def _scaled(self):
+        """(e, vertices, area): the vertices scaled by 2^-e, extent < 2^e <=
+        2 extent, and their signed shoelace area, computed once per polygon.
+        No product of two scaled coordinates overflows, and a product of two
+        that are each at least 1e-150 of the extent is a normal number.
+        Scaling by a power of two is exact: where the unscaled products are
+        normal numbers, each scaled one is theirs times 2^-2e, bit for bit,
+        and the area's sign is that of the scaled sum even where the area
+        itself underflows."""
         e = math.frexp(self.extent or 1.0)[1]
         v = np.asarray(self.vertices)
         x, y = np.ldexp(v.real, -e), np.ldexp(v.imag, -e)
         area = 0.5 * np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))
+        scaled = np.empty_like(v)
+        scaled.real, scaled.imag = x, y
+        return e, scaled, float(area)
+
+    def area_over_pi(self):
+        """Signed shoelace area over pi, summed over the scaled vertices
+        (`_scaled`) and scaled back."""
+        e, _, area = self._scaled
         return math.ldexp(area / np.pi, 2 * e)
 
 
@@ -283,10 +295,8 @@ class ContourGrid:
 
     @cached_property
     def _tangent(self):
-        """The holomorphic unit tangent T at the nodes, formed once per grid:
-        dz/|dz| on the curve, the closed form `_pullback_tangent` on a ring."""
-        if self.radius == 1.0:
-            return _read_only(self.dz / np.abs(self.dz))
+        """The holomorphic unit tangent T at the nodes (`_pullback_tangent`),
+        formed once per grid, the curve's and every ring's."""
         return _read_only(_pullback_tangent(self.curve, self.zeta))
 
 
@@ -338,16 +348,26 @@ def _refuse_overflowing_square(extent):
         raise ParseError(f"curve extent {extent:.3g} overflows when squared")
 
 
+def _refuse_underflowing_square(scale):
+    """ParseError unless scale^2 is a normal number, scale = |a1|, below
+    which the kernel's squared distances underflow: every point would lie
+    in the exclusion band. The map's image of the unit disk holds the disk
+    of radius |a1|/4 about phi(0) (Koebe), so |a1| is the curve's scale."""
+    if not scale * scale >= np.finfo(float).smallest_normal:
+        raise ParseError(f"curve scale |a1| = {scale:.3g} underflows when squared")
+
+
 def build_polynomial_curve(coeffs, rho):
     """Validate and build the curve phi(unit circle) for polynomial phi.
 
     Refuses a map whose bound sum_j |a_j| rho^-j on |phi| over the disk of
-    radius 1/rho overflows when squared. A map that passes the coefficient
-    certificate (`_certified`) is univalent on that disk and is accepted.
-    Any other map is checked for phi' nonvanishing on the disk (via
-    polynomial roots) and, at sample resolution, for injectivity of the
-    boundary image. By the argument principle the tangent i zeta phi'(zeta)
-    then winds exactly once, counterclockwise, around the circle.
+    radius 1/rho overflows when squared (ParseError). A map that passes the
+    coefficient certificate (`_certified`) is univalent on that disk. Any
+    other map is checked for phi' nonvanishing on the disk (via polynomial
+    roots) and, at sample resolution, for injectivity of the boundary image.
+    By the argument principle the tangent i zeta phi'(zeta) then winds
+    exactly once, counterclockwise, around the circle. Last, a univalent map
+    whose |a1| underflows when squared is refused (ParseError).
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -362,19 +382,16 @@ def build_polynomial_curve(coeffs, rho):
         extent = extent / rho + math.hypot(c.real, c.imag)
     _refuse_overflowing_square(extent)
     curve = ConformalMapCurve(cs, rho)
-    if _certified(cs, rho):
-        return curve
-
-    if np.any(np.abs(curve.dphi_roots) <= (1.0 / rho) * (1.0 + 1e-12)):
-        raise CurveNotSimpleError(
-            "phi' vanishes inside the validation disk |zeta| <= 1/rho")
-
-    th = TWO_PI * np.arange(CHECK_NODES) / CHECK_NODES
-    z = curve.point(th)
-    adjacent = np.abs(np.roll(z, -1) - z)
-    min_adjacent = adjacent.min()
-    if _far_pair_gap(z) < 0.5 * min_adjacent:
-        raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
+    if not _certified(cs, rho):
+        if np.any(np.abs(curve.dphi_roots) <= (1.0 / rho) * (1.0 + 1e-12)):
+            raise CurveNotSimpleError(
+                "phi' vanishes inside the validation disk |zeta| <= 1/rho")
+        th = TWO_PI * np.arange(CHECK_NODES) / CHECK_NODES
+        z = curve.point(th)
+        adjacent = np.abs(np.roll(z, -1) - z)
+        if _far_pair_gap(z) < 0.5 * adjacent.min():
+            raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
+    _refuse_underflowing_square(math.hypot(cs[1].real, cs[1].imag))
     return curve
 
 
@@ -426,7 +443,9 @@ def build_polygon(vertices):
     unordered pair appears once (twice at k = n/2). A pair (i, j) also
     stands for edges pq = i and rs = j, which cross properly when the turns
     sign Im(conj(q - p) (r - p)) of r and s about pq differ, those of p and
-    q about rs differ and none is 0; each turn rounds as in complex
+    q about rs differ and none is 0. Each turn is taken on the vertices
+    scaled by 2^-e (`PolygonCurve._scaled`), so that it neither overflows
+    nor, on a tiny polygon, underflows to 0, and rounds as in complex
     arithmetic. Adjacent edges share an end, whose turn is exactly 0.
     """
     poly = PolygonCurve(vertices)
@@ -444,27 +463,38 @@ def build_polygon(vertices):
         raise DegenerateEdgeError(f"edge {short[0]} has zero length")
     pairs = a.size * (a.size // 2)
     crossed = False
-    with np.errstate(all="ignore"):  # an overflowing turn is NaN, as in complex arithmetic
-        for lo in range(0, pairs, KERNEL_BLOCK):
-            m = np.arange(lo, min(pairs, lo + KERNEL_BLOCK))
-            i, j = m % a.size, (m + m // a.size + 1) % a.size
-            p, q, r, s = a[i], b[i], a[j], b[j]  # edges pq and rs
-            u, v = np.stack([q - p, q - p, s - r, s - r]), np.stack([r - p, s - p, p - r, q - r])
-            if poly.is_zero_length(np.hypot(v[0].real, v[0].imag)).any():  # |r - p|
-                raise CurveNotSimpleError("repeated vertices")
-            o = np.sign(u.real * v.imag - u.imag * v.real)  # turns pqr, pqs, rsp, rsq
-            crossed |= bool(((o[0] != o[1]) & (o[2] != o[3]) & (o != 0).all(axis=0)).any())
+    _, c, area = poly._scaled  # the turns' vertices
+    d = np.roll(c, -1)
+    for lo in range(0, pairs, KERNEL_BLOCK):
+        m = np.arange(lo, min(pairs, lo + KERNEL_BLOCK))
+        i, j = m % a.size, (m + m // a.size + 1) % a.size
+        gap = a[j] - a[i]
+        if poly.is_zero_length(np.hypot(gap.real, gap.imag)).any():
+            raise CurveNotSimpleError("repeated vertices")
+        p, q, r, s = c[i], d[i], c[j], d[j]  # edges pq and rs, scaled
+        u, v = np.stack([q - p, q - p, s - r, s - r]), np.stack([r - p, s - p, p - r, q - r])
+        o = np.sign(u.real * v.imag - u.imag * v.real)  # turns pqr, pqs, rsp, rsq
+        crossed |= bool(((o[0] != o[1]) & (o[2] != o[3]) & (o != 0).all(axis=0)).any())
     if crossed:
         raise CurveNotSimpleError("polygon edges cross")
-    if poly.area_over_pi() < 0.0:
+    if area < 0.0:
         poly = PolygonCurve(poly.vertices[::-1])
     return poly
+
+
+def integer_argument(value, name, error=ParseError):
+    """int(value), refused with `error` naming the argument where int()
+    cannot take it (NaN, an infinity, a non-number)."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be a finite integer, got {value!r}") from exc
 
 
 def node_count(n):
     """n as an int, refused unless a power of two from MIN_NODES to
     MAX_NODES; nothing of size n is allocated before the check."""
-    n = int(n)
+    n = integer_argument(n, "node count", BadNodeCountError)
     if n < MIN_NODES or n & (n - 1):
         raise BadNodeCountError(f"node count must be a power of two >= 16, got {n}")
     if n > MAX_NODES:
@@ -716,7 +746,10 @@ def _powers(first, step, terms):
 
 
 def winding_number(grid, z):
-    """Pre-rounding winding of the curve around z (trapezoidal quadrature)."""
+    """Pre-rounding winding of the curve around z (trapezoidal quadrature);
+    a z that is not finite is refused (ParseError), as in `sides`."""
+    if not np.isfinite(z):
+        raise ParseError(f"point {z} is not finite")
     return float(kernel_sums(grid, [z])[1][0])
 
 
@@ -772,14 +805,11 @@ def require_off_band(grid, z):
 
 
 def unit_tangent(curve, t):
-    """T(z(t)) = z'(t)/|z'(t)|; satisfies S'(z) = 1/T(z)^2 on the curve."""
+    """The holomorphic unit tangent T at z(t) = phi(e^{it}), the closed form
+    `_pullback_tangent`; S'(z) = 1/T(z)^2 on the curve."""
     if not isinstance(curve, ConformalMapCurve):
         raise NotConformalMapCurveError("polygons have edge tangents only")
-    v = curve.velocity(t)
-    mag = np.abs(v)
-    if np.any(mag == 0.0):
-        raise DegenerateTangentError("velocity vanished")
-    return v / mag
+    return _pullback_tangent(curve, _circle_point(t))
 
 
 def adaptive_refine(curve, functional, tol, n_start=MIN_NODES, n_max=MAX_NODES):

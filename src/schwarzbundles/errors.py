@@ -20,10 +20,6 @@ class BadNodeCountError(SchwarzBundleError):
     """Grid node counts must be powers of two from 16 to 2^16."""
 
 
-class DegenerateTangentError(SchwarzBundleError):
-    """Velocity vanished where a unit tangent was requested."""
-
-
 class NoConvergenceError(SchwarzBundleError):
     """Refinement exhausted the node budget without meeting the tolerance."""
 

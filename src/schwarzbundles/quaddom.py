@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .curve import ConformalMapCurve, PolygonCurve, kernel_sums, off_band
+from .curve import ConformalMapCurve, PolygonCurve, integer_argument, kernel_sums, off_band
 from .errors import (
     NotConformalMapCurveError,
     ParseError,
@@ -186,7 +186,7 @@ class RationalStructure:
 
 def default_exterior_samples(grid, count=12):
     """Deterministic well-separated exterior samples on two rings."""
-    count = max(4, int(count))
+    count = max(4, integer_argument(count, "count"))
     scale = np.abs(grid.z).max()
     half = count // 2
     ring1 = 1.6 * scale * np.exp(2j * np.pi * (np.arange(half) + 0.25) / half)
@@ -206,7 +206,7 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
     all sample pairs; below the calibrated threshold the domain is classified
     as a quadrature domain at this degree.
     """
-    deg_q, deg_p = int(deg_q), int(deg_p)
+    deg_q, deg_p = integer_argument(deg_q, "deg_q"), integer_argument(deg_p, "deg_p")
     if min(deg_q, deg_p) < 0:
         raise ParseError(f"degrees must be nonnegative, got {deg_q} and {deg_p}")
     zs = np.asarray(exterior_samples, dtype=complex)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curve import KERNEL_BLOCK, TWO_PI, ConformalMapCurve, PolygonCurve
+from .curve import KERNEL_BLOCK, TWO_PI, ConformalMapCurve, PolygonCurve, integer_argument
 from .errors import (
     DegenerateEdgeError,
     NewtonDivergedError,
@@ -118,7 +118,7 @@ def polygon_schwarz(polygon, edge_index):
     """
     if not isinstance(polygon, PolygonCurve):
         raise NotConformalMapCurveError("edge Schwarz data needs a polygon")
-    a, b = polygon.edge(int(edge_index))
+    a, b = polygon.edge(integer_argument(edge_index, "edge_index"))
     e = b - a
     if polygon.is_zero_length(abs(e)):
         raise DegenerateEdgeError(f"edge {edge_index} has zero length")

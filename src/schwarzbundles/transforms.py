@@ -33,6 +33,7 @@ import numpy as np
 from .curve import (
     Location,
     band_refusal,
+    integer_argument,
     off_band,
     require_off_band,
     sides,
@@ -136,7 +137,7 @@ def harmonic_moments(grid, k_min, k_max):
 
     Raises ParseError for a range without k = 0, or with a moment that is
     not finite in floating point."""
-    k_min, k_max = int(k_min), int(k_max)
+    k_min, k_max = integer_argument(k_min, "k_min"), integer_argument(k_max, "k_max")
     if not k_min <= 0 <= k_max:
         raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
     if k_min < 0 and require_off_band(grid, 0.0) is not Location.INTERIOR:
@@ -157,13 +158,16 @@ def moment_expansion_check(grid, k_max):
     0 <= k <= k_max, with M_k the exact moments from the map's coefficients
     (`ConformalMapCurve.moments`): the quadrature error of the grid against
     the exact table, so a grid whose nodes are off the curve fails it, and
-    so does one too coarse for order k_max (m_k aliases for k >= n).
+    so does one too coarse for order k_max (m_k aliases for k >= n). A
+    negative k_max, which would compare no moment, is refused (ParseError).
     """
-    k_max = int(k_max)
+    k_max = integer_argument(k_max, "k_max")
+    if k_max < 0:
+        raise ParseError(f"moment order k_max must be nonnegative, got {k_max}")
     gap = _trapezoid_moments(grid, 0, k_max) - grid.curve.moments(k_max)
     # hypot rounds as the scalar abs does, on every host; the SIMD loop of
     # np.abs depends on the CPU
-    return float(np.hypot(gap.real, gap.imag).max(initial=0.0))
+    return float(np.hypot(gap.real, gap.imag).max())
 
 
 _PIECE_NAMES = {"ext:ext": "F", "int:ext": "G", "ext:int": "G*", "int:int": "H"}

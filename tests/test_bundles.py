@@ -900,14 +900,12 @@ def test_tangent_section_pulls_back_once_per_ring(monkeypatch, cardioid):
 @pytest.mark.parametrize("coeffs, rho", [([0, 1], 0.5), ([0, 1, 0.3], 0.7), (QUARTIC, 0.72)])
 def test_grids_keep_the_schwarz_function_and_the_unit_tangent(coeffs, rho, n):
     # on the curve grid and both verification rings: S as the curve gives
-    # it, T as dz/|dz| on the curve and the closed form off it, bit for bit
+    # it and T as the closed form, bit for bit
     curve = sb.build_polynomial_curve(coeffs, rho)
     grid = sb.sample(curve, n)
     for ring in (grid, *sb.bundles._kept(grid, sb.bundles._verification_rings)):
         assert same_bits(ring._schwarz, curve.phi_reflected(ring.zeta))
-        expected = (ring.dz / np.abs(ring.dz) if ring.radius == 1.0
-                    else sb.curve._pullback_tangent(curve, ring.zeta))
-        assert same_bits(ring._tangent, expected)
+        assert same_bits(ring._tangent, sb.curve._pullback_tangent(curve, ring.zeta))
         assert ring._schwarz is ring._schwarz and ring._tangent is ring._tangent
 
 

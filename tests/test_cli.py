@@ -642,6 +642,27 @@ def test_out_of_range_arguments_are_parse_errors(capsys, tmp_path, curve, argv):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["section", "--bundle", "schwarz-pole"], "schwarz-pole needs --pole"),
+    (["section", "--bundle", "tangent-power"], "tangent-power needs --power"),
+    (["plotdata", "--quantity", "exp-transform-abs"], "exp-transform-abs needs --w"),
+    (["plotdata", "--quantity", "exp-transform-abs", "--w", "3", "--grid", "1:2:3"],
+     "bad grid spec '1:2:3'"),
+])
+def test_missing_and_malformed_verb_arguments_are_parse_errors(capsys, disk_file, argv,
+                                                               message):
+    code, out, err = run(capsys, argv[0], disk_file, *argv[1:])
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("kind", ["abelian", "arc-length"])
+def test_quadrature_abelian_and_arc_length_on_the_disk(capsys, disk_file, kind):
+    code, out, _ = run(capsys, "quadrature", disk_file, "--kind", kind, "--f", "1;2;1")
+    assert code == 0
+    assert json.loads(out)["discrepancy"] < 1e-9
+
+
 def test_quadrature_threshold_reads_schwarz_tol(capsys, monkeypatch, disk_file):
     argv = ["quadrature", disk_file, "--kind", "classical", "--f", "1;2;1"]
     assert run(capsys, *argv)[0] == 0           # the verb's default, 1e-9

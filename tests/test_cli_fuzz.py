@@ -35,9 +35,11 @@ def _scaled(spec, e):
 def _curve_texts():
     """File name -> text (bytes: not UTF-8; None: no such file)."""
     # scales 1e150 (|z|^2 about 1e300) to 1e300, past the squared-extent
-    # refusal from about 1e154
+    # refusal from about 1e154, and 1e-150 to 1e-300, past the refusal of a
+    # map whose |a1|^2 underflows from about 1e-154
     texts = {f"{name}{e:+d}": json.dumps(_scaled(spec, e))
-             for name, spec in BASES.items() for e in [*range(-3, 4), 150, 160, 300]}
+             for name, spec in BASES.items()
+             for e in [*range(-3, 4), 150, 160, 300, -150, -200, -300]}
     for literal in ("NaN", "Infinity", "1e400"):  # JSON literals Python reads
         for name, spec in BASES.items():
             key = "coeffs" if spec["kind"] == "conformal" else "vertices"

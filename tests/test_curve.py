@@ -380,3 +380,100 @@ def test_curve_json_roundtrip(cardioid, unit_square):
         sb.curve_from_json("{not json")
     with pytest.raises(ParseError):
         sb.curve_from_json({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-200, 1e-310])
+def test_a_crossing_bowtie_is_refused_at_every_scale(scale):
+    # the turns are taken on the vertices scaled by a power of two; unscaled,
+    # their products underflowed to 0 from about 1e-160 and the bowtie passed
+    with pytest.raises(CurveNotSimpleError, match="cross"):
+        sb.build_polygon([0, scale * (1 + 1j), scale, scale * 1j])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-310])
+def test_a_tiny_clockwise_polygon_is_turned_counterclockwise(scale):
+    # the orientation is the sign of the scaled area, which does not
+    # underflow, although the area itself does
+    vertices = [0, scale * 1j, scale * (1 + 1j), scale]
+    assert sb.build_polygon(vertices).vertices == tuple(complex(v) for v in vertices[::-1])
+
+
+@pytest.mark.parametrize("coeffs, rho", [([0, 1e-310], 0.5), ([0, 1e-155], 0.5),
+                                         ([0, 1e-200, 3e-201], 0.7),
+                                         ([1e-300, 1e-300j, 0, 1e-302], 0.5)])
+def test_a_map_whose_scale_underflows_when_squared_is_refused(coeffs, rho):
+    # the kernel's squared distances underflow: every point would lie in the
+    # exclusion band, and the conformal center with it
+    with pytest.raises(ParseError, match="underflows when squared"):
+        sb.build_polynomial_curve(coeffs, rho)
+
+
+def test_the_scale_refusal_follows_univalence():
+    assert sb.build_polynomial_curve([0, 1.5e-154], 0.5).coeffs[1] == 1.5e-154
+    for coeffs in ([0, 0, 1], [0, 1e-170, 1]):  # phi' vanishes near 0: not univalent
+        with pytest.raises(CurveNotSimpleError):
+            sb.build_polynomial_curve(coeffs, 0.5)
+
+
+@pytest.mark.parametrize("coeffs, rho", [([0, 1], 0.5), ([0, 1, 0.3], 0.7),
+                                         ([0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)])
+def test_unit_tangent_is_the_closed_form(coeffs, rho):
+    # one formula for T: the closed form at e^{it}, within rounding of the
+    # velocity's direction on the curve
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    t = 2 * np.pi * np.arange(1024) / 1024
+    tangent = sb.unit_tangent(curve, t)
+    assert np.array_equal(tangent, sb.curve._pullback_tangent(curve, np.exp(1j * t)))
+    velocity = curve.velocity(t)
+    assert np.abs(tangent - velocity / np.abs(velocity)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, None, "x"])
+@pytest.mark.parametrize("call, error", [
+    (lambda grid, v: sb.sample(grid.curve, v), BadNodeCountError),
+    (lambda grid, v: sb.annulus_verification_points(grid, v), ParseError),
+    (lambda grid, v: sb.default_exterior_samples(grid, v), ParseError),
+    (lambda grid, v: sb.harmonic_moments(grid, v, 3), ParseError),
+    (lambda grid, v: sb.harmonic_moments(grid, 0, v), ParseError),
+    (lambda grid, v: sb.moment_expansion_check(grid, v), ParseError),
+    (lambda grid, v: sb.fit_rational_structure(
+        grid, v, 1, sb.default_exterior_samples(grid)), ParseError),
+    (lambda grid, v: sb.fit_rational_structure(
+        grid, 1, v, sb.default_exterior_samples(grid)), ParseError),
+    (lambda grid, v: sb.polygon_schwarz(sb.build_polygon([0, 1, 1j]), v), ParseError),
+], ids=["sample", "annulus_verification_points", "default_exterior_samples",
+        "harmonic_moments-k_min", "harmonic_moments-k_max", "moment_expansion_check",
+        "fit_rational_structure-deg_q", "fit_rational_structure-deg_p",
+        "polygon_schwarz"])
+def test_a_count_that_is_not_a_finite_integer_is_refused(disk_grid, call, error, value):
+    # int() of NaN, an infinity or a non-number used to leak ValueError,
+    # OverflowError or TypeError
+    with pytest.raises(error, match="must be a finite integer"):
+        call(disk_grid, value)
+
+
+@pytest.mark.parametrize("z", [np.nan, np.inf, complex(0, np.nan), complex(np.inf, 1)])
+def test_winding_number_refuses_a_point_that_is_not_finite(disk_grid, z):
+    # as locate does; it used to return NaN
+    with pytest.raises(ParseError, match="not finite"):
+        sb.winding_number(disk_grid, z)
+
+
+@pytest.mark.parametrize("call", [
+    lambda polygon: sb.unit_tangent(polygon, 0.0),
+    lambda polygon: sb.schwarz_boundary(polygon, 0.0),
+    lambda polygon: sb.invert_conformal_map(polygon, 0.5),
+], ids=["unit_tangent", "schwarz_boundary", "invert_conformal_map"])
+def test_map_curve_helpers_refuse_a_polygon(unit_square, call):
+    with pytest.raises(NotConformalMapCurveError):
+        call(unit_square)
+
+
+def test_polygon_schwarz_refuses_a_map_curve(disk):
+    with pytest.raises(NotConformalMapCurveError):
+        sb.polygon_schwarz(disk, 0)
+
+
+def test_curve_to_json_refuses_an_unknown_curve():
+    with pytest.raises(ParseError, match="unknown curve type"):
+        sb.curve_to_json(object())

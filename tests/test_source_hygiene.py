@@ -2,9 +2,10 @@
 installs no linter): every module-level import of a module in the package,
 the tests or the scripts is used by that module, and every private
 top-level function of the package is referenced somewhere in the package,
-and no package function imports: a dependency, and a cycle between package
-modules, shows in the module header. A package `__init__.py` imports to
-re-export, so its imports are exempt from the first check.
+no package function imports (a dependency, and a cycle between package
+modules, shows in the module header), and every refusal class in
+`errors.py` is raised somewhere in the package. A package `__init__.py`
+imports to re-export, so its imports are exempt from the first check.
 """
 
 import ast
@@ -73,3 +74,18 @@ def test_no_package_function_imports():
                     for inner in ast.walk(node)
                     if isinstance(inner, (ast.Import, ast.ImportFrom))})
     assert not local, f"imports inside package functions: {local}"
+
+
+def test_every_refusal_class_is_raised_in_the_package():
+    # a refusal class that nothing constructs documents a refusal that no
+    # input can reach
+    errors = next(path for path in PACKAGE if path.name == "errors.py")
+    refusals = [node.name for node in _tree(errors).body if isinstance(node, ast.ClassDef)
+                and any(isinstance(base, ast.Name) and base.id == "SchwarzBundleError"
+                        for base in node.bases)]
+    constructed = {node.func.id for path in PACKAGE if path != errors
+                   for node in ast.walk(_tree(path))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert refusals
+    unraised = sorted(set(refusals) - constructed)
+    assert not unraised, f"refusal classes the package never raises: {unraised}"

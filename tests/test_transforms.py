@@ -141,6 +141,15 @@ def test_moment_expansion_check_fails_off_the_curve(coeffs, rho, n):
     assert sb.moment_expansion_check(moved, 6) > 1e-10
 
 
+@pytest.mark.parametrize("k_max", [-1, -7])
+def test_moment_expansion_check_refuses_a_negative_order(k_max):
+    # it compared no moment and returned 0.0, a check that could not fail,
+    # even on a 16-node grid
+    grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 16)
+    with pytest.raises(ParseError, match="nonnegative"):
+        sb.moment_expansion_check(grid, k_max)
+
+
 def test_double_cauchy_disk_values(disk_grid):
     assert sb.double_cauchy(disk_grid, 2, 3).C == pytest.approx(LOG_5_6, abs=1e-12)
     assert sb.double_cauchy(disk_grid, 0.5, 3).C == pytest.approx(LOG_5_6, abs=1e-12)
