@@ -4,7 +4,8 @@ in-process through `cli.main` on curve files written to a temporary
 directory. The moments of nonnegative order come from the map's
 coefficients, so with --kmin 0 adaptive refinement stops at its first grid
 (n = 256) whatever K is; the negative orders are trapezoidal sums, which
-alias while n <= K, so that range refines further. The time includes
+alias while n <= K, so that range starts refining at the least power of two
+above K and refines further. The time includes
 loading the file.
 
 Usage: python scripts/moment_orders.py [K ...]   (default K = 64 300 1000 4095)

@@ -13,7 +13,7 @@ after chern_class when the Chern class is negative, as the workload's does.
 
 verify_transition takes the points' sides from their search, kept on the
 grid, so it makes no kernel pass for them; at Chern class 1 it makes one
-`locate` of the adjustment point per ring. It unwraps each ring's transition
+side pass (`curve.sides`) of the adjustment point per ring. It unwraps each ring's transition
 once and compares the rings with the curve by Fourier modes, with no kernel
 pass. The second call makes the same passes as the first: only what depends
 on the grid alone is kept. The Schwarz function S is evaluated once per grid,

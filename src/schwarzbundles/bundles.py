@@ -59,15 +59,12 @@ import numpy as np
 from .curve import (
     TWO_PI,
     ContourGrid,
-    Location,
     _poly_roots,
     _pullback_tangent,
     _read_only,
     _ring,
     integer_argument,
-    locate,
     off_band,
-    require_off_band,
     sides,
 )
 from .errors import (
@@ -235,13 +232,11 @@ def _resolve_adjustment(bundle, grid, a):
     """a, else the bundle pole if interior, else the conformal center; one
     kernel pass locates each candidate, and a candidate in the exclusion
     band is refused (NearBoundaryError), the pole included."""
-    if a is None and bundle.pole is not None \
-            and require_off_band(grid, bundle.pole) is Location.INTERIOR:
+    if a is None and bundle.pole is not None and off_band(grid, [bundle.pole])[0][0]:
         return complex(bundle.pole)
     a = complex(bundle.curve.conformal_center if a is None else a)
-    if require_off_band(grid, a) is not Location.INTERIOR:
-        raise AdjustmentPointNotInteriorError(
-            f"adjustment point {a} is not strictly interior")
+    if not off_band(grid, [a])[0][0]:
+        raise AdjustmentPointNotInteriorError(f"adjustment point {a} is not strictly interior")
     return a
 
 
@@ -416,7 +411,7 @@ def verify_transition(section, bundle, annulus_points):
     for ring, (scale, weight), side in rings:
         if not side.any():
             continue
-        if c and locate(ring, a) is not Location.INTERIOR:
+        if c and not sides(ring, [a])[1][0]:
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")

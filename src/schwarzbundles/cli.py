@@ -5,8 +5,8 @@ structure, and dump plot data.
 Numeric output uses 17 significant digits so values round-trip exactly.
 Configuration comes from flags, with SCHWARZ_TOL / SCHWARZ_N environment
 fallbacks; flags win. `_dispatch` fills the flags an environment variable
-supplies and loads the curve for every verb, and maps the class of a
-refusal to the exit code;
+supplies and loads the curve for every verb, and takes the exit code of a
+refusal from the first row of `REFUSALS` that its class matches;
 geometry refusals are the library's own. Exit codes: 0 ok, 1 validation or
 computation failure (a floating-point overflow, division by zero or
 invalid operation in numpy among them) or stdout closed by its reader
@@ -49,6 +49,17 @@ EXIT_PARSE = 2
 EXIT_NEAR_BOUNDARY = 3
 EXIT_BRANCH = 4
 EXIT_GEOMETRY = 5
+
+# (refusal classes, exit code, stderr label), tried in order: the first row
+# whose classes match the refusal decides it
+REFUSALS = (
+    (ParseError, EXIT_PARSE, "parse error"),
+    (NearBoundaryError, EXIT_NEAR_BOUNDARY, "near-boundary refusal"),
+    (BranchUnresolvedError, EXIT_BRANCH, "branch unresolved"),
+    ((NotConformalMapCurveError, TangentNotMeromorphicError), EXIT_GEOMETRY,
+     "incompatible geometry"),
+    ((SchwarzBundleError, FloatingPointError), EXIT_FAILURE, "error"),
+)
 
 # Input caps: the fit's F matrix and eliminations grow with the square of
 # the sample count, a lattice's output and kernel pass with its point count,
@@ -116,11 +127,12 @@ def _config_from(args):
         raise ParseError(f"k range {args.kmin}..{args.kmax} exceeds the cap {MAX_MOMENT_ORDER}")
 
 
-def _grid_for(curve, args, functional=None, n=512):
-    """The pinned grid, else the functional's refined one, else n nodes."""
+def _grid_for(curve, args, functional=None, n=512, n_start=256):
+    """The pinned grid, else the functional's grid refined from n_start
+    nodes, else n nodes."""
     if args.n is not None or functional is None:
         return sample(curve, n if args.n is None else args.n)
-    return adaptive_refine(curve, functional, args.tol, n_start=256)
+    return adaptive_refine(curve, functional, args.tol, n_start=n_start)
 
 
 def _emit(payload, args):
@@ -179,27 +191,27 @@ def cmd_transform(args, curve):
                          functional=lambda g: transforms.cauchy_transform(g, z))
         side, value = transforms._located_cauchy_transform(grid, z)
         payload = {"z": [z.real, z.imag], "side": side.value,
-                   "cauchy_transform": [value.real, value.imag],
-                   "n": grid.n}
-        _emit(payload, args)
-        return EXIT_OK
-    w = parse_complex(args.w)
-    grid = _grid_for(curve, args,
-                     functional=lambda g: transforms.double_cauchy(g, z, w).C)
-    tv = transforms.double_cauchy(grid, z, w)
-    name, piece = tv.piece
-    payload = transforms.transform_values_to_json([tv])[0]
-    payload.update(piece={"name": name, "value": [piece.real, piece.imag]}, n=grid.n)
-    _emit(payload, args)
+                   "cauchy_transform": [value.real, value.imag]}
+    else:
+        w = parse_complex(args.w)
+        grid = _grid_for(curve, args,
+                         functional=lambda g: transforms.double_cauchy(g, z, w).C)
+        tv = transforms.double_cauchy(grid, z, w)
+        name, piece = tv.piece
+        payload = transforms.transform_values_to_json([tv])[0]
+        payload["piece"] = {"name": name, "value": [piece.real, piece.imag]}
+    _emit({**payload, "n": grid.n}, args)
     return EXIT_OK
 
 
 def cmd_moments(args, curve):
+    """Refinement starts at the least power of two above |kmin|, at least
+    256: a grid of n <= |kmin| nodes aliases the order kmin and refuses it."""
     def functional(g):
         table = transforms.harmonic_moments(g, args.kmin, args.kmax)
         return sum(m / (1.0 + abs(k)) for k, m in table.items())
 
-    grid = _grid_for(curve, args, functional=functional)
+    grid = _grid_for(curve, args, functional, n_start=max(256, 1 << (-args.kmin).bit_length()))
     table = transforms.harmonic_moments(grid, args.kmin, args.kmax)
     if args.format == "csv":
         _print_moments_csv(table)
@@ -264,9 +276,18 @@ def cmd_section(args, curve):
     return EXIT_OK
 
 
+# --kind name -> (residue identity on the curve, boundary-integral oracle on
+# a grid), each of the polynomial coefficients f; "corner" is the polygons'
+QUADRATURES = {
+    "classical": (quaddom.classical_quadrature, quaddom.boundary_classical),
+    "abelian": (quaddom.abelian_quadrature, quaddom.boundary_abelian),
+    "arc-length": (quaddom.arclength_quadrature, quaddom.boundary_arclength),
+}
+
+
 def cmd_quadrature(args, curve):
     """Exit 0 when the residue value meets its oracle within the tolerance."""
-    f_coeffs = parse_coeff_list(args.f) if args.f else [1.0 + 0j]
+    f_coeffs = parse_coeff_list(args.f) if args.f is not None else [1.0 + 0j]
     weights = None
     if args.kind == "corner":
         weights = quaddom.polygon_quadrature(curve)
@@ -275,15 +296,8 @@ def cmd_quadrature(args, curve):
             curve, quaddom.poly_derivative(f_coeffs, 2))
     else:
         grid = _grid_for(curve, args)
-        if args.kind == "classical":
-            residue_value = quaddom.classical_quadrature(curve, f_coeffs)
-            oracle_value = quaddom.boundary_classical(grid, f_coeffs)
-        elif args.kind == "abelian":
-            residue_value = quaddom.abelian_quadrature(curve, f_coeffs)
-            oracle_value = quaddom.boundary_abelian(grid, f_coeffs)
-        else:
-            residue_value = quaddom.arclength_quadrature(curve, f_coeffs)
-            oracle_value = quaddom.boundary_arclength(grid, f_coeffs)
+        residue, oracle = QUADRATURES[args.kind]
+        residue_value, oracle_value = residue(curve, f_coeffs), oracle(grid, f_coeffs)
     report = quaddom.quadrature_report(args.kind, residue_value, oracle_value, weights)
     _emit(report, args)
     return EXIT_OK if report["discrepancy"] < args.tol else EXIT_FAILURE
@@ -384,14 +398,15 @@ def _attach_values(argv):
 def build_parser():
     """The argument parser, built once per process; parse_args leaves it
     unchanged, so every call of main can share it."""
-    verb = argparse.ArgumentParser(add_help=False)
-    verb.add_argument("curve_file")
-    verb.add_argument("--tol", type=float, default=None,
-                      help="refinement tolerance (env SCHWARZ_TOL)")
-    verb.add_argument("--n", type=int, default=None,
-                      help="pin the node count (env SCHWARZ_N)")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("curve_file")
+    common.add_argument("--tol", type=float, default=None,
+                        help="refinement tolerance (env SCHWARZ_TOL)")
+    common.add_argument("--n", type=int, default=None,
+                        help="pin the node count (env SCHWARZ_N)")
+    common.set_defaults(default_tol=1e-10)
+    verb = argparse.ArgumentParser(add_help=False, parents=[common])  # every verb but plotdata
     verb.add_argument("--format", choices=("json", "csv"), default="json")
-    verb.set_defaults(default_tol=1e-10)
     bundle_args = argparse.ArgumentParser(add_help=False)
     bundle_args.add_argument("--pole", default=None)
     bundle_args.add_argument("--power", type=int, default=None)
@@ -425,8 +440,7 @@ def build_parser():
     p.set_defaults(func=cmd_section)
 
     p = sub.add_parser("quadrature", help="residue quadrature identities", parents=[verb])
-    p.add_argument("--kind", required=True,
-                   choices=("classical", "abelian", "arc-length", "corner"))
+    p.add_argument("--kind", required=True, choices=(*QUADRATURES, "corner"))
     p.add_argument("--f", default=None,
                    help="polynomial coefficients, low to high, ';'-separated")
     p.set_defaults(func=cmd_quadrature, default_tol=1e-9)  # the pass threshold
@@ -435,11 +449,11 @@ def build_parser():
     p.add_argument("--deg-q", type=int, required=True, dest="deg_q")
     p.add_argument("--deg-p", type=int, required=True, dest="deg_p")
     p.add_argument("--samples", type=int, default=12,
-                   help=f"exterior sample count (at most {MAX_FIT_SAMPLES})")
+                   help=f"exterior sample count (at least 4, at most {MAX_FIT_SAMPLES})")
     p.set_defaults(func=cmd_rational_fit)
 
     p = sub.add_parser("plotdata", help="CSV samples for external plotting",
-                       parents=[verb, moment_args, bundle_args])
+                       parents=[common, moment_args, bundle_args])
     p.add_argument("--quantity", required=True,
                    choices=("exp-transform-abs", "moments", "section-density"))
     p.add_argument("--grid", default="1.5:4:25,1.5:4:25",
@@ -496,21 +510,12 @@ def _dispatch(argv):
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             _config_from(args)
             return args.func(args, _load_curve(args.curve_file))
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NearBoundaryError as exc:
-        print(f"near-boundary refusal: {exc}", file=sys.stderr)
-        return EXIT_NEAR_BOUNDARY
-    except BranchUnresolvedError as exc:
-        print(f"branch unresolved: {exc}", file=sys.stderr)
-        return EXIT_BRANCH
-    except (NotConformalMapCurveError, TangentNotMeromorphicError) as exc:
-        print(f"incompatible geometry: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except (SchwarzBundleError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    except Exception as exc:  # a class no row of REFUSALS names propagates
+        for kinds, code, label in REFUSALS:
+            if isinstance(exc, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def entrypoint():

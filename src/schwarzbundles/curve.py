@@ -798,12 +798,6 @@ def band_refusal(grid, z):
         f"{z} is within the exclusion band ({grid.exclusion_band:.3g})")
 
 
-def require_off_band(grid, z):
-    """locate(grid, z), refusing a point inside the exclusion band."""
-    inside, _ = off_band(grid, [z])
-    return Location.INTERIOR if inside[0] else Location.EXTERIOR
-
-
 def unit_tangent(curve, t):
     """The holomorphic unit tangent T at z(t) = phi(e^{it}), the closed form
     `_pullback_tangent`; S'(z) = 1/T(z)^2 on the curve."""

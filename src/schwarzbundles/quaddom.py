@@ -185,8 +185,11 @@ class RationalStructure:
 
 
 def default_exterior_samples(grid, count=12):
-    """Deterministic well-separated exterior samples on two rings."""
-    count = max(4, integer_argument(count, "count"))
+    """Deterministic well-separated exterior samples on two rings; a count
+    below 4 is refused (ParseError)."""
+    count = integer_argument(count, "count")
+    if count < 4:
+        raise ParseError(f"at least 4 exterior samples are needed, got {count}")
     scale = np.abs(grid.z).max()
     half = count // 2
     ring1 = 1.6 * scale * np.exp(2j * np.pi * (np.arange(half) + 0.25) / half)

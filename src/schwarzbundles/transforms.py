@@ -35,7 +35,6 @@ from .curve import (
     band_refusal,
     integer_argument,
     off_band,
-    require_off_band,
     sides,
 )
 from .errors import (
@@ -135,17 +134,22 @@ def harmonic_moments(grid, k_min, k_max):
     (`_trapezoid_moments`, one product by 1/z per order) and needs 0 inside
     the curve (OriginNotInteriorError, NearBoundaryError in its band).
 
-    Raises ParseError for a range without k = 0, or with a moment that is
-    not finite in floating point."""
+    Raises ParseError for a range without k = 0, with a moment that is not
+    finite in floating point, or with an order k <= -n, which the grid's n
+    nodes alias (the sum of z^k over the nodes of the unit circle is n, not
+    0, when n divides k)."""
     k_min, k_max = integer_argument(k_min, "k_min"), integer_argument(k_max, "k_max")
     if not k_min <= 0 <= k_max:
         raise ParseError(f"moment range [{k_min}, {k_max}] must contain k = 0")
-    if k_min < 0 and require_off_band(grid, 0.0) is not Location.INTERIOR:
+    if k_min < 0 and not off_band(grid, [0.0])[0][0]:
         raise OriginNotInteriorError("harmonic moments assume the origin is interior")
     with np.errstate(all="ignore"):  # overflow: refused below
         values = np.concatenate([_trapezoid_moments(grid, k_min, -1), grid.curve.moments(k_max)])
     if not np.isfinite(values).all():
         raise ParseError(f"moments of orders {k_min}..{k_max} overflow on this curve")
+    if k_min <= -grid.n:
+        raise ParseError(f"order {k_min} aliases on {grid.n} nodes; "
+                         f"n = {1 << (-k_min).bit_length()} or more answers it")
     return dict(zip(range(k_min, k_max + 1), values.tolist()))
 
 
@@ -214,11 +218,12 @@ def _pole_density(grid, w, interior):
     return unwrap_log(vals * (grid.z - w) ** (-1) if interior else vals)[0]
 
 
-def _double_cauchy_rows(grid, zs, w, w_side):
-    """C(z, w) for every z in zs at a located w, NaN where double_cauchy
-    refuses, with the masks (near, inside) of zs from the same kernel pass."""
-    density = _pole_density(grid, w, w_side is Location.INTERIOR)
-    if w_side is Location.INTERIOR:
+def _double_cauchy_rows(grid, zs, w, w_inside):
+    """C(z, w) for every z in zs at a located w (inside the curve or not),
+    NaN where double_cauchy refuses, with the masks (near, inside) of zs from
+    the same kernel pass."""
+    density = _pole_density(grid, w, w_inside)
+    if w_inside:
         near, inside, c = sides(grid, zs, density)
         gap = np.abs(zs - w)
         apart = gap > 1e-12 * (1.0 + np.abs(zs))
@@ -248,7 +253,7 @@ def double_cauchy_batch(grid, zs, w):
     """
     w = complex(w)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    return _double_cauchy_rows(grid, zs, w, require_off_band(grid, w))[0]
+    return _double_cauchy_rows(grid, zs, w, off_band(grid, [w])[0][0])[0]
 
 
 def double_cauchy(grid, z, w):
@@ -264,16 +269,16 @@ def double_cauchy(grid, z, w):
     -(1/pi) * integral of dA/((zeta - z)(conj zeta - conj w)) it equals.
     """
     z, w = complex(z), complex(w)
-    w_side = require_off_band(grid, w)
-    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_side)
+    w_inside = off_band(grid, [w])[0][0]
+    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_inside)
     if near[0]:
         raise band_refusal(grid, z)
     c = complex(c[0])
     if c != c:  # NaN off the band: coincident interior points
         raise CoincidentInteriorPointsError(
             "interior exponential transform is singular at coincident points")
-    z_side = Location.INTERIOR if inside[0] else Location.EXTERIOR
-    return TransformValue(z=z, w=w, quadrant=(z_side, w_side), C=c, E=cmath.exp(c))
+    quadrant = tuple(Location.INTERIOR if s else Location.EXTERIOR for s in (inside[0], w_inside))
+    return TransformValue(z=z, w=w, quadrant=quadrant, C=c, E=cmath.exp(c))
 
 
 def _piece(grid, z, w, name):

@@ -9,15 +9,24 @@ import numpy as np
 import pytest
 
 import schwarzbundles as sb
+from schwarzbundles import cli, errors
 from schwarzbundles.cli import (
     EXIT_FAILURE,
     MAX_FIT_SAMPLES,
     MAX_GRID_POINTS,
     MAX_MOMENT_ORDER,
+    QUADRATURES,
     main,
     parse_complex,
 )
-from schwarzbundles.errors import ParseError
+from schwarzbundles.errors import (
+    BranchUnresolvedError,
+    NearBoundaryError,
+    NotConformalMapCurveError,
+    ParseError,
+    SchwarzBundleError,
+    TangentNotMeromorphicError,
+)
 
 DISK = '{"kind": "conformal", "coeffs": [[0,0],[1,0]], "rho": 0.5}'
 CARDIOID = '{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.3,0]], "rho": 0.7}'
@@ -623,6 +632,7 @@ def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
     (DISK, ["rational-fit", "--deg-q", "-1", "--deg-p", "1"]),
     (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "-1"]),
     (DISK, ["quadrature", "--kind", "classical", "--f", ";"]),
+    (DISK, ["quadrature", "--kind", "classical", "--f", ""]),  # used to compute with f = 1
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
             "--grid", "0:1:-2,0:1:2"]),
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
@@ -631,6 +641,10 @@ def test_non_finite_curve_data_is_a_parse_error(capsys, tmp_path, text):
     (DISK, ["transform", "--z", "2", "--tol", "inf"]),
     (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1",
             "--samples", str(MAX_FIT_SAMPLES + 1)]),
+    # a count below 4 used to fit on 4 samples
+    (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1", "--samples", "-5"]),
+    (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1", "--samples", "0"]),
+    (DISK, ["rational-fit", "--deg-q", "1", "--deg-p", "1", "--samples", "3"]),
     (DISK, ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
             "--grid", f"0:1:{MAX_GRID_POINTS // 2 + 1},0:1:2"]),
 ])
@@ -807,3 +821,117 @@ def test_overflowing_values_are_refused(capsys, tmp_path, coeffs, argv):
     code, out, err = run(capsys, argv[0], str(path), "--n", "256", *argv[1:])
     assert (code, out) == (EXIT_FAILURE, "")
     assert "overflow" in err
+
+
+def _refusal_chain(exc):
+    """(exit code, stderr label) of a refusal, written out as the chain of
+    isinstance tests the README's exit codes describe, apart from the table."""
+    if isinstance(exc, ParseError):
+        return 2, "parse error"
+    if isinstance(exc, NearBoundaryError):
+        return 3, "near-boundary refusal"
+    if isinstance(exc, BranchUnresolvedError):
+        return 4, "branch unresolved"
+    if isinstance(exc, (NotConformalMapCurveError, TangentNotMeromorphicError)):
+        return 5, "incompatible geometry"
+    return 1, "error"
+
+
+@pytest.fixture
+def raising_validate(monkeypatch):
+    """Make the validate verb raise the given exception; the cached parser,
+    which holds the verb, is rebuilt around the patch and after it."""
+    def install(exc):
+        def verb(args, curve):
+            raise exc
+        monkeypatch.setattr(cli, "cmd_validate", verb)
+        cli.build_parser.cache_clear()
+    yield install
+    monkeypatch.undo()
+    cli.build_parser.cache_clear()
+
+
+REFUSAL_CLASSES = [cls for cls in vars(errors).values()
+                   if isinstance(cls, type) and issubclass(cls, SchwarzBundleError)]
+
+
+@pytest.mark.parametrize("kind", REFUSAL_CLASSES + [FloatingPointError],
+                         ids=lambda kind: kind.__name__)
+def test_refusals_table_gives_the_exit_code_and_label_of_each_class(
+        capsys, disk_file, raising_validate, kind):
+    raising_validate(kind("boom"))
+    code = cli._dispatch(["validate", disk_file])
+    captured = capsys.readouterr()
+    want_code, want_label = _refusal_chain(kind("boom"))
+    assert (code, captured.out, captured.err) == (want_code, "", f"{want_label}: boom\n")
+
+
+def test_a_class_no_refusal_row_names_propagates(disk_file, raising_validate):
+    raising_validate(KeyError("boom"))
+    with pytest.raises(KeyError):
+        cli._dispatch(["validate", disk_file])
+
+
+def test_quadrature_kinds_are_the_table_and_corner():
+    quadrature = cli.build_parser()._subparsers._group_actions[0].choices["quadrature"]
+    kind = next(action for action in quadrature._actions if action.dest == "kind")
+    assert kind.choices == (*QUADRATURES, "corner")
+
+
+def test_a_constant_map_is_refused(capsys, tmp_path):
+    path = tmp_path / "constant.json"
+    path.write_text('{"kind": "conformal", "coeffs": [[1, 0]], "rho": 0.5}')
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert "degree at least one" in err
+
+
+def test_a_curve_file_holding_an_array_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
+@pytest.mark.parametrize("where", ["missing.json", "."], ids=["missing", "directory"])
+def test_an_unreadable_curve_path_is_a_parse_error(capsys, tmp_path, where):
+    code, out, err = run(capsys, "validate", str(tmp_path / where))
+    assert (code, out) == (2, "")
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["moments", "--n", "256", "--kmin", "-257"],
+    ["moments", "--n", "256", "--kmin", "-256"],
+    ["plotdata", "--quantity", "moments", "--kmin", "-258"],
+    ["plotdata", "--quantity", "moments", "--kmin", "-256"],
+], ids=["moments-257", "moments-256", "plotdata-258", "plotdata-256"])
+def test_an_order_the_grid_aliases_is_a_parse_error(capsys, disk_file, argv):
+    # on n nodes of the unit circle the trapezoidal M_{-n} is 1, not 0
+    code, out, err = run(capsys, argv[0], disk_file, *argv[1:])
+    assert (code, out) == (2, "")
+    assert "aliases on 256 nodes; n = 512 or more answers it" in err
+
+
+def test_moments_refine_from_above_the_lowest_order(capsys, monkeypatch, disk_file):
+    # the refinement starts at the least power of two above |kmin|, so no
+    # grid it samples aliases the order kmin
+    sizes = []
+    sample = sb.curve.sample
+    monkeypatch.setattr(sb.curve, "sample", lambda curve, n: sizes.append(n) or sample(curve, n))
+    code, out, _ = run(capsys, "moments", disk_file, "--kmin", "-300", "--kmax", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == 512 and min(sizes) == 512
+    values = {row["k"]: complex(*row["value"]) for row in payload["moments"]}
+    assert abs(values.pop(0) - 1) <= 1e-15
+    assert max(map(abs, values.values())) <= 1e-13
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plotdata_takes_no_format(capsys, disk_file, fmt):
+    # plotdata prints CSV only; --format json used to be accepted and ignored
+    code, out, err = run(capsys, "plotdata", disk_file, "--quantity", "moments", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --format" in err

@@ -302,3 +302,10 @@ def test_classical_sums_equal_the_exact_moment_sums(coeffs, rho):
         scale = sum(abs(c) * exact_moment(np.abs(coeffs), k).real for k, c in enumerate(f))
         bound = 4 * (len(f) + 1) * (curve.degree + 3) * EPS * scale
         assert abs(sb.classical_quadrature(curve, f) - want) <= bound, f
+
+@pytest.mark.parametrize("count", [-5, 0, 3])
+def test_default_exterior_samples_refuse_fewer_than_four(disk_grid, count):
+    # a count below 4 used to be raised to 4 without a word
+    with pytest.raises(ParseError, match="at least 4"):
+        sb.default_exterior_samples(disk_grid, count)
+    assert sb.default_exterior_samples(disk_grid, 4).size == 4

@@ -6,14 +6,22 @@ no package function imports (a dependency, and a cycle between package
 modules, shows in the module header), and every refusal class in
 `errors.py` is raised somewhere in the package. A package `__init__.py`
 imports to re-export, so its imports are exempt from the first check.
+
+The README is held to the code it documents: its experiment block names
+every script under `scripts/` and nothing else, and its list of exit codes
+has a bullet for every code `cli.REFUSALS` returns, and for exit 0.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
+from schwarzbundles import cli
+
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 PACKAGE = sorted((ROOT / "src").rglob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) \
     + sorted((ROOT / "scripts").glob("*.py"))
@@ -89,3 +97,16 @@ def test_every_refusal_class_is_raised_in_the_package():
     assert refusals
     unraised = sorted(set(refusals) - constructed)
     assert not unraised, f"refusal classes the package never raises: {unraised}"
+
+
+def test_the_readme_experiment_block_names_every_script():
+    block = README.split("\n## Experiment scripts\n", 1)[1].split("\n## ", 1)[0]
+    named = re.findall(r"^python scripts/(\S+)", block, re.MULTILINE)
+    scripts = sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
+    assert sorted(named) == scripts
+
+
+def test_every_exit_code_has_a_readme_bullet():
+    exit_codes = README.split("Exit codes:\n", 1)[1].split("\n\n", 1)[0]
+    bullets = {int(code) for code in re.findall(r"^- (\d) ", exit_codes, re.MULTILINE)}
+    assert bullets == {cli.EXIT_OK} | {code for _, code, _ in cli.REFUSALS}

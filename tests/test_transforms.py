@@ -87,6 +87,17 @@ def test_moments_refuse_orders_that_overflow(coeffs, rho, k_min, k_max):
         sb.harmonic_moments(grid, k_min, k_max)
 
 
+def test_moments_refuse_an_order_the_grid_aliases(disk):
+    # the trapezoidal sum of z^k over n nodes of the unit circle is n when n
+    # divides k: M_{-256} came out as 0.99999999999999756 at n = 256
+    grid = sb.sample(disk, 256)
+    assert abs(sb.harmonic_moments(grid, -255, 0)[-255]) <= 1e-13
+    with pytest.raises(ParseError, match="aliases on 256 nodes; n = 512 or more"):
+        sb.harmonic_moments(grid, -256, 0)
+    with pytest.raises(ParseError, match="n = 1024 or more"):
+        sb.harmonic_moments(grid, -512, 0)
+
+
 def test_cardioid_moments_of_high_order_are_exact_zeros(cardioid):
     # phi = zeta + 0.3 zeta^2 has no zeta^0 term, so [zeta^j] phi^(k+1) = 0 for
     # j <= 2 < k + 1: M_k = 0 exactly for k >= 2, where the grid's |z|^k overflows
