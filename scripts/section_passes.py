@@ -12,13 +12,19 @@ the verification points and rings are built in its own steps; a chain stops
 after chern_class when the Chern class is negative, as the workload's does.
 
 verify_transition takes the points' sides from their search, kept on the
-grid, so it makes no kernel pass for them; at Chern class 1 it makes one
-side pass (`curve.sides`) of the adjustment point per ring. It unwraps each ring's transition
-once and compares the rings with the curve by Fourier modes, with no kernel
-pass. The second call makes the same passes as the first: only what depends
-on the grid alone is kept. The Schwarz function S is evaluated once per grid,
-the curve's and each ring's, and kept on it, so the second call evaluates it
-on none.
+grid, so it makes no kernel pass for them; at Chern class 1 it places the
+adjustment point on each ring from the distance d_a that canonical_section's
+kernel pass measured, so it makes none for the point either while d_a
+exceeds what the ring needs (`bundles._ring_need`). It unwraps each ring's
+transition once and compares the rings with the curve by Fourier modes,
+with no kernel pass. The second call makes the same passes as the first:
+only what depends on the grid alone is kept. The Schwarz function S is
+evaluated once per grid, the curve's and each ring's, and kept on it, so the
+second call evaluates it on none.
+
+After the table, each Chern class 1 chain prints d_a divided by the need of
+the outer and of the inner ring: the margin by which the proof decides (a
+ratio below 1 would send the point to a side pass on that ring).
 
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """
@@ -76,7 +82,8 @@ def install_counters(counts):
 
 
 def chain_counts(curve, kind, n, counts):
-    """Counts per step of one chain on a fresh grid, a dict per step."""
+    """Counts per step of one chain on a fresh grid, a dict per step, and at
+    Chern class 1 the ratios of d_a to the outer and inner ring's need."""
     grid = sb.sample(curve, n)
     bundle = bundle_of(curve, kind)
     rows = {}
@@ -88,13 +95,16 @@ def chain_counts(curve, kind, n, counts):
         return value
 
     if step("chern_class", lambda: sb.chern_class(bundle, grid)) < 0:
-        return rows
+        return rows, None
     section = step("canonical_section", lambda: sb.canonical_section(bundle, grid))
     points = step("annulus_verification_points",
                   lambda: sb.annulus_verification_points(grid, 32))
     step("verify_transition", lambda: sb.verify_transition(section, bundle, points))
     step("verify_transition again", lambda: sb.verify_transition(section, bundle, points))
-    return rows
+    if not section.chern:
+        return rows, None
+    needs = [need for _, _, need in sb.bundles._kept(grid, sb.bundles._ring_modes)]
+    return rows, [section._d_a / need for need in needs]
 
 
 def main(n):
@@ -103,13 +113,18 @@ def main(n):
     try:
         print(f"calls per step at n = {n}: " + " / ".join(COUNTED))
         print(f"{'curve':9s} {'bundle':14s} " + " ".join(f"{s:>28s}" for s in STEPS))
+        margins = []
         for name, coeffs, rho in CURVES:
             curve = sb.build_polynomial_curve(coeffs, rho)
             for kind in KINDS:
-                rows = chain_counts(curve, kind, n, counts)
+                rows, ratios = chain_counts(curve, kind, n, counts)
                 cells = ["/".join(str(rows[s][c]) for c in COUNTED) if s in rows else "-"
                          for s in STEPS]
                 print(f"{name:9s} {kind:14s} " + " ".join(f"{c:>28s}" for c in cells))
+                if ratios:
+                    margins.append(f"{name:9s} {kind:14s} {ratios[0]:8.2f} {ratios[1]:8.2f}")
+        print("\nd_a / need at Chern class 1: outer ring, inner ring")
+        print("\n".join(margins))
     finally:
         for owner, name, original in reversed(undo):
             setattr(owner, name, original)

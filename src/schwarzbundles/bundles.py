@@ -41,9 +41,13 @@ verification points under the standing assumption that phi is univalent on
 |zeta| <= 1/rho, omitting the aliasing remainder of the trapezoidal sums;
 it is stricter than that residual on high modes. The verification points are
 searched over radii, one distance pass per radius, and every band and side
-decision is `curve.sides`. The two verification rings with their mode
-scales, weights and tangents, and the points with the sides their search
-gave, depend on the grid alone: they are built once per grid and kept on it.
+decision is `curve.sides`, with one exception that follows from it: a
+class-1 adjustment point is placed on each ring by a proof from the distance
+that the curve's own `curve.sides` pass measured for it (`_ring_need`), or,
+where the proof does not decide, by `curve.sides` on the ring. The two
+verification rings with their mode scales, weights, tangents and needs, and
+the points with the sides their search gave, depend on the grid alone: they
+are built once per grid and kept on it.
 Nothing is kept per bundle, pole, adjustment point or section, and every
 array returned to a caller is a fresh one.
 """
@@ -51,18 +55,20 @@ array returned to a caller is a fresh one.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .curve import (
+    EPS,
     TWO_PI,
     ContourGrid,
     _poly_roots,
     _pullback_tangent,
     _read_only,
     _ring,
+    band_refusal,
     integer_argument,
     off_band,
     sides,
@@ -198,6 +204,11 @@ class SectionPair:
     its value f1 inside the curve and f2 outside, from the density's Cauchy
     sum. For Chern class c > 0 the density is adjusted by (zeta - a)^{-c} and
     f2 carries the factor (z - a)^{-c} back, so f2 ~ z^{-c} at infinity.
+    `_d_a`, set only by `canonical_section` when c > 0, is the distance from
+    a to the grid's nodes, from the kernel pass that decided a; it is no
+    constructor argument, so a section built by hand or by
+    `dataclasses.replace` has 0.0, and `verify_transition` decides a on each
+    ring by a side pass.
     """
 
     grid: ContourGrid
@@ -205,6 +216,7 @@ class SectionPair:
     chern: int
     adjustment: complex
     normalization: str
+    _d_a: float = field(default=0.0, init=False, repr=False)
 
 
 def canonical_section(bundle, grid, a=None):
@@ -221,23 +233,38 @@ def canonical_section(bundle, grid, a=None):
     c = chern_class(bundle, grid)
     if c < 0:
         raise NoHolomorphicSectionError(f"Chern class {c} < 0 admits no holomorphic sections")
-    adjustment = _resolve_adjustment(bundle, grid, a) if c else None
+    adjustment, d_a = _resolve_adjustment(bundle, grid, a) if c else (None, 0.0)
     density = _node_log(bundle, grid, c, adjustment)
     normalization = ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z
-    return SectionPair(grid=grid, density=density, chern=c,
-                       adjustment=adjustment, normalization=normalization)
+    section = SectionPair(grid=grid, density=density, chern=c,
+                          adjustment=adjustment, normalization=normalization)
+    object.__setattr__(section, "_d_a", d_a)  # frozen
+    return section
 
 
 def _resolve_adjustment(bundle, grid, a):
-    """a, else the bundle pole if interior, else the conformal center; one
-    kernel pass locates each candidate, and a candidate in the exclusion
-    band is refused (NearBoundaryError), the pole included."""
-    if a is None and bundle.pole is not None and off_band(grid, [bundle.pole])[0][0]:
-        return complex(bundle.pole)
+    """(a, d_a): a, else the bundle pole if interior, else the conformal
+    center, with its distance d_a to the nodes; one `curve.sides` pass
+    locates each candidate, and a candidate in the exclusion band is refused
+    (NearBoundaryError), the pole included."""
+    if a is None and bundle.pole is not None:
+        inside, d_a = _located(grid, complex(bundle.pole))
+        if inside:
+            return complex(bundle.pole), d_a
     a = complex(bundle.curve.conformal_center if a is None else a)
-    if not off_band(grid, [a])[0][0]:
+    inside, d_a = _located(grid, a)
+    if not inside:
         raise AdjustmentPointNotInteriorError(f"adjustment point {a} is not strictly interior")
-    return a
+    return a, d_a
+
+
+def _located(grid, p):
+    """(inside, distance to the nodes) of p from one `curve.sides` pass,
+    refusing p in the band as `curve.off_band` does."""
+    near, inside, _, nearest = sides(grid, [p])
+    if near[0]:
+        raise band_refusal(grid, p)
+    return bool(inside[0]), float(nearest[0])
 
 
 def evaluate_section(section, z):
@@ -309,7 +336,7 @@ def _search_points(grid, half):
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        near, inside, _ = sides(grid, pts)
+        near, inside, _, _ = sides(grid, pts)
         if not near.any():
             return _read_only(pts), _read_only(inside)
         s *= 1.3
@@ -329,9 +356,10 @@ def _point_sides(grid, points):
 
 
 def _ring_modes(grid):
-    """(scale, weight) for each verification ring of `verify_transition`,
-    arrays over the FFT frequencies k of n points: scale = R^{-k}/n for the
-    ring radius R, and weight W_k from the kernel's Laurent coefficients.
+    """(scale, weight, need) for each verification ring of
+    `verify_transition`: arrays over the FFT frequencies k of n points,
+    scale = R^{-k}/n for the ring radius R and weight W_k from the kernel's
+    Laurent coefficients, and the adjustment point's `_ring_need`.
 
     zeta phi'/(phi - p) = sum_i zeta/(zeta - zeta_i) over the N roots zeta_i
     of phi - p (N the map's degree). A point p off the curve's band lies at
@@ -360,8 +388,43 @@ def _ring_modes(grid):
     outer_weight = np.where(negative, far, s ** m)
     inner_weight = np.where(negative, sigma ** m + far, 0.0)
     outer, inner = _kept(grid, _verification_rings)
-    return ((_read_only(outer.radius ** -k / n), _read_only(outer_weight)),
-            (_read_only(inner.radius ** -k / n), _read_only(inner_weight)))
+    return tuple((_read_only(ring.radius ** -k / n), _read_only(weight),
+                  _ring_need(ring, a, j, degree))
+                 for ring, weight in ((outer, outer_weight), (inner, inner_weight)))
+
+
+def _ring_need(ring, moduli, j, degree):
+    """The least distance d_a from an interior point to the curve's nodes at
+    which `curve.sides(ring, [point])` puts it inside the ring and off the
+    ring's band; moduli = |a_j| over the powers j, N = degree.
+
+    With R the ring radius and top = max(R, 1), L = sum j |a_j| top^(j-1)
+    bounds |phi'| on |zeta| <= top, so ring node k lies within |1 - R| L of
+    curve node k: the point p lies at least d = d_a - |1 - R| L from the
+    ring's nodes, off the band when d >= band. p = phi(zeta_0) with
+    |zeta_0| < 1 (p is interior, phi univalent on |zeta| <= 1/rho); on the
+    inner ring every point of phi(r <= |zeta| <= 1) lies within (1 - r) L
+    of the curve and every curve point within L pi/n of a node, so
+    d_a > (1 - r) L + L pi/n gives |zeta_0| < r. Every point of the ring's
+    image lies within L top pi/n of a ring node, so d >= L (top pi/n +
+    R (1 - x)) gives |zeta_0| <= x R. The ring's trapezoidal winding about p
+    is then within x^n/(1 - x^n) + (N - 1) v/(1 - v), v = (R rho)^n, of 1,
+    the other N - 1 roots of phi - p lying beyond 1/rho; x makes that 1/4,
+    leaving the rest to rounding (inf when the v term alone reaches 1/4).
+    The need adds 16 (N + 1) eps sum_j |a_j| top^j for the rounding of the
+    nodes and of the distances to them, and eight ulps of itself for that of
+    d_a."""
+    n, radius = ring.n, ring.radius
+    v = (radius * ring.curve.rho) ** n
+    spare = 0.25 - (degree - 1) * v / (1.0 - v)
+    if spare <= 0.0:
+        return np.inf
+    top = max(radius, 1.0)
+    lip = float(j @ (moduli * top ** (j - 1.0)))
+    shrink = -np.expm1(np.log(spare / (1.0 + spare)) / n)  # 1 - x
+    need = abs(1.0 - radius) * lip + max(ring.exclusion_band,
+                                         lip * (top * np.pi / n + radius * shrink))
+    return (need + 16 * (degree + 1) * EPS * float(moduli @ top ** j)) * (1.0 + 8 * EPS)
 
 
 def verify_transition(section, bundle, annulus_points):
@@ -390,28 +453,33 @@ def verify_transition(section, bundle, annulus_points):
     k < 0 outside).
 
     NearBoundaryError (refine the grid) refuses a point in the curve's band,
-    a ring off the validated annulus, an adjustment point outside the inner
-    ring and a zero or pole of lambda12 between ring and curve; a section on
-    a grid of another curve than the bundle's is a ParseError.
+    a ring off the validated annulus, an adjustment point that
+    `curve.sides(ring, [a])` does not put inside a checked ring and off its
+    band, and a zero or pole of lambda12 between ring and curve; a section
+    on a grid of another curve than the bundle's is a ParseError.
 
     Each ring's density is one `_node_log` unwrap of lambda12 (z - a)^{-c},
     with c and a the section's own Chern class and adjustment point; once a
     is inside the ring, a zero or pole between ring and curve shows as an
     adjusted winding other than 0, which `_node_log` refuses. The two rings
-    with their scales, weights and tangents are built once per grid and kept
-    on it. The grid's own verification points reuse their search's band and
-    side decision; any other points are decided afresh, and no points is a
-    ParseError. The winding checks run on every call."""
+    with their scales, weights, tangents and needs are built once per grid
+    and kept on it. The grid's own verification points reuse their search's
+    band and side decision; any other points are decided afresh, and no
+    points is a ParseError. The adjustment point is inside a ring without a
+    side pass when the distance d_a that `canonical_section` measured for it
+    reaches the ring's `_ring_need`; else one side pass of the point decides
+    it, as for a section built by hand or by `dataclasses.replace`. The
+    winding checks run on every call."""
     grid, a, c = section.grid, section.adjustment, section.chern
     _require_own_grid(bundle, grid)
     inside = _point_sides(grid, annulus_points)
     curve_modes = np.fft.fft(section.density) / grid.n
     worst = 0.0
     rings = zip(_kept(grid, _verification_rings), _kept(grid, _ring_modes), (inside, ~inside))
-    for ring, (scale, weight), side in rings:
+    for ring, (scale, weight, need), side in rings:
         if not side.any():
             continue
-        if c and not sides(ring, [a])[1][0]:
+        if c and section._d_a < need and not sides(ring, [a])[1][0]:
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")

@@ -250,7 +250,7 @@ BUNDLES = {
 def cmd_section(args, curve):
     """The Chern class comes first, stored on every CLI bundle; a negative one
     is reported with no section."""
-    adjust = parse_complex(args.adjust) if args.adjust else None
+    adjust = None if args.adjust is None else parse_complex(args.adjust)
     grid = _grid_for(curve, args)
     bundle = BUNDLES[args.bundle](curve, args)
     chern = bundles.chern_class(bundle, grid)
@@ -371,7 +371,7 @@ def cmd_plotdata(args, curve):
         return EXIT_OK
     bundle = BUNDLES[args.bundle](curve, args)  # section-density
     section = bundles.canonical_section(
-        bundle, grid, a=parse_complex(args.adjust) if args.adjust else None)
+        bundle, grid, a=None if args.adjust is None else parse_complex(args.adjust))
     print("t,re_density,im_density")
     for t, d in zip(section.grid.t, section.density):
         print(f"{fmt17(t)},{fmt17(d.real)},{fmt17(d.imag)}")

@@ -24,10 +24,11 @@ lower bound on the distance that clears the exclusion band: the band and
 side decisions are those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
-into the points in the exclusion band, the interior points and the sums,
-and `off_band` refuses a batch with a point in the band. Every caller that
-classifies points or sums at them goes through them, the one-point section
-and Cauchy-integral evaluators included.
+into the points in the exclusion band, the interior points, the sums and
+the distances the band was decided from, and `off_band` refuses a batch
+with a point in the band. Every caller that classifies points or sums at
+them goes through them, the one-point section and Cauchy-integral
+evaluators included.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
@@ -754,11 +755,13 @@ def winding_number(grid, z):
 
 
 def sides(grid, points, density=None):
-    """(near, inside, sums) of the points from one `kernel_sums` pass.
+    """(near, inside, sums, nearest) of the points from one `kernel_sums`
+    pass.
 
     The one band and side decision of the package: near marks the points
     closer to a node than the exclusion band, inside the points off the band
-    that the curve winds around; sums are the pass's Cauchy sums. A batch
+    that the curve winds around; sums are the pass's Cauchy sums and nearest
+    its distances, from which the band was decided. A batch
     with a non-finite point is refused as a whole (ParseError); a finite
     point too far for its squared distance to be finite is still decided.
     """
@@ -768,13 +771,13 @@ def sides(grid, points, density=None):
     if not np.isfinite(nearest).all() and not np.isfinite(points).all():
         raise ParseError("points must be finite")
     near = nearest < grid.exclusion_band
-    return near, ~near & (winding > 0.5), sums
+    return near, ~near & (winding > 0.5), sums, nearest
 
 
 def off_band(grid, points, density=None):
     """(inside, sums) of `sides`, refusing the first point in the band."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    near, inside, sums = sides(grid, pts, density)
+    near, inside, sums, _ = sides(grid, pts, density)
     if near.any():
         raise band_refusal(grid, complex(pts[near][0]))
     return inside, sums
@@ -786,7 +789,7 @@ def locate(grid, z):
     NEAR_BOUNDARY means closer to a grid node than the exclusion band; it is
     a classification, not an error, but evaluating transforms there is refused.
     """
-    near, inside, _ = sides(grid, [z])
+    near, inside, _, _ = sides(grid, [z])
     if near[0]:
         return Location.NEAR_BOUNDARY
     return Location.INTERIOR if inside[0] else Location.EXTERIOR

@@ -224,7 +224,7 @@ def _double_cauchy_rows(grid, zs, w, w_inside):
     the same kernel pass."""
     density = _pole_density(grid, w, w_inside)
     if w_inside:
-        near, inside, c = sides(grid, zs, density)
+        near, inside, c, _ = sides(grid, zs, density)
         gap = np.abs(zs - w)
         apart = gap > 1e-12 * (1.0 + np.abs(zs))
         c[inside & apart] += np.log(gap[inside & apart] ** 2)
@@ -232,7 +232,7 @@ def _double_cauchy_rows(grid, zs, w, w_inside):
     else:
         # column 1, -conj(density), sums at interior z to log(z - w) on the
         # branch continued from the nodes; its node-0 anchor cancels column 0's
-        near, inside, sums = sides(grid, zs, np.stack([density, -np.conjugate(density)], 1))
+        near, inside, sums, _ = sides(grid, zs, np.stack([density, -np.conjugate(density)], 1))
         c = sums[:, 0].copy()
         c[inside] += np.conjugate(sums[inside, 1])
     c[near] = np.nan

@@ -16,6 +16,10 @@ package's C(z, w) from the Schwarz-pole section. The scalar polygon loops
 The transition check's point residual (`point_transition_residual`), one
 kernel pass per verification ring as the package computed it before its
 check compared Fourier modes, is what the spectral value must bound.
+`verify_transition_ring_pass` is `verify_transition` as it was written with
+a side pass of the adjustment point on each ring: where the package places
+the point from the distance its section measured, it must give the same
+bits and the same refusals.
 The per-order complex powers (`trapezoid_moments_loop`) are the reference
 for the trapezoidal moments' recurrence, and the moment check's sampling
 ring with its inverse FFT (`moment_expansion_loop`) for the check.
@@ -32,8 +36,15 @@ import math
 
 import numpy as np
 
-from schwarzbundles.bundles import _kept, _node_log, _require_own_grid, _verification_rings
-from schwarzbundles.curve import KERNEL_BLOCK, TWO_PI, Location, locate, off_band
+from schwarzbundles.bundles import (
+    _kept,
+    _node_log,
+    _point_sides,
+    _require_own_grid,
+    _ring_modes,
+    _verification_rings,
+)
+from schwarzbundles.curve import KERNEL_BLOCK, TWO_PI, Location, locate, off_band, sides
 from schwarzbundles.transforms import PHASE_STEP_LIMIT
 from schwarzbundles.errors import (
     BranchUnresolvedError,
@@ -517,4 +528,27 @@ def point_transition_residual(section, bundle, annulus_points):
         delta = off_band(ring, pts[side], density)[1] - sums[side]
         delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
         worst = max(worst, float(np.abs(delta).max()))
+    return worst
+
+
+def verify_transition_ring_pass(section, bundle, annulus_points):
+    """`verify_transition` with the adjustment point decided on each checked
+    ring by a side pass (`curve.sides(ring, [a])`), as it was written before
+    the point was placed from the section's measured distance."""
+    grid, a, c = section.grid, section.adjustment, section.chern
+    _require_own_grid(bundle, grid)
+    inside = _point_sides(grid, annulus_points)
+    curve_modes = np.fft.fft(section.density) / grid.n
+    worst = 0.0
+    rings = zip(_kept(grid, _verification_rings), _kept(grid, _ring_modes), (inside, ~inside))
+    for ring, (scale, weight, _), side in rings:
+        if not side.any():
+            continue
+        if c and not sides(ring, [a])[1][0]:
+            raise NearBoundaryError(
+                f"adjustment point {a} is not strictly inside the ring "
+                f"|zeta| = {ring.radius:.6g}; refine the grid")
+        e = np.fft.fft(_node_log(bundle, ring, c, a)) * scale - curve_modes
+        e[0] -= 2j * np.pi * np.round(e[0].imag / TWO_PI)  # branch of the log
+        worst = max(worst, float(weight @ np.abs(e)))
     return worst

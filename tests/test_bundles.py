@@ -1,9 +1,12 @@
 import dataclasses
+import functools
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import oracles
@@ -127,8 +130,8 @@ def test_adjustment_defaults_to_pole(disk, disk_grid):
 def test_each_adjustment_candidate_is_located_once(monkeypatch, disk, disk_grid,
                                                    pole, passes, adjustment):
     calls = []
-    sides = sb.curve.sides
-    monkeypatch.setattr(sb.curve, "sides", lambda *a: calls.append(a) or sides(*a))
+    kernel_sums = sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "kernel_sums", lambda *a: calls.append(a) or kernel_sums(*a))
     bundle = sb.LineBundle(disk, lambda grid: grid.z - 0.1, pole=pole)  # Chern class 1
     section = sb.canonical_section(bundle, disk_grid)
     assert section.chern == 1 and section.adjustment == adjustment
@@ -871,6 +874,128 @@ def test_no_verification_points_are_refused(cardioid):
     assert sb.verify_transition(wrong, bundle, [[pts[0]], [pts[20]]]).hex() == value.hex()
 
 
+@functools.cache
+def proof_grid(name, n):
+    """(curve, grid) of a SECTION_CURVES curve at n."""
+    curve = sb.build_polynomial_curve(*SECTION_CURVES[name])
+    return curve, sb.sample(curve, n)
+
+
+@st.composite
+def adjustment_draws(draw):
+    """(name, n, a): a = phi(s e^{i theta}) on a SECTION_CURVES curve, s in
+    [0, 1) or within four node spacings of the inner verification ring."""
+    name = draw(st.sampled_from(sorted(SECTION_CURVES)))
+    n = 2 ** draw(st.integers(8, 12))
+    curve, grid = proof_grid(name, n)
+    inner = sb.bundles._kept(grid, sb.bundles._verification_rings)[1].radius
+    s = draw(st.one_of(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(-4.0, 4.0).map(lambda u: inner + u * 2.0 * np.pi / n)))
+    theta = draw(st.floats(0.0, 2.0 * np.pi))
+    return name, n, complex(curve.phi(s * np.exp(1j * theta)))
+
+
+def class_one_section(name, n, a):
+    """The T^1 section adjusted at a, or None where a is refused."""
+    curve, grid = proof_grid(name, n)
+    bundle = sb.tangent_power_bundle(curve, -1)
+    try:
+        return sb.canonical_section(bundle, grid, a=a), bundle
+    except (NearBoundaryError, AdjustmentPointNotInteriorError):
+        return None, bundle
+
+
+def outcome(check, *args):
+    """The value's bits, or the refusal's class and message."""
+    try:
+        return check(*args).hex()
+    except NearBoundaryError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60)
+@given(draw=adjustment_draws())
+def test_ring_placement_proof_agrees_with_the_side_pass(draw):
+    # wherever d_a decides the adjustment point against a verification ring,
+    # the ring's side pass puts it inside the ring and off the ring's band
+    section, _ = class_one_section(*draw)
+    if section is None:
+        return
+    grid = section.grid
+    for ring, (_, _, need) in zip(sb.bundles._kept(grid, sb.bundles._verification_rings),
+                                  sb.bundles._kept(grid, sb.bundles._ring_modes)):
+        if section._d_a >= need:
+            near, inside, _, _ = sb.curve.sides(ring, [section.adjustment])
+            assert inside[0] and not near[0]
+
+
+@settings(max_examples=60)
+@given(draw=adjustment_draws())
+def test_placed_adjustment_point_gives_the_ring_pass_outcome(draw):
+    # the value's bits, or the refusal's class and message, of the check that
+    # decided the adjustment point on each ring by a side pass
+    section, bundle = class_one_section(*draw)
+    if section is None:
+        return
+    try:
+        points = sb.annulus_verification_points(section.grid, 32)
+    except NearBoundaryError:  # the annulus is too thin for points at this n
+        return
+    assert outcome(sb.verify_transition, section, bundle, points) == \
+        outcome(oracles.verify_transition_ring_pass, section, bundle, points)
+
+
+def test_side_pass_runs_without_the_measured_distance(monkeypatch, cardioid):
+    # only canonical_section sets the distance: a section built by hand or by
+    # dataclasses.replace, whatever it changes, takes a side pass on each ring
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    bundle = sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j)
+    section = sb.canonical_section(bundle, grid)
+    by_hand = sb.SectionPair(grid, section.density, 1, section.adjustment,
+                             section.normalization)
+    other_grid = sb.sample(cardioid, 1024)
+    sb.annulus_verification_points(other_grid, 32)  # the same points, their sides kept
+    replaced = [dataclasses.replace(section, **change) for change in (
+        {"grid": other_grid}, {"adjustment": 0.2 + 0.1j}, {"density": section.density + 1e-3})]
+    for args, kwargs in (((1e9,), {}), ((), {"_d_a": 1e9})):
+        with pytest.raises(TypeError):  # the distance is no constructor argument
+            sb.SectionPair(grid, section.density, 1, section.adjustment,
+                           section.normalization, *args, **kwargs)
+    calls = []
+    kernel_sums = sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "kernel_sums",
+                        lambda *a: calls.append(a) or kernel_sums(*a))
+    for other, passes in ((section, 0), (by_hand, 2), *((r, 2) for r in replaced)):
+        calls.clear()
+        got = outcome(sb.verify_transition, other, bundle, pts)
+        assert len(calls) == passes
+        assert got == outcome(oracles.verify_transition_ring_pass, other, bundle, pts)
+    assert outcome(sb.verify_transition, by_hand, bundle, pts) == \
+        outcome(sb.verify_transition, section, bundle, pts)
+
+
+def test_unproved_adjustment_point_is_refused_by_the_side_pass(monkeypatch, disk):
+    # the pole 0.9 on the disk at n = 512: d_a is below both rings' need,
+    # and the inner ring's side pass refuses it
+    grid = sb.sample(disk, 512)
+    bundle = sb.schwarz_pole_bundle(disk, 0.9)
+    section = sb.canonical_section(bundle, grid)
+    needs = [need for _, _, need in sb.bundles._kept(grid, sb.bundles._ring_modes)]
+    assert all(section._d_a < need for need in needs)
+    pts = sb.annulus_verification_points(grid, 32)
+    calls = []
+    kernel_sums = sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "kernel_sums",
+                        lambda *a: calls.append(a) or kernel_sums(*a))
+    with pytest.raises(NearBoundaryError, match="refine the grid"):
+        sb.verify_transition(section, bundle, pts)
+    assert len(calls) == 2  # the outer ring's pass puts 0.9 inside, the inner's not
+    assert outcome(sb.verify_transition, section, bundle, pts) == \
+        outcome(oracles.verify_transition_ring_pass, section, bundle, pts)
+
+
 @pytest.mark.parametrize("coeffs, rho", [([0, 1, 0.3], 0.7), (QUARTIC, 0.72), (SKEWED, 0.7)])
 def test_kept_ring_tangent_powers_equal_the_closed_form(coeffs, rho):
     curve = sb.build_polynomial_curve(coeffs, rho)
@@ -913,7 +1038,7 @@ def test_kept_arrays_are_read_only(cardioid):
     grid = sb.sample(cardioid, 512)
     sb.annulus_verification_points(grid, 32)
     outer, _ = sb.bundles._kept(grid, sb.bundles._verification_rings)
-    (scale, weight), _ = sb.bundles._kept(grid, sb.bundles._ring_modes)
+    (scale, weight, _), _ = sb.bundles._kept(grid, sb.bundles._ring_modes)
     points, inside = sb.bundles._kept(grid, sb.bundles._search_points, 16)
     for kept in (grid._schwarz, grid._tangent, outer._tangent, *grid._node_parts,
                  scale, weight, points, inside):

@@ -289,6 +289,17 @@ def test_section_malformed_adjust_is_a_parse_error(capsys, disk_file, bundle):
     assert err.startswith("parse error: ")
 
 
+@pytest.mark.parametrize("verb", [["section"], ["plotdata", "--quantity", "section-density"]],
+                         ids=["section", "plotdata"])
+@pytest.mark.parametrize("adjust", ["", "x"], ids=["empty", "letter"])
+def test_empty_adjust_is_a_parse_error(capsys, disk_file, verb, adjust):
+    # an empty adjustment point is malformed, not a missing one
+    code, out, err = run(capsys, verb[0], disk_file, *verb[1:], "--bundle", "schwarz-pole",
+                         "--pole", "0.2", "--adjust", adjust, "--n", "256")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: ")
+
+
 def test_quadrature_disk_classical(capsys, disk_file):
     code, out, _ = run(capsys, "quadrature", disk_file, "--kind", "classical",
                        "--f", "1")

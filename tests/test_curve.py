@@ -229,7 +229,7 @@ def test_band_decision_keeps_far_finite_points(cardioid_grid):
         warnings.simplefilter("error")
         assert sb.locate(cardioid_grid, 1e300) is sb.Location.EXTERIOR
         assert sb.locate(cardioid_grid, -1e300j) is sb.Location.EXTERIOR
-        near, inside, _ = sides(cardioid_grid, np.append(np.linspace(3.0, 9.0, 400), 1e300))
+        near, inside, _, _ = sides(cardioid_grid, np.append(np.linspace(3.0, 9.0, 400), 1e300))
         assert not near.any() and not inside.any()
 
 
