@@ -1,4 +1,5 @@
-"""Audit of the kernel pass's far rows: for each curve, node count and
+"""Audit of the kernel pass's far rows, those that leave the direct pass
+(by an expansion or the pullback route): for each curve, node count and
 density, the worst distance of a row's sums from the term-by-term complex
 sum, as a ratio to the bound `kernel_sums` states (8 n eps sum_k |w num_k /
 (z_k - p)|), over far rows and over direct rows, and the share of far rows
@@ -12,16 +13,17 @@ import numpy as np
 
 import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
+from schwarzbundles import quaddom
 
 CURVES = [("disk", [0, 1], 0.5), ("cardioid", [0, 1, 0.3], 0.7),
           ("quartic", [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03], 0.72)]
 EPS = np.finfo(float).eps
 
 
-def far_mask(grid, pts, columns):
+def far_mask(grid, pts, density):
     mask = np.zeros(pts.size, dtype=bool)
     with np.errstate(all="ignore"):
-        for rows, *_ in curve_mod._far_rows(grid, pts, columns):
+        for _, rows, *_ in curve_mod._routes(grid, pts, *curve_mod._columns(grid, density)):
             mask[rows] = True
     return mask
 
@@ -65,7 +67,7 @@ def main():
             pts = audit_points(grid, rng)
             for label, dens in densities(grid, rng):
                 _, winding, sums = sb.kernel_sums(grid, pts, dens)
-                far = far_mask(grid, pts, 2)
+                far = far_mask(grid, pts, dens)
                 ratio = np.zeros(pts.size)
                 for num, got in ((grid.dz, winding), (dens * grid.dz, sums)):
                     want, bound = term_sums(grid, num, pts)
@@ -88,14 +90,18 @@ def main():
     samples = sb.default_exterior_samples(quartic, 24)
     section_grid = sb.sample(cardioid, 1024)
     batches = [
-        ("plotdata lattice, disk n=1024", disk, (xs[None, :] + 1j * xs[:, None]).ravel(), 2),
-        ("moment check ring, cardioid n=4096", ring_grid, ring, 2),
-        ("fit samples, quartic n=512", quartic, samples, 25),
+        ("plotdata lattice, disk n=1024", disk, (xs[None, :] + 1j * xs[:, None]).ravel(),
+         np.log(np.conjugate(disk.z) - 2.5)),
+        ("moment check ring, cardioid n=4096", ring_grid, ring, np.conjugate(ring_grid.z)),
+        ("fit samples, quartic n=512", quartic, samples,
+         quaddom._pole_density(quartic, samples, False)),
         ("verification points, cardioid n=1024", section_grid,
-         sb.annulus_verification_points(section_grid, 32), 2),
+         sb.annulus_verification_points(section_grid, 32), np.conjugate(section_grid.z)),
     ]
-    for label, grid, pts, columns in batches:
-        print(f"{label:38s} {pts.size:5d}  {columns:7d}  {far_mask(grid, pts, columns).mean():4.2f}")
+    for label, grid, pts, density in batches:
+        columns = 1 + density.size // grid.n
+        share = far_mask(grid, pts, density).mean()
+        print(f"{label:38s} {pts.size:5d}  {columns:7d}  {share:4.2f}")
 
 
 if __name__ == "__main__":

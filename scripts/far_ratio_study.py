@@ -8,7 +8,8 @@ radius 2 max|z| about the cardioid at n = 4096, whose rows are all far.
 Rows with q up to the given value may be expanded; rows beyond it stay
 direct. The q values take turns within each round, so a drift of the
 host's speed spreads over all of them. The far share is that of the
-exterior lattice.
+exterior lattice: its rows off the direct pass, by an expansion or by the
+pullback route, which takes the rows outside the curve at any q.
 
 Usage: python scripts/far_ratio_study.py [rounds]   (default 5)
 """
@@ -24,10 +25,10 @@ from schwarzbundles import curve as curve_mod
 RATIOS = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85)
 
 
-def far_share(grid, pts, columns):
+def far_share(grid, pts, density):
     with np.errstate(all="ignore"):
-        rows = sum(f[0].size for f in curve_mod._far_rows(grid, pts, columns))
-    return rows / pts.size
+        routes = curve_mod._routes(grid, pts, *curve_mod._columns(grid, density))
+        return sum(rows.size for _, rows, *_ in routes) / pts.size
 
 
 def main(rounds):
@@ -47,7 +48,7 @@ def main(rounds):
         for _ in range(rounds):
             for q in RATIOS:
                 curve_mod.FAR_RATIO = q
-                share[q] = far_share(disk, lattice, 2)
+                share[q] = far_share(disk, lattice, np.log(np.conjugate(disk.z) - 2.5))
                 for label, call in calls:
                     start = time.perf_counter()
                     call()

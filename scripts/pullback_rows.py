@@ -1,0 +1,138 @@
+"""The kernel pass's pullback route on 40 x 40 lattices at n = 1024.
+
+For the disk, the cardioid, the benchmark's quartic and the Taylor
+polynomials of degree 6 ((e^(1.5 zeta) - 1)/1.5), 12 ((e^(2 zeta) - 1)/2)
+and 30 (e^zeta - 1), a
+lattice over c + [-2R, 2R]^2 (c the conformal center, R the nodes' largest
+|z - c|) is summed with the two density columns `double_cauchy_batch` uses
+at an exterior w. The first table gives the rows per route and each
+route's M; the worst distance of a pullback row's sums from the
+term-by-term complex sum, as a ratio to the bound `kernel_sums` states; and
+the best time of the pass over the pullback rows alone, by the route and
+by the parent's pass (the route off: the outside expansion where it pays,
+else the direct pass). The second compares, on each lattice's far rows
+outside (q <= FAR_RATIO), the route with PULLBACK_DEGREE lifted against the
+outside expansion, which gives the degrees where the expansion stays.
+
+Usage: python scripts/pullback_rows.py [rounds]   (default 7)
+"""
+
+import math
+import sys
+import time
+
+import numpy as np
+
+import schwarzbundles as sb
+from schwarzbundles import curve as curve_mod
+from schwarzbundles import transforms
+
+EPS = np.finfo(float).eps
+N = 1024
+CURVES = [("disk", [0, 1], 0.5), ("cardioid", [0, 1, 0.3], 0.7),
+          ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75),
+          ("taylor-6", [0.0] + [1.5 ** (j - 1) / math.factorial(j) for j in range(1, 7)], 0.7),
+          ("taylor-12", [0.0] + [2.0 ** (j - 1) / math.factorial(j) for j in range(1, 13)], 0.7),
+          ("taylor-30", [0.0] + [1.0 / math.factorial(j) for j in range(1, 31)], 0.7)]
+
+
+def best(calls, rounds):
+    """The best time of each call in ms, the calls taking turns in each round
+    so that a drift of the host's speed spreads over all of them."""
+    times = [math.inf] * len(calls)
+    for _ in range(rounds):
+        for i, call in enumerate(calls):
+            start = time.perf_counter()
+            call()
+            times[i] = min(times[i], time.perf_counter() - start)
+    return [1e3 * t for t in times]
+
+
+def lattice_pass(grid):
+    """The lattice and its density columns [D, -conj D] at an exterior w."""
+    c, big, _ = grid._node_annulus
+    xs = np.linspace(-2.0 * big, 2.0 * big, 40)
+    lattice = (c + xs[None, :] + 1j * xs[:, None]).ravel()
+    density = transforms._pole_density(grid, c + 2.5 * big * np.exp(0.3j), False)
+    return lattice, np.stack([density, -np.conjugate(density)], axis=1)
+
+
+def routes(grid, pts, columns):
+    with np.errstate(all="ignore"):
+        return list(curve_mod._routes(grid, pts, *curve_mod._columns(grid, columns)))
+
+
+def worst_ratio(grid, pts, columns, winding, sums):
+    """Largest |sum - term-by-term sum| / stated bound over the rows and columns."""
+    nums = np.column_stack([grid.dz, columns * grid.dz[:, None]])
+    got = np.column_stack([winding, sums])
+    worst = 0.0
+    for p, row in zip(pts, got):
+        terms = grid.weight * nums / (grid.z - p)[:, None]
+        want = terms.sum(axis=0) / (2j * np.pi)
+        want[0] = want[0].real
+        bound = 8 * grid.n * EPS * np.abs(terms).sum(axis=0)
+        worst = max(worst, float((np.abs(row - want) / bound).max()))
+    return worst
+
+
+def with_setting(name, value, call):
+    """call() with curve_mod.<name> set to value."""
+    def run():
+        saved = getattr(curve_mod, name)
+        setattr(curve_mod, name, value)
+        try:
+            return call()
+        finally:
+            setattr(curve_mod, name, saved)
+    return run
+
+
+def main(rounds):
+    grids = {name: sb.sample(sb.build_polynomial_curve(coeffs, rho), N)
+             for name, coeffs, rho in CURVES}
+    print(f"40 x 40 lattices at n = {N}; best of {rounds} rounds, ms")
+    print("curve      degree  pullback  outside  inside  direct   M      worst/bound"
+          "   route  parent")
+    for name, grid in grids.items():
+        pts, columns = lattice_pass(grid)
+        found = routes(grid, pts, columns)
+        count = {kind: rows.size for kind, rows, *_ in found}
+        terms = {kind: m for kind, _, _, m, _ in found}
+        direct = pts.size - sum(count.values())
+        line = (f"{name:10s} {grid.curve.degree:6d}  {count.get('pullback', 0):8d}"
+                f"  {count.get('outside', 0):7d}  {count.get('inside', 0):6d}  {direct:6d}"
+                f"   {terms.get('pullback', '-')!s:5s}")
+        if "pullback" in count:
+            rows = next(rows for kind, rows, *_ in found if kind == "pullback")
+            _, winding, sums = sb.kernel_sums(grid, pts[rows], columns)
+            ratio = worst_ratio(grid, pts[rows], columns, winding, sums)
+            call = lambda: sb.kernel_sums(grid, pts[rows], columns)  # noqa: E731
+            route, parent = best([call, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
+            line += f"  {ratio:10.2e}   {route:6.2f}  {parent:6.2f}"
+        print(line)
+
+    print("\nfar rows outside (q <= FAR_RATIO): the route with PULLBACK_DEGREE lifted "
+          "against the outside expansion, ms")
+    print("curve      degree  rows  taken   M     route  expansion")
+    stays = []
+    for name, grid in grids.items():
+        pts, columns = lattice_pass(grid)
+        c, big, _ = grid._node_annulus
+        far = pts[big / np.abs(pts - c) <= curve_mod.FAR_RATIO]
+        call = lambda: routes(grid, far, columns)  # noqa: E731
+        lifted = with_setting("PULLBACK_DEGREE", math.inf, call)
+        found = lifted()
+        taken = sum(rows.size for kind, rows, *_ in found if kind == "pullback")
+        m = next((m for kind, _, _, m, _ in found if kind == "pullback"), "-")
+        route, expansion = best([lifted, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
+        if taken < far.size or route >= expansion:
+            stays.append(grid.curve.degree)
+        print(f"{name:10s} {grid.curve.degree:6d}  {far.size:4d}  {taken:5d}   {m!s:4s}"
+              f"  {route:6.2f}  {expansion:9.2f}")
+    print(f"\nthe outside expansion stays where the route declines rows or is slower: "
+          f"degrees {stays}; PULLBACK_DEGREE = {curve_mod.PULLBACK_DEGREE}")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 7)

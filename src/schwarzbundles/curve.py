@@ -13,13 +13,17 @@ Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 pass, `kernel_sums`: for a batch of points it gives a distance to the nodes,
 the winding number and, given densities, the trapezoidal Cauchy sums.
 `locate`, `winding_number`, `transforms.cauchy_integral` and
-`bundles.evaluate_section` are that pass for one point. Direct rows, and
-every one-point call, are real arithmetic on blocks of squared distances
-(`distance_blocks`) and give the exact nearest-node distance. Far rows,
-well outside or inside the nodes' annulus about the conformal center, take
-the exact Laurent or Taylor expansion of the same sum where that is
-cheaper, truncated within an eighth of the bound stated at `kernel_sums`
-and summed as two matrix products over tables of powers, and report a
+`bundles.evaluate_section` are that pass for one point. Direct rows are
+real arithmetic on blocks of squared distances (`distance_blocks`; one
+point without the blocks' buffers) and give the exact nearest-node
+distance. Rows clear of the nodes' annulus about the conformal center,
+found by one pass over |p - c|, take a cheaper route where it pays: outside
+the curve's own grid of a low-degree map, the same sum in the pullback
+variable, a short series of the densities' Fourier modes against power
+sums from the map's coefficients, for the rows whose computed bound stays
+within an eighth of the bound stated at `kernel_sums`; far rows of the
+rest, the exact Laurent or Taylor expansion truncated within that eighth
+and summed as two matrix products over tables of powers. They report a
 lower bound on the distance that clears the exclusion band: the band and
 side decisions are those of the direct pass.
 
@@ -99,6 +103,18 @@ PRODUCT_ROWS = 16
 # cycle q = 0.75 and 0.8 save under 4 % against 0.7, too little to pay for
 # the larger rounding factor (1 + q)/(1 - q) (see `kernel_sums`).
 FAR_RATIO = 0.7
+
+# Least rows of a batch outside the nodes' annulus, and largest degree of
+# the map, for the pullback route (`_pullback_rows`). Below 256 rows its FFT
+# and fixed cost do not pay: the `sweep` fits of 12 and 24 samples took
+# 1.07/1.21 ms with the route gated and 1.62/1.88 ms without. On the 992 far
+# rows (q <= FAR_RATIO) of 40 x 40 lattices at n = 1024 it took 0.37, 0.48,
+# 0.56 ms against the expansion's 0.59, 0.60, 0.60 ms at degrees 1, 2, 4,
+# and 1.19 ms at degree 6, where its bound declined 40 % of them; at degrees
+# 12 and 30 it declined them all (scripts/pullback_rows.py, best of 25,
+# 2-core x86_64).
+PULLBACK_ROWS = 256
+PULLBACK_DEGREE = 4
 
 EPS = np.finfo(float).eps
 
@@ -285,6 +301,29 @@ class ContourGrid:
         c = self.curve.conformal_center
         gap = np.abs(self.z - c)
         return c, float(gap.max()), float(gap.min())
+
+    @cached_property
+    def _pullback_map(self):
+        """(a, L_in, L_out, floor, d_node) of `_pullback_rows`, formed once per
+        grid: the coefficients up to the degree N; bounds of |phi'| on |zeta|
+        <= 1 and on 1 <= |zeta| <= 1/rho; the floor rho of sigma (0 for N =
+        1); the least distance at which the nodes' rounding, |z_k - phi| <=
+        e_z and |dz_k - i zeta phi'| <= e_dz at the exact roots of unity
+        (zeta_k within 12 eps of them, Horner within 4 (N + 1) eps), changes
+        a term by at most 7 n eps: e_dz/(min |dz| - e_dz) + e_z/(d - e_z)."""
+        curve = self.curve
+        moduli = np.abs(curve.coeffs)
+        degree = int(np.flatnonzero(moduli)[-1])
+        a, moduli = np.array(curve.coeffs[:degree + 1]), moduli[:degree + 1]
+        j = np.arange(degree + 1)
+        l_in = float(j @ moduli)
+        l_out = float(j @ (moduli * curve.rho ** (1.0 - j)))
+        e_z = EPS * (12 * l_in + 4 * (degree + 1) * moduli.sum())
+        e_dz = EPS * (12 * float((j * (j - 1)) @ moduli) + 4 * (degree + 4) * l_in)
+        speed = float(np.abs(self.dz).min()) - e_dz
+        slack = 7 * self.n * EPS - e_dz / speed if speed > 0.0 else -1.0
+        d_node = e_z * (1.0 + 1.0 / slack) if slack > 0.0 else math.inf
+        return a, l_in, l_out, (curve.rho if degree > 1 else 0.0), d_node
 
     @cached_property
     def _schwarz(self):
@@ -579,23 +618,29 @@ def kernel_sums(grid, points, density=None):
     Direct rows are real arithmetic on `distance_blocks`: nearest is the
     distance to the nearest node, sqrt(min d2), the same in any batch;
     1/(z - p) = (dr - i di)/d2, and the winding and sums are real matrix
-    products with the parts of g = [dz, density[:, 0] dz, ...].
+    products with the parts of g = [dz, density[:, 0] dz, ...]. One point
+    is one direct row, with the bits of a one-row block and without the
+    block buffers.
 
-    Far rows (`_far_rows`) lie outside or inside the annulus R >= |z_k - c|
-    >= r of the nodes about c = curve.conformal_center, at q = R/|p - c| or
-    |p - c|/r <= FAR_RATIO, and clear the exclusion band by their distance
-    to it; they are taken where that is cheaper, never for one point. Their
-    sums are the exact expansions cut after M terms: sum g_k/(z_k - p) =
-    -sum_j A_j/(p - c)^(j+1), A_j = sum_k g_k (z_k - c)^j, outside, and
-    sum_j (p - c)^j B_j, B_j = sum_k g_k/(z_k - c)^(j+1), inside, formed as
-    two matrix products over power tables (`_expansion`). nearest is exact
-    on direct rows; on far rows it is the lower bound |p - c| - R or
-    r - |p - c|, less eight ulps, at or above the band, so `sides` decides
-    as the direct pass would. Far rows run first: the direct blocks' buffers
-    are then allocated only after the power tables are freed, and no block
-    view outlives the pass's last product, so the pass's transient peak is
-    the larger of the two, not their sum, and repeated passes reuse the
-    freed heap instead of trimming and faulting it back in.
+    Rows that clear the exclusion band outside or inside the annulus R >=
+    |z_k - c| >= r of the nodes about c = curve.conformal_center leave the
+    direct pass where another route is cheaper, never for one point; one
+    pass over |p - c| decides them (`_routes`). On a radius-1 grid of a map
+    of degree at most PULLBACK_DEGREE, rows outside take the pullback route
+    first (`_pullback_rows`): the sum in the pullback variable from the
+    densities' Fourier modes, for the rows its computed bound covers. Far
+    rows of the rest, q = R/|p - c| or |p - c|/r <= FAR_RATIO, take the
+    exact expansions cut after M terms: sum g_k/(z_k - p) = -sum_j A_j/(p -
+    c)^(j+1), A_j = sum_k g_k (z_k - c)^j, outside, and sum_j (p - c)^j B_j,
+    B_j = sum_k g_k/(z_k - c)^(j+1), inside, formed as two matrix products
+    over power tables (`_expansion`). nearest is exact on direct rows; on
+    the others it is the lower bound |p - c| - R or r - |p - c|, less eight
+    ulps, at or above the band, so `sides` decides as the direct pass would.
+    Those rows run first, one route at a time: the direct blocks' buffers
+    are then allocated only after the routes' tables and sums are freed, and
+    no block view outlives the pass's last product, so the pass's transient
+    peak is the larger of the two, not their sum, and repeated passes reuse
+    the freed heap instead of trimming and faulting it back in.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
@@ -607,41 +652,24 @@ def kernel_sums(grid, points, density=None):
     at most n + 3M + 3 < 4.2 n roundings of at most 1.12 eps (a power of at
     most M products in each table, sums of n and of M terms, three more
     products; M < n, n >= 16): with the sums' factor 1/(2 pi), at most
-    4.2 * 1.12 * 5.7/(2 pi) < 4.3 of the bound's 8 n eps.
+    4.2 * 1.12 * 5.7/(2 pi) < 4.3 of the bound's 8 n eps. On pullback rows
+    the route's computed bound (truncation, aliasing and rounding) is at
+    most an eighth of the bound, and the nodes' own rounding (the route sums
+    at the exact roots of unity) the other seven eighths.
 
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    if density is None:
-        cols = grid.dz
-    else:
-        dens = np.asarray(density)
-        cols = np.empty((grid.n, 1 + dens.size // grid.n), dtype=complex)
-        cols[:, 0] = grid.dz
-        np.multiply(dens.reshape(grid.n, -1), grid.dz[:, None], out=cols[:, 1:])
+    if density is not None:
+        density = np.asarray(density)
+    cols, dens = _columns(grid, density)
     parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
-    nearest = np.empty(pts.size)
-    re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
     with np.errstate(all="ignore"):
-        far = _far_rows(grid, pts, parts.shape[1] // 2) if pts.size > 1 else []
-        direct = None  # the direct rows: all, or these indices
-        if far:
-            keep = np.ones(pts.size, dtype=bool)
-            for rows, bound, terms, outside in far:
-                # a row of S = sum g/(z - p) stored as R = S, I = 0 (see below)
-                keep[rows] = False
-                nearest[rows] = bound
-                re_k.view(complex)[rows] = _expansion(grid, cols, pts[rows], terms, outside)
-                im_k[rows] = 0.0
-            direct = np.flatnonzero(keep)
-        for rows, dr, di, d2 in distance_blocks(grid, pts if direct is None else pts[direct]):
-            if direct is not None:
-                rows = direct[rows]
-            nearest[rows] = np.sqrt(d2.min(axis=1))
-            np.reciprocal(d2, out=d2)
-            re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
-            im_k[rows] = np.multiply(di, d2, out=di) @ parts
+        if pts.size == 1:
+            nearest, re_k, im_k = _one_row(grid, pts, parts)
+        else:
+            nearest, re_k, im_k = _rows(grid, pts, cols, parts, dens)
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
     # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
     # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
@@ -651,44 +679,241 @@ def kernel_sums(grid, points, density=None):
     if density is None:
         return nearest, winding, None
     sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
-    return nearest, winding, sums.reshape(pts.shape + dens.shape[1:])
+    return nearest, winding, sums.reshape(pts.shape + density.shape[1:])
 
 
-def _far_rows(grid, pts, columns):
-    """[(rows, nearest, terms, outside)] for each side of the nodes'
-    annulus whose far rows (q <= FAR_RATIO, nearest clear of the band) are
-    cheaper to expand; rows is an index array. M is `_terms` at the side's
-    largest q. The cost rule counts node operations: F rows cost F n
-    directly and M (n + F columns) expanded, the nodes' M x n power table
-    with its product for the coefficients and F M columns for the rows'
-    table and sums; it implies M < n.
-    Infinite and NaN points stay direct. Call under np.errstate.
+def _columns(grid, density):
+    """(cols, dens): the kernel's columns g = [dz, density[:, 0] dz, ...] as
+    an (n, 1 + m) array, or dz alone without a density, and the density as
+    (n, m) columns (None without one)."""
+    if density is None:
+        return grid.dz, None
+    dens = density.reshape(grid.n, -1)
+    cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
+    cols[:, 0] = grid.dz
+    np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
+    return cols, dens
+
+
+def _one_row(grid, pts, parts):
+    """(nearest, re_k, im_k) of `kernel_sums` for one point: the operations
+    of a one-row block of `distance_blocks` (a subtraction), on arrays of
+    the row alone."""
+    right_r, right_i = grid._node_parts
+    dr = np.subtract(right_r[1], pts.real[:, None])
+    di = np.subtract(right_i[0], pts.imag[:, None])
+    d2 = dr * dr
+    d2 += di * di
+    nearest = np.sqrt(d2.min(axis=1))
+    np.reciprocal(d2, out=d2)
+    return nearest, np.multiply(dr, d2, out=dr) @ parts, np.multiply(di, d2, out=di) @ parts
+
+
+def _rows(grid, pts, cols, parts, dens):
+    """(nearest, re_k, im_k) of `kernel_sums` for a batch: the routes'
+    rows (`_routes`) first, stored as R = S, I = 0 for S = sum g/(z - p),
+    then the direct blocks."""
+    nearest = np.empty(pts.size)
+    re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
+    direct = keep = None  # the direct rows: all, or these indices
+    for _, rows, bound, _, sums in _routes(grid, pts, cols, dens) if pts.size else ():
+        if keep is None:
+            keep = np.ones(pts.size, dtype=bool)
+        keep[rows] = False
+        nearest[rows] = bound
+        re_k.view(complex)[rows] = sums
+        im_k[rows] = 0.0
+    if keep is not None:
+        direct = np.flatnonzero(keep)
+        del sums  # stored in re_k: freed before the blocks' buffers
+    rest = pts if direct is None else pts[direct]
+    for rows, dr, di, d2 in distance_blocks(grid, rest) if rest.size else ():
+        if direct is not None:
+            rows = direct[rows]
+        nearest[rows] = np.sqrt(d2.min(axis=1))
+        np.reciprocal(d2, out=d2)
+        re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
+        im_k[rows] = np.multiply(di, d2, out=di) @ parts
+    return nearest, re_k, im_k
+
+
+def _routes(grid, pts, cols, dens):
+    """Yield (kind, rows, nearest, terms, sums) for the rows of a batch that
+    leave the direct pass, one route at a time: kind "pullback"
+    (`_pullback_rows`), "outside" or "inside" (`_expansion`), rows an index
+    array, nearest the annulus lower bound that clears the band, terms the
+    route's M and sums S = sum_k g_k/(z_k - p) over the columns g of cols.
+
+    One pass over |p - c| and one annulus test per side decide every row:
+    a side whose widest row does not clear the band, or where neither route
+    can pay for the batch, is skipped. Outside rows go to the pullback
+    route when at least PULLBACK_ROWS of them clear the band and the map's
+    degree is at most PULLBACK_DEGREE; it declines the rows its bound does
+    not cover. Far rows of the rest (q <= FAR_RATIO) are expanded where
+    that is cheaper, with M `_terms` at the side's largest q. The cost rule
+    counts node operations: F rows cost F n directly and M (n + F columns)
+    expanded, the nodes' M x n power table with its product for the
+    coefficients and F M columns for the rows' table and sums; it implies
+    M < n. Infinite and NaN points stay direct. Call under np.errstate.
     """
     c, big, small = grid._node_annulus
-    n, spread = grid.n, big / small
+    band, n, columns, spread = grid.exclusion_band, grid.n, cols.size // grid.n, big / small
     gap = np.abs(pts - c)
-    found = []
+    wide, narrow = gap.max(), gap.min()
     for outside in (True, False):
-        # if all rows at the side's least M would not pay, none will (NaN: direct)
-        least = big / gap.max() if outside else gap.min() / small
-        if not least <= FAR_RATIO:
+        # if no row clears the band, or all rows at the side's least M would
+        # not pay, none will (NaN: every test fails)
+        clear = wide - big >= band if outside else small - narrow >= band
+        least = big / wide if outside else narrow / small
+        pullback = outside and pts.size >= PULLBACK_ROWS and grid.radius == 1.0 \
+            and grid.curve.degree <= PULLBACK_DEGREE
+        expand = least <= FAR_RATIO and \
+            pts.size * n > _terms(n, least, outside, spread) * (n + pts.size * columns)
+        if not (clear and (pullback or expand)):
             continue
-        terms = _terms(n, least, outside, spread)
-        if pts.size * n <= terms * (n + pts.size * columns):
-            continue
-        rows = np.flatnonzero((big / gap if outside else gap / small) <= FAR_RATIO)
-        d = gap[rows]
         if outside:
-            bound = (d - big) - 8 * EPS * (d + big)
+            bound = (gap - big) - 8 * EPS * (gap + big)
         else:
-            bound = (small - d) - 8 * EPS * (small + d)
-        clear = bound >= grid.exclusion_band  # False for infinite points
-        rows, bound, d = rows[clear], bound[clear], d[clear]
+            bound = (small - gap) - 8 * EPS * (small + gap)
+        rows = np.flatnonzero(bound >= band)  # False for infinite points
+        if pullback and rows.size >= PULLBACK_ROWS:
+            taken, terms, sums, _ = _pullback_rows(grid, pts[rows], gap[rows], bound[rows],
+                                                   cols, dens)
+            if taken.any():
+                yield "pullback", rows[taken], bound[rows[taken]], terms, sums
+                rows = rows[~taken]
+        if not expand:
+            continue
+        rows = rows[(big / gap[rows] if outside else gap[rows] / small) <= FAR_RATIO]
         if rows.size:
+            d = gap[rows]
             terms = _terms(n, big / d.min() if outside else d.max() / small, outside, spread)
             if rows.size * n > terms * (n + rows.size * columns):
-                found.append((rows, bound, terms, outside))
-    return found
+                yield ("outside" if outside else "inside", rows, bound[rows], terms,
+                       _expansion(grid, cols, pts[rows], terms, outside))
+
+
+def _pullback_rows(grid, p, gap, nearest, cols, dens):
+    """(taken, terms, sums, bound) for rows p outside the nodes' annulus at
+    |p - c| = gap, lower bounds nearest: the rows taken (a mask), M, their
+    S = sum_k g_k/(z_k - p) and computed bounds, per unit of their share.
+
+    In the pullback variable the sum is (1/n) sum g_k zeta_k phi'(zeta_k)/
+    (phi(zeta_k) - p), and zeta phi'/(phi - p) = sum_i zeta/(zeta - zeta_i)
+    over the N roots of phi - p, all outside the unit circle. With u_i =
+    1/zeta_i and the modes F_m of each density (one FFT; the winding
+    column's are n, 0, ...), S = -i sum_{j=1..n} F_-j sum_i u_i^j/(1 - u_i^n)
+    exactly. The route sums -i sum_{j<=M} F_-j p_j as one product, p_j =
+    sum_i u_i^j by Newton's identities on b_l = a_l/(a0 - p) (`_power_sums`).
+
+    Bound: |u_i| <= sigma = max(rho, L_out/(L_out + g)), g = nearest - L_in
+    pi/n, as in `bundles._ring_modes`, so |p_j| <= N sigma^j. Over 1 -
+    sigma^n the dropped terms are at most N sigma^(M+1) sum_{M<j<=n/2}
+    |F_-j|, N sigma^(n+1-2^b) times the sum of |F_i| over each block 2^(b-1)
+    <= i < 2^b of the other half (and i = 0), and N sigma^n sum_{j<=M}
+    |F_-j|. Rounding adds the FFT's 5 log2(n) eps sum |F| per mode times N
+    sigma/(1 - sigma) and, per unit of sum_{j<=M} |F_-j|, Newton's kappa
+    max_j j A_j, kappa = (1.2 N + 8) eps, A_j the recurrence on |b_l| at
+    eight distances at or below the rows', and the product's (M + 2) eps N
+    sigma. Terms are taken at the worst column, aliases at sixteen levels of
+    sigma, powers clamped at e^-600. A row is taken when this is within its
+    share, an eighth of `kernel_sums`' bound by the lower bound sum |w num|/
+    (|p - c| + R) of `_terms` less 1 %, and nearest >= d_node
+    (`ContourGrid._pullback_map`). M is the least count up to n/(2 (N +
+    columns)) whose tail takes half the share at the rows' largest sigma and
+    |p - c|. Tables hold KERNEL_BLOCK entries per chunk of rows.
+    """
+    n, columns, half = grid.n, cols.size // grid.n, grid.n // 2
+    c, big, _ = grid._node_annulus
+    a, l_in, l_out, floor, d_node = grid._pullback_map
+    degree = a.size - 1
+    taken = np.zeros(p.size, dtype=bool)
+    g = nearest - l_in * np.pi / n
+    live = np.flatnonzero((g > 0.0) & (nearest >= d_node))
+    if live.size < PULLBACK_ROWS:
+        return taken, 0, np.empty((0, columns), dtype=complex), np.empty(0)
+    sigma = np.maximum(l_out / (l_out + g[live]), floor) * (1.0 + 4 * EPS)
+    log_s = np.log(sigma)
+    low, top = log_s.min(), log_s.max()
+    step = (top - low) / 15 if top > low else 1.0
+    levels = np.minimum(low + step * np.arange(16), top)
+    # each term per unit of its column's share of the bound, at the worst column
+    limit = 0.99 * TWO_PI * n * EPS * np.array([abs(col).sum() for col in cols.reshape(n, -1).T])
+    alias = np.exp(np.maximum(n * levels, -600.0)) * (n / limit[0])
+    cap = n // (2 * (degree + columns))
+    tail, rounding = np.zeros(cap + 1), 0.0
+    if dens is not None:
+        spectra = np.fft.fft(dens, axis=0)
+        mags = np.abs(spectra)
+        tails = np.cumsum(mags[half:], axis=0)[::-1]  # row M: sum_{M<j<=n/2} |F_-j|
+        edges = np.append(0, 2 ** np.arange(int(math.log2(half))))  # {0}, {1}, [2, 4), ...
+        blocks = np.add.reduceat(mags[:half], edges, axis=0) / limit[1:]
+        exponents = n + 1 - np.append(edges[1:], half)  # the blocks' least j = n - i
+        powers = np.exp(np.maximum(np.multiply.outer(levels, exponents), -600.0))
+        alias = np.maximum(alias, (powers @ blocks).max(axis=1))
+        norm = tails[0] / limit[1:] + blocks.sum(axis=0)  # sum |F| >= ||F||_2
+        rounding = 5 * math.log2(n) * EPS * float(norm.max())
+        tail = (tails[:cap + 1] / limit[1:]).max(axis=1)
+    power_n = np.exp(np.maximum(n * log_s, -600.0))
+    weight = degree * (gap[live] + big) / (1.0 - power_n)
+    short = tail * np.exp(np.maximum(np.arange(1, cap + 2) * top, -600.0)) <= 0.5 / weight.max()
+    terms = int(np.argmax(short)) if short.any() else cap
+    kept = float((mags[n - terms:].sum(axis=0) / limit[1:]).max()) if terms else 0.0
+    excess = weight * (np.exp(np.maximum((terms + 1) * log_s, -600.0)) * tail[terms]
+                       + alias[np.minimum(np.ceil((log_s - low) / step), 15).astype(int)]
+                       + power_n * kept + (1.0 - power_n) * sigma
+                       * (rounding / (1.0 - sigma) + (terms + 2) * EPS * kept))
+    fits = excess <= 1.0
+    if not fits.all():
+        live, excess = live[fits], excess[fits]
+    sums = np.zeros((live.size, columns), dtype=complex)  # the winding column's stay 0
+    if terms and live.size:
+        rows_gap = gap[live]
+        closest, farthest = rows_gap.min(), rows_gap.max()
+        spacing = math.log(farthest / closest) / 8 if farthest > closest else 1.0
+        # eight distances at or below the rows', for the recurrence on |b_l|
+        floors = closest * np.exp(spacing * np.arange(8)) * (1.0 - 16 * EPS)
+        envelope = np.multiply.outer(-np.abs(a[1:]), 1.0 / floors)
+        inverse = 1.0 / (a[0] - p[live])
+        modes = -1j * spectra[n - terms:][::-1]  # -i F_-j, j = 1 .. M
+        width = max(1, KERNEL_BLOCK // (degree + terms))
+        for lo in range(0, live.size, width):
+            b = np.multiply.outer(a[1:], inverse[lo:lo + width])
+            m = b.shape[1]
+            if lo == 0:
+                b = np.concatenate([b, envelope], axis=1)
+            table = _power_sums(b, terms)
+            sums[lo:lo + m, 1:] = table[:, :m].T @ modes
+            if lo == 0:
+                reach = (np.arange(1, terms + 1)[:, None] * table[:, m:].real).max(axis=0)
+            del table  # freed before the next chunk's is built
+        level = np.minimum((np.log(rows_gap / closest) / spacing).astype(int), 7)
+        kappa = 1.01 * (1.2 * degree + 8) * EPS
+        excess += kappa * reach[level] * (rows_gap + big) * kept
+        fits = excess <= 1.0
+        if not fits.all():
+            live, sums, excess = live[fits], sums[fits], excess[fits]
+    taken[live] = True
+    return taken, terms, sums, excess
+
+
+def _power_sums(b, terms):
+    """(terms, rows) table of the power sums p_j = sum_i u_i^j, j = 1 ...
+    terms, over the roots u_i of u^N + b_1 u^(N-1) + ... + b_N, one column
+    of b (N, rows) per row: Newton's identities p_j = -sum_{l<j} b_l p_{j-l}
+    - j b_j (b_l = 0 past N), one vector product and sum per j; for N = 1,
+    p_j = (-b_1)^j by `_powers`."""
+    degree = b.shape[0]
+    if degree == 1:
+        return _powers(-b[0], -b[0], terms)
+    table = np.zeros((degree + terms, b.shape[1]), dtype=complex)  # row N - 1 + j: p_j
+    reverse, step = -b[::-1], np.empty_like(b)
+    for j in range(1, terms + 1):
+        np.multiply(reverse, table[j - 1:j - 1 + degree], out=step)
+        step.sum(axis=0, out=table[degree - 1 + j])
+        if j <= degree:
+            table[degree - 1 + j] -= j * b[j - 1]
+    return table[degree:]
 
 
 def _terms(n, q, outside, spread):
@@ -712,14 +937,14 @@ def _expansion(grid, cols, p, terms, outside):
     cols = cols.reshape(grid.n, -1)
     width = max(1, KERNEL_BLOCK // terms)  # table columns per chunk
     coeff = np.zeros((terms, cols.shape[1]), dtype=complex)
-    for lo in range(0, grid.n, width):
+    for lo in range(0, grid.n, width):  # each chunk's table freed before the next's
         gap = grid.z[lo:lo + width] - c
         if outside:  # A_j/R^j = sum_k g_k ((z_k - c)/R)^j
-            table = _powers(1.0, gap / big, terms)
+            first, step = 1.0, gap / big
         else:  # B_j r^j = sum_k g_k (r/(z_k - c))^j/(z_k - c)
             first = 1.0 / gap
-            table = _powers(first, small * first, terms)
-        coeff += table @ cols[lo:lo + width]
+            step = small * first
+        coeff += _powers(first, step, terms) @ cols[lo:lo + width]
     # outside -(1/(p - c)) sum_j (R/(p - c))^j A_j/R^j, inside sum_j ((p - c)/r)^j B_j r^j
     x = big / (p - c) if outside else (p - c) / small
     sums = np.empty((p.size, cols.shape[1]), dtype=complex)

@@ -28,7 +28,11 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 without those temporaries must give its bytes and its refusals.
 `distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
 written with broadcast subtractions: the package's k = 2 products must give
-its bits.
+its bits. `one_point_sums_by_blocks` is `curve.kernel_sums` for one point as
+it was written, through a one-row block of `distance_blocks`: the package's
+one-point form must give its bits. `pullback_sums_exact` is the trapezoidal
+sum at the exact roots of unity in extended precision, which the pullback
+route's computed bound must cover.
 """
 
 import cmath
@@ -44,7 +48,15 @@ from schwarzbundles.bundles import (
     _ring_modes,
     _verification_rings,
 )
-from schwarzbundles.curve import KERNEL_BLOCK, TWO_PI, Location, locate, off_band, sides
+from schwarzbundles.curve import (
+    KERNEL_BLOCK,
+    TWO_PI,
+    Location,
+    distance_blocks,
+    locate,
+    off_band,
+    sides,
+)
 from schwarzbundles.transforms import PHASE_STEP_LIMIT
 from schwarzbundles.errors import (
     BranchUnresolvedError,
@@ -226,6 +238,52 @@ def distance_blocks_by_subtraction(grid, points):
         np.multiply(y, y, out=y2)
         dist2 += y2
         yield slice(lo, lo + m), x, y, dist2
+
+
+def one_point_sums_by_blocks(grid, p, density=None):
+    """(nearest, winding, sums) of `curve.kernel_sums` for the one point p,
+    as the blocked pass gave them: the row in `distance_blocks`' buffers,
+    copied into (1, 2m) result arrays, and assembled from them."""
+    if density is None:
+        cols = grid.dz
+    else:
+        dens = np.asarray(density).reshape(grid.n, -1)
+        cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
+        cols[:, 0] = grid.dz
+        np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
+    parts = cols.view(float).reshape(grid.n, -1)
+    nearest = np.empty(1)
+    re_k, im_k = np.empty((2, 1, parts.shape[1]))
+    with np.errstate(all="ignore"):
+        for rows, dr, di, d2 in distance_blocks(grid, [complex(p)]):
+            nearest[rows] = np.sqrt(d2.min(axis=1))
+            np.reciprocal(d2, out=d2)
+            re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
+            im_k[rows] = np.multiply(di, d2, out=di) @ parts
+    scale = grid.weight / (2.0 * np.pi)
+    winding = scale * (re_k[:, 1] - im_k[:, 0])
+    if density is None:
+        return nearest, winding, None
+    sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
+    return nearest, winding, sums.reshape((1,) + np.shape(density)[1:])
+
+
+def pullback_sums_exact(grid, density, p):
+    """(1/n) sum_k g_k zeta_k phi'(zeta_k)/(phi(zeta_k) - p) in extended
+    precision at the exact roots of unity zeta_k, for the columns g of
+    [1, density]: the winding and Cauchy sums of the map's own trapezoidal
+    rule, which the computed nodes approximate."""
+    n = grid.n
+    t = 8 * np.arctan(np.longdouble(1)) * np.arange(n, dtype=np.longdouble) / n
+    zeta = (np.cos(t) + 1j * np.sin(t)).astype(np.clongdouble)
+    a = np.asarray(grid.curve.coeffs, dtype=np.clongdouble)
+    phi, dphi = np.full(n, a[-1]), np.zeros(n, dtype=np.clongdouble)
+    for k in range(a.size - 2, -1, -1):  # Horner for phi and phi'
+        dphi = dphi * zeta + phi
+        phi = phi * zeta + a[k]
+    kernel = zeta * dphi / (phi - np.clongdouble(p)) / n
+    cols = np.column_stack([np.ones(n), np.asarray(density).reshape(n, -1)])
+    return (cols.T.astype(np.clongdouble) * kernel).sum(axis=1)  # pairwise
 
 
 def same_bits(a, b):

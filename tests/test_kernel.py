@@ -10,17 +10,19 @@ states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k - p)|."""
 
 import dataclasses
 import functools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
-from schwarzbundles import quaddom
+from schwarzbundles import quaddom, transforms
+from schwarzbundles.curve import TWO_PI
 from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     CurveNotSimpleError,
@@ -56,12 +58,20 @@ def _within_row_bounds(got, want, grid, num, pts):
     return bool(np.all(np.abs(got[finite] - want[finite]) <= bounds))
 
 
-def _far_mask(grid, pts, columns):
-    """The rows of a batch that `kernel_sums` takes by expansion."""
-    mask = np.zeros(pts.size, dtype=bool)
+def _routes(grid, pts, density=None):
+    """`curve._routes` of a batch as `kernel_sums` makes it."""
+    density = None if density is None else np.asarray(density)
     with np.errstate(all="ignore"):
-        for rows, *_ in curve_mod._far_rows(grid, pts, columns):
-            mask[rows] = True
+        return list(curve_mod._routes(grid, pts, *curve_mod._columns(grid, density)))
+
+
+def _far_mask(grid, pts, density=None):
+    """The rows of a batch that `kernel_sums` takes off the direct pass, by
+    the pullback route or an expansion: those that report the annulus
+    lower bound."""
+    mask = np.zeros(pts.size, dtype=bool)
+    for _, rows, *_ in _routes(grid, pts, density):
+        mask[rows] = True
     return mask
 
 
@@ -101,7 +111,7 @@ def test_distance_products_keep_the_subtraction_bits(name, log_n, count, seed):
     want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
     got = _blocks(curve_mod.distance_blocks(grid, pts))
     assert all(same_bits(g, w) for g, w in zip(got, want))
-    direct = ~_far_mask(grid, pts, 1)
+    direct = ~_far_mask(grid, pts)
     with np.errstate(all="ignore"):
         nearest = sb.kernel_sums(grid, pts)[0]
         assert same_bits(nearest[direct], np.sqrt(want[2].min(axis=1))[direct])
@@ -139,7 +149,7 @@ def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
     hypot = np.array([oracles.nearest_node_distance(grid, p) for p in pts])
     # direct rows: sqrt(dr^2 + di^2) is the same in any batch, and within
     # 1.5 eps of |z - p|; far rows: a lower bound that clears the band
-    far = _far_mask(grid, pts, 2)
+    far = _far_mask(grid, pts, dens)
     assert same_bits(nearest[~far], [one[0][0] for one, f in zip(singles, far) if not f])
     assert np.all(np.abs(nearest - hypot)[~far] <= 2 * EPS * hypot[~far])
     assert np.all(hypot[far] >= nearest[far])
@@ -225,7 +235,7 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
     bare = sb.kernel_sums(grid, pts)[1]  # no density: one column, its own split
     near, inside, _, decided = curve_mod.sides(grid, pts, dens)
     assert same_bits(decided, nearest)  # the band is decided from the pass's distances
-    far = _far_mask(grid, pts, columns + 1)
+    far = _far_mask(grid, pts, dens)
     for i in np.concatenate([np.arange(lead), rng.integers(lead, pts.size, 24)]):
         p = pts[i]
         hypot = oracles.nearest_node_distance(grid, p)
@@ -248,8 +258,9 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
 @pytest.mark.parametrize("name", sorted(SPLIT_CURVES))
 def test_mixed_batch_rows_equal_their_lone_values(name):
     # sweep's 40 x 40 lattice, with 150 more points inside the annulus of
-    # the nodes: far rows on both sides of the curve and direct rows in
-    # one batch, each within its row bound of the value it gets alone
+    # the nodes: pullback rows outside the curve, far rows inside it and
+    # direct rows in one batch, each within its row bound of the value it
+    # gets alone
     grid = _split_grid(name, 1024)
     c, big, small = grid._node_annulus
     xs = np.linspace(-2.0, 2.0, 40)
@@ -258,10 +269,8 @@ def test_mixed_batch_rows_equal_their_lone_values(name):
     inn = c + small * rng.uniform(0.0, 0.6, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
     pts = np.concatenate([lattice, inn])
     dens = np.log(np.abs(grid.z - 3.0) ** 2)
-    with np.errstate(all="ignore"):
-        sides = {outside for *_, outside in curve_mod._far_rows(grid, pts, 2)}
-    assert sides == {True, False}
-    assert 0 < _far_mask(grid, pts, 2).sum() < pts.size
+    assert {kind for kind, *_ in _routes(grid, pts, dens)} == {"pullback", "inside"}
+    assert 0 < _far_mask(grid, pts, dens).sum() < pts.size
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     alone = [sb.kernel_sums(grid, [p], dens) for p in pts]
     assert _within_row_bounds(winding, [one[1][0] for one in alone], grid, grid.dz, pts)
@@ -269,18 +278,135 @@ def test_mixed_batch_rows_equal_their_lone_values(name):
     assert np.all(nearest <= [one[0][0] for one in alone])
 
 
+PULLBACK_CURVES = {**SPLIT_CURVES,  # with the degree-12 Taylor polynomial of (e^(2 zeta) - 1)/2
+                   "taylor-12": ([0.0] + [2.0 ** (j - 1) / math.factorial(j)
+                                          for j in range(1, 13)], 0.7)}
+
+
+@functools.cache
+def _pullback_grid(name, n):
+    return sb.sample(sb.build_polynomial_curve(*PULLBACK_CURVES[name]), n)
+
+
+def _smooth_densities(grid, columns, rng):
+    """conj z^k, log|z - a|^2 and the Schwarz-pole density of an exterior w
+    as columns: densities whose modes decay."""
+    c, big, _ = grid._node_annulus
+    w = c + big * rng.uniform(1.5, 3.0) * np.exp(2j * np.pi * rng.uniform())
+    kinds = [np.conjugate(grid.z) ** rng.integers(0, 4),
+             np.log(np.abs(grid.z - 0.3 * rng.normal(size=2).view(complex)[0]) ** 2),
+             transforms._pole_density(grid, w, False)]
+    return np.stack(kinds[:columns], axis=1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="needs a longdouble wider than float64")
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(PULLBACK_CURVES)), n=st.sampled_from([256, 1024, 4096]),
+       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
+    # 300 points outside the nodes' annulus, from one band past it to three
+    # times its radius, with densities whose modes decay. On the rows the
+    # pullback route takes: windings and sums within the row bound of the
+    # one-point sums, and the route's computed bound at least its error
+    # against the trapezoidal sum at the exact roots of unity
+    # (`oracles.pullback_sums_exact`); the pass takes them by the route up
+    # to PULLBACK_DEGREE (by the expansion or directly past it), with each
+    # Location the one-point hypot/winding decision and nearest between the
+    # band and the distance
+    grid = _pullback_grid(name, n)
+    rng = np.random.default_rng(seed)
+    c, big, _ = grid._node_annulus
+    radii = (big + grid.exclusion_band) * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 * big, 300)
+    pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=300))
+    dens = _smooth_densities(grid, columns, rng)
+    cols, columns_2d = curve_mod._columns(grid, dens)
+    gap = np.abs(pts - c)
+    lower = (gap - big) - 8 * EPS * (gap + big)
+    assert np.all(lower >= grid.exclusion_band)
+    with np.errstate(all="ignore"):
+        taken, _, route, share = curve_mod._pullback_rows(grid, pts, gap, lower, cols, columns_2d)
+    rows = np.flatnonzero(taken)
+    assert np.all(share <= 1.0) and share.size == rows.size
+    # the pass's winding Im(S_0)/n and sums -i S/n of the route's S
+    route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
+    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
+    near, inside, _, _ = curve_mod.sides(grid, pts, dens)
+    if grid.curve.degree <= curve_mod.PULLBACK_DEGREE:
+        assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == 0.0)
+        assert np.array_equal(sums[rows], route[:, 1:])  # up to the sign of a zero
+    scale = 0.99 * TWO_PI * EPS * np.abs(cols).sum(axis=0)  # the share's unit, per column
+    for k in rng.permutation(rows.size)[:24]:
+        i, p = rows[k], pts[rows[k]]
+        hypot = oracles.nearest_node_distance(grid, p)
+        assert grid.exclusion_band <= nearest[i] <= hypot
+        one_winding = oracles.trapezoid_winding(grid, p)
+        assert abs(route[k, 0] - one_winding) <= oracles.kernel_row_bound(grid, grid.dz, p)
+        for j in range(columns):
+            want = oracles.trapezoid_cauchy(grid, dens[:, j], p)
+            assert abs(route[k, j + 1] - want) \
+                <= oracles.kernel_row_bound(grid, dens[:, j] * grid.dz, p)
+        assert _location(near[i], inside[i]) \
+            == _location(hypot < grid.exclusion_band, one_winding > 0.5)
+        error = np.abs(route[k] - oracles.pullback_sums_exact(grid, dens, p)).astype(float)
+        assert np.all(error <= share[k] * scale / (gap[i] + big))
+
+
+def test_pullback_route_declines_a_white_noise_column():
+    # 300 points at 1.1 R about the disk, sigma about 0.91: a smooth
+    # density's modes decay and the route takes every row with a few dozen
+    # terms; a column of white noise needs more terms than the route's cap
+    # at that sigma, and it declines every row (q > FAR_RATIO: all direct)
+    grid = _split_grid("disk", 1024)
+    c, big, _ = grid._node_annulus
+    ring = c + 1.1 * big * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
+    smooth = np.log(np.abs(grid.z - 3.0) ** 2)
+    noise = np.random.default_rng(3).normal(size=grid.n)
+    (kind, rows, _, terms, _), = _routes(grid, ring, smooth)
+    assert kind == "pullback" and rows.size == ring.size and terms < 64
+    assert _routes(grid, ring, np.stack([smooth, noise], axis=1)) == []
+
+
+@given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
+       columns=st.integers(0, 3), on_node=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_one_point_pass_keeps_the_blocked_bits(name, log_n, columns, on_node, seed):
+    # kernel_sums' one-point form, without the block buffers, gives the
+    # nearest distance, the winding and the sums of a one-row block bit for
+    # bit (`bundles._ring_need` reads that distance), on a node too; a
+    # single column is given as a 1-D density
+    grid = _grid(name, 2 ** log_n)
+    rng = np.random.default_rng(seed)
+    p = grid.z[rng.integers(grid.n)] if on_node else complex(*rng.uniform(-2.5, 2.5, 2))
+    dens = rng.normal(size=(grid.n, columns, 2)) @ [1.0, 1j] if columns else None
+    if columns == 1:
+        dens = dens[:, 0]
+    got = sb.kernel_sums(grid, [p], dens)
+    want = oracles.one_point_sums_by_blocks(grid, p, dens)
+    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
+    assert (got[2] is None) if dens is None else same_bits(got[2], want[2])
+
+
+def test_an_empty_batch_gives_empty_rows(cardioid_grid):
+    # no point: no route to decide and no block to sum
+    nearest, winding, sums = sb.kernel_sums(cardioid_grid, [], np.ones((cardioid_grid.n, 2)))
+    assert nearest.shape == winding.shape == (0,) and sums.shape == (0, 2)
+
+
 def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
-    # one point, and the fit's 24 samples with 25 columns, stay direct; a
-    # large far ring (as in scripts/far_ratio_study.py) takes the expansion
+    # one point, and the fits' 12 and 24 samples with 13 and 25 columns (as
+    # in sweep), stay direct: neither the expansion nor the pullback route
+    # takes them; a large far ring (as in scripts/far_ratio_study.py) whose
+    # density the pullback route declines (white noise) takes the expansion
     # with M < n
     grid = sb.sample(cardioid_grid.curve, 512)
-    samples = sb.default_exterior_samples(grid, 24)
     ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)
-    with np.errstate(all="ignore"):
-        assert curve_mod._far_rows(grid, samples[:1], 2) == []
-        assert curve_mod._far_rows(grid, samples, 25) == []
-        (rows, nearest, terms, outside), = curve_mod._far_rows(grid, ring, 2)
-    assert outside and rows.size == ring.size and terms < grid.n
+    noise = np.random.default_rng(5).normal(size=grid.n)
+    for count in (12, 24):
+        samples = sb.default_exterior_samples(grid, count)
+        assert _routes(grid, samples[:1], noise) == []
+        assert _routes(grid, samples, quaddom._pole_density(grid, samples, False)) == []
+    (kind, rows, nearest, terms, _), = _routes(grid, ring, noise)
+    assert kind == "outside" and rows.size == ring.size and terms < grid.n
     assert np.all(nearest >= grid.exclusion_band)
 
 
@@ -310,26 +436,32 @@ def test_power_table_rows_round_like_sequential_products(terms, seed, ones):
 
 def test_far_expansion_memory_does_not_grow_with_n():
     # a far ring of 256 points at n = 65536 with 3 columns (dz and two
-    # densities): the power tables of M x n and M x 256 entries are built
-    # in chunks, so the pass holds at most a few chunks of KERNEL_BLOCK
-    # complex entries beyond its O(n) arrays, the 3n-entry column array and
-    # the direct pass's four n-real buffers, one n of slack. One M x n
-    # table would be M n = 2.3 million entries.
+    # densities): the expansion's power tables of M x n and M x 256 entries
+    # are built in chunks, so it holds at most a few chunks of KERNEL_BLOCK
+    # complex entries beyond its O(n) arrays. One M x n table would be
+    # M n = 2.3 million entries. The pass takes the ring by the pullback
+    # route, whose tables are chunked the same way: beyond them it holds
+    # the 3n-entry column array, the densities' 2n modes and their moduli,
+    # one n of slack
     grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 2 ** 16)
     ring = 2.0 * np.abs(grid.z).max() * np.exp(2j * np.pi * np.arange(256) / 256)
     dens = np.stack([np.conjugate(grid.z), np.log(np.abs(grid.z - 0.3) ** 2)], axis=1)
-    grid._node_parts  # cached on the grid before tracing, as is the annulus
-    with np.errstate(all="ignore"):
-        (rows, _, terms, outside), = curve_mod._far_rows(grid, ring, 3)
-    assert outside and rows.size == ring.size and terms > 8
-    tracemalloc.start()
-    try:
-        _, _, sums = sb.kernel_sums(grid, ring, dens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape == (256, 2)
-    assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
+    cols = curve_mod._columns(grid, dens)[0]
+    c, big, small = grid._node_annulus  # cached on the grid before tracing,
+    grid._node_parts, grid._pullback_map  # as are the route's constants
+    terms = curve_mod._terms(grid.n, big / np.abs(ring - c).min(), True, big / small)
+    assert terms > 8
+    assert [kind for kind, *_ in _routes(grid, ring, dens)] == ["pullback"]
+    for run in (lambda: curve_mod._expansion(grid, cols, ring, terms, True),
+                lambda: sb.kernel_sums(grid, ring, dens)[2]):
+        tracemalloc.start()
+        try:
+            sums = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sums.shape[0] == 256
+        assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
 
 
 @given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),

@@ -14,7 +14,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
         "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"],
-        "heap_faults.py": ["2"]}
+        "heap_faults.py": ["2"], "pullback_rows.py": ["1"]}
 
 
 @functools.cache
@@ -96,3 +96,17 @@ def test_heap_faults_reports_every_op_and_the_kernel_peak():
     # the far rows' power tables are freed before the direct blocks' four
     # buffers (1 MB at n = 1024) are allocated, so the peak holds one of them
     assert 1.0 < totals["kernel_peak_mb"] < 1.5
+
+
+def test_pullback_rows_reports_each_route_within_the_bound():
+    proc = _run("pullback_rows.py")
+    assert proc.returncode == 0, proc.stderr
+    table = proc.stdout.split("\n\n")[0].splitlines()[2:]
+    rows = {line.split()[0]: line.split() for line in table}
+    # degrees 1, 2 and 4 take the route, within the stated bound; the Taylor
+    # curves are past PULLBACK_DEGREE and keep the expansion
+    for name in ("disk", "cardioid", "quartic"):
+        assert int(rows[name][2]) > 1000 and float(rows[name][7]) < 1.0
+    for name in ("taylor-6", "taylor-12", "taylor-30"):
+        assert rows[name][2] == "0" and int(rows[name][3]) > 0
+    assert "PULLBACK_DEGREE = 4" in proc.stdout
