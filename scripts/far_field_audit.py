@@ -1,5 +1,5 @@
 """Audit of the kernel pass's far rows, those that leave the direct pass
-(by an expansion or the pullback route): for each curve, node count and
+(by the pullback route or the expansion): for each curve, node count and
 density, the worst distance of a row's sums from the term-by-term complex
 sum, as a ratio to the bound `kernel_sums` states (8 n eps sum_k |w num_k /
 (z_k - p)|), over far rows and over direct rows, and the share of far rows

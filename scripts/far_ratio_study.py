@@ -1,15 +1,13 @@
 """Timing of the kernel pass's far rows against the largest far ratio q
-(`curve.FAR_RATIO`): for each q, the best time of the three calls behind
+(`curve.FAR_RATIO`): for each q, the best time of the two calls behind
 the comment on FAR_RATIO. They are two 40 x 40 lattices of
 `double_cauchy_batch` on the disk at n = 1024, one with w exterior and one
-with w interior (the `sweep` benchmark's calls that take far rows), and one
-`curve.off_band` pass of the density conj(z) over a 256-point ring of
-radius 2 max|z| about the cardioid at n = 4096, whose rows are all far.
-Rows with q up to the given value may be expanded; rows beyond it stay
-direct. The q values take turns within each round, so a drift of the
-host's speed spreads over all of them. The far share is that of the
-exterior lattice: its rows off the direct pass, by an expansion or by the
-pullback route, which takes the rows outside the curve at any q.
+with w interior (the `sweep` benchmark's calls that take far rows). Rows
+inside the nodes' annulus with q up to the given value may be expanded;
+rows beyond it stay direct. Rows outside take the pullback route at any q.
+The q values take turns within each round, so a drift of the host's speed
+spreads over all of them. The far share is that of the exterior lattice:
+its rows taken by the expansion.
 
 Usage: python scripts/far_ratio_study.py [rounds]   (default 5)
 """
@@ -28,19 +26,15 @@ RATIOS = (0.6, 0.65, 0.7, 0.75, 0.8, 0.85)
 def far_share(grid, pts, density):
     with np.errstate(all="ignore"):
         routes = curve_mod._routes(grid, pts, *curve_mod._columns(grid, density))
-        return sum(rows.size for _, rows, *_ in routes) / pts.size
+        return sum(rows.size for kind, rows, *_ in routes if kind == "inside") / pts.size
 
 
 def main(rounds):
     disk = sb.sample(sb.build_circle(0.0, 1.0), 1024)
-    ring_grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 4096)
-    ring = 2.0 * np.abs(ring_grid.z).max() * np.exp(2j * np.pi * np.arange(256) / 256)
-    ring_density = np.conjugate(ring_grid.z)
     xs = np.linspace(-2.0, 2.0, 40)
     lattice = (0.03 + 0.02j + xs[None, :] + 1j * xs[:, None]).ravel()
     calls = [("exterior w", lambda: sb.double_cauchy_batch(disk, lattice, 2.5 * np.exp(1j))),
-             ("interior w", lambda: sb.double_cauchy_batch(disk, lattice, 0.5 * np.exp(2j))),
-             ("ring", lambda: curve_mod.off_band(ring_grid, ring, ring_density))]
+             ("interior w", lambda: sb.double_cauchy_batch(disk, lattice, 0.5 * np.exp(2j)))]
     best = {(q, label): np.inf for q in RATIOS for label, _ in calls}
     share = {}
     saved = curve_mod.FAR_RATIO

@@ -9,10 +9,12 @@ at an exterior w. The first table gives the rows per route and each
 route's M; the worst distance of a pullback row's sums from the
 term-by-term complex sum, as a ratio to the bound `kernel_sums` states; and
 the best time of the pass over the pullback rows alone, by the route and
-by the parent's pass (the route off: the outside expansion where it pays,
-else the direct pass). The second compares, on each lattice's far rows
-outside (q <= FAR_RATIO), the route with PULLBACK_DEGREE lifted against the
-outside expansion, which gives the degrees where the expansion stays.
+with the route off (the direct pass). The second takes each lattice's rows
+outside the nodes' annulus, clear of the band, and times the pass over
+them with PULLBACK_DEGREE lifted (the route where its bound takes a row,
+the direct pass elsewhere) against the direct pass alone, the only other
+path outside; it gives the degrees where the route makes that pass
+faster.
 
 Usage: python scripts/pullback_rows.py [rounds]   (default 7)
 """
@@ -92,8 +94,7 @@ def main(rounds):
     grids = {name: sb.sample(sb.build_polynomial_curve(coeffs, rho), N)
              for name, coeffs, rho in CURVES}
     print(f"40 x 40 lattices at n = {N}; best of {rounds} rounds, ms")
-    print("curve      degree  pullback  outside  inside  direct   M      worst/bound"
-          "   route  parent")
+    print("curve      degree  pullback  inside  direct   M      worst/bound   route     off")
     for name, grid in grids.items():
         pts, columns = lattice_pass(grid)
         found = routes(grid, pts, columns)
@@ -101,37 +102,37 @@ def main(rounds):
         terms = {kind: m for kind, _, _, m, _ in found}
         direct = pts.size - sum(count.values())
         line = (f"{name:10s} {grid.curve.degree:6d}  {count.get('pullback', 0):8d}"
-                f"  {count.get('outside', 0):7d}  {count.get('inside', 0):6d}  {direct:6d}"
-                f"   {terms.get('pullback', '-')!s:5s}")
+                f"  {count.get('inside', 0):6d}  {direct:6d}   {terms.get('pullback', '-')!s:5s}")
         if "pullback" in count:
             rows = next(rows for kind, rows, *_ in found if kind == "pullback")
             _, winding, sums = sb.kernel_sums(grid, pts[rows], columns)
             ratio = worst_ratio(grid, pts[rows], columns, winding, sums)
             call = lambda: sb.kernel_sums(grid, pts[rows], columns)  # noqa: E731
-            route, parent = best([call, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
-            line += f"  {ratio:10.2e}   {route:6.2f}  {parent:6.2f}"
+            route, off = best([call, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
+            line += f"  {ratio:10.2e}   {route:6.2f}  {off:6.2f}"
         print(line)
 
-    print("\nfar rows outside (q <= FAR_RATIO): the route with PULLBACK_DEGREE lifted "
-          "against the outside expansion, ms")
-    print("curve      degree  rows  taken   M     route  expansion")
-    stays = []
+    print("\nrows outside the nodes' annulus: the pass with PULLBACK_DEGREE lifted "
+          "against the direct pass, ms")
+    print("curve      degree  rows  taken   M     route   direct")
+    faster = []
     for name, grid in grids.items():
         pts, columns = lattice_pass(grid)
         c, big, _ = grid._node_annulus
-        far = pts[big / np.abs(pts - c) <= curve_mod.FAR_RATIO]
-        call = lambda: routes(grid, far, columns)  # noqa: E731
+        gap = np.abs(pts - c)
+        outside = pts[(gap - big) - 8 * EPS * (gap + big) >= grid.exclusion_band]
+        call = lambda: sb.kernel_sums(grid, outside, columns)  # noqa: E731
         lifted = with_setting("PULLBACK_DEGREE", math.inf, call)
-        found = lifted()
+        found = with_setting("PULLBACK_DEGREE", math.inf, lambda: routes(grid, outside, columns))()
         taken = sum(rows.size for kind, rows, *_ in found if kind == "pullback")
         m = next((m for kind, _, _, m, _ in found if kind == "pullback"), "-")
-        route, expansion = best([lifted, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
-        if taken < far.size or route >= expansion:
-            stays.append(grid.curve.degree)
-        print(f"{name:10s} {grid.curve.degree:6d}  {far.size:4d}  {taken:5d}   {m!s:4s}"
-              f"  {route:6.2f}  {expansion:9.2f}")
-    print(f"\nthe outside expansion stays where the route declines rows or is slower: "
-          f"degrees {stays}; PULLBACK_DEGREE = {curve_mod.PULLBACK_DEGREE}")
+        route, direct = best([lifted, with_setting("PULLBACK_ROWS", math.inf, call)], rounds)
+        if route < direct:
+            faster.append(grid.curve.degree)
+        print(f"{name:10s} {grid.curve.degree:6d}  {outside.size:4d}  {taken:5d}   {m!s:4s}"
+              f"  {route:6.2f}  {direct:7.2f}")
+    print(f"\nthe route makes the pass faster at degrees {faster}; "
+          f"PULLBACK_DEGREE = {curve_mod.PULLBACK_DEGREE}")
 
 
 if __name__ == "__main__":

@@ -376,10 +376,8 @@ def _ring_modes(grid):
     and 1/|zeta_1|."""
     curve, n = grid.curve, grid.n
     k = np.fft.fftfreq(n, 1.0 / n)
-    a = np.abs(curve.coeffs)
-    j = np.arange(a.size)
-    degree = int(np.flatnonzero(a)[-1])
-    l_in, l_out = float(j @ a), float(j @ (a * curve.rho ** (1.0 - j)))
+    a, l_in, l_out = curve._dphi_bounds
+    j, degree = np.arange(a.size), curve.degree
     gap = grid.exclusion_band - l_in * np.pi / n
     s = 1.0 - max(gap, 0.0) / l_in
     sigma = max(curve.rho, l_out / (l_out + max(gap, 0.0)))

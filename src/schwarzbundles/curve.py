@@ -17,15 +17,15 @@ the winding number and, given densities, the trapezoidal Cauchy sums.
 real arithmetic on blocks of squared distances (`distance_blocks`; one
 point without the blocks' buffers) and give the exact nearest-node
 distance. Rows clear of the nodes' annulus about the conformal center,
-found by one pass over |p - c|, take a cheaper route where it pays: outside
-the curve's own grid of a low-degree map, the same sum in the pullback
-variable, a short series of the densities' Fourier modes against power
-sums from the map's coefficients, for the rows whose computed bound stays
-within an eighth of the bound stated at `kernel_sums`; far rows of the
-rest, the exact Laurent or Taylor expansion truncated within that eighth
-and summed as two matrix products over tables of powers. They report a
-lower bound on the distance that clears the exclusion band: the band and
-side decisions are those of the direct pass.
+found by one pass over |p - c|, take a cheaper route where it pays:
+outside, on the curve's own grid of a low-degree map, the same sum in the
+pullback variable, a short series of the densities' Fourier modes against
+power sums from the map's coefficients, for the rows whose computed bound
+stays within an eighth of the bound stated at `kernel_sums`; far inside,
+the exact Taylor expansion truncated within that eighth and summed as two
+matrix products over tables of powers. They report a lower bound on the
+distance that clears the exclusion band: the band and side decisions are
+those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points, the sums and
@@ -95,24 +95,25 @@ KERNEL_BLOCK = 2 ** 15
 # row), and no faster for one point (2-core x86_64, OpenBLAS, one thread).
 PRODUCT_ROWS = 16
 
-# Largest ratio q of a far row (`_far_rows`). Two 40 x 40 disk lattices at
-# n = 1024 and a 256-point ring of radius 2 max|z| about the cardioid at
-# n = 4096 took 12.7, 10.9, 10.0, 9.1, 9.4, 10.0 ms at q = 0.6, 0.65, ...,
-# 0.85 (scripts/far_ratio_study.py, best of 40 rounds, 2-core x86_64, the
-# ring then timed through the moment check); over a whole `sweep` benchmark
-# cycle q = 0.75 and 0.8 save under 4 % against 0.7, too little to pay for
-# the larger rounding factor (1 + q)/(1 - q) (see `kernel_sums`).
+# Largest ratio q = |p - c|/r of a far row inside the nodes' annulus, the
+# rows `_expansion` may take (`_routes`). Two 40 x 40 disk lattices at n =
+# 1024 (w exterior and interior) took 5.3-5.4, 5.1-5.4, 5.0-5.3, 4.7-5.3,
+# 5.7 and 5.8-6.1 ms at q = 0.6, 0.65, ..., 0.85 (scripts/far_ratio_study.py,
+# two runs, best of 40 rounds, 2-core x86_64, BLAS on one thread): q = 0.75
+# gains within the runs' spread, too little to pay for the larger rounding
+# factor (1 + q)/(1 - q) (see `kernel_sums`), and at 0.85 no expansion pays.
 FAR_RATIO = 0.7
 
 # Least rows of a batch outside the nodes' annulus, and largest degree of
-# the map, for the pullback route (`_pullback_rows`). Below 256 rows its FFT
-# and fixed cost do not pay: the `sweep` fits of 12 and 24 samples took
-# 1.07/1.21 ms with the route gated and 1.62/1.88 ms without. On the 992 far
-# rows (q <= FAR_RATIO) of 40 x 40 lattices at n = 1024 it took 0.37, 0.48,
-# 0.56 ms against the expansion's 0.59, 0.60, 0.60 ms at degrees 1, 2, 4,
-# and 1.19 ms at degree 6, where its bound declined 40 % of them; at degrees
-# 12 and 30 it declined them all (scripts/pullback_rows.py, best of 25,
-# 2-core x86_64).
+# the map, for the pullback route (`_pullback_rows`); the rows it does not
+# take are direct. Below 256 rows its FFT and fixed cost do not pay: the
+# `sweep` fits of 12 and 24 samples took 1.07/1.21 ms with the route gated
+# and 1.62/1.88 ms without. On the 1,284 outside rows of 40 x 40 lattices at
+# n = 1024 the pass took 0.59, 0.97, 1.38 ms with the route against 6.2-6.7
+# ms direct at degrees 1, 2, 4, and 4.5 against 6.5 ms at degree 6, where
+# its bound declined 53 % of the rows; at degrees 12 and 30 it declined
+# them all (scripts/pullback_rows.py, best of 25, 2-core x86_64, BLAS on one
+# thread). No workload runs a map of degree above 4.
 PULLBACK_ROWS = 256
 PULLBACK_DEGREE = 4
 
@@ -154,9 +155,11 @@ class ConformalMapCurve:
         object.__setattr__(self, "_ccoeffs", tuple(c.conjugate() for c in cs))
         object.__setattr__(self, "_cdcoeffs", tuple(c.conjugate() for c in dcs))
 
-    @property
+    @cached_property
     def degree(self):
-        return len(self.coeffs) - 1
+        """N, the index of the last nonzero coefficient: trailing zeros of
+        coeffs do not count."""
+        return max((k for k, c in enumerate(self.coeffs) if c), default=0)
 
     @property
     def conformal_center(self):
@@ -175,6 +178,15 @@ class ConformalMapCurve:
     def dphi_reflected(self, zeta):
         """Derivative of the conjugated-coefficient polynomial at 1/zeta."""
         return npoly.polyval(1.0 / zeta, self._cdcoeffs)
+
+    @cached_property
+    def _dphi_bounds(self):
+        """(moduli, L_in, L_out), computed once per curve: |a_j| for j <= N
+        and the bounds sum j|a_j| of |phi'| on |zeta| <= 1 and sum j|a_j|
+        rho^(1 - j) on 1 <= |zeta| <= 1/rho."""
+        moduli = _read_only(np.abs(self.coeffs[:self.degree + 1]))
+        j = np.arange(moduli.size)
+        return moduli, float(j @ moduli), float(j @ (moduli * self.rho ** (1.0 - j)))
 
     @cached_property
     def dphi_roots(self):
@@ -312,12 +324,9 @@ class ContourGrid:
         (zeta_k within 12 eps of them, Horner within 4 (N + 1) eps), changes
         a term by at most 7 n eps: e_dz/(min |dz| - e_dz) + e_z/(d - e_z)."""
         curve = self.curve
-        moduli = np.abs(curve.coeffs)
-        degree = int(np.flatnonzero(moduli)[-1])
-        a, moduli = np.array(curve.coeffs[:degree + 1]), moduli[:degree + 1]
-        j = np.arange(degree + 1)
-        l_in = float(j @ moduli)
-        l_out = float(j @ (moduli * curve.rho ** (1.0 - j)))
+        moduli, l_in, l_out = curve._dphi_bounds
+        degree = curve.degree
+        a, j = np.array(curve.coeffs[:degree + 1]), np.arange(degree + 1)
         e_z = EPS * (12 * l_in + 4 * (degree + 1) * moduli.sum())
         e_dz = EPS * (12 * float((j * (j - 1)) @ moduli) + 4 * (degree + 4) * l_in)
         speed = float(np.abs(self.dz).min()) - e_dz
@@ -627,35 +636,35 @@ def kernel_sums(grid, points, density=None):
     direct pass where another route is cheaper, never for one point; one
     pass over |p - c| decides them (`_routes`). On a radius-1 grid of a map
     of degree at most PULLBACK_DEGREE, rows outside take the pullback route
-    first (`_pullback_rows`): the sum in the pullback variable from the
-    densities' Fourier modes, for the rows its computed bound covers. Far
-    rows of the rest, q = R/|p - c| or |p - c|/r <= FAR_RATIO, take the
-    exact expansions cut after M terms: sum g_k/(z_k - p) = -sum_j A_j/(p -
-    c)^(j+1), A_j = sum_k g_k (z_k - c)^j, outside, and sum_j (p - c)^j B_j,
-    B_j = sum_k g_k/(z_k - c)^(j+1), inside, formed as two matrix products
-    over power tables (`_expansion`). nearest is exact on direct rows; on
-    the others it is the lower bound |p - c| - R or r - |p - c|, less eight
-    ulps, at or above the band, so `sides` decides as the direct pass would.
-    Those rows run first, one route at a time: the direct blocks' buffers
-    are then allocated only after the routes' tables and sums are freed, and
-    no block view outlives the pass's last product, so the pass's transient
-    peak is the larger of the two, not their sum, and repeated passes reuse
-    the freed heap instead of trimming and faulting it back in.
+    (`_pullback_rows`): the sum in the pullback variable from the densities'
+    Fourier modes, for the rows its computed bound covers. Far rows inside,
+    q = |p - c|/r <= FAR_RATIO, take the exact expansion cut after M terms,
+    sum g_k/(z_k - p) = sum_j (p - c)^j B_j, B_j = sum_k g_k/(z_k -
+    c)^(j+1), formed as two matrix products over power tables
+    (`_expansion`). Every other row is direct. nearest is exact on direct
+    rows; on the others it is the lower bound |p - c| - R or r - |p - c|,
+    less eight ulps, at or above the band, so `sides` decides as the direct
+    pass would. Those rows run first, one route at a time: the direct
+    blocks' buffers are then allocated only after the routes' tables and
+    sums are freed, and no block view outlives the pass's last product, so
+    the pass's transient peak is the larger of the two, not their sum, and
+    repeated passes reuse the freed heap instead of trimming and faulting
+    it back in.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
     sum_k |w num_k/(z_k - p)|, num = dz or density dz. Direct rows differ by
     BLAS summation order, which depends on the batch. On far rows the tail
-    sum_k |g_k| q^M/((1 - q) rho), rho = |p - c| outside and r inside, is at
-    most an eighth of the bound. The expansion's terms sum in modulus to at
-    most (1 + q)/(1 - q) < 5.7 times sum_k |g_k/(z_k - p)|, and each carries
-    at most n + 3M + 3 < 4.2 n roundings of at most 1.12 eps (a power of at
-    most M products in each table, sums of n and of M terms, three more
-    products; M < n, n >= 16): with the sums' factor 1/(2 pi), at most
-    4.2 * 1.12 * 5.7/(2 pi) < 4.3 of the bound's 8 n eps. On pullback rows
-    the route's computed bound (truncation, aliasing and rounding) is at
-    most an eighth of the bound, and the nodes' own rounding (the route sums
-    at the exact roots of unity) the other seven eighths.
+    sum_k |g_k| q^M/((1 - q) r) is at most an eighth of the bound. The
+    expansion's terms sum in modulus to at most (1 + q)/(1 - q) < 5.7 times
+    sum_k |g_k/(z_k - p)|, and each carries at most n + 3M + 3 < 4.2 n
+    roundings of at most 1.12 eps (a power of at most M products in each
+    table, sums of n and of M terms, three more products; M < n, n >= 16):
+    with the sums' factor 1/(2 pi), at most 4.2 * 1.12 * 5.7/(2 pi) < 4.3
+    of the bound's 8 n eps. On pullback rows the route's computed bound
+    (truncation, aliasing and rounding) is at most an eighth of the bound,
+    and the nodes' own rounding (the route sums at the exact roots of
+    unity) the other seven eighths.
 
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
@@ -740,57 +749,47 @@ def _rows(grid, pts, cols, parts, dens):
 def _routes(grid, pts, cols, dens):
     """Yield (kind, rows, nearest, terms, sums) for the rows of a batch that
     leave the direct pass, one route at a time: kind "pullback"
-    (`_pullback_rows`), "outside" or "inside" (`_expansion`), rows an index
-    array, nearest the annulus lower bound that clears the band, terms the
-    route's M and sums S = sum_k g_k/(z_k - p) over the columns g of cols.
+    (`_pullback_rows`) outside the nodes' annulus, then "inside"
+    (`_expansion`), rows an index array, nearest the annulus lower bound
+    that clears the band, terms the route's M and sums S = sum_k g_k/(z_k -
+    p) over the columns g of cols.
 
     One pass over |p - c| and one annulus test per side decide every row:
-    a side whose widest row does not clear the band, or where neither route
-    can pay for the batch, is skipped. Outside rows go to the pullback
-    route when at least PULLBACK_ROWS of them clear the band and the map's
-    degree is at most PULLBACK_DEGREE; it declines the rows its bound does
-    not cover. Far rows of the rest (q <= FAR_RATIO) are expanded where
-    that is cheaper, with M `_terms` at the side's largest q. The cost rule
-    counts node operations: F rows cost F n directly and M (n + F columns)
-    expanded, the nodes' M x n power table with its product for the
-    coefficients and F M columns for the rows' table and sums; it implies
-    M < n. Infinite and NaN points stay direct. Call under np.errstate.
+    a side whose widest row does not clear the band is skipped. Outside
+    rows go to the pullback route when at least PULLBACK_ROWS of them clear
+    the band and the map's degree is at most PULLBACK_DEGREE; it declines
+    the rows its bound does not cover, and they stay direct. Far rows
+    inside (q <= FAR_RATIO) are expanded where that is cheaper, with M
+    `_terms` at the largest q. The cost rule counts node operations: F rows
+    cost F n directly and M (n + F columns) expanded, the nodes' M x n
+    power table with its product for the coefficients and F M columns for
+    the rows' table and sums; it implies M < n. Infinite and NaN points
+    stay direct. Call under np.errstate.
     """
     c, big, small = grid._node_annulus
     band, n, columns, spread = grid.exclusion_band, grid.n, cols.size // grid.n, big / small
     gap = np.abs(pts - c)
     wide, narrow = gap.max(), gap.min()
-    for outside in (True, False):
-        # if no row clears the band, or all rows at the side's least M would
-        # not pay, none will (NaN: every test fails)
-        clear = wide - big >= band if outside else small - narrow >= band
-        least = big / wide if outside else narrow / small
-        pullback = outside and pts.size >= PULLBACK_ROWS and grid.radius == 1.0 \
-            and grid.curve.degree <= PULLBACK_DEGREE
-        expand = least <= FAR_RATIO and \
-            pts.size * n > _terms(n, least, outside, spread) * (n + pts.size * columns)
-        if not (clear and (pullback or expand)):
-            continue
-        if outside:
-            bound = (gap - big) - 8 * EPS * (gap + big)
-        else:
-            bound = (small - gap) - 8 * EPS * (small + gap)
+    # if no row clears the band, or all rows at the least q would not pay,
+    # none will (NaN: every test fails)
+    if pts.size >= PULLBACK_ROWS and grid.radius == 1.0 \
+            and grid.curve.degree <= PULLBACK_DEGREE and wide - big >= band:
+        bound = (gap - big) - 8 * EPS * (gap + big)
         rows = np.flatnonzero(bound >= band)  # False for infinite points
-        if pullback and rows.size >= PULLBACK_ROWS:
+        if rows.size >= PULLBACK_ROWS:
             taken, terms, sums, _ = _pullback_rows(grid, pts[rows], gap[rows], bound[rows],
                                                    cols, dens)
             if taken.any():
                 yield "pullback", rows[taken], bound[rows[taken]], terms, sums
-                rows = rows[~taken]
-        if not expand:
-            continue
-        rows = rows[(big / gap[rows] if outside else gap[rows] / small) <= FAR_RATIO]
+    least = narrow / small
+    if least <= FAR_RATIO and small - narrow >= band \
+            and pts.size * n > _terms(n, least, spread) * (n + pts.size * columns):
+        bound = (small - gap) - 8 * EPS * (small + gap)
+        rows = np.flatnonzero((bound >= band) & (gap / small <= FAR_RATIO))
         if rows.size:
-            d = gap[rows]
-            terms = _terms(n, big / d.min() if outside else d.max() / small, outside, spread)
+            terms = _terms(n, gap[rows].max() / small, spread)
             if rows.size * n > terms * (n + rows.size * columns):
-                yield ("outside" if outside else "inside", rows, bound[rows], terms,
-                       _expansion(grid, cols, pts[rows], terms, outside))
+                yield "inside", rows, bound[rows], terms, _expansion(grid, cols, pts[rows], terms)
 
 
 def _pullback_rows(grid, p, gap, nearest, cols, dens):
@@ -916,42 +915,35 @@ def _power_sums(b, terms):
     return table[degree:]
 
 
-def _terms(n, q, outside, spread):
-    """Least M with q^M <= 2 pi n eps (1 - q)/(s + q), s = 1 outside and
-    R/r inside: the tail within an eighth of `kernel_sums`' bound, whose
-    sum is at least sum |g|/(R + |p - c|); 1 at q = 0."""
+def _terms(n, q, spread):
+    """Least M with q^M <= 2 pi n eps (1 - q)/(R/r + q): the tail within an
+    eighth of `kernel_sums`' bound, whose sum is at least sum |g|/(R + |p -
+    c|); 1 at q = 0."""
     if q <= 0.0:
         return 1
-    tail = TWO_PI * n * EPS * (1.0 - q) / ((1.0 if outside else spread) + q)
+    tail = TWO_PI * n * EPS * (1.0 - q) / (spread + q)
     return max(1, math.ceil(math.log(tail) / math.log(q)))
 
 
-def _expansion(grid, cols, p, terms, outside):
-    """sum_k g_k/(z_k - p) at far rows p, g the columns of cols, by `terms`
-    terms about c, scaled so that every power has modulus at most 1: the
-    coefficients are (nodes' power table) @ cols and the sums (rows' power
-    table).T @ coefficients. Each table (`_powers`) is built and used in
-    chunks of at most KERNEL_BLOCK entries (one column if terms is more),
-    so memory does not grow with n or the number of rows."""
-    c, big, small = grid._node_annulus
+def _expansion(grid, cols, p, terms):
+    """sum_k g_k/(z_k - p) at far rows p inside the nodes' annulus, g the
+    columns of cols, by `terms` terms of sum_j (p - c)^j B_j, B_j = sum_k
+    g_k/(z_k - c)^(j+1), scaled so that every power has modulus at most 1:
+    the coefficients B_j r^j are (nodes' power table) @ cols and the sums
+    (rows' power table).T @ coefficients. Each table (`_powers`) is built
+    and used in chunks of at most KERNEL_BLOCK entries (one column if terms
+    is more), so memory does not grow with n or the number of rows."""
+    c, _, small = grid._node_annulus
     cols = cols.reshape(grid.n, -1)
     width = max(1, KERNEL_BLOCK // terms)  # table columns per chunk
     coeff = np.zeros((terms, cols.shape[1]), dtype=complex)
     for lo in range(0, grid.n, width):  # each chunk's table freed before the next's
-        gap = grid.z[lo:lo + width] - c
-        if outside:  # A_j/R^j = sum_k g_k ((z_k - c)/R)^j
-            first, step = 1.0, gap / big
-        else:  # B_j r^j = sum_k g_k (r/(z_k - c))^j/(z_k - c)
-            first = 1.0 / gap
-            step = small * first
-        coeff += _powers(first, step, terms) @ cols[lo:lo + width]
-    # outside -(1/(p - c)) sum_j (R/(p - c))^j A_j/R^j, inside sum_j ((p - c)/r)^j B_j r^j
-    x = big / (p - c) if outside else (p - c) / small
+        first = 1.0 / (grid.z[lo:lo + width] - c)  # B_j r^j = sum_k g_k (r/(z_k - c))^j/(z_k - c)
+        coeff += _powers(first, small * first, terms) @ cols[lo:lo + width]
+    x = (p - c) / small  # sum_j ((p - c)/r)^j B_j r^j
     sums = np.empty((p.size, cols.shape[1]), dtype=complex)
     for lo in range(0, p.size, width):
         sums[lo:lo + width] = _powers(1.0, x[lo:lo + width], terms).T @ coeff
-    if outside:
-        sums *= -1.0 / (p - c)[:, None]
     return sums
 
 

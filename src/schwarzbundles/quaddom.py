@@ -87,7 +87,7 @@ def arclength_quadrature(curve, f_coeffs):
     """
     _require_conformal(curve)
     a0, a1 = curve.coeffs[:2]
-    d = np.trim_zeros(np.asarray(curve.coeffs), "b").size - 2  # the degree of phi'
+    d = curve.degree - 1  # the degree of phi'
     if d:  # the multiplicities of its roots sum to d
         raise TangentNotMeromorphicError(
             f"the arc-length identity holds for circles only; phi' has degree {d}: " + (

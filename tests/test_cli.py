@@ -107,6 +107,15 @@ def test_validate_area_is_the_exact_moment_on_no_grid(capsys, monkeypatch, tmp_p
             assert code == 0 and json.loads(out)["area_over_pi"] == want
 
 
+def test_validate_does_not_count_trailing_zero_coefficients(capsys, tmp_path):
+    # the cardioid padded with two zero coefficients is the cardioid: degree 2
+    path = tmp_path / "padded.json"
+    path.write_text('{"kind": "conformal", "coeffs": [[0,0],[1,0],[0.3,0],[0,0],[0,0]], '
+                    '"rho": 0.7}')
+    code, out, _ = run(capsys, "validate", str(path))
+    assert code == 0 and json.loads(out)["degree"] == 2
+
+
 def test_validate_invalid_curve(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(BAD_CURVE)

@@ -2,11 +2,12 @@
 compared with one-point sums and the loops in tests/oracles.py.
 
 Sides, NaN rows, refusals and the distances of direct rows must match
-exactly; far rows, summed by expansions, report a lower bound on the
-distance at or above the band. Windings, Cauchy sums and what is built on
-them come from BLAS products, whose summation order depends on the batch,
-or from those expansions; they must lie within the bound the kernel
-states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k - p)|."""
+exactly; far rows, summed by the pullback route or the expansion, report
+a lower bound on the distance at or above the band. Windings, Cauchy sums
+and what is built on them come from BLAS products, whose summation order
+depends on the batch, or from those routes; they must lie within the bound
+the kernel states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k
+- p)|."""
 
 import dataclasses
 import functools
@@ -67,7 +68,7 @@ def _routes(grid, pts, density=None):
 
 def _far_mask(grid, pts, density=None):
     """The rows of a batch that `kernel_sums` takes off the direct pass, by
-    the pullback route or an expansion: those that report the annulus
+    the pullback route or the expansion: those that report the annulus
     lower bound."""
     mask = np.zeros(pts.size, dtype=bool)
     for _, rows, *_ in _routes(grid, pts, density):
@@ -139,8 +140,9 @@ def test_distance_products_differ_only_in_the_sign_of_a_zero():
 @given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),
        on_nodes=st.integers(0, 3))
 def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
-    # 32 rows per block at n = 1024: counts cross block edges, and from
-    # about 170 points the far rows outside the curve pay for an expansion
+    # 32 rows per block at n = 1024: counts cross block edges. Below
+    # PULLBACK_ROWS points and with few of them far inside the curve, no
+    # route takes a row here: the far rows are those of the tests below
     grid = cardioid_grid
     pts = _points(grid, count, seed, min(on_nodes, count))
     dens = np.conjugate(grid.z) ** 2
@@ -185,8 +187,9 @@ def _split_grid(name, n):
 def _split_points(grid, q_max, edges, rng):
     """240 points outside and 120 inside the nodes' annulus about c at
     ratios q up to q_max, and 24 points near the curve. With edges, 20
-    points within 4 ulps of both ends of eligibility (q = FAR_RATIO, and a
-    distance to the annulus of one band) come first; the near points follow."""
+    points within 4 ulps of q = FAR_RATIO and of a distance to the annulus
+    of one band, on each side (inside, both ends of the expansion's
+    eligibility), come first; the near points follow."""
     c, big, small = grid._node_annulus
     radii = np.concatenate([big / rng.uniform(0.01, q_max, 240),
                             small * rng.uniform(0.0, q_max, 120)])
@@ -278,6 +281,25 @@ def test_mixed_batch_rows_equal_their_lone_values(name):
     assert np.all(nearest <= [one[0][0] for one in alone])
 
 
+def test_padded_map_takes_the_routes_of_its_degree():
+    # the cardioid padded with three zero coefficients has degree 2, not 5
+    # (past PULLBACK_DEGREE): its grid, routes and sums on sweep's lattice
+    # are the cardioid's
+    padded = sb.sample(sb.build_polynomial_curve([0, 1, 0.3, 0, 0, 0], 0.7), 1024)
+    grid = _split_grid("cardioid", 1024)
+    assert padded.curve.degree == grid.curve.degree == 2
+    assert same_bits(padded.z, grid.z) and same_bits(padded.dz, grid.dz)
+    xs = np.linspace(-2.0, 2.0, 40)
+    pts = (xs[None, :] + 1j * xs[:, None]).ravel()
+    dens = np.log(np.abs(grid.z - 3.0) ** 2)
+    found = {kind: rows for kind, rows, *_ in _routes(grid, pts, dens)}
+    assert "pullback" in found
+    assert {kind: rows.tolist() for kind, rows, *_ in _routes(padded, pts, dens)} \
+        == {kind: rows.tolist() for kind, rows in found.items()}
+    assert all(same_bits(a, b) for a, b in zip(sb.kernel_sums(padded, pts, dens),
+                                               sb.kernel_sums(grid, pts, dens)))
+
+
 PULLBACK_CURVES = {**SPLIT_CURVES,  # with the degree-12 Taylor polynomial of (e^(2 zeta) - 1)/2
                    "taylor-12": ([0.0] + [2.0 ** (j - 1) / math.factorial(j)
                                           for j in range(1, 13)], 0.7)}
@@ -311,9 +333,9 @@ def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
     # one-point sums, and the route's computed bound at least its error
     # against the trapezoidal sum at the exact roots of unity
     # (`oracles.pullback_sums_exact`); the pass takes them by the route up
-    # to PULLBACK_DEGREE (by the expansion or directly past it), with each
-    # Location the one-point hypot/winding decision and nearest between the
-    # band and the distance
+    # to PULLBACK_DEGREE and directly past it, with each Location the
+    # one-point hypot/winding decision and nearest between the band and the
+    # distance, within 2 eps of it on a direct row
     grid = _pullback_grid(name, n)
     rng = np.random.default_rng(seed)
     c, big, _ = grid._node_annulus
@@ -332,14 +354,18 @@ def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
     route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     near, inside, _, _ = curve_mod.sides(grid, pts, dens)
-    if grid.curve.degree <= curve_mod.PULLBACK_DEGREE:
+    capped = grid.curve.degree <= curve_mod.PULLBACK_DEGREE
+    if capped:
         assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == 0.0)
         assert np.array_equal(sums[rows], route[:, 1:])  # up to the sign of a zero
+    else:
+        assert not _far_mask(grid, pts, dens).any()
     scale = 0.99 * TWO_PI * EPS * np.abs(cols).sum(axis=0)  # the share's unit, per column
     for k in rng.permutation(rows.size)[:24]:
         i, p = rows[k], pts[rows[k]]
         hypot = oracles.nearest_node_distance(grid, p)
-        assert grid.exclusion_band <= nearest[i] <= hypot
+        assert grid.exclusion_band <= nearest[i] <= hypot if capped \
+            else abs(nearest[i] - hypot) <= 2 * EPS * hypot
         one_winding = oracles.trapezoid_winding(grid, p)
         assert abs(route[k, 0] - one_winding) <= oracles.kernel_row_bound(grid, grid.dz, p)
         for j in range(columns):
@@ -395,18 +421,21 @@ def test_an_empty_batch_gives_empty_rows(cardioid_grid):
 def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
     # one point, and the fits' 12 and 24 samples with 13 and 25 columns (as
     # in sweep), stay direct: neither the expansion nor the pullback route
-    # takes them; a large far ring (as in scripts/far_ratio_study.py) whose
-    # density the pullback route declines (white noise) takes the expansion
-    # with M < n
+    # takes them; a large far ring whose density the pullback route declines
+    # (white noise) stays direct too, while a ring of as many points far
+    # inside the curve takes the expansion with M < n
     grid = sb.sample(cardioid_grid.curve, 512)
+    c, _, small = grid._node_annulus
     ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)
     noise = np.random.default_rng(5).normal(size=grid.n)
     for count in (12, 24):
         samples = sb.default_exterior_samples(grid, count)
         assert _routes(grid, samples[:1], noise) == []
         assert _routes(grid, samples, quaddom._pole_density(grid, samples, False)) == []
-    (kind, rows, nearest, terms, _), = _routes(grid, ring, noise)
-    assert kind == "outside" and rows.size == ring.size and terms < grid.n
+    assert _routes(grid, ring, noise) == []
+    inner = c + 0.3 * small * np.exp(2j * np.pi * np.arange(256) / 256)
+    (kind, rows, nearest, terms, _), = _routes(grid, inner, noise)
+    assert kind == "inside" and rows.size == inner.size and terms < grid.n
     assert np.all(nearest >= grid.exclusion_band)
 
 
@@ -434,25 +463,37 @@ def test_power_table_rows_round_like_sequential_products(terms, seed, ones):
     assert np.all(rel <= j * np.sqrt(5.0) / 2.0 * EPS * (1.0 + terms * EPS))
 
 
+@pytest.mark.parametrize("n", [16, 256, 1024, 4096, 65536])
+def test_expansion_terms_are_the_least_whose_tail_fits(n):
+    # M = _terms(n, q, R/r) is the least count with q^M <= 2 pi n eps (1 -
+    # q)/(R/r + q), the tail within an eighth of kernel_sums' bound: M
+    # terms fit it and M - 1 do not (M = 1 at q = 0, where no term is left)
+    for q in np.linspace(0.02, 0.96, 48):
+        for spread in (1.0, 1.25, 2.0, 4.0, 16.0):
+            m = curve_mod._terms(n, q, spread)
+            tail = TWO_PI * n * EPS * (1.0 - q) / (spread + q)
+            assert q ** m <= tail < q ** (m - 1), (q, spread, m)
+    assert curve_mod._terms(n, 0.0, 2.0) == 1
+
+
 def test_far_expansion_memory_does_not_grow_with_n():
-    # a far ring of 256 points at n = 65536 with 3 columns (dz and two
-    # densities): the expansion's power tables of M x n and M x 256 entries
-    # are built in chunks, so it holds at most a few chunks of KERNEL_BLOCK
-    # complex entries beyond its O(n) arrays. One M x n table would be
-    # M n = 2.3 million entries. The pass takes the ring by the pullback
-    # route, whose tables are chunked the same way: beyond them it holds
-    # the 3n-entry column array, the densities' 2n modes and their moduli,
-    # one n of slack
+    # a ring of 256 points far inside the curve at n = 65536 with 3 columns
+    # (dz and two densities): the expansion's power tables of M x n and
+    # M x 256 entries are built in chunks, so it holds at most a few chunks
+    # of KERNEL_BLOCK complex entries beyond its O(n) arrays. One M x n
+    # table would be M n = 2.4 million entries. The pass takes the ring by
+    # the expansion: beyond its tables it holds the 3n-entry column array,
+    # well within the bound's 6n
     grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 2 ** 16)
-    ring = 2.0 * np.abs(grid.z).max() * np.exp(2j * np.pi * np.arange(256) / 256)
+    c, big, small = grid._node_annulus  # cached on the grid before tracing,
+    grid._node_parts  # as are the direct blocks' operands
+    ring = c + 0.5 * small * np.exp(2j * np.pi * np.arange(256) / 256)
     dens = np.stack([np.conjugate(grid.z), np.log(np.abs(grid.z - 0.3) ** 2)], axis=1)
     cols = curve_mod._columns(grid, dens)[0]
-    c, big, small = grid._node_annulus  # cached on the grid before tracing,
-    grid._node_parts, grid._pullback_map  # as are the route's constants
-    terms = curve_mod._terms(grid.n, big / np.abs(ring - c).min(), True, big / small)
+    terms = curve_mod._terms(grid.n, np.abs(ring - c).max() / small, big / small)
     assert terms > 8
-    assert [kind for kind, *_ in _routes(grid, ring, dens)] == ["pullback"]
-    for run in (lambda: curve_mod._expansion(grid, cols, ring, terms, True),
+    assert [kind for kind, *_ in _routes(grid, ring, dens)] == ["inside"]
+    for run in (lambda: curve_mod._expansion(grid, cols, ring, terms),
                 lambda: sb.kernel_sums(grid, ring, dens)[2]):
         tracemalloc.start()
         try:

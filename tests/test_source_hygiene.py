@@ -1,8 +1,9 @@
 """Source hygiene, checked with the standard library's `ast` (the project
 installs no linter): every module-level import of a module in the package,
-the tests or the scripts is used by that module, and every private
-top-level function of the package is referenced somewhere in the package,
-no package function imports (a dependency, and a cycle between package
+the tests or the scripts is used by that module, every private top-level
+function of the package is referenced somewhere in the package, every
+module-level UPPER_CASE constant of the package is read somewhere in the
+package, no package function imports (a dependency, and a cycle between package
 modules, shows in the module header), and every refusal class in
 `errors.py` is raised somewhere in the package. A package `__init__.py`
 imports to re-export, so its imports are exempt from the first check.
@@ -35,7 +36,7 @@ def _referenced(tree):
     """Names the tree reads, as a name, an attribute or an imported name."""
     names = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -73,6 +74,21 @@ def test_every_private_package_function_is_referenced():
                     if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                     and not node.name.startswith("__") and node.name not in referenced]
     assert not unreferenced, f"private functions nothing references: {unreferenced}"
+
+
+def test_every_package_constant_is_read():
+    # a constant that nothing reads is left over from deleted code, and its
+    # comment documents a decision that no code makes
+    trees = {path: _tree(path) for path in PACKAGE}
+    referenced = set().union(*map(_referenced, trees.values()))
+    constants = [(path, name.id) for path, tree in trees.items() for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                 for name in ast.walk(target)
+                 if isinstance(name, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", name.id)]
+    assert constants
+    unread = [f"{path.stem}.{name}" for path, name in constants if name not in referenced]
+    assert not unread, f"package constants nothing reads: {unread}"
 
 
 def test_no_package_function_imports():
