@@ -1,30 +1,26 @@
 """Passes made by each step of the section chain chern_class ->
 canonical_section -> annulus_verification_points -> verify_transition, and
 by a second verify_transition on the same grid and points, for the five
-bundle kinds of the `sections` benchmark workload on the disk, the
-cardioid and the quartic at n = 1024.
+bundle kinds of the `sections` benchmark workload and two custom bundles,
+on the disk, the cardioid and the quartic at n = 1024.
 
 Each row counts the calls of `unwrap_log`, `LineBundle.transition_at_nodes`,
 `curve.kernel_sums` and `ConformalMapCurve.phi_reflected` made inside one
 step. The counts come from wrapping those functions in-process at every name
 through which the package reaches them. Every chain runs on a fresh grid, so
-the verification points and rings are built in its own steps; a chain stops
-after chern_class when the Chern class is negative, as the workload's does.
+the verification points are built in its own steps; a chain stops after
+chern_class when the Chern class is negative, as the workload's does.
 
-verify_transition takes the points' sides from their search, kept on the
-grid, so it makes no kernel pass for them; at Chern class 1 it places the
-adjustment point on each ring from the distance d_a that canonical_section's
-kernel pass measured, so it makes none for the point either while d_a
-exceeds what the ring needs (`bundles._ring_need`). It unwraps each ring's
-transition once and compares the rings with the curve by Fourier modes,
-with no kernel pass. The second call makes the same passes as the first:
-only what depends on the grid alone is kept. The Schwarz function S is
-evaluated once per grid, the curve's and each ring's, and kept on it, so the
-second call evaluates it on none.
-
-After the table, each Chern class 1 chain prints d_a divided by the need of
-the outer and of the inner ring: the margin by which the proof decides (a
-ratio below 1 would send the point to a side pass on that ring).
+A built-in bundle's section and its check are its Laurent modes in zeta
+(`laurent`): no unwrap, no transition value and no Schwarz function on any
+grid; the only kernel pass is the one that locates a Chern class 1
+adjustment point in canonical_section. verify_transition takes the points'
+sides from their search, kept on the grid, and folds the modes at each
+ring's radius. The custom bundles, exp(S) and T from the Newton inversion of
+the nodes (`schwarz_near`, `holomorphic_tangent`), keep the ring mechanism:
+one unwrap of the transition per ring, and at Chern class 1 one side pass of
+the adjustment point per ring. A second call makes the same passes as the
+first.
 
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """
@@ -38,7 +34,8 @@ import schwarzbundles as sb
 CURVES = (("disk", [0, 1], 0.5),
           ("cardioid", [0, 1, 0.3], 0.7),
           ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75))
-KINDS = ("exp-schwarz", "pole-exterior", "pole-interior", "tangent-m-1", "tangent-m2")
+KINDS = ("exp-schwarz", "pole-exterior", "pole-interior", "tangent-m-1", "tangent-m2",
+         "custom-exp-schwarz", "custom-tangent")
 STEPS = ("chern_class", "canonical_section", "annulus_verification_points",
          "verify_transition", "verify_transition again")
 COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums", "phi_reflected")
@@ -46,7 +43,12 @@ COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums", "phi_reflected")
 
 def bundle_of(curve, kind, angle=1.0):
     """The workload's bundle of this kind, its pole at a fixed angle: outside
-    at twice the curve's reach, inside at the image of 0.25 e^{i angle}."""
+    at twice the curve's reach, inside at the image of 0.25 e^{i angle}; or
+    a custom bundle of exp(S) or T."""
+    if kind == "custom-exp-schwarz":
+        return sb.custom_bundle(curve, lambda z: np.exp(sb.schwarz_near(curve, z)))
+    if kind == "custom-tangent":
+        return sb.custom_bundle(curve, lambda z: sb.holomorphic_tangent(curve, z))
     if kind == "exp-schwarz":
         return sb.exp_schwarz_bundle(curve)
     if kind == "pole-exterior":
@@ -82,8 +84,7 @@ def install_counters(counts):
 
 
 def chain_counts(curve, kind, n, counts):
-    """Counts per step of one chain on a fresh grid, a dict per step, and at
-    Chern class 1 the ratios of d_a to the outer and inner ring's need."""
+    """Counts per step of one chain on a fresh grid, a dict per step."""
     grid = sb.sample(curve, n)
     bundle = bundle_of(curve, kind)
     rows = {}
@@ -95,16 +96,13 @@ def chain_counts(curve, kind, n, counts):
         return value
 
     if step("chern_class", lambda: sb.chern_class(bundle, grid)) < 0:
-        return rows, None
+        return rows
     section = step("canonical_section", lambda: sb.canonical_section(bundle, grid))
     points = step("annulus_verification_points",
                   lambda: sb.annulus_verification_points(grid, 32))
     step("verify_transition", lambda: sb.verify_transition(section, bundle, points))
     step("verify_transition again", lambda: sb.verify_transition(section, bundle, points))
-    if not section.chern:
-        return rows, None
-    needs = [need for _, _, need in sb.bundles._kept(grid, sb.bundles._ring_modes)]
-    return rows, [section._d_a / need for need in needs]
+    return rows
 
 
 def main(n):
@@ -112,19 +110,14 @@ def main(n):
     undo = install_counters(counts)
     try:
         print(f"calls per step at n = {n}: " + " / ".join(COUNTED))
-        print(f"{'curve':9s} {'bundle':14s} " + " ".join(f"{s:>28s}" for s in STEPS))
-        margins = []
+        print(f"{'curve':9s} {'bundle':18s} " + " ".join(f"{s:>28s}" for s in STEPS))
         for name, coeffs, rho in CURVES:
             curve = sb.build_polynomial_curve(coeffs, rho)
             for kind in KINDS:
-                rows, ratios = chain_counts(curve, kind, n, counts)
+                rows = chain_counts(curve, kind, n, counts)
                 cells = ["/".join(str(rows[s][c]) for c in COUNTED) if s in rows else "-"
                          for s in STEPS]
-                print(f"{name:9s} {kind:14s} " + " ".join(f"{c:>28s}" for c in cells))
-                if ratios:
-                    margins.append(f"{name:9s} {kind:14s} {ratios[0]:8.2f} {ratios[1]:8.2f}")
-        print("\nd_a / need at Chern class 1: outer ring, inner ring")
-        print("\n".join(margins))
+                print(f"{name:9s} {kind:18s} " + " ".join(f"{c:>28s}" for c in cells))
     finally:
         for owner, name, original in reversed(undo):
             setattr(owner, name, original)

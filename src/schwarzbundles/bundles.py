@@ -9,62 +9,63 @@ winding of the curve around w, the number of roots of phi - w in |zeta| < 1.
 The built-in constructors store it; only a custom bundle's class is unwrapped
 from its node values. For nonnegative Chern class c the canonical section
 (f1 inside, f2 outside) is the exponential of the Cauchy integral of the
-boundary log density, one unwrap of lambda12 (z - a)^{-c} with a divisor
-adjustment at an interior point a when c > 0; `evaluate_section` takes the
-side of a point and the sum there from one `curve.off_band` pass.
+boundary log density of lambda12 (z - a)^{-c}, with a divisor adjustment at
+an interior point a when c > 0; `evaluate_section` takes the side of a point
+and the sum there from one `curve.off_band` pass.
 
 A `LineBundle` is its transition function: `transition(grid)` gives
 lambda12 at the nodes of the curve's grid or of a ring, and each constructor
-supplies that closure. The built-in ones are closed forms in the pullback
-variable zeta of z = phi(zeta), so the grid nodes zeta = e^{it} and the
-verification rings |zeta| = r need no Newton inversion of the map. exp(S)
-also supplies its log at the nodes, S itself, because exp(S) overflows on
-far curves; the Schwarz-pole bundle supplies its pole, the default
-adjustment point when interior (a pole in the exclusion band is refused,
-not replaced), and its section is the exponential transform
-(`transforms._pole_density`). A bundle answers only on grids of its own
-curve: `chern_class` and `verify_transition` refuse a grid whose map
-coefficients differ from the bundle's (ParseError). The tangent powers
-T^{-m} take T from one closed form in zeta on the curve, on a ring and at
-scattered points (`curve._pullback_tangent`): the square root in T is the
-principal root of g with the sign of the factored root over the zeros of
-phi'. S and T at a grid's nodes depend on the grid
-alone, so each grid, the curve's and every ring, keeps them
-(`ContourGrid._schwarz`, `ContourGrid._tangent`): exp(S), its log S,
-1/(S - conj w) and T^{-m} are one operation on the kept array.
+supplies that closure. The built-in ones also supply their log as a Laurent
+series in the pullback variable zeta of z = phi(zeta) (`laurent`): exp(S)
+from the map's coefficients, 1/(S - conj w) from the roots of phi - w,
+found once when the bundle is built, T^{-m} from the roots of phi', and the
+adjustment (z - a)^{-c} from the roots of phi - a, kept per curve for the
+conformal center. A built-in section's density is those modes folded onto
+the grid's n bins and one inverse FFT, with no transition values and no
+unwrap; a custom bundle's is one unwrap of its node values. Every density
+takes one branch rule at node 0 (`laurent.anchored`). The Schwarz-pole
+bundle supplies its pole, the default adjustment point when interior (a
+pole in the exclusion band is refused, not replaced), and its section is
+the exponential transform (`transforms._pole_density`, the same modes). A
+bundle answers only on grids of its own curve: `chern_class` and
+`verify_transition` refuse a grid whose map coefficients differ from the
+bundle's (ParseError). The transitions themselves, for `transition_at_nodes`
+and custom-bundle checks, are closed forms in zeta: S and T at a grid's
+nodes depend on the grid alone, so each grid keeps them
+(`ContourGrid._schwarz`, `ContourGrid._tangent`).
 The gluing is verified by moving the contour, mode by mode: each
-verification ring's density is one unwrap of lambda12 (z - a)^{-c}, with the
+verification ring's density is that of lambda12 (z - a)^{-c}, with the
 section's own Chern class c and adjustment point a, and its Fourier mode k
-must be R^k times the section's. `verify_transition` returns a weighted sum
-of the mode differences, an upper bound on the point residual at the
-verification points under the standing assumption that phi is univalent on
-|zeta| <= 1/rho, omitting the aliasing remainder of the trapezoidal sums;
-it is stricter than that residual on high modes. The verification points are
+must be R^k times the section's. A built-in bundle's ring modes are its
+Laurent modes folded at the ring's radius, with no ring grid; a custom
+bundle's are one unwrap on the ring's grid, after a `curve.sides` pass puts
+a inside the ring. `verify_transition` returns a weighted sum of the mode
+differences, an upper bound on the point residual at the verification
+points under the standing assumption that phi is univalent on |zeta| <=
+1/rho, omitting the aliasing remainder of the trapezoidal sums; it is
+stricter than that residual on high modes. The verification points are
 searched over radii, one distance pass per radius, and every band and side
-decision is `curve.sides`, with one exception that follows from it: a
-class-1 adjustment point is placed on each ring by a proof from the distance
-that the curve's own `curve.sides` pass measured for it (`_ring_need`), or,
-where the proof does not decide, by `curve.sides` on the ring. The two
-verification rings with their mode scales, weights, tangents and needs, and
-the points with the sides their search gave, depend on the grid alone: they
-are built once per grid and kept on it.
-Nothing is kept per bundle, pole, adjustment point or section, and every
-array returned to a caller is a fresh one.
+decision is `curve.sides`. The two verification rings' radii, mode scales
+and weights, a custom bundle's ring grids, and the points with the sides
+their search gave depend on the grid alone: they are built once per grid
+and kept on it.
+Nothing is kept per bundle call, pole, adjustment point or section, and
+every array returned to a caller is a fresh one.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from . import laurent
 from .curve import (
-    EPS,
     TWO_PI,
     ContourGrid,
-    _poly_roots,
     _pullback_tangent,
     _read_only,
     _ring,
@@ -101,16 +102,17 @@ class LineBundle:
 
     `transition(grid)` is lambda12 at the nodes of a grid on the curve or on
     a ring. `chern`, set by the built-in constructors, is the Chern class;
-    None (a custom bundle) has `chern_class` unwrap it. `log(grid)`, when
-    given, is a single-valued log of lambda12 at the nodes of a class-0
-    bundle, used in place of the values. `pole`, when given, is the default
-    adjustment point if it is interior.
+    None (a custom bundle) has `chern_class` unwrap it. `modes(c, a)`, set
+    by the built-in constructors, is the `laurent.Laurent` series in zeta
+    of log(lambda12 (z - a)^{-c}), from which sections and their check are
+    formed with no transition values and no unwrap. `pole`, when given, is
+    the default adjustment point if it is interior.
     """
 
     curve: object
     transition: Callable
     chern: int = None
-    log: Callable = None
+    modes: Callable = None
     pole: complex = None
 
     def transition_at_nodes(self, grid):
@@ -120,27 +122,26 @@ class LineBundle:
 
 
 def exp_schwarz_bundle(curve):
-    """lambda12 = exp(S), the bundle whose section is the Cauchy transform pair.
-
-    Its log is S, anchored like unwrap_log at node 0's principal branch;
-    exp(S) may overflow and is not formed for the log."""
-    def log(grid):
-        s = grid._schwarz
-        k = round((s[0].imag - np.angle(np.exp(1j * s[0].imag))) / (2.0 * np.pi))
-        return s - 2j * np.pi * k  # a fresh array, never the kept S
-
-    return LineBundle(curve, lambda grid: np.exp(grid._schwarz), chern=0, log=log)
+    """lambda12 = exp(S), the bundle whose section is the Cauchy transform
+    pair. Its log S has finitely many modes; exp(S) may overflow and is
+    formed only for `transition_at_nodes`."""
+    return LineBundle(curve, lambda grid: np.exp(grid._schwarz), chern=0,
+                      modes=partial(laurent.adjusted, curve, laurent.exp_schwarz(curve),
+                                    None, None))
 
 
 def schwarz_pole_bundle(curve, w):
     """lambda12 = 1/(S - conj w), for a finite parameter point w off the
-    curve; its Chern class is the number of roots of phi - w in |zeta| < 1."""
+    curve; its Chern class is the number of roots of phi - w in |zeta| < 1,
+    and those roots, found once here, give its modes."""
     w = complex(w)
     if not np.isfinite(w):
         raise ParseError(f"pole {w} is not finite")
-    roots = _poly_roots((curve.coeffs[0] - w, *curve.coeffs[1:]))
+    roots = laurent.pole_roots(curve, w)
     return LineBundle(curve, lambda grid: _pole_transition(grid, w),
-                      chern=int(np.count_nonzero(np.abs(roots) < 1.0)), pole=w)
+                      chern=int(np.count_nonzero(np.abs(roots) < 1.0)),
+                      modes=partial(laurent.adjusted, curve, laurent.schwarz_pole(curve, roots),
+                                    w, roots), pole=w)
 
 
 def tangent_power_bundle(curve, m):
@@ -148,7 +149,9 @@ def tangent_power_bundle(curve, m):
     canonical bundle with lambda12 = S'."""
     if not isinstance(m, numbers.Integral):
         raise ParseError(f"tangent power {m!r} is not an integer")
-    return LineBundle(curve, lambda grid: grid._tangent ** (-m), chern=-int(m))
+    return LineBundle(curve, lambda grid: grid._tangent ** (-m), chern=-int(m),
+                      modes=partial(laurent.adjusted, curve,
+                                    laurent.tangent_power(curve, int(m)), None, None))
 
 
 def custom_bundle(curve, evaluator):
@@ -158,20 +161,21 @@ def custom_bundle(curve, evaluator):
 
 
 def _node_log(bundle, grid, c, a):
-    """The continuous log of lambda12 * (z - a)^{-c} at the grid nodes, from
-    one `unwrap_log` call (c = 0 leaves lambda12 as it is), or the bundle's
-    own log, given only for Chern class 0. With c the class and a inside the
+    """The continuous log of lambda12 * (z - a)^{-c} at the grid nodes,
+    anchored (`laurent.anchored`). A built-in bundle's is its modes at the
+    grid's radius (`laurent.density`); a custom bundle's is one `unwrap_log`
+    call (c = 0 leaves lambda12 as it is). With c the class and a inside the
     nodes no winding remains; one that does is a zero or pole of lambda12
     between the nodes and the curve (NearBoundaryError)."""
-    if bundle.log is not None:
-        return bundle.log(grid)
+    if bundle.modes is not None:
+        return laurent.density(bundle.modes(c, a), grid.n, grid.radius)
     vals = bundle.transition_at_nodes(grid)
     log, winding = unwrap_log(vals * (grid.z - a) ** (-c) if c else vals)
     if round(winding):
         raise NearBoundaryError(
             "a zero or pole of lambda12 lies between the curve and the nodes "
             f"|zeta| = {grid.radius:.6g}; refine the grid")
-    return log
+    return laurent.anchored(log)
 
 
 def chern_class(bundle, grid):
@@ -200,15 +204,10 @@ def _require_own_grid(bundle, grid):
 class SectionPair:
     """Canonical holomorphic section of a line bundle.
 
-    Stored as the unwrapped boundary log density; `evaluate_section` gives
-    its value f1 inside the curve and f2 outside, from the density's Cauchy
-    sum. For Chern class c > 0 the density is adjusted by (zeta - a)^{-c} and
-    f2 carries the factor (z - a)^{-c} back, so f2 ~ z^{-c} at infinity.
-    `_d_a`, set only by `canonical_section` when c > 0, is the distance from
-    a to the grid's nodes, from the kernel pass that decided a; it is no
-    constructor argument, so a section built by hand or by
-    `dataclasses.replace` has 0.0, and `verify_transition` decides a on each
-    ring by a side pass.
+    Stored as the boundary log density; `evaluate_section` gives its value
+    f1 inside the curve and f2 outside, from the density's Cauchy sum. For
+    Chern class c > 0 the density is adjusted by (zeta - a)^{-c} and f2
+    carries the factor (z - a)^{-c} back, so f2 ~ z^{-c} at infinity.
     """
 
     grid: ContourGrid
@@ -216,7 +215,6 @@ class SectionPair:
     chern: int
     adjustment: complex
     normalization: str
-    _d_a: float = field(default=0.0, init=False, repr=False)
 
 
 def canonical_section(bundle, grid, a=None):
@@ -226,45 +224,41 @@ def canonical_section(bundle, grid, a=None):
     unique section vanishing like 1/z. The adjustment point defaults to the
     bundle pole when that is interior, else to the conformal center phi(0);
     a pole in the exclusion band is a NearBoundaryError, not replaced.
-    The density is one `_node_log` unwrap of lambda12 (z - a)^{-c}: a
-    winding left over (a pole of lambda12 between the nodes and the curve)
-    is a NearBoundaryError, an unresolved phase a BranchUnresolvedError.
+    The density is `_node_log` of lambda12 (z - a)^{-c}: a built-in
+    bundle's modes, refused as an unresolved branch (BranchUnresolvedError)
+    where a zero or pole of lambda12 lies on the curve or too near it, or a
+    custom bundle's unwrap, where a winding left over (a pole of lambda12
+    between the nodes and the curve) is a NearBoundaryError and an
+    unresolved phase a BranchUnresolvedError.
     """
     c = chern_class(bundle, grid)
     if c < 0:
         raise NoHolomorphicSectionError(f"Chern class {c} < 0 admits no holomorphic sections")
-    adjustment, d_a = _resolve_adjustment(bundle, grid, a) if c else (None, 0.0)
-    density = _node_log(bundle, grid, c, adjustment)
-    normalization = ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z
-    section = SectionPair(grid=grid, density=density, chern=c,
-                          adjustment=adjustment, normalization=normalization)
-    object.__setattr__(section, "_d_a", d_a)  # frozen
-    return section
+    adjustment = _resolve_adjustment(bundle, grid, a) if c else None
+    return SectionPair(grid=grid, density=_node_log(bundle, grid, c, adjustment), chern=c,
+                       adjustment=adjustment,
+                       normalization=ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z)
 
 
 def _resolve_adjustment(bundle, grid, a):
-    """(a, d_a): a, else the bundle pole if interior, else the conformal
-    center, with its distance d_a to the nodes; one `curve.sides` pass
-    locates each candidate, and a candidate in the exclusion band is refused
-    (NearBoundaryError), the pole included."""
-    if a is None and bundle.pole is not None:
-        inside, d_a = _located(grid, complex(bundle.pole))
-        if inside:
-            return complex(bundle.pole), d_a
+    """a, else the bundle pole if interior, else the conformal center; one
+    `curve.sides` pass locates each candidate, and a candidate in the
+    exclusion band is refused (NearBoundaryError), the pole included."""
+    if a is None and bundle.pole is not None and _inside(grid, complex(bundle.pole)):
+        return complex(bundle.pole)
     a = complex(bundle.curve.conformal_center if a is None else a)
-    inside, d_a = _located(grid, a)
-    if not inside:
+    if not _inside(grid, a):
         raise AdjustmentPointNotInteriorError(f"adjustment point {a} is not strictly interior")
-    return a, d_a
+    return a
 
 
-def _located(grid, p):
-    """(inside, distance to the nodes) of p from one `curve.sides` pass,
-    refusing p in the band as `curve.off_band` does."""
-    near, inside, _, nearest = sides(grid, [p])
+def _inside(grid, p):
+    """Whether p is inside the curve, from one `curve.sides` pass, refusing p
+    in the band as `curve.off_band` does."""
+    near, inside, _, _ = sides(grid, [p])
     if near[0]:
         raise band_refusal(grid, p)
-    return bool(inside[0]), float(nearest[0])
+    return bool(inside[0])
 
 
 def evaluate_section(section, z):
@@ -302,12 +296,12 @@ def _kept(grid, build, *args):
 
 
 def _verification_rings(grid):
-    """The rings |zeta| = 1/r and r, r = 1 - 12 pi / n, of
-    `verify_transition`, sharing the grid's t; NearBoundaryError when they
-    leave the validated annulus."""
-    r = _clear_radius(grid.curve, _VERIFY_SPACINGS * (TWO_PI / grid.n))
+    """The grids of the rings |zeta| = 1/r and r, r = 1 - 12 pi / n, of
+    `verify_transition` (`_ring_modes`), sharing the grid's t, for a custom
+    bundle's ring densities; NearBoundaryError when they leave the
+    validated annulus."""
     return tuple(replace(_ring(grid.curve, grid.n, radius), t=grid.t)
-                 for radius in (1.0 / r, r))
+                 for radius, _, _ in _kept(grid, _ring_modes))
 
 
 def annulus_verification_points(grid, n_points=32):
@@ -356,10 +350,10 @@ def _point_sides(grid, points):
 
 
 def _ring_modes(grid):
-    """(scale, weight, need) for each verification ring of
-    `verify_transition`: arrays over the FFT frequencies k of n points,
-    scale = R^{-k}/n for the ring radius R and weight W_k from the kernel's
-    Laurent coefficients, and the adjustment point's `_ring_need`.
+    """(radius, rescale, weight) for each verification ring of
+    `verify_transition`, outer then inner: arrays over the FFT frequencies
+    k of n points, rescale = R^{-k} for the ring radius R and weight W_k
+    from the kernel's Laurent coefficients.
 
     zeta phi'/(phi - p) = sum_i zeta/(zeta - zeta_i) over the N roots zeta_i
     of phi - p (N the map's degree). A point p off the curve's band lies at
@@ -376,53 +370,52 @@ def _ring_modes(grid):
     and 1/|zeta_1|."""
     curve, n = grid.curve, grid.n
     k = np.fft.fftfreq(n, 1.0 / n)
-    a, l_in, l_out = curve._dphi_bounds
-    j, degree = np.arange(a.size), curve.degree
+    _, l_in, l_out = curve._dphi_bounds
     gap = grid.exclusion_band - l_in * np.pi / n
     s = 1.0 - max(gap, 0.0) / l_in
     sigma = max(curve.rho, l_out / (l_out + max(gap, 0.0)))
     m, negative = np.abs(k), k < 0
-    far = (degree - 1) * curve.rho ** m
+    far = (curve.degree - 1) * curve.rho ** m
     outer_weight = np.where(negative, far, s ** m)
     inner_weight = np.where(negative, sigma ** m + far, 0.0)
-    outer, inner = _kept(grid, _verification_rings)
-    return tuple((_read_only(ring.radius ** -k / n), _read_only(weight),
-                  _ring_need(ring, a, j, degree))
-                 for ring, weight in ((outer, outer_weight), (inner, inner_weight)))
+    r = _clear_radius(curve, _VERIFY_SPACINGS * (TWO_PI / n))
+    return tuple((radius, _read_only(radius ** -k), _read_only(weight))
+                 for radius, weight in ((1.0 / r, outer_weight), (r, inner_weight)))
 
 
-def _ring_need(ring, moduli, j, degree):
-    """The least distance d_a from an interior point to the curve's nodes at
-    which `curve.sides(ring, [point])` puts it inside the ring and off the
-    ring's band; moduli = |a_j| over the powers j, N = degree.
-
-    With R the ring radius and top = max(R, 1), L = sum j |a_j| top^(j-1)
-    bounds |phi'| on |zeta| <= top, so ring node k lies within |1 - R| L of
-    curve node k: the point p lies at least d = d_a - |1 - R| L from the
-    ring's nodes, off the band when d >= band. p = phi(zeta_0) with
-    |zeta_0| < 1 (p is interior, phi univalent on |zeta| <= 1/rho); on the
-    inner ring every point of phi(r <= |zeta| <= 1) lies within (1 - r) L
-    of the curve and every curve point within L pi/n of a node, so
-    d_a > (1 - r) L + L pi/n gives |zeta_0| < r. Every point of the ring's
-    image lies within L top pi/n of a ring node, so d >= L (top pi/n +
-    R (1 - x)) gives |zeta_0| <= x R. The ring's trapezoidal winding about p
-    is then within x^n/(1 - x^n) + (N - 1) v/(1 - v), v = (R rho)^n, of 1,
-    the other N - 1 roots of phi - p lying beyond 1/rho; x makes that 1/4,
-    leaving the rest to rounding (inf when the v term alone reaches 1/4).
-    The need adds 16 (N + 1) eps sum_j |a_j| top^j for the rounding of the
-    nodes and of the distances to them, and eight ulps of itself for that of
-    d_a."""
-    n, radius = ring.n, ring.radius
-    v = (radius * ring.curve.rho) ** n
-    spare = 0.25 - (degree - 1) * v / (1.0 - v)
-    if spare <= 0.0:
-        return np.inf
-    top = max(radius, 1.0)
-    lip = float(j @ (moduli * top ** (j - 1.0)))
-    shrink = -np.expm1(np.log(spare / (1.0 + spare)) / n)  # 1 - x
-    need = abs(1.0 - radius) * lip + max(ring.exclusion_band,
-                                         lip * (top * np.pi / n + radius * shrink))
-    return (need + 16 * (degree + 1) * EPS * float(moduli @ top ** j)) * (1.0 + 8 * EPS)
+def _ring_log_modes(bundle, grid, rings, c, a):
+    """The modes (DFT/n) of the density log(lambda12 (z - a)^{-c}) on each
+    verification ring of `rings` (0 outer, 1 inner), one row each. A
+    built-in bundle's are its Laurent series folded at the rings' radii,
+    with no ring grid; a custom bundle's are one unwrap on the kept ring
+    grid and one FFT. Ring by ring, the adjustment point must lie inside
+    the ring (NearBoundaryError): for a built-in bundle its preimage inside
+    the radius, for a custom one inside the ring's image and off its band
+    by one `curve.sides` pass of the ring; then the ring's density is
+    refused where `_node_log` or `laurent.check` refuses it."""
+    kept = _kept(grid, _ring_modes)
+    series = None if bundle.modes is None else bundle.modes(c, a)
+    rows = []
+    for ring in rings:
+        radius = kept[ring][0]
+        if series is not None:
+            placed = series.point < radius
+        else:
+            ring_grid = _kept(grid, _verification_rings)[ring]
+            placed = not c or sides(ring_grid, [a])[1][0]
+        if not placed:
+            raise NearBoundaryError(
+                f"adjustment point {a} is not strictly inside the ring "
+                f"|zeta| = {radius:.6g}; refine the grid")
+        if series is None:
+            rows.append(np.fft.fft(_node_log(bundle, ring_grid, c, a), norm="forward"))
+        else:
+            laurent.check(series, radius)
+    if series is None:
+        return np.array(rows)
+    modes = laurent.spectra(series, grid.n, [kept[ring][0] for ring in rings])
+    modes[:, 0] += series.constant
+    return modes
 
 
 def verify_transition(section, bundle, annulus_points):
@@ -434,15 +427,15 @@ def verify_transition(section, bundle, annulus_points):
     |zeta| = 1/r for interior points (f1) or r for exterior ones (f2),
     r = 1 - 6 * 2 pi / n. On the pullback circle that is a statement about
     Fourier modes: ring mode k is R^k times curve mode k. Each ring checked
-    gives e_k = fft(ring density)_k/n R^{-k} - fft(section.density)_k/n,
-    e_0 taken mod 2 pi i, and the value is the largest over the checked
-    sides of sum_k W_k |e_k| (`_ring_modes`). A side with no points is not
-    checked. The value bounds max |log f - log f_ring| over points off the
-    curve's band (the point residual the two rings' kernel passes gave),
-    under the standing assumption that phi is univalent on |zeta| <= 1/rho
-    (as `invert_conformal_map` assumes) and omitting the aliasing remainder
-    of the kernel's trapezoidal sums. It is stricter on high modes, since
-    the weights cover every point off the band while mode k reaches the
+    gives e_k = (ring modes)_k R^{-k} - fft(section.density)_k/n, e_0 taken
+    mod 2 pi i, and the value is the largest over the checked sides of
+    sum_k W_k |e_k| (`_ring_modes`). A side with no points is not checked.
+    The value bounds max |log f - log f_ring| over points off the curve's
+    band (the point residual the two rings' kernel passes gave), under the
+    standing assumption that phi is univalent on |zeta| <= 1/rho (as
+    `invert_conformal_map` assumes) and omitting the aliasing remainder of
+    the kernel's trapezoidal sums. It is stricter on high modes, since the
+    weights cover every point off the band while mode k reaches the
     verification points only as r_pts^|k|: 1e-8 e^{+-40it} added to a
     density gives more than 1e-9, where the point residual was 3e-14 on the
     cardioid at n = 512 and 3e-11 at n = 1024
@@ -450,41 +443,32 @@ def verify_transition(section, bundle, annulus_points):
     bundle and a density off log lambda12 (modes e^{ikt}: k >= 0 inside,
     k < 0 outside).
 
-    NearBoundaryError (refine the grid) refuses a point in the curve's band,
-    a ring off the validated annulus, an adjustment point that
-    `curve.sides(ring, [a])` does not put inside a checked ring and off its
-    band, and a zero or pole of lambda12 between ring and curve; a section
-    on a grid of another curve than the bundle's is a ParseError.
+    A built-in bundle's ring modes are its Laurent modes folded at the
+    ring's radius (`laurent.spectrum`): no ring grid, transition or unwrap,
+    and no kernel pass. A custom bundle's are one unwrap of lambda12
+    (z - a)^{-c} on the ring's grid and one FFT. Either way c and a are the
+    section's own Chern class and adjustment point.
 
-    Each ring's density is one `_node_log` unwrap of lambda12 (z - a)^{-c},
-    with c and a the section's own Chern class and adjustment point; once a
-    is inside the ring, a zero or pole between ring and curve shows as an
-    adjusted winding other than 0, which `_node_log` refuses. The two rings
-    with their scales, weights, tangents and needs are built once per grid
-    and kept on it. The grid's own verification points reuse their search's
+    NearBoundaryError (refine the grid) refuses a point in the curve's band,
+    a ring off the validated annulus, an adjustment point not strictly
+    inside a checked ring (`_ring_log_modes`), and a zero or pole of
+    lambda12 between ring and curve: a root whose series does not converge
+    at the ring, or a winding left over; a section on a grid of another
+    curve than the bundle's is a ParseError. The rings' radii, scales and
+    weights, and a custom bundle's ring grids, are built once per grid and
+    kept on it. The grid's own verification points reuse their search's
     band and side decision; any other points are decided afresh, and no
-    points is a ParseError. The adjustment point is inside a ring without a
-    side pass when the distance d_a that `canonical_section` measured for it
-    reaches the ring's `_ring_need`; else one side pass of the point decides
-    it, as for a section built by hand or by `dataclasses.replace`. The
-    winding checks run on every call."""
-    grid, a, c = section.grid, section.adjustment, section.chern
+    points is a ParseError."""
+    grid = section.grid
     _require_own_grid(bundle, grid)
     inside = _point_sides(grid, annulus_points)
-    curve_modes = np.fft.fft(section.density) / grid.n
-    worst = 0.0
-    rings = zip(_kept(grid, _verification_rings), _kept(grid, _ring_modes), (inside, ~inside))
-    for ring, (scale, weight, need), side in rings:
-        if not side.any():
-            continue
-        if c and section._d_a < need and not sides(ring, [a])[1][0]:
-            raise NearBoundaryError(
-                f"adjustment point {a} is not strictly inside the ring "
-                f"|zeta| = {ring.radius:.6g}; refine the grid")
-        e = np.fft.fft(_node_log(bundle, ring, c, a)) * scale - curve_modes
-        e[0] -= 2j * np.pi * np.round(e[0].imag / TWO_PI)  # branch of the log
-        worst = max(worst, float(weight @ np.abs(e)))
-    return worst
+    rings = [ring for ring, side in enumerate((inside, ~inside)) if side.any()]
+    kept = _kept(grid, _ring_modes)
+    e = _ring_log_modes(bundle, grid, rings, section.chern, section.adjustment)
+    e *= [kept[ring][1] for ring in rings]
+    e -= np.fft.fft(section.density, norm="forward")
+    e[:, 0] -= 2j * np.pi * np.round(e[:, 0].imag / TWO_PI)  # branch of the log
+    return float((np.abs(e) * [kept[ring][2] for ring in rings]).sum(axis=1).max())
 
 
 def verify_m_differential_match(f1_eval, f2_eval, curve, grid, m):

@@ -193,6 +193,12 @@ class ConformalMapCurve:
         """The roots of phi', computed once per curve (`_poly_roots`)."""
         return _poly_roots(self._dcoeffs)
 
+    @cached_property
+    def _center_roots(self):
+        """The roots of phi - a0, 0 and those of (phi - a0)/zeta, computed
+        once per curve: the preimages of the conformal center."""
+        return _poly_roots((0j, *self.coeffs[1:]))
+
     def moments(self, k_max):
         """The harmonic moments M_0 ... M_k_max, M_k = (1/pi) * integral of
         z^k dA over the domain, exactly from the map's coefficients a_j:

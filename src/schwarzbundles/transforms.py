@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import laurent
 from .curve import (
     Location,
     band_refusal,
@@ -214,9 +215,19 @@ def _pole_transition(grid, w):
 
 def _pole_density(grid, w, interior):
     """`canonical_section(schwarz_pole_bundle(curve, w), grid).density`, bit
-    for bit, at a located w: adjusted at w (Chern class 1) if interior."""
-    vals = _pole_transition(grid, w)
-    return unwrap_log(vals * (grid.z - w) ** (-1) if interior else vals)[0]
+    for bit, at a located w: the modes of 1/(S - conj w) from w's preimages
+    (`laurent.schwarz_pole`), adjusted at w (Chern class 1) if interior.
+    An array of exterior w, the rational fit's samples, gives one column
+    each, (n, m), from one unwrap of their node values: at 12 and 24
+    samples on 512 nodes that is faster than their power sums (Newton's
+    identities on a_l/(a0 - w)) or their roots. Either way anchored by
+    `laurent.anchored`."""
+    if np.ndim(w):
+        return laurent.anchored(unwrap_log(_pole_transition(grid, w))[0])
+    curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
+    series = laurent.adjusted(curve, laurent.schwarz_pole(curve, roots), w, roots,
+                              int(interior), w if interior else None)
+    return laurent.density(series, grid.n)
 
 
 def _double_cauchy_rows(grid, zs, w, w_inside):

@@ -16,10 +16,13 @@ package's C(z, w) from the Schwarz-pole section. The scalar polygon loops
 The transition check's point residual (`point_transition_residual`), one
 kernel pass per verification ring as the package computed it before its
 check compared Fourier modes, is what the spectral value must bound.
-`verify_transition_ring_pass` is `verify_transition` as it was written with
-a side pass of the adjustment point on each ring: where the package places
-the point from the distance its section measured, it must give the same
-bits and the same refusals.
+`node_log_by_unwrap` is a density as the package formed every one before
+the built-in bundles carried their Laurent modes: one unwrap of the
+transition's node values, on the curve or a ring; the modes must give it
+modulo 2 pi i. `verify_transition_ring_pass` is `verify_transition` through
+ring grids and those unwraps, with a side pass of the adjustment point on
+each ring: a custom bundle's check, and for a built-in bundle the value its
+modes must match where the side pass places the point.
 The per-order complex powers (`trapezoid_moments_loop`) are the reference
 for the trapezoidal moments' recurrence, and the moment check's sampling
 ring with its inverse FFT (`moment_expansion_loop`) for the check.
@@ -42,7 +45,6 @@ import numpy as np
 
 from schwarzbundles.bundles import (
     _kept,
-    _node_log,
     _point_sides,
     _require_own_grid,
     _ring_modes,
@@ -57,7 +59,7 @@ from schwarzbundles.curve import (
     off_band,
     sides,
 )
-from schwarzbundles.transforms import PHASE_STEP_LIMIT
+from schwarzbundles.transforms import PHASE_STEP_LIMIT, unwrap_log
 from schwarzbundles.errors import (
     BranchUnresolvedError,
     CurveNotSimpleError,
@@ -564,12 +566,26 @@ def tangent_power_at(curve, m, zeta):
     return pullback_tangent_loop(curve, zeta) ** (-int(m))
 
 
+def node_log_by_unwrap(bundle, grid, c, a):
+    """log(lambda12 (z - a)^{-c}) at the nodes of a grid, the curve's or a
+    ring's, from one unwrap of the transition's node values, as the package
+    formed every density before the built-in bundles carried their Laurent
+    modes; a winding left over is a NearBoundaryError."""
+    vals = bundle.transition_at_nodes(grid)
+    log, winding = unwrap_log(vals * (grid.z - a) ** (-c) if c else vals)
+    if round(winding):
+        raise NearBoundaryError(
+            "a zero or pole of lambda12 lies between the curve and the nodes "
+            f"|zeta| = {grid.radius:.6g}; refine the grid")
+    return log
+
+
 def point_transition_residual(section, bundle, annulus_points):
     """The contour-shift residual of the gluing f1 = lambda12 * f2 at the
     points: max |log f - log f_ring|, imaginary part mod 2 pi, with log f the
     curve's Cauchy sum of the section's density and log f_ring the sum of
     the ring's density (|zeta| = 1/r for interior points, r for exterior
-    ones) from one kernel pass per ring."""
+    ones; `node_log_by_unwrap`) from one kernel pass per ring."""
     grid, a, c = section.grid, section.adjustment, section.chern
     _require_own_grid(bundle, grid)
     pts = np.asarray(annulus_points, dtype=complex).reshape(-1)
@@ -582,7 +598,7 @@ def point_transition_residual(section, bundle, annulus_points):
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")
-        density = _node_log(bundle, ring, c, a)
+        density = node_log_by_unwrap(bundle, ring, c, a)
         delta = off_band(ring, pts[side], density)[1] - sums[side]
         delta -= 2j * np.pi * np.round(delta.imag / TWO_PI)  # branch of the log
         worst = max(worst, float(np.abs(delta).max()))
@@ -590,23 +606,26 @@ def point_transition_residual(section, bundle, annulus_points):
 
 
 def verify_transition_ring_pass(section, bundle, annulus_points):
-    """`verify_transition` with the adjustment point decided on each checked
-    ring by a side pass (`curve.sides(ring, [a])`), as it was written before
-    the point was placed from the section's measured distance."""
+    """`verify_transition` through ring grids for every bundle: each checked
+    ring's density one unwrap of the transition on the ring's grid
+    (`node_log_by_unwrap`), after a side pass (`curve.sides(ring, [a])`)
+    puts the adjustment point inside the ring and off its band, as the
+    package checked every bundle before the built-in ones carried their
+    Laurent modes, and as it checks a custom bundle still."""
     grid, a, c = section.grid, section.adjustment, section.chern
     _require_own_grid(bundle, grid)
     inside = _point_sides(grid, annulus_points)
     curve_modes = np.fft.fft(section.density) / grid.n
     worst = 0.0
     rings = zip(_kept(grid, _verification_rings), _kept(grid, _ring_modes), (inside, ~inside))
-    for ring, (scale, weight, _), side in rings:
+    for ring, (_, rescale, weight), side in rings:
         if not side.any():
             continue
         if c and not sides(ring, [a])[1][0]:
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {ring.radius:.6g}; refine the grid")
-        e = np.fft.fft(_node_log(bundle, ring, c, a)) * scale - curve_modes
+        e = np.fft.fft(node_log_by_unwrap(bundle, ring, c, a)) / grid.n * rescale - curve_modes
         e[0] -= 2j * np.pi * np.round(e[0].imag / TWO_PI)  # branch of the log
         worst = max(worst, float(weight @ np.abs(e)))
     return worst

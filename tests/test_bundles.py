@@ -212,23 +212,33 @@ def test_verify_transition_needs_both_rings(disk, disk_grid):
 
 
 def test_verify_transition_refuses_unplaceable_rings(disk):
-    # the adjustment point w = 0.9 sits in the inner ring's band at n = 512
-    bundle = sb.schwarz_pole_bundle(disk, 0.9)
-    for n, placeable in ((512, False), (1024, True), (4096, True)):
+    # the adjustment point w = 0.9 lies in the inner ring's band at n = 512:
+    # a custom bundle's side pass refuses it there, while the built-in pole's
+    # modes need only its preimage inside the ring (0.9 < r = 0.926), so the
+    # built-in section is checked at every n (a refusal narrowed). At n = 512
+    # the ring's 512 nodes alias the series of the root 0.9, 0.972^n: about
+    # 4.9e-9
+    pole = sb.schwarz_pole_bundle(disk, 0.9)
+    custom = sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.9))  # S = 1/z on the disk
+    for n, bound in ((512, 1e-8), (1024, 1e-12), (4096, 1e-12)):
         grid = sb.sample(disk, n)
-        section = sb.canonical_section(bundle, grid)
         pts = sb.annulus_verification_points(grid, 32)
-        if placeable:
-            assert sb.verify_transition(section, bundle, pts) <= 1e-12
+        assert sb.verify_transition(sb.canonical_section(pole, grid), pole, pts) <= bound
+        section = sb.canonical_section(custom, grid, a=0.9)
+        if n == 512:
+            with pytest.raises(NearBoundaryError, match="not strictly inside the ring"):
+                sb.verify_transition(section, custom, pts)
         else:
-            with pytest.raises(NearBoundaryError, match="refine the grid"):
-                sb.verify_transition(section, bundle, pts)
-    # the lambda12 pole 1/conj(w) ~ 1.053 lies inside the outer ring (1.08)
+            assert sb.verify_transition(section, custom, pts) <= 1e-12
+    # the lambda12 pole 1/conj(w) ~ 1.053 lies inside the outer ring (1.08):
+    # the built-in series does not converge there, the custom ring winds
     grid = sb.sample(disk, 512)
-    bundle = sb.schwarz_pole_bundle(disk, 0.95)
-    section = sb.canonical_section(bundle, grid, a=0)
-    with pytest.raises(NearBoundaryError, match="zero or pole"):
-        sb.verify_transition(section, bundle, sb.annulus_verification_points(grid))
+    pts = sb.annulus_verification_points(grid)
+    for bundle in (sb.schwarz_pole_bundle(disk, 0.95),
+                   sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.95))):
+        section = sb.canonical_section(bundle, grid, a=0)
+        with pytest.raises(NearBoundaryError, match="zero or pole"):
+            sb.verify_transition(section, bundle, pts)
     # the ring radius 1 - 12 pi / 1024 = 0.963 is too close to rho = 0.95
     thin = sb.build_circle(0, 1, rho=0.95)
     bundle = sb.exp_schwarz_bundle(thin)
@@ -729,27 +739,40 @@ def test_verify_transition_with_kept_rings_is_bit_identical(monkeypatch, coeffs,
         assert uncached < 1e-9
 
 
+def custom_twins(curve):
+    """Custom bundles of exp(S) and T, with S and T from the Newton
+    inversion of the nodes: unwrapped on every ring."""
+    return (sb.custom_bundle(curve, lambda z: np.exp(sb.schwarz_near(curve, z))),
+            sb.custom_bundle(curve, lambda z: sb.holomorphic_tangent(curve, z)))
+
+
 @pytest.mark.parametrize("n", [1024, 4096])
 @pytest.mark.parametrize("name", sorted(SECTION_CURVES))
 def test_verify_transition_unwraps_each_ring_once(monkeypatch, name, n):
-    # per call on both rings: no unwrap for exp-Schwarz (its own log), one
-    # per ring for a pole outside or inside (adjusted at it, Chern class 1),
-    # and for T^1 one per ring for the density (the root of g is a closed form)
+    # per call on both rings: a custom bundle's ring density is one unwrap
+    # of its transition per ring; a built-in bundle's (exp-Schwarz, a pole
+    # outside or inside, T^1) is its Laurent modes, with no unwrap and no
+    # transition value
     curve = sb.build_polynomial_curve(*SECTION_CURVES[name])
     grid = sb.sample(curve, n)
     pts = sb.annulus_verification_points(grid)
-    cases = ((sb.exp_schwarz_bundle(curve), 0), (sb.schwarz_pole_bundle(curve, 3), 2),
-             (sb.schwarz_pole_bundle(curve, 0.3 + 0.1j), 2),
-             (sb.tangent_power_bundle(curve, -1), 2))
+    cases = [(bundle, 0) for bundle in (
+        sb.exp_schwarz_bundle(curve), sb.schwarz_pole_bundle(curve, 3),
+        sb.schwarz_pole_bundle(curve, 0.3 + 0.1j), sb.tangent_power_bundle(curve, -1))]
+    cases += [(bundle, 2) for bundle in custom_twins(curve)]
     sections = [sb.canonical_section(bundle, grid) for bundle, _ in cases]
-    assert [section.chern for section in sections] == [0, 0, 1, 1]
-    calls = []
+    assert [section.chern for section in sections] == [0, 0, 1, 1, 0, 1]
+    calls, transitions = [], []
     unwrap = sb.bundles.unwrap_log
     monkeypatch.setattr(sb.bundles, "unwrap_log", lambda *a: calls.append(a) or unwrap(*a))
+    transition = sb.LineBundle.transition_at_nodes
+    monkeypatch.setattr(sb.LineBundle, "transition_at_nodes",
+                        lambda self, g: transitions.append(g) or transition(self, g))
     for section, (bundle, expected) in zip(sections, cases):
         calls.clear()
+        transitions.clear()
         assert sb.verify_transition(section, bundle, pts) < 1e-9
-        assert len(calls) == expected
+        assert len(calls) == len(transitions) == expected
 
 
 def test_unplaceable_rings_are_refused_on_every_call():
@@ -888,7 +911,7 @@ def adjustment_draws(draw):
     name = draw(st.sampled_from(sorted(SECTION_CURVES)))
     n = 2 ** draw(st.integers(8, 12))
     curve, grid = proof_grid(name, n)
-    inner = sb.bundles._kept(grid, sb.bundles._verification_rings)[1].radius
+    inner = sb.bundles._kept(grid, sb.bundles._ring_modes)[1][0]
     s = draw(st.one_of(
         st.floats(0.0, 1.0, exclude_max=True),
         st.floats(-4.0, 4.0).map(lambda u: inner + u * 2.0 * np.pi / n)))
@@ -896,104 +919,123 @@ def adjustment_draws(draw):
     return name, n, complex(curve.phi(s * np.exp(1j * theta)))
 
 
-def class_one_section(name, n, a):
-    """The T^1 section adjusted at a, or None where a is refused."""
+def class_one_sections(name, n, a):
+    """The T^1 sections adjusted at a of the built-in bundle and of its
+    custom twin, or None where a is refused."""
     curve, grid = proof_grid(name, n)
-    bundle = sb.tangent_power_bundle(curve, -1)
-    try:
-        return sb.canonical_section(bundle, grid, a=a), bundle
-    except (NearBoundaryError, AdjustmentPointNotInteriorError):
-        return None, bundle
+    pairs = []
+    for bundle in (sb.tangent_power_bundle(curve, -1), custom_twins(curve)[1]):
+        try:
+            pairs.append((sb.canonical_section(bundle, grid, a=a), bundle))
+        except (NearBoundaryError, AdjustmentPointNotInteriorError):
+            return None
+    return pairs
 
 
 def outcome(check, *args):
-    """The value's bits, or the refusal's class and message."""
+    """The value, or the refusal's class and message."""
     try:
-        return check(*args).hex()
+        return check(*args)
     except NearBoundaryError as exc:
         return type(exc), str(exc)
 
 
 @settings(max_examples=60)
 @given(draw=adjustment_draws())
-def test_ring_placement_proof_agrees_with_the_side_pass(draw):
-    # wherever d_a decides the adjustment point against a verification ring,
-    # the ring's side pass puts it inside the ring and off the ring's band
-    section, _ = class_one_section(*draw)
-    if section is None:
+def test_side_pass_placement_implies_the_modes_placement(draw):
+    # wherever the inner ring's side pass puts the adjustment point inside
+    # the ring and off its band, its preimage lies inside the ring: the modes
+    # place every point the side pass placed
+    name, n, a = draw
+    curve, grid = proof_grid(name, n)
+    pairs = class_one_sections(*draw)
+    if pairs is None:
         return
-    grid = section.grid
-    for ring, (_, _, need) in zip(sb.bundles._kept(grid, sb.bundles._verification_rings),
-                                  sb.bundles._kept(grid, sb.bundles._ring_modes)):
-        if section._d_a >= need:
-            near, inside, _, _ = sb.curve.sides(ring, [section.adjustment])
-            assert inside[0] and not near[0]
+    ring = sb.bundles._kept(grid, sb.bundles._verification_rings)[1]
+    near, inside, _, _ = sb.curve.sides(ring, [a])
+    series = pairs[0][1].modes(1, a)
+    if inside[0] and not near[0]:
+        assert series.point < ring.radius
 
 
 @settings(max_examples=60)
 @given(draw=adjustment_draws())
 def test_placed_adjustment_point_gives_the_ring_pass_outcome(draw):
-    # the value's bits, or the refusal's class and message, of the check that
-    # decided the adjustment point on each ring by a side pass
-    section, bundle = class_one_section(*draw)
-    if section is None:
+    # the built-in T^1 section's check against its custom twin's, which
+    # unwraps each ring after a side pass of the adjustment point: where the
+    # twin answers the built-in bundle answers the same to 1e-12, and where
+    # the twin's side pass refuses the point the built-in bundle answers or
+    # refuses it as well; the twin's check is the ring-pass oracle's
+    pairs = class_one_sections(*draw)
+    if pairs is None:
         return
+    (section, bundle), (twin_section, twin) = pairs
     try:
         points = sb.annulus_verification_points(section.grid, 32)
     except NearBoundaryError:  # the annulus is too thin for points at this n
         return
-    assert outcome(sb.verify_transition, section, bundle, points) == \
-        outcome(oracles.verify_transition_ring_pass, section, bundle, points)
+    twin_value = outcome(sb.verify_transition, twin_section, twin, points)
+    oracle = outcome(oracles.verify_transition_ring_pass, twin_section, twin, points)
+    value = outcome(sb.verify_transition, section, bundle, points)
+    if isinstance(twin_value, float):
+        assert twin_value == pytest.approx(oracle, abs=1e-13)
+        assert isinstance(value, float) and abs(value - twin_value) <= 1e-12
+    else:
+        assert twin_value == oracle
+        assert isinstance(value, float) or value[0] is NearBoundaryError
 
 
-def test_side_pass_runs_without_the_measured_distance(monkeypatch, cardioid):
-    # only canonical_section sets the distance: a section built by hand or by
-    # dataclasses.replace, whatever it changes, takes a side pass on each ring
+def test_class_one_side_pass_is_custom_only(monkeypatch, cardioid):
+    # a section has no distance to carry: a custom class-1 bundle's check
+    # takes one side pass of the adjustment point per checked ring, a
+    # built-in one none, whether the section came from canonical_section,
+    # by hand or by dataclasses.replace
     grid = sb.sample(cardioid, 1024)
     pts = sb.annulus_verification_points(grid, 32)
-    bundle = sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j)
-    section = sb.canonical_section(bundle, grid)
-    by_hand = sb.SectionPair(grid, section.density, 1, section.adjustment,
-                             section.normalization)
-    other_grid = sb.sample(cardioid, 1024)
-    sb.annulus_verification_points(other_grid, 32)  # the same points, their sides kept
-    replaced = [dataclasses.replace(section, **change) for change in (
-        {"grid": other_grid}, {"adjustment": 0.2 + 0.1j}, {"density": section.density + 1e-3})]
-    for args, kwargs in (((1e9,), {}), ((), {"_d_a": 1e9})):
-        with pytest.raises(TypeError):  # the distance is no constructor argument
-            sb.SectionPair(grid, section.density, 1, section.adjustment,
-                           section.normalization, *args, **kwargs)
+    assert [f.name for f in dataclasses.fields(sb.SectionPair)] == \
+        ["grid", "density", "chern", "adjustment", "normalization"]
     calls = []
     kernel_sums = sb.curve.kernel_sums
-    monkeypatch.setattr(sb.curve, "kernel_sums",
-                        lambda *a: calls.append(a) or kernel_sums(*a))
-    for other, passes in ((section, 0), (by_hand, 2), *((r, 2) for r in replaced)):
-        calls.clear()
-        got = outcome(sb.verify_transition, other, bundle, pts)
-        assert len(calls) == passes
-        assert got == outcome(oracles.verify_transition_ring_pass, other, bundle, pts)
-    assert outcome(sb.verify_transition, by_hand, bundle, pts) == \
-        outcome(sb.verify_transition, section, bundle, pts)
+    for bundle, passes in ((sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j), 0),
+                           (custom_twins(cardioid)[1], 2)):
+        section = sb.canonical_section(bundle, grid)
+        by_hand = sb.SectionPair(grid, section.density, 1, section.adjustment,
+                                 section.normalization)
+        moved = dataclasses.replace(section, adjustment=section.adjustment + 0.01)
+        monkeypatch.setattr(sb.curve, "kernel_sums",
+                            lambda *a: calls.append(a) or kernel_sums(*a))
+        for other in (section, by_hand, moved):
+            calls.clear()
+            value = sb.verify_transition(other, bundle, pts)
+            assert len(calls) == passes
+            assert (value < 1e-9) == (other is not moved)
+        monkeypatch.setattr(sb.curve, "kernel_sums", kernel_sums)
 
 
-def test_unproved_adjustment_point_is_refused_by_the_side_pass(monkeypatch, disk):
-    # the pole 0.9 on the disk at n = 512: d_a is below both rings' need,
-    # and the inner ring's side pass refuses it
+def test_adjustment_point_in_the_ring_band_is_refused_by_the_side_pass(monkeypatch, disk):
+    # the pole 0.9 on the disk at n = 512 lies in the inner ring's band: the
+    # custom twin's side passes refuse it (the outer ring's puts it inside,
+    # the inner's not), and the built-in pole's check answers with no pass
+    # (about 4.9e-9, the ring's aliasing of the root 0.9)
     grid = sb.sample(disk, 512)
-    bundle = sb.schwarz_pole_bundle(disk, 0.9)
-    section = sb.canonical_section(bundle, grid)
-    needs = [need for _, _, need in sb.bundles._kept(grid, sb.bundles._ring_modes)]
-    assert all(section._d_a < need for need in needs)
     pts = sb.annulus_verification_points(grid, 32)
     calls = []
     kernel_sums = sb.curve.kernel_sums
     monkeypatch.setattr(sb.curve, "kernel_sums",
                         lambda *a: calls.append(a) or kernel_sums(*a))
+    twin = sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.9))
+    section = sb.canonical_section(twin, grid, a=0.9)
+    calls.clear()
     with pytest.raises(NearBoundaryError, match="refine the grid"):
-        sb.verify_transition(section, bundle, pts)
-    assert len(calls) == 2  # the outer ring's pass puts 0.9 inside, the inner's not
-    assert outcome(sb.verify_transition, section, bundle, pts) == \
-        outcome(oracles.verify_transition_ring_pass, section, bundle, pts)
+        sb.verify_transition(section, twin, pts)
+    assert len(calls) == 2
+    assert outcome(sb.verify_transition, section, twin, pts) == \
+        outcome(oracles.verify_transition_ring_pass, section, twin, pts)
+    bundle = sb.schwarz_pole_bundle(disk, 0.9)
+    section = sb.canonical_section(bundle, grid)
+    calls.clear()
+    assert sb.verify_transition(section, bundle, pts) <= 1e-8
+    assert not calls
 
 
 @pytest.mark.parametrize("coeffs, rho", [([0, 1, 0.3], 0.7), (QUARTIC, 0.72), (SKEWED, 0.7)])
@@ -1007,18 +1049,20 @@ def test_kept_ring_tangent_powers_equal_the_closed_form(coeffs, rho):
         assert ring._tangent is ring._tangent
 
 
-def test_tangent_section_pulls_back_once_per_ring(monkeypatch, cardioid):
+def test_tangent_section_verifies_with_no_pullback(monkeypatch, cardioid):
+    # T^1's section and its check are the modes of log T: the closed-form
+    # tangent is evaluated on no grid, the curve's or a ring's
     grid = sb.sample(cardioid, 1024)
     pts = sb.annulus_verification_points(grid, 32)
     bundle = sb.tangent_power_bundle(cardioid, -1)
-    section = sb.canonical_section(bundle, grid)
     calls = []
     tangent = sb.curve._pullback_tangent
     monkeypatch.setattr(sb.curve, "_pullback_tangent",
                         lambda *a: calls.append(a) or tangent(*a))
+    section = sb.canonical_section(bundle, grid)
     first = sb.verify_transition(section, bundle, pts)
     assert sb.verify_transition(section, bundle, pts).hex() == first.hex()
-    assert len(calls) == 2 and first < 1e-9
+    assert not calls and first < 1e-12
 
 
 @pytest.mark.parametrize("n", [512, 1024, 4096])
@@ -1038,7 +1082,7 @@ def test_kept_arrays_are_read_only(cardioid):
     grid = sb.sample(cardioid, 512)
     sb.annulus_verification_points(grid, 32)
     outer, _ = sb.bundles._kept(grid, sb.bundles._verification_rings)
-    (scale, weight, _), _ = sb.bundles._kept(grid, sb.bundles._ring_modes)
+    (_, scale, weight), _ = sb.bundles._kept(grid, sb.bundles._ring_modes)
     points, inside = sb.bundles._kept(grid, sb.bundles._search_points, 16)
     for kept in (grid._schwarz, grid._tangent, outer._tangent, *grid._node_parts,
                  scale, weight, points, inside):
@@ -1048,23 +1092,24 @@ def test_kept_arrays_are_read_only(cardioid):
 
 def test_schwarz_function_is_evaluated_once_per_grid(monkeypatch, cardioid):
     # exp-Schwarz and two pole bundles, sections and transition checks on one
-    # grid: S is formed on the curve grid and on each verification ring once
+    # grid: their modes evaluate S on no grid; the transitions, asked for
+    # their values, form S on the curve grid and on each ring once
     grid = sb.sample(cardioid, 1024)
     pts = sb.annulus_verification_points(grid, 32)
+    rings = sb.bundles._kept(grid, sb.bundles._verification_rings)
     bundles = (sb.exp_schwarz_bundle(cardioid), sb.schwarz_pole_bundle(cardioid, 3),
                sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j))
     calls = []
     reflected = sb.curve.ConformalMapCurve.phi_reflected
     monkeypatch.setattr(sb.curve.ConformalMapCurve, "phi_reflected",
                         lambda self, zeta: calls.append(zeta.shape) or reflected(self, zeta))
-
-    def chains():
-        return [sb.verify_transition(sb.canonical_section(b, grid), b, pts) for b in bundles]
-
-    first = chains()
+    first = [sb.verify_transition(sb.canonical_section(b, grid), b, pts) for b in bundles]
+    assert not calls and max(first) < 1e-12
+    for _ in range(2):
+        for b in bundles:
+            for g in (grid, *rings):
+                b.transition_at_nodes(g)
     assert len(calls) == 3
-    assert [v.hex() for v in chains()] == [v.hex() for v in first]
-    assert len(calls) == 3 and max(first) < 1e-9
 
 
 def test_section_density_is_not_the_kept_schwarz_function(cardioid):
@@ -1073,3 +1118,125 @@ def test_section_density_is_not_the_kept_schwarz_function(cardioid):
         density = sb.canonical_section(bundle, grid).density
         assert density.flags.writeable
         assert not np.shares_memory(density, grid._schwarz)
+
+
+# Laurent modes against the unwrap of the transition (`oracles.node_log_by_unwrap`)
+
+TAYLOR6 = ([0, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720], 0.6)
+MODE_CURVES = {"cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72), "taylor-6": TAYLOR6}
+
+
+def mode_cases(curve):
+    """(label, bundle, c, a) of every built-in constructor: exp-Schwarz, a
+    pole outside, at the conformal center, inside (adjusted at itself and at
+    a user point), and T^1 (at the center and a user point) and T^2."""
+    inner = complex(curve.phi(0.3 * np.exp(1j)))
+    user = complex(curve.phi(0.2 * np.exp(-2j)))
+    center = curve.conformal_center
+    outside = sb.schwarz_pole_bundle(curve, complex(curve.phi(1.6 * np.exp(2j))))
+    return (("exp-schwarz", sb.exp_schwarz_bundle(curve), 0, None),
+            ("pole outside", outside, 0, None),
+            ("pole at a0", sb.schwarz_pole_bundle(curve, center), 1, center),
+            ("pole inside", sb.schwarz_pole_bundle(curve, inner), 1, inner),
+            ("pole inside, user a", sb.schwarz_pole_bundle(curve, inner), 1, user),
+            ("T^1", sb.tangent_power_bundle(curve, -1), 1, center),
+            ("T^1, user a", sb.tangent_power_bundle(curve, -1), 1, user),
+            ("T^2", sb.tangent_power_bundle(curve, -2), 2, center))
+
+
+def mod_two_pi_i(d):
+    """d with its imaginary part taken mod 2 pi into [-pi, pi)."""
+    return d.real + 1j * ((d.imag + np.pi) % (2 * np.pi) - np.pi)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(MODE_CURVES))
+def test_mode_densities_equal_the_unwrap_on_the_curve_and_both_rings(name, n):
+    curve = sb.build_polynomial_curve(*MODE_CURVES[name])
+    grid = sb.sample(curve, n)
+    r = 1.0 - 6.0 * (2.0 * np.pi / n)
+    for label, bundle, c, a in mode_cases(curve):
+        assert bundle.chern == c, label
+        for g in (grid, _ring(curve, n, 1.0 / r), _ring(curve, n, r)):
+            modes = sb.bundles._node_log(bundle, g, c, a)
+            unwrapped = oracles.node_log_by_unwrap(bundle, g, c, a)
+            assert np.abs(mod_two_pi_i(modes - unwrapped)).max() <= 1e-13, (label, g.radius)
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("name", sorted(MODE_CURVES))
+def test_builtin_checks_equal_the_ring_path(name, n):
+    # each built-in section's check from its modes, against the same check
+    # through ring grids and unwraps of the same lambda12 (the custom path),
+    # and against the package's check of a custom bundle of exp(S) and T
+    curve = sb.build_polynomial_curve(*MODE_CURVES[name])
+    grid = sb.sample(curve, n)
+    try:
+        pts = sb.annulus_verification_points(grid, 32)
+    except NearBoundaryError:  # the annulus is too thin for points at this n
+        return
+    for label, bundle, c, a in mode_cases(curve):
+        section = sb.canonical_section(bundle, grid, a=a)
+        value = sb.verify_transition(section, bundle, pts)
+        ring_path = oracles.verify_transition_ring_pass(section, bundle, pts)
+        assert abs(value - ring_path) <= 1e-12 and value <= 1e-11, (label, value, ring_path)
+    for bundle, twin in zip((sb.exp_schwarz_bundle(curve), sb.tangent_power_bundle(curve, -1)),
+                            custom_twins(curve)):
+        values = [sb.verify_transition(sb.canonical_section(b, grid), b, pts)
+                  for b in (bundle, twin)]
+        assert abs(values[0] - values[1]) <= 1e-12, values
+
+
+def test_anchor_puts_a_phase_of_pi_on_one_branch():
+    # node 0's phase within a few ulps of pi, on either side of the cut, and
+    # exactly at -pi: every route lands on the same branch, near +pi
+    for phase in (np.pi, np.nextafter(np.pi, 4.0), np.nextafter(np.pi, 0.0),
+                  np.pi - 4e-16, np.pi + 4e-16, -np.pi, -np.pi + 4e-16, -np.pi - 4e-16):
+        log = np.array([0.5 + 1j * phase, 0.1 + 0.2j])
+        got = sb.laurent.anchored(log.copy())
+        assert abs(got[0].imag - np.pi) <= 1e-15 and got[1] - got[0] == log[1] - log[0]
+    # elsewhere the anchor is the principal branch of node 0
+    for phase in (0.0, 3.0, -3.0, 5.0, -5.0, 40.0):
+        got = sb.laurent.anchored(np.array([1j * phase]))[0].imag
+        assert -np.pi < got <= np.pi and abs(np.exp(1j * got) - np.exp(1j * phase)) < 1e-14
+
+
+def test_tangent_square_at_a_real_node_takes_one_branch_on_every_route():
+    # with real coefficients T = i at node 0, so T^2 (z - a0)^{-2} is a
+    # negative real there: the modes and the unwrap of its node values, the
+    # built-in section and a custom one, anchor node 0 at the same phase pi
+    curve = sb.build_polynomial_curve(*TAYLOR6)
+    bundle = sb.tangent_power_bundle(curve, -2)
+    twin = sb.custom_bundle(curve, lambda z: sb.holomorphic_tangent(curve, z) ** 2)
+    for n in (256, 1024, 4096):
+        grid = sb.sample(curve, n)
+        value = bundle.transition_at_nodes(grid)[0] * (grid.z[0] - curve.conformal_center) ** -2
+        assert value.real < 0.0 and abs(value.imag) <= 1e-15 * abs(value)
+        densities = [sb.canonical_section(b, grid).density for b in (bundle, twin)]
+        densities.append(sb.laurent.anchored(oracles.node_log_by_unwrap(bundle, grid, 2, 0j)))
+        for density in densities:
+            assert abs(density[0].imag - np.pi) <= 1e-12
+        assert max(np.abs(d - densities[0]).max() for d in densities[1:]) <= 1e-12
+
+
+def test_roots_on_or_beside_the_curve_are_refused(disk):
+    # a pole on a node is a root of phi - w on |zeta| = 1, an unresolved
+    # branch; a zero or pole of lambda12 between the curve and a ring (1/conj
+    # w between r and 1, or between 1 and 1/r) has a series that does not
+    # converge at that ring
+    grid = sb.sample(disk, 512)
+    for node in (1.0, 1j, -1.0):  # |zeta| = 1 exactly: class 0, no branch
+        with pytest.raises(BranchUnresolvedError, match="not finite"):
+            sb.canonical_section(sb.schwarz_pole_bundle(disk, node), grid)
+    pts = sb.annulus_verification_points(grid, 32)
+    r = 1.0 - 6.0 * (2.0 * np.pi / 512)
+    for w, a in ((0.5 * (1.0 + 1.0 / r), None), (0.5 * (1.0 + r), 0j)):
+        bundle = sb.schwarz_pole_bundle(disk, w)
+        section = sb.canonical_section(bundle, grid, a=a)
+        with pytest.raises(NearBoundaryError, match="zero or pole of lambda12 lies between"):
+            sb.verify_transition(section, bundle, pts)
+    # the adjustment point's preimage just outside the inner ring
+    bundle = sb.tangent_power_bundle(disk, -1)
+    section = sb.canonical_section(bundle, grid, a=1.005 * r)
+    with pytest.raises(NearBoundaryError, match="adjustment point .* not strictly inside"):
+        sb.verify_transition(section, bundle, pts)

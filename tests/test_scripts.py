@@ -53,33 +53,29 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "section_passes.py")],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120, check=True)
-    table, margins = proc.stdout.split("\n\n")
-    rows = [line.split() for line in table.splitlines()[2:]]
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     # unwrap_log/transition_at_nodes/kernel_sums/phi_reflected per step:
     # chern_class, canonical_section, annulus_verification_points,
-    # verify_transition and verify_transition again. The built-in classes are
-    # stored, and a section is one unwrap of the transition; the verification
-    # points take one distance pass per radius; verify_transition takes their
-    # sides from that search, places a Chern class 1 adjustment point on each
-    # ring from the distance canonical_section measured, with no pass, and
-    # compares the rings by their Fourier modes; a second call makes the same
-    # passes. S is evaluated once per grid, the curve's and each ring's, by
-    # the bundles built from it, and kept: a second call evaluates it on none
-    expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/1", "0/0/{}/0", "0/0/0/2", "0/0/0/0"],
-                "pole-exterior": ["0/0/0/0", "1/1/0/1", "0/0/{}/0", "2/2/0/2", "2/2/0/0"],
-                "pole-interior": ["0/0/0/0", "1/1/1/1", "0/0/{}/0", "2/2/0/2", "2/2/0/0"],
-                "tangent-m-1": ["0/0/0/0", "1/1/1/0", "0/0/{}/0", "2/2/0/0", "2/2/0/0"],
-                "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"]}
+    # verify_transition and verify_transition again. A built-in bundle's
+    # class is stored, and its section and check are its Laurent modes: no
+    # unwrap, transition value or Schwarz function, and one kernel pass to
+    # locate a Chern class 1 adjustment point. The verification points take
+    # one distance pass per radius, and verify_transition takes their sides
+    # from that search. A custom bundle unwraps its transition for its class,
+    # for its section and once per verification ring, and at Chern class 1
+    # places the adjustment point on each ring by a side pass; a second call
+    # makes the same passes
+    expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
+                "pole-exterior": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
+                "pole-interior": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
+                "tangent-m-1": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
+                "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"],
+                "custom-exp-schwarz": ["1/1/0/1", "2/2/0/2", "0/0/{}/0", "2/2/0/2", "2/2/0/2"],
+                "custom-tangent": ["1/1/0/0", "2/2/1/0", "0/0/{}/0", "2/2/2/0", "2/2/2/0"]}
     radii = {"disk": 1, "cardioid": 6, "quartic": 3}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
         (curve, kind): [cell.format(count) for cell in cells]
         for curve, count in radii.items() for kind, cells in expected.items()}
-    # every class-1 chain's d_a clears both rings' need, by a margin
-    ratios = {(row[0], row[1]): [float(r) for r in row[2:]]
-              for row in (line.split() for line in margins.splitlines()[1:])}
-    assert set(ratios) == {(curve, kind) for curve in radii
-                           for kind in ("pole-interior", "tangent-m-1")}
-    assert all(len(pair) == 2 and min(pair) > 2.0 for pair in ratios.values())
 
 
 def test_heap_faults_reports_every_op_and_the_kernel_peak():

@@ -5,8 +5,10 @@ function of the package is referenced somewhere in the package, every
 module-level UPPER_CASE constant of the package is read somewhere in the
 package, no package function imports (a dependency, and a cycle between package
 modules, shows in the module header), and every refusal class in
-`errors.py` is raised somewhere in the package. A package `__init__.py`
-imports to re-export, so its imports are exempt from the first check.
+`errors.py` is raised somewhere in the package, and every built-in bundle
+constructor gives its bundle the Laurent modes of its log (only
+`custom_bundle` builds one without). A package `__init__.py` imports to
+re-export, so its imports are exempt from the first check.
 
 The README is held to the code it documents: its experiment block names
 every script under `scripts/` and nothing else, and its list of exit codes
@@ -113,6 +115,24 @@ def test_every_refusal_class_is_raised_in_the_package():
     assert refusals
     unraised = sorted(set(refusals) - constructed)
     assert not unraised, f"refusal classes the package never raises: {unraised}"
+
+
+def test_every_builtin_bundle_constructor_sets_the_modes():
+    # a built-in bundle without modes would unwrap its transition on the
+    # curve and on every ring, as only a custom bundle should
+    built = {}
+    for path in PACKAGE:
+        for func in _tree(path).body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "LineBundle":
+                    built[func.name] = {kw.arg for kw in node.keywords}
+    assert set(built) == {"exp_schwarz_bundle", "schwarz_pole_bundle", "tangent_power_bundle",
+                          "custom_bundle"}
+    assert "modes" not in built.pop("custom_bundle")
+    assert all("modes" in keywords for keywords in built.values()), built
 
 
 def test_the_readme_experiment_block_names_every_script():
