@@ -1,0 +1,93 @@
+"""The rational fit's Schwarz-pole sample columns by three routes: their
+time and their agreement.
+
+`transforms._pole_density` of an array of exterior w, the sample columns of
+`fit_rational_structure`, unwraps their node values 1/(S - conj w) in one
+call. The Laurent modes of the same logs, -log conj(a0 - w) + sum_m
+conj(p_m) zeta^-m/m with p_m the power sums of the inverse preimages of w,
+need no unwrap; they come here from Newton's identities on b_l = a_l/(a0 -
+w) (`curve._power_sums`), or from the roots themselves by one batched
+companion eigenvalue call. The inputs are the `sweep` workload's fits: 12
+samples on the cardioid and 24 on the quartic at n = 512, on rings at 1.6
+and 2.4 times the curve's largest node modulus. The modes' count is the
+least whose tail is within EPS at the bound sigma of the kernel's pullback
+route, max(rho, L_out/(L_out + g)), g the samples' least distance to the
+nodes less L_in pi/n. Each row gives the best time of `rounds` over 50
+calls of each route, and the largest difference mod 2 pi i of the modes'
+columns from the unwrapped ones.
+
+Usage: python scripts/pole_columns.py [rounds]   (default 5)
+"""
+
+import sys
+import timeit
+
+import numpy as np
+
+import schwarzbundles as sb
+from schwarzbundles import laurent, transforms
+from schwarzbundles.curve import _power_sums
+
+CURVES = (("cardioid", [0, 1, 0.3], 0.7, 12),
+          ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75, 24))
+
+
+def samples(grid, count):
+    """Two rings of exterior samples, as the `sweep` workload draws them."""
+    scale = np.abs(grid.z).max()
+    half = count // 2
+    return np.concatenate([1.6 * scale * np.exp(2j * np.pi * (np.arange(half) + 0.3) / half),
+                           2.4 * scale * np.exp(2j * np.pi * (np.arange(count - half) + 0.7)
+                                                / (count - half))])
+
+
+def modes_columns(grid, zs, power_sums, count):
+    """The columns from the power sums (count, m) of the inverse preimages."""
+    a0 = grid.curve.coeffs[0]
+    bins = np.zeros((grid.n, zs.size), dtype=complex)
+    bins[grid.n - count:] = (np.conjugate(power_sums) / np.arange(1.0, count + 1)[:, None])[::-1]
+    return np.fft.ifft(bins, axis=0, norm="forward") - np.log(np.conjugate(a0 - zs))
+
+
+def newton(grid, zs, count):
+    a = np.array(grid.curve.coeffs[:grid.curve.degree + 1])
+    return modes_columns(grid, zs, _power_sums(np.multiply.outer(a[1:], 1.0 / (a[0] - zs)),
+                                               count), count)
+
+
+def eigenvalues(grid, zs, count):
+    a = np.array(grid.curve.coeffs[:grid.curve.degree + 1])
+    degree = a.size - 1
+    companion = np.zeros((zs.size, degree, degree), dtype=complex)
+    companion[:, 0] = -np.multiply.outer(1.0 / (a[0] - zs), a[1:])
+    companion[:, np.arange(1, degree), np.arange(degree - 1)] = 1.0
+    u = np.linalg.eigvals(companion)  # (m, N) inverse preimages
+    powers = np.cumprod(np.broadcast_to(u, (count, *u.shape)), axis=0)
+    return modes_columns(grid, zs, powers.sum(axis=2), count)
+
+
+def main(rounds):
+    print(f"best of {rounds} rounds of 50 calls, us per call; difference mod 2 pi i")
+    print(f"{'curve':9s} {'w':>3s} {'terms':>5s} {'unwrap':>8s} {'newton':>8s} "
+          f"{'eigvals':>8s} {'newton diff':>12s} {'eigvals diff':>12s}")
+    for name, coeffs, rho, count in CURVES:
+        curve = sb.build_polynomial_curve(coeffs, rho)
+        grid = sb.sample(curve, 512)
+        zs = samples(grid, count)
+        _, l_in, l_out = curve._dphi_bounds
+        gap = sb.kernel_sums(grid, zs)[0].min() - l_in * np.pi / grid.n
+        terms = laurent.terms(max(curve.rho, l_out / (l_out + gap)), curve.degree)
+        unwrapped = transforms._pole_density(grid, zs, False)
+        row = [f"{name:9s} {count:3d} {terms:5d}"]
+        diffs = []
+        for route in (lambda: transforms._pole_density(grid, zs, False),
+                      lambda: newton(grid, zs, terms), lambda: eigenvalues(grid, zs, terms)):
+            best = min(timeit.repeat(route, number=50, repeat=rounds)) / 50
+            row.append(f"{1e6 * best:8.1f}")
+            d = route() - unwrapped
+            diffs.append(np.abs(d.real + 1j * ((d.imag + np.pi) % (2 * np.pi) - np.pi)).max())
+        print(" ".join(row) + f" {diffs[1]:12.2e} {diffs[2]:12.2e}")
+
+
+if __name__ == "__main__":
+    main(int(sys.argv[1]) if len(sys.argv) > 1 else 5)

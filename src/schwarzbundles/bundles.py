@@ -226,10 +226,10 @@ def canonical_section(bundle, grid, a=None):
     a pole in the exclusion band is a NearBoundaryError, not replaced.
     The density is `_node_log` of lambda12 (z - a)^{-c}: a built-in
     bundle's modes, refused as an unresolved branch (BranchUnresolvedError)
-    where a zero or pole of lambda12 lies on the curve or too near it, or a
-    custom bundle's unwrap, where a winding left over (a pole of lambda12
-    between the nodes and the curve) is a NearBoundaryError and an
-    unresolved phase a BranchUnresolvedError.
+    where a zero or pole of lambda12 lies on the curve, or a custom
+    bundle's unwrap, where a winding left over (a pole of lambda12 between
+    the nodes and the curve) is a NearBoundaryError and an unresolved phase
+    a BranchUnresolvedError.
     """
     c = chern_class(bundle, grid)
     if c < 0:
@@ -255,7 +255,7 @@ def _resolve_adjustment(bundle, grid, a):
 def _inside(grid, p):
     """Whether p is inside the curve, from one `curve.sides` pass, refusing p
     in the band as `curve.off_band` does."""
-    near, inside, _, _ = sides(grid, [p])
+    near, inside, _ = sides(grid, [p])
     if near[0]:
         raise band_refusal(grid, p)
     return bool(inside[0])
@@ -330,7 +330,7 @@ def _search_points(grid, half):
     while True:
         r_in = _clear_radius(curve, s)
         pts = np.concatenate([curve.phi(r_in * base), curve.phi((1.0 / r_in) * base)])
-        near, inside, _, _ = sides(grid, pts)
+        near, inside, _ = sides(grid, pts)
         if not near.any():
             return _read_only(pts), _read_only(inside)
         s *= 1.3
@@ -443,17 +443,17 @@ def verify_transition(section, bundle, annulus_points):
     bundle and a density off log lambda12 (modes e^{ikt}: k >= 0 inside,
     k < 0 outside).
 
-    A built-in bundle's ring modes are its Laurent modes folded at the
-    ring's radius (`laurent.spectrum`): no ring grid, transition or unwrap,
-    and no kernel pass. A custom bundle's are one unwrap of lambda12
+    A built-in bundle's ring modes are its Laurent modes at the ring's
+    radius (`laurent.spectra`, both rings at once): no ring grid, transition
+    or unwrap, and no kernel pass. A custom bundle's are one unwrap of lambda12
     (z - a)^{-c} on the ring's grid and one FFT. Either way c and a are the
     section's own Chern class and adjustment point.
 
     NearBoundaryError (refine the grid) refuses a point in the curve's band,
     a ring off the validated annulus, an adjustment point not strictly
     inside a checked ring (`_ring_log_modes`), and a zero or pole of
-    lambda12 between ring and curve: a root whose series does not converge
-    at the ring, or a winding left over; a section on a grid of another
+    lambda12 between ring and curve: a root of a built-in bundle's series on
+    the wrong side of the ring, or a winding left over; a section on a grid of another
     curve than the bundle's is a ParseError. The rings' radii, scales and
     weights, and a custom bundle's ring grids, are built once per grid and
     kept on it. The grid's own verification points reuse their search's

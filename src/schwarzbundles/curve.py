@@ -28,9 +28,8 @@ distance that clears the exclusion band: the band and side decisions are
 those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
-into the points in the exclusion band, the interior points, the sums and
-the distances the band was decided from, and `off_band` refuses a batch
-with a point in the band. Every caller that classifies points or sums at
+into the points in the exclusion band, the interior points and the sums,
+and `off_band` refuses a batch with a point in the band. Every caller that classifies points or sums at
 them goes through them, the one-point section and Cauchy-integral
 evaluators included.
 
@@ -38,8 +37,8 @@ All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
 alone (here its node parts, its annulus, the Schwarz function S and the
 unit tangent T at its nodes; in `bundles` its verification rings and
-points), and a map curve the roots of phi'; a race only computes the same
-value twice. The arrays kept are read-only, and no value kept depends on a
+points), and a map curve the roots of phi' and of phi - a0; a race only
+computes the same value twice. The arrays kept are read-only, and no value kept depends on a
 bundle, a pole or a point.
 """
 
@@ -129,9 +128,13 @@ class Location(Enum):
 def _poly_roots(coeffs):
     """The roots of sum_k coeffs[k] zeta^k. High-order coefficients too small
     to put a root anywhere near the validation disk are trimmed first: they
-    only overflow the companion matrix."""
+    only overflow the companion matrix. A linear polynomial's root is
+    -coeffs[0]/coeffs[1], the bits `np.roots` gives it, without its
+    eigenvalue call."""
     tiny = max(abs(c) for c in coeffs) * 1e-290
     top = max((k for k, c in enumerate(coeffs) if abs(c) > tiny), default=0)
+    if top == 1 and coeffs[0]:
+        return -np.array(coeffs[:1], dtype=complex) / complex(coeffs[1])
     return np.roots(coeffs[top::-1])
 
 
@@ -978,13 +981,12 @@ def winding_number(grid, z):
 
 
 def sides(grid, points, density=None):
-    """(near, inside, sums, nearest) of the points from one `kernel_sums`
-    pass.
+    """(near, inside, sums) of the points from one `kernel_sums` pass.
 
     The one band and side decision of the package: near marks the points
-    closer to a node than the exclusion band, inside the points off the band
-    that the curve winds around; sums are the pass's Cauchy sums and nearest
-    its distances, from which the band was decided. A batch
+    closer to a node than the exclusion band, as the pass measured them,
+    inside the points off the band that the curve winds around; sums are the
+    pass's Cauchy sums. A batch
     with a non-finite point is refused as a whole (ParseError); a finite
     point too far for its squared distance to be finite is still decided.
     """
@@ -994,13 +996,13 @@ def sides(grid, points, density=None):
     if not np.isfinite(nearest).all() and not np.isfinite(points).all():
         raise ParseError("points must be finite")
     near = nearest < grid.exclusion_band
-    return near, ~near & (winding > 0.5), sums, nearest
+    return near, ~near & (winding > 0.5), sums
 
 
 def off_band(grid, points, density=None):
     """(inside, sums) of `sides`, refusing the first point in the band."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
-    near, inside, sums, _ = sides(grid, pts, density)
+    near, inside, sums = sides(grid, pts, density)
     if near.any():
         raise band_refusal(grid, complex(pts[near][0]))
     return inside, sums
@@ -1012,7 +1014,7 @@ def locate(grid, z):
     NEAR_BOUNDARY means closer to a grid node than the exclusion band; it is
     a classification, not an error, but evaluating transforms there is refused.
     """
-    near, inside, _, _ = sides(grid, [z])
+    near, inside, _ = sides(grid, [z])
     if near[0]:
         return Location.NEAR_BOUNDARY
     return Location.INTERIOR if inside[0] else Location.EXTERIOR

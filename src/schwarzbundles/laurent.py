@@ -45,16 +45,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curve import EPS, KERNEL_BLOCK, TWO_PI, _poly_roots
+from .curve import EPS, TWO_PI, _poly_roots
 from .errors import BranchUnresolvedError, NearBoundaryError
 
 # The branch cut of node 0's phase sits this far past pi: a negative real
 # value (T^2 at node 0 of a curve with real coefficients) has phase pi on
 # every route, whichever way rounding tips its imaginary part.
 ANCHOR_TILT = 1e-9
-
-# The power of R that scales the modes of zeta^-m and of zeta^m at |zeta| = R.
-_SIDES = np.array([-1.0, 1.0])
 
 
 class Laurent(NamedTuple):
@@ -165,19 +162,11 @@ def check(laurent, radius):
 def _series(roots, weights, count):
     """(count, 2): the modes of zeta^-m and zeta^m, m = 1 .. count, at R = 1
     of the roots, weights[i] = (inner weight, outer weight) of root i (one
-    of them 0): one cumulative product of the roots' powers, in chunks of
-    about KERNEL_BLOCK entries, and one product by the weights."""
-    weights = np.array(weights, dtype=complex)
-    modes = np.empty((count, 2), dtype=complex)
-    width, power = max(1, KERNEL_BLOCK // len(roots)), None
-    for lo in range(0, count, width):
-        table = np.empty((min(width, count - lo), len(roots)), dtype=complex)
-        table[:] = roots
-        np.cumprod(table, axis=0, out=table)
-        if power is not None:
-            table *= power
-        power = table[-1]
-        np.matmul(table, weights, out=modes[lo:lo + table.shape[0]])
+    of them 0): one cumulative product of the roots' powers, fewer than n
+    rows, and one product by the weights."""
+    table = np.array(roots)[None].repeat(count, axis=0)
+    np.cumprod(table, axis=0, out=table)
+    modes = table @ np.array(weights, dtype=complex)
     modes /= -np.arange(1.0, count + 1)[:, None]
     return modes
 
@@ -202,29 +191,21 @@ def spectra(laurent, n, radii):
                 count = max(count, own)
             else:
                 near.append((root, weight, side))
-    size = max(count, len(laurent.explicit))
-    modes = np.zeros((size, 2), dtype=complex)  # zeta^-m, zeta^m at R = 1
+    radii = np.asarray(radii, dtype=float)[:, None]
+    bins = np.zeros((radii.size, n), dtype=complex)
     if count:
-        modes[:count] = _series(roots, weights, count)
-    if laurent.explicit:
-        modes[:len(laurent.explicit), 0] += laurent.explicit
-    if lo != 1.0 or hi != 1.0:  # the modes at each R: c_m R^m
-        powers = np.power.outer(np.asarray(radii, dtype=float), np.arange(1.0, size + 1))
-        modes = modes * powers[:, :, None] ** _SIDES
-    else:
-        modes = modes[None]
-    bins = np.zeros((len(radii), n), dtype=complex)
-    if size >= n:  # S of a degree of n or more: fold mod n
-        blocks = -(-(size + 1) // n)
-        padded = np.zeros((len(radii), blocks * n, 2), dtype=complex)
-        padded[:, 1:size + 1] = modes
-        folded = padded.reshape(len(radii), blocks, n, 2).sum(axis=1)
-        bins[:, 0], modes, size = folded[:, 0].sum(axis=1), folded[:, 1:], n - 1
-    bins[:, 1:size + 1] += modes[:, :, 1]
-    bins[:, n - size:] += modes[:, ::-1, 0]  # zeta^-m in bin n - m
+        modes = _series(roots, weights, count)
+        if lo != 1.0 or hi != 1.0:  # at |zeta| = R: c_m R^m
+            power = radii ** np.arange(1.0, count + 1)
+            modes = np.stack([modes[:, 0] / power, modes[:, 1] * power], axis=2)
+        bins[:, 1:count + 1] = modes[..., 1]
+        bins[:, n - count:] += modes[..., ::-1, 0]  # zeta^-m in bin n - m
+    if laurent.explicit:  # S's modes, of zeta^-1 .. zeta^-N, folded when N >= n
+        j = np.arange(1, len(laurent.explicit) + 1)
+        np.add.at(bins, (slice(None), -j % n), np.array(laurent.explicit) * radii ** -j)
     if near:
         nodes = np.exp(1j * (TWO_PI / n) * np.arange(n))
-        for row, radius in zip(bins, radii):
+        for row, radius in zip(bins, radii[:, 0]):
             logs = sum(w * np.log1p(-(r / radius * nodes.conjugate() if side == 0
                                       else r * radius * nodes))
                        for r, w, side in near)

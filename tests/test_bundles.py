@@ -952,7 +952,7 @@ def test_side_pass_placement_implies_the_modes_placement(draw):
     if pairs is None:
         return
     ring = sb.bundles._kept(grid, sb.bundles._verification_rings)[1]
-    near, inside, _, _ = sb.curve.sides(ring, [a])
+    near, inside, _ = sb.curve.sides(ring, [a])
     series = pairs[0][1].modes(1, a)
     if inside[0] and not near[0]:
         assert series.point < ring.radius

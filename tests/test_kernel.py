@@ -236,8 +236,8 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
     dens = _split_densities(grid, columns, rng)
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     bare = sb.kernel_sums(grid, pts)[1]  # no density: one column, its own split
-    near, inside, _, decided = curve_mod.sides(grid, pts, dens)
-    assert same_bits(decided, nearest)  # the band is decided from the pass's distances
+    near, inside, _ = curve_mod.sides(grid, pts, dens)
+    assert (near == (nearest < grid.exclusion_band)).all()  # decided from the pass's distances
     far = _far_mask(grid, pts, dens)
     for i in np.concatenate([np.arange(lead), rng.integers(lead, pts.size, 24)]):
         p = pts[i]
@@ -353,7 +353,7 @@ def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
     # the pass's winding Im(S_0)/n and sums -i S/n of the route's S
     route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
-    near, inside, _, _ = curve_mod.sides(grid, pts, dens)
+    near, inside, _ = curve_mod.sides(grid, pts, dens)
     capped = grid.curve.degree <= curve_mod.PULLBACK_DEGREE
     if capped:
         assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == 0.0)
@@ -398,8 +398,7 @@ def test_pullback_route_declines_a_white_noise_column():
 def test_one_point_pass_keeps_the_blocked_bits(name, log_n, columns, on_node, seed):
     # kernel_sums' one-point form, without the block buffers, gives the
     # nearest distance, the winding and the sums of a one-row block bit for
-    # bit (`bundles._ring_need` reads that distance), on a node too; a
-    # single column is given as a 1-D density
+    # bit, on a node too; a single column is given as a 1-D density
     grid = _grid(name, 2 ** log_n)
     rng = np.random.default_rng(seed)
     p = grid.z[rng.integers(grid.n)] if on_node else complex(*rng.uniform(-2.5, 2.5, 2))
