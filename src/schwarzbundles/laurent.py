@@ -226,6 +226,6 @@ def anchored(log):
     """log (one density, or one per column) shifted in place by 2 pi i k so
     that node 0's phase lies in (ANCHOR_TILT - pi, ANCHOR_TILT + pi]."""
     turns = np.ceil((log[0].imag - np.pi - ANCHOR_TILT) / TWO_PI)
-    if np.any(turns):
+    if turns.any():
         log -= 2j * np.pi * turns
     return log

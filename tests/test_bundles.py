@@ -1240,3 +1240,24 @@ def test_roots_on_or_beside_the_curve_are_refused(disk):
     section = sb.canonical_section(bundle, grid, a=1.005 * r)
     with pytest.raises(NearBoundaryError, match="adjustment point .* not strictly inside"):
         sb.verify_transition(section, bundle, pts)
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_near_roots_take_their_logs_at_the_nodes(n, disk, cardioid):
+    # roots whose series would need n terms or more (the disk's poles 1.03
+    # and 1.003, on the curve and on rings either side of it, and the
+    # cardioid's 1.301, a hair outside the curve, whose node values the
+    # unwrap itself resolves only to about 1.3e-13), and S of a degree-20
+    # map with more modes than nodes, give the unwrapped density
+    taylor = sb.build_polynomial_curve([1.0 / np.prod(np.arange(1.0, k + 1)) if k else 0.0
+                                        for k in range(21)], 0.6)
+    cases = [(sb.schwarz_pole_bundle(disk, w), radius, 1e-13)
+             for w in (1.03, 1.003) for radius in (1.0, 0.999, 1.001)]
+    cases += [(sb.schwarz_pole_bundle(cardioid, 1.301), 1.0, 1e-12),
+              (sb.exp_schwarz_bundle(taylor), 1.0, 1e-13)]
+    for bundle, radius, tol in cases:
+        assert bundle.chern == 0
+        g = _ring(bundle.curve, n, radius)
+        got = sb.bundles._node_log(bundle, g, 0, None)
+        want = oracles.node_log_by_unwrap(bundle, g, 0, None)
+        assert np.abs(mod_two_pi_i(got - want)).max() <= tol, (bundle.pole, radius)

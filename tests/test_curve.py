@@ -477,3 +477,15 @@ def test_polygon_schwarz_refuses_a_map_curve(disk):
 def test_curve_to_json_refuses_an_unknown_curve():
     with pytest.raises(ParseError, match="unknown curve type"):
         sb.curve_to_json(object())
+
+
+def test_linear_roots_are_the_bits_np_roots_gives():
+    # the linear polynomial's root is formed without np.roots' eigenvalue
+    # call: the same bits, a zero constant term giving +0 as np.roots does
+    rng = np.random.default_rng(5)
+    for _ in range(500):
+        c0, c1 = (rng.normal(size=2) + 1j * rng.normal(size=2)) * 10.0 ** rng.uniform(-8, 8, 2)
+        for coeffs in ((c0, c1), (0j, c1), (c0, c1, 0j), (complex(c0.real), complex(c1.real))):
+            got = curve_mod._poly_roots(coeffs)
+            want = np.roots(np.array(coeffs[:2][::-1]))
+            assert got.tobytes() == want.tobytes(), coeffs
