@@ -1123,7 +1123,9 @@ def test_section_density_is_not_the_kept_schwarz_function(cardioid):
 # Laurent modes against the unwrap of the transition (`oracles.node_log_by_unwrap`)
 
 TAYLOR6 = ([0, 1, 1 / 2, 1 / 6, 1 / 24, 1 / 120, 1 / 720], 0.6)
-MODE_CURVES = {"cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72), "taylor-6": TAYLOR6}
+# the cardioid turned by 0.7 and moved: a1 = e^{0.7i} puts arg a1 into T's constant
+MODE_CURVES = {"cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72), "taylor-6": TAYLOR6,
+               "turned": ([0.1 - 0.05j, np.exp(0.7j), 0.3 * np.exp(0.7j)], 0.7)}
 
 
 def mode_cases(curve):
@@ -1142,6 +1144,17 @@ def mode_cases(curve):
             ("T^1", sb.tangent_power_bundle(curve, -1), 1, center),
             ("T^1, user a", sb.tangent_power_bundle(curve, -1), 1, user),
             ("T^2", sb.tangent_power_bundle(curve, -2), 2, center))
+
+
+def test_series_terms_are_the_least_whose_tail_fits():
+    # weight q^M/(1 - q) <= EPS < weight q^(M - 1)/(1 - q), both ways, over
+    # ratios from 1e-6 to 1 - 1e-6 and weights from 0.5 to 40
+    for q in np.concatenate([10.0 ** -np.arange(1, 7), 1.0 - 10.0 ** -np.arange(1, 7)]):
+        for weight in (0.5, 1.0, 3.0, 40.0):
+            m = sb.laurent.terms(q, weight)
+            tail = lambda k: weight * q ** k / (1.0 - q)
+            assert tail(m) <= oracles.EPS * (1.0 + 1e-9), (q, weight, m)
+            assert m == 1 or tail(m - 1) > oracles.EPS * (1.0 - 1e-9), (q, weight, m)
 
 
 def mod_two_pi_i(d):
@@ -1195,6 +1208,13 @@ def test_anchor_puts_a_phase_of_pi_on_one_branch():
         log = np.array([0.5 + 1j * phase, 0.1 + 0.2j])
         got = sb.laurent.anchored(log.copy())
         assert abs(got[0].imag - np.pi) <= 1e-15 and got[1] - got[0] == log[1] - log[0]
+    # a custom bundle's unwrap takes the same rule: -1 - 0i has the
+    # principal phase -pi, and its section's density the phase pi
+    disk = sb.build_circle(0, 1)
+    bundle = sb.custom_bundle(disk, lambda z: complex(-1.0, -0.0))
+    assert np.angle(bundle.transition_at_nodes(sb.sample(disk, 64))[0]) == -np.pi
+    density = sb.canonical_section(bundle, sb.sample(disk, 64)).density
+    assert np.all(density == complex(0.0, np.pi))
     # elsewhere the anchor is the principal branch of node 0
     for phase in (0.0, 3.0, -3.0, 5.0, -5.0, 40.0):
         got = sb.laurent.anchored(np.array([1j * phase]))[0].imag
