@@ -444,21 +444,21 @@ def verify_transition(section, bundle, annulus_points):
     k < 0 outside).
 
     A built-in bundle's ring modes are its Laurent modes at the ring's
-    radius (`laurent.spectra`, both rings at once): no ring grid, transition
-    or unwrap, and no kernel pass. A custom bundle's are one unwrap of lambda12
-    (z - a)^{-c} on the ring's grid and one FFT. Either way c and a are the
-    section's own Chern class and adjustment point.
+    radius (`laurent.spectra`, both rings at once): no ring grid,
+    transition or unwrap, and no kernel pass. A custom bundle's are one
+    unwrap of lambda12 (z - a)^{-c} on the ring's grid and one FFT. Either
+    way c and a are the section's own Chern class and adjustment point.
 
     NearBoundaryError (refine the grid) refuses a point in the curve's band,
     a ring off the validated annulus, an adjustment point not strictly
     inside a checked ring (`_ring_log_modes`), and a zero or pole of
-    lambda12 between ring and curve: a root of a built-in bundle's series on
-    the wrong side of the ring, or a winding left over; a section on a grid of another
-    curve than the bundle's is a ParseError. The rings' radii, scales and
-    weights, and a custom bundle's ring grids, are built once per grid and
-    kept on it. The grid's own verification points reuse their search's
-    band and side decision; any other points are decided afresh, and no
-    points is a ParseError."""
+    lambda12 between ring and curve: a root of a built-in bundle's series
+    on the wrong side of the ring, or a winding left over; a section on a
+    grid of another curve than the bundle's is a ParseError. The rings'
+    radii, scales and weights, and a custom bundle's ring grids, are built
+    once per grid and kept on it. The grid's own verification points reuse
+    their search's band and side decision; any other points are decided
+    afresh, and no points is a ParseError."""
     grid = section.grid
     _require_own_grid(bundle, grid)
     inside = _point_sides(grid, annulus_points)

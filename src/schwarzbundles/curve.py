@@ -29,17 +29,17 @@ those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points and the sums,
-and `off_band` refuses a batch with a point in the band. Every caller that classifies points or sums at
-them goes through them, the one-point section and Cauchy-integral
-evaluators included.
+and `off_band` refuses a batch with a point in the band. Every caller that
+classifies points or sums at them goes through them, the one-point section
+and Cauchy-integral evaluators included.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
 alone (here its node parts, its annulus, the Schwarz function S and the
 unit tangent T at its nodes; in `bundles` its verification rings and
 points), and a map curve the roots of phi' and of phi - a0; a race only
-computes the same value twice. The arrays kept are read-only, and no value kept depends on a
-bundle, a pole or a point.
+computes the same value twice. The arrays kept are read-only, and no value
+kept depends on a bundle, a pole or a point.
 """
 
 from __future__ import annotations
@@ -986,9 +986,9 @@ def sides(grid, points, density=None):
     The one band and side decision of the package: near marks the points
     closer to a node than the exclusion band, as the pass measured them,
     inside the points off the band that the curve winds around; sums are the
-    pass's Cauchy sums. A batch
-    with a non-finite point is refused as a whole (ParseError); a finite
-    point too far for its squared distance to be finite is still decided.
+    pass's Cauchy sums. A batch with a non-finite point is refused as a whole
+    (ParseError); a finite point too far for its squared distance to be
+    finite is still decided.
     """
     nearest, winding, sums = kernel_sums(grid, points, density)
     # a non-finite point has a NaN or infinite distance; only then (or when
