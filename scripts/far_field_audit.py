@@ -1,10 +1,11 @@
 """Audit of the kernel pass's far rows, those that leave the direct pass
-(by the pullback route or the expansion): for each curve, node count and
-density, the worst distance of a row's sums from the term-by-term complex
+for the pullback route (outside the nodes' annulus, and inside it on a map
+of degree 1): for each curve, node count and density, on a 40 x 40 lattice
+and 150 points inside the nodes' annulus, the share of far rows in the
+batch and the worst distance of a row's sums from the term-by-term complex
 sum, as a ratio to the bound `kernel_sums` states (8 n eps sum_k |w num_k /
-(z_k - p)|), over far rows and over direct rows, and the share of far rows
-in each batch; then the share of far rows in the batches the library's
-verbs pass to the kernel.
+(z_k - p)|), over far rows and over direct rows; then the share of far
+rows in four batches the library's verbs pass to the kernel.
 
 Usage: python scripts/far_field_audit.py
 """

@@ -17,8 +17,10 @@ grid; the only kernel pass is the one that locates a Chern class 1
 adjustment point in canonical_section. verify_transition takes the points'
 sides from their search, kept on the grid, and folds the modes at each
 ring's radius. The custom bundles, exp(S) and T from the Newton inversion of
-the nodes (`schwarz_near`, `holomorphic_tangent`), keep the ring mechanism:
-one unwrap of the transition per ring, and at Chern class 1 one side pass of
+the nodes (`schwarz_near`, `holomorphic_tangent`), unwrap their transition
+once in chern_class and once in canonical_section, which takes its class
+and its density from that one unwrap, and keep the ring mechanism: one
+unwrap of the transition per ring, and at Chern class 1 one side pass of
 the adjustment point per ring. A second call makes the same passes as the
 first.
 

@@ -22,8 +22,9 @@ found once when the bundle is built, T^{-m} from the roots of phi', and the
 adjustment (z - a)^{-c} from the roots of phi - a, kept per curve for the
 conformal center. A built-in section's density is those modes folded onto
 the grid's n bins and one inverse FFT, with no transition values and no
-unwrap; a custom bundle's is one unwrap of its node values. Every density
-takes one branch rule at node 0 (`laurent.anchored`). The Schwarz-pole
+unwrap; a custom bundle's is the one unwrap of its node values that gives
+its class, with the adjustment's modes. Every density takes one branch
+rule at node 0 (`laurent.anchored`). The Schwarz-pole
 bundle supplies its pole, the default adjustment point when interior (a
 pole in the exclusion band is refused, not replaced), and its section is
 the exponential transform (`transforms._pole_density`, the same modes). A
@@ -160,22 +161,38 @@ def custom_bundle(curve, evaluator):
     return LineBundle(curve, lambda grid: np.full(grid.n, evaluator(grid.z), dtype=complex))
 
 
-def _node_log(bundle, grid, c, a):
+def _node_log(bundle, grid, c, a, unwrapped=None):
     """The continuous log of lambda12 * (z - a)^{-c} at the grid nodes,
     anchored (`laurent.anchored`). A built-in bundle's is its modes at the
     grid's radius (`laurent.density`); a custom bundle's is one `unwrap_log`
-    call (c = 0 leaves lambda12 as it is). With c the class and a inside the
-    nodes no winding remains; one that does is a zero or pole of lambda12
-    between the nodes and the curve (NearBoundaryError)."""
+    of lambda12 (`unwrapped`, when the caller has made it) plus -c log(z -
+    a) from a's preimages (`laurent`): its modes, and -c log zeta at the
+    nodes. With c the class and a inside the nodes no winding remains; one
+    that does is a zero or pole of lambda12 between the nodes and the curve
+    (NearBoundaryError)."""
     if bundle.modes is not None:
         return laurent.density(bundle.modes(c, a), grid.n, grid.radius)
-    vals = bundle.transition_at_nodes(grid)
-    log, winding = unwrap_log(vals * (grid.z - a) ** (-c) if c else vals)
-    if round(winding):
+    log, winding = unwrapped or unwrap_log(bundle.transition_at_nodes(grid))
+    if round(winding) != c:
         raise NearBoundaryError(
             "a zero or pole of lambda12 lies between the curve and the nodes "
             f"|zeta| = {grid.radius:.6g}; refine the grid")
+    if c:
+        series = laurent._adjustment(grid.curve, c, a)
+        log = log + laurent.density(series._replace(winding=0), grid.n, grid.radius) \
+            + series.winding * (np.log(grid.radius) + 1j * grid.t)
     return laurent.anchored(log)
+
+
+def _class_unwrap(bundle, grid):
+    """(c, unwrapped): the Chern class, and for a custom bundle the one
+    `unwrap_log` of lambda12 at the grid nodes that gives it (else None). A
+    grid on another curve is refused (ParseError)."""
+    _require_own_grid(bundle, grid)
+    if bundle.chern is not None:
+        return bundle.chern, None
+    unwrapped = unwrap_log(bundle.transition_at_nodes(grid))
+    return round(unwrapped[1]), unwrapped
 
 
 def chern_class(bundle, grid):
@@ -186,10 +203,7 @@ def chern_class(bundle, grid):
     sum to 2 pi k up to rounding; it raises BranchUnresolvedError for
     under-resolved phases or a zero or non-finite lambda12 at a node. A
     grid on another curve is refused (ParseError)."""
-    _require_own_grid(bundle, grid)
-    if bundle.chern is not None:
-        return bundle.chern
-    return round(unwrap_log(bundle.transition_at_nodes(grid))[1])
+    return _class_unwrap(bundle, grid)[0]
 
 
 def _require_own_grid(bundle, grid):
@@ -227,16 +241,15 @@ def canonical_section(bundle, grid, a=None):
     The density is `_node_log` of lambda12 (z - a)^{-c}: a built-in
     bundle's modes, refused as an unresolved branch (BranchUnresolvedError)
     where a zero or pole of lambda12 lies on the curve, or a custom
-    bundle's unwrap, where a winding left over (a pole of lambda12 between
-    the nodes and the curve) is a NearBoundaryError and an unresolved phase
-    a BranchUnresolvedError.
+    bundle's one unwrap, the one that gives its class, where an unresolved
+    phase is a BranchUnresolvedError.
     """
-    c = chern_class(bundle, grid)
+    c, unwrapped = _class_unwrap(bundle, grid)
     if c < 0:
         raise NoHolomorphicSectionError(f"Chern class {c} < 0 admits no holomorphic sections")
     adjustment = _resolve_adjustment(bundle, grid, a) if c else None
-    return SectionPair(grid=grid, density=_node_log(bundle, grid, c, adjustment), chern=c,
-                       adjustment=adjustment,
+    return SectionPair(grid=grid, density=_node_log(bundle, grid, c, adjustment, unwrapped),
+                       chern=c, adjustment=adjustment,
                        normalization=ONE_AT_INFINITY if c == 0 else LEADING_ONE_OVER_Z)
 
 
@@ -446,8 +459,9 @@ def verify_transition(section, bundle, annulus_points):
     A built-in bundle's ring modes are its Laurent modes at the ring's
     radius (`laurent.spectra`, both rings at once): no ring grid,
     transition or unwrap, and no kernel pass. A custom bundle's are one
-    unwrap of lambda12 (z - a)^{-c} on the ring's grid and one FFT. Either
-    way c and a are the section's own Chern class and adjustment point.
+    unwrap of lambda12 on the ring's grid, with the adjustment (z - a)^{-c}
+    from its modes, and one FFT. Either way c and a are the section's own
+    Chern class and adjustment point.
 
     NearBoundaryError (refine the grid) refuses a point in the curve's band,
     a ring off the validated annulus, an adjustment point not strictly

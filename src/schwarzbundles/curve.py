@@ -16,16 +16,16 @@ the winding number and, given densities, the trapezoidal Cauchy sums.
 `bundles.evaluate_section` are that pass for one point. Direct rows are
 real arithmetic on blocks of squared distances (`distance_blocks`; one
 point without the blocks' buffers) and give the exact nearest-node
-distance. Rows clear of the nodes' annulus about the conformal center,
-found by one pass over |p - c|, take a cheaper route where it pays:
-outside, on the curve's own grid of a low-degree map, the same sum in the
-pullback variable, a short series of the densities' Fourier modes against
-power sums from the map's coefficients, for the rows whose computed bound
-stays within an eighth of the bound stated at `kernel_sums`; far inside,
-the exact Taylor expansion truncated within that eighth and summed as two
-matrix products over tables of powers. They report a lower bound on the
-distance that clears the exclusion band: the band and side decisions are
-those of the direct pass.
+distance. In a large batch on the curve's own grid of a low-degree map,
+rows clear of the nodes' annulus about the conformal center, found by one
+pass over |p - c|, take one cheaper route on either side of it: the same
+sum in the pullback variable, a short series of the densities' Fourier
+modes (one FFT) against powers of the preimages of the point, for the rows
+whose computed bound stays within an eighth of the bound stated at
+`kernel_sums`. Outside, the powers are power sums from the map's
+coefficients; inside, at degree 1, powers of the one preimage. Those rows
+report a lower bound on the distance that clears the exclusion band: the
+band and side decisions are those of the direct pass.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points and the sums,
@@ -82,9 +82,9 @@ FAR_PAIR_SEPARATION = 8
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte. Also the
 # vertex pairs per block of `build_polygon`'s pass, and the entries per
-# chunk of a far-row power table (`_expansion`): of 2^12 to 2^17, 2^15 was
-# fastest or within 20 % of it on a 40 x 40 disk lattice at n = 1024 and
-# 256-point rings at n = 4096 and 65536 (2-core x86_64).
+# chunk of the pullback route's power tables (`_pullback_rows`): of 2^12 to
+# 2^17, 2^15 was fastest or within 20 % of it on a 40 x 40 disk lattice at
+# n = 1024 and 256-point rings at n = 4096 and 65536 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
 # Least rows of a block whose distances are products (`distance_blocks`).
@@ -94,24 +94,17 @@ KERNEL_BLOCK = 2 ** 15
 # row), and no faster for one point (2-core x86_64, OpenBLAS, one thread).
 PRODUCT_ROWS = 16
 
-# Largest ratio q = |p - c|/r of a far row inside the nodes' annulus, the
-# rows `_expansion` may take (`_routes`). Two 40 x 40 disk lattices at n =
-# 1024 (w exterior and interior) took 5.3-5.4, 5.1-5.4, 5.0-5.3, 4.7-5.3,
-# 5.7 and 5.8-6.1 ms at q = 0.6, 0.65, ..., 0.85 (scripts/far_ratio_study.py,
-# two runs, best of 40 rounds, 2-core x86_64, BLAS on one thread): q = 0.75
-# gains within the runs' spread, too little to pay for the larger rounding
-# factor (1 + q)/(1 - q) (see `kernel_sums`), and at 0.85 no expansion pays.
-FAR_RATIO = 0.7
-
-# Least rows of a batch outside the nodes' annulus, and largest degree of
-# the map, for the pullback route (`_pullback_rows`); the rows it does not
-# take are direct. Below 256 rows its FFT and fixed cost do not pay: the
-# `sweep` fits of 12 and 24 samples took 1.07/1.21 ms with the route gated
-# and 1.62/1.88 ms without. On the 1,284 outside rows of 40 x 40 lattices at
-# n = 1024 the pass took 0.59, 0.97, 1.38 ms with the route against 6.2-6.7
-# ms direct at degrees 1, 2, 4, and 4.5 against 6.5 ms at degree 6, where
-# its bound declined 53 % of the rows; at degrees 12 and 30 it declined
-# them all (scripts/pullback_rows.py, best of 25, 2-core x86_64, BLAS on one
+# Least points of a batch, and least rows its two sides of the nodes'
+# annulus offer together, and largest degree of the map, for the pullback
+# route (`_routes`); the rows it does not take are direct. Below 256 rows
+# its FFT and fixed cost do not pay: the `sweep` fits of 12 and 24 samples
+# took 1.07/1.21 ms with the route gated and 1.62/1.88 ms without. On the
+# 1,284 outside rows of 40 x 40 lattices at n = 1024 the pass took 0.59,
+# 0.97, 1.38 ms with the route against 6.2-6.7 ms direct at degrees 1, 2,
+# 4, and 4.5 against 6.5 ms at degree 6, where its bound declined 53 % of
+# the rows; at degrees 12 and 30 it declined them all. On the disk
+# lattice's 276 interior rows it took 0.41 against 1.45 ms direct
+# (scripts/pullback_rows.py, best of 15-25, 2-core x86_64, BLAS on one
 # thread). No workload runs a map of degree above 4.
 PULLBACK_ROWS = 256
 PULLBACK_DEGREE = 4
@@ -325,13 +318,14 @@ class ContourGrid:
 
     @cached_property
     def _pullback_map(self):
-        """(a, L_in, L_out, floor, d_node) of `_pullback_rows`, formed once per
-        grid: the coefficients up to the degree N; bounds of |phi'| on |zeta|
-        <= 1 and on 1 <= |zeta| <= 1/rho; the floor rho of sigma (0 for N =
-        1); the least distance at which the nodes' rounding, |z_k - phi| <=
-        e_z and |dz_k - i zeta phi'| <= e_dz at the exact roots of unity
-        (zeta_k within 12 eps of them, Horner within 4 (N + 1) eps), changes
-        a term by at most 7 n eps: e_dz/(min |dz| - e_dz) + e_z/(d - e_z)."""
+        """(a, L_in, L_out, floor, d_node) of the pullback route, formed once
+        per grid: the coefficients up to the degree N; bounds of |phi'| on
+        |zeta| <= 1 and on 1 <= |zeta| <= 1/rho; the floor rho of the outside
+        sigma (0 for N = 1); the least distance at which the nodes'
+        rounding, |z_k - phi| <= e_z and |dz_k - i zeta phi'| <= e_dz at the
+        exact roots of unity (zeta_k within 12 eps of them, Horner within 4
+        (N + 1) eps), changes a term by at most 7 n eps: e_dz/(min |dz| -
+        e_dz) + e_z/(d - e_z)."""
         curve = self.curve
         moduli, l_in, l_out = curve._dphi_bounds
         degree = curve.degree
@@ -641,39 +635,33 @@ def kernel_sums(grid, points, density=None):
     block buffers.
 
     Rows that clear the exclusion band outside or inside the annulus R >=
-    |z_k - c| >= r of the nodes about c = curve.conformal_center leave the
-    direct pass where another route is cheaper, never for one point; one
-    pass over |p - c| decides them (`_routes`). On a radius-1 grid of a map
-    of degree at most PULLBACK_DEGREE, rows outside take the pullback route
-    (`_pullback_rows`): the sum in the pullback variable from the densities'
-    Fourier modes, for the rows its computed bound covers. Far rows inside,
-    q = |p - c|/r <= FAR_RATIO, take the exact expansion cut after M terms,
-    sum g_k/(z_k - p) = sum_j (p - c)^j B_j, B_j = sum_k g_k/(z_k -
-    c)^(j+1), formed as two matrix products over power tables
-    (`_expansion`). Every other row is direct. nearest is exact on direct
-    rows; on the others it is the lower bound |p - c| - R or r - |p - c|,
-    less eight ulps, at or above the band, so `sides` decides as the direct
-    pass would. Those rows run first, one route at a time: the direct
-    blocks' buffers are then allocated only after the routes' tables and
-    sums are freed, and no block view outlives the pass's last product, so
-    the pass's transient peak is the larger of the two, not their sum, and
-    repeated passes reuse the freed heap instead of trimming and faulting
-    it back in.
+    |z_k - c| >= r of the nodes about c = curve.conformal_center may leave
+    the direct pass, never for one point; one pass over |p - c| decides them
+    (`_routes`). On a radius-1 grid of a map of degree at most
+    PULLBACK_DEGREE, a batch of at least PULLBACK_ROWS points whose two
+    sides offer that many such rows together takes the pullback route
+    (`_pullback_rows`) for the rows its computed bound covers: the sum in
+    the pullback variable from the densities' Fourier modes, outside at any
+    such degree and inside at degree 1. Every other row is direct. nearest
+    is exact on direct rows; on the others it is the lower bound |p - c| - R
+    or r - |p - c|, less eight ulps, at or above the band, so `sides`
+    decides as the direct pass would. Those rows run first, one side at a
+    time: the direct blocks' buffers are then allocated only after the
+    route's tables and sums are freed, and no block view outlives the pass's
+    last product, so the pass's transient peak is the larger of the two,
+    not their sum, and repeated passes reuse the freed heap instead of
+    trimming and faulting it back in.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
     sum_k |w num_k/(z_k - p)|, num = dz or density dz. Direct rows differ by
-    BLAS summation order, which depends on the batch. On far rows the tail
-    sum_k |g_k| q^M/((1 - q) r) is at most an eighth of the bound. The
-    expansion's terms sum in modulus to at most (1 + q)/(1 - q) < 5.7 times
-    sum_k |g_k/(z_k - p)|, and each carries at most n + 3M + 3 < 4.2 n
-    roundings of at most 1.12 eps (a power of at most M products in each
-    table, sums of n and of M terms, three more products; M < n, n >= 16):
-    with the sums' factor 1/(2 pi), at most 4.2 * 1.12 * 5.7/(2 pi) < 4.3
-    of the bound's 8 n eps. On pullback rows the route's computed bound
-    (truncation, aliasing and rounding) is at most an eighth of the bound,
-    and the nodes' own rounding (the route sums at the exact roots of
-    unity) the other seven eighths.
+    BLAS summation order, which depends on the batch. On pullback rows the
+    route's computed bound (truncation, aliasing and rounding) is at most an
+    eighth of the bound, and the nodes' own rounding (the route sums at the
+    exact roots of unity) the other seven eighths. Its sigma, the largest
+    modulus of the powers it sums, is outside max(rho, L_out/(L_out + g)), g
+    = nearest - L_in pi/n, and inside the exact |zeta0| = |p - c|/|a1| times
+    1 + 4 eps.
 
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
@@ -728,13 +716,13 @@ def _one_row(grid, pts, parts):
 
 
 def _rows(grid, pts, cols, parts, dens):
-    """(nearest, re_k, im_k) of `kernel_sums` for a batch: the routes'
-    rows (`_routes`) first, stored as R = S, I = 0 for S = sum g/(z - p),
-    then the direct blocks."""
+    """(nearest, re_k, im_k) of `kernel_sums` for a batch: the pullback
+    route's rows (`_routes`) first, stored as R = S, I = 0 for S = sum g/(z
+    - p), then the direct blocks."""
     nearest = np.empty(pts.size)
     re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
     direct = keep = None  # the direct rows: all, or these indices
-    for _, rows, bound, _, sums in _routes(grid, pts, cols, dens) if pts.size else ():
+    for _, rows, bound, _, sums in _routes(grid, pts, cols, dens):
         if keep is None:
             keep = np.ones(pts.size, dtype=bool)
         keep[rows] = False
@@ -757,90 +745,91 @@ def _rows(grid, pts, cols, parts, dens):
 
 def _routes(grid, pts, cols, dens):
     """Yield (kind, rows, nearest, terms, sums) for the rows of a batch that
-    leave the direct pass, one route at a time: kind "pullback"
-    (`_pullback_rows`) outside the nodes' annulus, then "inside"
-    (`_expansion`), rows an index array, nearest the annulus lower bound
-    that clears the band, terms the route's M and sums S = sum_k g_k/(z_k -
-    p) over the columns g of cols.
+    leave the direct pass, one side of the nodes' annulus at a time: kind
+    "outside", then "inside", rows an index array, nearest the annulus lower
+    bound, terms the route's M and sums S = sum_k g_k/(z_k - p) over the
+    columns g of cols, all from `_pullback_rows`.
 
-    One pass over |p - c| and one annulus test per side decide every row:
-    a side whose widest row does not clear the band is skipped. Outside
-    rows go to the pullback route when at least PULLBACK_ROWS of them clear
-    the band and the map's degree is at most PULLBACK_DEGREE; it declines
-    the rows its bound does not cover, and they stay direct. Far rows
-    inside (q <= FAR_RATIO) are expanded where that is cheaper, with M
-    `_terms` at the largest q. The cost rule counts node operations: F rows
-    cost F n directly and M (n + F columns) expanded, the nodes' M x n
-    power table with its product for the coefficients and F M columns for
-    the rows' table and sums; it implies M < n. Infinite and NaN points
+    Only a batch of at least PULLBACK_ROWS points on a radius-1 grid of a
+    map of degree at most PULLBACK_DEGREE is looked at; a smaller one
+    returns before |p - c| is formed. A row is offered when its lower bound
+    clears the band and d_node (`ContourGrid._pullback_map`) and exceeds L_in
+    pi/n: outside rows at every such degree, inside rows at degree 1. The
+    route runs when the two sides offer at least PULLBACK_ROWS rows
+    together, with one FFT of the densities for both; it declines the rows
+    its bound does not cover, and they stay direct. Infinite and NaN points
     stay direct. Call under np.errstate.
     """
+    curve = grid.curve
+    if pts.size < PULLBACK_ROWS or grid.radius != 1.0 or curve.degree > PULLBACK_DEGREE:
+        return
     c, big, small = grid._node_annulus
-    band, n, columns, spread = grid.exclusion_band, grid.n, cols.size // grid.n, big / small
+    _, l_in, _, _, d_node = grid._pullback_map
     gap = np.abs(pts - c)
-    wide, narrow = gap.max(), gap.min()
-    # if no row clears the band, or all rows at the least q would not pay,
-    # none will (NaN: every test fails)
-    if pts.size >= PULLBACK_ROWS and grid.radius == 1.0 \
-            and grid.curve.degree <= PULLBACK_DEGREE and wide - big >= band:
-        bound = (gap - big) - 8 * EPS * (gap + big)
-        rows = np.flatnonzero(bound >= band)  # False for infinite points
-        if rows.size >= PULLBACK_ROWS:
-            taken, terms, sums, _ = _pullback_rows(grid, pts[rows], gap[rows], bound[rows],
-                                                   cols, dens)
-            if taken.any():
-                yield "pullback", rows[taken], bound[rows[taken]], terms, sums
-    least = narrow / small
-    if least <= FAR_RATIO and small - narrow >= band \
-            and pts.size * n > _terms(n, least, spread) * (n + pts.size * columns):
-        bound = (small - gap) - 8 * EPS * (small + gap)
-        rows = np.flatnonzero((bound >= band) & (gap / small <= FAR_RATIO))
+    bounds = {"outside": (gap - big) - 8 * EPS * (gap + big)}
+    if curve.degree == 1:
+        bounds["inside"] = (small - gap) - 8 * EPS * (small + gap)
+    least = max(grid.exclusion_band, d_node)
+    offered = {kind: np.flatnonzero((bound >= least) & (bound > l_in * np.pi / grid.n))
+               for kind, bound in bounds.items()}  # False for infinite points
+    if sum(rows.size for rows in offered.values()) < PULLBACK_ROWS:
+        return
+    spectra = None if dens is None else np.fft.fft(dens, axis=0)
+    for kind, rows in offered.items():
         if rows.size:
-            terms = _terms(n, gap[rows].max() / small, spread)
-            if rows.size * n > terms * (n + rows.size * columns):
-                yield "inside", rows, bound[rows], terms, _expansion(grid, cols, pts[rows], terms)
+            bound = bounds[kind][rows]
+            taken, terms, sums, _ = _pullback_rows(grid, pts[rows], gap[rows], bound, cols,
+                                                   spectra, kind == "inside")
+            if taken.any():
+                yield kind, rows[taken], bound[taken], terms, sums
 
 
-def _pullback_rows(grid, p, gap, nearest, cols, dens):
-    """(taken, terms, sums, bound) for rows p outside the nodes' annulus at
-    |p - c| = gap, lower bounds nearest: the rows taken (a mask), M, their
-    S = sum_k g_k/(z_k - p) and computed bounds, per unit of their share.
+def _pullback_rows(grid, p, gap, nearest, cols, spectra, inside=False):
+    """(taken, terms, sums, bound) for rows p on one side of the nodes'
+    annulus at |p - c| = gap, lower bounds nearest (each offered by
+    `_routes`), given the densities' FFT spectra (None without one): the
+    rows taken (a mask), M, their S = sum_k g_k/(z_k - p) and computed
+    bounds, per unit of their share.
 
     In the pullback variable the sum is (1/n) sum g_k zeta_k phi'(zeta_k)/
     (phi(zeta_k) - p), and zeta phi'/(phi - p) = sum_i zeta/(zeta - zeta_i)
-    over the N roots of phi - p, all outside the unit circle. With u_i =
-    1/zeta_i and the modes F_m of each density (one FFT; the winding
+    over the N roots of phi - p. Outside, all lie beyond the unit circle;
+    with u_i = 1/zeta_i and the modes F_m of each density (the winding
     column's are n, 0, ...), S = -i sum_{j=1..n} F_-j sum_i u_i^j/(1 - u_i^n)
     exactly. The route sums -i sum_{j<=M} F_-j p_j as one product, p_j =
-    sum_i u_i^j by Newton's identities on b_l = a_l/(a0 - p) (`_power_sums`).
+    sum_i u_i^j by Newton's identities on b_l = a_l/(a0 - p)
+    (`_power_sums`). Inside, at N = 1, the one root zeta0 = (p - a0)/a1 lies
+    in the unit disk and S = i sum_{m=0..n-1} F_m zeta0^m/(1 - zeta0^n)
+    exactly; the route sums i sum_{m<=M} F_m zeta0^m, the powers by
+    `_power_sums` on b = -zeta0, and gives the winding column i n.
 
-    Bound: |u_i| <= sigma = max(rho, L_out/(L_out + g)), g = nearest - L_in
-    pi/n, as in `bundles._ring_modes`, so |p_j| <= N sigma^j. Over 1 -
-    sigma^n the dropped terms are at most N sigma^(M+1) sum_{M<j<=n/2}
-    |F_-j|, N sigma^(n+1-2^b) times the sum of |F_i| over each block 2^(b-1)
-    <= i < 2^b of the other half (and i = 0), and N sigma^n sum_{j<=M}
-    |F_-j|. Rounding adds the FFT's 5 log2(n) eps sum |F| per mode times N
-    sigma/(1 - sigma) and, per unit of sum_{j<=M} |F_-j|, Newton's kappa
-    max_j j A_j, kappa = (1.2 N + 8) eps, A_j the recurrence on |b_l| at
-    eight distances at or below the rows', and the product's (M + 2) eps N
-    sigma. Terms are taken at the worst column, aliases at sixteen levels of
-    sigma, powers clamped at e^-600. A row is taken when this is within its
-    share, an eighth of `kernel_sums`' bound by the lower bound sum |w num|/
-    (|p - c| + R) of `_terms` less 1 %, and nearest >= d_node
-    (`ContourGrid._pullback_map`). M is the least count up to n/(2 (N +
-    columns)) whose tail takes half the share at the rows' largest sigma and
-    |p - c|. Tables hold KERNEL_BLOCK entries per chunk of rows.
+    Bound: outside |u_i| <= sigma = max(rho, L_out/(L_out + g)), g = nearest
+    - L_in pi/n, as in `bundles._ring_modes`, so |p_j| <= N sigma^j; inside
+    sigma is the exact |zeta0| = |p - a0|/|a1|, at least eps, times 1 + 4
+    eps. Over 1 - sigma^n the dropped terms are at most N sigma^(M+1)
+    sum_{M<j<=n/2} |F_-+j|, N sigma^(n+1-2^b) times the sum of |F_+-i| over
+    each block 2^(b-1) <= i < 2^b of the other half (and i = 0), and N
+    sigma^n sum |F_-+j| over the kept j. Rounding adds the FFT's 5 log2(n)
+    eps sum |F| per mode times N sigma^f/(1 - sigma), f the least kept j,
+    and, per unit of the sum of the kept |F|, the powers' kappa max_j j A_j,
+    kappa = (1.2 N + 8) eps, and the product's (M + 2) eps N sigma^f. A_j is
+    outside the recurrence on |b_l| at eight distances at or below the
+    rows', inside sigma^j, whose j sigma^j is at most 1/(e log(1/sigma)).
+    Terms are taken at the worst column, aliases at sixteen levels of sigma,
+    powers clamped at e^-600. A row is taken when this is within its share,
+    an eighth of `kernel_sums`' bound by the lower bound sum |w num|/(|p - c|
+    + R) less 1 %. M is the least count up to n/(2 (N + columns)) whose tail
+    takes half the share at the rows' largest sigma and |p - c|. Tables hold
+    KERNEL_BLOCK entries per chunk of rows.
     """
     n, columns, half = grid.n, cols.size // grid.n, grid.n // 2
-    c, big, _ = grid._node_annulus
-    a, l_in, l_out, floor, d_node = grid._pullback_map
+    _, big, _ = grid._node_annulus
+    a, l_in, l_out, floor, _ = grid._pullback_map
     degree = a.size - 1
-    taken = np.zeros(p.size, dtype=bool)
-    g = nearest - l_in * np.pi / n
-    live = np.flatnonzero((g > 0.0) & (nearest >= d_node))
-    if live.size < PULLBACK_ROWS:
-        return taken, 0, np.empty((0, columns), dtype=complex), np.empty(0)
-    sigma = np.maximum(l_out / (l_out + g[live]), floor) * (1.0 + 4 * EPS)
+    if inside:
+        sigma = np.maximum(gap / l_in, EPS) * (1.0 + 4 * EPS)
+    else:
+        sigma = np.maximum(l_out / (l_out + nearest - l_in * np.pi / n), floor) * (1.0 + 4 * EPS)
     log_s = np.log(sigma)
     low, top = log_s.min(), log_s.max()
     step = (top - low) / 15 if top > low else 1.0
@@ -850,59 +839,59 @@ def _pullback_rows(grid, p, gap, nearest, cols, dens):
     alias = np.exp(np.maximum(n * levels, -600.0)) * (n / limit[0])
     cap = n // (2 * (degree + columns))
     tail, rounding = np.zeros(cap + 1), 0.0
-    if dens is not None:
-        spectra = np.fft.fft(dens, axis=0)
+    if spectra is not None:
         mags = np.abs(spectra)
-        tails = np.cumsum(mags[half:], axis=0)[::-1]  # row M: sum_{M<j<=n/2} |F_-j|
-        edges = np.append(0, 2 ** np.arange(int(math.log2(half))))  # {0}, {1}, [2, 4), ...
-        blocks = np.add.reduceat(mags[:half], edges, axis=0) / limit[1:]
-        exponents = n + 1 - np.append(edges[1:], half)  # the blocks' least j = n - i
+        pos, neg = mags[1:half + 1], mags[::-1][:half]  # |F_j| and |F_-j|, j = 1 .. n/2
+        near, other = (pos, neg) if inside else (neg, pos)
+        tails = np.cumsum(near[::-1], axis=0)[::-1]  # row M: sum_{M<j<=n/2} of the near side
+        starts = 2 ** np.arange(int(math.log2(half))) - 1  # {1}, [2, 4), ... of the other
+        blocks = np.vstack([mags[:1], np.add.reduceat(other[:half - 1], starts, axis=0)])
+        blocks /= limit[1:]
+        exponents = n + 1 - 2 ** np.arange(int(math.log2(half)) + 1)  # least j = n - i
         powers = np.exp(np.maximum(np.multiply.outer(levels, exponents), -600.0))
         alias = np.maximum(alias, (powers @ blocks).max(axis=1))
         norm = tails[0] / limit[1:] + blocks.sum(axis=0)  # sum |F| >= ||F||_2
         rounding = 5 * math.log2(n) * EPS * float(norm.max())
         tail = (tails[:cap + 1] / limit[1:]).max(axis=1)
     power_n = np.exp(np.maximum(n * log_s, -600.0))
-    weight = degree * (gap[live] + big) / (1.0 - power_n)
+    weight = degree * (gap + big) / (1.0 - power_n)
     short = tail * np.exp(np.maximum(np.arange(1, cap + 2) * top, -600.0)) <= 0.5 / weight.max()
     terms = int(np.argmax(short)) if short.any() else cap
-    kept = float((mags[n - terms:].sum(axis=0) / limit[1:]).max()) if terms else 0.0
-    excess = weight * (np.exp(np.maximum((terms + 1) * log_s, -600.0)) * tail[terms]
-                       + alias[np.minimum(np.ceil((log_s - low) / step), 15).astype(int)]
-                       + power_n * kept + (1.0 - power_n) * sigma
-                       * (rounding / (1.0 - sigma) + (terms + 2) * EPS * kept))
-    fits = excess <= 1.0
-    if not fits.all():
-        live, excess = live[fits], excess[fits]
-    sums = np.zeros((live.size, columns), dtype=complex)  # the winding column's stay 0
-    if terms and live.size:
-        rows_gap = gap[live]
-        closest, farthest = rows_gap.min(), rows_gap.max()
+    first, sign = (0, 1) if inside else (1, -1)
+    modes = np.zeros((terms + 1, columns), dtype=complex)  # row j: the mode of p_j or zeta0^j
+    if inside:
+        modes[0, 0] = 1j * n
+    if spectra is not None:
+        modes[first:, 1:] = sign * 1j * spectra[sign * np.arange(first, terms + 1)]
+    kept = float((np.abs(modes[:, 1:]).sum(axis=0) / limit[1:]).max(initial=0.0))
+    if not terms:
+        reach = 0.0
+    elif inside:
+        reach = np.minimum(terms, -1.0 / (math.e * log_s))
+    else:
+        closest, farthest = gap.min(), gap.max()
         spacing = math.log(farthest / closest) / 8 if farthest > closest else 1.0
         # eight distances at or below the rows', for the recurrence on |b_l|
         floors = closest * np.exp(spacing * np.arange(8)) * (1.0 - 16 * EPS)
-        envelope = np.multiply.outer(-np.abs(a[1:]), 1.0 / floors)
-        inverse = 1.0 / (a[0] - p[live])
-        modes = -1j * spectra[n - terms:][::-1]  # -i F_-j, j = 1 .. M
+        table = _power_sums(np.multiply.outer(-np.abs(a[1:]), 1.0 / floors), terms)
+        level = np.minimum((np.log(gap / closest) / spacing).astype(int), 7)
+        reach = (np.arange(1, terms + 1)[:, None] * table.real).max(axis=0)[level]
+    kappa = 1.01 * (1.2 * degree + 8) * EPS
+    excess = weight * (np.exp(np.maximum((terms + 1) * log_s, -600.0)) * tail[terms]
+                       + alias[np.minimum(np.ceil((log_s - low) / step), 15).astype(int)]
+                       + power_n * kept + (1.0 - power_n) * sigma ** first
+                       * (rounding / (1.0 - sigma) + (terms + 2) * EPS * kept))
+    excess += kappa * reach * (gap + big) * kept
+    taken = excess <= 1.0
+    sums = np.empty((np.count_nonzero(taken), columns), dtype=complex)
+    sums[:] = modes[0]
+    if terms and taken.any():
+        b = ((a[0] - p[taken]) / a[1])[None] if inside \
+            else np.multiply.outer(a[1:], 1.0 / (a[0] - p[taken]))
         width = max(1, KERNEL_BLOCK // (degree + terms))
-        for lo in range(0, live.size, width):
-            b = np.multiply.outer(a[1:], inverse[lo:lo + width])
-            m = b.shape[1]
-            if lo == 0:
-                b = np.concatenate([b, envelope], axis=1)
-            table = _power_sums(b, terms)
-            sums[lo:lo + m, 1:] = table[:, :m].T @ modes
-            if lo == 0:
-                reach = (np.arange(1, terms + 1)[:, None] * table[:, m:].real).max(axis=0)
-            del table  # freed before the next chunk's is built
-        level = np.minimum((np.log(rows_gap / closest) / spacing).astype(int), 7)
-        kappa = 1.01 * (1.2 * degree + 8) * EPS
-        excess += kappa * reach[level] * (rows_gap + big) * kept
-        fits = excess <= 1.0
-        if not fits.all():
-            live, sums, excess = live[fits], sums[fits], excess[fits]
-    taken[live] = True
-    return taken, terms, sums, excess
+        for lo in range(0, b.shape[1], width):  # each chunk's table freed before the next's
+            sums[lo:lo + width] += _power_sums(b[:, lo:lo + width], terms).T @ modes[1:]
+    return taken, terms, sums, excess[taken]
 
 
 def _power_sums(b, terms):
@@ -914,7 +903,7 @@ def _power_sums(b, terms):
     degree = b.shape[0]
     if degree == 1:
         return _powers(-b[0], -b[0], terms)
-    table = np.zeros((degree + terms, b.shape[1]), dtype=complex)  # row N - 1 + j: p_j
+    table = np.zeros((degree + terms, b.shape[1]), dtype=b.dtype)  # row N - 1 + j: p_j
     reverse, step = -b[::-1], np.empty_like(b)
     for j in range(1, terms + 1):
         np.multiply(reverse, table[j - 1:j - 1 + degree], out=step)
@@ -922,38 +911,6 @@ def _power_sums(b, terms):
         if j <= degree:
             table[degree - 1 + j] -= j * b[j - 1]
     return table[degree:]
-
-
-def _terms(n, q, spread):
-    """Least M with q^M <= 2 pi n eps (1 - q)/(R/r + q): the tail within an
-    eighth of `kernel_sums`' bound, whose sum is at least sum |g|/(R + |p -
-    c|); 1 at q = 0."""
-    if q <= 0.0:
-        return 1
-    tail = TWO_PI * n * EPS * (1.0 - q) / (spread + q)
-    return max(1, math.ceil(math.log(tail) / math.log(q)))
-
-
-def _expansion(grid, cols, p, terms):
-    """sum_k g_k/(z_k - p) at far rows p inside the nodes' annulus, g the
-    columns of cols, by `terms` terms of sum_j (p - c)^j B_j, B_j = sum_k
-    g_k/(z_k - c)^(j+1), scaled so that every power has modulus at most 1:
-    the coefficients B_j r^j are (nodes' power table) @ cols and the sums
-    (rows' power table).T @ coefficients. Each table (`_powers`) is built
-    and used in chunks of at most KERNEL_BLOCK entries (one column if terms
-    is more), so memory does not grow with n or the number of rows."""
-    c, _, small = grid._node_annulus
-    cols = cols.reshape(grid.n, -1)
-    width = max(1, KERNEL_BLOCK // terms)  # table columns per chunk
-    coeff = np.zeros((terms, cols.shape[1]), dtype=complex)
-    for lo in range(0, grid.n, width):  # each chunk's table freed before the next's
-        first = 1.0 / (grid.z[lo:lo + width] - c)  # B_j r^j = sum_k g_k (r/(z_k - c))^j/(z_k - c)
-        coeff += _powers(first, small * first, terms) @ cols[lo:lo + width]
-    x = (p - c) / small  # sum_j ((p - c)/r)^j B_j r^j
-    sums = np.empty((p.size, cols.shape[1]), dtype=complex)
-    for lo in range(0, p.size, width):
-        sums[lo:lo + width] = _powers(1.0, x[lo:lo + width], terms).T @ coeff
-    return sums
 
 
 def _powers(first, step, terms):

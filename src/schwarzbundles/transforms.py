@@ -14,9 +14,9 @@ property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
 blocked direct pass, or for points of a large batch clear of the nodes'
-annulus the same trapezoidal sum in the pullback variable outside it, or
-expanded about the conformal center far inside it) through `curve.sides`
-or `curve.off_band`, which locate the points it sums at in the same pass and
+annulus the same trapezoidal sum in the pullback variable, outside it and,
+on a map of degree 1, inside it) through `curve.sides` or
+`curve.off_band`, which locate the points it sums at in the same pass and
 refuse the exclusion band and non-finite points. `double_cauchy_batch`
 evaluates C for many z at one w in one such pass; `cauchy_integral` and
 `double_cauchy` are batches of one point. The trapezoidal moments

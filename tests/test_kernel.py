@@ -2,10 +2,11 @@
 compared with one-point sums and the loops in tests/oracles.py.
 
 Sides, NaN rows, refusals and the distances of direct rows must match
-exactly; far rows, summed by the pullback route or the expansion, report
-a lower bound on the distance at or above the band. Windings, Cauchy sums
-and what is built on them come from BLAS products, whose summation order
-depends on the batch, or from those routes; they must lie within the bound
+exactly; far rows, summed by the pullback route on either side of the
+nodes' annulus, report a lower bound on the distance at or above the band.
+Windings, Cauchy sums and what is built on them come from BLAS products,
+whose summation order depends on the batch, or from that route; they must
+lie within the bound
 the kernel states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k
 - p)|."""
 
@@ -68,8 +69,8 @@ def _routes(grid, pts, density=None):
 
 def _far_mask(grid, pts, density=None):
     """The rows of a batch that `kernel_sums` takes off the direct pass, by
-    the pullback route or the expansion: those that report the annulus
-    lower bound."""
+    the pullback route on either side: those that report the annulus lower
+    bound."""
     mask = np.zeros(pts.size, dtype=bool)
     for _, rows, *_ in _routes(grid, pts, density):
         mask[rows] = True
@@ -186,22 +187,21 @@ def _split_grid(name, n):
 
 def _split_points(grid, q_max, edges, rng):
     """240 points outside and 120 inside the nodes' annulus about c at
-    ratios q up to q_max, and 24 points near the curve. With edges, 20
-    points within 4 ulps of q = FAR_RATIO and of a distance to the annulus
-    of one band, on each side (inside, both ends of the expansion's
-    eligibility), come first; the near points follow."""
+    ratios q up to q_max, and 24 points near the curve. With edges, 10
+    points within 4 ulps of a distance to the annulus of one band, on each
+    side (both ends of the pullback route's reach), come first; the near
+    points follow."""
     c, big, small = grid._node_annulus
     radii = np.concatenate([big / rng.uniform(0.01, q_max, 240),
                             small * rng.uniform(0.0, q_max, 120)])
     if edges:
         ulps = 1.0 + np.array([-4, -1, 0, 1, 4]) * EPS
         band = grid.exclusion_band
-        radii = np.concatenate([big / (curve_mod.FAR_RATIO * ulps), (big + band) * ulps,
-                                small * curve_mod.FAR_RATIO * ulps,
-                                np.maximum(small - band, 0.0) * ulps, radii])
+        radii = np.concatenate([(big + band) * ulps, np.maximum(small - band, 0.0) * ulps,
+                                radii])
     pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=radii.size))
     near = grid.z[rng.integers(0, grid.n, 24)] * (1.0 + rng.uniform(-0.01, 0.01, 24))
-    lead = 20 if edges else 0
+    lead = 10 if edges else 0
     return np.concatenate([pts[:lead], near, pts[lead:]]), lead + 24
 
 
@@ -220,7 +220,7 @@ def _location(near, inside):
 
 
 @given(name=st.sampled_from(sorted(SPLIT_CURVES)), n=st.sampled_from([256, 1024, 4096]),
-       columns=st.integers(1, 9), q_max=st.floats(0.05, 0.7), edges=st.booleans(),
+       columns=st.integers(1, 9), q_max=st.floats(0.05, 0.95), edges=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
     # Far and direct rows of one batch: windings and sums within the row
@@ -228,8 +228,8 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
     # band on far rows and the exact distance on direct ones, and each
     # Location the one-point hypot/winding decision. The edge and near rows
     # and 24 more drawn at random are checked against the one-point loops.
-    # Edge points put the batch's largest q at FAR_RATIO, where n = 256
-    # takes no expansion; without them a small q_max does.
+    # On the disk the route takes rows on both sides of the nodes' annulus;
+    # on the other curves only outside, and their inside rows are direct.
     grid = _split_grid(name, n)
     rng = np.random.default_rng(seed)
     pts, lead = _split_points(grid, q_max, edges, rng)
@@ -261,18 +261,19 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
 @pytest.mark.parametrize("name", sorted(SPLIT_CURVES))
 def test_mixed_batch_rows_equal_their_lone_values(name):
     # sweep's 40 x 40 lattice, with 150 more points inside the annulus of
-    # the nodes: pullback rows outside the curve, far rows inside it and
-    # direct rows in one batch, each within its row bound of the value it
-    # gets alone
+    # the nodes: pullback rows outside the curve, and inside it on the disk,
+    # and direct rows in one batch, each within its row bound of the value
+    # it gets alone
     grid = _split_grid(name, 1024)
     c, big, small = grid._node_annulus
     xs = np.linspace(-2.0, 2.0, 40)
     lattice = (c + xs[None, :] + 1j * xs[:, None]).ravel()
     rng = np.random.default_rng(7)
-    inn = c + small * rng.uniform(0.0, 0.6, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
+    inn = c + small * rng.uniform(0.0, 0.95, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
     pts = np.concatenate([lattice, inn])
     dens = np.log(np.abs(grid.z - 3.0) ** 2)
-    assert {kind for kind, *_ in _routes(grid, pts, dens)} == {"pullback", "inside"}
+    sides = {"outside", "inside"} if grid.curve.degree == 1 else {"outside"}
+    assert {kind for kind, *_ in _routes(grid, pts, dens)} == sides
     assert 0 < _far_mask(grid, pts, dens).sum() < pts.size
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     alone = [sb.kernel_sums(grid, [p], dens) for p in pts]
@@ -293,7 +294,7 @@ def test_padded_map_takes_the_routes_of_its_degree():
     pts = (xs[None, :] + 1j * xs[:, None]).ravel()
     dens = np.log(np.abs(grid.z - 3.0) ** 2)
     found = {kind: rows for kind, rows, *_ in _routes(grid, pts, dens)}
-    assert "pullback" in found
+    assert "outside" in found
     assert {kind: rows.tolist() for kind, rows, *_ in _routes(padded, pts, dens)} \
         == {kind: rows.tolist() for kind, rows in found.items()}
     assert all(same_bits(a, b) for a, b in zip(sb.kernel_sums(padded, pts, dens),
@@ -321,6 +322,58 @@ def _smooth_densities(grid, columns, rng):
     return np.stack(kinds[:columns], axis=1)
 
 
+def _check_route_rows(grid, pts, inside, columns, rng):
+    """The pullback route's rows among pts on one side of the nodes'
+    annulus, each at least one band from it, checked against the pass and
+    the one-point sums (see the two tests below)."""
+    c, big, small = grid._node_annulus
+    dens = _smooth_densities(grid, columns, rng)
+    cols, columns_2d = curve_mod._columns(grid, dens)
+    gap = np.abs(pts - c)
+    lower = (small - gap) - 8 * EPS * (small + gap) if inside \
+        else (gap - big) - 8 * EPS * (gap + big)
+    assert np.all(lower >= grid.exclusion_band)
+    # the rows `_routes` offers: none where the nodes' rounding leaves d_node
+    # infinite (the degree-12 map at n = 256)
+    _, l_in, _, _, d_node = grid._pullback_map
+    offered = np.flatnonzero((lower >= d_node) & (lower > l_in * np.pi / grid.n))
+    rows, route, share = offered[:0], np.empty((0, 1 + columns), dtype=complex), np.empty(0)
+    if offered.size:
+        with np.errstate(all="ignore"):
+            taken, _, route, share = curve_mod._pullback_rows(
+                grid, pts[offered], gap[offered], lower[offered], cols,
+                np.fft.fft(columns_2d, axis=0), inside)
+        rows = offered[taken]
+    assert np.all(share <= 1.0) and share.size == rows.size
+    # the pass's winding Im(S_0)/n and sums -i S/n of the route's S
+    route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
+    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
+    near, sided, _ = curve_mod.sides(grid, pts, dens)
+    capped = grid.curve.degree <= curve_mod.PULLBACK_DEGREE
+    if capped:
+        assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == float(inside))
+        assert np.array_equal(sums[rows], route[:, 1:])  # up to the sign of a zero
+    else:
+        assert not _far_mask(grid, pts, dens).any()
+    scale = 0.99 * TWO_PI * EPS * np.abs(cols).sum(axis=0)  # the share's unit, per column
+    for k in rng.permutation(rows.size)[:24]:
+        i, p = rows[k], pts[rows[k]]
+        hypot = oracles.nearest_node_distance(grid, p)
+        assert grid.exclusion_band <= nearest[i] <= hypot if capped \
+            else abs(nearest[i] - hypot) <= 2 * EPS * hypot
+        one_winding = oracles.trapezoid_winding(grid, p)
+        assert abs(route[k, 0] - one_winding) <= oracles.kernel_row_bound(grid, grid.dz, p)
+        for j in range(columns):
+            want = oracles.trapezoid_cauchy(grid, dens[:, j], p)
+            assert abs(route[k, j + 1] - want) \
+                <= oracles.kernel_row_bound(grid, dens[:, j] * grid.dz, p)
+        assert _location(near[i], sided[i]) \
+            == _location(hypot < grid.exclusion_band, one_winding > 0.5)
+        error = np.abs(route[k] - oracles.pullback_sums_exact(grid, dens, p)).astype(float)
+        assert np.all(error <= share[k] * scale / (gap[i] + big))
+    return rows.size
+
+
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
                     reason="needs a longdouble wider than float64")
 @settings(deadline=None, max_examples=40)
@@ -340,56 +393,92 @@ def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
     rng = np.random.default_rng(seed)
     c, big, _ = grid._node_annulus
     radii = (big + grid.exclusion_band) * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 * big, 300)
+    _check_route_rows(grid, c + radii * np.exp(2j * np.pi * rng.uniform(size=300)), False,
+                      columns, rng)
+
+
+INSIDE_CURVES = {"disk": ([0, 1], 0.5), "turned": ([0.3 + 0.1j, 1.5j], 0.5)}
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
+                    reason="needs a longdouble wider than float64")
+@settings(deadline=None, max_examples=40)
+@given(name=st.sampled_from(sorted(INSIDE_CURVES)), n=st.sampled_from([256, 1024, 4096]),
+       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+def test_inside_pullback_rows_equal_one_point_sums(name, n, columns, seed):
+    # the same on 300 points inside the nodes' annulus of a map of degree
+    # 1, from its center to one band short of it: the route sums the
+    # density's nonnegative modes against powers of zeta0 = (p - a0)/a1,
+    # and the pass gives its rows the winding 1
+    grid = sb.sample(sb.build_polynomial_curve(*INSIDE_CURVES[name]), n)
+    rng = np.random.default_rng(seed)
+    c, _, small = grid._node_annulus
+    radii = (small - grid.exclusion_band) * (1.0 - 1e-9) * np.sqrt(rng.uniform(size=300))
+    taken = _check_route_rows(grid, c + radii * np.exp(2j * np.pi * rng.uniform(size=300)), True,
+                              columns, rng)
+    assert taken >= 50
+
+
+def _newton_term(grid, gap, terms, kept):
+    """kappa max_{j<=M} j A_j (|p - c| + R) kept per row: A_j the recurrence
+    A_j = sum_{l<j} |b_l| A_{j-l} + j |b_j| on |b_l| = |a_l|/d, d the row's
+    level of eight distances from the closest row, kappa = 1.01 (1.2 N + 8)
+    eps, one Python loop per term."""
+    a = np.abs(grid.curve.coeffs[1:grid.curve.degree + 1])
+    closest, farthest = gap.min(), gap.max()
+    spacing = math.log(farthest / closest) / 8
+    floors = closest * np.exp(spacing * np.arange(8)) * (1.0 - 16 * EPS)
+    level = np.minimum((np.log(gap / closest) / spacing).astype(int), 7)
+    majorant = [np.zeros(8)]
+    for j in range(1, terms + 1):
+        step = sum(a[l - 1] / floors * majorant[j - l] for l in range(1, min(j, a.size + 1)))
+        majorant.append(step + (j * a[j - 1] / floors if j <= a.size else 0.0))
+    reach = (np.arange(1, terms + 1)[:, None] * np.array(majorant[1:])).max(axis=0)
+    kappa = 1.01 * (1.2 * a.size + 8) * EPS
+    return kappa * reach[level] * (gap + grid._node_annulus[1]) * kept
+
+
+@pytest.mark.parametrize("name", ["cardioid", "quartic"])
+def test_pullback_bound_carries_newtons_term(name, monkeypatch):
+    # on every row the route takes outside a map of degree 2 or 4, its bound
+    # exceeds the bound with the recurrence's table zeroed by Newton's
+    # rounding term alone, computed here on its own (`_newton_term`) from
+    # the largest column's sum_{j<=M} |F_-j| per unit of its share
+    grid = _split_grid(name, 1024)
+    c, big, _ = grid._node_annulus
+    rng = np.random.default_rng(4)
+    radii = (big + grid.exclusion_band) * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 * big, 300)
     pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=300))
-    dens = _smooth_densities(grid, columns, rng)
-    cols, columns_2d = curve_mod._columns(grid, dens)
-    gap = np.abs(pts - c)
-    lower = (gap - big) - 8 * EPS * (gap + big)
-    assert np.all(lower >= grid.exclusion_band)
+    dens = _smooth_densities(grid, 2, rng)
+    cols = curve_mod._columns(grid, dens)[0]
+    gap, lower = _offered(grid, pts, False)
+    spectra = np.fft.fft(dens, axis=0)
     with np.errstate(all="ignore"):
-        taken, _, route, share = curve_mod._pullback_rows(grid, pts, gap, lower, cols, columns_2d)
-    rows = np.flatnonzero(taken)
-    assert np.all(share <= 1.0) and share.size == rows.size
-    # the pass's winding Im(S_0)/n and sums -i S/n of the route's S
-    route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
-    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
-    near, inside, _ = curve_mod.sides(grid, pts, dens)
-    capped = grid.curve.degree <= curve_mod.PULLBACK_DEGREE
-    if capped:
-        assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == 0.0)
-        assert np.array_equal(sums[rows], route[:, 1:])  # up to the sign of a zero
-    else:
-        assert not _far_mask(grid, pts, dens).any()
-    scale = 0.99 * TWO_PI * EPS * np.abs(cols).sum(axis=0)  # the share's unit, per column
-    for k in rng.permutation(rows.size)[:24]:
-        i, p = rows[k], pts[rows[k]]
-        hypot = oracles.nearest_node_distance(grid, p)
-        assert grid.exclusion_band <= nearest[i] <= hypot if capped \
-            else abs(nearest[i] - hypot) <= 2 * EPS * hypot
-        one_winding = oracles.trapezoid_winding(grid, p)
-        assert abs(route[k, 0] - one_winding) <= oracles.kernel_row_bound(grid, grid.dz, p)
-        for j in range(columns):
-            want = oracles.trapezoid_cauchy(grid, dens[:, j], p)
-            assert abs(route[k, j + 1] - want) \
-                <= oracles.kernel_row_bound(grid, dens[:, j] * grid.dz, p)
-        assert _location(near[i], inside[i]) \
-            == _location(hypot < grid.exclusion_band, one_winding > 0.5)
-        error = np.abs(route[k] - oracles.pullback_sums_exact(grid, dens, p)).astype(float)
-        assert np.all(error <= share[k] * scale / (gap[i] + big))
+        taken, terms, _, share = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra)
+        power_sums = curve_mod._power_sums  # the envelope's b is real, the rows' complex
+        monkeypatch.setattr(curve_mod, "_power_sums", lambda b, m: power_sums(b, m)
+                            if np.iscomplexobj(b) else np.zeros((m, b.shape[1])))
+        bare_taken, _, _, bare = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra)
+    limit = 0.99 * TWO_PI * grid.n * EPS * np.abs(cols).sum(axis=0)[1:]
+    kept = (np.abs(spectra[-np.arange(1, terms + 1)]).sum(axis=0) / limit).max()
+    newton = _newton_term(grid, gap, terms, kept)[taken]
+    assert terms > 8 and taken.sum() > 100 and not np.any(taken & ~bare_taken)
+    assert np.all(newton > 0.0)
+    assert np.allclose(share - bare[taken[bare_taken]], newton, rtol=1e-9, atol=0.0)
 
 
 def test_pullback_route_declines_a_white_noise_column():
     # 300 points at 1.1 R about the disk, sigma about 0.91: a smooth
     # density's modes decay and the route takes every row with a few dozen
     # terms; a column of white noise needs more terms than the route's cap
-    # at that sigma, and it declines every row (q > FAR_RATIO: all direct)
+    # at that sigma, and it declines every row: all are direct
     grid = _split_grid("disk", 1024)
     c, big, _ = grid._node_annulus
     ring = c + 1.1 * big * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
     smooth = np.log(np.abs(grid.z - 3.0) ** 2)
     noise = np.random.default_rng(3).normal(size=grid.n)
     (kind, rows, _, terms, _), = _routes(grid, ring, smooth)
-    assert kind == "pullback" and rows.size == ring.size and terms < 64
+    assert kind == "outside" and rows.size == ring.size and terms < 64
     assert _routes(grid, ring, np.stack([smooth, noise], axis=1)) == []
 
 
@@ -417,25 +506,31 @@ def test_an_empty_batch_gives_empty_rows(cardioid_grid):
     assert nearest.shape == winding.shape == (0,) and sums.shape == (0, 2)
 
 
-def test_far_rows_only_where_the_expansion_pays(cardioid_grid):
+def test_far_rows_only_where_the_route_pays(cardioid_grid):
     # one point, and the fits' 12 and 24 samples with 13 and 25 columns (as
-    # in sweep), stay direct: neither the expansion nor the pullback route
-    # takes them; a large far ring whose density the pullback route declines
-    # (white noise) stays direct too, while a ring of as many points far
-    # inside the curve takes the expansion with M < n
+    # in sweep), stay direct, and the route is not looked at: the grid forms
+    # no annulus for them. A large far ring whose density the route declines
+    # (white noise) stays direct too, as does a ring of as many points far
+    # inside the cardioid (degree 2); inside the disk the same ring takes
+    # the route with M within its cap
     grid = sb.sample(cardioid_grid.curve, 512)
     c, _, small = grid._node_annulus
     ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)
     noise = np.random.default_rng(5).normal(size=grid.n)
     for count in (12, 24):
-        samples = sb.default_exterior_samples(grid, count)
-        assert _routes(grid, samples[:1], noise) == []
-        assert _routes(grid, samples, quaddom._pole_density(grid, samples, False)) == []
+        fresh = sb.sample(cardioid_grid.curve, 512)
+        samples = sb.default_exterior_samples(fresh, count)
+        assert _routes(fresh, samples[:1], noise) == []
+        assert _routes(fresh, samples, quaddom._pole_density(fresh, samples, False)) == []
+        assert "_node_annulus" not in vars(fresh) and "_pullback_map" not in vars(fresh)
     assert _routes(grid, ring, noise) == []
     inner = c + 0.3 * small * np.exp(2j * np.pi * np.arange(256) / 256)
-    (kind, rows, nearest, terms, _), = _routes(grid, inner, noise)
-    assert kind == "inside" and rows.size == inner.size and terms < grid.n
-    assert np.all(nearest >= grid.exclusion_band)
+    assert _routes(grid, inner, noise) == []
+    disk = _split_grid("disk", 512)
+    (kind, rows, nearest, terms, _), = _routes(disk, inner, noise)
+    assert kind == "inside" and rows.size == inner.size
+    assert 0 < terms <= disk.n // (2 * (1 + 2))
+    assert np.all(nearest >= disk.exclusion_band)
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
@@ -462,46 +557,75 @@ def test_power_table_rows_round_like_sequential_products(terms, seed, ones):
     assert np.all(rel <= j * np.sqrt(5.0) / 2.0 * EPS * (1.0 + terms * EPS))
 
 
-@pytest.mark.parametrize("n", [16, 256, 1024, 4096, 65536])
-def test_expansion_terms_are_the_least_whose_tail_fits(n):
-    # M = _terms(n, q, R/r) is the least count with q^M <= 2 pi n eps (1 -
-    # q)/(R/r + q), the tail within an eighth of kernel_sums' bound: M
-    # terms fit it and M - 1 do not (M = 1 at q = 0, where no term is left)
-    for q in np.linspace(0.02, 0.96, 48):
-        for spread in (1.0, 1.25, 2.0, 4.0, 16.0):
-            m = curve_mod._terms(n, q, spread)
-            tail = TWO_PI * n * EPS * (1.0 - q) / (spread + q)
-            assert q ** m <= tail < q ** (m - 1), (q, spread, m)
-    assert curve_mod._terms(n, 0.0, 2.0) == 1
+def _offered(grid, pts, inside):
+    """(gap, lower) of points on one side of the nodes' annulus, as
+    `_routes` offers them to `_pullback_rows`."""
+    c, big, small = grid._node_annulus
+    gap = np.abs(pts - c)
+    lower = (small - gap) - 8 * EPS * (small + gap) if inside \
+        else (gap - big) - 8 * EPS * (gap + big)
+    _, l_in, _, _, d_node = grid._pullback_map
+    assert np.all(lower >= max(grid.exclusion_band, d_node))
+    assert np.all(lower > l_in * np.pi / grid.n)
+    return gap, lower
 
 
-def test_far_expansion_memory_does_not_grow_with_n():
-    # a ring of 256 points far inside the curve at n = 65536 with 3 columns
-    # (dz and two densities): the expansion's power tables of M x n and
-    # M x 256 entries are built in chunks, so it holds at most a few chunks
-    # of KERNEL_BLOCK complex entries beyond its O(n) arrays. One M x n
-    # table would be M n = 2.4 million entries. The pass takes the ring by
-    # the expansion: beyond its tables it holds the 3n-entry column array,
-    # well within the bound's 6n
-    grid = sb.sample(sb.build_polynomial_curve([0, 1, 0.3], 0.7), 2 ** 16)
+@pytest.mark.parametrize("inside", [False, True])
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+def test_route_terms_are_the_least_whose_tail_fits(n, inside):
+    # M is the least count, up to the cap n/(2 (N + columns)), whose tail
+    # sum_{M<j<=n/2} |F_j| (inside) or |F_-j| (outside), per unit of its
+    # column's share, times sigma^(M+1) at the rows' largest sigma fits half
+    # the share at their largest |p - c|: M terms fit it and M - 1 do not
+    grid = _split_grid("disk", n)
+    c, big, small = grid._node_annulus
+    rng = np.random.default_rng(n)
+    radii = small * rng.uniform(0.2, 0.8, 300) if inside else big * rng.uniform(1.2, 2.0, 300)
+    pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=300))
+    dens = np.stack([np.log(np.abs(grid.z - 2.5) ** 2), 1.0 / (grid.z - 0.4j)], axis=1)
+    cols = curve_mod._columns(grid, dens)[0]
+    gap, lower = _offered(grid, pts, inside)
+    spectra = np.fft.fft(dens, axis=0)
+    with np.errstate(all="ignore"):
+        _, terms, _, _ = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra, inside)
+    limit = 0.99 * TWO_PI * n * EPS * np.abs(cols).sum(axis=0)[1:]
+    j = np.arange(1, n // 2 + 1)
+    side = np.abs(spectra[j if inside else -j])
+    tails = [(side[m:].sum(axis=0) / limit).max() for m in range(n // 2)]
+    if inside:
+        sigma = gap / abs(grid.curve.coeffs[1]) * (1.0 + 4 * EPS)
+    else:
+        l_in = l_out = abs(grid.curve.coeffs[1])
+        sigma = l_out / (l_out + lower - l_in * np.pi / n) * (1.0 + 4 * EPS)
+    share = 0.5 / ((gap + big) / (1.0 - sigma ** n)).max()
+    top = sigma.max()
+    assert 0 < terms < n // (2 * (1 + 3))
+    assert tails[terms] * top ** (terms + 1) <= share * (1.0 + 1e-12)
+    assert tails[terms - 1] * top ** terms > share * (1.0 - 1e-12)
+
+
+def test_inside_route_memory_does_not_grow_with_n():
+    # a ring of 256 points far inside the disk at n = 65536 with 3 columns
+    # (dz and two densities): the route's power tables of M x 256 entries
+    # are built in chunks, and beyond its tables it holds the densities'
+    # spectra and their moduli (2n and n entries) and the 3n-entry column
+    # array, within the bound's 6n. One n x M table would be millions of
+    # entries
+    grid = sb.sample(sb.build_circle(0.0, 1.0), 2 ** 16)
     c, big, small = grid._node_annulus  # cached on the grid before tracing,
-    grid._node_parts  # as are the direct blocks' operands
+    grid._node_parts, grid._pullback_map  # as are the blocks' and the route's
     ring = c + 0.5 * small * np.exp(2j * np.pi * np.arange(256) / 256)
     dens = np.stack([np.conjugate(grid.z), np.log(np.abs(grid.z - 0.3) ** 2)], axis=1)
-    cols = curve_mod._columns(grid, dens)[0]
-    terms = curve_mod._terms(grid.n, np.abs(ring - c).max() / small, big / small)
-    assert terms > 8
-    assert [kind for kind, *_ in _routes(grid, ring, dens)] == ["inside"]
-    for run in (lambda: curve_mod._expansion(grid, cols, ring, terms),
-                lambda: sb.kernel_sums(grid, ring, dens)[2]):
-        tracemalloc.start()
-        try:
-            sums = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sums.shape[0] == 256
-        assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
+    found = _routes(grid, ring, dens)
+    assert [kind for kind, *_ in found] == ["inside"] and found[0][3] > 8
+    tracemalloc.start()
+    try:
+        sums = sb.kernel_sums(grid, ring, dens)[2]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sums.shape[0] == 256
+    assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
 
 
 @given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),

@@ -61,17 +61,17 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     # unwrap, transition value or Schwarz function, and one kernel pass to
     # locate a Chern class 1 adjustment point. The verification points take
     # one distance pass per radius, and verify_transition takes their sides
-    # from that search. A custom bundle unwraps its transition for its class,
-    # for its section and once per verification ring, and at Chern class 1
-    # places the adjustment point on each ring by a side pass; a second call
-    # makes the same passes
+    # from that search. A custom bundle unwraps its transition once for its
+    # class, once for its class and section together, and once per
+    # verification ring, and at Chern class 1 places the adjustment point on
+    # each ring by a side pass; a second call makes the same passes
     expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "pole-exterior": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "pole-interior": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "tangent-m-1": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"],
-                "custom-exp-schwarz": ["1/1/0/1", "2/2/0/2", "0/0/{}/0", "2/2/0/2", "2/2/0/2"],
-                "custom-tangent": ["1/1/0/0", "2/2/1/0", "0/0/{}/0", "2/2/2/0", "2/2/2/0"]}
+                "custom-exp-schwarz": ["1/1/0/1", "1/1/0/1", "0/0/{}/0", "2/2/0/2", "2/2/0/2"],
+                "custom-tangent": ["1/1/0/0", "1/1/1/0", "0/0/{}/0", "2/2/2/0", "2/2/2/0"]}
     radii = {"disk": 1, "cardioid": 6, "quartic": 3}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
         (curve, kind): [cell.format(count) for cell in cells]
@@ -97,12 +97,19 @@ def test_heap_faults_reports_every_op_and_the_kernel_peak():
 def test_pullback_rows_reports_each_route_within_the_bound():
     proc = _run("pullback_rows.py")
     assert proc.returncode == 0, proc.stderr
-    table = proc.stdout.split("\n\n")[0].splitlines()[2:]
-    rows = {line.split()[0]: line.split() for line in table}
-    # degrees 1, 2 and 4 take the route, within the stated bound; the Taylor
-    # curves are past PULLBACK_DEGREE, and all their rows are direct
+    tables = [[line.split() for line in table.splitlines()[2:]]
+              for table in proc.stdout.split("\n\n")[:3]]
+    rows, inner = ({row[0]: row for row in table} for table in tables[:2])
+    # degrees 1, 2 and 4 take the route outside, within the stated bound,
+    # and the disk inside too; the Taylor curves are past PULLBACK_DEGREE,
+    # and all their rows are direct
     for name in ("disk", "cardioid", "quartic"):
         assert int(rows[name][2]) > 1000 and float(rows[name][6]) < 1.0
+    assert int(rows["disk"][3]) > 200 and rows["cardioid"][3] == rows["quartic"][3] == "0"
     for name in ("taylor-6", "taylor-12", "taylor-30"):
         assert rows[name][2:5] == ["0", "0", "1600"]
+    # interior rows: the inside route takes every one on the disk, within
+    # the bound, and none at any other degree
+    assert inner["disk"][2] == inner["disk"][3] and float(inner["disk"][5]) < 1.0
+    assert all(row[3] == "0" for name, row in inner.items() if name != "disk")
     assert "PULLBACK_DEGREE = 4" in proc.stdout
