@@ -20,9 +20,9 @@ ring's radius. The custom bundles, exp(S) and T from the Newton inversion of
 the nodes (`schwarz_near`, `holomorphic_tangent`), unwrap their transition
 once in chern_class and once in canonical_section, which takes its class
 and its density from that one unwrap, and keep the ring mechanism: one
-unwrap of the transition per ring, and at Chern class 1 one side pass of
-the adjustment point per ring. A second call makes the same passes as the
-first.
+unwrap of the transition per ring. Every bundle places a Chern class 1
+adjustment point on a ring by its preimage, with no kernel pass. A second
+call makes the same passes as the first.
 
 Usage: python scripts/section_passes.py [n]   (default 1024)
 """

@@ -39,17 +39,19 @@ verification ring's density is that of lambda12 (z - a)^{-c}, with the
 section's own Chern class c and adjustment point a, and its Fourier mode k
 must be R^k times the section's. A built-in bundle's ring modes are its
 Laurent modes folded at the ring's radius, with no ring grid; a custom
-bundle's are one unwrap on the ring's grid, after a `curve.sides` pass puts
-a inside the ring. `verify_transition` returns a weighted sum of the mode
-differences, an upper bound on the point residual at the verification
-points under the standing assumption that phi is univalent on |zeta| <=
-1/rho, omitting the aliasing remainder of the trapezoidal sums; it is
+bundle's are one unwrap on the ring's grid. Every bundle places a inside a
+ring by the modulus of a's preimage, with no kernel pass: under the
+standing assumption that phi is univalent on |zeta| <= 1/rho, a lies
+inside the ring |zeta| = R exactly when its preimage has modulus below R.
+`verify_transition` returns a weighted sum of the mode differences, an
+upper bound on the point residual at the verification points under that
+assumption, omitting the aliasing remainder of the trapezoidal sums; it is
 stricter than that residual on high modes. The verification points are
 searched over radii, one distance pass per radius, and every band and side
-decision is `curve.sides`. The two verification rings' radii, mode scales
-and weights, a custom bundle's ring grids, and the points with the sides
-their search gave depend on the grid alone: they are built once per grid
-and kept on it.
+decision about a point is `curve.sides`. The two verification rings' radii,
+mode scales and weights, a custom bundle's ring grids, and the points with
+the sides their search gave depend on the grid alone: they are built once
+per grid and kept on it.
 Nothing is kept per bundle call, pole, adjustment point or section, and
 every array returned to a caller is a fresh one.
 """
@@ -70,7 +72,6 @@ from .curve import (
     _pullback_tangent,
     _read_only,
     _ring,
-    band_refusal,
     integer_argument,
     off_band,
     sides,
@@ -139,10 +140,9 @@ def schwarz_pole_bundle(curve, w):
     if not np.isfinite(w):
         raise ParseError(f"pole {w} is not finite")
     roots = laurent.pole_roots(curve, w)
-    return LineBundle(curve, lambda grid: _pole_transition(grid, w),
-                      chern=int(np.count_nonzero(np.abs(roots) < 1.0)),
-                      modes=partial(laurent.adjusted, curve, laurent.schwarz_pole(curve, roots),
-                                    w, roots), pole=w)
+    series = laurent.schwarz_pole(curve, roots)
+    return LineBundle(curve, lambda grid: _pole_transition(grid, w), chern=series.winding,
+                      modes=partial(laurent.adjusted, curve, series, w, roots), pole=w)
 
 
 def tangent_power_bundle(curve, m):
@@ -169,14 +169,11 @@ def _node_log(bundle, grid, c, a, unwrapped=None):
     a) from a's preimages (`laurent`): its modes, and -c log zeta at the
     nodes. With c the class and a inside the nodes no winding remains; one
     that does is a zero or pole of lambda12 between the nodes and the curve
-    (NearBoundaryError)."""
+    (NearBoundaryError, from `laurent.check`)."""
     if bundle.modes is not None:
         return laurent.density(bundle.modes(c, a), grid.n, grid.radius)
     log, winding = unwrapped or unwrap_log(bundle.transition_at_nodes(grid))
-    if round(winding) != c:
-        raise NearBoundaryError(
-            "a zero or pole of lambda12 lies between the curve and the nodes "
-            f"|zeta| = {grid.radius:.6g}; refine the grid")
+    laurent.check(laurent.Laurent(0j, winding=round(winding) - c), grid.radius)
     if c:
         series = laurent._adjustment(grid.curve, c, a)
         log = log + laurent.density(series._replace(winding=0), grid.n, grid.radius) \
@@ -255,23 +252,14 @@ def canonical_section(bundle, grid, a=None):
 
 def _resolve_adjustment(bundle, grid, a):
     """a, else the bundle pole if interior, else the conformal center; one
-    `curve.sides` pass locates each candidate, and a candidate in the
+    `curve.off_band` pass locates each candidate, and a candidate in the
     exclusion band is refused (NearBoundaryError), the pole included."""
-    if a is None and bundle.pole is not None and _inside(grid, complex(bundle.pole)):
+    if a is None and bundle.pole is not None and off_band(grid, [bundle.pole])[0][0]:
         return complex(bundle.pole)
     a = complex(bundle.curve.conformal_center if a is None else a)
-    if not _inside(grid, a):
+    if not off_band(grid, [a])[0][0]:
         raise AdjustmentPointNotInteriorError(f"adjustment point {a} is not strictly interior")
     return a
-
-
-def _inside(grid, p):
-    """Whether p is inside the curve, from one `curve.sides` pass, refusing p
-    in the band as `curve.off_band` does."""
-    near, inside, _ = sides(grid, [p])
-    if near[0]:
-        raise band_refusal(grid, p)
-    return bool(inside[0])
 
 
 def evaluate_section(section, z):
@@ -401,30 +389,28 @@ def _ring_log_modes(bundle, grid, rings, c, a):
     verification ring of `rings` (0 outer, 1 inner), one row each. A
     built-in bundle's are its Laurent series folded at the rings' radii,
     with no ring grid; a custom bundle's are one unwrap on the kept ring
-    grid and one FFT. Ring by ring, the adjustment point must lie inside
-    the ring (NearBoundaryError): for a built-in bundle its preimage inside
-    the radius, for a custom one inside the ring's image and off its band
-    by one `curve.sides` pass of the ring; then the ring's density is
-    refused where `_node_log` or `laurent.check` refuses it."""
+    grid and one FFT. Ring by ring, the adjustment point's preimage must lie
+    inside the ring's radius (NearBoundaryError), which under univalence on
+    |zeta| <= 1/rho is a inside the ring, with no kernel pass: the series'
+    `point`, or for a custom bundle its adjustment's (`laurent._adjustment`).
+    Then the ring's density is refused where `_node_log` or `laurent.check`
+    refuses it."""
     kept = _kept(grid, _ring_modes)
-    series = None if bundle.modes is None else bundle.modes(c, a)
+    custom = bundle.modes is None
+    series = laurent._adjustment(grid.curve, c, a) if custom else bundle.modes(c, a)
     rows = []
     for ring in rings:
         radius = kept[ring][0]
-        if series is not None:
-            placed = series.point < radius
-        else:
-            ring_grid = _kept(grid, _verification_rings)[ring]
-            placed = not c or sides(ring_grid, [a])[1][0]
-        if not placed:
+        if not series.point < radius:
             raise NearBoundaryError(
                 f"adjustment point {a} is not strictly inside the ring "
                 f"|zeta| = {radius:.6g}; refine the grid")
-        if series is None:
+        if custom:
+            ring_grid = _kept(grid, _verification_rings)[ring]
             rows.append(np.fft.fft(_node_log(bundle, ring_grid, c, a), norm="forward"))
         else:
             laurent.check(series, radius)
-    if series is None:
+    if custom:
         return np.array(rows)
     modes = laurent.spectra(series, grid.n, [kept[ring][0] for ring in rings])
     modes[:, 0] += series.constant
@@ -461,16 +447,17 @@ def verify_transition(section, bundle, annulus_points):
     transition or unwrap, and no kernel pass. A custom bundle's are one
     unwrap of lambda12 on the ring's grid, with the adjustment (z - a)^{-c}
     from its modes, and one FFT. Either way c and a are the section's own
-    Chern class and adjustment point.
+    Chern class and adjustment point, and a is placed on each ring by its
+    preimage, with no kernel pass.
 
     NearBoundaryError (refine the grid) refuses a point in the curve's band,
-    a ring off the validated annulus, an adjustment point not strictly
-    inside a checked ring (`_ring_log_modes`), and a zero or pole of
-    lambda12 between ring and curve: a root of a built-in bundle's series
-    on the wrong side of the ring, or a winding left over; a section on a
-    grid of another curve than the bundle's is a ParseError. The rings'
-    radii, scales and weights, and a custom bundle's ring grids, are built
-    once per grid and kept on it. The grid's own verification points reuse
+    a ring off the validated annulus, an adjustment point whose preimage is
+    not strictly inside a checked ring (`_ring_log_modes`), and a zero or
+    pole of lambda12 between ring and curve: a root of a built-in bundle's
+    series on the wrong side of the ring, or a winding left over; a section
+    on a grid of another curve than the bundle's is a ParseError. The
+    rings' radii, scales and weights, and a custom bundle's ring grids, are
+    built once per grid and kept on it. The grid's own verification points reuse
     their search's band and side decision; any other points are decided
     afresh, and no points is a ParseError."""
     grid = section.grid

@@ -7,10 +7,13 @@ from boundary integrals on a contour grid. E = exp(C) is the canonical
 section of the Schwarz-pole bundle 1/(S - conj w): C(z, w) is the Cauchy
 sum at z of its density (`_pole_density`) plus, for interior z,
 log|z - w|^2 at interior w or, at exterior w, the conjugate of the sum of
--conj(density). E carries one of the four analytic pieces F, G, G*, H,
-fixed by which side of the curve each argument lies on;
-`TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
-property with the quadrant enforced.
+-conj(density). At exterior w the density is summed without its constant,
+about -log(-conj w), whose sum is 0 at exterior z and cancels between the
+two sums at interior z: so C, of size |S/w| for far w, keeps its relative
+accuracy (on the disk to 1e-14 of log1p at w = 1e11). E carries one of the
+four analytic pieces F, G, G*, H, fixed by which side of the curve each
+argument lies on; `TransformValue.piece` returns it, and `piece_f` ...
+`piece_h` are that property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
 blocked direct pass, or for points of a large batch clear of the nodes'
@@ -214,20 +217,27 @@ def _pole_transition(grid, w):
 
 
 def _pole_density(grid, w, interior):
-    """`canonical_section(schwarz_pole_bundle(curve, w), grid).density`, bit
-    for bit, at a located w: the modes of 1/(S - conj w) from w's preimages
-    (`laurent.schwarz_pole`), adjusted at w (Chern class 1) if interior.
-    An array of exterior w, the rational fit's samples, gives one column
-    each, (n, m), from one unwrap of their node values: at 12 and 24
+    """The density that `double_cauchy` sums for a located w, from the modes
+    of 1/(S - conj w) at w's preimages (`laurent.schwarz_pole`). At interior
+    w it is `canonical_section(schwarz_pole_bundle(curve, w), grid).density`
+    bit for bit, adjusted at w (Chern class 1). At exterior w it is that
+    density less its constant and its node-0 anchor, mod 2 pi i: the inverse
+    FFT of the series' non-constant modes, of size |S/w| for far w, where the
+    constant is about -log(-conj w). A constant's Cauchy sum is 0 at exterior
+    z and cancels against the second column's at interior z, so C needs no
+    constant, and its rounding does not swamp the rest. An array of exterior
+    w, the rational fit's samples, gives one column each, (n, m), from one
+    unwrap of their node values, anchored by `laurent.anchored`: at 12 and 24
     samples on 512 nodes that is faster than their power sums (Newton's
-    identities on a_l/(a0 - w)) or their roots. Either way anchored by
-    `laurent.anchored`."""
+    identities on a_l/(a0 - w)) or their roots."""
     if np.ndim(w):
         return laurent.anchored(unwrap_log(_pole_transition(grid, w))[0])
     curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
-    series = laurent.adjusted(curve, laurent.schwarz_pole(curve, roots), w, roots,
-                              int(interior), w if interior else None)
-    return laurent.density(series, grid.n)
+    series = laurent.schwarz_pole(curve, roots)
+    if interior:
+        return laurent.density(laurent.adjusted(curve, series, w, roots, 1, w), grid.n)
+    laurent.check(series, 1.0)
+    return np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
 
 
 def _double_cauchy_rows(grid, zs, w, w_inside):
@@ -243,7 +253,8 @@ def _double_cauchy_rows(grid, zs, w, w_inside):
         c[inside & ~apart] = np.nan  # coincident interior points
     else:
         # column 1, -conj(density), sums at interior z to log(z - w) on the
-        # branch continued from the nodes; its node-0 anchor cancels column 0's
+        # branch continued from the nodes, less the constant that column 0
+        # leaves out
         near, inside, sums = sides(grid, zs, np.stack([density, -np.conjugate(density)], 1))
         c = sums[:, 0].copy()
         c[inside] += np.conjugate(sums[inside, 1])
@@ -273,12 +284,14 @@ def double_cauchy(grid, z, w):
 
     C is the Cauchy sum I = (1/2 pi i) * integral of D_w(zeta) dzeta/(zeta - z)
     of the canonical section of the Schwarz-pole bundle of w: D_w is the
-    unwrapped log of 1/(S - conj w), divided by (zeta - w) for interior w
-    (Chern class 1). Interior z adds log|z - w|^2 at interior w and, at
-    exterior w, conj of the Cauchy sum of -conj(D_w) at z: log(conj z -
-    conj w) on the branch continued from the nodes, whose node-0 anchor
-    cancels that of I, so C is anchor-free like the area integral
-    -(1/pi) * integral of dA/((zeta - z)(conj zeta - conj w)) it equals.
+    log of 1/(S - conj w), divided by (zeta - w) for interior w (Chern
+    class 1), from its Laurent modes (`_pole_density`). Interior z adds
+    log|z - w|^2 at interior w and, at exterior w, conj of the Cauchy sum
+    of -conj(D_w) at z: log(conj z - conj w) on the branch continued from
+    the nodes, less the constant that I leaves out. At exterior w D_w's
+    constant and node-0 anchor drop out of C at every z, so they are not
+    summed, and C is anchor-free like the area integral -(1/pi) * integral
+    of dA/((zeta - z)(conj zeta - conj w)) it equals.
     """
     z, w = complex(z), complex(w)
     w_inside = off_band(grid, [w])[0][0]

@@ -21,8 +21,9 @@ the built-in bundles carried their Laurent modes: one unwrap of the
 transition's node values, on the curve or a ring; the modes must give it
 modulo 2 pi i. `verify_transition_ring_pass` is `verify_transition` through
 ring grids and those unwraps, with a side pass of the adjustment point on
-each ring: a custom bundle's check, and for a built-in bundle the value its
-modes must match where the side pass places the point.
+each ring, as the package placed a custom bundle's point before it took its
+preimage: every bundle's value must match it where the side pass places
+the point.
 The per-order complex powers (`trapezoid_moments_loop`) are the reference
 for the trapezoidal moments' recurrence, and the moment check's sampling
 ring with its inverse FFT (`moment_expansion_loop`) for the check.
@@ -610,8 +611,8 @@ def verify_transition_ring_pass(section, bundle, annulus_points):
     ring's density one unwrap of the transition on the ring's grid
     (`node_log_by_unwrap`), after a side pass (`curve.sides(ring, [a])`)
     puts the adjustment point inside the ring and off its band, as the
-    package checked every bundle before the built-in ones carried their
-    Laurent modes, and as it checks a custom bundle still."""
+    package checked every bundle before it placed that point by its
+    preimage."""
     grid, a, c = section.grid, section.adjustment, section.chern
     _require_own_grid(bundle, grid)
     inside = _point_sides(grid, annulus_points)

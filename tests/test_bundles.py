@@ -212,33 +212,42 @@ def test_verify_transition_needs_both_rings(disk, disk_grid):
 
 
 def test_verify_transition_refuses_unplaceable_rings(disk):
-    # the adjustment point w = 0.9 lies in the inner ring's band at n = 512:
-    # a custom bundle's side pass refuses it there, while the built-in pole's
-    # modes need only its preimage inside the ring (0.9 < r = 0.926), so the
-    # built-in section is checked at every n (a refusal narrowed). At n = 512
-    # the ring's 512 nodes alias the series of the root 0.9, 0.972^n: about
-    # 4.9e-9
+    # the adjustment point w = 0.9 lies in the inner ring's band at n = 512,
+    # but its preimage lies inside the ring (0.9 < r = 0.926): the built-in
+    # pole and its custom twin place it by that preimage alike, so both are
+    # checked at every n and agree. At n = 512 the ring's 512 nodes alias the
+    # series of the root 0.9, 0.972^n: about 4.9e-9
     pole = sb.schwarz_pole_bundle(disk, 0.9)
     custom = sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.9))  # S = 1/z on the disk
     for n, bound in ((512, 1e-8), (1024, 1e-12), (4096, 1e-12)):
         grid = sb.sample(disk, n)
         pts = sb.annulus_verification_points(grid, 32)
-        assert sb.verify_transition(sb.canonical_section(pole, grid), pole, pts) <= bound
-        section = sb.canonical_section(custom, grid, a=0.9)
-        if n == 512:
-            with pytest.raises(NearBoundaryError, match="not strictly inside the ring"):
-                sb.verify_transition(section, custom, pts)
-        else:
-            assert sb.verify_transition(section, custom, pts) <= 1e-12
-    # the lambda12 pole 1/conj(w) ~ 1.053 lies inside the outer ring (1.08):
-    # the built-in series does not converge there, the custom ring winds
+        value = sb.verify_transition(sb.canonical_section(pole, grid), pole, pts)
+        assert value <= bound
+        twin = sb.verify_transition(sb.canonical_section(custom, grid, a=0.9), custom, pts)
+        assert abs(twin - value) <= 1e-12
+    # a = 0.93 is interior and off the band at n = 512, but its preimage lies
+    # beyond the inner ring, and a = r on it: both kinds refuse them, with
+    # the same text
     grid = sb.sample(disk, 512)
+    pts = sb.annulus_verification_points(grid, 32)
+    inner = sb.bundles._kept(grid, sb.bundles._ring_modes)[1][0]
+    for a in (0.93, inner):
+        for bundle in (pole, custom):
+            section = sb.canonical_section(bundle, grid, a=a)
+            with pytest.raises(NearBoundaryError, match="not strictly inside the ring"):
+                sb.verify_transition(section, bundle, pts)
+    # the lambda12 pole 1/conj(w) ~ 1.053 lies inside the outer ring (1.08):
+    # the built-in series does not converge there, the custom ring winds;
+    # both refusals name the ring
+    outer = sb.bundles._kept(grid, sb.bundles._ring_modes)[0][0]
     pts = sb.annulus_verification_points(grid)
     for bundle in (sb.schwarz_pole_bundle(disk, 0.95),
                    sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.95))):
         section = sb.canonical_section(bundle, grid, a=0)
-        with pytest.raises(NearBoundaryError, match="zero or pole"):
+        with pytest.raises(NearBoundaryError, match="zero or pole") as refusal:
             sb.verify_transition(section, bundle, pts)
+        assert f"|zeta| = {outer:.6g};" in str(refusal.value)
     # the ring radius 1 - 12 pi / 1024 = 0.963 is too close to rho = 0.95
     thin = sb.build_circle(0, 1, rho=0.95)
     bundle = sb.exp_schwarz_bundle(thin)
@@ -358,14 +367,22 @@ def test_section_pieces_consistency_cardioid(cardioid, cardioid_grid):
 
 
 def test_pole_density_is_the_section_density(cardioid, cardioid_grid):
-    # double_cauchy's density for a located w is the canonical section's
-    for w in (2.5, -1.0 + 1.5j, 0.4 + 0.2j, 0.0):
+    # double_cauchy's density for a located w is the canonical section's:
+    # at interior w bit for bit, at exterior w less its constant (which C
+    # does not sum), mod 2 pi i, to rounding
+    for w in (2.5, -1.0 + 1.5j, 1e11, 0.4 + 0.2j, 0.0):
         interior = sb.locate(cardioid_grid, w) is sb.Location.INTERIOR
-        section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w),
-                                       cardioid_grid)
+        bundle = sb.schwarz_pole_bundle(cardioid, w)
+        section = sb.canonical_section(bundle, cardioid_grid)
         assert section.chern == int(interior)
-        assert same_bits(sb.transforms._pole_density(cardioid_grid, w, interior),
-                         section.density)
+        density = sb.transforms._pole_density(cardioid_grid, w, interior)
+        if interior:
+            assert same_bits(density, section.density)
+            continue
+        gap = section.density - bundle.modes(0, None).constant - density
+        turns = np.round(gap.imag / (2.0 * np.pi))
+        assert (turns == turns[0]).all()
+        assert np.abs(gap - 2j * np.pi * turns).max() <= 1e-14 * np.abs(section.density).max()
 
 
 def test_m_differential_matching(disk, disk_grid):
@@ -962,10 +979,10 @@ def test_side_pass_placement_implies_the_modes_placement(draw):
 @given(draw=adjustment_draws())
 def test_placed_adjustment_point_gives_the_ring_pass_outcome(draw):
     # the built-in T^1 section's check against its custom twin's, which
-    # unwraps each ring after a side pass of the adjustment point: where the
-    # twin answers the built-in bundle answers the same to 1e-12, and where
-    # the twin's side pass refuses the point the built-in bundle answers or
-    # refuses it as well; the twin's check is the ring-pass oracle's
+    # unwraps each ring: both place the adjustment point by its preimage, so
+    # they agree in outcome, the values to 1e-12 and a refusal in class and
+    # text; where the ring-pass oracle's side pass places the point, the
+    # twin answers as the oracle does
     pairs = class_one_sections(*draw)
     if pairs is None:
         return
@@ -975,29 +992,28 @@ def test_placed_adjustment_point_gives_the_ring_pass_outcome(draw):
     except NearBoundaryError:  # the annulus is too thin for points at this n
         return
     twin_value = outcome(sb.verify_transition, twin_section, twin, points)
-    oracle = outcome(oracles.verify_transition_ring_pass, twin_section, twin, points)
     value = outcome(sb.verify_transition, section, bundle, points)
-    if isinstance(twin_value, float):
-        assert twin_value == pytest.approx(oracle, abs=1e-13)
-        assert isinstance(value, float) and abs(value - twin_value) <= 1e-12
+    oracle = outcome(oracles.verify_transition_ring_pass, twin_section, twin, points)
+    if isinstance(value, float):
+        assert isinstance(twin_value, float) and abs(value - twin_value) <= 1e-12
     else:
-        assert twin_value == oracle
-        assert isinstance(value, float) or value[0] is NearBoundaryError
+        assert twin_value == value
+    if isinstance(oracle, float):
+        assert twin_value == pytest.approx(oracle, abs=1e-13)
 
 
-def test_class_one_side_pass_is_custom_only(monkeypatch, cardioid):
-    # a section has no distance to carry: a custom class-1 bundle's check
-    # takes one side pass of the adjustment point per checked ring, a
-    # built-in one none, whether the section came from canonical_section,
-    # by hand or by dataclasses.replace
+def test_class_one_check_makes_no_kernel_pass(monkeypatch, cardioid):
+    # a section has no distance to carry, and the adjustment point is placed
+    # on each ring by its preimage: a class-1 check makes no kernel pass, for
+    # a built-in bundle and a custom one alike, whether the section came from
+    # canonical_section, by hand or by dataclasses.replace
     grid = sb.sample(cardioid, 1024)
     pts = sb.annulus_verification_points(grid, 32)
     assert [f.name for f in dataclasses.fields(sb.SectionPair)] == \
         ["grid", "density", "chern", "adjustment", "normalization"]
     calls = []
     kernel_sums = sb.curve.kernel_sums
-    for bundle, passes in ((sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j), 0),
-                           (custom_twins(cardioid)[1], 2)):
+    for bundle in (sb.schwarz_pole_bundle(cardioid, 0.3 + 0.1j), custom_twins(cardioid)[1]):
         section = sb.canonical_section(bundle, grid)
         by_hand = sb.SectionPair(grid, section.density, 1, section.adjustment,
                                  section.normalization)
@@ -1007,34 +1023,32 @@ def test_class_one_side_pass_is_custom_only(monkeypatch, cardioid):
         for other in (section, by_hand, moved):
             calls.clear()
             value = sb.verify_transition(other, bundle, pts)
-            assert len(calls) == passes
+            assert not calls
             assert (value < 1e-9) == (other is not moved)
         monkeypatch.setattr(sb.curve, "kernel_sums", kernel_sums)
 
 
-def test_adjustment_point_in_the_ring_band_is_refused_by_the_side_pass(monkeypatch, disk):
-    # the pole 0.9 on the disk at n = 512 lies in the inner ring's band: the
-    # custom twin's side passes refuse it (the outer ring's puts it inside,
-    # the inner's not), and the built-in pole's check answers with no pass
-    # (about 4.9e-9, the ring's aliasing of the root 0.9)
+def test_adjustment_point_in_the_ring_band_is_placed_by_its_preimage(monkeypatch, disk):
+    # the pole 0.9 on the disk at n = 512 lies in the inner ring's band, its
+    # preimage inside the ring: the built-in pole and its custom twin answer
+    # alike with no kernel pass (about 4.9e-9, the ring's aliasing of the
+    # root 0.9), where the ring-pass oracle's side pass refuses the point
     grid = sb.sample(disk, 512)
     pts = sb.annulus_verification_points(grid, 32)
+    twin = sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.9))
+    twin_section = sb.canonical_section(twin, grid, a=0.9)
+    with pytest.raises(NearBoundaryError, match="not strictly inside the ring"):
+        oracles.verify_transition_ring_pass(twin_section, twin, pts)
     calls = []
     kernel_sums = sb.curve.kernel_sums
     monkeypatch.setattr(sb.curve, "kernel_sums",
                         lambda *a: calls.append(a) or kernel_sums(*a))
-    twin = sb.custom_bundle(disk, lambda z: 1.0 / (1.0 / z - 0.9))
-    section = sb.canonical_section(twin, grid, a=0.9)
-    calls.clear()
-    with pytest.raises(NearBoundaryError, match="refine the grid"):
-        sb.verify_transition(section, twin, pts)
-    assert len(calls) == 2
-    assert outcome(sb.verify_transition, section, twin, pts) == \
-        outcome(oracles.verify_transition_ring_pass, section, twin, pts)
     bundle = sb.schwarz_pole_bundle(disk, 0.9)
     section = sb.canonical_section(bundle, grid)
     calls.clear()
-    assert sb.verify_transition(section, bundle, pts) <= 1e-8
+    value = sb.verify_transition(section, bundle, pts)
+    assert 1e-9 < value <= 1e-8
+    assert abs(sb.verify_transition(twin_section, twin, pts) - value) <= 1e-12
     assert not calls
 
 

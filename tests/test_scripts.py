@@ -63,15 +63,16 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
     # one distance pass per radius, and verify_transition takes their sides
     # from that search. A custom bundle unwraps its transition once for its
     # class, once for its class and section together, and once per
-    # verification ring, and at Chern class 1 places the adjustment point on
-    # each ring by a side pass; a second call makes the same passes
+    # verification ring; every bundle places a Chern class 1 adjustment
+    # point on each ring by its preimage, with no pass; a second call makes
+    # the same passes
     expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "pole-exterior": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "pole-interior": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "tangent-m-1": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
                 "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"],
                 "custom-exp-schwarz": ["1/1/0/1", "1/1/0/1", "0/0/{}/0", "2/2/0/2", "2/2/0/2"],
-                "custom-tangent": ["1/1/0/0", "1/1/1/0", "0/0/{}/0", "2/2/2/0", "2/2/2/0"]}
+                "custom-tangent": ["1/1/0/0", "1/1/1/0", "0/0/{}/0", "2/2/0/0", "2/2/0/0"]}
     radii = {"disk": 1, "cardioid": 6, "quartic": 3}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
         (curve, kind): [cell.format(count) for cell in cells]

@@ -302,6 +302,30 @@ def test_far_w_answers(disk_grid):
             assert abs(tv.E - expect) < 1e-9
 
 
+@pytest.mark.parametrize("n", [256, 512, 4096])
+def test_far_w_c_is_log1p_to_rounding(disk, n):
+    # at exterior w the density's constant, about -log(-conj w), is not
+    # summed, so C, of size |z/w|, keeps its digits: on the disk it is
+    # log1p(-z/w) inside and log1p(-1/(z w)) outside (real z and w), to
+    # rounding at every n, where summing the constant lost 4e-3 at w = 1e11
+    grid = sb.sample(disk, n)
+    for w in (30.0, 1e6, 1e11):
+        for z, exact in ((0.3, np.log1p(-0.3 / w)), (2.0, np.log1p(-1.0 / (2.0 * w)))):
+            for c in (sb.double_cauchy(grid, z, w).C, sb.double_cauchy_batch(grid, [z], w)[0]):
+                assert abs(c - exact) <= 1e-14 * abs(exact)
+
+
+def test_far_w_c_converges_on_the_cardioid(cardioid):
+    # no closed form: n = 512 against n = 65536, relative, at w = 30, 1e6
+    # and 1e11 (the split agreed to 4.8e-14; the constant's sum lost 0.72 of
+    # C at w = 1e11, z = 0.3)
+    coarse, fine = sb.sample(cardioid, 512), sb.sample(cardioid, 65536)
+    for w in (30.0, 1e6, 1e11):
+        for z in (0.3, 2.0):
+            want = sb.double_cauchy(fine, z, w).C
+            assert abs(sb.double_cauchy(coarse, z, w).C - want) <= 1e-13 * abs(want)
+
+
 def test_exponential_is_exactly_exp_of_c(disk_grid):
     tv = sb.double_cauchy(disk_grid, 2.0 + 1j, -3.0)
     assert tv.E == cmath.exp(tv.C)
