@@ -161,21 +161,22 @@ def custom_bundle(curve, evaluator):
     return LineBundle(curve, lambda grid: np.full(grid.n, evaluator(grid.z), dtype=complex))
 
 
-def _node_log(bundle, grid, c, a, unwrapped=None):
+def _node_log(bundle, grid, c, a, unwrapped=None, adjustment=None):
     """The continuous log of lambda12 * (z - a)^{-c} at the grid nodes,
     anchored (`laurent.anchored`). A built-in bundle's is its modes at the
     grid's radius (`laurent.density`); a custom bundle's is one `unwrap_log`
     of lambda12 (`unwrapped`, when the caller has made it) plus -c log(z -
-    a) from a's preimages (`laurent`): its modes, and -c log zeta at the
-    nodes. With c the class and a inside the nodes no winding remains; one
-    that does is a zero or pole of lambda12 between the nodes and the curve
+    a) from a's preimages (`adjustment`, the `laurent._adjustment` series,
+    when the caller has made it): its modes, and -c log zeta at the nodes.
+    With c the class and a inside the nodes no winding remains; one that
+    does is a zero or pole of lambda12 between the nodes and the curve
     (NearBoundaryError, from `laurent.check`)."""
     if bundle.modes is not None:
         return laurent.density(bundle.modes(c, a), grid.n, grid.radius)
     log, winding = unwrapped or unwrap_log(bundle.transition_at_nodes(grid))
     laurent.check(laurent.Laurent(0j, winding=round(winding) - c), grid.radius)
     if c:
-        series = laurent._adjustment(grid.curve, c, a)
+        series = laurent._adjustment(grid.curve, c, a) if adjustment is None else adjustment
         log = log + laurent.density(series._replace(winding=0), grid.n, grid.radius) \
             + series.winding * (np.log(grid.radius) + 1j * grid.t)
     return laurent.anchored(log)
@@ -392,9 +393,10 @@ def _ring_log_modes(bundle, grid, rings, c, a):
     grid and one FFT. Ring by ring, the adjustment point's preimage must lie
     inside the ring's radius (NearBoundaryError), which under univalence on
     |zeta| <= 1/rho is a inside the ring, with no kernel pass: the series'
-    `point`, or for a custom bundle its adjustment's (`laurent._adjustment`).
-    Then the ring's density is refused where `_node_log` or `laurent.check`
-    refuses it."""
+    `point`, or for a custom bundle its adjustment's (`laurent._adjustment`,
+    made once per call, a's roots with it, and given to `_node_log` on each
+    ring). Then the ring's density is refused where `_node_log` or
+    `laurent.check` refuses it."""
     kept = _kept(grid, _ring_modes)
     custom = bundle.modes is None
     series = laurent._adjustment(grid.curve, c, a) if custom else bundle.modes(c, a)
@@ -407,7 +409,8 @@ def _ring_log_modes(bundle, grid, rings, c, a):
                 f"|zeta| = {radius:.6g}; refine the grid")
         if custom:
             ring_grid = _kept(grid, _verification_rings)[ring]
-            rows.append(np.fft.fft(_node_log(bundle, ring_grid, c, a), norm="forward"))
+            rows.append(np.fft.fft(_node_log(bundle, ring_grid, c, a, adjustment=series),
+                                   norm="forward"))
         else:
             laurent.check(series, radius)
     if custom:

@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from . import bundles, quaddom, transforms
+from . import bundles, quaddom, render, transforms
 from .curve import (
     ConformalMapCurve,
     adaptive_refine,
@@ -64,14 +64,16 @@ REFUSALS = (
 # Input caps: the fit's F matrix and eliminations grow with the square of
 # the sample count, a lattice's output and kernel pass with its point count,
 # a moment table with its number of orders. At the caps a run peaks at about
-# 70 MB, 90 MB and 42 MB resident (disk, n = 256).
+# 72 MB, 91 MB (w = 0.3; 103 MB at w = -3 + 0.5i, in the kernel pass) and
+# 42 MB resident (disk, n = 256). A lattice's rows are rendered CSV_BLOCK
+# values at a time; as one joined text of all rows they peaked at 106 MB
+# (112 MB).
 MAX_FIT_SAMPLES = 512
 MAX_GRID_POINTS = 512 * 512
 MAX_MOMENT_ORDER = 4096
-
-
-def fmt17(x):
-    return f"{float(x):.17g}"
+# values of a CSV table rendered at a time (`render`): about 250 bytes of
+# buffers and text each
+CSV_BLOCK = 8192
 
 
 def parse_complex(text):
@@ -155,10 +157,10 @@ def _flatten(prefix, value, rows):
             _flatten(f"{prefix}{i}.", sub, rows)
     elif isinstance(value, (list, tuple)):
         rows.append((prefix.rstrip("."),
-                     ";".join(fmt17(v) if isinstance(v, float) else str(v)
+                     ";".join(render.fmt17(v) if isinstance(v, float) else str(v)
                               for v in value)))
     elif isinstance(value, float):
-        rows.append((prefix.rstrip("."), fmt17(value)))
+        rows.append((prefix.rstrip("."), render.fmt17(value)))
     else:
         rows.append((prefix.rstrip("."), str(value)))
 
@@ -222,9 +224,47 @@ def cmd_moments(args, curve):
 
 
 def _print_moments_csv(table):
-    print("k,re_M,im_M")
-    for k, m in table.items():
-        print(f"{k},{fmt17(m.real)},{fmt17(m.imag)}")
+    """The orders print as floats: %.17g of an integer below 1e16 is its
+    decimal."""
+    m = np.fromiter(table.values(), dtype=complex, count=len(table))
+    _print_csv("k,re_M,im_M", _table_blocks(
+        np.fromiter(table, dtype=float, count=len(table)), m.real, m.imag))
+
+
+def _print_csv(header, blocks):
+    """The header, then each nonempty block of rows. The table's last
+    newline is a write of its own, as print made it: a write that a closed
+    pipe cuts short returns with no error, and only the next write raises
+    BrokenPipeError."""
+    text = header + "\n"
+    for block in filter(None, blocks):
+        sys.stdout.write(text)
+        text = block
+    sys.stdout.write(text[:-1])
+    sys.stdout.write("\n")
+
+
+def _table_blocks(*columns):
+    """The CSV rows (`render`) of the float columns, about CSV_BLOCK values
+    at a time."""
+    step = CSV_BLOCK // len(columns)
+    for lo in range(0, len(columns[0]), step):
+        fields = render.float_fields(np.stack([c[lo:lo + step] for c in columns], axis=1))
+        yield render.csv_rows(*fields.reshape(-1, len(columns), render.FIELD).transpose(1, 0, 2))
+
+
+def _lattice_blocks(xs, ys, abs_e):
+    """The x,y,abs_E rows, by y then x, with a blank where |E| is NaN, about
+    CSV_BLOCK at a time: a block's coordinates and values are rendered in
+    one call, each coordinate once per block."""
+    step = max(1, CSV_BLOCK // max(xs.size, 1))
+    for lo in range(0, ys.size, step):
+        block = abs_e[lo:lo + step]
+        x_txt, y_txt, e_txt = np.split(render.float_fields(
+            np.concatenate([xs, ys[lo:lo + step], block.reshape(-1)]), blank_nan=True),
+            [xs.size, xs.size + len(block)])
+        yield render.csv_rows(x_txt[None], y_txt[:, None],
+                              e_txt.reshape(*block.shape, render.FIELD))
 
 
 def _schwarz_pole(curve, args):
@@ -356,15 +396,8 @@ def cmd_plotdata(args, curve):
         zs = np.empty((ys.size, xs.size), dtype=complex)
         zs.real, zs.imag = xs[None, :], ys[:, None]
         cs = transforms.double_cauchy_batch(grid, zs, w).reshape(zs.shape)
-        abs_e = np.exp(cs.real)  # |exp(C)|; NaN where refused
-        x_txt = [fmt17(x) for x in xs]
-        lines = ["x,y,abs_E"]
-        for y, row in zip(ys, abs_e.tolist()):
-            y_txt = fmt17(y)
-            for x, e in zip(x_txt, row):
-                value = "" if e != e else fmt17(e)  # NaN: blank
-                lines.append(f"{x},{y_txt},{value}")
-        print("\n".join(lines))
+        # |E| = |exp(C)|; NaN where refused
+        _print_csv("x,y,abs_E", _lattice_blocks(xs, ys, np.exp(cs.real)))
         return EXIT_OK
     if args.quantity == "moments":
         _print_moments_csv(transforms.harmonic_moments(grid, args.kmin, args.kmax))
@@ -372,9 +405,8 @@ def cmd_plotdata(args, curve):
     bundle = BUNDLES[args.bundle](curve, args)  # section-density
     section = bundles.canonical_section(
         bundle, grid, a=None if args.adjust is None else parse_complex(args.adjust))
-    print("t,re_density,im_density")
-    for t, d in zip(section.grid.t, section.density):
-        print(f"{fmt17(t)},{fmt17(d.real)},{fmt17(d.imag)}")
+    _print_csv("t,re_density,im_density", _table_blocks(
+        section.grid.t, section.density.real, section.density.imag))
     return EXIT_OK
 
 

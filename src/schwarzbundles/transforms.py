@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import laurent
+from . import laurent, render
 from .curve import (
     Location,
     band_refusal,
@@ -346,16 +346,15 @@ def quadrant_tag(quadrant):
 
 
 def transform_values_to_csv(values):
-    lines = [CSV_HEADER]
-    for tv in values:
-        lines.append(",".join([
-            f"{tv.z.real:.17g}", f"{tv.z.imag:.17g}",
-            f"{tv.w.real:.17g}", f"{tv.w.imag:.17g}",
-            quadrant_tag(tv.quadrant),
-            f"{tv.C.real:.17g}", f"{tv.C.imag:.17g}",
-            f"{tv.E.real:.17g}", f"{tv.E.imag:.17g}",
-        ]))
-    return "\n".join(lines) + "\n"
+    """CSV_HEADER, then one row per TransformValue, its numbers in
+    `render`'s %.17g."""
+    values = list(values)
+    numbers = render.float_fields([(tv.z.real, tv.z.imag, tv.w.real, tv.w.imag,
+                                    tv.C.real, tv.C.imag, tv.E.real, tv.E.imag)
+                                   for tv in values]).reshape(len(values), 8, render.FIELD)
+    tags = render.text_fields([quadrant_tag(tv.quadrant) for tv in values])
+    return CSV_HEADER + "\n" + render.csv_rows(*numbers[:, :4].transpose(1, 0, 2), tags,
+                                               *numbers[:, 4:].transpose(1, 0, 2))
 
 
 def transform_values_to_json(values):

@@ -37,6 +37,10 @@ it was written, through a one-row block of `distance_blocks`: the package's
 one-point form must give its bits. `pullback_sums_exact` is the trapezoidal
 sum at the exact roots of unity in extended precision, which the pullback
 route's computed bound must cover.
+The CSV loops (`lattice_csv_lines`, `table_csv_loop`, `moments_csv_loop`,
+`transform_values_csv_loop`) are the CLI's tables and
+`transform_values_to_csv` as they were printed before the vectorised
+renderer, one f"{x:.17g}" per value: the renderer must give their bytes.
 """
 
 import cmath
@@ -60,7 +64,7 @@ from schwarzbundles.curve import (
     off_band,
     sides,
 )
-from schwarzbundles.transforms import PHASE_STEP_LIMIT, unwrap_log
+from schwarzbundles.transforms import CSV_HEADER, PHASE_STEP_LIMIT, quadrant_tag, unwrap_log
 from schwarzbundles.errors import (
     BranchUnresolvedError,
     CurveNotSimpleError,
@@ -630,3 +634,45 @@ def verify_transition_ring_pass(section, bundle, annulus_points):
         e[0] -= 2j * np.pi * np.round(e[0].imag / TWO_PI)  # branch of the log
         worst = max(worst, float(weight @ np.abs(e)))
     return worst
+
+
+def fmt17(x):
+    return f"{float(x):.17g}"
+
+
+def lattice_csv_lines(xs, ys, abs_e):
+    """The lines of plotdata's x,y,abs_E table, rows by y then x, a blank
+    for NaN: the CLI printed them joined by newlines."""
+    x_txt = [fmt17(x) for x in xs]
+    lines = ["x,y,abs_E"]
+    for y, row in zip(ys, abs_e.tolist()):
+        y_txt = fmt17(y)
+        for x, e in zip(x_txt, row):
+            value = "" if e != e else fmt17(e)  # NaN: blank
+            lines.append(f"{x},{y_txt},{value}")
+    return lines
+
+
+def table_csv_loop(header, *columns):
+    """The header, then one row of fmt17 values per index of the columns."""
+    return "".join([f"{header}\n", *(",".join(map(fmt17, row)) + "\n"
+                                     for row in zip(*columns))])
+
+
+def moments_csv_loop(table):
+    """The k,re_M,im_M table, the orders as integers."""
+    return "".join(["k,re_M,im_M\n", *(f"{k},{fmt17(m.real)},{fmt17(m.imag)}\n"
+                                        for k, m in table.items())])
+
+
+def transform_values_csv_loop(values):
+    lines = [CSV_HEADER]
+    for tv in values:
+        lines.append(",".join([
+            f"{tv.z.real:.17g}", f"{tv.z.imag:.17g}",
+            f"{tv.w.real:.17g}", f"{tv.w.imag:.17g}",
+            quadrant_tag(tv.quadrant),
+            f"{tv.C.real:.17g}", f"{tv.C.imag:.17g}",
+            f"{tv.E.real:.17g}", f"{tv.E.imag:.17g}",
+        ]))
+    return "\n".join(lines) + "\n"

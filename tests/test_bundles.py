@@ -1028,6 +1028,23 @@ def test_class_one_check_makes_no_kernel_pass(monkeypatch, cardioid):
         monkeypatch.setattr(sb.curve, "kernel_sums", kernel_sums)
 
 
+def test_custom_class_one_check_finds_a_user_points_roots_once(monkeypatch, cardioid):
+    # a custom class-1 check places a user adjustment point on both rings
+    # and adjusts both ring densities from one series: one root finding of
+    # phi - a per call, where each ring's density found them again
+    grid = sb.sample(cardioid, 1024)
+    pts = sb.annulus_verification_points(grid, 32)
+    bundle = custom_twins(cardioid)[1]
+    section = sb.canonical_section(bundle, grid, a=0.1 + 0.05j)
+    calls = []
+    pole_roots = sb.laurent.pole_roots
+    monkeypatch.setattr(sb.laurent, "pole_roots", lambda *a: calls.append(a) or pole_roots(*a))
+    for _ in range(2):
+        calls.clear()
+        assert sb.verify_transition(section, bundle, pts) < 1e-9
+        assert len(calls) == 1 and calls[0][1] == section.adjustment
+
+
 def test_adjustment_point_in_the_ring_band_is_placed_by_its_preimage(monkeypatch, disk):
     # the pole 0.9 on the disk at n = 512 lies in the inner ring's band, its
     # preimage inside the ring: the built-in pole and its custom twin answer

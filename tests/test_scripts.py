@@ -14,7 +14,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
         "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"],
-        "heap_faults.py": ["2"], "pullback_rows.py": ["1"]}
+        "heap_faults.py": ["2"], "pullback_rows.py": ["1"], "csv_render.py": ["2"]}
 
 
 @functools.cache
