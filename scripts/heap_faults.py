@@ -10,13 +10,13 @@ of cycles and printed per op, then per cycle. A fault here is the heap
 handing pages back to the system and taking them again: a pass that leaves
 memory mapped, or reuses it, faults 0 times per op.
 
-The peak is `tracemalloc`'s for one `curve.kernel_sums` pass over the
-exterior lattice with two density columns, as `double_cauchy_batch` makes
-it: the pass's power tables, block buffers and outputs.
+The peak is `tracemalloc`'s for one `double_cauchy_batch` over the
+exterior w's lattice: w's density, the closed rows' factor tables, the
+kernel pass's block buffers over the rows it sums, and the outputs.
 
 Usage: python scripts/heap_faults.py [cycles]   (default 20)
 Output: one line per op, `faults_per_op <op> <value>`, then
-`faults_per_cycle <value>` and `kernel_peak_mb <value>`.
+`faults_per_cycle <value>` and `batch_peak_mb <value>`.
 """
 
 import contextlib
@@ -33,7 +33,6 @@ import numpy as np
 
 import schwarzbundles as sb
 from schwarzbundles import cli
-from schwarzbundles.curve import kernel_sums
 
 QUARTIC = [0, 1, 0.1, 0.04, 0.02]
 
@@ -60,15 +59,13 @@ def fit_op(grid, count):
     return lambda: sb.fit_rational_structure(grid, degree, degree, samples)
 
 
-def kernel_peak_mb(grid, w):
+def batch_peak_mb(grid, w):
     xs = np.linspace(-2.0, 2.0, 40)
     lattice = (xs[None, :] + 1j * xs[:, None]).ravel()
-    density = np.log(np.conjugate(grid.z) - np.conjugate(w))
-    columns = np.stack([density, -np.conjugate(density)], axis=1)
-    kernel_sums(grid, lattice, columns)  # the grid's kept operands are formed here
+    sb.double_cauchy_batch(grid, lattice, w)  # the grid's kept operands are formed here
     tracemalloc.start()
     try:
-        kernel_sums(grid, lattice, columns)
+        sb.double_cauchy_batch(grid, lattice, w)
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -97,7 +94,7 @@ def main(cycles):
     for name, count in faults.items():
         print(f"faults_per_op {name} {count / cycles:.2f}")
     print(f"faults_per_cycle {sum(faults.values()) / cycles:.2f}")
-    print(f"kernel_peak_mb {kernel_peak_mb(sb.sample(disk, 1024), w_out):.2f}")
+    print(f"batch_peak_mb {batch_peak_mb(sb.sample(disk, 1024), w_out):.2f}")
 
 
 if __name__ == "__main__":

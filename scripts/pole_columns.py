@@ -6,12 +6,12 @@ time and their agreement.
 call. The Laurent modes of the same logs, -log conj(a0 - w) + sum_m
 conj(p_m) zeta^-m/m with p_m the power sums of the inverse preimages of w,
 need no unwrap; they come here from Newton's identities on b_l = a_l/(a0 -
-w) (`curve._power_sums`), or from the roots themselves by one batched
-companion eigenvalue call. The inputs are the `sweep` workload's fits: 12
-samples on the cardioid and 24 on the quartic at n = 512, on rings at 1.6
-and 2.4 times the curve's largest node modulus. The modes' count is the
-least whose tail is within EPS at the bound sigma of the kernel's pullback
-route, max(rho, L_out/(L_out + g)), g the samples' least distance to the
+w) (`power_sums`), or from the roots themselves by one batched companion
+eigenvalue call. The inputs are the `sweep` workload's fits: 12 samples on
+the cardioid and 24 on the quartic at n = 512, on rings at 1.6 and 2.4
+times the curve's largest node modulus. The modes' count is the least
+whose tail is within EPS at the bound sigma = max(rho, L_out/(L_out + g))
+of the inverse preimages' moduli, g the samples' least distance to the
 nodes less L_in pi/n. Each row gives the best time of `rounds` over 50
 calls of each route, and the largest difference mod 2 pi i of the modes'
 columns from the unwrapped ones.
@@ -26,7 +26,6 @@ import numpy as np
 
 import schwarzbundles as sb
 from schwarzbundles import laurent, transforms
-from schwarzbundles.curve import _power_sums
 
 CURVES = (("cardioid", [0, 1, 0.3], 0.7, 12),
           ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75, 24))
@@ -49,10 +48,25 @@ def modes_columns(grid, zs, power_sums, count):
     return np.fft.ifft(bins, axis=0, norm="forward") - np.log(np.conjugate(a0 - zs))
 
 
+def power_sums(b, count):
+    """(count, m) power sums p_j = sum_i u_i^j, j = 1 ... count, over the
+    roots u_i of u^N + b_1 u^(N-1) + ... + b_N, one column of b (N, m) per
+    sample: Newton's identities p_j = -sum_{l<j} b_l p_{j-l} - j b_j (b_l
+    = 0 past N)."""
+    degree = b.shape[0]
+    table = np.zeros((degree + count, b.shape[1]), dtype=b.dtype)  # row N - 1 + j: p_j
+    reverse = -b[::-1]
+    for j in range(1, count + 1):
+        table[degree - 1 + j] = (reverse * table[j - 1:j - 1 + degree]).sum(axis=0)
+        if j <= degree:
+            table[degree - 1 + j] -= j * b[j - 1]
+    return table[degree:]
+
+
 def newton(grid, zs, count):
     a = np.array(grid.curve.coeffs[:grid.curve.degree + 1])
-    return modes_columns(grid, zs, _power_sums(np.multiply.outer(a[1:], 1.0 / (a[0] - zs)),
-                                               count), count)
+    return modes_columns(grid, zs, power_sums(np.multiply.outer(a[1:], 1.0 / (a[0] - zs)),
+                                              count), count)
 
 
 def eigenvalues(grid, zs, count):

@@ -10,28 +10,20 @@ parameter, which makes the trapezoidal rule spectrally accurate for the
 periodic analytic integrands that arise throughout the package.
 
 Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
-pass, `kernel_sums`: for a batch of points it gives a distance to the nodes,
-the winding number and, given densities, the trapezoidal Cauchy sums.
-`locate`, `winding_number`, `transforms.cauchy_integral` and
-`bundles.evaluate_section` are that pass for one point. Direct rows are
-real arithmetic on blocks of squared distances (`distance_blocks`; one
-point without the blocks' buffers) and give the exact nearest-node
-distance. In a large batch on the curve's own grid of a low-degree map,
-rows clear of the nodes' annulus about the conformal center, found by one
-pass over |p - c|, take one cheaper route on either side of it: the same
-sum in the pullback variable, a short series of the densities' Fourier
-modes (one FFT) against powers of the preimages of the point, for the rows
-whose computed bound stays within an eighth of the bound stated at
-`kernel_sums`. Outside, the powers are power sums from the map's
-coefficients; inside, at degree 1, powers of the one preimage. Those rows
-report a lower bound on the distance that clears the exclusion band: the
-band and side decisions are those of the direct pass.
+pass, `kernel_sums`: for a batch of points it gives the distance to the
+nearest node, the winding number and, given densities, the trapezoidal
+Cauchy sums, in real arithmetic on blocks of squared distances
+(`distance_blocks`; one point without the blocks' buffers). `locate`,
+`winding_number`, `transforms.cauchy_integral` and
+`bundles.evaluate_section` are that pass for one point.
 
 The band and side decision lives here alone: `sides` turns a kernel pass
 into the points in the exclusion band, the interior points and the sums,
 and `off_band` refuses a batch with a point in the band. Every caller that
 classifies points or sums at them goes through them, the one-point section
-and Cauchy-integral evaluators included.
+and Cauchy-integral evaluators included. `clear_rows` places, without a
+pass, the points that the nodes' annulus about the conformal center puts
+off the band on either side of it, as `sides` would.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
@@ -81,10 +73,9 @@ FAR_PAIR_SEPARATION = 8
 
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte. Also the
-# vertex pairs per block of `build_polygon`'s pass, and the entries per
-# chunk of the pullback route's power tables (`_pullback_rows`): of 2^12 to
-# 2^17, 2^15 was fastest or within 20 % of it on a 40 x 40 disk lattice at
-# n = 1024 and 256-point rings at n = 4096 and 65536 (2-core x86_64).
+# vertex pairs per block of `build_polygon`'s pass. Of 2^12 to 2^17, 2^15
+# was fastest or within 20 % of it on a 40 x 40 disk lattice at n = 1024
+# and 256-point rings at n = 4096 and 65536 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
 # Least rows of a block whose distances are products (`distance_blocks`).
@@ -93,21 +84,6 @@ KERNEL_BLOCK = 2 ** 15
 # against 13 us at n = 4096 (8 rows) and 52 against 17 us at n = 65536 (one
 # row), and no faster for one point (2-core x86_64, OpenBLAS, one thread).
 PRODUCT_ROWS = 16
-
-# Least points of a batch, and least rows its two sides of the nodes'
-# annulus offer together, and largest degree of the map, for the pullback
-# route (`_routes`); the rows it does not take are direct. Below 256 rows
-# its FFT and fixed cost do not pay: the `sweep` fits of 12 and 24 samples
-# took 1.07/1.21 ms with the route gated and 1.62/1.88 ms without. On the
-# 1,284 outside rows of 40 x 40 lattices at n = 1024 the pass took 0.59,
-# 0.97, 1.38 ms with the route against 6.2-6.7 ms direct at degrees 1, 2,
-# 4, and 4.5 against 6.5 ms at degree 6, where its bound declined 53 % of
-# the rows; at degrees 12 and 30 it declined them all. On the disk
-# lattice's 276 interior rows it took 0.41 against 1.45 ms direct
-# (scripts/pullback_rows.py, best of 15-25, 2-core x86_64, BLAS on one
-# thread). No workload runs a map of degree above 4.
-PULLBACK_ROWS = 256
-PULLBACK_DEGREE = 4
 
 EPS = np.finfo(float).eps
 
@@ -121,14 +97,38 @@ class Location(Enum):
 def _poly_roots(coeffs):
     """The roots of sum_k coeffs[k] zeta^k. High-order coefficients too small
     to put a root anywhere near the validation disk are trimmed first: they
-    only overflow the companion matrix. A linear polynomial's root is
-    -coeffs[0]/coeffs[1], the bits `np.roots` gives it, without its
-    eigenvalue call."""
+    only overflow the companion matrix. So is a top coefficient c_N with
+    |c_N| <= eps^(N - k) |c_k| for some 1 <= k < N: the roots it adds lie
+    beyond about 1/eps, where a series' factor of theirs is below rounding
+    and c_N times their product is about c_k (the factor K of
+    `laurent._factored`), and on |zeta| <= R it changes the polynomial by at
+    most eps R times its c_k term. Kept, it swamps the other roots:
+    `np.roots` gave a cubic with c3 = 1e-100 c2 no root near the disk. A
+    constant term is never the c_k: a far point's one root stays. A root
+    kept beyond 1e6 still costs `np.roots` digits of the near ones (1e-10
+    of backward error with one at 2.7e14), so then each root within 1e3
+    takes three Newton steps on the polynomial, each step kept where it is
+    finite; the far roots, whose steps would round worse than the
+    eigenvalues, stay. A linear polynomial's root is -coeffs[0]/coeffs[1],
+    the bits `np.roots` gives it, without its eigenvalue call."""
     tiny = max(abs(c) for c in coeffs) * 1e-290
     top = max((k for k, c in enumerate(coeffs) if abs(c) > tiny), default=0)
+    while any(abs(coeffs[top]) <= EPS ** (top - k) * abs(coeffs[k]) for k in range(1, top)):
+        top = max(k for k in range(1, top) if coeffs[k])
     if top == 1 and coeffs[0]:
         return -np.array(coeffs[:1], dtype=complex) / complex(coeffs[1])
-    return np.roots(coeffs[top::-1])
+    roots = np.roots(coeffs[top::-1])
+    size = np.abs(roots)
+    near = size <= 1e3
+    if near.any() and size.max() > 1e6:
+        poly = np.array(coeffs[:top + 1], dtype=complex)
+        slope = npoly.polyder(poly)
+        roots = roots.astype(complex)
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                step = npoly.polyval(roots[near], poly) / npoly.polyval(roots[near], slope)
+                roots[near] -= np.where(np.isfinite(step), step, 0.0)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -311,31 +311,10 @@ class ContourGrid:
     @cached_property
     def _node_annulus(self):
         """(c, R, r): the conformal center c and the largest and smallest
-        |z_k - c|, formed once per grid for the kernel's far rows."""
+        |z_k - c|, formed once per grid for `clear_rows`."""
         c = self.curve.conformal_center
         gap = np.abs(self.z - c)
         return c, float(gap.max()), float(gap.min())
-
-    @cached_property
-    def _pullback_map(self):
-        """(a, L_in, L_out, floor, d_node) of the pullback route, formed once
-        per grid: the coefficients up to the degree N; bounds of |phi'| on
-        |zeta| <= 1 and on 1 <= |zeta| <= 1/rho; the floor rho of the outside
-        sigma (0 for N = 1); the least distance at which the nodes'
-        rounding, |z_k - phi| <= e_z and |dz_k - i zeta phi'| <= e_dz at the
-        exact roots of unity (zeta_k within 12 eps of them, Horner within 4
-        (N + 1) eps), changes a term by at most 7 n eps: e_dz/(min |dz| -
-        e_dz) + e_z/(d - e_z)."""
-        curve = self.curve
-        moduli, l_in, l_out = curve._dphi_bounds
-        degree = curve.degree
-        a, j = np.array(curve.coeffs[:degree + 1]), np.arange(degree + 1)
-        e_z = EPS * (12 * l_in + 4 * (degree + 1) * moduli.sum())
-        e_dz = EPS * (12 * float((j * (j - 1)) @ moduli) + 4 * (degree + 4) * l_in)
-        speed = float(np.abs(self.dz).min()) - e_dz
-        slack = 7 * self.n * EPS - e_dz / speed if speed > 0.0 else -1.0
-        d_node = e_z * (1.0 + 1.0 / slack) if slack > 0.0 else math.inf
-        return a, l_in, l_out, (curve.rho if degree > 1 else 0.0), d_node
 
     @cached_property
     def _schwarz(self):
@@ -620,48 +599,24 @@ def distance_blocks(grid, points):
 def kernel_sums(grid, points, density=None):
     """One pass of the trapezoidal Cauchy kernel over the nodes.
 
-    Returns (nearest, winding, sums), one entry per point: a distance from
-    the point to the nodes (below), the pre-rounding winding number
+    Returns (nearest, winding, sums), one entry per point: the distance
+    from the point to the nearest node, the pre-rounding winding number
     (1/2 pi i) * sum w dz/(z - p) and, when a density is given, the Cauchy
     sum (1/2 pi i) * sum w density dz/(z - p) (else None). A density of
     shape (n,) gives sums of shape (points,); one of shape (n, m) holds m
     densities as columns and gives sums of shape (points, m).
 
-    Direct rows are real arithmetic on `distance_blocks`: nearest is the
+    The rows are real arithmetic on `distance_blocks`: nearest is the
     distance to the nearest node, sqrt(min d2), the same in any batch;
     1/(z - p) = (dr - i di)/d2, and the winding and sums are real matrix
     products with the parts of g = [dz, density[:, 0] dz, ...]. One point
-    is one direct row, with the bits of a one-row block and without the
-    block buffers.
-
-    Rows that clear the exclusion band outside or inside the annulus R >=
-    |z_k - c| >= r of the nodes about c = curve.conformal_center may leave
-    the direct pass, never for one point; one pass over |p - c| decides them
-    (`_routes`). On a radius-1 grid of a map of degree at most
-    PULLBACK_DEGREE, a batch of at least PULLBACK_ROWS points whose two
-    sides offer that many such rows together takes the pullback route
-    (`_pullback_rows`) for the rows its computed bound covers: the sum in
-    the pullback variable from the densities' Fourier modes, outside at any
-    such degree and inside at degree 1. Every other row is direct. nearest
-    is exact on direct rows; on the others it is the lower bound |p - c| - R
-    or r - |p - c|, less eight ulps, at or above the band, so `sides`
-    decides as the direct pass would. Those rows run first, one side at a
-    time: the direct blocks' buffers are then allocated only after the
-    route's tables and sums are freed, and no block view outlives the pass's
-    last product, so the pass's transient peak is the larger of the two,
-    not their sum, and repeated passes reuse the freed heap instead of
-    trimming and faulting it back in.
+    is one row, with the bits of a one-row block and without the block
+    buffers.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
-    sum_k |w num_k/(z_k - p)|, num = dz or density dz. Direct rows differ by
-    BLAS summation order, which depends on the batch. On pullback rows the
-    route's computed bound (truncation, aliasing and rounding) is at most an
-    eighth of the bound, and the nodes' own rounding (the route sums at the
-    exact roots of unity) the other seven eighths. Its sigma, the largest
-    modulus of the powers it sums, is outside max(rho, L_out/(L_out + g)), g
-    = nearest - L_in pi/n, and inside the exact |zeta0| = |p - c|/|a1| times
-    1 + 4 eps.
+    sum_k |w num_k/(z_k - p)|, num = dz or density dz: BLAS summation order,
+    which depends on the batch.
 
     A point on a node gives NaN; such rows lie inside the exclusion band,
     are computed without warnings and are the caller's to discard.
@@ -669,13 +624,13 @@ def kernel_sums(grid, points, density=None):
     pts = np.asarray(points, dtype=complex).reshape(-1)
     if density is not None:
         density = np.asarray(density)
-    cols, dens = _columns(grid, density)
+    cols = _columns(grid, density)
     parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
     with np.errstate(all="ignore"):
         if pts.size == 1:
             nearest, re_k, im_k = _one_row(grid, pts, parts)
         else:
-            nearest, re_k, im_k = _rows(grid, pts, cols, parts, dens)
+            nearest, re_k, im_k = _rows(grid, pts, parts)
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
     # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
     # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
@@ -689,16 +644,15 @@ def kernel_sums(grid, points, density=None):
 
 
 def _columns(grid, density):
-    """(cols, dens): the kernel's columns g = [dz, density[:, 0] dz, ...] as
-    an (n, 1 + m) array, or dz alone without a density, and the density as
-    (n, m) columns (None without one)."""
+    """The kernel's columns g = [dz, density[:, 0] dz, ...] as an (n, 1 + m)
+    array, or dz alone without a density."""
     if density is None:
-        return grid.dz, None
+        return grid.dz
     dens = density.reshape(grid.n, -1)
     cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
     cols[:, 0] = grid.dz
     np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
-    return cols, dens
+    return cols
 
 
 def _one_row(grid, pts, parts):
@@ -715,27 +669,11 @@ def _one_row(grid, pts, parts):
     return nearest, np.multiply(dr, d2, out=dr) @ parts, np.multiply(di, d2, out=di) @ parts
 
 
-def _rows(grid, pts, cols, parts, dens):
-    """(nearest, re_k, im_k) of `kernel_sums` for a batch: the pullback
-    route's rows (`_routes`) first, stored as R = S, I = 0 for S = sum g/(z
-    - p), then the direct blocks."""
+def _rows(grid, pts, parts):
+    """(nearest, re_k, im_k) of `kernel_sums` for a batch, block by block."""
     nearest = np.empty(pts.size)
     re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
-    direct = keep = None  # the direct rows: all, or these indices
-    for _, rows, bound, _, sums in _routes(grid, pts, cols, dens):
-        if keep is None:
-            keep = np.ones(pts.size, dtype=bool)
-        keep[rows] = False
-        nearest[rows] = bound
-        re_k.view(complex)[rows] = sums
-        im_k[rows] = 0.0
-    if keep is not None:
-        direct = np.flatnonzero(keep)
-        del sums  # stored in re_k: freed before the blocks' buffers
-    rest = pts if direct is None else pts[direct]
-    for rows, dr, di, d2 in distance_blocks(grid, rest) if rest.size else ():
-        if direct is not None:
-            rows = direct[rows]
+    for rows, dr, di, d2 in distance_blocks(grid, pts):
         nearest[rows] = np.sqrt(d2.min(axis=1))
         np.reciprocal(d2, out=d2)
         re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
@@ -743,190 +681,22 @@ def _rows(grid, pts, cols, parts, dens):
     return nearest, re_k, im_k
 
 
-def _routes(grid, pts, cols, dens):
-    """Yield (kind, rows, nearest, terms, sums) for the rows of a batch that
-    leave the direct pass, one side of the nodes' annulus at a time: kind
-    "outside", then "inside", rows an index array, nearest the annulus lower
-    bound, terms the route's M and sums S = sum_k g_k/(z_k - p) over the
-    columns g of cols, all from `_pullback_rows`.
-
-    Only a batch of at least PULLBACK_ROWS points on a radius-1 grid of a
-    map of degree at most PULLBACK_DEGREE is looked at; a smaller one
-    returns before |p - c| is formed. A row is offered when its lower bound
-    clears the band and d_node (`ContourGrid._pullback_map`) and exceeds L_in
-    pi/n: outside rows at every such degree, inside rows at degree 1. The
-    route runs when the two sides offer at least PULLBACK_ROWS rows
-    together, with one FFT of the densities for both; it declines the rows
-    its bound does not cover, and they stay direct. Infinite and NaN points
-    stay direct. Call under np.errstate.
-    """
-    curve = grid.curve
-    if pts.size < PULLBACK_ROWS or grid.radius != 1.0 or curve.degree > PULLBACK_DEGREE:
-        return
+def clear_rows(grid, points):
+    """(outside, inside): masks of the points that the annulus R >= |z_k -
+    c| >= r of the nodes about c = curve.conformal_center places without a
+    kernel pass. A point is outside when |p - c| - R, inside when r - |p -
+    c|, less eight ulps of |p - c| + R or r + |p - c|, is at least the
+    exclusion band. Such a point is at least the band from every node, and
+    the curve, which lies within the band of its nodes, winds once around
+    it inside and not at all outside, with c in the domain: `sides` decides
+    it the same way. A point whose |p - c| is not finite is in neither."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
     c, big, small = grid._node_annulus
-    _, l_in, _, _, d_node = grid._pullback_map
-    gap = np.abs(pts - c)
-    bounds = {"outside": (gap - big) - 8 * EPS * (gap + big)}
-    if curve.degree == 1:
-        bounds["inside"] = (small - gap) - 8 * EPS * (small + gap)
-    least = max(grid.exclusion_band, d_node)
-    offered = {kind: np.flatnonzero((bound >= least) & (bound > l_in * np.pi / grid.n))
-               for kind, bound in bounds.items()}  # False for infinite points
-    if sum(rows.size for rows in offered.values()) < PULLBACK_ROWS:
-        return
-    spectra = None if dens is None else np.fft.fft(dens, axis=0)
-    for kind, rows in offered.items():
-        if rows.size:
-            bound = bounds[kind][rows]
-            taken, terms, sums, _ = _pullback_rows(grid, pts[rows], gap[rows], bound, cols,
-                                                   spectra, kind == "inside")
-            if taken.any():
-                yield kind, rows[taken], bound[taken], terms, sums
-
-
-def _pullback_rows(grid, p, gap, nearest, cols, spectra, inside=False):
-    """(taken, terms, sums, bound) for rows p on one side of the nodes'
-    annulus at |p - c| = gap, lower bounds nearest (each offered by
-    `_routes`), given the densities' FFT spectra (None without one): the
-    rows taken (a mask), M, their S = sum_k g_k/(z_k - p) and computed
-    bounds, per unit of their share.
-
-    In the pullback variable the sum is (1/n) sum g_k zeta_k phi'(zeta_k)/
-    (phi(zeta_k) - p), and zeta phi'/(phi - p) = sum_i zeta/(zeta - zeta_i)
-    over the N roots of phi - p. Outside, all lie beyond the unit circle;
-    with u_i = 1/zeta_i and the modes F_m of each density (the winding
-    column's are n, 0, ...), S = -i sum_{j=1..n} F_-j sum_i u_i^j/(1 - u_i^n)
-    exactly. The route sums -i sum_{j<=M} F_-j p_j as one product, p_j =
-    sum_i u_i^j by Newton's identities on b_l = a_l/(a0 - p)
-    (`_power_sums`). Inside, at N = 1, the one root zeta0 = (p - a0)/a1 lies
-    in the unit disk and S = i sum_{m=0..n-1} F_m zeta0^m/(1 - zeta0^n)
-    exactly; the route sums i sum_{m<=M} F_m zeta0^m, the powers by
-    `_power_sums` on b = -zeta0, and gives the winding column i n.
-
-    Bound: outside |u_i| <= sigma = max(rho, L_out/(L_out + g)), g = nearest
-    - L_in pi/n, as in `bundles._ring_modes`, so |p_j| <= N sigma^j; inside
-    sigma is the exact |zeta0| = |p - a0|/|a1|, at least eps, times 1 + 4
-    eps. Over 1 - sigma^n the dropped terms are at most N sigma^(M+1)
-    sum_{M<j<=n/2} |F_-+j|, N sigma^(n+1-2^b) times the sum of |F_+-i| over
-    each block 2^(b-1) <= i < 2^b of the other half (and i = 0), and N
-    sigma^n sum |F_-+j| over the kept j. Rounding adds the FFT's 5 log2(n)
-    eps sum |F| per mode times N sigma^f/(1 - sigma), f the least kept j,
-    and, per unit of the sum of the kept |F|, the powers' kappa max_j j A_j,
-    kappa = (1.2 N + 8) eps, and the product's (M + 2) eps N sigma^f. A_j is
-    outside the recurrence on |b_l| at eight distances at or below the
-    rows', inside sigma^j, whose j sigma^j is at most 1/(e log(1/sigma)).
-    Terms are taken at the worst column, aliases at sixteen levels of sigma,
-    powers clamped at e^-600. A row is taken when this is within its share,
-    an eighth of `kernel_sums`' bound by the lower bound sum |w num|/(|p - c|
-    + R) less 1 %. M is the least count up to n/(2 (N + columns)) whose tail
-    takes half the share at the rows' largest sigma and |p - c|. Tables hold
-    KERNEL_BLOCK entries per chunk of rows.
-    """
-    n, columns, half = grid.n, cols.size // grid.n, grid.n // 2
-    _, big, _ = grid._node_annulus
-    a, l_in, l_out, floor, _ = grid._pullback_map
-    degree = a.size - 1
-    if inside:
-        sigma = np.maximum(gap / l_in, EPS) * (1.0 + 4 * EPS)
-    else:
-        sigma = np.maximum(l_out / (l_out + nearest - l_in * np.pi / n), floor) * (1.0 + 4 * EPS)
-    log_s = np.log(sigma)
-    low, top = log_s.min(), log_s.max()
-    step = (top - low) / 15 if top > low else 1.0
-    levels = np.minimum(low + step * np.arange(16), top)
-    # each term per unit of its column's share of the bound, at the worst column
-    limit = 0.99 * TWO_PI * n * EPS * np.array([abs(col).sum() for col in cols.reshape(n, -1).T])
-    alias = np.exp(np.maximum(n * levels, -600.0)) * (n / limit[0])
-    cap = n // (2 * (degree + columns))
-    tail, rounding = np.zeros(cap + 1), 0.0
-    if spectra is not None:
-        mags = np.abs(spectra)
-        pos, neg = mags[1:half + 1], mags[::-1][:half]  # |F_j| and |F_-j|, j = 1 .. n/2
-        near, other = (pos, neg) if inside else (neg, pos)
-        tails = np.cumsum(near[::-1], axis=0)[::-1]  # row M: sum_{M<j<=n/2} of the near side
-        starts = 2 ** np.arange(int(math.log2(half))) - 1  # {1}, [2, 4), ... of the other
-        blocks = np.vstack([mags[:1], np.add.reduceat(other[:half - 1], starts, axis=0)])
-        blocks /= limit[1:]
-        exponents = n + 1 - 2 ** np.arange(int(math.log2(half)) + 1)  # least j = n - i
-        powers = np.exp(np.maximum(np.multiply.outer(levels, exponents), -600.0))
-        alias = np.maximum(alias, (powers @ blocks).max(axis=1))
-        norm = tails[0] / limit[1:] + blocks.sum(axis=0)  # sum |F| >= ||F||_2
-        rounding = 5 * math.log2(n) * EPS * float(norm.max())
-        tail = (tails[:cap + 1] / limit[1:]).max(axis=1)
-    power_n = np.exp(np.maximum(n * log_s, -600.0))
-    weight = degree * (gap + big) / (1.0 - power_n)
-    short = tail * np.exp(np.maximum(np.arange(1, cap + 2) * top, -600.0)) <= 0.5 / weight.max()
-    terms = int(np.argmax(short)) if short.any() else cap
-    first, sign = (0, 1) if inside else (1, -1)
-    modes = np.zeros((terms + 1, columns), dtype=complex)  # row j: the mode of p_j or zeta0^j
-    if inside:
-        modes[0, 0] = 1j * n
-    if spectra is not None:
-        modes[first:, 1:] = sign * 1j * spectra[sign * np.arange(first, terms + 1)]
-    kept = float((np.abs(modes[:, 1:]).sum(axis=0) / limit[1:]).max(initial=0.0))
-    if not terms:
-        reach = 0.0
-    elif inside:
-        reach = np.minimum(terms, -1.0 / (math.e * log_s))
-    else:
-        closest, farthest = gap.min(), gap.max()
-        spacing = math.log(farthest / closest) / 8 if farthest > closest else 1.0
-        # eight distances at or below the rows', for the recurrence on |b_l|
-        floors = closest * np.exp(spacing * np.arange(8)) * (1.0 - 16 * EPS)
-        table = _power_sums(np.multiply.outer(-np.abs(a[1:]), 1.0 / floors), terms)
-        level = np.minimum((np.log(gap / closest) / spacing).astype(int), 7)
-        reach = (np.arange(1, terms + 1)[:, None] * table.real).max(axis=0)[level]
-    kappa = 1.01 * (1.2 * degree + 8) * EPS
-    excess = weight * (np.exp(np.maximum((terms + 1) * log_s, -600.0)) * tail[terms]
-                       + alias[np.minimum(np.ceil((log_s - low) / step), 15).astype(int)]
-                       + power_n * kept + (1.0 - power_n) * sigma ** first
-                       * (rounding / (1.0 - sigma) + (terms + 2) * EPS * kept))
-    excess += kappa * reach * (gap + big) * kept
-    taken = excess <= 1.0
-    sums = np.empty((np.count_nonzero(taken), columns), dtype=complex)
-    sums[:] = modes[0]
-    if terms and taken.any():
-        b = ((a[0] - p[taken]) / a[1])[None] if inside \
-            else np.multiply.outer(a[1:], 1.0 / (a[0] - p[taken]))
-        width = max(1, KERNEL_BLOCK // (degree + terms))
-        for lo in range(0, b.shape[1], width):  # each chunk's table freed before the next's
-            sums[lo:lo + width] += _power_sums(b[:, lo:lo + width], terms).T @ modes[1:]
-    return taken, terms, sums, excess[taken]
-
-
-def _power_sums(b, terms):
-    """(terms, rows) table of the power sums p_j = sum_i u_i^j, j = 1 ...
-    terms, over the roots u_i of u^N + b_1 u^(N-1) + ... + b_N, one column
-    of b (N, rows) per row: Newton's identities p_j = -sum_{l<j} b_l p_{j-l}
-    - j b_j (b_l = 0 past N), one vector product and sum per j; for N = 1,
-    p_j = (-b_1)^j by `_powers`."""
-    degree = b.shape[0]
-    if degree == 1:
-        return _powers(-b[0], -b[0], terms)
-    table = np.zeros((degree + terms, b.shape[1]), dtype=b.dtype)  # row N - 1 + j: p_j
-    reverse, step = -b[::-1], np.empty_like(b)
-    for j in range(1, terms + 1):
-        np.multiply(reverse, table[j - 1:j - 1 + degree], out=step)
-        step.sum(axis=0, out=table[degree - 1 + j])
-        if j <= degree:
-            table[degree - 1 + j] -= j * b[j - 1]
-    return table[degree:]
-
-
-def _powers(first, step, terms):
-    """(terms, step.size) table of first * step^j, j < terms, by doubling:
-    rows [k, 2k) are rows [0, k) times step^k, about log2(terms) vector
-    products; row j carries the rounding of at most j products."""
-    table = np.empty((terms, step.size), dtype=complex)
-    table[0] = first
-    done, power = 1, step  # rows filled, step^done
-    while done < terms:
-        more = min(done, terms - done)
-        np.multiply(table[:more], power, out=table[done:done + more])
-        done += more
-        if done < terms:
-            power = power * power
-    return table
+    with np.errstate(all="ignore"):
+        gap = np.abs(pts - c)
+        outside = (gap - big) - 8 * EPS * (gap + big) >= grid.exclusion_band
+        inside = (small - gap) - 8 * EPS * (small + gap) >= grid.exclusion_band
+    return outside, inside
 
 
 def winding_number(grid, z):

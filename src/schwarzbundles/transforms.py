@@ -15,16 +15,16 @@ four analytic pieces F, G, G*, H, fixed by which side of the curve each
 argument lies on; `TransformValue.piece` returns it, and `piece_f` ...
 `piece_h` are that property with the quadrant enforced.
 
-Every Cauchy sum is one call of the kernel pass `curve.kernel_sums` (its
-blocked direct pass, or for points of a large batch clear of the nodes'
-annulus the same trapezoidal sum in the pullback variable, outside it and,
-on a map of degree 1, inside it) through `curve.sides` or
-`curve.off_band`, which locate the points it sums at in the same pass and
-refuse the exclusion band and non-finite points. `double_cauchy_batch`
-evaluates C for many z at one w in one such pass; `cauchy_integral` and
-`double_cauchy` are batches of one point. The trapezoidal moments
-(`_trapezoid_moments`) need no kernel: one product per order walks the node
-terms from k = 0.
+Every Cauchy sum is one call of the kernel pass `curve.kernel_sums`
+through `curve.sides` or `curve.off_band`, which locate the points it sums
+at in the same pass and refuse the exclusion band and non-finite points.
+`cauchy_integral` and `double_cauchy` are one such pass for one point.
+`double_cauchy_batch` evaluates C for many z at one w: the z that
+`curve.clear_rows` places clear of the nodes' annulus, outside it and, on a
+map of degree 1, inside it, take the exact sum of residues of w's
+`laurent.Laurent` record, with no pass; the others one pass. The
+trapezoidal moments (`_trapezoid_moments`) need no kernel: one product per
+order walks the node terms from k = 0.
 """
 
 from __future__ import annotations
@@ -33,11 +33,13 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from . import laurent, render
 from .curve import (
     Location,
     band_refusal,
+    clear_rows,
     integer_argument,
     off_band,
     sides,
@@ -218,9 +220,9 @@ def _pole_transition(grid, w):
 
 def _pole_density(grid, w, interior):
     """The density that `double_cauchy` sums for a located w, from the modes
-    of 1/(S - conj w) at w's preimages (`laurent.schwarz_pole`). At interior
-    w it is `canonical_section(schwarz_pole_bundle(curve, w), grid).density`
-    bit for bit, adjusted at w (Chern class 1). At exterior w it is that
+    of 1/(S - conj w) at w's preimages (`_pole_log`). At interior w it is
+    `canonical_section(schwarz_pole_bundle(curve, w), grid).density` bit
+    for bit, adjusted at w (Chern class 1). At exterior w it is that
     density less its constant and its node-0 anchor, mod 2 pi i: the inverse
     FFT of the series' non-constant modes, of size |S/w| for far w, where the
     constant is about -log(-conj w). A constant's Cauchy sum is 0 at exterior
@@ -232,25 +234,37 @@ def _pole_density(grid, w, interior):
     identities on a_l/(a0 - w)) or their roots."""
     if np.ndim(w):
         return laurent.anchored(unwrap_log(_pole_transition(grid, w))[0])
+    return _pole_log(grid, w, interior)[1]
+
+
+def _pole_log(grid, w, interior):
+    """(series, density) at one located w: the `laurent.Laurent` record of
+    log 1/(S - conj w) (`laurent.schwarz_pole`), adjusted by (z - w)^-1 at
+    interior w, and the density `_pole_density` makes of it."""
     curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
     series = laurent.schwarz_pole(curve, roots)
     if interior:
-        return laurent.density(laurent.adjusted(curve, series, w, roots, 1, w), grid.n)
+        series = laurent.adjusted(curve, series, w, roots, 1, w)
+        return series, laurent.density(series, grid.n)
     laurent.check(series, 1.0)
-    return np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
+    return series, np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
 
 
-def _double_cauchy_rows(grid, zs, w, w_inside):
-    """C(z, w) for every z in zs at a located w (inside the curve or not),
-    NaN where double_cauchy refuses, with the masks (near, inside) of zs from
-    the same kernel pass."""
-    density = _pole_density(grid, w, w_inside)
+def _add_log_gap(c, zs, w, rows):
+    """c[rows] += log|z - w|^2 at interior z and w, NaN at coincident points."""
+    gap = np.abs(zs - w)
+    apart = gap > 1e-12 * (1.0 + np.abs(zs))
+    c[rows & apart] += np.log(gap[rows & apart] ** 2)
+    c[rows & ~apart] = np.nan
+
+
+def _double_cauchy_rows(grid, zs, w, w_inside, density):
+    """C(z, w) for every z in zs at a located w from one kernel pass over
+    w's density, NaN where double_cauchy refuses, with the masks (near,
+    inside) of zs from the same pass."""
     if w_inside:
         near, inside, c = sides(grid, zs, density)
-        gap = np.abs(zs - w)
-        apart = gap > 1e-12 * (1.0 + np.abs(zs))
-        c[inside & apart] += np.log(gap[inside & apart] ** 2)
-        c[inside & ~apart] = np.nan  # coincident interior points
+        _add_log_gap(c, zs, w, inside)
     else:
         # column 1, -conj(density), sums at interior z to log(z - w) on the
         # branch continued from the nodes, less the constant that column 0
@@ -262,21 +276,74 @@ def _double_cauchy_rows(grid, zs, w, w_inside):
     return c, near, inside
 
 
+def _outside_rows(curve, zs, series):
+    """C(z, w) at exterior z clear of the nodes' annulus, from w's record.
+
+    The Cauchy sum of w's density at z is minus its residues at z's N
+    preimages zeta_i, all beyond the circle, where only the inner factors
+    live: -sum_inner omega sum_i log(1 - b/zeta_i). Since prod_i (1 -
+    b/zeta_i) = (phi(b) - z)/(a0 - z), the sum over i is log(1 - x), x =
+    (phi(b) - a0)/(z - a0), and its principal log is the branch: |phi(b) -
+    a0| <= max |phi - a0| on the curve < |z - a0| for |b| < 1. Each b keeps
+    its own log; the log of a product over b could leave the branch."""
+    b, weight = np.array(series.inner).T
+    lift = npoly.polyval(b, (0j, *curve.coeffs[1:curve.degree + 1]))  # phi(b) - a0
+    return -(laurent.log1m(lift / (zs - curve.coeffs[0])[:, None]) @ weight)
+
+
+def _inside_rows(curve, zs, w, w_inside, series):
+    """C(z, w) at interior z clear of the nodes' annulus of a map of degree
+    1, from w's record, at zeta0 = (z - a0)/a1 in the unit disk.
+
+    At interior w the density's Cauchy sum is its constant and its outer
+    factors at zeta0 (the inner ones leave no residue inside), and
+    log|z - w|^2 is added. The record's constant, -2 log|a1|, and its value
+    at node 0 (zeta = 1), -2 Re log(1 - zeta_w), are real at degree 1, so
+    `laurent.anchored` leaves the density's constant as it is. At exterior
+    w the record has inner factors alone: column 0 sums to 0, and
+    -conj(density) is -sum_inner omega log(1 - conj(b) zeta) on the
+    circle, so C = -sum_inner omega conj(log(1 - conj(b) zeta0))."""
+    zeta0 = (zs - curve.coeffs[0]) / curve.coeffs[1]
+    if not w_inside:
+        b, weight = np.array(series.inner).T
+        return -(np.conjugate(laurent.log1m(np.multiply.outer(zeta0, b.conj()))) @ weight)
+    s, weight = np.array(series.outer).T
+    c = series.constant + laurent.log1m(np.multiply.outer(zeta0, s)) @ weight
+    _add_log_gap(c, zs, w, np.ones(zs.size, dtype=bool))
+    return c
+
+
 def double_cauchy_batch(grid, zs, w):
     """C(z, w) of `double_cauchy` for many z at one w, as a complex array.
 
-    w's density is formed once and every z is located and summed in one
-    kernel pass, with the second column -conj(density) when w is exterior.
-    Refuses w inside the exclusion band (NearBoundaryError); a z where
-    double_cauchy refuses (the band, or coincident interior points) gets NaN
-    at the same z as double_cauchy. A non-finite z or w refuses the whole
-    batch (ParseError, from `curve.sides`). The values differ from
+    w's Laurent record and density are formed once. The rows that
+    `curve.clear_rows` places outside the nodes' annulus, and inside it on a
+    map of degree 1, are exact sums of residues of the record
+    (`_outside_rows`, `_inside_rows`), with log(1 - x) from real log1p and
+    atan2 (`laurent.log1m`): within a few ulps per factor of the exact C.
+    Every other z is located and summed in one kernel pass, with the second
+    column -conj(density) when w is exterior, and differs from
     double_cauchy's by BLAS summation order only, within `kernel_sums`' bound
-    8 n eps * sum_k |w num_k/(z_k - p)| per sum, num = density * dz.
+    8 n eps * sum_k |w num_k/(z_k - p)| per sum, num = density * dz; the
+    trapezoidal sum of double_cauchy is within its quadrature error of the
+    exact value. Refuses w inside the exclusion band (NearBoundaryError); a
+    z where double_cauchy refuses (the band, or coincident interior points)
+    gets NaN at the same z as double_cauchy. A non-finite z or w refuses the
+    whole batch (ParseError, from `curve.sides`).
     """
     w = complex(w)
     zs = np.asarray(zs, dtype=complex).reshape(-1)
-    return _double_cauchy_rows(grid, zs, w, off_band(grid, [w])[0][0])[0]
+    w_inside = off_band(grid, [w])[0][0]
+    series, density = _pole_log(grid, w, w_inside)
+    outside, inside = clear_rows(grid, zs)
+    inside &= grid.curve.degree == 1
+    rest = ~(outside | inside)
+    c = np.empty(zs.size, dtype=complex)
+    if rest.any():
+        c[rest] = _double_cauchy_rows(grid, zs[rest], w, w_inside, density)[0]
+    c[outside] = _outside_rows(grid.curve, zs[outside], series)
+    c[inside] = _inside_rows(grid.curve, zs[inside], w, w_inside, series)
+    return c
 
 
 def double_cauchy(grid, z, w):
@@ -295,7 +362,8 @@ def double_cauchy(grid, z, w):
     """
     z, w = complex(z), complex(w)
     w_inside = off_band(grid, [w])[0][0]
-    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_inside)
+    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_inside,
+                                          _pole_density(grid, w, w_inside))
     if near[0]:
         raise band_refusal(grid, z)
     c = complex(c[0])

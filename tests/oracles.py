@@ -34,9 +34,7 @@ without those temporaries must give its bytes and its refusals.
 written with broadcast subtractions: the package's k = 2 products must give
 its bits. `one_point_sums_by_blocks` is `curve.kernel_sums` for one point as
 it was written, through a one-row block of `distance_blocks`: the package's
-one-point form must give its bits. `pullback_sums_exact` is the trapezoidal
-sum at the exact roots of unity in extended precision, which the pullback
-route's computed bound must cover.
+one-point form must give its bits.
 The CSV loops (`lattice_csv_lines`, `table_csv_loop`, `moments_csv_loop`,
 `transform_values_csv_loop`) are the CLI's tables and
 `transform_values_to_csv` as they were printed before the vectorised
@@ -273,24 +271,6 @@ def one_point_sums_by_blocks(grid, p, density=None):
         return nearest, winding, None
     sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
     return nearest, winding, sums.reshape((1,) + np.shape(density)[1:])
-
-
-def pullback_sums_exact(grid, density, p):
-    """(1/n) sum_k g_k zeta_k phi'(zeta_k)/(phi(zeta_k) - p) in extended
-    precision at the exact roots of unity zeta_k, for the columns g of
-    [1, density]: the winding and Cauchy sums of the map's own trapezoidal
-    rule, which the computed nodes approximate."""
-    n = grid.n
-    t = 8 * np.arctan(np.longdouble(1)) * np.arange(n, dtype=np.longdouble) / n
-    zeta = (np.cos(t) + 1j * np.sin(t)).astype(np.clongdouble)
-    a = np.asarray(grid.curve.coeffs, dtype=np.clongdouble)
-    phi, dphi = np.full(n, a[-1]), np.zeros(n, dtype=np.clongdouble)
-    for k in range(a.size - 2, -1, -1):  # Horner for phi and phi'
-        dphi = dphi * zeta + phi
-        phi = phi * zeta + a[k]
-    kernel = zeta * dphi / (phi - np.clongdouble(p)) / n
-    cols = np.column_stack([np.ones(n), np.asarray(density).reshape(n, -1)])
-    return (cols.T.astype(np.clongdouble) * kernel).sum(axis=1)  # pairwise
 
 
 def same_bits(a, b):

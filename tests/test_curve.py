@@ -489,3 +489,48 @@ def test_linear_roots_are_the_bits_np_roots_gives():
             got = curve_mod._poly_roots(coeffs)
             want = np.roots(np.array(coeffs[:2][::-1]))
             assert got.tobytes() == want.tobytes(), coeffs
+
+
+@pytest.mark.parametrize("top", [1e-16, 1e-30, 1e-100, 2.4e-236])
+def test_negligible_top_coefficients_leave_the_near_roots(top):
+    # a top coefficient at most eps times the one below puts its root beyond
+    # 1/eps and is trimmed: the near roots are the quadratic's, where
+    # np.roots on the cubic lost them (no root near the disk at 1e-100); a
+    # top coefficient below eps^2 times one two places below is trimmed too
+    w = -0.33068780629352573 - 0.3482048664676646j
+    want = np.sort_complex(np.roots([0.125, 1.0, -w]))
+    for coeffs in ((-w, 1.0, 0.125, top * 0.125), (-w, 1.0, 0.125, 0.0, top * 1e-16 * 0.125)):
+        got = np.sort_complex(curve_mod._poly_roots(coeffs))
+        assert np.allclose(got, want, rtol=4 * curve_mod.EPS, atol=0.0)
+
+
+def test_top_coefficients_whose_roots_count_are_kept():
+    # c4 = 1e-17 c2 across a zero c3 puts two roots near 3e8, whose factors
+    # (about 3e-9) are not below rounding: kept, and the near roots stay
+    # near the quadratic's; at 1e-33 c2, below eps^2, they are trimmed
+    w = -0.33068780629352573 - 0.3482048664676646j
+    want = np.sort_complex(np.roots([0.125, 1.0, -w]))
+    kept = curve_mod._poly_roots((-w, 1.0, 0.125, 0.0, 1e-17 * 0.125))
+    far = np.abs(kept) > 1e8
+    assert kept.size == 4 and far.sum() == 2
+    assert np.allclose(np.sort_complex(kept[~far]), want, rtol=1e-12, atol=0.0)
+    assert curve_mod._poly_roots((-w, 1.0, 0.125, 0.0, 1e-33 * 0.125)).size == 2
+
+
+def test_near_roots_beside_a_far_one_are_polished():
+    # phi - w for [0, 1, 0, 1/24, 1.56e-16] has a root at 2.7e14, which left
+    # np.roots' three near ones 1e-10 off in backward error; polished, each
+    # is a root to a few eps of the polynomial's terms, and the far one stays
+    coeffs = (-(0.3 + 0.2j), 1.0, 0.0, 0.04166666666666625, 1.5624999999999845e-16)
+    roots = curve_mod._poly_roots(coeffs)
+    near = roots[np.abs(roots) < 1e3]
+    assert near.size == 3 and roots.size == 4
+    residual = np.abs(npoly.polyval(near, coeffs)) / npoly.polyval(np.abs(near), np.abs(coeffs))
+    assert residual.max() <= 4 * curve_mod.EPS
+    far = np.roots(coeffs[::-1])
+    assert roots[~(np.abs(roots) < 1e3)].tobytes() == far[~(np.abs(far) < 1e3)].tobytes()
+    # real roots, which np.roots returns as a real array, are polished too
+    real = (-0.5, 1.0, 1e-7)
+    near = curve_mod._poly_roots(real)
+    near = near[np.abs(near) < 1e3]
+    assert abs(npoly.polyval(near[0], real)) <= 4 * curve_mod.EPS

@@ -1,19 +1,17 @@
 """The blocked Cauchy-kernel pass and the batched evaluations built on it,
 compared with one-point sums and the loops in tests/oracles.py.
 
-Sides, NaN rows, refusals and the distances of direct rows must match
-exactly; far rows, summed by the pullback route on either side of the
-nodes' annulus, report a lower bound on the distance at or above the band.
-Windings, Cauchy sums and what is built on them come from BLAS products,
-whose summation order depends on the batch, or from that route; they must
-lie within the bound
-the kernel states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k
-- p)|."""
+Sides, NaN rows, refusals and the distances must match exactly. Windings,
+Cauchy sums and what is built on them come from BLAS products, whose
+summation order depends on the batch; they must lie within the bound the
+kernel states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k
+- p)|. The rows of `double_cauchy_batch` that `curve.clear_rows` places
+are exact sums of residues; they must lie within `oracles.double_cauchy_bound`
+of the one-point sums."""
 
 import dataclasses
 import functools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +22,6 @@ from numpy.polynomial import polynomial as npoly
 import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
 from schwarzbundles import quaddom, transforms
-from schwarzbundles.curve import TWO_PI
 from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     CurveNotSimpleError,
@@ -33,6 +30,7 @@ from schwarzbundles.errors import (
 )
 import oracles
 from oracles import EPS, same_bits
+from strategies import certified_curves
 
 QUARTIC = [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]
 
@@ -58,23 +56,6 @@ def _within_row_bounds(got, want, grid, num, pts):
         return False
     bounds = [oracles.kernel_row_bound(grid, num, p) for p in pts[finite]]
     return bool(np.all(np.abs(got[finite] - want[finite]) <= bounds))
-
-
-def _routes(grid, pts, density=None):
-    """`curve._routes` of a batch as `kernel_sums` makes it."""
-    density = None if density is None else np.asarray(density)
-    with np.errstate(all="ignore"):
-        return list(curve_mod._routes(grid, pts, *curve_mod._columns(grid, density)))
-
-
-def _far_mask(grid, pts, density=None):
-    """The rows of a batch that `kernel_sums` takes off the direct pass, by
-    the pullback route on either side: those that report the annulus lower
-    bound."""
-    mask = np.zeros(pts.size, dtype=bool)
-    for _, rows, *_ in _routes(grid, pts, density):
-        mask[rows] = True
-    return mask
 
 
 CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72)}
@@ -113,10 +94,9 @@ def test_distance_products_keep_the_subtraction_bits(name, log_n, count, seed):
     want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
     got = _blocks(curve_mod.distance_blocks(grid, pts))
     assert all(same_bits(g, w) for g, w in zip(got, want))
-    direct = ~_far_mask(grid, pts)
     with np.errstate(all="ignore"):
         nearest = sb.kernel_sums(grid, pts)[0]
-        assert same_bits(nearest[direct], np.sqrt(want[2].min(axis=1))[direct])
+        assert same_bits(nearest, np.sqrt(want[2].min(axis=1)))
 
 
 def test_distance_products_differ_only_in_the_sign_of_a_zero():
@@ -141,22 +121,16 @@ def test_distance_products_differ_only_in_the_sign_of_a_zero():
 @given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),
        on_nodes=st.integers(0, 3))
 def test_kernel_sums_equal_one_point_sums(cardioid_grid, count, seed, on_nodes):
-    # 32 rows per block at n = 1024: counts cross block edges. Below
-    # PULLBACK_ROWS points and with few of them far inside the curve, no
-    # route takes a row here: the far rows are those of the tests below
+    # 32 rows per block at n = 1024: counts cross block edges
     grid = cardioid_grid
     pts = _points(grid, count, seed, min(on_nodes, count))
     dens = np.conjugate(grid.z) ** 2
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     singles = [sb.kernel_sums(grid, [p], dens) for p in pts]
     hypot = np.array([oracles.nearest_node_distance(grid, p) for p in pts])
-    # direct rows: sqrt(dr^2 + di^2) is the same in any batch, and within
-    # 1.5 eps of |z - p|; far rows: a lower bound that clears the band
-    far = _far_mask(grid, pts, dens)
-    assert same_bits(nearest[~far], [one[0][0] for one, f in zip(singles, far) if not f])
-    assert np.all(np.abs(nearest - hypot)[~far] <= 2 * EPS * hypot[~far])
-    assert np.all(hypot[far] >= nearest[far])
-    assert np.all(nearest[far] >= grid.exclusion_band)
+    # sqrt(dr^2 + di^2) is the same in any batch, and within 1.5 eps of |z - p|
+    assert same_bits(nearest, [one[0][0] for one in singles])
+    assert np.all(np.abs(nearest - hypot) <= 2 * EPS * hypot)
     with np.errstate(all="ignore"):  # the one-point sums divide by zero on a node
         one_winding = [oracles.trapezoid_winding(grid, p) for p in pts]
         one_sums = [oracles.trapezoid_cauchy(grid, dens, p) for p in pts]
@@ -189,8 +163,8 @@ def _split_points(grid, q_max, edges, rng):
     """240 points outside and 120 inside the nodes' annulus about c at
     ratios q up to q_max, and 24 points near the curve. With edges, 10
     points within 4 ulps of a distance to the annulus of one band, on each
-    side (both ends of the pullback route's reach), come first; the near
-    points follow."""
+    side (both ends of `clear_rows`' reach), come first; the near points
+    follow."""
     c, big, small = grid._node_annulus
     radii = np.concatenate([big / rng.uniform(0.01, q_max, 240),
                             small * rng.uniform(0.0, q_max, 120)])
@@ -223,13 +197,12 @@ def _location(near, inside):
        columns=st.integers(1, 9), q_max=st.floats(0.05, 0.95), edges=st.booleans(),
        seed=st.integers(0, 2 ** 16))
 def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
-    # Far and direct rows of one batch: windings and sums within the row
-    # bound of the one-point sums, nearest a lower bound at or above the
-    # band on far rows and the exact distance on direct ones, and each
-    # Location the one-point hypot/winding decision. The edge and near rows
-    # and 24 more drawn at random are checked against the one-point loops.
-    # On the disk the route takes rows on both sides of the nodes' annulus;
-    # on the other curves only outside, and their inside rows are direct.
+    # Rows on both sides of the nodes' annulus and near the curve in one
+    # batch: windings and sums within the row bound of the one-point sums,
+    # nearest the exact distance, and each Location the one-point
+    # hypot/winding decision. The edge and near rows and 24 more drawn at
+    # random are checked against the one-point loops. Every row that
+    # `clear_rows` places is off the band on the side it names
     grid = _split_grid(name, n)
     rng = np.random.default_rng(seed)
     pts, lead = _split_points(grid, q_max, edges, rng)
@@ -238,14 +211,13 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
     bare = sb.kernel_sums(grid, pts)[1]  # no density: one column, its own split
     near, inside, _ = curve_mod.sides(grid, pts, dens)
     assert (near == (nearest < grid.exclusion_band)).all()  # decided from the pass's distances
-    far = _far_mask(grid, pts, dens)
+    outside, within = curve_mod.clear_rows(grid, pts)
+    assert not near[outside | within].any() and not (outside & within).any()
+    assert inside[within].all() and not inside[outside].any()
     for i in np.concatenate([np.arange(lead), rng.integers(lead, pts.size, 24)]):
         p = pts[i]
         hypot = oracles.nearest_node_distance(grid, p)
-        if far[i]:
-            assert hypot >= nearest[i] >= grid.exclusion_band
-        else:
-            assert abs(nearest[i] - hypot) <= 2 * EPS * hypot
+        assert abs(nearest[i] - hypot) <= 2 * EPS * hypot
         one_winding = oracles.trapezoid_winding(grid, p)
         bound = oracles.kernel_row_bound(grid, grid.dz, p)
         assert abs(winding[i] - one_winding) <= bound
@@ -261,9 +233,8 @@ def test_far_rows_equal_one_point_sums(name, n, columns, q_max, edges, seed):
 @pytest.mark.parametrize("name", sorted(SPLIT_CURVES))
 def test_mixed_batch_rows_equal_their_lone_values(name):
     # sweep's 40 x 40 lattice, with 150 more points inside the annulus of
-    # the nodes: pullback rows outside the curve, and inside it on the disk,
-    # and direct rows in one batch, each within its row bound of the value
-    # it gets alone
+    # the nodes, in one batch: each row within its row bound of the value
+    # it gets alone, and the same distance
     grid = _split_grid(name, 1024)
     c, big, small = grid._node_annulus
     xs = np.linspace(-2.0, 2.0, 40)
@@ -272,20 +243,17 @@ def test_mixed_batch_rows_equal_their_lone_values(name):
     inn = c + small * rng.uniform(0.0, 0.95, 150) * np.exp(2j * np.pi * rng.uniform(size=150))
     pts = np.concatenate([lattice, inn])
     dens = np.log(np.abs(grid.z - 3.0) ** 2)
-    sides = {"outside", "inside"} if grid.curve.degree == 1 else {"outside"}
-    assert {kind for kind, *_ in _routes(grid, pts, dens)} == sides
-    assert 0 < _far_mask(grid, pts, dens).sum() < pts.size
     nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
     alone = [sb.kernel_sums(grid, [p], dens) for p in pts]
     assert _within_row_bounds(winding, [one[1][0] for one in alone], grid, grid.dz, pts)
     assert _within_row_bounds(sums, [one[2][0] for one in alone], grid, dens * grid.dz, pts)
-    assert np.all(nearest <= [one[0][0] for one in alone])
+    assert same_bits(nearest, [one[0][0] for one in alone])
 
 
-def test_padded_map_takes_the_routes_of_its_degree():
-    # the cardioid padded with three zero coefficients has degree 2, not 5
-    # (past PULLBACK_DEGREE): its grid, routes and sums on sweep's lattice
-    # are the cardioid's
+def test_padded_map_keeps_the_grid_and_sums_of_its_degree():
+    # the cardioid padded with three zero coefficients has degree 2, not 5:
+    # its grid, clear rows, sums and batched C on sweep's lattice are the
+    # cardioid's, bit for bit
     padded = sb.sample(sb.build_polynomial_curve([0, 1, 0.3, 0, 0, 0], 0.7), 1024)
     grid = _split_grid("cardioid", 1024)
     assert padded.curve.degree == grid.curve.degree == 2
@@ -293,193 +261,13 @@ def test_padded_map_takes_the_routes_of_its_degree():
     xs = np.linspace(-2.0, 2.0, 40)
     pts = (xs[None, :] + 1j * xs[:, None]).ravel()
     dens = np.log(np.abs(grid.z - 3.0) ** 2)
-    found = {kind: rows for kind, rows, *_ in _routes(grid, pts, dens)}
-    assert "outside" in found
-    assert {kind: rows.tolist() for kind, rows, *_ in _routes(padded, pts, dens)} \
-        == {kind: rows.tolist() for kind, rows in found.items()}
+    assert all(same_bits(a, b) for a, b in zip(curve_mod.clear_rows(padded, pts),
+                                               curve_mod.clear_rows(grid, pts)))
     assert all(same_bits(a, b) for a, b in zip(sb.kernel_sums(padded, pts, dens),
                                                sb.kernel_sums(grid, pts, dens)))
-
-
-PULLBACK_CURVES = {**SPLIT_CURVES,  # with the degree-12 Taylor polynomial of (e^(2 zeta) - 1)/2
-                   "taylor-12": ([0.0] + [2.0 ** (j - 1) / math.factorial(j)
-                                          for j in range(1, 13)], 0.7)}
-
-
-@functools.cache
-def _pullback_grid(name, n):
-    return sb.sample(sb.build_polynomial_curve(*PULLBACK_CURVES[name]), n)
-
-
-def _smooth_densities(grid, columns, rng):
-    """conj z^k, log|z - a|^2 and the Schwarz-pole density of an exterior w
-    as columns: densities whose modes decay."""
-    c, big, _ = grid._node_annulus
-    w = c + big * rng.uniform(1.5, 3.0) * np.exp(2j * np.pi * rng.uniform())
-    kinds = [np.conjugate(grid.z) ** rng.integers(0, 4),
-             np.log(np.abs(grid.z - 0.3 * rng.normal(size=2).view(complex)[0]) ** 2),
-             transforms._pole_density(grid, w, False)]
-    return np.stack(kinds[:columns], axis=1)
-
-
-def _check_route_rows(grid, pts, inside, columns, rng):
-    """The pullback route's rows among pts on one side of the nodes'
-    annulus, each at least one band from it, checked against the pass and
-    the one-point sums (see the two tests below)."""
-    c, big, small = grid._node_annulus
-    dens = _smooth_densities(grid, columns, rng)
-    cols, columns_2d = curve_mod._columns(grid, dens)
-    gap = np.abs(pts - c)
-    lower = (small - gap) - 8 * EPS * (small + gap) if inside \
-        else (gap - big) - 8 * EPS * (gap + big)
-    assert np.all(lower >= grid.exclusion_band)
-    # the rows `_routes` offers: none where the nodes' rounding leaves d_node
-    # infinite (the degree-12 map at n = 256)
-    _, l_in, _, _, d_node = grid._pullback_map
-    offered = np.flatnonzero((lower >= d_node) & (lower > l_in * np.pi / grid.n))
-    rows, route, share = offered[:0], np.empty((0, 1 + columns), dtype=complex), np.empty(0)
-    if offered.size:
-        with np.errstate(all="ignore"):
-            taken, _, route, share = curve_mod._pullback_rows(
-                grid, pts[offered], gap[offered], lower[offered], cols,
-                np.fft.fft(columns_2d, axis=0), inside)
-        rows = offered[taken]
-    assert np.all(share <= 1.0) and share.size == rows.size
-    # the pass's winding Im(S_0)/n and sums -i S/n of the route's S
-    route = np.column_stack([route[:, 0].imag, -1j * route[:, 1:]]) / grid.n
-    nearest, winding, sums = sb.kernel_sums(grid, pts, dens)
-    near, sided, _ = curve_mod.sides(grid, pts, dens)
-    capped = grid.curve.degree <= curve_mod.PULLBACK_DEGREE
-    if capped:
-        assert same_bits(nearest[rows], lower[rows]) and np.all(winding[rows] == float(inside))
-        assert np.array_equal(sums[rows], route[:, 1:])  # up to the sign of a zero
-    else:
-        assert not _far_mask(grid, pts, dens).any()
-    scale = 0.99 * TWO_PI * EPS * np.abs(cols).sum(axis=0)  # the share's unit, per column
-    for k in rng.permutation(rows.size)[:24]:
-        i, p = rows[k], pts[rows[k]]
-        hypot = oracles.nearest_node_distance(grid, p)
-        assert grid.exclusion_band <= nearest[i] <= hypot if capped \
-            else abs(nearest[i] - hypot) <= 2 * EPS * hypot
-        one_winding = oracles.trapezoid_winding(grid, p)
-        assert abs(route[k, 0] - one_winding) <= oracles.kernel_row_bound(grid, grid.dz, p)
-        for j in range(columns):
-            want = oracles.trapezoid_cauchy(grid, dens[:, j], p)
-            assert abs(route[k, j + 1] - want) \
-                <= oracles.kernel_row_bound(grid, dens[:, j] * grid.dz, p)
-        assert _location(near[i], sided[i]) \
-            == _location(hypot < grid.exclusion_band, one_winding > 0.5)
-        error = np.abs(route[k] - oracles.pullback_sums_exact(grid, dens, p)).astype(float)
-        assert np.all(error <= share[k] * scale / (gap[i] + big))
-    return rows.size
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
-                    reason="needs a longdouble wider than float64")
-@settings(deadline=None, max_examples=40)
-@given(name=st.sampled_from(sorted(PULLBACK_CURVES)), n=st.sampled_from([256, 1024, 4096]),
-       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_pullback_rows_equal_one_point_sums(name, n, columns, seed):
-    # 300 points outside the nodes' annulus, from one band past it to three
-    # times its radius, with densities whose modes decay. On the rows the
-    # pullback route takes: windings and sums within the row bound of the
-    # one-point sums, and the route's computed bound at least its error
-    # against the trapezoidal sum at the exact roots of unity
-    # (`oracles.pullback_sums_exact`); the pass takes them by the route up
-    # to PULLBACK_DEGREE and directly past it, with each Location the
-    # one-point hypot/winding decision and nearest between the band and the
-    # distance, within 2 eps of it on a direct row
-    grid = _pullback_grid(name, n)
-    rng = np.random.default_rng(seed)
-    c, big, _ = grid._node_annulus
-    radii = (big + grid.exclusion_band) * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 * big, 300)
-    _check_route_rows(grid, c + radii * np.exp(2j * np.pi * rng.uniform(size=300)), False,
-                      columns, rng)
-
-
-INSIDE_CURVES = {"disk": ([0, 1], 0.5), "turned": ([0.3 + 0.1j, 1.5j], 0.5)}
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
-                    reason="needs a longdouble wider than float64")
-@settings(deadline=None, max_examples=40)
-@given(name=st.sampled_from(sorted(INSIDE_CURVES)), n=st.sampled_from([256, 1024, 4096]),
-       columns=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
-def test_inside_pullback_rows_equal_one_point_sums(name, n, columns, seed):
-    # the same on 300 points inside the nodes' annulus of a map of degree
-    # 1, from its center to one band short of it: the route sums the
-    # density's nonnegative modes against powers of zeta0 = (p - a0)/a1,
-    # and the pass gives its rows the winding 1
-    grid = sb.sample(sb.build_polynomial_curve(*INSIDE_CURVES[name]), n)
-    rng = np.random.default_rng(seed)
-    c, _, small = grid._node_annulus
-    radii = (small - grid.exclusion_band) * (1.0 - 1e-9) * np.sqrt(rng.uniform(size=300))
-    taken = _check_route_rows(grid, c + radii * np.exp(2j * np.pi * rng.uniform(size=300)), True,
-                              columns, rng)
-    assert taken >= 50
-
-
-def _newton_term(grid, gap, terms, kept):
-    """kappa max_{j<=M} j A_j (|p - c| + R) kept per row: A_j the recurrence
-    A_j = sum_{l<j} |b_l| A_{j-l} + j |b_j| on |b_l| = |a_l|/d, d the row's
-    level of eight distances from the closest row, kappa = 1.01 (1.2 N + 8)
-    eps, one Python loop per term."""
-    a = np.abs(grid.curve.coeffs[1:grid.curve.degree + 1])
-    closest, farthest = gap.min(), gap.max()
-    spacing = math.log(farthest / closest) / 8
-    floors = closest * np.exp(spacing * np.arange(8)) * (1.0 - 16 * EPS)
-    level = np.minimum((np.log(gap / closest) / spacing).astype(int), 7)
-    majorant = [np.zeros(8)]
-    for j in range(1, terms + 1):
-        step = sum(a[l - 1] / floors * majorant[j - l] for l in range(1, min(j, a.size + 1)))
-        majorant.append(step + (j * a[j - 1] / floors if j <= a.size else 0.0))
-    reach = (np.arange(1, terms + 1)[:, None] * np.array(majorant[1:])).max(axis=0)
-    kappa = 1.01 * (1.2 * a.size + 8) * EPS
-    return kappa * reach[level] * (gap + grid._node_annulus[1]) * kept
-
-
-@pytest.mark.parametrize("name", ["cardioid", "quartic"])
-def test_pullback_bound_carries_newtons_term(name, monkeypatch):
-    # on every row the route takes outside a map of degree 2 or 4, its bound
-    # exceeds the bound with the recurrence's table zeroed by Newton's
-    # rounding term alone, computed here on its own (`_newton_term`) from
-    # the largest column's sum_{j<=M} |F_-j| per unit of its share
-    grid = _split_grid(name, 1024)
-    c, big, _ = grid._node_annulus
-    rng = np.random.default_rng(4)
-    radii = (big + grid.exclusion_band) * (1.0 + 1e-9) + rng.uniform(0.0, 2.0 * big, 300)
-    pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=300))
-    dens = _smooth_densities(grid, 2, rng)
-    cols = curve_mod._columns(grid, dens)[0]
-    gap, lower = _offered(grid, pts, False)
-    spectra = np.fft.fft(dens, axis=0)
-    with np.errstate(all="ignore"):
-        taken, terms, _, share = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra)
-        power_sums = curve_mod._power_sums  # the envelope's b is real, the rows' complex
-        monkeypatch.setattr(curve_mod, "_power_sums", lambda b, m: power_sums(b, m)
-                            if np.iscomplexobj(b) else np.zeros((m, b.shape[1])))
-        bare_taken, _, _, bare = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra)
-    limit = 0.99 * TWO_PI * grid.n * EPS * np.abs(cols).sum(axis=0)[1:]
-    kept = (np.abs(spectra[-np.arange(1, terms + 1)]).sum(axis=0) / limit).max()
-    newton = _newton_term(grid, gap, terms, kept)[taken]
-    assert terms > 8 and taken.sum() > 100 and not np.any(taken & ~bare_taken)
-    assert np.all(newton > 0.0)
-    assert np.allclose(share - bare[taken[bare_taken]], newton, rtol=1e-9, atol=0.0)
-
-
-def test_pullback_route_declines_a_white_noise_column():
-    # 300 points at 1.1 R about the disk, sigma about 0.91: a smooth
-    # density's modes decay and the route takes every row with a few dozen
-    # terms; a column of white noise needs more terms than the route's cap
-    # at that sigma, and it declines every row: all are direct
-    grid = _split_grid("disk", 1024)
-    c, big, _ = grid._node_annulus
-    ring = c + 1.1 * big * np.exp(2j * np.pi * (np.arange(300) + 0.5) / 300)
-    smooth = np.log(np.abs(grid.z - 3.0) ** 2)
-    noise = np.random.default_rng(3).normal(size=grid.n)
-    (kind, rows, _, terms, _), = _routes(grid, ring, smooth)
-    assert kind == "outside" and rows.size == ring.size and terms < 64
-    assert _routes(grid, ring, np.stack([smooth, noise], axis=1)) == []
+    for w in (2.5 - 1j, 0.2 + 0.1j):
+        assert same_bits(sb.double_cauchy_batch(padded, pts, w),
+                         sb.double_cauchy_batch(grid, pts, w))
 
 
 @given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
@@ -501,131 +289,9 @@ def test_one_point_pass_keeps_the_blocked_bits(name, log_n, columns, on_node, se
 
 
 def test_an_empty_batch_gives_empty_rows(cardioid_grid):
-    # no point: no route to decide and no block to sum
+    # no point: no block to sum
     nearest, winding, sums = sb.kernel_sums(cardioid_grid, [], np.ones((cardioid_grid.n, 2)))
     assert nearest.shape == winding.shape == (0,) and sums.shape == (0, 2)
-
-
-def test_far_rows_only_where_the_route_pays(cardioid_grid):
-    # one point, and the fits' 12 and 24 samples with 13 and 25 columns (as
-    # in sweep), stay direct, and the route is not looked at: the grid forms
-    # no annulus for them. A large far ring whose density the route declines
-    # (white noise) stays direct too, as does a ring of as many points far
-    # inside the cardioid (degree 2); inside the disk the same ring takes
-    # the route with M within its cap
-    grid = sb.sample(cardioid_grid.curve, 512)
-    c, _, small = grid._node_annulus
-    ring = 2.6 * np.exp(2j * np.pi * np.arange(256) / 256)
-    noise = np.random.default_rng(5).normal(size=grid.n)
-    for count in (12, 24):
-        fresh = sb.sample(cardioid_grid.curve, 512)
-        samples = sb.default_exterior_samples(fresh, count)
-        assert _routes(fresh, samples[:1], noise) == []
-        assert _routes(fresh, samples, quaddom._pole_density(fresh, samples, False)) == []
-        assert "_node_annulus" not in vars(fresh) and "_pullback_map" not in vars(fresh)
-    assert _routes(grid, ring, noise) == []
-    inner = c + 0.3 * small * np.exp(2j * np.pi * np.arange(256) / 256)
-    assert _routes(grid, inner, noise) == []
-    disk = _split_grid("disk", 512)
-    (kind, rows, nearest, terms, _), = _routes(disk, inner, noise)
-    assert kind == "inside" and rows.size == inner.size
-    assert 0 < terms <= disk.n // (2 * (1 + 2))
-    assert np.all(nearest >= disk.exclusion_band)
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= EPS,
-                    reason="needs a longdouble wider than float64")
-@given(terms=st.integers(1, 200), seed=st.integers(0, 2 ** 16), ones=st.booleans())
-def test_power_table_rows_round_like_sequential_products(terms, seed, ones):
-    # row j of a table built by doubling, against first * step^j by
-    # sequential multiplication in extended precision: within the rounding
-    # of j complex products, sqrt(5)/2 eps each; rows 0 and 1 are exact
-    # products of the inputs
-    rng = np.random.default_rng(seed)
-    step = rng.uniform(0.05, 1.0, 64) * np.exp(2j * np.pi * rng.uniform(size=64))
-    first = np.ones(64, dtype=complex) if ones else rng.normal(size=(64, 2)) @ [1, 1j]
-    table = curve_mod._powers(1.0 if ones else first, step, terms)
-    exact = np.empty(table.shape, dtype=np.clongdouble)
-    exact[0] = first
-    for j in range(1, terms):
-        exact[j] = exact[j - 1] * step
-    assert same_bits(table[0], first)
-    if terms > 1:
-        assert same_bits(table[1], first * step)
-    j = np.arange(terms)[:, None]
-    rel = (np.abs(table - exact) / np.abs(exact)).astype(float)
-    assert np.all(rel <= j * np.sqrt(5.0) / 2.0 * EPS * (1.0 + terms * EPS))
-
-
-def _offered(grid, pts, inside):
-    """(gap, lower) of points on one side of the nodes' annulus, as
-    `_routes` offers them to `_pullback_rows`."""
-    c, big, small = grid._node_annulus
-    gap = np.abs(pts - c)
-    lower = (small - gap) - 8 * EPS * (small + gap) if inside \
-        else (gap - big) - 8 * EPS * (gap + big)
-    _, l_in, _, _, d_node = grid._pullback_map
-    assert np.all(lower >= max(grid.exclusion_band, d_node))
-    assert np.all(lower > l_in * np.pi / grid.n)
-    return gap, lower
-
-
-@pytest.mark.parametrize("inside", [False, True])
-@pytest.mark.parametrize("n", [256, 1024, 4096])
-def test_route_terms_are_the_least_whose_tail_fits(n, inside):
-    # M is the least count, up to the cap n/(2 (N + columns)), whose tail
-    # sum_{M<j<=n/2} |F_j| (inside) or |F_-j| (outside), per unit of its
-    # column's share, times sigma^(M+1) at the rows' largest sigma fits half
-    # the share at their largest |p - c|: M terms fit it and M - 1 do not
-    grid = _split_grid("disk", n)
-    c, big, small = grid._node_annulus
-    rng = np.random.default_rng(n)
-    radii = small * rng.uniform(0.2, 0.8, 300) if inside else big * rng.uniform(1.2, 2.0, 300)
-    pts = c + radii * np.exp(2j * np.pi * rng.uniform(size=300))
-    dens = np.stack([np.log(np.abs(grid.z - 2.5) ** 2), 1.0 / (grid.z - 0.4j)], axis=1)
-    cols = curve_mod._columns(grid, dens)[0]
-    gap, lower = _offered(grid, pts, inside)
-    spectra = np.fft.fft(dens, axis=0)
-    with np.errstate(all="ignore"):
-        _, terms, _, _ = curve_mod._pullback_rows(grid, pts, gap, lower, cols, spectra, inside)
-    limit = 0.99 * TWO_PI * n * EPS * np.abs(cols).sum(axis=0)[1:]
-    j = np.arange(1, n // 2 + 1)
-    side = np.abs(spectra[j if inside else -j])
-    tails = [(side[m:].sum(axis=0) / limit).max() for m in range(n // 2)]
-    if inside:
-        sigma = gap / abs(grid.curve.coeffs[1]) * (1.0 + 4 * EPS)
-    else:
-        l_in = l_out = abs(grid.curve.coeffs[1])
-        sigma = l_out / (l_out + lower - l_in * np.pi / n) * (1.0 + 4 * EPS)
-    share = 0.5 / ((gap + big) / (1.0 - sigma ** n)).max()
-    top = sigma.max()
-    assert 0 < terms < n // (2 * (1 + 3))
-    assert tails[terms] * top ** (terms + 1) <= share * (1.0 + 1e-12)
-    assert tails[terms - 1] * top ** terms > share * (1.0 - 1e-12)
-
-
-def test_inside_route_memory_does_not_grow_with_n():
-    # a ring of 256 points far inside the disk at n = 65536 with 3 columns
-    # (dz and two densities): the route's power tables of M x 256 entries
-    # are built in chunks, and beyond its tables it holds the densities'
-    # spectra and their moduli (2n and n entries) and the 3n-entry column
-    # array, within the bound's 6n. One n x M table would be millions of
-    # entries
-    grid = sb.sample(sb.build_circle(0.0, 1.0), 2 ** 16)
-    c, big, small = grid._node_annulus  # cached on the grid before tracing,
-    grid._node_parts, grid._pullback_map  # as are the blocks' and the route's
-    ring = c + 0.5 * small * np.exp(2j * np.pi * np.arange(256) / 256)
-    dens = np.stack([np.conjugate(grid.z), np.log(np.abs(grid.z - 0.3) ** 2)], axis=1)
-    found = _routes(grid, ring, dens)
-    assert [kind for kind, *_ in found] == ["inside"] and found[0][3] > 8
-    tracemalloc.start()
-    try:
-        sums = sb.kernel_sums(grid, ring, dens)[2]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sums.shape[0] == 256
-    assert peak <= 16 * (3 * curve_mod.KERNEL_BLOCK + 6 * grid.n)
 
 
 @given(count=st.integers(1, 70), seed=st.integers(0, 2 ** 16),
@@ -720,6 +386,92 @@ def test_double_cauchy_batch_mixed_rows_on_three_curves(request, grid_name):
                  and sb.double_cauchy(grid, z, w).quadrant == (sb.Location.INTERIOR,
                                                                sb.Location.EXTERIOR)]
         assert len(mixed) >= 97
+
+
+LATTICE_CURVES = {**SPLIT_CURVES,  # and the Taylor polynomials of (e^(s zeta) - 1)/s
+                  "taylor-6": ([0.0] + [1.5 ** (j - 1) / math.factorial(j)
+                                        for j in range(1, 7)], 0.7),
+                  "taylor-12": ([0.0] + [2.0 ** (j - 1) / math.factorial(j)
+                                         for j in range(1, 13)], 0.7),
+                  "taylor-30": ([0.0] + [1.0 / math.factorial(j) for j in range(1, 31)], 0.7)}
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("name", sorted(LATTICE_CURVES))
+def test_double_cauchy_batch_clear_rows_on_lattices(name, n):
+    # a 40 x 40 lattice over c + [-2R, 2R]^2 at an interior, an exterior and
+    # a far w (a w in the band is refused): NaN exactly at the pass's band
+    # points, and 12 rows that `clear_rows` places, with 4 direct ones,
+    # within double_cauchy_bound of the one-point oracle
+    grid = sb.sample(sb.build_polynomial_curve(*LATTICE_CURVES[name]), n)
+    c, big, small = grid._node_annulus
+    xs = np.linspace(-2.0 * big, 2.0 * big, 40)
+    pts = (c + xs[None, :] + 1j * xs[:, None]).ravel()
+    near = curve_mod.sides(grid, pts)[0]
+    outside, inside = curve_mod.clear_rows(grid, pts)
+    closed = outside | (inside & (grid.curve.degree == 1))
+    assert closed.sum() > 500
+    rng = np.random.default_rng(n)
+    for w in (c + 0.3 * small * np.exp(0.4j), c + 1.5 * big * np.exp(0.3j), c + 1e6j):
+        if curve_mod.sides(grid, [w])[0][0]:
+            with pytest.raises(NearBoundaryError):
+                sb.double_cauchy_batch(grid, pts, w)
+            continue
+        got = sb.double_cauchy_batch(grid, pts, w)
+        assert np.array_equal(np.isnan(got), near)
+        rows = np.concatenate([rng.permutation(np.flatnonzero(closed))[:12],
+                               rng.permutation(np.flatnonzero(~closed & ~near))[:4]])
+        assert _assert_matches_one_point(grid, pts[rows], w, got[rows]) == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(curve=certified_curves(), n=st.sampled_from([256, 1024]), seed=st.integers(0, 2 ** 16))
+def test_clear_rows_match_the_one_point_oracle(curve, n, seed):
+    # 12 points past the nodes' annulus, from one band to 3R beyond it, and
+    # 12 inside it, from c to one band short of it, on a certified curve:
+    # `clear_rows` places each, the pass puts it off the band on that side,
+    # and its C at an interior, an exterior and a far w is within
+    # double_cauchy_bound of the one-point oracle, closed or direct
+    grid = sb.sample(curve, n)
+    c, big, small = grid._node_annulus
+    band = grid.exclusion_band
+    rng = np.random.default_rng(seed)
+    turns = np.exp(2j * np.pi * rng.uniform(size=24))
+    radii = np.concatenate([(big + band) * (1.0 + 1e-9) + rng.uniform(0.0, 3.0 * big, 12),
+                            max(small - band, 0.0) * (1.0 - 1e-9) * rng.uniform(size=12)])
+    zs = c + radii * turns
+    outside, inside = curve_mod.clear_rows(grid, zs)
+    near, sided, _ = curve_mod.sides(grid, zs)
+    placed = outside | inside
+    assert outside[:12].all() and not near[placed].any()
+    assert sided[inside].all() and not sided[outside].any()
+    ws = [curve.phi(0.5 * turns[0]), c + 1.5 * big * turns[1], c + 1e6 * turns[2]]
+    for w in ws:
+        if curve_mod.sides(grid, [w])[0][0]:
+            continue
+        got = sb.double_cauchy_batch(grid, zs[placed], w)
+        assert _assert_matches_one_point(grid, zs[placed], w, got) == 0
+
+
+def test_outside_rows_keep_each_factors_branch(quartic_grid):
+    # the quartic at an exterior w whose reflected preimage b0 lies near the
+    # circle: on a ring one band past the nodes' annulus each factor's
+    # principal log(1 - x_b) is the branch of its sum over z's preimages,
+    # and Im C follows the one-point sum where a factor's phase passes 1
+    # rad and the phases of the four factors add up to 1.1 rad
+    grid = sb.sample(quartic_grid.curve, 1024)
+    w = 1.3435052224024382 - 0.19734856763703773j
+    c, big, _ = grid._node_annulus
+    zs = c + (big + grid.exclusion_band) * 1.0001 * np.exp(2j * np.pi * np.arange(64) / 64)
+    assert curve_mod.clear_rows(grid, zs)[0].all()
+    series = transforms._pole_log(grid, w, False)[0]
+    b = np.array([root for root, _ in series.inner])
+    lift = npoly.polyval(b, (0j, *grid.curve.coeffs[1:]))
+    phases = np.angle(1.0 - lift / (zs - c)[:, None])
+    assert np.abs(phases).max() > 1.0 and np.abs(phases.sum(axis=1)).max() > 1.05
+    got = sb.double_cauchy_batch(grid, zs, w)
+    assert _assert_matches_one_point(grid, zs, w, got) == 0
+    assert np.allclose(got.imag, phases.sum(axis=1), rtol=0.0, atol=1e-12)
 
 
 def test_double_cauchy_batch_refuses_w_in_the_band(disk_grid):
@@ -910,8 +662,8 @@ def test_fit_systems_equal_the_pair_loops(zs, deg_q, deg_p):
                                           (QUARTIC, 0.72, 1024)])
 @pytest.mark.parametrize("k_max", [1, 2, 4, 6])
 def test_moment_expansion_check_equals_the_loop(coeffs, rho, n, k_max):
-    # The ring's sums (far rows of the pass) each lie within their row
-    # bound B of the one-point sums; the inverse FFT moves coefficient m by at most max B, plus its
+    # The ring's sums each lie within their row bound B of the one-point
+    # sums; the inverse FFT moves coefficient m by at most max B, plus its
     # own rounding of log2(N) eps max |vals| on each side, and coefficient k
     # is scaled by radius^(k+1).
     grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), n)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 import schwarzbundles as sb
+from strategies import certified_curves
 from schwarzbundles import transforms
 from schwarzbundles.errors import BranchUnresolvedError, CurveNotSimpleError
 from schwarzbundles.schwarz import NEWTON_TOL
@@ -269,27 +270,14 @@ def test_accepted_curves_have_tangent_winding_one(degree, rho, mags, phases):
 
 
 @settings(max_examples=30, deadline=None)
-@given(degree=st.integers(min_value=2, max_value=3),
-       center=st.tuples(st.floats(min_value=-1.0, max_value=1.0, **finite),
-                        st.floats(min_value=-1.0, max_value=1.0, **finite)),
-       rho=st.floats(min_value=0.6, max_value=0.9, **finite),
-       mags=st.lists(st.floats(min_value=0.0, max_value=0.6, **finite),
-                     min_size=2, max_size=2),
-       phases=st.lists(st.floats(min_value=0.0, max_value=2 * np.pi, **finite),
-                       min_size=2, max_size=2))
-def test_moment_table_matches_the_trapezoidal_moments(degree, center, rho, mags, phases):
+@given(curve=certified_curves())
+def test_moment_table_matches_the_trapezoidal_moments(curve):
     # The trapezoidal sum at n = 4096 is exact for z^k conj(z) dz, a
     # trigonometric polynomial of degree at most (k + 2) N < n, up to rounding:
     # k + 3 products per term and the summation tree, within 4 (k + 16) eps of
     # the terms' moduli. The table rounds within 4 (k + 2)(N + 3) eps of the
     # moment of the coefficients' moduli (test_quaddom's bound).
-    k = np.arange(2, degree + 1)
-    coeffs = [complex(*center), 1.0, *(np.array(mags[:degree - 1]) * rho ** (k - 1) / k
-                                       * np.exp(1j * np.array(phases[:degree - 1])))]
-    try:
-        curve = sb.build_polynomial_curve(coeffs, rho)
-    except CurveNotSimpleError:
-        return
+    coeffs, degree = curve.coeffs, len(curve.coeffs) - 1
     grid = sb.sample(curve, 4096)
     table = curve.moments(20)
     for k in range(21):

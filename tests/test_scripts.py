@@ -14,7 +14,7 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
         "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"],
-        "heap_faults.py": ["2"], "pullback_rows.py": ["1"], "csv_render.py": ["2"]}
+        "heap_faults.py": ["2"], "closed_rows.py": ["1"], "csv_render.py": ["2"]}
 
 
 @functools.cache
@@ -79,7 +79,7 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
         for curve, count in radii.items() for kind, cells in expected.items()}
 
 
-def test_heap_faults_reports_every_op_and_the_kernel_peak():
+def test_heap_faults_reports_every_op_and_the_batch_peak():
     proc = _run("heap_faults.py")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()]
@@ -88,29 +88,28 @@ def test_heap_faults_reports_every_op_and_the_kernel_peak():
                            "fit/quartic", "moment-check"}
     assert all(count >= 0.0 for count in per_op.values())
     totals = {row[0]: float(row[1]) for row in rows if len(row) == 2}
-    assert set(totals) == {"faults_per_cycle", "kernel_peak_mb"}
+    assert set(totals) == {"faults_per_cycle", "batch_peak_mb"}
     assert totals["faults_per_cycle"] == pytest.approx(sum(per_op.values()), abs=0.02)
-    # the far rows' power tables are freed before the direct blocks' four
-    # buffers (1 MB at n = 1024) are allocated, so the peak holds one of them
-    assert 1.0 < totals["kernel_peak_mb"] < 1.5
+    # the kernel pass over the lattice's unclosed rows holds its blocks'
+    # four buffers (1 MB at n = 1024); the closed rows' tables are small
+    assert 1.0 < totals["batch_peak_mb"] < 1.5
 
 
-def test_pullback_rows_reports_each_route_within_the_bound():
-    proc = _run("pullback_rows.py")
+def test_closed_rows_reports_every_lattice_within_the_bound():
+    proc = _run("closed_rows.py")
     assert proc.returncode == 0, proc.stderr
-    tables = [[line.split() for line in table.splitlines()[2:]]
-              for table in proc.stdout.split("\n\n")[:3]]
-    rows, inner = ({row[0]: row for row in table} for table in tables[:2])
-    # degrees 1, 2 and 4 take the route outside, within the stated bound,
-    # and the disk inside too; the Taylor curves are past PULLBACK_DEGREE,
-    # and all their rows are direct
-    for name in ("disk", "cardioid", "quartic"):
-        assert int(rows[name][2]) > 1000 and float(rows[name][6]) < 1.0
-    assert int(rows["disk"][3]) > 200 and rows["cardioid"][3] == rows["quartic"][3] == "0"
-    for name in ("taylor-6", "taylor-12", "taylor-30"):
-        assert rows[name][2:5] == ["0", "0", "1600"]
-    # interior rows: the inside route takes every one on the disk, within
-    # the bound, and none at any other degree
-    assert inner["disk"][2] == inner["disk"][3] and float(inner["disk"][5]) < 1.0
-    assert all(row[3] == "0" for name, row in inner.items() if name != "disk")
-    assert "PULLBACK_DEGREE = 4" in proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    found = {(row[0], int(row[1]), row[3]): row for row in rows}
+    curves = {"disk", "cardioid", "quartic", "taylor-6", "taylor-12", "taylor-30"}
+    # every lattice at both n and each w off the band: the degree-12 curve's
+    # interior w lies in its band at n = 256
+    every = {(name, n, w) for name in curves for n in (256, 1024)
+             for w in ("interior", "exterior", "far")}
+    assert set(found) == every - {("taylor-12", 256, "interior")}
+    for (name, n, _), row in found.items():
+        outside, inside, direct = map(int, row[4:7])
+        assert outside + inside + direct == 1600
+        # rows clear of the nodes' annulus are closed outside at every
+        # degree, inside on the disk alone
+        assert outside > 1000 and (inside > 200) == (name == "disk")
+        assert float(row[7]) < 1.0

@@ -1,11 +1,14 @@
 import cmath
 import dataclasses
+import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import schwarzbundles as sb
+from schwarzbundles import laurent
 from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     NearBoundaryError,
@@ -313,6 +316,57 @@ def test_far_w_c_is_log1p_to_rounding(disk, n):
         for z, exact in ((0.3, np.log1p(-0.3 / w)), (2.0, np.log1p(-1.0 / (2.0 * w)))):
             for c in (sb.double_cauchy(grid, z, w).C, sb.double_cauchy_batch(grid, [z], w)[0]):
                 assert abs(c - exact) <= 1e-14 * abs(exact)
+
+
+def _log1m_reference(x):
+    """log(1 - x) for a double x: log|1 - x|^2 / 2 from the exact decimal
+    t = u (u - 2) + v^2, by its series below 1e-25 and by Decimal.ln above,
+    at 80 digits; the phase from math.atan2."""
+    u, v = Decimal(x.real), Decimal(x.imag)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        t = u * (u - 2) + v * v
+        half_log = (t - t * t / 2 + t * t * t / 3) / 2 if abs(t) < Decimal("1e-25") \
+            else (1 + t).ln() / 2
+    return complex(float(half_log), math.atan2(-x.imag, 1.0 - x.real))
+
+
+def test_log1m_is_log_of_one_minus_x_to_rounding():
+    # |x| from 1e-300 to 0.99 at every phase: within 4 eps of |log(1 - x)|,
+    # where numpy's complex log1p(-x) is log(1 + (-x)) and loses a small
+    # x's digits (1.5e-5 relative at x = 3e-12)
+    rng = np.random.default_rng(11)
+    x = 10.0 ** rng.uniform(-300, np.log10(0.99), 4000) \
+        * np.exp(2j * np.pi * rng.uniform(size=4000))
+    x = np.concatenate([x, [3e-12, -3e-12, 3e-12j, 0.99, -0.99, 0.99j, 1e-300]])
+    got = laurent.log1m(x)
+    want = np.array([_log1m_reference(complex(v)) for v in x])
+    assert np.all(np.abs(got - want) <= 4 * EPS * np.abs(want))
+
+
+def test_far_z_and_far_w_c_on_the_disk_is_log1p_to_rounding():
+    # the disk about a = 0.3 - 0.2i: at exterior z and w, C = log(1 - x), x =
+    # 1/((z - a) conj(w - a)), and at interior z, exterior w, C = conj(log(1 -
+    # x)), x = (z - a)/(w - a); with |x| <= 1e-8 the series -x - x^2/2 -
+    # x^3/3 is C to 1e-32. Far z (a + 1e8 e^{i theta}) and far w (a + 1e11
+    # e^{i theta}) are closed rows of the batch, within 1e-14 relative
+    a = 0.3 - 0.2j
+    grid = sb.sample(sb.build_circle(a, 1.0), 512)
+    turns = np.exp(2j * np.pi * np.arange(8) / 8 + 0.1j)
+
+    def series(x):
+        return -x - x * x / 2 - x ** 3 / 3
+
+    for w in (a + 2.5 * np.exp(0.7j), a + 1e11 * np.exp(2.1j)):
+        far = a + 1e8 * turns
+        got = sb.double_cauchy_batch(grid, far, w)
+        want = series(1.0 / ((far - a) * np.conjugate(w - a)))
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+    w = a + 1e11 * np.exp(2.1j)
+    near = a + np.array([0.3, 0.5j, -0.6 + 0.1j]) * turns[:3]
+    got = sb.double_cauchy_batch(grid, near, w)
+    want = np.conjugate(series((near - a) / (w - a)))
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 def test_far_w_c_converges_on_the_cardioid(cardioid):
