@@ -1,5 +1,6 @@
 """The rows `double_cauchy_batch` closes on 40 x 40 lattices, their error
-and the batch's time.
+and the batch's time; and the route and time of one-point `double_cauchy`
+per quadrant.
 
 For the disk, the cardioid, the test quartic and the Taylor polynomials of
 degree 6 ((e^(1.5 zeta) - 1)/1.5), 12 ((e^(2 zeta) - 1)/2) and 30 (e^zeta -
@@ -15,6 +16,14 @@ conj w), divided by (z_k - w) at interior w, with its constant; the bound
 is 8 n eps sum_k |w num_k/(z_k - p)| per sum (two at interior z and
 exterior w) plus 2 eps |C|. Without the constant, at far w, the bound
 would be about the rounding of the roots' cancelling factors.
+
+The second table takes one z and one w on each side of the disk, the
+cardioid and the quartic at n = 1024 (z at 0.3 r or 1.5 R about c, r the
+nodes' smallest |z - c|; w at 0.2 r or 2.5 R, at other angles). Each row
+gives the quadrant, the route the one-point call takes (closed when
+`clear_rows` places z, outside or, at degree 1, inside; else the kernel
+pass), its best time over `rounds` rounds of 200 calls, and z, w and C in
+%.17g, so that C can be checked against the one-point trapezoidal C.
 
 Usage: python scripts/closed_rows.py [rounds]   (default 7)
 """
@@ -85,6 +94,23 @@ def main(rounds):
                 print(f"{name:10s} {n:4d}  {curve.degree:6d}  {label:8s}  {outside.sum():7d}"
                       f"  {inside.sum():6d}  {zs.size - outside.sum() - inside.sum():6d}"
                       f"  {ratio:11.2e}  {1e3 * best:5.2f}")
+    print()
+    print(f"one point at n = 1024; best of {rounds} rounds of 200 calls, us")
+    print("curve      quadrant  route      us  re_z im_z re_w im_w re_C im_C")
+    for name, coeffs, rho in CURVES[:3]:
+        grid = sb.sample(sb.build_polynomial_curve(coeffs, rho), 1024)
+        c, big, small = grid._node_annulus
+        for z in (c + 1.5 * big * np.exp(0.3j), c + 0.3 * small * np.exp(0.4j)):
+            for w in (c + 2.5 * big * np.exp(2.1j), c + 0.2 * small * np.exp(1.1j)):
+                tv = sb.double_cauchy(grid, z, w)
+                outside, inside = curve_mod.clear_rows(grid, [z])
+                closed = outside[0] or (inside[0] and grid.curve.degree == 1)
+                best = min(timeit.repeat(lambda: sb.double_cauchy(grid, z, w),
+                                         number=200, repeat=rounds)) / 200
+                print(f"{name:10s} {transforms.quadrant_tag(tv.quadrant):8s}"
+                      f"  {'closed' if closed else 'kernel':6s}  {1e6 * best:6.1f}  "
+                      + " ".join(f"{x:.17g}" for x in (z.real, z.imag, w.real, w.imag,
+                                                       tv.C.real, tv.C.imag)))
 
 
 if __name__ == "__main__":

@@ -1,20 +1,23 @@
-"""The rational fit's Schwarz-pole sample columns by three routes: their
-time and their agreement.
+"""The rational fit's Schwarz-pole sample columns by three routes, and its
+F matrix by two: their time and their agreement.
 
-`transforms._pole_density` of an array of exterior w, the sample columns of
-`fit_rational_structure`, unwraps their node values 1/(S - conj w) in one
-call. The Laurent modes of the same logs, -log conj(a0 - w) + sum_m
-conj(p_m) zeta^-m/m with p_m the power sums of the inverse preimages of w,
-need no unwrap; they come here from Newton's identities on b_l = a_l/(a0 -
-w) (`power_sums`), or from the roots themselves by one batched companion
-eigenvalue call. The inputs are the `sweep` workload's fits: 12 samples on
-the cardioid and 24 on the quartic at n = 512, on rings at 1.6 and 2.4
-times the curve's largest node modulus. The modes' count is the least
-whose tail is within EPS at the bound sigma = max(rho, L_out/(L_out + g))
-of the inverse preimages' moduli, g the samples' least distance to the
-nodes less L_in pi/n. Each row gives the best time of `rounds` over 50
-calls of each route, and the largest difference mod 2 pi i of the modes'
-columns from the unwrapped ones.
+`quaddom._exterior_f_matrix`, the F of `fit_rational_structure`, unwraps
+the sample columns' node values 1/(S - conj w) in one call (`unwrap`) and
+sums them in one kernel pass. The Laurent modes of the same logs, -log
+conj(a0 - w) + sum_m conj(p_m) zeta^-m/m with p_m the power sums of the
+inverse preimages of w, need no unwrap; they come here from Newton's
+identities on b_l = a_l/(a0 - w) (`power_sums`), or from the roots
+themselves by one batched companion eigenvalue call. F itself can also be
+taken per sample w from the closed rows of `double_cauchy_batch`, one root
+finding per sample, with no kernel pass (`closed F`). The inputs are the
+`sweep` workload's fits: 12 samples on the cardioid and 24 on the quartic
+at n = 512, on rings at 1.6 and 2.4 times the curve's largest node
+modulus. The modes' count is the least whose tail is within EPS at the
+bound sigma = max(rho, L_out/(L_out + g)) of the inverse preimages'
+moduli, g the samples' least distance to the nodes less L_in pi/n. Each
+row gives the best time of `rounds` over 50 calls of each route, the
+largest difference mod 2 pi i of the modes' columns from the unwrapped
+ones, and the largest relative difference of the closed F from the fit's.
 
 Usage: python scripts/pole_columns.py [rounds]   (default 5)
 """
@@ -25,7 +28,7 @@ import timeit
 import numpy as np
 
 import schwarzbundles as sb
-from schwarzbundles import laurent, transforms
+from schwarzbundles import laurent, quaddom, transforms
 
 CURVES = (("cardioid", [0, 1, 0.3], 0.7, 12),
           ("quartic", [0, 1, 0.1, 0.04, 0.02], 0.75, 24))
@@ -80,10 +83,23 @@ def eigenvalues(grid, zs, count):
     return modes_columns(grid, zs, powers.sum(axis=2), count)
 
 
+def unwrapped(grid, zs):
+    return laurent.anchored(transforms.unwrap_log(transforms._pole_transition(grid, zs))[0])
+
+
+def closed_f(grid, zs):
+    return np.exp(np.stack([sb.double_cauchy_batch(grid, zs, w) for w in zs], axis=1))
+
+
+def best(route, rounds):
+    return 1e6 * min(timeit.repeat(route, number=50, repeat=rounds)) / 50
+
+
 def main(rounds):
     print(f"best of {rounds} rounds of 50 calls, us per call; difference mod 2 pi i")
     print(f"{'curve':9s} {'w':>3s} {'terms':>5s} {'unwrap':>8s} {'newton':>8s} "
-          f"{'eigvals':>8s} {'newton diff':>12s} {'eigvals diff':>12s}")
+          f"{'eigvals':>8s} {'newton diff':>12s} {'eigvals diff':>12s} "
+          f"{'fit F':>8s} {'closed F':>8s} {'F diff':>9s}")
     for name, coeffs, rho, count in CURVES:
         curve = sb.build_polynomial_curve(coeffs, rho)
         grid = sb.sample(curve, 512)
@@ -91,16 +107,19 @@ def main(rounds):
         _, l_in, l_out = curve._dphi_bounds
         gap = sb.kernel_sums(grid, zs)[0].min() - l_in * np.pi / grid.n
         terms = laurent.terms(max(curve.rho, l_out / (l_out + gap)), curve.degree)
-        unwrapped = transforms._pole_density(grid, zs, False)
+        columns = unwrapped(grid, zs)
         row = [f"{name:9s} {count:3d} {terms:5d}"]
         diffs = []
-        for route in (lambda: transforms._pole_density(grid, zs, False),
-                      lambda: newton(grid, zs, terms), lambda: eigenvalues(grid, zs, terms)):
-            best = min(timeit.repeat(route, number=50, repeat=rounds)) / 50
-            row.append(f"{1e6 * best:8.1f}")
-            d = route() - unwrapped
+        for route in (lambda: unwrapped(grid, zs), lambda: newton(grid, zs, terms),
+                      lambda: eigenvalues(grid, zs, terms)):
+            row.append(f"{best(route, rounds):8.1f}")
+            d = route() - columns
             diffs.append(np.abs(d.real + 1j * ((d.imag + np.pi) % (2 * np.pi) - np.pi)).max())
-        print(" ".join(row) + f" {diffs[1]:12.2e} {diffs[2]:12.2e}")
+        fit = quaddom._exterior_f_matrix(grid, zs)
+        f_diff = np.abs(closed_f(grid, zs) - fit).max() / np.abs(fit).max()
+        print(" ".join(row) + f" {diffs[1]:12.2e} {diffs[2]:12.2e}"
+              f" {best(lambda: quaddom._exterior_f_matrix(grid, zs), rounds):8.1f}"
+              f" {best(lambda: closed_f(grid, zs), rounds):8.1f} {f_diff:9.2e}")
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ its class, with the adjustment's modes. Every density takes one branch
 rule at node 0 (`laurent.anchored`). The Schwarz-pole
 bundle supplies its pole, the default adjustment point when interior (a
 pole in the exclusion band is refused, not replaced), and its section is
-the exponential transform (`transforms._pole_density`, the same modes). A
+the exponential transform (`transforms._c_rows`, the same modes). A
 bundle answers only on grids of its own curve: `chern_class` and
 `verify_transition` refuse a grid whose map coefficients differ from the
 bundle's (ParseError). The transitions themselves, for `transition_at_nodes`

@@ -37,9 +37,12 @@ the unwrapped ones alike: node 0's phase lies in (ANCHOR_TILT - pi,
 ANCHOR_TILT + pi].
 
 A record is also its log's Cauchy integral in closed form: at a point
-clear of the curve it is a short sum of the factors' residues, which
-`transforms.double_cauchy_batch` takes for the Schwarz pole. Those
-factors' log(1 - x) is `log1m`, from real log1p and atan2.
+clear of the curve it is a short sum of the factors' residues. For the
+Schwarz pole that is C(z, w) at every z clear of the nodes' annulus, on
+the one route of `transforms.double_cauchy` and `double_cauchy_batch`,
+which forms the record once per w and its density only for the z that
+the kernel pass sums. Those factors' log(1 - x) is `log1m`, from real
+log1p and atan2.
 """
 
 from __future__ import annotations

@@ -4,27 +4,28 @@ exponential transform of the domain bounded by an analytic curve.
 Moments of nonnegative order are exact finite sums over the map's
 coefficients (`ConformalMapCurve.moments`); everything else is computed
 from boundary integrals on a contour grid. E = exp(C) is the canonical
-section of the Schwarz-pole bundle 1/(S - conj w): C(z, w) is the Cauchy
-sum at z of its density (`_pole_density`) plus, for interior z,
-log|z - w|^2 at interior w or, at exterior w, the conjugate of the sum of
--conj(density). At exterior w the density is summed without its constant,
-about -log(-conj w), whose sum is 0 at exterior z and cancels between the
-two sums at interior z: so C, of size |S/w| for far w, keeps its relative
-accuracy (on the disk to 1e-14 of log1p at w = 1e11). E carries one of the
-four analytic pieces F, G, G*, H, fixed by which side of the curve each
-argument lies on; `TransformValue.piece` returns it, and `piece_f` ...
-`piece_h` are that property with the quadrant enforced.
+section of the Schwarz-pole bundle 1/(S - conj w), whose log is w's
+`laurent.Laurent` record. `double_cauchy` (one z) and `double_cauchy_batch`
+(many z) are one route, `_c_rows`: the z that `curve.clear_rows` places
+clear of the nodes' annulus, outside it and, on a map of degree 1, inside
+it, take the exact sum of residues of the record, with no kernel pass and
+the same bits on every grid; the others are the Cauchy sum of its density,
+plus for interior z log|z - w|^2 at interior w or, at exterior w, the
+conjugate of the sum of -conj(density), in one pass. At exterior w the
+density is summed without its constant, about -log(-conj w), whose sum is
+0 at exterior z and cancels between the two sums at interior z: so C, of
+size |S/w| for far w, keeps its relative accuracy (on the disk to 1e-14
+of log1p at w = 1e11). E carries one of the four analytic pieces F, G, G*,
+H, fixed by which side of the curve each argument lies on;
+`TransformValue.piece` returns it, and `piece_f` ... `piece_h` are that
+property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums`
 through `curve.sides` or `curve.off_band`, which locate the points it sums
 at in the same pass and refuse the exclusion band and non-finite points.
-`cauchy_integral` and `double_cauchy` are one such pass for one point.
-`double_cauchy_batch` evaluates C for many z at one w: the z that
-`curve.clear_rows` places clear of the nodes' annulus, outside it and, on a
-map of degree 1, inside it, take the exact sum of residues of w's
-`laurent.Laurent` record, with no pass; the others one pass. The
-trapezoidal moments (`_trapezoid_moments`) need no kernel: one product per
-order walks the node terms from k = 0.
+`cauchy_integral` is one such pass for one point. The trapezoidal moments
+(`_trapezoid_moments`) need no kernel: one product per order walks the
+node terms from k = 0.
 """
 
 from __future__ import annotations
@@ -218,62 +219,12 @@ def _pole_transition(grid, w):
     return 1.0 / np.subtract.outer(grid._schwarz, np.conjugate(w))
 
 
-def _pole_density(grid, w, interior):
-    """The density that `double_cauchy` sums for a located w, from the modes
-    of 1/(S - conj w) at w's preimages (`_pole_log`). At interior w it is
-    `canonical_section(schwarz_pole_bundle(curve, w), grid).density` bit
-    for bit, adjusted at w (Chern class 1). At exterior w it is that
-    density less its constant and its node-0 anchor, mod 2 pi i: the inverse
-    FFT of the series' non-constant modes, of size |S/w| for far w, where the
-    constant is about -log(-conj w). A constant's Cauchy sum is 0 at exterior
-    z and cancels against the second column's at interior z, so C needs no
-    constant, and its rounding does not swamp the rest. An array of exterior
-    w, the rational fit's samples, gives one column each, (n, m), from one
-    unwrap of their node values, anchored by `laurent.anchored`: at 12 and 24
-    samples on 512 nodes that is faster than their power sums (Newton's
-    identities on a_l/(a0 - w)) or their roots."""
-    if np.ndim(w):
-        return laurent.anchored(unwrap_log(_pole_transition(grid, w))[0])
-    return _pole_log(grid, w, interior)[1]
-
-
-def _pole_log(grid, w, interior):
-    """(series, density) at one located w: the `laurent.Laurent` record of
-    log 1/(S - conj w) (`laurent.schwarz_pole`), adjusted by (z - w)^-1 at
-    interior w, and the density `_pole_density` makes of it."""
-    curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
-    series = laurent.schwarz_pole(curve, roots)
-    if interior:
-        series = laurent.adjusted(curve, series, w, roots, 1, w)
-        return series, laurent.density(series, grid.n)
-    laurent.check(series, 1.0)
-    return series, np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
-
-
 def _add_log_gap(c, zs, w, rows):
     """c[rows] += log|z - w|^2 at interior z and w, NaN at coincident points."""
     gap = np.abs(zs - w)
     apart = gap > 1e-12 * (1.0 + np.abs(zs))
     c[rows & apart] += np.log(gap[rows & apart] ** 2)
     c[rows & ~apart] = np.nan
-
-
-def _double_cauchy_rows(grid, zs, w, w_inside, density):
-    """C(z, w) for every z in zs at a located w from one kernel pass over
-    w's density, NaN where double_cauchy refuses, with the masks (near,
-    inside) of zs from the same pass."""
-    if w_inside:
-        near, inside, c = sides(grid, zs, density)
-        _add_log_gap(c, zs, w, inside)
-    else:
-        # column 1, -conj(density), sums at interior z to log(z - w) on the
-        # branch continued from the nodes, less the constant that column 0
-        # leaves out
-        near, inside, sums = sides(grid, zs, np.stack([density, -np.conjugate(density)], 1))
-        c = sums[:, 0].copy()
-        c[inside] += np.conjugate(sums[inside, 1])
-    c[near] = np.nan
-    return c, near, inside
 
 
 def _outside_rows(curve, zs, series):
@@ -291,79 +242,109 @@ def _outside_rows(curve, zs, series):
     return -(laurent.log1m(lift / (zs - curve.coeffs[0])[:, None]) @ weight)
 
 
-def _inside_rows(curve, zs, w, w_inside, series):
+def _inside_rows(curve, zs, w_inside, series):
     """C(z, w) at interior z clear of the nodes' annulus of a map of degree
-    1, from w's record, at zeta0 = (z - a0)/a1 in the unit disk.
+    1, from w's record, at zeta0 = (z - a0)/a1 in the unit disk, less
+    log|z - w|^2 at interior w.
 
     At interior w the density's Cauchy sum is its constant and its outer
-    factors at zeta0 (the inner ones leave no residue inside), and
-    log|z - w|^2 is added. The record's constant, -2 log|a1|, and its value
-    at node 0 (zeta = 1), -2 Re log(1 - zeta_w), are real at degree 1, so
-    `laurent.anchored` leaves the density's constant as it is. At exterior
-    w the record has inner factors alone: column 0 sums to 0, and
-    -conj(density) is -sum_inner omega log(1 - conj(b) zeta) on the
-    circle, so C = -sum_inner omega conj(log(1 - conj(b) zeta0))."""
+    factors at zeta0 (the inner ones leave no residue inside). The record's
+    constant, -2 log|a1|, and its value at node 0 (zeta = 1), -2 Re log(1 -
+    zeta_w), are real at degree 1, so `laurent.anchored` leaves the
+    density's constant as it is. At exterior w the record has inner factors
+    alone: column 0 sums to 0, and -conj(density) is -sum_inner omega log(1
+    - conj(b) zeta) on the circle, so C = -sum_inner omega conj(log(1 -
+    conj(b) zeta0))."""
     zeta0 = (zs - curve.coeffs[0]) / curve.coeffs[1]
     if not w_inside:
         b, weight = np.array(series.inner).T
         return -(np.conjugate(laurent.log1m(np.multiply.outer(zeta0, b.conj()))) @ weight)
     s, weight = np.array(series.outer).T
-    c = series.constant + laurent.log1m(np.multiply.outer(zeta0, s)) @ weight
-    _add_log_gap(c, zs, w, np.ones(zs.size, dtype=bool))
-    return c
+    return series.constant + laurent.log1m(np.multiply.outer(zeta0, s)) @ weight
+
+
+def _c_rows(grid, zs, w):
+    """(c, near, inside, w_inside): C(z, w) for every z of zs at one w, the
+    one route of `double_cauchy` and `double_cauchy_batch`, with NaN where
+    double_cauchy refuses, the masks of the z in the exclusion band and
+    inside the curve, and the side of w.
+
+    C is the Cauchy sum (1/2 pi i) * integral of D_w(zeta) dzeta/(zeta - z)
+    of the canonical section of the Schwarz-pole bundle of w, plus, at
+    interior z, log|z - w|^2 at interior w and, at exterior w, conj of the
+    Cauchy sum of -conj(D_w): log(conj z - conj w) on the branch continued
+    from the nodes, less the constant that the first sum leaves out. D_w is
+    the log of 1/(S - conj w), divided by (zeta - w) at interior w (Chern
+    class 1). At exterior w D_w's constant, about -log(-conj w), and its
+    node-0 anchor drop out of C at every z, so they are not summed, and C,
+    of size |S/w| for far w, keeps its relative accuracy, anchor-free like
+    the area integral -(1/pi) * integral of dA/((zeta - z)(conj zeta -
+    conj w)) it equals.
+
+    w is located by one `curve.off_band` pass, which refuses it in the band
+    (NearBoundaryError), and its `laurent.Laurent` record, the log of 1/(S -
+    conj w) adjusted by (z - w)^-1 at interior w, is formed once from its
+    preimages. The z that `curve.clear_rows` places clear of the nodes'
+    annulus, outside it and, on a map of degree 1, inside it, take the
+    exact sum of residues of the record (`_outside_rows`, `_inside_rows`),
+    log(1 - x) from real log1p and atan2 (`laurent.log1m`): within a few
+    ulps per factor of the exact C, and the same bits at every n. The other
+    z are located and summed in one `curve.sides` pass over D_w, its
+    Laurent modes' inverse FFT, formed only for them, with the second
+    column -conj(D_w) at exterior w: within `kernel_sums`' bound 8 n eps *
+    sum_k |w num_k/(z_k - p)| per sum, num = D_w dz, of the trapezoidal
+    sum, whose batch moves the rows by BLAS summation order only. A
+    non-finite z or w refuses the whole call (ParseError, from `sides`)."""
+    zs = np.asarray(zs, dtype=complex).reshape(-1)
+    w_inside = off_band(grid, [w])[0][0]
+    curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
+    series = laurent.schwarz_pole(curve, roots)
+    if w_inside:
+        series = laurent.adjusted(curve, series, w, roots, 1, w)
+    outside, inside = clear_rows(grid, zs)
+    inside &= curve.degree == 1
+    rest = ~(outside | inside)
+    c, near = np.empty(zs.size, dtype=complex), np.zeros(zs.size, dtype=bool)
+    if outside.any():
+        c[outside] = _outside_rows(curve, zs[outside], series)
+    if inside.any():
+        c[inside] = _inside_rows(curve, zs[inside], w_inside, series)
+    if rest.any():
+        if w_inside:
+            near[rest], inside[rest], c[rest] = sides(grid, zs[rest],
+                                                      laurent.density(series, grid.n))
+        else:
+            density = np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
+            # column 1, -conj(density), sums at interior z to log(z - w) on
+            # the branch continued from the nodes, less the constant that
+            # column 0 leaves out
+            near[rest], inside[rest], sums = sides(
+                grid, zs[rest], np.stack([density, -np.conjugate(density)], 1))
+            c[rest] = sums[:, 0]
+            c[rest & inside] += np.conjugate(sums[inside[rest], 1])
+    if w_inside:
+        _add_log_gap(c, zs, w, inside)
+    c[near] = np.nan
+    return c, near, inside, w_inside
 
 
 def double_cauchy_batch(grid, zs, w):
-    """C(z, w) of `double_cauchy` for many z at one w, as a complex array.
-
-    w's Laurent record and density are formed once. The rows that
-    `curve.clear_rows` places outside the nodes' annulus, and inside it on a
-    map of degree 1, are exact sums of residues of the record
-    (`_outside_rows`, `_inside_rows`), with log(1 - x) from real log1p and
-    atan2 (`laurent.log1m`): within a few ulps per factor of the exact C.
-    Every other z is located and summed in one kernel pass, with the second
-    column -conj(density) when w is exterior, and differs from
-    double_cauchy's by BLAS summation order only, within `kernel_sums`' bound
-    8 n eps * sum_k |w num_k/(z_k - p)| per sum, num = density * dz; the
-    trapezoidal sum of double_cauchy is within its quadrature error of the
-    exact value. Refuses w inside the exclusion band (NearBoundaryError); a
-    z where double_cauchy refuses (the band, or coincident interior points)
-    gets NaN at the same z as double_cauchy. A non-finite z or w refuses the
-    whole batch (ParseError, from `curve.sides`).
-    """
-    w = complex(w)
-    zs = np.asarray(zs, dtype=complex).reshape(-1)
-    w_inside = off_band(grid, [w])[0][0]
-    series, density = _pole_log(grid, w, w_inside)
-    outside, inside = clear_rows(grid, zs)
-    inside &= grid.curve.degree == 1
-    rest = ~(outside | inside)
-    c = np.empty(zs.size, dtype=complex)
-    if rest.any():
-        c[rest] = _double_cauchy_rows(grid, zs[rest], w, w_inside, density)[0]
-    c[outside] = _outside_rows(grid.curve, zs[outside], series)
-    c[inside] = _inside_rows(grid.curve, zs[inside], w, w_inside, series)
-    return c
+    """C(z, w) of `double_cauchy` for many z at one w, as a complex array,
+    by the same route (`_c_rows`): NaN at a z where double_cauchy refuses
+    (the band, or coincident interior points). Refuses w inside the
+    exclusion band (NearBoundaryError) and, for the whole batch, a
+    non-finite z or w (ParseError)."""
+    return _c_rows(grid, zs, complex(w))[0]
 
 
 def double_cauchy(grid, z, w):
-    """Double Cauchy transform C(z, w), quadrant-wise.
-
-    C is the Cauchy sum I = (1/2 pi i) * integral of D_w(zeta) dzeta/(zeta - z)
-    of the canonical section of the Schwarz-pole bundle of w: D_w is the
-    log of 1/(S - conj w), divided by (zeta - w) for interior w (Chern
-    class 1), from its Laurent modes (`_pole_density`). Interior z adds
-    log|z - w|^2 at interior w and, at exterior w, conj of the Cauchy sum
-    of -conj(D_w) at z: log(conj z - conj w) on the branch continued from
-    the nodes, less the constant that I leaves out. At exterior w D_w's
-    constant and node-0 anchor drop out of C at every z, so they are not
-    summed, and C is anchor-free like the area integral -(1/pi) * integral
-    of dA/((zeta - z)(conj zeta - conj w)) it equals.
-    """
+    """Double Cauchy transform C(z, w), quadrant-wise, by `_c_rows` on [z]:
+    the bits of `double_cauchy_batch(grid, [z], w)[0]`, with the sides of z
+    and w from the same call. Refuses z or w in the exclusion band
+    (NearBoundaryError) and interior z and w that coincide
+    (CoincidentInteriorPointsError)."""
     z, w = complex(z), complex(w)
-    w_inside = off_band(grid, [w])[0][0]
-    c, near, inside = _double_cauchy_rows(grid, np.array([z]), w, w_inside,
-                                          _pole_density(grid, w, w_inside))
+    c, near, inside, w_inside = _c_rows(grid, [z], w)
     if near[0]:
         raise band_refusal(grid, z)
     c = complex(c[0])

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import oracles
-from oracles import same_bits
+from oracles import EPS, same_bits
 import schwarzbundles as sb
-from schwarzbundles.curve import _ring
+from schwarzbundles.curve import _ring, clear_rows
 from schwarzbundles.errors import (
     AdjustmentPointNotInteriorError,
     BranchUnresolvedError,
@@ -367,22 +367,32 @@ def test_section_pieces_consistency_cardioid(cardioid, cardioid_grid):
 
 
 def test_pole_density_is_the_section_density(cardioid, cardioid_grid):
-    # double_cauchy's density for a located w is the canonical section's:
-    # at interior w bit for bit, at exterior w less its constant (which C
-    # does not sum), mod 2 pi i, to rounding
+    # C sums the canonical section's density. At z the kernel pass sums
+    # (none that `clear_rows` places on this degree-2 map): at interior w
+    # the section's Cauchy sum bit for bit, plus log|z - w|^2 at interior z;
+    # at exterior w the density less its constant and node-0 anchor, whose
+    # sum at exterior z is 0 to rounding, within the kernel's bound of it
+    grid = cardioid_grid
+    zs = [0.2 - 0.1j, cardioid.phi(1.1 * np.exp(1.8j)), cardioid.phi(1.2 * np.exp(2.5j))]
+    assert not clear_rows(grid, zs)[0].any() and cardioid.degree == 2
+    seen = set()
     for w in (2.5, -1.0 + 1.5j, 1e11, 0.4 + 0.2j, 0.0):
-        interior = sb.locate(cardioid_grid, w) is sb.Location.INTERIOR
-        bundle = sb.schwarz_pole_bundle(cardioid, w)
-        section = sb.canonical_section(bundle, cardioid_grid)
+        interior = sb.locate(grid, w) is sb.Location.INTERIOR
+        section = sb.canonical_section(sb.schwarz_pole_bundle(cardioid, w), grid)
         assert section.chern == int(interior)
-        density = sb.transforms._pole_density(cardioid_grid, w, interior)
-        if interior:
-            assert same_bits(density, section.density)
-            continue
-        gap = section.density - bundle.modes(0, None).constant - density
-        turns = np.round(gap.imag / (2.0 * np.pi))
-        assert (turns == turns[0]).all()
-        assert np.abs(gap - 2j * np.pi * turns).max() <= 1e-14 * np.abs(section.density).max()
+        for z in zs:
+            tv = sb.double_cauchy(grid, z, w)
+            want = sb.cauchy_integral(grid, section.density, z)
+            z_inside = tv.quadrant[0] is sb.Location.INTERIOR
+            seen.add((z_inside, interior))
+            if z_inside and interior:
+                assert abs(tv.C - want - np.log(abs(z - w) ** 2)) <= 4 * EPS * abs(tv.C)
+            elif interior:
+                assert same_bits(tv.C, want)
+            elif not z_inside:
+                assert abs(tv.C - want) <= oracles.kernel_row_bound(
+                    grid, section.density * grid.dz, z)
+    assert len(seen) == 4
 
 
 def test_m_differential_matching(disk, disk_grid):

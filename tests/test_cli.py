@@ -10,6 +10,7 @@ import pytest
 
 import schwarzbundles as sb
 from schwarzbundles import cli, errors
+from schwarzbundles.curve import clear_rows
 from schwarzbundles.cli import (
     EXIT_FAILURE,
     MAX_FIT_SAMPLES,
@@ -149,6 +150,32 @@ def test_transform_piece_is_the_library_piece(capsys, disk_file, z, w, name):
     tv = sb.double_cauchy(sb.sample(sb.build_circle(0, 1), 512), z, w)
     assert piece["name"] == name
     assert complex(*piece["value"]) == tv.piece[1]
+
+
+def _disk_e(z, w):
+    """E(z, w) on the unit disk in closed form, quadrant by quadrant."""
+    if abs(z) < 1.0:
+        return abs(z - w) ** 2 / (1.0 - z * w.conjugate()) if abs(w) < 1.0 \
+            else 1.0 - (z / w).conjugate()
+    return 1.0 - w / z if abs(w) < 1.0 else 1.0 - 1.0 / (z * w.conjugate())
+
+
+@pytest.mark.parametrize("theta", [0.3, 2.0, 4.4])
+@pytest.mark.parametrize("zr, wr, n", [(0.93, 3.0, 512), (1.02, 2.5, 2048), (1.005, 0.4, 8192)])
+def test_transform_settles_where_the_band_clears_z(capsys, disk_file, theta, zr, wr, n):
+    # z and w clear of the nodes' annulus take the closed rows, whose C does
+    # not move with n: refinement stops at the first grid whose band clears
+    # z, the n the benchmark's query mix pins, and E is the closed form
+    z, w = zr * cmath.exp(1j * theta), wr * cmath.exp(1j * (theta + 1.0))
+    code, out, _ = run(capsys, "transform", disk_file, f"--z={z.real},{z.imag}",
+                       f"--w={w.real},{w.imag}")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n"] == n
+    for count, placed in ((n // 2, False), (n, True)):
+        outside, inside = clear_rows(sb.sample(sb.build_circle(0, 1), count), [z])
+        assert bool(outside[0] or inside[0]) == placed
+    assert abs(complex(*payload["E"]) - _disk_e(z, w)) <= 1e-12
 
 
 def test_transform_single(capsys, disk_file):

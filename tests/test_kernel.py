@@ -21,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 
 import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
-from schwarzbundles import quaddom, transforms
+from schwarzbundles import laurent, quaddom, transforms
 from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     CurveNotSimpleError,
@@ -453,6 +453,65 @@ def test_clear_rows_match_the_one_point_oracle(curve, n, seed):
         assert _assert_matches_one_point(grid, zs[placed], w, got) == 0
 
 
+def _pullback_points(curve, rng, count):
+    """count points of each kind about a curve: phi of |zeta| <= 0.9
+    (inside), of |zeta| within 2e-3 of 1 (in the band at some n, or just off
+    it), of 1.05 <= |zeta| < 1/rho (outside), and c + (1.5 .. 4) R e^{it}
+    (far outside, R the curve's largest |phi - c| on the circle)."""
+    turns = np.exp(2j * np.pi * rng.uniform(size=(4, count)))
+    c = curve.conformal_center
+    big = np.abs(curve.phi(np.exp(2j * np.pi * np.arange(64) / 64)) - c).max()
+    return np.concatenate([curve.phi(0.9 * np.sqrt(rng.uniform(size=count)) * turns[0]),
+                           curve.phi((1.0 + rng.uniform(-2e-3, 2e-3, count)) * turns[1]),
+                           curve.phi(rng.uniform(1.05, 0.99 / curve.rho, count) * turns[2]),
+                           c + big * rng.uniform(1.5, 4.0, count) * turns[3]])
+
+
+@settings(max_examples=25, deadline=None)
+@given(curve=certified_curves(), seed=st.integers(0, 2 ** 16))
+def test_double_cauchy_is_the_batch_route_on_one_point(curve, seed):
+    # z and w inside, in the band and outside a certified curve, and w = z:
+    # one-point C has the bits of the batch's row for [z]; NearBoundaryError
+    # falls exactly where the batch gives NaN in the band (`locate`) and
+    # CoincidentInteriorPointsError where it gives NaN off it; the quadrant
+    # is `locate` of z and of w; a w in the band refuses both; and a z that
+    # `clear_rows` places at n = 256, 1024 and 4096 (outside, or inside at
+    # degree 1) has the same bits at all three, at a w off every band
+    rng = np.random.default_rng(seed)
+    zs = _pullback_points(curve, rng, 2)
+    ws = np.append(_pullback_points(curve, rng, 1), zs[0])
+    grids = [sb.sample(curve, n) for n in (256, 1024, 4096)]
+    by_n = []
+    for grid in grids:
+        outside, inside = curve_mod.clear_rows(grid, zs)
+        clear = outside | (inside & (curve.degree == 1))
+        values = {}
+        for w in ws:
+            w_side = sb.locate(grid, w)
+            if w_side is sb.Location.NEAR_BOUNDARY:
+                for call in (sb.double_cauchy, sb.double_cauchy_batch):
+                    with pytest.raises(NearBoundaryError):
+                        call(grid, zs[0], w)
+                continue
+            for j, z in enumerate(zs):
+                batch = sb.double_cauchy_batch(grid, [z], w)[0]
+                z_side = sb.locate(grid, z)
+                if np.isnan(batch):
+                    error = (NearBoundaryError if z_side is sb.Location.NEAR_BOUNDARY
+                             else CoincidentInteriorPointsError)
+                    with pytest.raises(error):
+                        sb.double_cauchy(grid, z, w)
+                    continue
+                tv = sb.double_cauchy(grid, z, w)
+                assert same_bits(tv.C, batch)
+                assert tv.quadrant == (z_side, w_side)
+                if clear[j]:
+                    values[j, w] = tv.C
+        by_n.append(values)
+    for key in set(by_n[0]) & set(by_n[1]) & set(by_n[2]):
+        assert same_bits(by_n[0][key], by_n[1][key]) and same_bits(by_n[0][key], by_n[2][key])
+
+
 def test_outside_rows_keep_each_factors_branch(quartic_grid):
     # the quartic at an exterior w whose reflected preimage b0 lies near the
     # circle: on a ring one band past the nodes' annulus each factor's
@@ -464,7 +523,7 @@ def test_outside_rows_keep_each_factors_branch(quartic_grid):
     c, big, _ = grid._node_annulus
     zs = c + (big + grid.exclusion_band) * 1.0001 * np.exp(2j * np.pi * np.arange(64) / 64)
     assert curve_mod.clear_rows(grid, zs)[0].all()
-    series = transforms._pole_log(grid, w, False)[0]
+    series = laurent.schwarz_pole(grid.curve, laurent.pole_roots(grid.curve, w))
     b = np.array([root for root, _ in series.inner])
     lift = npoly.polyval(b, (0j, *grid.curve.coeffs[1:]))
     phases = np.angle(1.0 - lift / (zs - c)[:, None])
@@ -472,6 +531,30 @@ def test_outside_rows_keep_each_factors_branch(quartic_grid):
     got = sb.double_cauchy_batch(grid, zs, w)
     assert _assert_matches_one_point(grid, zs, w, got) == 0
     assert np.allclose(got.imag, phases.sum(axis=1), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("z, closed", [(2.0 + 0.5j, True), (0.1 - 0.2j, False),
+                                      (-0.84 + 0.3j, False)])
+@pytest.mark.parametrize("w", [3.0 - 1j, 0.2 + 0.1j])
+def test_one_point_takes_one_route(cardioid_grid, monkeypatch, z, closed, w):
+    # a z that `clear_rows` places takes the closed rows with no kernel pass
+    # over z and no density; any other z takes one pass and calls no
+    # closed-row function, not even on an empty selection
+    def refuse(*args, **kwargs):
+        raise AssertionError("the route must not call this")
+
+    want = sb.double_cauchy(cardioid_grid, z, w)
+    assert bool(curve_mod.clear_rows(cardioid_grid, [z])[0][0]) == closed
+    located = curve_mod.sides
+    if closed:
+        monkeypatch.setattr(laurent, "spectra", refuse)
+        monkeypatch.setattr(transforms, "sides", lambda grid, pts, density=None:
+                            located(grid, pts) if density is None else refuse())
+    else:
+        for name in ("_outside_rows", "_inside_rows"):
+            monkeypatch.setattr(transforms, name, refuse)
+    got = sb.double_cauchy(cardioid_grid, z, w)
+    assert same_bits(got.C, want.C) and got.quadrant == want.quadrant
 
 
 def test_double_cauchy_batch_refuses_w_in_the_band(disk_grid):
@@ -628,9 +711,9 @@ def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
         assert targets, name
         for target in targets:
             monkeypatch.setattr(target, name, refuse)
-    # the densities come from transforms._pole_density, whose unwrap is there
+    # the densities come from one unwrap in quaddom._exterior_f_matrix
     monkeypatch.setattr(quaddom, "kernel_sums", counted(quaddom, "kernel_sums"))
-    monkeypatch.setattr(sb.transforms, "unwrap_log", counted(sb.transforms, "unwrap_log"))
+    monkeypatch.setattr(quaddom, "unwrap_log", counted(quaddom, "unwrap_log"))
     # the samples are located through curve.off_band, whose pass is there
     monkeypatch.setattr(curve_mod, "kernel_sums", counted(curve_mod, "kernel_sums"))
     got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)

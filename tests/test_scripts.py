@@ -9,12 +9,16 @@ from pathlib import Path
 
 import pytest
 
+import schwarzbundles as sb
+import oracles
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # arguments that keep a script's run short; the others run with their defaults
 ARGS = {"polygon_timing.py": ["1", "100", "300"], "tangent_sign_margin.py": ["101", "50"],
         "moment_orders.py": ["64"], "spectral_verify_bound.py": ["512", "1"],
-        "heap_faults.py": ["2"], "closed_rows.py": ["1"], "csv_render.py": ["2"]}
+        "heap_faults.py": ["2"], "closed_rows.py": ["1"], "csv_render.py": ["2"],
+        "pole_columns.py": ["1"]}
 
 
 @functools.cache
@@ -98,7 +102,8 @@ def test_heap_faults_reports_every_op_and_the_batch_peak():
 def test_closed_rows_reports_every_lattice_within_the_bound():
     proc = _run("closed_rows.py")
     assert proc.returncode == 0, proc.stderr
-    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    lattices = proc.stdout.split("\n\n")[0]
+    rows = [line.split() for line in lattices.splitlines()[2:]]
     found = {(row[0], int(row[1]), row[3]): row for row in rows}
     curves = {"disk", "cardioid", "quartic", "taylor-6", "taylor-12", "taylor-30"}
     # every lattice at both n and each w off the band: the degree-12 curve's
@@ -113,3 +118,27 @@ def test_closed_rows_reports_every_lattice_within_the_bound():
         # degree, inside on the disk alone
         assert outside > 1000 and (inside > 200) == (name == "disk")
         assert float(row[7]) < 1.0
+
+
+def test_closed_rows_one_point_table_is_within_the_oracle_bound():
+    # each quadrant on the disk, the cardioid and the quartic: z clear of the
+    # nodes' annulus is closed (inside only at degree 1), the rest take the
+    # kernel pass, and every C is within double_cauchy_bound of the
+    # one-point oracle on the grid the script used
+    proc = _run("closed_rows.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.split("\n\n")[1].splitlines()[2:]]
+    curves = {"disk": [0, 1], "cardioid": [0, 1, 0.3],
+              "quartic": [0.1 + 0.05j, 1, 0.15, 0.08j, 0.03]}
+    rhos = {"disk": 0.5, "cardioid": 0.7, "quartic": 0.72}
+    assert {(row[0], row[1]) for row in rows} == {
+        (name, quadrant) for name in curves
+        for quadrant in ("ext:ext", "ext:int", "int:ext", "int:int")}
+    for name, quadrant, route, micros, *numbers in rows:
+        assert route == ("closed" if quadrant.startswith("ext") or name == "disk" else "kernel")
+        assert float(micros) > 0.0
+        re_z, im_z, re_w, im_w, re_c, im_c = map(float, numbers)
+        grid = sb.sample(sb.build_polynomial_curve(curves[name], rhos[name]), 1024)
+        z, w, c = complex(re_z, im_z), complex(re_w, im_w), complex(re_c, im_c)
+        want = oracles.double_cauchy_one_point(grid, z, w)
+        assert abs(c - want) <= oracles.double_cauchy_bound(grid, z, w, want)
