@@ -5,18 +5,21 @@ bundle kinds of the `sections` benchmark workload and two custom bundles,
 on the disk, the cardioid and the quartic at n = 1024.
 
 Each row counts the calls of `unwrap_log`, `LineBundle.transition_at_nodes`,
-`curve.kernel_sums` and `ConformalMapCurve.phi_reflected` made inside one
-step. The counts come from wrapping those functions in-process at every name
+`curve.sides` (side decisions), `curve.kernel_sums` (kernel passes) and
+`ConformalMapCurve.phi_reflected` made inside one step. The counts come from wrapping those functions in-process at every name
 through which the package reaches them. Every chain runs on a fresh grid, so
 the verification points are built in its own steps; a chain stops after
 chern_class when the Chern class is negative, as the workload's does.
 
 A built-in bundle's section and its check are its Laurent modes in zeta
 (`laurent`): no unwrap, no transition value and no Schwarz function on any
-grid; the only kernel pass is the one that locates a Chern class 1
-adjustment point in canonical_section. verify_transition takes the points'
-sides from their search, kept on the grid, and folds the modes at each
-ring's radius. The custom bundles, exp(S) and T from the Newton inversion of
+grid. canonical_section decides the side of a Chern class 1 adjustment
+point once, and the point, clear of the nodes' annulus, takes no kernel
+pass. The verification points' search decides their sides once per radius
+and makes a kernel pass only for the points that the nodes' annulus does
+not place: one per radius on the cardioid and the quartic, none on the
+disk. verify_transition takes the points' sides from the search, kept on
+the grid, and folds the modes at each ring's radius. The custom bundles, exp(S) and T from the Newton inversion of
 the nodes (`schwarz_near`, `holomorphic_tangent`), unwrap their transition
 once in chern_class and once in canonical_section, which takes its class
 and its density from that one unwrap, and keep the ring mechanism: one
@@ -40,7 +43,7 @@ KINDS = ("exp-schwarz", "pole-exterior", "pole-interior", "tangent-m-1", "tangen
          "custom-exp-schwarz", "custom-tangent")
 STEPS = ("chern_class", "canonical_section", "annulus_verification_points",
          "verify_transition", "verify_transition again")
-COUNTED = ("unwrap_log", "transition_at_nodes", "kernel_sums", "phi_reflected")
+COUNTED = ("unwrap_log", "transition_at_nodes", "sides", "kernel_sums", "phi_reflected")
 
 
 def bundle_of(curve, kind, angle=1.0):
@@ -77,7 +80,7 @@ def install_counters(counts):
         undo.append((owner, name, original))
 
     for module in (sb.curve, sb.transforms, sb.bundles, sb.quaddom):
-        for name in ("unwrap_log", "kernel_sums"):
+        for name in ("unwrap_log", "sides", "kernel_sums"):
             if name in vars(module):
                 wrap(module, name, name)
     wrap(sb.bundles.LineBundle, "transition_at_nodes", "transition_at_nodes")

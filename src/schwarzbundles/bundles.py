@@ -47,7 +47,7 @@ inside the ring |zeta| = R exactly when its preimage has modulus below R.
 upper bound on the point residual at the verification points under that
 assumption, omitting the aliasing remainder of the trapezoidal sums; it is
 stricter than that residual on high modes. The verification points are
-searched over radii, one distance pass per radius, and every band and side
+searched over radii, one side decision per radius, and every band and side
 decision about a point is `curve.sides`. The two verification rings' radii,
 mode scales and weights, a custom bundle's ring grids, and the points with
 the sides their search gave depend on the grid alone: they are built once
@@ -253,7 +253,7 @@ def canonical_section(bundle, grid, a=None):
 
 def _resolve_adjustment(bundle, grid, a):
     """a, else the bundle pole if interior, else the conformal center; one
-    `curve.off_band` pass locates each candidate, and a candidate in the
+    `curve.off_band` decision locates each candidate, and a candidate in the
     exclusion band is refused (NearBoundaryError), the pole included."""
     if a is None and bundle.pole is not None and off_band(grid, [bundle.pole])[0][0]:
         return complex(bundle.pole)
@@ -325,7 +325,7 @@ def annulus_verification_points(grid, n_points=32):
 def _search_points(grid, half):
     """(points, inside) of `annulus_verification_points`, 2 * half points:
     the first radius r = 1 - s, s = 6 * 2 pi / n * 1.3^k, whose points
-    `curve.sides` puts clear of the band, in one distance pass per radius."""
+    `curve.sides` puts clear of the band, in one side decision per radius."""
     curve = grid.curve
     base = np.exp(1j * (2.0 * np.pi * (np.arange(half) + 0.37) / half))
     s = _VERIFY_SPACINGS * (TWO_PI / grid.n)

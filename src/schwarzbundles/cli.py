@@ -62,12 +62,15 @@ REFUSALS = (
 )
 
 # Input caps: the fit's F matrix and eliminations grow with the square of
-# the sample count, a lattice's output and kernel pass with its point count,
-# a moment table with its number of orders. At the caps a run peaks at about
-# 72 MB, 91 MB (w = 0.3; 103 MB at w = -3 + 0.5i, in the kernel pass) and
-# 42 MB resident (disk, n = 256). A lattice's rows are rendered CSV_BLOCK
-# values at a time; as one joined text of all rows they peaked at 106 MB
-# (112 MB).
+# the sample count, a lattice's output and closed rows with its point
+# count, a moment table with its number of orders. At the caps a fresh
+# process running the verb, stdout to /dev/null, peaks at about 87 MB
+# (cardioid, degrees 2 and 2, n = 512), 59 MB (the disk's [-2, 2]^2
+# lattice at w = 0.3 and at w = -3 + 0.5i, n = 256) and 42 MB resident
+# (disk, orders -4096 to 4096), of which 30 MB is the interpreter, numpy
+# and the package (ru_maxrss, 2-core x86_64). A lattice's rows are
+# rendered CSV_BLOCK values at a time; as one joined text of all rows they
+# peaked at 106 MB (112 MB).
 MAX_FIT_SAMPLES = 512
 MAX_GRID_POINTS = 512 * 512
 MAX_MOMENT_ORDER = 4096

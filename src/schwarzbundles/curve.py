@@ -13,17 +13,18 @@ Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 pass, `kernel_sums`: for a batch of points it gives the distance to the
 nearest node, the winding number and, given densities, the trapezoidal
 Cauchy sums, in real arithmetic on blocks of squared distances
-(`distance_blocks`; one point without the blocks' buffers). `locate`,
-`winding_number`, `transforms.cauchy_integral` and
-`bundles.evaluate_section` are that pass for one point.
+(`distance_blocks`); one point is a one-row block. `winding_number`,
+`transforms.cauchy_integral` and `bundles.evaluate_section` are that pass
+for one point.
 
-The band and side decision lives here alone: `sides` turns a kernel pass
-into the points in the exclusion band, the interior points and the sums,
+The band and side decision lives here alone: `sides` gives the points in
+the exclusion band, the interior points and, given densities, the sums,
 and `off_band` refuses a batch with a point in the band. Every caller that
 classifies points or sums at them goes through them, the one-point section
-and Cauchy-integral evaluators included. `clear_rows` places, without a
-pass, the points that the nodes' annulus about the conformal center puts
-off the band on either side of it, as `sides` would.
+and Cauchy-integral evaluators included. `clear_rows` places the points
+that the nodes' annulus about the conformal center puts off the band on
+either side of it; `sides` takes its places for them, with no pass, when
+no density is asked for, and passes over the rest only.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
@@ -74,15 +75,20 @@ FAR_PAIR_SEPARATION = 8
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte. Also the
 # vertex pairs per block of `build_polygon`'s pass. Of 2^12 to 2^17, 2^15
-# was fastest or within 20 % of it on a 40 x 40 disk lattice at n = 1024
-# and 256-point rings at n = 4096 and 65536 (2-core x86_64).
+# was fastest or within 20 % of it on 1600 points at n = 1024, 256-point
+# rings at n = 4096 and 65536, and the passes that the `sweep` benchmark
+# makes: a lattice's band rows at n = 1024 and a fit's 24 columns over 24
+# samples at n = 512 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
 # Least rows of a block whose distances are products (`distance_blocks`).
 # Per block, products against the broadcast subtraction: 16 against 41 us at
 # n = 1024 (32 rows) and 16 against 43 us at n = 2048 (16 rows), but 14
 # against 13 us at n = 4096 (8 rows) and 52 against 17 us at n = 65536 (one
-# row), and no faster for one point (2-core x86_64, OpenBLAS, one thread).
+# row). The passes that take products are a lattice's band rows, 40 at n =
+# 1024 in 239 against 290 us per pass, and a fit's 24 columns over 24
+# samples at n = 512, in 147-151 against 162-166 us (2-core x86_64,
+# OpenBLAS, one thread).
 PRODUCT_ROWS = 16
 
 EPS = np.finfo(float).eps
@@ -610,8 +616,7 @@ def kernel_sums(grid, points, density=None):
     distance to the nearest node, sqrt(min d2), the same in any batch;
     1/(z - p) = (dr - i di)/d2, and the winding and sums are real matrix
     products with the parts of g = [dz, density[:, 0] dz, ...]. One point
-    is one row, with the bits of a one-row block and without the block
-    buffers.
+    is a one-row block.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
@@ -627,10 +632,7 @@ def kernel_sums(grid, points, density=None):
     cols = _columns(grid, density)
     parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
     with np.errstate(all="ignore"):
-        if pts.size == 1:
-            nearest, re_k, im_k = _one_row(grid, pts, parts)
-        else:
-            nearest, re_k, im_k = _rows(grid, pts, parts)
+        nearest, re_k, im_k = _rows(grid, pts, parts)
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
     # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
     # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
@@ -653,20 +655,6 @@ def _columns(grid, density):
     cols[:, 0] = grid.dz
     np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
     return cols
-
-
-def _one_row(grid, pts, parts):
-    """(nearest, re_k, im_k) of `kernel_sums` for one point: the operations
-    of a one-row block of `distance_blocks` (a subtraction), on arrays of
-    the row alone."""
-    right_r, right_i = grid._node_parts
-    dr = np.subtract(right_r[1], pts.real[:, None])
-    di = np.subtract(right_i[0], pts.imag[:, None])
-    d2 = dr * dr
-    d2 += di * di
-    nearest = np.sqrt(d2.min(axis=1))
-    np.reciprocal(d2, out=d2)
-    return nearest, np.multiply(dr, d2, out=dr) @ parts, np.multiply(di, d2, out=di) @ parts
 
 
 def _rows(grid, pts, parts):
@@ -708,22 +696,34 @@ def winding_number(grid, z):
 
 
 def sides(grid, points, density=None):
-    """(near, inside, sums) of the points from one `kernel_sums` pass.
+    """(near, inside, sums) of the points: the one band and side decision of
+    the package.
 
-    The one band and side decision of the package: near marks the points
-    closer to a node than the exclusion band, as the pass measured them,
-    inside the points off the band that the curve winds around; sums are the
-    pass's Cauchy sums. A batch with a non-finite point is refused as a whole
-    (ParseError); a finite point too far for its squared distance to be
-    finite is still decided.
+    near marks the points closer to a node than the exclusion band, as a
+    `kernel_sums` pass measures them, inside the points off the band that
+    the curve winds around; sums are the pass's Cauchy sums (else None).
+    Without a density, a point that `clear_rows` places takes the side it
+    names, which is the pass's decision, with no pass, and only the other
+    points are summed; with a density every point is. A batch with a non-finite point, which is
+    never clear, is refused as a whole (ParseError); a finite point too far
+    for its squared distance to be finite is still decided.
     """
-    nearest, winding, sums = kernel_sums(grid, points, density)
-    # a non-finite point has a NaN or infinite distance; only then (or when
-    # a finite point's distance overflows) are the points themselves looked at
-    if not np.isfinite(nearest).all() and not np.isfinite(points).all():
-        raise ParseError("points must be finite")
-    near = nearest < grid.exclusion_band
-    return near, ~near & (winding > 0.5), sums
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    near, sums = np.zeros(pts.size, dtype=bool), None
+    if density is None:
+        outside, inside = clear_rows(grid, pts)
+        rest = ~(outside | inside)
+    else:
+        inside, rest = near.copy(), slice(None)
+    if density is not None or rest.any():
+        nearest, winding, sums = kernel_sums(grid, pts[rest], density)
+        # a non-finite point has a NaN or infinite distance; only then (or
+        # when a finite point's distance overflows) are the points looked at
+        if not np.isfinite(nearest).all() and not np.isfinite(pts).all():
+            raise ParseError("points must be finite")
+        banded = nearest < grid.exclusion_band
+        near[rest], inside[rest] = banded, ~banded & (winding > 0.5)
+    return near, inside, sums
 
 
 def off_band(grid, points, density=None):

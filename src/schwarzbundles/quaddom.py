@@ -223,10 +223,11 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 
 
 def _exterior_f_matrix(grid, zs):
-    """F(zs[s], zs[u]) = exp(sum) for exterior samples: one kernel pass
-    (`curve.off_band`) locates the samples, and one more sums the densities
-    of their Schwarz-pole sections as columns, the logs of 1/(S - conj w)
-    from one unwrap of their node values, anchored by `laurent.anchored`.
+    """F(zs[s], zs[u]) = exp(sum) for exterior samples: one side decision
+    (`curve.off_band`) locates the samples, and one kernel pass sums the
+    densities of their Schwarz-pole sections as columns, the logs of 1/(S -
+    conj w) from one unwrap of their node values, anchored by
+    `laurent.anchored`.
     At 12 and 24 samples on 512 nodes the unwrap is faster than the
     columns' Laurent modes (Newton's identities on a_l/(a0 - w), or their
     roots) and than F's closed rows, one `double_cauchy_batch` and one root

@@ -22,8 +22,10 @@ property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums`
 through `curve.sides` or `curve.off_band`, which locate the points it sums
-at in the same pass and refuse the exclusion band and non-finite points.
-`cauchy_integral` is one such pass for one point. The trapezoidal moments
+at in the same pass and refuse the exclusion band and non-finite points;
+a point located without a sum takes their decision, with no pass where it
+is clear of the nodes' annulus. `cauchy_integral` is one pass for one
+point. The trapezoidal moments
 (`_trapezoid_moments`) need no kernel: one product per order walks the
 node terms from k = 0.
 """
@@ -281,12 +283,12 @@ def _c_rows(grid, zs, w):
     the area integral -(1/pi) * integral of dA/((zeta - z)(conj zeta -
     conj w)) it equals.
 
-    w is located by one `curve.off_band` pass, which refuses it in the band
-    (NearBoundaryError), and its `laurent.Laurent` record, the log of 1/(S -
-    conj w) adjusted by (z - w)^-1 at interior w, is formed once from its
-    preimages. The z that `curve.clear_rows` places clear of the nodes'
-    annulus, outside it and, on a map of degree 1, inside it, take the
-    exact sum of residues of the record (`_outside_rows`, `_inside_rows`),
+    w is located by one `curve.off_band` decision, which refuses it in the
+    band (NearBoundaryError), and its `laurent.Laurent` record, the log of
+    1/(S - conj w) adjusted by (z - w)^-1 at interior w, is formed once
+    from its preimages. The z that `curve.clear_rows` places clear of the
+    nodes' annulus, outside it and, on a map of degree 1, inside it, take
+    the exact sum of residues of the record (`_outside_rows`, `_inside_rows`),
     log(1 - x) from real log1p and atan2 (`laurent.log1m`): within a few
     ulps per factor of the exact C, and the same bits at every n. The other
     z are located and summed in one `curve.sides` pass over D_w, its

@@ -32,9 +32,12 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 without those temporaries must give its bytes and its refusals.
 `distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
 written with broadcast subtractions: the package's k = 2 products must give
-its bits. `one_point_sums_by_blocks` is `curve.kernel_sums` for one point as
-it was written, through a one-row block of `distance_blocks`: the package's
-one-point form must give its bits.
+its bits. `one_point_sums_by_blocks` is `curve.kernel_sums` for one point
+through a one-row block of `distance_blocks`, assembled outside the
+package: its one point must keep those bits. `one_pass_sides` is
+`curve.sides` as it decided every point before it placed the clear ones
+without a pass: one `kernel_sums` pass over the whole batch, with the same
+thresholds and refusal, whose decisions the package's must equal.
 The CSV loops (`lattice_csv_lines`, `table_csv_loop`, `moments_csv_loop`,
 `transform_values_csv_loop`) are the CLI's tables and
 `transform_values_to_csv` as they were printed before the vectorised
@@ -58,6 +61,7 @@ from schwarzbundles.curve import (
     TWO_PI,
     Location,
     distance_blocks,
+    kernel_sums,
     locate,
     off_band,
     sides,
@@ -271,6 +275,17 @@ def one_point_sums_by_blocks(grid, p, density=None):
         return nearest, winding, None
     sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
     return nearest, winding, sums.reshape((1,) + np.shape(density)[1:])
+
+
+def one_pass_sides(grid, points):
+    """(near, inside) of every point from one `kernel_sums` pass: near
+    closer to a node than the exclusion band, inside off it with a winding
+    above 1/2; a batch with a non-finite point is a ParseError."""
+    nearest, winding, _ = kernel_sums(grid, points)
+    if not np.isfinite(nearest).all() and not np.isfinite(points).all():
+        raise ParseError("points must be finite")
+    near = nearest < grid.exclusion_band
+    return near, ~near & (winding > 0.5)
 
 
 def same_bits(a, b):

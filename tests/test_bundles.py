@@ -122,20 +122,33 @@ def test_adjustment_defaults_to_pole(disk, disk_grid):
                      sb.canonical_section(bundle, disk_grid, a=0.3 + 0.2j).density)
 
 
-@pytest.mark.parametrize("pole, passes, adjustment", [
-    (0.3 + 0.2j, 1, 0.3 + 0.2j),  # interior pole: one kernel pass
-    (3, 2, 0j),                   # exterior pole, then the conformal center
-    (None, 1, 0j),
+CARDIOID_ZONE_POLE = complex(sb.build_polynomial_curve([0, 1, 0.3], 0.7).phi(0.9))
+
+
+@pytest.mark.parametrize("name, pole, decisions, passes, adjustment", [
+    ("disk", 0.3 + 0.2j, 1, 0, 0.3 + 0.2j),  # interior pole: one side decision
+    ("disk", 3, 2, 0, 0j),                    # exterior pole, then the conformal center
+    ("disk", None, 1, 0, 0j),
+    # interior, between the edges of the cardioid's nodes' annulus
+    ("cardioid", CARDIOID_ZONE_POLE, 1, 1, CARDIOID_ZONE_POLE),
 ])
-def test_each_adjustment_candidate_is_located_once(monkeypatch, disk, disk_grid,
-                                                   pole, passes, adjustment):
-    calls = []
-    kernel_sums = sb.curve.kernel_sums
-    monkeypatch.setattr(sb.curve, "kernel_sums", lambda *a: calls.append(a) or kernel_sums(*a))
-    bundle = sb.LineBundle(disk, lambda grid: grid.z - 0.1, pole=pole)  # Chern class 1
-    section = sb.canonical_section(bundle, disk_grid)
+def test_each_adjustment_candidate_is_located_once(monkeypatch, request, name, pole,
+                                                   decisions, passes, adjustment):
+    # each candidate takes one `sides` decision; one clear of the nodes'
+    # annulus takes no kernel pass, any other one pass over itself alone
+    grid = request.getfixturevalue(name + "_grid")
+    clear = np.logical_or(*clear_rows(grid, [c for c in (pole, 0j) if c is not None]))
+    assert clear.all() == (passes == 0)
+    calls, kernel_passes = [], []
+    sides, kernel_sums = sb.curve.sides, sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "sides", lambda *a: calls.append(a) or sides(*a))
+    monkeypatch.setattr(sb.curve, "kernel_sums",
+                        lambda *a: kernel_passes.append(a) or kernel_sums(*a))
+    bundle = sb.LineBundle(grid.curve, lambda grid: grid.z - 0.1, pole=pole)  # Chern class 1
+    section = sb.canonical_section(bundle, grid)
     assert section.chern == 1 and section.adjustment == adjustment
-    assert len(calls) == passes
+    assert len(calls) == decisions and len(kernel_passes) == passes
+    assert all(np.size(call[1]) == 1 for call in calls + kernel_passes)
 
 
 def test_a_class_one_pole_in_the_band_is_refused(disk):
@@ -888,16 +901,20 @@ def test_other_points_get_their_own_side_pass(monkeypatch, cardioid):
     bundle = sb.exp_schwarz_bundle(cardioid)
     section = sb.canonical_section(bundle, grid)
     value = sb.verify_transition(section, bundle, pts)
-    calls = []
-    kernel_sums = sb.curve.kernel_sums
+    calls, passes = [], []
+    sides, kernel_sums = sb.curve.sides, sb.curve.kernel_sums
+    monkeypatch.setattr(sb.curve, "sides", lambda *a: calls.append(a) or sides(*a))
     monkeypatch.setattr(sb.curve, "kernel_sums",
-                        lambda *a: calls.append(a) or kernel_sums(*a))
+                        lambda *a: passes.append(a) or kernel_sums(*a))
     assert sb.verify_transition(section, bundle, pts.copy()).hex() == value.hex()
-    assert not calls
+    assert not calls and not passes
     ulp = pts.copy()
     ulp[5] = complex(np.nextafter(ulp[5].real, np.inf), ulp[5].imag)
     assert sb.verify_transition(section, bundle, ulp).hex() == value.hex()
-    assert len(calls) == 1
+    # one decision, whose pass takes the points the nodes' annulus leaves
+    outside, inside = clear_rows(grid, ulp)
+    assert len(calls) == len(passes) == 1
+    assert same_bits(passes[0][1], ulp[~(outside | inside)])
     on_node = pts.copy()
     on_node[3] = grid.z[0]
     with pytest.raises(NearBoundaryError, match="exclusion band"):

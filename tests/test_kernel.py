@@ -26,6 +26,7 @@ from schwarzbundles.errors import (
     CoincidentInteriorPointsError,
     CurveNotSimpleError,
     NearBoundaryError,
+    ParseError,
     RankDeficientError,
 )
 import oracles
@@ -273,9 +274,9 @@ def test_padded_map_keeps_the_grid_and_sums_of_its_degree():
 @given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
        columns=st.integers(0, 3), on_node=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_one_point_pass_keeps_the_blocked_bits(name, log_n, columns, on_node, seed):
-    # kernel_sums' one-point form, without the block buffers, gives the
-    # nearest distance, the winding and the sums of a one-row block bit for
-    # bit, on a node too; a single column is given as a 1-D density
+    # kernel_sums gives one point the nearest distance, the winding and the
+    # sums of a one-row block, assembled outside the package, bit for bit,
+    # on a node too; a single column is given as a 1-D density
     grid = _grid(name, 2 ** log_n)
     rng = np.random.default_rng(seed)
     p = grid.z[rng.integers(grid.n)] if on_node else complex(*rng.uniform(-2.5, 2.5, 2))
@@ -451,6 +452,59 @@ def test_clear_rows_match_the_one_point_oracle(curve, n, seed):
             continue
         got = sb.double_cauchy_batch(grid, zs[placed], w)
         assert _assert_matches_one_point(grid, zs[placed], w, got) == 0
+
+
+def _side_points(grid, rng):
+    """Points for every branch of the side decision: past the nodes' annulus
+    and short of it, clear of the band by up to 3R; within 16 ulps of one
+    band from it along the rays through its 8 outermost and 8 innermost
+    nodes (both ends of `clear_rows`' reach, where the slack decides); in the
+    annulus between them; in the band about random nodes and beyond the
+    outermost one; and one finite point at 1e200, whose squared distances
+    overflow. On a degree-1 map the annulus has zero width."""
+    c, big, small = grid._node_annulus
+    band = grid.exclusion_band
+    gaps = grid.z - c
+    order = np.argsort(np.abs(gaps))
+    outer, inner = gaps[order[-8:]], gaps[order[:8]]
+    far = outer[-1]
+    ulps = 1.0 + np.arange(-16, 17)[:, None] * EPS
+    turns = np.exp(2j * np.pi * rng.uniform(size=(3, 16)))
+    nodes = gaps[rng.integers(0, grid.n, 16)]
+    return np.concatenate([
+        c + (big + band) * (1.0 + 3.0 * rng.uniform(size=16)) * turns[0],
+        c + max(small - band, 0.0) * rng.uniform(size=16) * turns[1],
+        (c + outer / np.abs(outer) * (big + band) * ulps).ravel(),
+        (c + inner / np.abs(inner) * max(small - band, 0.0) * ulps).ravel(),
+        c + rng.uniform(small, big, 16) * turns[2],
+        c + nodes * (1.0 + rng.uniform(-1.0, 1.0, 16) * band / np.abs(nodes)),
+        c + far / abs(far) * (big + band * rng.uniform(size=8)),
+        [1e200 + 0j]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve=st.one_of(certified_curves(), st.just(sb.build_circle(0.3 - 0.2j, 1.3))),
+       n=st.sampled_from([64, 256, 1024]), seed=st.integers(0, 2 ** 16))
+def test_clear_points_take_the_decision_of_a_full_pass(curve, n, seed):
+    # `sides` places the points that `clear_rows` places with no pass and
+    # passes over the rest only: every band and side decision, in the batch
+    # and one point at a time through `locate`, is that of one kernel pass
+    # over every point with the same thresholds. One NaN, never clear,
+    # still refuses the whole batch with the pass's text
+    grid = sb.sample(curve, n)
+    rng = np.random.default_rng(seed)
+    pts = _side_points(grid, rng)
+    near, sided, sums = curve_mod.sides(grid, pts)
+    want_near, want_inside = oracles.one_pass_sides(grid, pts)
+    assert sums is None and same_bits(near, want_near) and same_bits(sided, want_inside)
+    outside, inside = curve_mod.clear_rows(grid, pts)
+    assert outside[:16].all() and outside[-1] and not (outside & inside).any()
+    for i in rng.permutation(pts.size)[:12]:
+        assert sb.locate(grid, pts[i]) is _location(want_near[i], want_inside[i])
+    nan = np.insert(pts, rng.integers(0, pts.size + 1), np.nan)
+    for decide in (curve_mod.sides, oracles.one_pass_sides):
+        with pytest.raises(ParseError, match="^points must be finite$"):
+            decide(grid, nan)
 
 
 def _pullback_points(curve, rng, count):
@@ -688,12 +742,13 @@ def test_rational_fit_rank_cut_holds_for_scaled_f(name):
 
 
 def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
-    # no per-column double_cauchy_batch and no per-sample locate: one pass
-    # locates the samples, one unwrap forms every density and one pass sums
+    # no per-column double_cauchy_batch and no per-sample locate: one side
+    # decision locates the samples, with no pass as they are clear of the
+    # nodes' annulus, one unwrap forms every density and one pass sums
     def refuse(*args, **kwargs):
         raise AssertionError("the fit must not call this")
 
-    counts = {"kernel_sums": 0, "unwrap_log": 0}
+    counts = {"sides": 0, "kernel_sums": 0, "unwrap_log": 0}
 
     def counted(module, name):
         inner = getattr(module, name)
@@ -714,10 +769,13 @@ def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
     # the densities come from one unwrap in quaddom._exterior_f_matrix
     monkeypatch.setattr(quaddom, "kernel_sums", counted(quaddom, "kernel_sums"))
     monkeypatch.setattr(quaddom, "unwrap_log", counted(quaddom, "unwrap_log"))
-    # the samples are located through curve.off_band, whose pass is there
+    # the samples are located through curve.off_band, whose decision and
+    # any pass of it are there
+    monkeypatch.setattr(curve_mod, "sides", counted(curve_mod, "sides"))
     monkeypatch.setattr(curve_mod, "kernel_sums", counted(curve_mod, "kernel_sums"))
     got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
-    assert counts == {"kernel_sums": 2, "unwrap_log": 1}
+    assert counts == {"sides": 1, "kernel_sums": 1, "unwrap_log": 1}
+    assert curve_mod.clear_rows(quartic_grid, zs)[0].all()
     assert same_bits(got.p_coeffs, want.p_coeffs)
     assert same_bits(got.q_coeffs, want.q_coeffs)
 

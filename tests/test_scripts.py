@@ -58,29 +58,49 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=120, check=True)
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
-    # unwrap_log/transition_at_nodes/kernel_sums/phi_reflected per step:
-    # chern_class, canonical_section, annulus_verification_points,
+    # unwrap_log/transition_at_nodes/sides/kernel_sums/phi_reflected per
+    # step: chern_class, canonical_section, annulus_verification_points,
     # verify_transition and verify_transition again. A built-in bundle's
     # class is stored, and its section and check are its Laurent modes: no
-    # unwrap, transition value or Schwarz function, and one kernel pass to
-    # locate a Chern class 1 adjustment point. The verification points take
-    # one distance pass per radius, and verify_transition takes their sides
-    # from that search. A custom bundle unwraps its transition once for its
-    # class, once for its class and section together, and once per
+    # unwrap, transition value or Schwarz function, and one side decision,
+    # with no kernel pass, for a Chern class 1 adjustment point clear of the
+    # nodes' annulus. The verification points take one side decision per
+    # radius, with a kernel pass only where the nodes' annulus leaves some
+    # of them unplaced (none on the disk), and verify_transition takes their
+    # sides from that search. A custom bundle unwraps its transition once
+    # for its class, once for its class and section together, and once per
     # verification ring; every bundle places a Chern class 1 adjustment
-    # point on each ring by its preimage, with no pass; a second call makes
-    # the same passes
-    expected = {"exp-schwarz": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
-                "pole-exterior": ["0/0/0/0", "0/0/0/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
-                "pole-interior": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
-                "tangent-m-1": ["0/0/0/0", "0/0/1/0", "0/0/{}/0", "0/0/0/0", "0/0/0/0"],
-                "tangent-m2": ["0/0/0/0", "-", "-", "-", "-"],
-                "custom-exp-schwarz": ["1/1/0/1", "1/1/0/1", "0/0/{}/0", "2/2/0/2", "2/2/0/2"],
-                "custom-tangent": ["1/1/0/0", "1/1/1/0", "0/0/{}/0", "2/2/0/0", "2/2/0/0"]}
-    radii = {"disk": 1, "cardioid": 6, "quartic": 3}
+    # point on each ring by its preimage, with no decision; a second call
+    # makes the same calls
+    search = "0/0/{}/{}/0"
+    expected = {"exp-schwarz": ["0/0/0/0/0", "0/0/0/0/0", search, "0/0/0/0/0", "0/0/0/0/0"],
+                "pole-exterior": ["0/0/0/0/0", "0/0/0/0/0", search, "0/0/0/0/0", "0/0/0/0/0"],
+                "pole-interior": ["0/0/0/0/0", "0/0/1/0/0", search, "0/0/0/0/0", "0/0/0/0/0"],
+                "tangent-m-1": ["0/0/0/0/0", "0/0/1/0/0", search, "0/0/0/0/0", "0/0/0/0/0"],
+                "tangent-m2": ["0/0/0/0/0", "-", "-", "-", "-"],
+                "custom-exp-schwarz": ["1/1/0/0/1", "1/1/0/0/1", search, "2/2/0/0/2",
+                                       "2/2/0/0/2"],
+                "custom-tangent": ["1/1/0/0/0", "1/1/1/0/0", search, "2/2/0/0/0", "2/2/0/0/0"]}
+    # (side decisions, kernel passes) of the search, one decision per radius
+    radii = {"disk": (1, 0), "cardioid": (6, 6), "quartic": (3, 3)}
     assert {(row[0], row[1]): row[2:] for row in rows} == {
-        (curve, kind): [cell.format(count) for cell in cells]
-        for curve, count in radii.items() for kind, cells in expected.items()}
+        (curve, kind): [cell.format(*counts) for cell in cells]
+        for curve, counts in radii.items() for kind, cells in expected.items()}
+
+
+def test_workload_passes_counts_the_steady_cycles_kernel_passes():
+    # a steady `sections` cycle decides 12 adjustment points, every one
+    # clear of the nodes' annulus, with no kernel pass; a `sweep` cycle
+    # passes over the two lattices' band rows and the two fits' columns
+    # only: each lattice's w and each fit's samples are clear
+    proc = _run("workload_passes.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
+    assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-"]
+    sweep = rows["sweep"]
+    assert sweep[:4] == ["sides", "6", "kernel_sums", "4"]
+    lattice_rows = [int(r) for r in sweep[5].split(",")]
+    assert lattice_rows[2:] == [12, 24] and all(0 < r < 1600 for r in lattice_rows[:2])
 
 
 def test_heap_faults_reports_every_op_and_the_batch_peak():
