@@ -1,23 +1,27 @@
 """The rational fit's Schwarz-pole sample columns by three routes, and its
-F matrix by two: their time and their agreement.
+F matrix by three: their time and their agreement.
 
-`quaddom._exterior_f_matrix`, the F of `fit_rational_structure`, unwraps
-the sample columns' node values 1/(S - conj w) in one call (`unwrap`) and
-sums them in one kernel pass. The Laurent modes of the same logs, -log
-conj(a0 - w) + sum_m conj(p_m) zeta^-m/m with p_m the power sums of the
-inverse preimages of w, need no unwrap; they come here from Newton's
-identities on b_l = a_l/(a0 - w) (`power_sums`), or from the roots
-themselves by one batched companion eigenvalue call. F itself can also be
-taken per sample w from the closed rows of `double_cauchy_batch`, one root
-finding per sample, with no kernel pass (`closed F`). The inputs are the
-`sweep` workload's fits: 12 samples on the cardioid and 24 on the quartic
-at n = 512, on rings at 1.6 and 2.4 times the curve's largest node
-modulus. The modes' count is the least whose tail is within EPS at the
-bound sigma = max(rho, L_out/(L_out + g)) of the inverse preimages'
-moduli, g the samples' least distance to the nodes less L_in pi/n. Each
-row gives the best time of `rounds` over 50 calls of each route, the
-largest difference mod 2 pi i of the modes' columns from the unwrapped
-ones, and the largest relative difference of the closed F from the fit's.
+The fit's F (`quaddom._exterior_f_matrix`, `modes F`) is the Taylor modes
+of log(phi - z) at m <= n pullback nodes, one unwrap and one FFT over all
+samples, and one real product; the table gives its m. It replaced one
+unwrap of the sample columns' node values 1/(S - conj w) at all n nodes
+(`unwrap`) summed in one kernel pass (`kernel F`). The Laurent modes of
+the same columns, -log conj(a0 - w) + sum_m conj(p_m) zeta^-m/m with p_m
+the power sums of the inverse preimages of w, need no unwrap; they come
+here from Newton's identities on b_l = a_l/(a0 - w) (`power_sums`), or
+from the roots themselves by one batched companion eigenvalue call. F can
+also be taken per sample w from the closed rows of `double_cauchy_batch`,
+one root finding per sample, with no kernel pass (`closed F`): the two
+other routes' F are compared with it. The inputs are the `sweep`
+workload's fits: 12 samples on the cardioid and 24 on the quartic at n =
+512, on rings at 1.6 and 2.4 times the curve's largest node modulus. The
+columns' modes count is the least whose tail is within EPS at the bound
+sigma = max(rho, L_out/(L_out + g)) of the inverse preimages' moduli, g
+the samples' least distance to the nodes less L_in pi/n. Each row gives
+the best time of `rounds` over 50 calls of each route, the largest
+difference mod 2 pi i of the modes' columns from the unwrapped ones, and
+the largest difference of the kernel and modes F from the closed F,
+relative to its largest entry.
 
 Usage: python scripts/pole_columns.py [rounds]   (default 5)
 """
@@ -87,6 +91,10 @@ def unwrapped(grid, zs):
     return laurent.anchored(transforms.unwrap_log(transforms._pole_transition(grid, zs))[0])
 
 
+def kernel_f(grid, zs):
+    return np.exp(sb.kernel_sums(grid, zs, unwrapped(grid, zs))[2])
+
+
 def closed_f(grid, zs):
     return np.exp(np.stack([sb.double_cauchy_batch(grid, zs, w) for w in zs], axis=1))
 
@@ -96,10 +104,12 @@ def best(route, rounds):
 
 
 def main(rounds):
-    print(f"best of {rounds} rounds of 50 calls, us per call; difference mod 2 pi i")
+    print(f"best of {rounds} rounds of 50 calls, us per call; difference mod 2 pi i, "
+          "and relative to the closed F")
     print(f"{'curve':9s} {'w':>3s} {'terms':>5s} {'unwrap':>8s} {'newton':>8s} "
           f"{'eigvals':>8s} {'newton diff':>12s} {'eigvals diff':>12s} "
-          f"{'fit F':>8s} {'closed F':>8s} {'F diff':>9s}")
+          f"{'kernel F':>8s} {'modes F':>8s} {'closed F':>8s} {'m':>4s} "
+          f"{'kernel diff':>11s} {'modes diff':>10s}")
     for name, coeffs, rho, count in CURVES:
         curve = sb.build_polynomial_curve(coeffs, rho)
         grid = sb.sample(curve, 512)
@@ -115,11 +125,15 @@ def main(rounds):
             row.append(f"{best(route, rounds):8.1f}")
             d = route() - columns
             diffs.append(np.abs(d.real + 1j * ((d.imag + np.pi) % (2 * np.pi) - np.pi)).max())
-        fit = quaddom._exterior_f_matrix(grid, zs)
-        f_diff = np.abs(closed_f(grid, zs) - fit).max() / np.abs(fit).max()
-        print(" ".join(row) + f" {diffs[1]:12.2e} {diffs[2]:12.2e}"
-              f" {best(lambda: quaddom._exterior_f_matrix(grid, zs), rounds):8.1f}"
-              f" {best(lambda: closed_f(grid, zs), rounds):8.1f} {f_diff:9.2e}")
+        row.append(f"{diffs[1]:12.2e} {diffs[2]:12.2e}")
+        closed = closed_f(grid, zs)
+        routes = (lambda: kernel_f(grid, zs), lambda: quaddom._exterior_f_matrix(grid, zs),
+                  lambda: closed_f(grid, zs))
+        row.extend(f"{best(route, rounds):8.1f}" for route in routes)
+        row.append(f"{quaddom._mode_nodes(curve, zs, grid.n):4d}")
+        row.extend(f"{np.abs(route() - closed).max() / np.abs(closed).max():{width}.2e}"
+                   for route, width in zip(routes[:2], (11, 10)))
+        print(" ".join(row))
 
 
 if __name__ == "__main__":

@@ -77,18 +77,18 @@ FAR_PAIR_SEPARATION = 8
 # vertex pairs per block of `build_polygon`'s pass. Of 2^12 to 2^17, 2^15
 # was fastest or within 20 % of it on 1600 points at n = 1024, 256-point
 # rings at n = 4096 and 65536, and the passes that the `sweep` benchmark
-# makes: a lattice's band rows at n = 1024 and a fit's 24 columns over 24
-# samples at n = 512 (2-core x86_64).
+# made when it was chosen: a lattice's band rows at n = 1024 and a fit's 24
+# columns over 24 samples at n = 512 (2-core x86_64).
 KERNEL_BLOCK = 2 ** 15
 
 # Least rows of a block whose distances are products (`distance_blocks`).
 # Per block, products against the broadcast subtraction: 16 against 41 us at
 # n = 1024 (32 rows) and 16 against 43 us at n = 2048 (16 rows), but 14
 # against 13 us at n = 4096 (8 rows) and 52 against 17 us at n = 65536 (one
-# row). The passes that take products are a lattice's band rows, 40 at n =
-# 1024 in 239 against 290 us per pass, and a fit's 24 columns over 24
-# samples at n = 512, in 147-151 against 162-166 us (2-core x86_64,
-# OpenBLAS, one thread).
+# row). The passes that took products when it was chosen were a lattice's
+# band rows, 40 at n = 1024 in 239 against 290 us per pass, and a fit's 24
+# columns over 24 samples at n = 512, in 147-151 against 162-166 us (2-core
+# x86_64, OpenBLAS, one thread).
 PRODUCT_ROWS = 16
 
 EPS = np.finfo(float).eps
@@ -702,13 +702,16 @@ def sides(grid, points, density=None):
     near marks the points closer to a node than the exclusion band, as a
     `kernel_sums` pass measures them, inside the points off the band that
     the curve winds around; sums are the pass's Cauchy sums (else None).
-    Without a density, a point that `clear_rows` places takes the side it
-    names, which is the pass's decision, with no pass, and only the other
-    points are summed; with a density every point is. A batch with a non-finite point, which is
-    never clear, is refused as a whole (ParseError); a finite point too far
-    for its squared distance to be finite is still decided.
+    A batch with a non-finite point is refused as a whole (ParseError)
+    before any decision. Without a density, a point that `clear_rows`
+    places takes the side it names, which is the pass's decision, with no
+    pass, and only the other points are summed; with a density every point
+    is. A finite point too far for its squared distance to be finite is
+    still decided.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
+    if not np.isfinite(pts).all():
+        raise ParseError("points must be finite")
     near, sums = np.zeros(pts.size, dtype=bool), None
     if density is None:
         outside, inside = clear_rows(grid, pts)
@@ -717,10 +720,6 @@ def sides(grid, points, density=None):
         inside, rest = near.copy(), slice(None)
     if density is not None or rest.any():
         nearest, winding, sums = kernel_sums(grid, pts[rest], density)
-        # a non-finite point has a NaN or infinite distance; only then (or
-        # when a finite point's distance overflows) are the points looked at
-        if not np.isfinite(nearest).all() and not np.isfinite(pts).all():
-            raise ParseError("points must be finite")
         banded = nearest < grid.exclusion_band
         near[rest], inside[rest] = banded, ~banded & (winding > 0.5)
     return near, inside, sums

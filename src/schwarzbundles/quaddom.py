@@ -18,21 +18,24 @@ the polygon corner formula is checked against the exact boundary integral
 of Green's theorem, evaluated edge by edge.
 
 The rational structure F(z, w) = Q(z, conj w)/(P(z) conj(P(w))) is fitted
-on all pairs of exterior samples, with F from one kernel pass: P by block
-elimination (a deg_p-column solve), Q as a Kronecker solve. q and p carry
-a relative error of about the fit's condition number times eps.
+on all pairs of exterior samples, with F from the Taylor modes of log(phi -
+z) at m <= n pullback nodes, one unwrap and one FFT over all samples: P by
+block elimination (a deg_p-column solve), Q as a Kronecker solve. q and p
+carry a relative error of about the fit's condition number times eps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import laurent
-from .curve import ConformalMapCurve, PolygonCurve, integer_argument, kernel_sums, off_band
+from .curve import ConformalMapCurve, PolygonCurve, integer_argument, off_band
 from .errors import (
+    BranchUnresolvedError,
     NotConformalMapCurveError,
     ParseError,
     RankDeficientError,
@@ -202,7 +205,9 @@ def default_exterior_samples(grid, count=12):
 def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
     """Fit F(z, w) = Q(z, conj w) / (P(z) conj(P(w))) on all sample pairs.
 
-    F on every pair comes from one kernel pass (`_exterior_f_matrix`).
+    F on every pair comes from the Taylor modes of log(phi - z) at every
+    sample z, one unwrap and one FFT at m <= n pullback nodes, and one real
+    product (`_exterior_f_matrix`); no kernel pass.
     Stage one fits a common monic denominator P across the slices F(., w_u)
     by block elimination; stage two solves for the numerator Q given P as
     a Kronecker least-squares problem and hermitizes it (`_solve_stages`).
@@ -223,20 +228,85 @@ def fit_rational_structure(grid, deg_q, deg_p, exterior_samples):
 
 
 def _exterior_f_matrix(grid, zs):
-    """F(zs[s], zs[u]) = exp(sum) for exterior samples: one side decision
-    (`curve.off_band`) locates the samples, and one kernel pass sums the
-    densities of their Schwarz-pole sections as columns, the logs of 1/(S -
-    conj w) from one unwrap of their node values, anchored by
-    `laurent.anchored`.
-    At 12 and 24 samples on 512 nodes the unwrap is faster than the
-    columns' Laurent modes (Newton's identities on a_l/(a0 - w), or their
-    roots) and than F's closed rows, one `double_cauchy_batch` and one root
-    finding per sample (`scripts/pole_columns.py`)."""
+    """F(zs[s], zs[u]) = exp C for exterior samples, from the Taylor modes
+    l_k(z) of log((phi(zeta) - z)/(a0 - z)): C(z, w) = -sum_{k >= 1} k l_k(z)
+    conj(l_k(w)), the Cauchy sum of the Schwarz-pole section of w summed by
+    its residues at z's preimages.
+
+    One side decision (`curve.off_band`) locates the samples. phi - z has
+    every root at |zeta| >= rho (`_root_modulus_bound`), so |l_k| <= N
+    rho^-k/k at degree N, and the modes 1 <= k < m/2 of m nodes e^{2 pi i
+    j/m} carry truncation and aliasing below N^2 rho^-m/(1 - 1/rho) in C: m
+    is the least power of two >= 16 that puts it within EPS (`laurent.terms`)
+    and keeps the true phase step, at most 2 pi N/(m (rho - 1)), below pi/2,
+    so that the unwrap's branch is the continuous one; n when rho <= 1 or
+    the bound asks more (`_mode_nodes`). The m nodes are every (n/m)-th
+    grid node, and the values unwrapped there are the Schwarz-pole
+    transitions 1/(S - conj z) = 1/conj(phi(zeta) - z), whose log is
+    -conj(log(phi - z)): its FFT holds -conj(l_k) in bin m - k, and its
+    constant, bin 0, drops out. m doubles towards n while that unwrap
+    refuses; at n a refusal is the fit's (BranchUnresolvedError). C is one
+    real product of the modes' parts, as in `curve.kernel_sums`: after a
+    complex product the complex exp ran about twentyfold slower with
+    OpenBLAS."""
     inside, _ = off_band(grid, zs)
     if inside.any():
         raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")
-    columns = laurent.anchored(unwrap_log(_pole_transition(grid, zs))[0])
-    return np.exp(kernel_sums(grid, zs, columns)[2])
+    m = _mode_nodes(grid.curve, zs, grid.n)
+    while True:
+        try:
+            log = unwrap_log(_pole_transition(grid, zs, grid.n // m))[0]
+            break
+        except BranchUnresolvedError:
+            if m == grid.n:
+                raise
+            m *= 2
+    # bins m/2 + 1 .. m - 1 hold -conj(l_k), k = m/2 - 1 .. 1, so that C =
+    # -conj(sum_k k X_k(z) conj(X_k(w))); read as reals, row 2s of the
+    # product holds k Re X(z_s) . (Re X(z_u), Im X(z_u)), row 2s + 1 the same
+    # of Im X(z_s)
+    modes = np.fft.fft(log, axis=0, norm="forward")[m // 2 + 1:]
+    parts = (modes * np.arange(m // 2 - 1.0, 0.0, -1.0)[:, None]).view(float).T @ modes.view(float)
+    c = np.empty((zs.size, zs.size), dtype=complex)
+    np.add(parts[0::2, 0::2], parts[1::2, 1::2], out=c.real)
+    np.negative(c.real, out=c.real)
+    np.subtract(parts[1::2, 0::2], parts[0::2, 1::2], out=c.imag)
+    return np.exp(c, out=c)
+
+
+def _mode_nodes(curve, zs, n):
+    """The pullback nodes m of `_exterior_f_matrix`: a power of two from 16
+    to n, n when `_root_modulus_bound` is at most 1."""
+    rho = _root_modulus_bound(curve, zs)
+    if not rho > 1.0:
+        return n
+    degree = curve.degree
+    need = max(laurent.terms(1.0 / rho, degree * degree), 4 * degree / (rho - 1.0), 16)
+    return min(1 << (math.ceil(need) - 1).bit_length(), n)
+
+
+def _root_modulus_bound(curve, zs):
+    """rho <= |zeta| at every root of phi - z, z in zs: sum_{j >= 1} |a_j|
+    rho^j < d = min |z - a0| keeps |phi(zeta) - z| > 0 on |zeta| <= rho.
+
+    That convex increasing sum meets d at r* <= min_j (d/|a_j|)^(1/j), where
+    it is at most N d: Newton's method in Python floats from there falls to
+    r*, monotonically and without overflow, until its step is within 1e-15
+    of r, within N 1e-15 of r* on either side. rho is that r less 1e-9 of
+    it, which lowers the sum by at least 1e-9 d, beyond both at degrees N
+    below 1e5."""
+    gap = float(np.abs(zs - curve.coeffs[0]).min())
+    a = [abs(c) for c in curve.coeffs[1:curve.degree + 1]]
+    r = min((gap / c) ** (1.0 / j) for j, c in enumerate(a, 1) if c)
+    while True:
+        value = slope = 0.0  # sum |a_j| r^(j - 1) and its derivative, by Horner
+        for c in reversed(a):
+            slope = slope * r + value
+            value = value * r + c
+        step = (r * value - gap) / (value + r * slope)
+        if not step > 1e-15 * r:
+            return r * (1.0 - 1e-9)
+        r -= step
 
 
 def _solve_stages(zs, fmat, deg_q, deg_p):

@@ -215,10 +215,10 @@ class TransformValue:
         return name, self.E / abs(self.z - self.w) ** 2
 
 
-def _pole_transition(grid, w):
-    """1/(S - conj w) at the nodes, with S kept on the grid; m points w give
-    one column each, (n, m)."""
-    return 1.0 / np.subtract.outer(grid._schwarz, np.conjugate(w))
+def _pole_transition(grid, w, stride=1):
+    """1/(S - conj w) at every stride-th node, with S kept on the grid; m
+    points w give one column each, (n/stride, m)."""
+    return 1.0 / np.subtract.outer(grid._schwarz[::stride], np.conjugate(w))
 
 
 def _add_log_gap(c, zs, w, rows):

@@ -32,9 +32,7 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 without those temporaries must give its bytes and its refusals.
 `distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
 written with broadcast subtractions: the package's k = 2 products must give
-its bits. `one_point_sums_by_blocks` is `curve.kernel_sums` for one point
-through a one-row block of `distance_blocks`, assembled outside the
-package: its one point must keep those bits. `one_pass_sides` is
+its bits. `one_pass_sides` is
 `curve.sides` as it decided every point before it placed the clear ones
 without a pass: one `kernel_sums` pass over the whole batch, with the same
 thresholds and refusal, whose decisions the package's must equal.
@@ -60,7 +58,6 @@ from schwarzbundles.curve import (
     KERNEL_BLOCK,
     TWO_PI,
     Location,
-    distance_blocks,
     kernel_sums,
     locate,
     off_band,
@@ -247,34 +244,6 @@ def distance_blocks_by_subtraction(grid, points):
         np.multiply(y, y, out=y2)
         dist2 += y2
         yield slice(lo, lo + m), x, y, dist2
-
-
-def one_point_sums_by_blocks(grid, p, density=None):
-    """(nearest, winding, sums) of `curve.kernel_sums` for the one point p,
-    as the blocked pass gave them: the row in `distance_blocks`' buffers,
-    copied into (1, 2m) result arrays, and assembled from them."""
-    if density is None:
-        cols = grid.dz
-    else:
-        dens = np.asarray(density).reshape(grid.n, -1)
-        cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
-        cols[:, 0] = grid.dz
-        np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
-    parts = cols.view(float).reshape(grid.n, -1)
-    nearest = np.empty(1)
-    re_k, im_k = np.empty((2, 1, parts.shape[1]))
-    with np.errstate(all="ignore"):
-        for rows, dr, di, d2 in distance_blocks(grid, [complex(p)]):
-            nearest[rows] = np.sqrt(d2.min(axis=1))
-            np.reciprocal(d2, out=d2)
-            re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
-            im_k[rows] = np.multiply(di, d2, out=di) @ parts
-    scale = grid.weight / (2.0 * np.pi)
-    winding = scale * (re_k[:, 1] - im_k[:, 0])
-    if density is None:
-        return nearest, winding, None
-    sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
-    return nearest, winding, sums.reshape((1,) + np.shape(density)[1:])
 
 
 def one_pass_sides(grid, points):

@@ -223,6 +223,24 @@ def test_band_decision_refuses_non_finite_points(cardioid_grid, p):
                 call()
 
 
+@pytest.mark.parametrize("p", NON_FINITE, ids=NON_FINITE_IDS)
+def test_non_finite_refusal_does_not_rest_on_the_clear_rows_slack(cardioid_grid, monkeypatch, p):
+    # without its slack term clear_rows places |p - c| = inf outside (inf -
+    # R >= band), where the slack made it inf - inf = NaN; sides refuses the
+    # point before it asks clear_rows
+    def without_slack(grid, points):
+        c, big, small = grid._node_annulus
+        with np.errstate(invalid="ignore"):
+            gap = np.abs(np.asarray(points, dtype=complex).reshape(-1) - c)
+            return gap - big >= grid.exclusion_band, small - gap >= grid.exclusion_band
+
+    monkeypatch.setattr(curve_mod, "clear_rows", without_slack)
+    for call in (lambda: sb.locate(cardioid_grid, p), lambda: sides(cardioid_grid, [5.0, p]),
+                 lambda: off_band(cardioid_grid, [p, 0.0])):
+        with pytest.raises(ParseError, match="finite"):
+            call()
+
+
 def test_band_decision_keeps_far_finite_points(cardioid_grid):
     # their squared distances overflow, the points are still decided
     with warnings.catch_warnings():

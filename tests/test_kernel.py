@@ -273,20 +273,37 @@ def test_padded_map_keeps_the_grid_and_sums_of_its_degree():
 
 @given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
        columns=st.integers(0, 3), on_node=st.booleans(), seed=st.integers(0, 2 ** 16))
-def test_one_point_pass_keeps_the_blocked_bits(name, log_n, columns, on_node, seed):
-    # kernel_sums gives one point the nearest distance, the winding and the
-    # sums of a one-row block, assembled outside the package, bit for bit,
-    # on a node too; a single column is given as a 1-D density
+def test_one_point_row_is_the_term_by_term_sum(name, log_n, columns, on_node, seed):
+    # kernel_sums on one point: the nearest distance within 2 eps of |z_k -
+    # p|, and the winding and each column's sum within the stated bound 8 n
+    # eps * sum_k |w num_k/(z_k - p)| of the complex sums taken term by
+    # term; on a node, distance 0 and NaN sums; a single column given as a
+    # 1-D density gives one sum per point
     grid = _grid(name, 2 ** log_n)
     rng = np.random.default_rng(seed)
     p = grid.z[rng.integers(grid.n)] if on_node else complex(*rng.uniform(-2.5, 2.5, 2))
     dens = rng.normal(size=(grid.n, columns, 2)) @ [1.0, 1j] if columns else None
     if columns == 1:
         dens = dens[:, 0]
-    got = sb.kernel_sums(grid, [p], dens)
-    want = oracles.one_point_sums_by_blocks(grid, p, dens)
-    assert same_bits(got[0], want[0]) and same_bits(got[1], want[1])
-    assert (got[2] is None) if dens is None else same_bits(got[2], want[2])
+    nearest, winding, sums = sb.kernel_sums(grid, [p], dens)
+    hypot = oracles.nearest_node_distance(grid, p)
+    assert nearest.shape == winding.shape == (1,)
+    assert abs(nearest[0] - hypot) <= 2 * EPS * hypot
+    if dens is None:
+        assert sums is None
+    else:
+        assert sums.shape == (1, *dens.shape[1:])
+    if on_node:
+        assert nearest[0] == 0.0 and np.isnan(winding[0])
+        assert dens is None or np.isnan(sums).all()
+        return
+    assert abs(winding[0] - oracles.trapezoid_winding(grid, p)) \
+        <= oracles.kernel_row_bound(grid, grid.dz, p)
+    if dens is not None:
+        cols = dens.reshape(grid.n, -1)
+        for got, col in zip(sums.reshape(-1), cols.T):
+            assert abs(got - oracles.trapezoid_cauchy(grid, col, p)) \
+                <= oracles.kernel_row_bound(grid, col * grid.dz, p)
 
 
 def test_an_empty_batch_gives_empty_rows(cardioid_grid):
@@ -741,41 +758,91 @@ def test_rational_fit_rank_cut_holds_for_scaled_f(name):
                 assert got.classification == want.classification
 
 
-def test_rational_fit_takes_f_from_one_kernel_pass(quartic_grid, monkeypatch):
-    # no per-column double_cauchy_batch and no per-sample locate: one side
-    # decision locates the samples, with no pass as they are clear of the
-    # nodes' annulus, one unwrap forms every density and one pass sums
+def _fit_f_bound(curve, zs, m, c):
+    """Bound on |log(F/exp C)| for the fit's F from the modes at m nodes,
+    with rho the least modulus of a root of phi - z over zs and N the
+    degree: the modes' truncation and aliasing, N^2 rho^-m/(1 - 1/rho);
+    their rounding, at most eps (3m + (2 + log2 m) L) per mode, the unwrap's
+    m phase steps and the FFT of logs of size at most L = max |log|z -
+    a0|| + pi + N log(rho/(rho - 1)), against sum_k k |l_k| <= N/(rho - 1)
+    on each side; and 8 eps |C| for the closed rows' factors and exp."""
+    degree = curve.degree
+    rho = min(np.abs(laurent.pole_roots(curve, z)).min() for z in zs)
+    size = (np.abs(np.log(np.abs(zs - curve.coeffs[0]))).max() + np.pi
+            + degree * math.log(rho / (rho - 1.0)))
+    rounding = 4 * degree / (rho - 1.0) * (3 * m + (2 + math.log2(m)) * size)
+    return degree ** 2 * rho ** -m / (1.0 - 1.0 / rho) + EPS * (8 * np.abs(c) + rounding)
+
+
+@settings(max_examples=25, deadline=None)
+@given(curve=certified_curves(), n=st.sampled_from([256, 1024]), count=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 16))
+def test_fit_f_is_exp_c_on_every_pair(curve, n, count, seed):
+    # two independent routes to F(z, w) of exterior samples: the fit's, the
+    # modes of log(phi - z) at m pullback nodes, and double_cauchy's closed
+    # rows, the roots of phi - w; at phi(1.05 <= |zeta| < 1/rho), off the
+    # band, where m often reaches n, and far out
+    grid = sb.sample(curve, n)
+    zs = _pullback_points(curve, np.random.default_rng(seed), count)[2 * count:]
+    zs = zs[~curve_mod.sides(grid, zs)[0]]
+    f = quaddom._exterior_f_matrix(grid, zs)
+    c = np.array([[sb.double_cauchy(grid, z, w).C for w in zs] for z in zs])
+    m = quaddom._mode_nodes(curve, zs, n)
+    assert np.all(np.abs(np.log(f / np.exp(c))) <= _fit_f_bound(curve, zs, m, c))
+
+
+def test_fit_f_takes_every_node_where_the_root_bound_is_below_one():
+    # samples at phi(1.2 e^{it}) on the cardioid, off the band at n = 1024,
+    # within sum_j |a_j| = 1.3 of a0: the root bound is at most 1, so m = n,
+    # and F is exp C on every pair within the stated bound
+    curve = sb.build_polynomial_curve([0, 1, 0.3], 0.7)
+    grid = sb.sample(curve, 1024)
+    zs = curve.phi(1.2 * np.exp(1j * np.array([2.8, 3.1, 3.5])))
+    assert not curve_mod.sides(grid, zs)[0].any()
+    assert quaddom._root_modulus_bound(curve, zs) <= 1.0
+    assert quaddom._mode_nodes(curve, zs, grid.n) == grid.n
+    f = quaddom._exterior_f_matrix(grid, zs)
+    c = np.array([[sb.double_cauchy(grid, z, w).C for w in zs] for z in zs])
+    assert np.all(np.abs(np.log(f / np.exp(c))) <= _fit_f_bound(curve, zs, grid.n, c))
+
+
+def test_rational_fit_takes_f_from_one_unwrap_at_mode_nodes(quartic_grid, monkeypatch):
+    # no per-column double_cauchy_batch, no per-sample locate and no kernel
+    # pass: one side decision locates the samples, clear of the nodes'
+    # annulus, and one unwrap over m <= n pullback nodes, fewer than the
+    # grid's, gives every sample's modes
     def refuse(*args, **kwargs):
         raise AssertionError("the fit must not call this")
 
-    counts = {"sides": 0, "kernel_sums": 0, "unwrap_log": 0}
+    counts = {"sides": 0, "unwrap_log": 0}
+    shapes = []
 
     def counted(module, name):
         inner = getattr(module, name)
 
         def call(*args, **kwargs):
             counts[name] += 1
+            if name == "unwrap_log":
+                shapes.append(np.shape(args[0]))
             return inner(*args, **kwargs)
         return call
 
     zs = sb.default_exterior_samples(quartic_grid, 24)
     want = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
-    for name in ("double_cauchy_batch", "locate"):
+    for name in ("double_cauchy_batch", "locate", "kernel_sums"):
         # each name binds somewhere: a stale one would patch nothing
         targets = [t for t in (curve_mod, sb.transforms, quaddom, sb) if hasattr(t, name)]
         assert targets, name
         for target in targets:
             monkeypatch.setattr(target, name, refuse)
-    # the densities come from one unwrap in quaddom._exterior_f_matrix
-    monkeypatch.setattr(quaddom, "kernel_sums", counted(quaddom, "kernel_sums"))
     monkeypatch.setattr(quaddom, "unwrap_log", counted(quaddom, "unwrap_log"))
-    # the samples are located through curve.off_band, whose decision and
-    # any pass of it are there
+    # the samples are located through curve.off_band, whose decision is there
     monkeypatch.setattr(curve_mod, "sides", counted(curve_mod, "sides"))
-    monkeypatch.setattr(curve_mod, "kernel_sums", counted(curve_mod, "kernel_sums"))
     got = sb.fit_rational_structure(quartic_grid, 4, 4, zs)
-    assert counts == {"sides": 1, "kernel_sums": 1, "unwrap_log": 1}
+    assert counts == {"sides": 1, "unwrap_log": 1}
     assert curve_mod.clear_rows(quartic_grid, zs)[0].all()
+    m = shapes[0][0]
+    assert shapes == [(m, zs.size)] and 16 <= m < quartic_grid.n and m & (m - 1) == 0
     assert same_bits(got.p_coeffs, want.p_coeffs)
     assert same_bits(got.q_coeffs, want.q_coeffs)
 

@@ -91,16 +91,16 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
 def test_workload_passes_counts_the_steady_cycles_kernel_passes():
     # a steady `sections` cycle decides 12 adjustment points, every one
     # clear of the nodes' annulus, with no kernel pass; a `sweep` cycle
-    # passes over the two lattices' band rows and the two fits' columns
-    # only: each lattice's w and each fit's samples are clear
+    # passes over the two lattices' band rows only: each lattice's w and
+    # each fit's samples are clear, and a fit's F takes no pass
     proc = _run("workload_passes.py")
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
     assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-"]
     sweep = rows["sweep"]
-    assert sweep[:4] == ["sides", "6", "kernel_sums", "4"]
+    assert sweep[:4] == ["sides", "6", "kernel_sums", "2"]
     lattice_rows = [int(r) for r in sweep[5].split(",")]
-    assert lattice_rows[2:] == [12, 24] and all(0 < r < 1600 for r in lattice_rows[:2])
+    assert len(lattice_rows) == 2 and all(0 < r < 1600 for r in lattice_rows)
 
 
 def test_heap_faults_reports_every_op_and_the_batch_peak():
@@ -111,12 +111,31 @@ def test_heap_faults_reports_every_op_and_the_batch_peak():
     assert set(per_op) == {"lattice/w-exterior", "lattice/w-interior", "fit/cardioid",
                            "fit/quartic", "moment-check"}
     assert all(count >= 0.0 for count in per_op.values())
+    # a fit's arrays stay below glibc's initial mmap threshold: it faults
+    # no page per call, alone before any lattice and after the lattices
+    alone = {row[1]: float(row[2]) for row in rows if row[0] == "fits_only_faults_per_op"}
+    assert alone == {"fit/cardioid": 0.0, "fit/quartic": 0.0}
+    assert per_op["fit/cardioid"] == per_op["fit/quartic"] == 0.0
     totals = {row[0]: float(row[1]) for row in rows if len(row) == 2}
     assert set(totals) == {"faults_per_cycle", "batch_peak_mb"}
     assert totals["faults_per_cycle"] == pytest.approx(sum(per_op.values()), abs=0.02)
     # the kernel pass over the lattice's unclosed rows holds its blocks'
     # four buffers (1 MB at n = 1024); the closed rows' tables are small
     assert 1.0 < totals["batch_peak_mb"] < 1.5
+
+
+def test_pole_columns_reports_the_fit_f_routes_against_the_closed_rows():
+    # both `sweep` fits: the modes F at m < n nodes, a power of two, and the
+    # kernel F both within 1e-14 of the per-sample closed rows
+    proc = _run("pole_columns.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(row[0], row[1]) for row in rows] == [("cardioid", "12"), ("quartic", "24")]
+    for row in rows:
+        *micros, m, kernel_diff, modes_diff = row[-7:]
+        assert all(float(t) > 0.0 for t in micros)
+        assert 16 <= int(m) < 512 and int(m) & (int(m) - 1) == 0
+        assert float(kernel_diff) < 1e-14 and float(modes_diff) < 1e-14
 
 
 def test_closed_rows_reports_every_lattice_within_the_bound():
