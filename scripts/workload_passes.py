@@ -6,11 +6,12 @@ the given seed. One cycle runs first, so that what a grid keeps (its
 kernel operands, its verification points with their sides) is formed
 there; then the calls of `curve.sides` and `curve.kernel_sums` made in a
 second cycle are counted, at every module name through which the package
-reaches them, with the points of each kernel pass.
+reaches them, with the points and the node count n of each kernel pass.
 
 Usage: python scripts/workload_passes.py [seed]   (default 1)
 Output: one line per workload, `<workload> sides <count> kernel_sums <count>
-rows <points of each pass, comma-separated, or ->`.
+rows <points of each pass> n <node count of each pass>`, each list
+comma-separated, or - without a pass.
 """
 
 import importlib
@@ -30,7 +31,7 @@ WORKLOADS = ("sections", "sweep")
 
 def install_counters(calls):
     """Wrap `sides` and `kernel_sums` at every module name that binds them,
-    appending (name, points) per call; returns the undo list."""
+    appending (name, points, n) per call; returns the undo list."""
     undo = []
     for module in (sb.curve, sb.transforms, sb.bundles, sb.quaddom):
         for name in ("sides", "kernel_sums"):
@@ -38,7 +39,7 @@ def install_counters(calls):
                 original = getattr(module, name)
 
                 def counted(grid, points, *rest, name=name, original=original):
-                    calls.append((name, np.size(points)))
+                    calls.append((name, np.size(points), grid.n))
                     return original(grid, points, *rest)
 
                 setattr(module, name, counted)
@@ -47,7 +48,7 @@ def install_counters(calls):
 
 
 def cycle_calls(workload, seed, directory):
-    """(name, points) of each counted call in the second cycle of the ops."""
+    """(name, points, n) of each counted call in the second cycle of the ops."""
     specs = wl.curve_specs(np.random.default_rng([seed, 0]))
     ctx = wl.setup(sb, specs, workload, wl.FULL)
     files = wl.write_curve_files(specs, directory)
@@ -70,10 +71,11 @@ def main(seed):
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:
             calls = cycle_calls(workload, seed, Path(tmp))
-            rows = [points for name, points in calls if name == "kernel_sums"]
-            decisions = sum(name == "sides" for name, _ in calls)
-            print(f"{workload} sides {decisions} kernel_sums {len(rows)} "
-                  f"rows {','.join(map(str, rows)) or '-'}")
+            passes = [(points, n) for name, points, n in calls if name == "kernel_sums"]
+            decisions = sum(name == "sides" for name, _, _ in calls)
+            rows, nodes = zip(*passes) if passes else ((), ())
+            print(f"{workload} sides {decisions} kernel_sums {len(passes)} "
+                  f"rows {','.join(map(str, rows)) or '-'} n {','.join(map(str, nodes)) or '-'}")
 
 
 if __name__ == "__main__":

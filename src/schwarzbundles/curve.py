@@ -12,10 +12,10 @@ periodic analytic integrands that arise throughout the package.
 Every boundary integral against the Cauchy kernel dz/(z - p) goes through one
 pass, `kernel_sums`: for a batch of points it gives the distance to the
 nearest node, the winding number and, given densities, the trapezoidal
-Cauchy sums, in real arithmetic on blocks of squared distances
-(`distance_blocks`); one point is a one-row block. `winding_number`,
-`transforms.cauchy_integral` and `bundles.evaluate_section` are that pass
-for one point.
+Cauchy sums, in real arithmetic on blocks of squared distances whose
+differences z_k - p are exact k = 2 matrix products; one point is a
+one-row block. `winding_number`, `transforms.cauchy_integral` and
+`bundles.evaluate_section` are that pass for one point.
 
 The band and side decision lives here alone: `sides` gives the points in
 the exclusion band, the interior points and, given densities, the sums,
@@ -75,21 +75,12 @@ FAR_PAIR_SEPARATION = 8
 # Node-point pairs per block of the kernel pass; rows stay contiguous and
 # each of a pass's four real buffers stays at a quarter megabyte. Also the
 # vertex pairs per block of `build_polygon`'s pass. Of 2^12 to 2^17, 2^15
-# was fastest or within 20 % of it on 1600 points at n = 1024, 256-point
-# rings at n = 4096 and 65536, and the passes that the `sweep` benchmark
-# made when it was chosen: a lattice's band rows at n = 1024 and a fit's 24
-# columns over 24 samples at n = 512 (2-core x86_64).
+# was fastest or within 12 % of it on the only passes a steady `sweep`
+# benchmark cycle makes, its two lattices' band rows (32 to 42 points at
+# n = 1024; a `sections` cycle makes none), and on 1600 points at n = 1024
+# and 256-point rings at n = 4096 and 65536 (2-core x86_64, one BLAS
+# thread).
 KERNEL_BLOCK = 2 ** 15
-
-# Least rows of a block whose distances are products (`distance_blocks`).
-# Per block, products against the broadcast subtraction: 16 against 41 us at
-# n = 1024 (32 rows) and 16 against 43 us at n = 2048 (16 rows), but 14
-# against 13 us at n = 4096 (8 rows) and 52 against 17 us at n = 65536 (one
-# row). The passes that took products when it was chosen were a lattice's
-# band rows, 40 at n = 1024 in 239 against 290 us per pass, and a fit's 24
-# columns over 24 samples at n = 512, in 147-151 against 162-166 us (2-core
-# x86_64, OpenBLAS, one thread).
-PRODUCT_ROWS = 16
 
 EPS = np.finfo(float).eps
 
@@ -309,7 +300,7 @@ class ContourGrid:
     @cached_property
     def _node_parts(self):
         """[-1; Re z] and [Im z; -1], the nodes' (2, n) real operands of
-        `distance_blocks`' products, formed once per grid."""
+        `kernel_sums`' products, formed once per grid."""
         ones = np.ones(self.n)
         return (_read_only(np.stack([-ones, self.z.real])),
                 _read_only(np.stack([self.z.imag, -ones])))
@@ -559,49 +550,6 @@ def _ring(curve, n, radius):
                        dz=dz, weight=TWO_PI / n, exclusion_band=band)
 
 
-def distance_blocks(grid, points):
-    """Yield (rows, dr, di, d2) for blocks of points, one row per point:
-    dr + i di = z_k - p over the nodes z_k, and d2 = dr^2 + di^2, all real.
-
-    In blocks of at least PRODUCT_ROWS rows, dr and di are matrix products
-    with k = 2, [Re p, 1] @ [-1; Re z] and [1, Im p] @ [Im z; -1], over one
-    (points, 3) array [Re p, 1, Im p] and the grid's kept operands. Both
-    products of an entry are exact, so the entry is their sum rounded once,
-    as z_k - p is: the same bits, except that an exact zero is +0 where the
-    subtraction gives -0 (a node part -0 and a point part +0). d2 squares
-    the sign away, so d2, the nearest distance and the sums are those of
-    the subtraction. Smaller blocks subtract.
-
-    A block holds about KERNEL_BLOCK node-point pairs. Every block is
-    written into the same four buffers, one allocation per pass, which the
-    caller may overwrite and must not keep. Each entry is formed the same
-    way in any block, so d2 of a point does not depend on the batch. Large
-    |z_k - p| may overflow d2 to inf; callers ignore the warning.
-    """
-    pts = np.asarray(points, dtype=complex).reshape(-1)
-    rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
-    right_r, right_i = grid._node_parts
-    product = rows >= PRODUCT_ROWS
-    if product:
-        left = np.empty((pts.size, 3))
-        left[:, 0], left[:, 1], left[:, 2] = pts.real, 1.0, pts.imag
-    dr, di, d2, sq = np.empty((4, rows, grid.n))
-    for lo in range(0, pts.size, rows):
-        m = min(rows, pts.size - lo)
-        x, y, dist2, y2 = dr[:m], di[:m], d2[:m], sq[:m]  # views of this block
-        if product:
-            np.matmul(left[lo:lo + m, :2], right_r, out=x)
-            np.matmul(left[lo:lo + m, 1:], right_i, out=y)
-        else:
-            p = pts[lo:lo + m]
-            np.subtract(right_r[1], p.real[:, None], out=x)
-            np.subtract(right_i[0], p.imag[:, None], out=y)
-        np.multiply(x, x, out=dist2)
-        np.multiply(y, y, out=y2)
-        dist2 += y2
-        yield slice(lo, lo + m), x, y, dist2
-
-
 def kernel_sums(grid, points, density=None):
     """One pass of the trapezoidal Cauchy kernel over the nodes.
 
@@ -612,11 +560,18 @@ def kernel_sums(grid, points, density=None):
     shape (n,) gives sums of shape (points,); one of shape (n, m) holds m
     densities as columns and gives sums of shape (points, m).
 
-    The rows are real arithmetic on `distance_blocks`: nearest is the
-    distance to the nearest node, sqrt(min d2), the same in any batch;
-    1/(z - p) = (dr - i di)/d2, and the winding and sums are real matrix
-    products with the parts of g = [dz, density[:, 0] dz, ...]. One point
-    is a one-row block.
+    The points go in blocks of about KERNEL_BLOCK node-point pairs, one
+    row per point, written into the same four real buffers. Each row's dr
+    + i di = z_k - p is two matrix products with k = 2, [Re p, 1] @ [-1;
+    Re z] and [1, Im p] @ [Im z; -1], over one (points, 3) array [Re p, 1,
+    Im p] and the grid's kept operands (`ContourGrid._node_parts`). Both
+    products of an entry are exact, so the entry is their sum rounded
+    once, as z_k - p is: the same bits, except that an exact zero may be +0
+    where the subtraction gives -0, which d2 = dr^2 + di^2 squares away.
+    nearest is sqrt(min d2), the same in any batch; 1/(z - p) = (dr - i
+    di)/d2, and the winding and sums are real matrix products with the
+    parts of g = [dz, density[:, 0] dz, ...]. Large |z_k - p| may overflow
+    d2 to inf; the pass ignores the warning.
 
     Bound: a row's winding and sums differ from the same sum for the point
     alone, or taken term by term in complex arithmetic, by at most 8 n eps *
@@ -627,12 +582,35 @@ def kernel_sums(grid, points, density=None):
     are computed without warnings and are the caller's to discard.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
+    cols = grid.dz
     if density is not None:
         density = np.asarray(density)
-    cols = _columns(grid, density)
+        dens = density.reshape(grid.n, -1)
+        cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
+        cols[:, 0] = grid.dz
+        np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
     parts = cols.view(float).reshape(grid.n, -1)  # Re and Im of each column
+    left = np.empty((pts.size, 3))
+    left[:, 0], left[:, 1], left[:, 2] = pts.real, 1.0, pts.imag
+    right_r, right_i = grid._node_parts
+    rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
+    dr, di, d2, sq = np.empty((4, rows, grid.n))
+    nearest = np.empty(pts.size)
+    re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
     with np.errstate(all="ignore"):
-        nearest, re_k, im_k = _rows(grid, pts, parts)
+        for lo in range(0, pts.size, rows):
+            block = slice(lo, min(pts.size, lo + rows))
+            m = block.stop - lo
+            x, y, dist2, y2 = dr[:m], di[:m], d2[:m], sq[:m]  # views of this block
+            np.matmul(left[block, :2], right_r, out=x)
+            np.matmul(left[block, 1:], right_i, out=y)
+            np.multiply(x, x, out=dist2)
+            np.multiply(y, y, out=y2)
+            dist2 += y2
+            nearest[block] = np.sqrt(dist2.min(axis=1))
+            np.reciprocal(dist2, out=dist2)
+            re_k[block] = np.multiply(x, dist2, out=x) @ parts
+            im_k[block] = np.multiply(y, dist2, out=y) @ parts
     # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
     # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
     # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
@@ -643,30 +621,6 @@ def kernel_sums(grid, points, density=None):
         return nearest, winding, None
     sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
     return nearest, winding, sums.reshape(pts.shape + density.shape[1:])
-
-
-def _columns(grid, density):
-    """The kernel's columns g = [dz, density[:, 0] dz, ...] as an (n, 1 + m)
-    array, or dz alone without a density."""
-    if density is None:
-        return grid.dz
-    dens = density.reshape(grid.n, -1)
-    cols = np.empty((grid.n, 1 + dens.shape[1]), dtype=complex)
-    cols[:, 0] = grid.dz
-    np.multiply(dens, grid.dz[:, None], out=cols[:, 1:])
-    return cols
-
-
-def _rows(grid, pts, parts):
-    """(nearest, re_k, im_k) of `kernel_sums` for a batch, block by block."""
-    nearest = np.empty(pts.size)
-    re_k, im_k = np.empty((2, pts.size, parts.shape[1]))
-    for rows, dr, di, d2 in distance_blocks(grid, pts):
-        nearest[rows] = np.sqrt(d2.min(axis=1))
-        np.reciprocal(d2, out=d2)
-        re_k[rows] = np.multiply(dr, d2, out=dr) @ parts
-        im_k[rows] = np.multiply(di, d2, out=di) @ parts
-    return nearest, re_k, im_k
 
 
 def clear_rows(grid, points):

@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curve import EPS, TWO_PI, _poly_roots
-from .errors import BranchUnresolvedError, NearBoundaryError
+from .errors import BranchUnresolvedError, NearBoundaryError, ParseError
 
 # The branch cut of node 0's phase sits this far past pi: a negative real
 # value (T^2 at node 0 of a curve with real coefficients) has phase pi on
@@ -111,8 +111,15 @@ def exp_schwarz(curve):
 
 
 def pole_roots(curve, w):
-    """The roots of phi - w, which give the pole bundle's class and modes."""
-    return _poly_roots((curve.coeffs[0] - w, *curve.coeffs[1:]))
+    """The roots of phi - w, which give the pole bundle's class and modes.
+
+    A w so far (about 1e290 |a_j| and beyond) that `_poly_roots` trims every
+    non-constant coefficient of phi - w keeps no root, and no factor of the
+    series would hold w: it is refused (ParseError)."""
+    roots = _poly_roots((curve.coeffs[0] - w, *curve.coeffs[1:]))
+    if not roots.size:
+        raise ParseError(f"pole {complex(w)} is too far from the curve: phi - w keeps no root")
+    return roots
 
 
 def schwarz_pole(curve, roots):

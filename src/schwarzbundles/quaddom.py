@@ -35,7 +35,6 @@ from numpy.polynomial import polynomial as npoly
 from . import laurent
 from .curve import ConformalMapCurve, PolygonCurve, integer_argument, off_band
 from .errors import (
-    BranchUnresolvedError,
     NotConformalMapCurveError,
     ParseError,
     RankDeficientError,
@@ -244,23 +243,17 @@ def _exterior_f_matrix(grid, zs):
     grid node, and the values unwrapped there are the Schwarz-pole
     transitions 1/(S - conj z) = 1/conj(phi(zeta) - z), whose log is
     -conj(log(phi - z)): its FFT holds -conj(l_k) in bin m - k, and its
-    constant, bin 0, drops out. m doubles towards n while that unwrap
-    refuses; at n a refusal is the fit's (BranchUnresolvedError). C is one
-    real product of the modes' parts, as in `curve.kernel_sums`: after a
-    complex product the complex exp ran about twentyfold slower with
-    OpenBLAS."""
+    constant, bin 0, drops out. That one unwrap's refusal is the fit's
+    (BranchUnresolvedError) and the one n nodes would give: the m nodes
+    are a subset of the n, so a modulus refusal at m is one at n, and at m
+    < n the phase step is below pi/2. C is one real product of the modes'
+    parts, as in `curve.kernel_sums`: after a complex product the complex
+    exp ran about twentyfold slower with OpenBLAS."""
     inside, _ = off_band(grid, zs)
     if inside.any():
         raise WrongQuadrantError(f"sample {zs[inside][0]} is not exterior")
     m = _mode_nodes(grid.curve, zs, grid.n)
-    while True:
-        try:
-            log = unwrap_log(_pole_transition(grid, zs, grid.n // m))[0]
-            break
-        except BranchUnresolvedError:
-            if m == grid.n:
-                raise
-            m *= 2
+    log = unwrap_log(_pole_transition(grid, zs, grid.n // m))[0]
     # bins m/2 + 1 .. m - 1 hold -conj(l_k), k = m/2 - 1 .. 1, so that C =
     # -conj(sum_k k X_k(z) conj(X_k(w))); read as reals, row 2s of the
     # product holds k Re X(z_s) . (Re X(z_u), Im X(z_u)), row 2s + 1 the same

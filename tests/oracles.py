@@ -30,12 +30,13 @@ ring with its inverse FFT (`moment_expansion_loop`) for the check.
 `unwrap_log_with_temporaries` is `unwrap_log` as it was written with
 `np.concatenate`, `np.angle` and `log + 1j * phases`: the package's form
 without those temporaries must give its bytes and its refusals.
-`distance_blocks_by_subtraction` is `curve.distance_blocks` as it was
-written with broadcast subtractions: the package's k = 2 products must give
-its bits. `one_pass_sides` is
-`curve.sides` as it decided every point before it placed the clear ones
-without a pass: one `kernel_sums` pass over the whole batch, with the same
-thresholds and refusal, whose decisions the package's must equal.
+`distance_blocks_by_subtraction` is the kernel pass's blocks as they were
+formed by broadcast subtraction: `kernel_sums`' nearest distances, from
+k = 2 products, must give its bits, and `sides` its decisions.
+`one_pass_sides` is `curve.sides` as it decided every point before it
+placed the clear ones without a pass: one `kernel_sums` pass over the whole
+batch, with the same thresholds and refusal, whose decisions the package's
+must equal.
 The CSV loops (`lattice_csv_lines`, `table_csv_loop`, `moments_csv_loop`,
 `transform_values_csv_loop`) are the CLI's tables and
 `transform_values_to_csv` as they were printed before the vectorised
@@ -228,8 +229,10 @@ EPS = np.finfo(float).eps
 
 
 def distance_blocks_by_subtraction(grid, points):
-    """`curve.distance_blocks` with dr and di formed by broadcast subtraction
-    from contiguous copies of the nodes' real and imaginary parts."""
+    """Yield (rows, dr, di, d2) for the blocks of `curve.kernel_sums`, one
+    row per point: dr + i di = z_k - p formed by broadcast subtraction from
+    contiguous copies of the nodes' real and imaginary parts, and d2 = dr^2
+    + di^2. Every block is written into the same four buffers."""
     pts = np.asarray(points, dtype=complex).reshape(-1)
     rows = max(1, min(pts.size, KERNEL_BLOCK // grid.n))
     zr, zi = grid.z.real.copy(), grid.z.imag.copy()

@@ -208,6 +208,31 @@ def test_section_commands(capsys, disk_file):
     assert json.loads(out)["chern"] == -2
 
 
+FAR_POLE_CURVES = {"disk": DISK, "cardioid": CARDIOID,
+                   "disk-at-0.2": '{"kind": "conformal", "coeffs": [[0.2,0],[1,0]], "rho": 0.5}'}
+FAR_POLE_VERBS = {"transform": ["transform", "--z", "3", "--w"],
+                  "section": ["section", "--bundle", "schwarz-pole", "--pole"],
+                  "plotdata": ["plotdata", "--quantity", "exp-transform-abs",
+                               "--grid=-2:2:3,-2:2:3", "--w"]}
+
+
+@pytest.mark.parametrize("curve", sorted(FAR_POLE_CURVES))
+@pytest.mark.parametrize("verb", sorted(FAR_POLE_VERBS))
+def test_far_pole_is_a_parse_error_that_names_it(capsys, tmp_path, curve, verb):
+    # beyond about 1e290 |a_j| every non-constant coefficient of phi - w is
+    # trimmed, and phi - w keeps no root: exit 2, not a traceback; 1e289
+    # keeps its roots and answers
+    path = tmp_path / "curve.json"
+    path.write_text(FAR_POLE_CURVES[curve])
+    verb_name, *flags = FAR_POLE_VERBS[verb]
+    for pole in ("1e291", "1e300", "-1e300j"):
+        code, out, err = run(capsys, verb_name, str(path), *flags, pole)
+        assert code == 2 and out == ""
+        assert err.startswith(f"parse error: pole {complex(pole)} is too far")
+    code, out, err = run(capsys, verb_name, str(path), *flags, "1e289")
+    assert code == 0 and out and err == ""
+
+
 @pytest.mark.filterwarnings("error")
 def test_section_exp_schwarz_far_curve(capsys, tmp_path):
     # exp(S) overflows at the nodes of this curve; its log S does not

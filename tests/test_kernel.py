@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -23,6 +23,7 @@ import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
 from schwarzbundles import laurent, quaddom, transforms
 from schwarzbundles.errors import (
+    BranchUnresolvedError,
     CoincidentInteriorPointsError,
     CurveNotSimpleError,
     NearBoundaryError,
@@ -67,21 +68,51 @@ def _grid(name, n):
     return sb.sample(sb.build_polynomial_curve(*CURVES[name]), n)
 
 
-def _blocks(blocks):
-    """(dr, di, d2) of a `distance_blocks` generator, stacked over its blocks."""
+def _subtraction_sides(grid, pts, density=None):
+    """(nearest, near, inside) of the points from the blocks of
+    `oracles.distance_blocks_by_subtraction`, summed as `kernel_sums` sums
+    its rows and decided as `sides` decides them."""
+    cols = grid.dz if density is None else np.stack([grid.dz, density * grid.dz], 1)
+    parts = cols.view(float).reshape(grid.n, -1)
+    nearest, winding = [], []
     with np.errstate(all="ignore"):
-        got = [(dr.copy(), di.copy(), d2.copy()) for _, dr, di, d2 in blocks]
-    return [np.concatenate(parts) for parts in zip(*got)]
+        for _, dr, di, d2 in oracles.distance_blocks_by_subtraction(grid, pts):
+            nearest.append(np.sqrt(d2.min(axis=1)))
+            inverse = 1.0 / d2
+            re_k, im_k = (dr * inverse) @ parts, (di * inverse) @ parts
+            winding.append(grid.weight / curve_mod.TWO_PI * (re_k[:, 1] - im_k[:, 0]))
+    nearest, winding = np.concatenate(nearest), np.concatenate(winding)
+    near = nearest < grid.exclusion_band
+    return nearest, near, ~near & (winding > 0.5)
 
 
-@given(name=st.sampled_from(sorted(CURVES)), log_n=st.integers(4, 12),
-       count=st.integers(1, 300), seed=st.integers(0, 2 ** 16))
-def test_distance_products_keep_the_subtraction_bits(name, log_n, count, seed):
-    # blocks of one row up to full blocks of 32 (n = 1024) to 300 rows (n =
-    # 16), by products where a block has PRODUCT_ROWS rows or more. Among the
-    # points: one on a node, parts equal to a node's, signed zeros and
-    # squared distances that overflow to inf. No node part is -0, so the
-    # products give every bit of the subtraction
+def _keeps_the_subtraction(grid, pts):
+    """kernel_sums' nearest distances have the bits of the subtraction's, and
+    `sides` makes its decisions, by clear rows and by one pass for all."""
+    want, near, inside = _subtraction_sides(grid, pts)
+    with np.errstate(all="ignore"):
+        nearest = sb.kernel_sums(grid, pts)[0]
+    density = np.conjugate(grid.z)
+    return (same_bits(nearest, want)
+            and all(np.array_equal(got, ref) for got, ref in
+                    zip(curve_mod.sides(grid, pts)[:2], (near, inside)))
+            and all(np.array_equal(got, ref) for got, ref in
+                    zip(curve_mod.sides(grid, pts, density)[:2],
+                        _subtraction_sides(grid, pts, density)[1:])))
+
+
+@example(size=(16, 3), name="quartic", seed=1).via("one-row blocks at n = 65536")
+@example(size=(15, 2), name="disk", seed=2).via("one-row blocks at n = 32768")
+@given(size=st.integers(4, 16).flatmap(
+           lambda log_n: st.tuples(st.just(log_n), st.integers(1, 300 if log_n <= 12 else 3))),
+       name=st.sampled_from(sorted(CURVES)), seed=st.integers(0, 2 ** 16))
+def test_distance_products_keep_the_subtraction_bits(size, name, seed):
+    # blocks of one row (n >= 32768, and up to 3 points at n = 65536) up to
+    # full blocks of 32 (n = 1024) to 300 rows (n = 16). Among the points:
+    # one on a node, parts equal to a node's, signed zeros and squared
+    # distances that overflow to inf. No node part is -0, so the products
+    # give every bit of the subtraction
+    log_n, count = size
     grid = _grid(name, 2 ** log_n)
     nodes = grid.z.view(float)
     assert not np.any(np.signbit(nodes) & (nodes == 0.0))
@@ -91,13 +122,7 @@ def test_distance_products_keep_the_subtraction_bits(name, log_n, count, seed):
     special = [grid.z[k], complex(grid.z[k].real, 0.5), complex(-0.0, 0.0),
                complex(0.0, -0.0), complex(-0.0, -0.0), 1e155 + 1e155j, -3e160 + 0.25j]
     pts[:min(count, len(special))] = special[:count]
-    pts = rng.permutation(pts)
-    want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
-    got = _blocks(curve_mod.distance_blocks(grid, pts))
-    assert all(same_bits(g, w) for g, w in zip(got, want))
-    with np.errstate(all="ignore"):
-        nearest = sb.kernel_sums(grid, pts)[0]
-        assert same_bits(nearest, np.sqrt(want[2].min(axis=1)))
+    assert _keeps_the_subtraction(grid, rng.permutation(pts))
 
 
 def test_distance_products_differ_only_in_the_sign_of_a_zero():
@@ -109,14 +134,12 @@ def test_distance_products_differ_only_in_the_sign_of_a_zero():
     grid = dataclasses.replace(grid, z=z)
     pts = np.full(40, 0.25 + 0.0j)
     pts[::2] = 0.0  # real part +0 in 20 points, imaginary part +0 in all 40
-    want = _blocks(oracles.distance_blocks_by_subtraction(grid, pts))
-    got = _blocks(curve_mod.distance_blocks(grid, pts))
-    assert same_bits(got[2], want[2])
-    for g, w, flips in zip(got[:2], want[:2], (20, 40)):
-        assert np.array_equal(g, w)
-        flipped = np.signbit(g) != np.signbit(w)
-        assert flipped.sum() == flips and np.all(w[flipped] == 0.0)
-        assert np.all(np.signbit(w[flipped]))
+    with np.errstate(all="ignore"):
+        blocks = [(dr.copy(), di.copy()) for _, dr, di, _ in
+                  oracles.distance_blocks_by_subtraction(grid, pts)]
+    for part, flips in zip(map(np.concatenate, zip(*blocks)), (20, 40)):
+        assert (np.signbit(part) & (part == 0.0)).sum() == flips
+    assert _keeps_the_subtraction(grid, pts)
 
 
 @given(count=st.integers(1, 240), seed=st.integers(0, 2 ** 16),
@@ -845,6 +868,24 @@ def test_rational_fit_takes_f_from_one_unwrap_at_mode_nodes(quartic_grid, monkey
     assert shapes == [(m, zs.size)] and 16 <= m < quartic_grid.n and m & (m - 1) == 0
     assert same_bits(got.p_coeffs, want.p_coeffs)
     assert same_bits(got.q_coeffs, want.q_coeffs)
+
+
+def test_rational_fit_refuses_after_one_unwrap_at_mode_nodes(cardioid, monkeypatch):
+    # samples at |z| = 2.5 and 1e13: 1/(S - conj z) is about 1e-13 at the
+    # far one, a modulus refusal at the m = 128 mode nodes already, which
+    # the 512 nodes, a superset, would give as well
+    grid = sb.sample(cardioid, 512)
+    zs = np.append(2.5 * np.exp(2j * np.pi * np.arange(5) / 5 + 0.1j), 1e13)
+    with pytest.raises(BranchUnresolvedError) as at_n:
+        transforms.unwrap_log(transforms._pole_transition(grid, zs))
+    shapes = []
+    unwrap = quaddom.unwrap_log
+    monkeypatch.setattr(quaddom, "unwrap_log",
+                        lambda values: shapes.append(np.shape(values)) or unwrap(values))
+    with pytest.raises(BranchUnresolvedError) as refused:
+        sb.fit_rational_structure(grid, 1, 1, zs)
+    assert str(refused.value) == str(at_n.value) == "values are zero or not finite; no branch exists"
+    assert shapes == [(128, 6)]
 
 
 @pytest.mark.parametrize("zs,deg_q,deg_p", [

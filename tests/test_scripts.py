@@ -91,16 +91,18 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
 def test_workload_passes_counts_the_steady_cycles_kernel_passes():
     # a steady `sections` cycle decides 12 adjustment points, every one
     # clear of the nodes' annulus, with no kernel pass; a `sweep` cycle
-    # passes over the two lattices' band rows only: each lattice's w and
-    # each fit's samples are clear, and a fit's F takes no pass
+    # passes over the two lattices' band rows only, at n = 1024: each
+    # lattice's w and each fit's samples are clear, and a fit's F takes no
+    # pass
     proc = _run("workload_passes.py")
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
-    assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-"]
+    assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-", "n", "-"]
     sweep = rows["sweep"]
     assert sweep[:4] == ["sides", "6", "kernel_sums", "2"]
     lattice_rows = [int(r) for r in sweep[5].split(",")]
     assert len(lattice_rows) == 2 and all(0 < r < 1600 for r in lattice_rows)
+    assert sweep[6:] == ["n", "1024,1024"]
 
 
 def test_heap_faults_reports_every_op_and_the_batch_peak():

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 import warnings
 from decimal import Decimal, localcontext
 
@@ -303,6 +304,27 @@ def test_far_w_answers(disk_grid):
             tv = sb.double_cauchy(disk_grid, z, w)
             expect = 1 - 1 / (z * np.conjugate(w)) if z > 1 else 1 - z / np.conjugate(w)
             assert abs(tv.E - expect) < 1e-9
+
+
+@pytest.mark.parametrize("coeffs,rho", [([0, 1], 0.5), ([0.2, 1], 0.5), ([0, 1, 0.3], 0.7)])
+def test_far_pole_is_refused_by_every_library_call(coeffs, rho):
+    # phi - w keeps no root beyond about 1e290 |a_j|: a ParseError naming w,
+    # where the curve's a0 was read as the leading coefficient (a math
+    # domain error, an unpacking error or a bundle with no factors)
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, 256)
+    calls = (lambda w: laurent.pole_roots(curve, w), lambda w: sb.schwarz_pole_bundle(curve, w),
+             lambda w: sb.double_cauchy(grid, 3.0, w),
+             lambda w: sb.double_cauchy_batch(grid, [3.0, 0.1], w))
+    for w in (1e291, 1e300, -1e300j):
+        for call in calls:
+            with pytest.raises(ParseError, match=re.escape(f"pole {complex(w)} is too far")):
+                call(w)
+    w = 1e289
+    assert laurent.pole_roots(curve, w).size == curve.degree
+    assert sb.schwarz_pole_bundle(curve, w).chern == 0
+    assert np.isfinite(sb.double_cauchy(grid, 3.0, w).C)
+    assert np.isfinite(sb.double_cauchy_batch(grid, [3.0, 0.1], w)).all()
 
 
 @pytest.mark.parametrize("n", [256, 512, 4096])
