@@ -10,14 +10,18 @@ of cycles and printed per op, then per cycle. A fault here is the heap
 handing pages back to the system and taking them again: a pass that leaves
 memory mapped, or reuses it, faults 0 times per op.
 
-The fits run first alone, the same way, before any lattice: a lattice's
-1 MB kernel buffers raise glibc's dynamic mmap threshold, after which a
-fit's larger arrays are no longer mapped and unmapped per call, so only a
-process that has run no lattice shows what a fit alone faults.
+The fits run first alone, the same way, before any lattice. glibc maps an
+array above its dynamic mmap threshold (128 kB at start) afresh per call,
+and freeing a larger mapping raises the threshold, so what ran before can
+hide what a fit faults. A lattice no longer frees such a mapping: its
+band rows are decided from node blocks (`curve.near_rows`), and it makes
+no kernel pass, or one over a single row (`scripts/workload_passes.py`),
+where its 1 MB of kernel buffers once raised the threshold.
 
 The peak is `tracemalloc`'s for one `double_cauchy_batch` over the
-exterior w's lattice: w's density, the closed rows' factor tables, the
-kernel pass's block buffers over the rows it sums, and the outputs.
+exterior w's lattice: the band test's node gathers, w's density and the
+kernel pass's block buffers when a row off the band is left to sum, the
+closed rows' factor tables, and the outputs.
 
 Usage: python scripts/heap_faults.py [cycles]   (default 20)
 Output: one line per fit of the fits-only pass, `fits_only_faults_per_op

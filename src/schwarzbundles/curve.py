@@ -23,14 +23,16 @@ and `off_band` refuses a batch with a point in the band. Every caller that
 classifies points or sums at them goes through them, the one-point section
 and Cauchy-integral evaluators included. `clear_rows` places the points
 that the nodes' annulus about the conformal center puts off the band on
-either side of it; `sides` takes its places for them, with no pass, when
-no density is asked for, and passes over the rest only.
+either side of it, and `near_rows` finds the others that lie in the band
+from blocks of consecutive nodes, with the bits of the pass's nearest
+distance: `sides` sums only the points off the band, and of those only
+the ones `clear_rows` leaves when no density is asked for.
 
 All objects are immutable after construction; evaluation functions are pure
 and safe to call concurrently. A grid memoizes geometry derived from it
-alone (here its node parts, its annulus, the Schwarz function S and the
-unit tangent T at its nodes; in `bundles` its verification rings and
-points), and a map curve the roots of phi' and of phi - a0; a race only
+alone (here its node parts and blocks, its annulus, the Schwarz function
+S and the unit tangent T at its nodes; in `bundles` its verification rings
+and points), and a map curve the roots of phi' and of phi - a0; a race only
 computes the same value twice. The arrays kept are read-only, and no value
 kept depends on a bundle, a pole or a point.
 """
@@ -81,6 +83,11 @@ FAR_PAIR_SEPARATION = 8
 # and 256-point rings at n = 4096 and 65536 (2-core x86_64, one BLAS
 # thread).
 KERNEL_BLOCK = 2 ** 15
+
+# Consecutive nodes per block of `near_rows`' band test: a point takes the
+# nodes of a block only when the block's bounding disk comes within the
+# exclusion band of it.
+NODE_BLOCK = 32
 
 EPS = np.finfo(float).eps
 
@@ -306,6 +313,19 @@ class ContourGrid:
                 _read_only(np.stack([self.z.imag, -ones])))
 
     @cached_property
+    def _node_blocks(self):
+        """(centers, reach, nodes): the nodes in blocks of NODE_BLOCK
+        consecutive ones (one block when n is smaller), as a read-only
+        (blocks, NODE_BLOCK) view of z, with each block's bounding-box
+        center and its reach (r + band)(1 + 8 eps), r its largest |z_k -
+        center|, formed once per grid for `near_rows`."""
+        nodes = _read_only(self.z.reshape(-1, min(self.n, NODE_BLOCK)))
+        re, im = nodes.real, nodes.imag
+        centers = 0.5 * (re.min(axis=1) + re.max(axis=1)) + 0.5j * (im.min(axis=1) + im.max(axis=1))
+        radii = np.abs(nodes - centers[:, None]).max(axis=1)
+        return _read_only(centers), _read_only((radii + self.exclusion_band) * (1 + 8 * EPS)), nodes
+
+    @cached_property
     def _node_annulus(self):
         """(c, R, r): the conformal center c and the largest and smallest
         |z_k - c|, formed once per grid for `clear_rows`."""
@@ -385,6 +405,21 @@ def _refuse_underflowing_square(scale):
         raise ParseError(f"curve scale |a1| = {scale:.3g} underflows when squared")
 
 
+def _refuse_collapsing_nodes(scale, center):
+    """ParseError unless scale = |a1| exceeds MAX_NODES eps |a0|, center =
+    |a0|. A node is a0 plus terms of the curve's scale |a1| (as in
+    `_refuse_underflowing_square`), rounded to about eps |a0|. Neighbouring
+    nodes of a circle at MAX_NODES nodes lie 2 pi |a1| / MAX_NODES apart,
+    so above the threshold more than 2 pi eps |a0|, a few units in the
+    last place of a0, and no two of them round to one point. Below it the
+    nodes of a fine grid collapse: the exclusion band and the kernel's
+    distances are rounding, and so are the values summed over them ([1,
+    1e-17] had a band of 0)."""
+    if not scale > MAX_NODES * EPS * center:
+        raise ParseError(f"curve scale |a1| = {scale:.3g} is not above {MAX_NODES} eps "
+                         f"|a0| (|a0| = {center:.3g}): its nodes collapse in rounding")
+
+
 def build_polynomial_curve(coeffs, rho):
     """Validate and build the curve phi(unit circle) for polynomial phi.
 
@@ -395,7 +430,8 @@ def build_polynomial_curve(coeffs, rho):
     roots) and, at sample resolution, for injectivity of the boundary image.
     By the argument principle the tangent i zeta phi'(zeta) then winds
     exactly once, counterclockwise, around the circle. Last, a univalent map
-    whose |a1| underflows when squared is refused (ParseError).
+    whose |a1| underflows when squared, or is too small beside |a0| for its
+    nodes to stay apart in rounding, is refused (ParseError).
     """
     rho = float(rho)
     if not 0.0 < rho < 1.0:
@@ -419,7 +455,9 @@ def build_polynomial_curve(coeffs, rho):
         adjacent = np.abs(np.roll(z, -1) - z)
         if _far_pair_gap(z) < 0.5 * adjacent.min():
             raise CurveNotSimpleError("boundary image self-intersects at sample resolution")
-    _refuse_underflowing_square(math.hypot(cs[1].real, cs[1].imag))
+    scale = math.hypot(cs[1].real, cs[1].imag)
+    _refuse_underflowing_square(scale)
+    _refuse_collapsing_nodes(scale, math.hypot(cs[0].real, cs[0].imag))
     return curve
 
 
@@ -578,8 +616,10 @@ def kernel_sums(grid, points, density=None):
     sum_k |w num_k/(z_k - p)|, num = dz or density dz: BLAS summation order,
     which depends on the batch.
 
-    A point on a node gives NaN; such rows lie inside the exclusion band,
-    are computed without warnings and are the caller's to discard.
+    A point on a node, or so near one that 1/d2 overflows, gives NaN or an
+    infinity; such rows lie inside the exclusion band, are computed without
+    warnings and are the caller's to discard. `sides` passes no such row:
+    it finds the band's points first (`near_rows`), and they carry no sums.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     cols = grid.dz
@@ -611,15 +651,15 @@ def kernel_sums(grid, points, density=None):
             np.reciprocal(dist2, out=dist2)
             re_k[block] = np.multiply(x, dist2, out=x) @ parts
             im_k[block] = np.multiply(y, dist2, out=y) @ parts
-    # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
-    # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
-    # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
-    # and (w/2 pi i) S = (w/2 pi) (-i R - I), the same two real operations.
-    scale = grid.weight / TWO_PI
-    winding = scale * (re_k[:, 1] - im_k[:, 0])
-    if density is None:
-        return nearest, winding, None
-    sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
+        # S = sum (dr - i di)/d2 * (a + i b): Re S = dr.a + di.b, Im S = dr.b - di.a;
+        # (w/2 pi i) S = (w/2 pi) (Im S - i Re S). Read as complex, a row of re_k
+        # holds R = dr.c and one of im_k I = di.c per column c, so S = R - i I
+        # and (w/2 pi i) S = (w/2 pi) (-i R - I), the same two real operations.
+        scale = grid.weight / TWO_PI
+        winding = scale * (re_k[:, 1] - im_k[:, 0])
+        if density is None:
+            return nearest, winding, None
+        sums = scale * (-1j * re_k.view(complex)[:, 1:] - im_k.view(complex)[:, 1:])
     return nearest, winding, sums.reshape(pts.shape + density.shape[1:])
 
 
@@ -641,6 +681,44 @@ def clear_rows(grid, points):
     return outside, inside
 
 
+def near_rows(grid, points):
+    """The mask of the points closer than the exclusion band to some node,
+    the bits of `kernel_sums`' nearest < band, with no pass.
+
+    A point takes the nodes of a block of `ContourGrid._node_blocks` only
+    when the block's disk, grown by the band, is not clear of it
+    (`_candidate_blocks`). A point is near when some node of a block it
+    takes has sqrt(dr^2 + di^2) < band, dr = Re z_k - Re p and di = Im z_k
+    - Im p rounded once, as `kernel_sums`' exact products give them, and d2
+    summed as it sums it: sqrt is monotone, so that is its sqrt(min d2) <
+    band. The points go in chunks of KERNEL_BLOCK // n, so that a chunk's
+    nodes never exceed KERNEL_BLOCK pairs."""
+    pts = np.asarray(points, dtype=complex).reshape(-1)
+    near = np.zeros(pts.size, dtype=bool)
+    nodes, rows = grid._node_blocks[2], max(1, KERNEL_BLOCK // grid.n)
+    with np.errstate(all="ignore"):
+        for lo in range(0, pts.size, rows):
+            p = pts[lo:lo + rows, None]
+            i, b = _candidate_blocks(grid, p)
+            squares = np.square((nodes[b] - p[i]).view(float))  # dr^2, di^2 by turns
+            d2 = squares[:, ::2] + squares[:, 1::2]
+            near[lo:lo + rows][i[np.sqrt(d2.min(axis=1)) < grid.exclusion_band]] = True
+    return near
+
+
+def _candidate_blocks(grid, points):
+    """(rows, blocks): the pairs of a point of a (points, 1) array and a
+    node block whose disk, grown by the band, it does not clear: g < (r +
+    band)(1 + 8 eps), g the computed |p - center| and r the block's
+    computed radius. A block that the point clears holds no node whose
+    computed distance is below the band: the eight ulps, as in
+    `clear_rows`, cover the three or so that g, r and each distance round
+    by. An overflowing g is inf, which clears every block; call under
+    np.errstate where it may overflow."""
+    centers, reach, _ = grid._node_blocks
+    return np.nonzero(np.abs(points - centers) < reach)
+
+
 def winding_number(grid, z):
     """Pre-rounding winding of the curve around z (trapezoidal quadrature);
     a z that is not finite is refused (ParseError), as in `sides`."""
@@ -655,27 +733,40 @@ def sides(grid, points, density=None):
 
     near marks the points closer to a node than the exclusion band, as a
     `kernel_sums` pass measures them, inside the points off the band that
-    the curve winds around; sums are the pass's Cauchy sums (else None).
-    A batch with a non-finite point is refused as a whole (ParseError)
-    before any decision. Without a density, a point that `clear_rows`
-    places takes the side it names, which is the pass's decision, with no
-    pass, and only the other points are summed; with a density every point
-    is. A finite point too far for its squared distance to be finite is
+    the curve winds around; sums are the pass's Cauchy sums, NaN at the
+    points in the band (None without a density, or when no point is
+    summed). A batch with a non-finite point is refused as a whole
+    (ParseError) before any decision.
+
+    `near_rows` decides the band with no pass, and one `kernel_sums` pass
+    over the points off it gives their sides and sums; no point is tested
+    or summed twice. Without a density, a point that `clear_rows` places
+    takes the side it names, which is the pass's decision, and only the
+    others are tested and summed. With one, every point is tested and
+    every point off the band is summed; the density may be given as a
+    function of no arguments that forms it, called only when a point is
+    summed. A finite point too far for its squared distance to be finite is
     still decided.
     """
     pts = np.asarray(points, dtype=complex).reshape(-1)
     if not np.isfinite(pts).all():
         raise ParseError("points must be finite")
-    near, sums = np.zeros(pts.size, dtype=bool), None
     if density is None:
         outside, inside = clear_rows(grid, pts)
-        rest = ~(outside | inside)
+        summed, near = ~(outside | inside), np.zeros(pts.size, dtype=bool)
+        if summed.any():
+            near[summed] = near_rows(grid, pts[summed])
+            summed &= ~near
     else:
-        inside, rest = near.copy(), slice(None)
-    if density is not None or rest.any():
-        nearest, winding, sums = kernel_sums(grid, pts[rest], density)
-        banded = nearest < grid.exclusion_band
-        near[rest], inside[rest] = banded, ~banded & (winding > 0.5)
+        near = near_rows(grid, pts)
+        summed, inside = ~near, np.zeros(pts.size, dtype=bool)
+    if not summed.any():
+        return near, inside, None
+    _, winding, sums = kernel_sums(grid, pts[summed], density() if callable(density) else density)
+    inside[summed] = winding > 0.5
+    if sums is not None and near.any():
+        part, sums = sums, np.full((pts.size, *sums.shape[1:]), np.nan, dtype=complex)
+        sums[summed] = part
     return near, inside, sums
 
 

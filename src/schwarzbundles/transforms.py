@@ -21,11 +21,12 @@ H, fixed by which side of the curve each argument lies on;
 property with the quadrant enforced.
 
 Every Cauchy sum is one call of the kernel pass `curve.kernel_sums`
-through `curve.sides` or `curve.off_band`, which locate the points it sums
-at in the same pass and refuse the exclusion band and non-finite points;
-a point located without a sum takes their decision, with no pass where it
-is clear of the nodes' annulus. `cauchy_integral` is one pass for one
-point. The trapezoidal moments
+through `curve.sides` or `curve.off_band`, which find the points in the
+exclusion band first, with no pass, locate the others in the same pass
+that sums at them, and refuse the band and non-finite points; a point
+located without a sum takes their decision, with no pass where it is in
+the band or clear of the nodes' annulus. `cauchy_integral` is at most one
+pass for one point. The trapezoidal moments
 (`_trapezoid_moments`) need no kernel: one product per order walks the
 node terms from k = 0.
 """
@@ -265,6 +266,22 @@ def _inside_rows(curve, zs, w_inside, series):
     return series.constant + laurent.log1m(np.multiply.outer(zeta0, s)) @ weight
 
 
+def _density_columns(series, n, w_inside):
+    """The columns `_c_rows` sums, (n, 1) at interior w and (n, 2) at
+    exterior w: w's density D_w at the n nodes, without its constant at
+    exterior w, and there also -conj(D_w), whose Cauchy sum at interior z
+    is log(z - w) on the branch continued from the nodes, less the
+    constant that the first column leaves out."""
+    if w_inside:
+        return laurent.density(series, n)[:, None]
+    # filled in place: no stacked copy and no -conj temporary, n-sized
+    # arrays that fault pages at large n
+    columns = np.empty((n, 2), dtype=complex)
+    columns[:, 0] = np.fft.ifft(laurent.spectra(series, n, (1.0,))[0], norm="forward")
+    np.negative(np.conjugate(columns[:, 0], out=columns[:, 1]), out=columns[:, 1])
+    return columns
+
+
 def _c_rows(grid, zs, w):
     """(c, near, inside, w_inside): C(z, w) for every z of zs at one w, the
     one route of `double_cauchy` and `double_cauchy_batch`, with NaN where
@@ -291,12 +308,14 @@ def _c_rows(grid, zs, w):
     the exact sum of residues of the record (`_outside_rows`, `_inside_rows`),
     log(1 - x) from real log1p and atan2 (`laurent.log1m`): within a few
     ulps per factor of the exact C, and the same bits at every n. The other
-    z are located and summed in one `curve.sides` pass over D_w, its
-    Laurent modes' inverse FFT, formed only for them, with the second
-    column -conj(D_w) at exterior w: within `kernel_sums`' bound 8 n eps *
-    sum_k |w num_k/(z_k - p)| per sum, num = D_w dz, of the trapezoidal
-    sum, whose batch moves the rows by BLAS summation order only. A
-    non-finite z or w refuses the whole call (ParseError, from `sides`)."""
+    z are located by one `curve.sides` decision, which puts the band's
+    points aside with no pass, and the rest summed in one pass over D_w,
+    its Laurent modes' inverse FFT, formed only when such a z is left
+    (`_density_columns`), with the second column -conj(D_w) at exterior w:
+    within `kernel_sums`' bound 8 n eps * sum_k |w num_k/(z_k - p)| per
+    sum, num = D_w dz, of the trapezoidal sum, whose batch moves the rows
+    by BLAS summation order only. A non-finite z or w refuses the whole
+    call (ParseError, from `sides`)."""
     zs = np.asarray(zs, dtype=complex).reshape(-1)
     w_inside = off_band(grid, [w])[0][0]
     curve, roots = grid.curve, laurent.pole_roots(grid.curve, w)
@@ -312,18 +331,12 @@ def _c_rows(grid, zs, w):
     if inside.any():
         c[inside] = _inside_rows(curve, zs[inside], w_inside, series)
     if rest.any():
-        if w_inside:
-            near[rest], inside[rest], c[rest] = sides(grid, zs[rest],
-                                                      laurent.density(series, grid.n))
-        else:
-            density = np.fft.ifft(laurent.spectra(series, grid.n, (1.0,))[0], norm="forward")
-            # column 1, -conj(density), sums at interior z to log(z - w) on
-            # the branch continued from the nodes, less the constant that
-            # column 0 leaves out
-            near[rest], inside[rest], sums = sides(
-                grid, zs[rest], np.stack([density, -np.conjugate(density)], 1))
+        near[rest], inside[rest], sums = sides(
+            grid, zs[rest], lambda: _density_columns(series, grid.n, w_inside))
+        if sums is not None:
             c[rest] = sums[:, 0]
-            c[rest & inside] += np.conjugate(sums[inside[rest], 1])
+            if not w_inside:
+                c[rest & inside] += np.conjugate(sums[inside[rest], 1])
     if w_inside:
         _add_log_gap(c, zs, w, inside)
     c[near] = np.nan

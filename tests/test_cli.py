@@ -125,6 +125,22 @@ def test_validate_invalid_curve(capsys, tmp_path):
     assert "vanishes" in err
 
 
+@pytest.mark.parametrize("coeffs", [[[1, 0], [1e-17, 0]], [[1e10, 0], [1e-150, 0]]])
+@pytest.mark.parametrize("verb", [["validate"], ["transform", "--z", "2e10", "--n", "64"],
+                                  ["plotdata", "--quantity", "exp-transform-abs", "--w", "3",
+                                   "--n", "64", "--grid", "0:2:3,0:2:3"]])
+def test_a_map_whose_nodes_collapse_in_rounding_is_a_parse_error(capsys, tmp_path, coeffs,
+                                                                 verb):
+    # |a1| at most 65536 eps |a0|: [1, 1e-17] validated with a band of 0 and
+    # printed |E| = 1 beside a blank, and [1e10, 1e-150] printed a Cauchy
+    # transform of 5e-167 for one of about 1e-310
+    path = tmp_path / "collapsed.json"
+    path.write_text(json.dumps({"kind": "conformal", "coeffs": coeffs, "rho": 0.5}))
+    code, out, err = run(capsys, verb[0], str(path), *verb[1:])
+    assert code == 2 and out == ""
+    assert "nodes collapse in rounding" in err
+
+
 def test_validate_malformed_json(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{oops")

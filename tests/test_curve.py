@@ -426,6 +426,17 @@ def test_a_map_whose_scale_underflows_when_squared_is_refused(coeffs, rho):
         sb.build_polynomial_curve(coeffs, rho)
 
 
+@pytest.mark.parametrize("center", [1.0, -3e5j, 1e10 + 1e10j])
+def test_a_map_whose_nodes_collapse_in_rounding_is_refused(center):
+    # |a1| must exceed MAX_NODES eps |a0|: at the threshold the map is
+    # refused, one ulp above it (in |a1|) it validates
+    threshold = sb.curve.MAX_NODES * np.finfo(float).eps * math.hypot(center.real, center.imag)
+    with pytest.raises(ParseError, match="nodes collapse in rounding"):
+        sb.build_polynomial_curve([center, threshold], 0.5)
+    above = np.nextafter(threshold, np.inf)
+    assert sb.build_polynomial_curve([center, above], 0.5).coeffs[1] == above
+
+
 def test_the_scale_refusal_follows_univalence():
     assert sb.build_polynomial_curve([0, 1.5e-154], 0.5).coeffs[1] == 1.5e-154
     for coeffs in ([0, 0, 1], [0, 1e-170, 1]):  # phi' vanishes near 0: not univalent

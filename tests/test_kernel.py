@@ -9,9 +9,14 @@ kernel states, `oracles.kernel_row_bound`, 8 n eps * sum_k |w num_k/(z_k
 are exact sums of residues; they must lie within `oracles.double_cauchy_bound`
 of the one-point sums."""
 
+import contextlib
 import dataclasses
 import functools
+import hashlib
+import io
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,7 @@ from numpy.polynomial import polynomial as npoly
 
 import schwarzbundles as sb
 from schwarzbundles import curve as curve_mod
-from schwarzbundles import laurent, quaddom, transforms
+from schwarzbundles import cli, laurent, quaddom, transforms
 from schwarzbundles.errors import (
     BranchUnresolvedError,
     CoincidentInteriorPointsError,
@@ -545,6 +550,186 @@ def test_clear_points_take_the_decision_of_a_full_pass(curve, n, seed):
     for decide in (curve_mod.sides, oracles.one_pass_sides):
         with pytest.raises(ParseError, match="^points must be finite$"):
             decide(grid, nan)
+
+
+def _band_edge_points(grid, rng):
+    """Points about the band of six random nodes: each node's real or
+    imaginary part moved by the band either way, and one ulp either side
+    of that; 40 points within three bands of random nodes in random
+    directions, in and beyond the node blocks' reach; the six nodes; and
+    points beyond 1e300, whose squared distances overflow, one of them so
+    far that its distance to a block's center does too."""
+    band = grid.exclusion_band
+    z = grid.z[rng.integers(0, grid.n, 6)]
+    edges = []
+    for sign in (1.0, -1.0):
+        re, im = z.real + sign * band, z.imag + sign * band
+        for step in (-np.inf, None, np.inf):
+            edges += [(re if step is None else np.nextafter(re, step)) + 1j * z.imag,
+                      z.real + 1j * (im if step is None else np.nextafter(im, step))]
+    around = grid.z[rng.integers(0, grid.n, 40)] + band * rng.uniform(0.0, 3.0, 40) * np.exp(
+        2j * np.pi * rng.uniform(size=40))
+    far = 1e300 * np.exp(2j * np.pi * rng.uniform(size=3))
+    return np.concatenate([*edges, around, z, far,
+                           [complex(1e300, z[0].imag), complex(z[0].real, -1e300),
+                            complex(1.7e308, -1.7e308)]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(curve=st.one_of(certified_curves(), st.just(sb.build_circle(-1.0, 1.0))),
+       n=st.sampled_from([16, 64, 256, 1024]), ring=st.sampled_from([None, 0.97, 1.03]),
+       seed=st.integers(0, 2 ** 16))
+@example(curve=sb.build_circle(0.3 - 0.2j, 1.3), n=65536, ring=None, seed=3).via("n = 65536")
+@example(curve=sb.build_polynomial_curve(QUARTIC, 0.72), n=16, ring=1.03, seed=5).via(
+    "one block of 16 nodes on a ring")
+def test_node_blocks_give_the_near_mask_of_a_full_pass(curve, n, ring, seed):
+    # the band test decides every point as one kernel pass over all the
+    # nodes does, bit for bit: at the band from a node and one ulp either
+    # side, about the nodes in and beyond the blocks' reach, on nodes and
+    # beyond 1e300; on grids from n = 16, one block of every node, to
+    # 65536, and on rings whose radius is not 1. `sides` takes its band
+    # from it, with a density and without
+    grid = sb.sample(curve, n) if ring is None else curve_mod._ring(curve, n, ring)
+    pts = _band_edge_points(grid, np.random.default_rng(seed))
+    want = sb.kernel_sums(grid, pts)[0] < grid.exclusion_band
+    assert want.any() and not want.all()
+    assert same_bits(curve_mod.near_rows(grid, pts), want)
+    assert same_bits(curve_mod.sides(grid, pts)[0], want)
+    assert same_bits(curve_mod.sides(grid, pts, np.conjugate(grid.z))[0], want)
+
+
+@pytest.mark.parametrize("n", [16, 1024, 65536])
+def test_a_point_at_exactly_the_band_is_off_it(n):
+    # node 0 of the circle about -1 is 0 exactly, so the point band + 0j is
+    # exactly the band from it and its neighbours one ulp either side are
+    # not; the nearest node is node 0 and the point is not clear of the
+    # nodes' annulus, so the block test decides it, as the pass does
+    grid = sb.sample(sb.build_circle(-1.0, 1.0), n)
+    band = grid.exclusion_band
+    pts = np.array([np.nextafter(band, 0.0), band, np.nextafter(band, np.inf)]) + 0j
+    nearest = sb.kernel_sums(grid, pts)[0]
+    assert grid.z[0] == 0 and nearest[1] == band
+    assert not np.any(curve_mod.clear_rows(grid, pts))
+    assert list(curve_mod.near_rows(grid, pts)) == list(nearest < band) == [True, False, False]
+
+
+def test_a_point_whose_inverse_distance_overflows_warns_nothing():
+    # on a map of scale 1e-150 this point, 4.7e-155 from a node at n =
+    # 65536, overflows 1/d2 to inf in the terms of both parts: the winding
+    # is inf - inf and NaN, with no warning (the suite turns one into an
+    # error), and the point is in the band, where `locate` takes no pass
+    grid = sb.sample(sb.build_polynomial_curve([0, 1e-150], 0.7), 65536)
+    p = complex(9.98681749793607e-151, 5.222395070717935e-152)
+    assert np.isnan(sb.winding_number(grid, p))
+    assert not np.isfinite(sb.kernel_sums(grid, [p], grid.z)[2]).any()
+    assert sb.locate(grid, p) is sb.Location.NEAR_BOUNDARY
+
+
+DIGEST_CURVES = {"disk": ([0, 1], 0.5), "cardioid": ([0, 1, 0.3], 0.7), "quartic": (QUARTIC, 0.72)}
+# sha256 of `_decision_record` on the tree whose `sides` took the band from
+# one kernel pass over every unplaced point
+DECISION_DIGESTS = {
+    "cardioid": "35db07c650d83e9bbe30ad448fcd2366666958c6dcc4aecb4592bef492a62bd3",
+    "disk": "c746be40499eaf97a300de12c8911ddc9cc4a49735dff4a33912eca12638eaf6",
+    "quartic": "cb10fa763eb18a0385276145ca2a23a21e157872b5bd552ed6ef9a3f8af5d365",
+}
+
+
+def _digest_points(curve):
+    """A 61 x 61 lattice over [-2.5, 2.5]^2 and phi at 96 angles on 31
+    pullback radii within 0.03 of the circle, where the band's edge lies."""
+    xs = np.linspace(-2.5, 2.5, 61)
+    turns = np.exp(2j * np.pi * np.arange(96) / 96 + 0.01j)
+    radii = 1.0 + np.linspace(-0.03, 0.03, 31)
+    return np.concatenate([(xs[None, :] + 1j * xs[:, None]).ravel(),
+                           curve.phi(np.multiply.outer(radii, turns)).ravel()])
+
+
+def _decision_record(name, workdir):
+    """Bytes of every band and side decision of `_digest_points` at n = 256,
+    1024 and 4096 by `sides` with and without a density, of `locate` at
+    every 29th point, of `double_cauchy_batch`'s blanks at an exterior, an
+    interior and a far w, and of the blanks `plotdata` prints for the
+    `sweep` benchmark's two lattices at n = 1024."""
+    coeffs, rho = DIGEST_CURVES[name]
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    pts = _digest_points(curve)
+    record = []
+    for n in (256, 1024, 4096):
+        grid = sb.sample(curve, n)
+        for density in (None, np.conjugate(grid.z)):
+            near, inside, _ = curve_mod.sides(grid, pts, density)
+            record += [near.tobytes(), inside.tobytes()]
+        record.append(" ".join(sb.locate(grid, p).value for p in pts[::29]).encode())
+        for w in (2.5 * np.exp(1j), complex(curve.phi(0.5 * np.exp(2j))), 0.3 + 1e6j):
+            try:
+                record.append(np.isnan(sb.double_cauchy_batch(grid, pts, w)).tobytes())
+            except NearBoundaryError:
+                record.append(b"w in the band")
+    path = Path(workdir) / f"{name}.json"
+    path.write_text(json.dumps(sb.curve_to_json(curve)))
+    for w in (2.5 * np.exp(1j), 0.5 * np.exp(2j)):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["plotdata", str(path), "--quantity", "exp-transform-abs",
+                                "--n=1024", "--grid=-2:2:40,-2:2:40",
+                                f"--w={float(w.real)!r},{float(w.imag)!r}"]) == 0
+        record.append(bytes(line.endswith(",") for line in out.getvalue().splitlines()[1:]))
+    return b"".join(record)
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CURVES))
+def test_band_decisions_and_blanks_keep_their_digest(name, tmp_path):
+    # every decision, located side and blank is the one the kernel pass
+    # over every unplaced point made before the band test took node blocks
+    record = _decision_record(name, tmp_path)
+    assert hashlib.sha256(record).hexdigest() == DECISION_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_CURVES))
+def test_band_points_carry_no_sums_and_the_rest_keep_a_full_pass(name):
+    # `sides` sums the points off the band only: NaN in the band, and the
+    # others within kernel_sums' batch bound of one pass over every point
+    # (the batch moves a row by BLAS summation order alone)
+    coeffs, rho = DIGEST_CURVES[name]
+    curve = sb.build_polynomial_curve(coeffs, rho)
+    grid = sb.sample(curve, 1024)
+    pts = _digest_points(curve)
+    density = np.log(np.abs(grid.z - 3.0)) + 1j * np.conjugate(grid.z)
+    near, _, sums = curve_mod.sides(grid, pts, density)
+    full = sb.kernel_sums(grid, pts, density)[2]
+    assert near.any() and np.isnan(sums[near]).all()
+    assert _within_row_bounds(sums[~near], full[~near], grid, density * grid.dz, pts[~near])
+
+
+def _counted_densities(monkeypatch):
+    """The names of the `laurent.spectra` and `laurent.density` calls made
+    from here on."""
+    calls = []
+    for name in ("spectra", "density"):
+        original = getattr(laurent, name)
+        monkeypatch.setattr(laurent, name, lambda *args, name=name, original=original:
+                            calls.append(name) or original(*args))
+    return calls
+
+
+@pytest.mark.parametrize("w, formed", [(2.5 * np.exp(1j), ["spectra"]),
+                                       (0.5 * np.exp(2j), ["density", "spectra"])])
+def test_c_rows_form_the_density_only_for_a_row_off_the_band(monkeypatch, w, formed):
+    # on the disk every row that `clear_rows` leaves is within the band of
+    # the circle; at (1 + 0.999 band) e^{i pi/n}, between two nodes, it is
+    # still off the band. Band rows alone form no density; one row off the
+    # band forms it once, and one-point C is the batch's bits
+    grid = sb.sample(sb.build_circle(0.0, 1.0), 1024)
+    band = grid.exclusion_band
+    in_band = grid.z[::64] * (1.0 + 0.5 * band)
+    off = (1.0 + 0.999 * band) * np.exp(1j * np.pi / grid.n)
+    calls = _counted_densities(monkeypatch)
+    assert np.isnan(sb.double_cauchy_batch(grid, in_band, w)).all() and calls == []
+    c = sb.double_cauchy_batch(grid, np.append(in_band, off), w)
+    assert calls == formed and np.isnan(c[:-1]).all() and np.isfinite(c[-1])
+    assert same_bits(sb.double_cauchy(grid, off, w).C, c[-1])
+    assert same_bits(sb.double_cauchy(grid, off, w).C, sb.double_cauchy_batch(grid, [off], w)[0])
 
 
 def _pullback_points(curve, rng, count):

@@ -90,19 +90,24 @@ def test_section_passes_counts_one_unwrap_per_verification_ring():
 
 def test_workload_passes_counts_the_steady_cycles_kernel_passes():
     # a steady `sections` cycle decides 12 adjustment points, every one
-    # clear of the nodes' annulus, with no kernel pass; a `sweep` cycle
-    # passes over the two lattices' band rows only, at n = 1024: each
-    # lattice's w and each fit's samples are clear, and a fit's F takes no
-    # pass
+    # clear of the nodes' annulus, with no band test and no kernel pass; a
+    # `sweep` cycle tests the two lattices' unplaced rows against node
+    # blocks at n = 1024, taking far fewer candidate nodes than a pass's
+    # rows times n, and at seed 1 finds every one in the band: no kernel
+    # pass. Each lattice's w and each fit's samples are clear, and a fit's
+    # F takes no pass
     proc = _run("workload_passes.py")
     assert proc.returncode == 0, proc.stderr
     rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()}
-    assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-", "n", "-"]
+    assert rows["sections"] == ["sides", "12", "kernel_sums", "0", "rows", "-", "n", "-",
+                                "near_rows", "0", "tested", "-", "candidates", "-"]
     sweep = rows["sweep"]
-    assert sweep[:4] == ["sides", "6", "kernel_sums", "2"]
-    lattice_rows = [int(r) for r in sweep[5].split(",")]
-    assert len(lattice_rows) == 2 and all(0 < r < 1600 for r in lattice_rows)
-    assert sweep[6:] == ["n", "1024,1024"]
+    assert sweep[:8] == ["sides", "6", "kernel_sums", "0", "rows", "-", "n", "-"]
+    assert sweep[8:10] == ["near_rows", "2"] and sweep[12] == "candidates"
+    tested = [int(r) for r in sweep[11].split(",")]
+    candidates = [int(r) for r in sweep[13].split(",")]
+    assert len(tested) == 2 and all(0 < r < 1600 for r in tested)
+    assert all(0 < c < r * 1024 // 8 for r, c in zip(tested, candidates))
 
 
 def test_heap_faults_reports_every_op_and_the_batch_peak():
@@ -121,9 +126,10 @@ def test_heap_faults_reports_every_op_and_the_batch_peak():
     totals = {row[0]: float(row[1]) for row in rows if len(row) == 2}
     assert set(totals) == {"faults_per_cycle", "batch_peak_mb"}
     assert totals["faults_per_cycle"] == pytest.approx(sum(per_op.values()), abs=0.02)
-    # the kernel pass over the lattice's unclosed rows holds its blocks'
-    # four buffers (1 MB at n = 1024); the closed rows' tables are small
-    assert 1.0 < totals["batch_peak_mb"] < 1.5
+    # the lattice's unclosed rows are in the band, decided from node
+    # blocks: no density and no kernel pass's four 1 MB buffers (n = 1024),
+    # and the closed rows' tables are small
+    assert 0.0 < totals["batch_peak_mb"] < 0.5
 
 
 def test_pole_columns_reports_the_fit_f_routes_against_the_closed_rows():
